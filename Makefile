@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke smoke-dist smoke-chaos sweep bench-scaling bench-quick lint-arch
+.PHONY: test smoke smoke-dist smoke-chaos sweep bench-scaling bench-quick bench-e2e bench-e2e-check lint-arch
 
 test:
 	$(PY) -m pytest -x -q
@@ -12,8 +12,8 @@ test:
 # execution backend -- the 'cross' pairs double as backend self-checks --
 # then a pooled sweep through the persistent compile cache (cold, then warm
 # from the populated cache), a traced mini sweep whose JSONL is validated
-# against the trace-event schema, the distributed loopback check and the
-# tier-1 test suite.
+# against the trace-event schema, the distributed loopback check, the
+# sweep-level benchmark's smoke run and the tier-1 test suite.
 smoke:
 	$(MAKE) lint-arch
 	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend interpreter
@@ -33,6 +33,7 @@ smoke:
 	rm -f .smoke-trace.jsonl
 	$(MAKE) smoke-dist
 	$(MAKE) smoke-chaos
+	$(MAKE) bench-e2e-check
 	$(PY) -m pytest -x -q
 
 # Loopback distributed sweep, two scenarios:
@@ -72,6 +73,18 @@ bench-scaling:
 # (BENCH_backends.json).
 bench-quick:
 	cd benchmarks && PYTHONPATH=../src REPRO_BENCH_QUICK=1 $(PY) -m pytest bench_backend_throughput.py -q -s
+
+# The sweep-level benchmark of BENCHMARK.json (benchmarks/e2e/README.md):
+# four workloads, end-to-end metrics with tracing off plus a per-layer
+# ledger from a traced session; about 2 min.  It checks every verdict,
+# rewrites benchmarks/e2e/latest.json and appends a history.jsonl row.
+bench-e2e:
+	$(PY) benchmarks/e2e/run.py
+
+# Its smoke form (under 15 s): every workload, every verdict and every
+# wrapped layer name, no timing claims and no files written.
+bench-e2e-check:
+	$(PY) benchmarks/e2e/run.py --check
 
 # Structural invariants of src/repro/backends/ and src/repro/cluster/:
 # module-size caps, the codegen -> execute layering rule (emitters never

@@ -131,8 +131,9 @@ def get_backend(backend: Union[str, ExecutionBackend]) -> ExecutionBackend:
     interpreter-vs-vectorized default.
 
     Instances are shared per name so backend-level caches (e.g. the
-    vectorized backend's compiled-program cache) persist across callers
-    within one process.
+    vectorized backend's compiled-program cache, which keeps one LRU per
+    thread because prepared programs are not reentrant) persist across
+    callers within one process.
     """
     if isinstance(backend, ExecutionBackend):
         return backend

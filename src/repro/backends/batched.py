@@ -144,20 +144,20 @@ class BatchedExecutor(CompiledExecutor):
         return ops
 
     def _make_batched_scope_op(self, plan) -> Callable:
-        def op(symbols, _plan=plan):
+        def op(rt, symbols, _plan=plan):
             if not _plan.usable:
                 raise _BatchAbort("scope plan unusable")
-            writes, _ = self._compute_vectorized(_plan, symbols)
+            writes, _ = rt._compute_vectorized(_plan, symbols)
             for apply_write in writes:
                 apply_write()
 
         return op
 
     def _make_batched_fused_op(self, fused) -> Callable:
-        def op(symbols, _fused=fused):
+        def op(rt, symbols, _fused=fused):
             if not _fused.usable:
                 raise _BatchAbort("fused chain unusable")
-            writes, _ = self._compute_fused(_fused, symbols)
+            writes, _ = rt._compute_fused(_fused, symbols)
             for apply_write in writes:
                 apply_write()
 
@@ -172,18 +172,18 @@ class BatchedExecutor(CompiledExecutor):
         the top-level symbol dict.
         """
 
-        def per_trial(symbols, _op=op):
-            saved = self._store
+        def per_trial(rt, symbols, _op=op):
+            saved = rt._store
             try:
-                for k in range(self._batch):
-                    self._store = self._trial_stores[k]
-                    self._setup_epoch = k + 1
-                    self._batched_mode = False
-                    _op(symbols)
+                for k in range(rt._batch):
+                    rt._store = rt._trial_stores[k]
+                    rt._setup_epoch = k + 1
+                    rt._batched_mode = False
+                    _op(rt, symbols)
             finally:
-                self._store = saved
-                self._setup_epoch = 0
-                self._batched_mode = True
+                rt._store = saved
+                rt._setup_epoch = 0
+                rt._batched_mode = True
 
         return per_trial
 

@@ -61,7 +61,8 @@ __all__ = [
 #: serialized program plan next to the driver.
 #: 7: artifact stamps carry a ``toolchain`` field (``None`` for pure-Python
 #: artifacts; a compiler fingerprint for the native backend's variant).
-CODEGEN_VERSION = 7
+#: 8: state ops are called as ``op(executor, symbols)``.
+CODEGEN_VERSION = 8
 
 #: Globals of the generated driver.  User expressions see exactly the
 #: interpreter's ``_EVAL_GLOBALS`` vocabulary; the dunder-prefixed aliases
@@ -165,7 +166,7 @@ class _DriverEmitter:
         self.line(f"    __cov.record_transition(__prev, {state.label!r})")
         index = self.state_index[state]
         self.line(f"for __f in __ops{index}:")
-        self.line("    __f(__sym)")
+        self.line("    __f(__rt, __sym)")
         self.line(f"__prev = {state.label!r}")
         self.line("__t += 1")
 

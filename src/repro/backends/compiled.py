@@ -79,6 +79,12 @@ from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 from repro.telemetry import TRACER as _TRACER
 
+#: One prepared dataflow step, called as ``op(executor, symbols)``.  Ops take
+#: their executor as an argument instead of closing over it: an executor that
+#: owned closures over itself would be a reference cycle, and every program a
+#: sweep prepares would then wait for the cyclic collector.
+StateOp = Callable[["CompiledExecutor", Dict[str, Any]], None]
+
 __all__ = [
     "CompiledBackend",
     "CompiledWholeProgram",
@@ -103,14 +109,14 @@ class CompiledExecutor(VectorizedExecutor):
         self._compiled_states: List[SDFGState] = list(sdfg.states())
         state_index = {s: i for i, s in enumerate(self._compiled_states)}
         artifact_hoisted = self._seed_state_plans(artifact)
-        # Per-state op lists, fixed at prepare time: one prebound closure
+        # Per-state op lists, fixed at prepare time: one prebound function
         # per executable top-level node.  The generic ``_execute_state``
         # re-derives node lists, re-dispatches on node type and re-looks-up
         # scope plans -- and formerly copied the full symbol dict -- on
         # every transition, which dominates transition-heavy loop nests.
         # Fused-chain members and no-op access nodes are dropped statically.
-        self._state_ops: List[List[Callable[[Dict[str, Any]], None]]] = []
-        self._state_ops_by_id: Dict[int, List[Callable[[Dict[str, Any]], None]]] = {}
+        self._state_ops: List[List[StateOp]] = []
+        self._state_ops_by_id: Dict[int, List[StateOp]] = {}
         # The bind/codegen phases of prepare: analyze spans (if any plan
         # must be rebuilt) nest inside via _table_for -> analyze_state.
         with _TRACER.span("codegen.bind", "prepare") as span:
@@ -169,11 +175,11 @@ class CompiledExecutor(VectorizedExecutor):
     # Op-list construction ............................................. #
     def _build_state_ops(
         self, state: SDFGState
-    ) -> List[Callable[[Dict[str, Any]], None]]:
+    ) -> List[StateOp]:
         table = self._table_for(state)
         order = self._state_order(state)
         scopes = self._scope_cache[id(state)]
-        ops: List[Callable[[Dict[str, Any]], None]] = []
+        ops: List[StateOp] = []
         for node in order:
             if scopes.get(node) is not None or isinstance(node, MapExit):
                 continue
@@ -195,57 +201,57 @@ class CompiledExecutor(VectorizedExecutor):
 
     def _make_node_op(
         self, state: SDFGState, node
-    ) -> Optional[Callable[[Dict[str, Any]], None]]:
+    ) -> Optional[StateOp]:
         """The prebound closure for one non-scope top-level node (``None``
         for statically droppable no-ops)."""
         if isinstance(node, Tasklet):
 
-            def op(symbols, _state=state, _node=node):
-                self._execute_tasklet(_state, _node, symbols)
+            def op(rt, symbols, _state=state, _node=node):
+                rt._execute_tasklet(_state, _node, symbols)
 
             return op
         if isinstance(node, AccessNode):
             if access_node_is_transparent(state, node):
                 return None  # executing it is a no-op: drop statically
 
-            def op(symbols, _state=state, _node=node):
-                self._execute_copies_into(_state, _node, symbols)
+            def op(rt, symbols, _state=state, _node=node):
+                rt._execute_copies_into(_state, _node, symbols)
 
             return op
         if isinstance(node, NestedSDFGNode):
 
-            def op(symbols, _state=state, _node=node):
-                self._execute_nested(_state, _node, symbols)
+            def op(rt, symbols, _state=state, _node=node):
+                rt._execute_nested(_state, _node, symbols)
 
             return op
 
-        def op(symbols, _state=state, _node=node):
-            self._execute_node(_state, _node, symbols)
+        def op(rt, symbols, _state=state, _node=node):
+            rt._execute_node(_state, _node, symbols)
 
         return op
 
     def _make_scope_op(
         self, state: SDFGState, entry: MapEntry, plan
-    ) -> Callable[[Dict[str, Any]], None]:
-        def op(symbols, _state=state, _entry=entry, _plan=plan):
-            self._run_single_scope(_state, _entry, _plan, symbols)
+    ) -> StateOp:
+        def op(rt, symbols, _state=state, _entry=entry, _plan=plan):
+            rt._run_single_scope(_state, _entry, _plan, symbols)
 
         return op
 
     def _make_fused_op(
         self, state: SDFGState, fused, table
-    ) -> Callable[[Dict[str, Any]], None]:
+    ) -> StateOp:
         members = [(e, table.plans.get(e.guid)) for e in fused.member_entries]
 
-        def op(symbols, _state=state, _fused=fused, _members=members):
-            if self._try_fused(_fused, symbols):
+        def op(rt, symbols, _state=state, _fused=fused, _members=members):
+            if rt._try_fused(_fused, symbols):
                 return
             # The chain did not survive contact with runtime values: run the
             # members individually at the head's position.  The nodes between
             # them were transparent (that made them a chain), so chain order
             # here equals per-position execution order.
             for entry, plan in _members:
-                self._run_single_scope(_state, entry, plan, symbols)
+                rt._run_single_scope(_state, entry, plan, symbols)
 
         return op
 
@@ -281,7 +287,7 @@ class CompiledExecutor(VectorizedExecutor):
         """
         symbols = self._symbols
         for op in self._state_ops_by_id[id(state)]:
-            op(symbols)
+            op(self, symbols)
 
     # .................................................................. #
     def _run_control_loop(self) -> int:

@@ -272,13 +272,13 @@ class NativeExecutor(BatchedExecutor):
             return base
         key = ("scope", entry.guid)
 
-        def op(symbols, _base=base, _key=key, _plan=plan):
-            native = self._native_kernels.get(_key)
+        def op(rt, symbols, _base=base, _key=key, _plan=plan):
+            native = rt._native_kernels.get(_key)
             if native is None or not _plan.usable:
-                _base(symbols)
+                _base(rt, symbols)
                 return
-            if not self._run_native(native[0], native[1], symbols):
-                _base(symbols)
+            if not rt._run_native(native[0], native[1], symbols):
+                _base(rt, symbols)
 
         return op
 
@@ -286,13 +286,13 @@ class NativeExecutor(BatchedExecutor):
         base = super()._make_fused_op(state, fused, table)
         key = ("chain", fused.member_guids[0])
 
-        def op(symbols, _base=base, _key=key, _fused=fused):
-            native = self._native_kernels.get(_key)
+        def op(rt, symbols, _base=base, _key=key, _fused=fused):
+            native = rt._native_kernels.get(_key)
             if native is None or not _fused.usable:
-                _base(symbols)
+                _base(rt, symbols)
                 return
-            if not self._run_native(native[0], native[1], symbols):
-                _base(symbols)
+            if not rt._run_native(native[0], native[1], symbols):
+                _base(rt, symbols)
 
         return op
 
@@ -300,13 +300,13 @@ class NativeExecutor(BatchedExecutor):
         base = super()._make_batched_scope_op(plan)
         key = ("scope", plan.entry.guid)
 
-        def op(symbols, _base=base, _key=key, _plan=plan):
-            native = self._native_kernels.get(_key)
+        def op(rt, symbols, _base=base, _key=key, _plan=plan):
+            native = rt._native_kernels.get(_key)
             if native is None or not _plan.usable:
-                _base(symbols)
+                _base(rt, symbols)
                 return
-            if not self._run_native(native[0], native[1], symbols):
-                _base(symbols)
+            if not rt._run_native(native[0], native[1], symbols):
+                _base(rt, symbols)
 
         return op
 
@@ -314,13 +314,13 @@ class NativeExecutor(BatchedExecutor):
         base = super()._make_batched_fused_op(fused)
         key = ("chain", fused.member_guids[0])
 
-        def op(symbols, _base=base, _key=key, _fused=fused):
-            native = self._native_kernels.get(_key)
+        def op(rt, symbols, _base=base, _key=key, _fused=fused):
+            native = rt._native_kernels.get(_key)
             if native is None or not _fused.usable:
-                _base(symbols)
+                _base(rt, symbols)
                 return
-            if not self._run_native(native[0], native[1], symbols):
-                _base(symbols)
+            if not rt._run_native(native[0], native[1], symbols):
+                _base(rt, symbols)
 
         return op
 

@@ -11,7 +11,7 @@ all compiled backends (see :mod:`repro.backends`):
 * :mod:`repro.backends.execute` hosts the runtime
   (:class:`~repro.backends.execute.VectorizedExecutor`, re-exported here).
 
-This module keeps the backend surface: the per-process program cache keyed
+This module keeps the backend surface: the per-thread program cache keyed
 by SDFG content hash, the optional on-disk artifact tier (``cache_dir`` /
 :data:`CACHE_DIR_ENV`) shared across worker processes, and the
 program/backend classes the registry exposes.  Scope plans are built once
@@ -32,6 +32,7 @@ import json
 import logging
 import os
 import tempfile
+import threading
 from collections import OrderedDict
 from typing import Any, Dict, Mapping, Optional, Set, Tuple
 
@@ -224,6 +225,19 @@ class VectorizedProgram(CompiledProgram):
         return self.executor.run(arguments, symbols, collect_coverage=collect_coverage)
 
 
+class _ProgramLRU(threading.local):
+    """The in-memory tier of one backend: an LRU *per thread*.
+
+    A prepared program is not reentrant (its executor holds the symbols and
+    data store of the run in progress), and equal content hashes are common
+    across the tasks of a sweep (cutouts of one match of a shared workload
+    program), so a program is only ever handed back to the thread that
+    prepared it."""
+
+    def __init__(self) -> None:  # runs once in every thread that touches it
+        self.programs: "OrderedDict[Tuple[str, int], VectorizedProgram]" = OrderedDict()
+
+
 class VectorizedBackend(ExecutionBackend):
     """Compiles map scopes to NumPy array programs, caching by content hash.
 
@@ -257,7 +271,7 @@ class VectorizedBackend(ExecutionBackend):
         self.cache_size = cache_size
         self.fuse = fuse
         self._explicit_cache_dir = cache_dir
-        self._cache: "OrderedDict[Tuple[str, int], VectorizedProgram]" = OrderedDict()
+        self._lru = _ProgramLRU()
         self.cache_hits = 0
         self.cache_misses = 0
         self.disk_hits = 0
@@ -271,9 +285,10 @@ class VectorizedBackend(ExecutionBackend):
     def prepare(self, sdfg: SDFG, max_transitions: int = 100_000) -> VectorizedProgram:
         content_hash = sdfg_content_hash(sdfg)
         key = (content_hash, max_transitions)
-        program = self._cache.get(key)
+        cache = self._lru.programs
+        program = cache.get(key)
         if program is not None:
-            self._cache.move_to_end(key)
+            cache.move_to_end(key)
             self.cache_hits += 1
             _metric_inc(
                 "repro_prepare_cache_total",
@@ -324,7 +339,7 @@ class VectorizedBackend(ExecutionBackend):
                 if fresh is not None:
                     disk.store(content_hash, max_transitions, fresh, variant)
 
-        self._cache[key] = program
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
+        cache[key] = program
+        while len(cache) > self.cache_size:
+            cache.popitem(last=False)
         return program

@@ -59,13 +59,18 @@ class Cutout:
     def warnings(self) -> List[str]:
         return list(self.analysis.warnings)
 
-    def executable(self) -> SDFG:
-        """A copy of the cutout whose input-configuration and system-state
-        containers are non-transient, so a harness can set and inspect them."""
-        out = self.sdfg.clone(new_name=f"{self.sdfg.name}_exec")
+    def expose(self, sdfg: SDFG) -> None:
+        """Make the input-configuration and system-state containers of
+        ``sdfg`` (this cutout's program or a transformed copy of it)
+        non-transient in place, so a harness can set and inspect them."""
         for name in set(self.input_configuration) | set(self.system_state):
-            if name in out.arrays:
-                out.arrays[name].transient = False
+            if name in sdfg.arrays:
+                sdfg.arrays[name].transient = False
+
+    def executable(self) -> SDFG:
+        """A copy of the cutout's program with :meth:`expose` applied."""
+        out = self.sdfg.clone(new_name=f"{self.sdfg.name}_exec")
+        self.expose(out)
         return out
 
     def input_volume(self, symbol_values: Optional[Dict[str, int]] = None) -> int:
@@ -270,7 +275,6 @@ def extract_state_cutout(
     copies: Dict[SDFGState, SDFGState] = {}
     for st in state_list:
         new_state = copy.deepcopy(st)
-        new_state.sdfg = target
         copies[st] = new_state
         target._states.add_node(new_state)
 

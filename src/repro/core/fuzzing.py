@@ -175,6 +175,10 @@ class DifferentialFuzzer:
             trial = self._classify(
                 sample, index, orig_result, orig_error, trans_result, trans_error
             )
+            # A caught error's traceback holds this frame and, through
+            # ``f_back``, every caller up to the task with its programs:
+            # drop the locals that would close that cycle.
+            orig_error = trans_error = None
             span.set("status", trial.status.name)
             _metric_observe("repro_trial_seconds", _perf_counter() - t0)
         return trial

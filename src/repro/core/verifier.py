@@ -86,14 +86,6 @@ class FuzzyFlowVerifier:
         self.trial_batch = trial_batch
 
     # ------------------------------------------------------------------ #
-    def _executable(self, cutout: Cutout, sdfg: SDFG) -> SDFG:
-        out = sdfg.clone()
-        for name in set(cutout.input_configuration) | set(cutout.system_state):
-            if name in out.arrays:
-                out.arrays[name].transient = False
-        return out
-
-    # ------------------------------------------------------------------ #
     def verify(
         self,
         sdfg: SDFG,
@@ -103,7 +95,14 @@ class FuzzyFlowVerifier:
         fixed_symbols: Optional[Mapping[str, int]] = None,
         custom_constraints: Optional[Mapping[str, Tuple[int, int]]] = None,
     ) -> TransformationTestReport:
-        """Test one transformation instance on a program."""
+        """Test one transformation instance on a program.
+
+        ``sdfg`` is read-only here: it may be shared with other instances,
+        tasks and threads of the process, so the transformation is only ever
+        applied to a clone of the extracted cutout.  The cutout's program
+        (``cutout.sdfg``) and that clone are private to this call; their
+        ``transient`` flags are finalised in place once the transformation
+        has been applied."""
         start = _perf_counter()
         symbol_values = dict(symbol_values or {})
 
@@ -176,7 +175,8 @@ class FuzzyFlowVerifier:
             )
 
         # 4. Apply the transformation to the cutout.
-        transformed = cutout.sdfg.clone(new_name=f"{cutout.sdfg.name}_transformed")
+        with _TRACER.span("verify.clone", "verify"):
+            transformed = cutout.sdfg.clone(new_name=f"{cutout.sdfg.name}_transformed")
         try:
             with _TRACER.span("verify.apply", "verify"):
                 cutout_match = transfer_match(transformation, match, transformed)
@@ -187,12 +187,14 @@ class FuzzyFlowVerifier:
             report.duration_seconds = _perf_counter() - start
             return report
 
-        original_exec = self._executable(cutout, cutout.sdfg)
-        transformed_exec = self._executable(cutout, transformed)
+        # Only now, after the clone and the application (a transformation
+        # may consult ``transient``), are the flags finalised -- in place.
+        cutout.expose(cutout.sdfg)
+        cutout.expose(transformed)
 
         # 5. Structural validation of the transformed cutout.
         try:
-            validate_sdfg(transformed_exec)
+            validate_sdfg(transformed)
         except InvalidSDFGError as exc:
             report.verdict = Verdict.INVALID_CODE
             report.error_message = f"transformed program is invalid: {exc}"
@@ -202,14 +204,14 @@ class FuzzyFlowVerifier:
 
         # 6. Gray-box differential fuzzing.
         constraints = derive_constraints(
-            original_exec,
+            cutout.sdfg,
             original_sdfg=sdfg,
             symbol_values=symbol_values,
             size_max=self.size_max,
             custom=custom_constraints,
         )
         sampler = InputSampler(
-            original_exec,
+            cutout.sdfg,
             cutout.input_configuration,
             cutout.system_state,
             constraints=constraints,
@@ -218,8 +220,8 @@ class FuzzyFlowVerifier:
             seed=self.seed,
         )
         fuzzer = DifferentialFuzzer(
-            original_exec,
-            transformed_exec,
+            cutout.sdfg,
+            transformed,
             cutout.system_state,
             sampler,
             tolerance=self.tolerance,
@@ -235,7 +237,7 @@ class FuzzyFlowVerifier:
                     max_trials=self.num_trials,
                     default_symbols={
                         k: int(v) for k, v in symbol_values.items()
-                        if k in original_exec.free_symbols
+                        if k in cutout.sdfg.free_symbols
                     } or None,
                     stop_on_failure=self.stop_on_failure,
                 )
@@ -276,8 +278,8 @@ class FuzzyFlowVerifier:
         case = ReproducibleTestCase(
             name=f"{report.transformation}_{len(os.listdir(self.test_case_dir)) if os.path.isdir(self.test_case_dir) else 0}",
             transformation=report.transformation,
-            original_cutout=self._executable(cutout, cutout.sdfg),
-            transformed_cutout=self._executable(cutout, transformed),
+            original_cutout=cutout.sdfg,
+            transformed_cutout=transformed,
             inputs=failing_inputs or {},
             symbols=failing_symbols or {k: int(v) for k, v in symbol_values.items()},
             system_state=list(cutout.system_state),
@@ -319,7 +321,8 @@ class FuzzyFlowVerifier:
         fixed_symbols: Optional[Mapping[str, int]] = None,
     ) -> TransformationTestReport:
         """Test the ``instance_index``-th applicable match of a transformation."""
-        matches = self.enumerate_instances(sdfg, transformation)
+        with _TRACER.span("verify.enumerate", "verify"):
+            matches = self.enumerate_instances(sdfg, transformation)
         if instance_index < 0 or instance_index >= len(matches):
             return TransformationTestReport(
                 transformation=transformation.name,
@@ -348,8 +351,10 @@ class FuzzyFlowVerifier:
     ) -> List[TransformationTestReport]:
         """Test every applicable instance of a transformation on a program.
 
-        Each instance is tested on a fresh clone of the program (instances
-        are independent, as in the paper's per-instance testing)."""
+        All instances are tested against the one ``sdfg`` passed in, which
+        ``verify`` only reads; they are independent (as in the paper's
+        per-instance testing) because each applies the transformation to its
+        own private cutout."""
         reports: List[TransformationTestReport] = []
         for m in self.enumerate_instances(sdfg, transformation, max_instances):
             reports.append(

@@ -60,7 +60,8 @@ def execute_task(task: SweepTask) -> Dict[str, Any]:
         # `hang` faults take down or stall this process, exactly like a
         # real segfault or livelock in the verifier.
         faultinject.hit("task.execute", key=task.workload)
-        sdfg = task.build_sdfg()
+        with _TRACER.span("task.build", "sweep"):
+            sdfg = task.build_sdfg()
         xform = task.transformation.instantiate()
         verifier = FuzzyFlowVerifier(**task.verifier_kwargs)
         report = verifier.verify_instance(

@@ -21,7 +21,7 @@ from repro.core.verifier import FuzzyFlowVerifier
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json
 from repro.transforms import PatternTransformation, all_builtin_transformations
-from repro.workloads import get_workload, get_workload_suite
+from repro.workloads import build_workload, get_workload_suite
 
 __all__ = [
     "TransformationSpec",
@@ -75,10 +75,12 @@ class SweepTask:
     sdfg_json: Optional[str] = None
 
     def build_sdfg(self) -> SDFG:
-        """Rebuild the workload program on the worker side."""
+        """The workload program on the worker side: the process-wide shared,
+        read-only instance of a registered workload, or a fresh
+        deserialisation of a custom one."""
         if self.sdfg_json is not None:
             return sdfg_from_json(self.sdfg_json)
-        return get_workload(self.suite, self.workload).build()
+        return build_workload(self.suite, self.workload)
 
     def describe(self) -> str:
         return f"{self.workload} / {self.transformation.name} #{self.match_index}"
@@ -185,7 +187,9 @@ def enumerate_sweep_tasks(
                 raise KeyError(f"Unknown workloads in suite '{suite}': {sorted(unknown)}")
             specs = [s for s in specs if s.name in wanted]
         for wspec in specs:
-            entries.append((suite, wspec.name, wspec.build(), dict(wspec.symbols), None))
+            entries.append(
+                (suite, wspec.name, build_workload(suite, wspec.name), dict(wspec.symbols), None)
+            )
     for name, sdfg, symbols in custom_workloads or []:
         entries.append((CUSTOM_SUITE, name, sdfg, dict(symbols), sdfg_to_json(sdfg)))
 

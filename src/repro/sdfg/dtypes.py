@@ -81,6 +81,13 @@ class typeclass:
     def __hash__(self) -> int:
         return hash(("typeclass", self.nptype.str))
 
+    # Immutable: copies of a program share its element types.
+    def __copy__(self) -> "typeclass":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "typeclass":
+        return self
+
     def __str__(self) -> str:
         return self.name
 

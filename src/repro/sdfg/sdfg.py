@@ -226,7 +226,7 @@ class SDFG:
         while label in existing:
             i += 1
             label = f"{base}_{i}"
-        state = SDFGState(label, self)
+        state = SDFGState(label)
         self._states.add_node(state)
         if is_start_state or self._start_state is None:
             if is_start_state:

@@ -159,7 +159,7 @@ def state_to_dict(state: SDFGState) -> Dict:
 
 
 def state_from_dict(d: Dict, sdfg: SDFG) -> SDFGState:
-    state = SDFGState(d["label"], sdfg)
+    state = SDFGState(d["label"])
     map_registry: Dict = {}
     nodes_by_id: Dict[int, Node] = {}
     for nd in d["nodes"]:

@@ -70,9 +70,8 @@ def propagate_memlet(inner: Memlet, map_obj: Map) -> Memlet:
 class SDFGState:
     """A single dataflow graph (one node of the control-flow state machine)."""
 
-    def __init__(self, label: str, sdfg=None) -> None:
+    def __init__(self, label: str) -> None:
         self.label = label
-        self.sdfg = sdfg
         self.graph: OrderedMultiDiGraph[Node, Memlet] = OrderedMultiDiGraph()
 
     # ------------------------------------------------------------------ #

@@ -66,6 +66,14 @@ class Expr:
     def is_constant(self) -> bool:
         return not self.free_symbols
 
+    # Immutable (slots are assigned in ``__init__`` only), so copying a
+    # program shares its expressions instead of rebuilding them.
+    def __copy__(self) -> "Expr":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Expr":
+        return self
+
     # ------------------------------------------------------------------ #
     # Python protocol
     # ------------------------------------------------------------------ #

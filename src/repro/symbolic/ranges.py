@@ -158,6 +158,13 @@ class Range:
     def __hash__(self) -> int:
         return hash(("Range", self.begin, self.end, self.step))
 
+    # Immutable, like the expressions it holds: copies share it.
+    def __copy__(self) -> "Range":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Range":
+        return self
+
     def __str__(self) -> str:
         if self.is_point():
             return str(self.begin)
@@ -329,6 +336,13 @@ class Subset:
 
     def __hash__(self) -> int:
         return hash(("Subset", self.ranges))
+
+    # Immutable (``ranges`` is a tuple of immutable ranges): copies share it.
+    def __copy__(self) -> "Subset":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Subset":
+        return self
 
     def __str__(self) -> str:
         return ", ".join(str(r) for r in self.ranges)

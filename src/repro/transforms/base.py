@@ -165,7 +165,6 @@ def copy_state_into(sdfg: SDFG, state: SDFGState, new_label: str) -> SDFGState:
     """
     new_state = copy.deepcopy(state)
     new_state.label = new_label
-    new_state.sdfg = sdfg
     for node in new_state.nodes():
         node.guid = next_guid()
     sdfg._states.add_node(new_state)

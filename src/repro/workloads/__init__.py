@@ -13,7 +13,7 @@ Every application the evaluation touches is rebuilt on the dataflow IR:
   standing in for ECMWF CLOUDSC (Sec. 6.4).
 """
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.workloads.bert_encoder import (
     BERT_LARGE,
@@ -39,6 +39,7 @@ __all__ = [
     "register_workload_suite",
     "get_workload_suite",
     "get_workload",
+    "build_workload",
     "list_workload_suites",
 ]
 
@@ -48,6 +49,9 @@ __all__ = [
 # rebuild a workload from its (suite, name) pair instead of pickling SDFGs.
 # ---------------------------------------------------------------------- #
 _SUITE_LOADERS: Dict[str, Callable[[], List]] = {}
+#: Programs handed out by :func:`build_workload`, one per registered
+#: workload (so bounded by the registry, not by a size parameter).
+_BUILT: Dict[Tuple[str, str], object] = {}
 
 
 def register_workload_suite(name: str, loader: Callable[[], List]) -> None:
@@ -57,6 +61,8 @@ def register_workload_suite(name: str, loader: Callable[[], List]) -> None:
     (each with ``name``, ``build()`` and ``symbols``).  Loaders are called
     lazily so registration stays import-cycle free."""
     _SUITE_LOADERS[name] = loader
+    for key in [k for k in _BUILT if k[0] == name]:
+        del _BUILT[key]
 
 
 def list_workload_suites() -> List[str]:
@@ -79,6 +85,21 @@ def get_workload(suite: str, name: str):
         if spec.name == name:
             return spec
     raise KeyError(f"Unknown workload '{name}' in suite '{suite}'")
+
+
+def build_workload(suite: str, name: str):
+    """The program of a registered workload, built once per process.
+
+    Every caller gets the *same* instance and must treat it as read-only:
+    ``FuzzyFlowVerifier.verify`` and match enumeration only read their
+    program; anything that transforms it clones first.  A sweep visits each
+    workload many times, and pool members forked after task enumeration
+    inherit the programs it built.
+    """
+    key = (suite, name)
+    if key not in _BUILT:
+        _BUILT[key] = get_workload(suite, name).build()
+    return _BUILT[key]
 
 
 def _load_npbench():

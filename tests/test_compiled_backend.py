@@ -7,7 +7,9 @@ transition counts, coverage maps (transition + condition + tasklet
 features) and the full error taxonomy.
 """
 
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -432,11 +434,11 @@ class TestStateNamespaceReuse:
         for state_id, ops in executor._state_ops_by_id.items():
 
             def wrap(op):
-                def spying(symbols):
+                def spying(rt, symbols):
                     # Identity must be checked at call time: the run contract
                     # rebinds executor._symbols to a fresh dict after each run.
-                    seen.append(symbols is executor._symbols)
-                    return op(symbols)
+                    seen.append(rt is executor and symbols is executor._symbols)
+                    return op(rt, symbols)
 
                 return spying
 
@@ -456,6 +458,52 @@ class TestStateNamespaceReuse:
         r1, r2, program = run_pair(sdfg, args, symbols)
         assert program.executor.control_mode == "structured"
         assert_identical(r1, r2)
+
+
+class TestProgramsDieByRefcount:
+    """A sweep worker's peak memory must not depend on when the cyclic
+    collector happens to run: everything a finished task prepared is freed
+    by reference counting alone."""
+
+    @pytest.fixture
+    def no_collector(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("backend", ["compiled", "batched"])
+    def test_executor_and_its_ops_form_no_cycle(self, no_collector, backend):
+        sdfg = build_loop_nest()
+        program = get_backend(backend).program_class(sdfg)
+        program.run(make_arguments(sdfg, {"N": 6, "T": 3}), {"N": 6, "T": 3})
+        executor = weakref.ref(program.executor)
+        del program
+        assert executor() is None
+
+    def test_crashing_trials_leave_nothing_behind(self, no_collector):
+        """A caught trial error's traceback reaches every frame up to the
+        task; nothing on the way may hold the error in a local."""
+        from repro.core.reporting import TrialStatus
+        from repro.core.verifier import FuzzyFlowVerifier
+        from repro.transforms import all_builtin_transformations
+
+        def live_executors():
+            get_backend("compiled")._lru.programs.clear()
+            return sum(isinstance(o, CompiledExecutor) for o in gc.get_objects())
+
+        before = live_executors()
+        spec = get_workload("npbench", "gemm")
+        report = FuzzyFlowVerifier(
+            num_trials=6, size_max=10, seed=0, minimize_inputs=False, backend="compiled"
+        ).verify_instance(
+            spec.build(),
+            all_builtin_transformations()["Vectorization"](inject_bug=True),
+            0,
+            symbol_values=spec.symbols,
+        )
+        assert TrialStatus.CRASH_TRANSFORMED in [t.status for t in report.fuzzing.trials]
+        assert live_executors() == before
 
 
 class TestWorkflowThreading:

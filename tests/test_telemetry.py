@@ -126,6 +126,30 @@ class TestTracer:
             set_clock(previous)
         assert monotonic() != 123.0
 
+    def test_task_spans_cover_build_enumerate_and_clone(self, tmp_path):
+        from repro.pipeline import enumerate_sweep_tasks
+        from repro.pipeline.runner import execute_task_with_metrics
+        from repro.telemetry import TRACER
+
+        (task, *_) = enumerate_sweep_tasks(
+            suite="npbench", workloads=["jacobi_1d"], max_instances=1,
+            verifier_kwargs=dict(num_trials=2, size_max=8, minimize_inputs=False),
+        )
+        path = tmp_path / "task.jsonl"
+        TRACER.configure(str(path))
+        try:
+            outcome, _ = execute_task_with_metrics(task)
+        finally:
+            TRACER.configure(None)
+        assert outcome["error"] is None
+        spans = {e["name"]: e for _, e in read_events(str(path))}
+        outer = spans["task"]
+        for name in ("task.build", "verify.enumerate", "verify.cutout",
+                     "verify.clone", "verify.apply", "verify.fuzz"):
+            inner = spans[name]
+            assert outer["ts"] <= inner["ts"]
+            assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
+
 
 # ---------------------------------------------------------------------- #
 # Metrics registry
