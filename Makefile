@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke smoke-dist smoke-chaos sweep bench-scaling bench-quick bench-e2e bench-e2e-check lint-arch
+.PHONY: test smoke smoke-dist smoke-chaos sweep bench-scaling bench-quick bench-e2e bench-e2e-check bench-pairs lint-arch
 
 test:
 	$(PY) -m pytest -x -q
@@ -85,6 +85,16 @@ bench-e2e:
 # wrapped layer name, no timing claims and no files written.
 bench-e2e-check:
 	$(PY) benchmarks/e2e/run.py --check
+
+# What a gain-claiming PR has to show (benchmarks/e2e/README.md): N
+# alternating runs of workload W on the committed files of BASE and on the
+# working tree; per end-to-end metric both medians with quartiles, wins /
+# pairs and the gain / within-bound / regressed verdict.  N=10 takes about
+# 2 x N x 24 s.  FUZZ_SEED=1 is the held-out fuzzing seed.
+BASE ?= HEAD~1
+N ?= 10
+bench-pairs:
+	$(PY) tools/bench_pairs.py --workload $(W) --base $(BASE) --pairs $(N) $(if $(FUZZ_SEED),--fuzz-seed $(FUZZ_SEED))
 
 # Structural invariants of src/repro/backends/ and src/repro/cluster/:
 # module-size caps, the codegen -> execute layering rule (emitters never

@@ -45,6 +45,7 @@ from repro.telemetry import TRACER, inc as _metric_inc, observe as _metric_obser
 __all__ = [
     "code_is_vectorizable",
     "unit_affine_offset",
+    "classify_index",
     "point_index_exprs",
     "analyze_scope",
     "analyze_chain",
@@ -74,7 +75,14 @@ _RAISING_BINOPS = (ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
 
 
 def code_is_vectorizable(code: str, np_names: frozenset) -> bool:
-    """Whether tasklet code stays element-wise under array substitution.
+    """Whether tasklet code stays element-wise under array substitution
+    (see :func:`_vectorizable_names` for the rules)."""
+    return _vectorizable_names(code, np_names) is not None
+
+
+def _vectorizable_names(code: str, np_names: frozenset) -> Optional[Set[str]]:
+    """The names vectorizable tasklet code reads, ``None`` when the code
+    does not stay element-wise under array substitution.
 
     Accepts straight-line assignments built from arithmetic, ``abs``,
     ``math.*`` (via the shim) and a whitelist of element-wise ``np`` / ``numpy``
@@ -94,8 +102,9 @@ def code_is_vectorizable(code: str, np_names: frozenset) -> bool:
     try:
         tree = ast.parse(code)
     except SyntaxError:
-        return False
+        return None
     np_locals = set(np_names)
+    loaded: Set[str] = set()
 
     def np_typed(node: ast.AST) -> bool:
         """Whether the interpreter's scalar path yields a NumPy value here."""
@@ -129,6 +138,7 @@ def code_is_vectorizable(code: str, np_names: frozenset) -> bool:
         if isinstance(node, ast.UnaryOp):
             return isinstance(node.op, _ALLOWED_UNARYOPS) and expr_ok(node.operand)
         if isinstance(node, ast.Name):
+            loaded.add(node.id)
             return True
         if isinstance(node, ast.Constant):
             return isinstance(node.value, (int, float, bool))
@@ -150,16 +160,16 @@ def code_is_vectorizable(code: str, np_names: frozenset) -> bool:
 
     for stmt in tree.body:
         if not isinstance(stmt, ast.Assign):
-            return False
+            return None
         if len(stmt.targets) != 1 or not isinstance(stmt.targets[0], ast.Name):
-            return False
+            return None
         if not expr_ok(stmt.value):
-            return False
+            return None
         if np_typed(stmt.value):
             np_locals.add(stmt.targets[0].id)
         else:
             np_locals.discard(stmt.targets[0].id)
-    return True
+    return loaded
 
 
 def unit_affine_offset(expr, param: str) -> Optional[int]:
@@ -183,6 +193,33 @@ def unit_affine_offset(expr, param: str) -> Optional[int]:
         if isinstance(a, Symbol) and a.name == param and isinstance(b, Integer):
             return b.value
     return None
+
+
+def classify_index(
+    expr, params: List[str], used: List[str]
+) -> Optional[Tuple[str, Any]]:
+    """The closed-form class of one point index: ``("const", text)`` when
+    free of map parameters, ``("param", (axis, offset))`` when unit-slope
+    affine in one parameter not in ``used`` (which it then joins), ``None``
+    for everything else."""
+    from repro.symbolic.expressions import Symbol
+
+    if isinstance(expr, Symbol):  # the common case, without a tree walk
+        p, offset = expr.name, 0
+        if p not in params:
+            return "const", p
+    else:
+        candidates = expr.free_symbols.intersection(params)
+        if not candidates:
+            return "const", str(expr).strip()
+        if len(candidates) != 1:
+            return None
+        (p,) = candidates
+        offset = unit_affine_offset(expr, p)
+    if offset is None or p in used:
+        return None
+    used.append(p)
+    return "param", (params.index(p), offset)
 
 
 def point_index_exprs(memlet: Memlet) -> Optional[List[str]]:
@@ -231,8 +268,13 @@ def analyze_scope(
         exprs = point_index_exprs(memlet)
         if exprs is None:
             return None, "non-point-input-subset"
+        used: List[str] = []
+        dims = [
+            classify_index(r.begin, params, used) or ("expr", text)
+            for r, text in zip(memlet.subset.ranges, exprs)
+        ]
         inputs.append(
-            InputPlan(edge.dst_conn, memlet.data, exprs, str(memlet.subset))
+            InputPlan(edge.dst_conn, memlet.data, exprs, str(memlet.subset), dims)
         )
 
     outputs: List[OutputPlan] = []
@@ -253,29 +295,16 @@ def analyze_scope(
         for r in memlet.subset.ranges:
             if not r.is_point():
                 return None, "non-point-output-subset"
-            text = str(r.begin).strip()
-            if text in params:
-                if text in used_params:
+            # A unit-slope index (``i``, ``i + 1``) lowers to a slice
+            # offset; the shift keeps the write a bijection, so the plain /
+            # WCR write paths apply unchanged.
+            dim = classify_index(r.begin, params, used_params)
+            if dim is None:
+                if str(r.begin).strip() in used_params:
                     # Same parameter indexing two dimensions.
                     return None, "parameter-reused-across-dims"
-                used_params.append(text)
-                dims.append(("param", (params.index(text), 0)))
-            elif not (r.begin.free_symbols & set(params)):
-                dims.append(("const", text))
-            else:
-                # Affine-but-not-bare (e.g. ``i + 1``): lower to a slice
-                # offset when the index is unit-slope in one parameter;
-                # the shift keeps the write a bijection, so the plain /
-                # WCR write paths apply unchanged.
-                candidates = r.begin.free_symbols & set(params)
-                if len(candidates) != 1:
-                    return None, "non-affine-output-index"
-                p = next(iter(candidates))
-                offset = unit_affine_offset(r.begin, p)
-                if offset is None or p in used_params:
-                    return None, "non-affine-output-index"
-                used_params.append(p)
-                dims.append(("param", (params.index(p), offset)))
+                return None, "non-affine-output-index"
+            dims.append(dim)
         if memlet.wcr is None:
             # Without a reduction, the write must be a bijection on the
             # iteration space (every parameter appears as its own
@@ -304,8 +333,12 @@ def analyze_scope(
             if other.wcr is not None or spec.subset_str != other.subset_str:
                 return None, "read-write-overlap"
 
-    if not code_is_vectorizable(tasklet.code, frozenset(s.conn for s in inputs)):
+    names = _vectorizable_names(tasklet.code, frozenset(s.conn for s in inputs))
+    if names is None:
         return None, "non-vectorizable-code"
+    needs_grids = bool(names & set(params)) or any(
+        kind == "expr" for spec in inputs for kind, _ in spec.dims
+    )
 
     # Setup dependencies: every non-parameter name the iteration grids,
     # gather indices and write geometry read.  Executions with unchanged
@@ -330,6 +363,7 @@ def analyze_scope(
             inputs=inputs,
             outputs=outputs,
             setup_deps=tuple(sorted(deps)),
+            needs_grids=needs_grids,
         ),
         None,
     )

@@ -35,7 +35,7 @@ Not everything batches, and verdict fidelity is non-negotiable:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -190,100 +190,21 @@ class BatchedExecutor(CompiledExecutor):
     # .................................................................. #
     # Batch-axis gather / write geometry (active only in batched mode)
     # .................................................................. #
-    def _resolve_gather(self, spec, idx_ns, nparams):
-        if not self._batched_mode:
-            return super()._resolve_gather(spec, idx_ns, nparams)
-        arr = self._store.get(spec.data)
-        if arr is None:
-            raise ExecutionError(f"Read from unknown container '{spec.data}'")
-        idx = self._index_arrays(spec.idx_code, idx_ns)
+    def _resolve_gather(self, spec, triples, idx_ns, lead=0):
         # Indices are pure symbol/parameter expressions -- identical for
-        # every trial -- checked against the per-trial shape.
-        self._check_vector_bounds(spec.data, spec.subset_str, idx, arr.shape[1:])
-        fast = self._gather_slices(idx, arr.ndim - 1, nparams)
-        if fast is not None:
-            sls, taxes = fast
-            bsls = (slice(None),) + sls
-            if taxes is None:
+        # every trial -- resolved against the per-trial shape behind the
+        # leading batch axis.
+        return super()._resolve_gather(
+            spec, triples, idx_ns, int(self._batched_mode)
+        )
 
-                def fetch(_arr=arr, _sls=bsls):
-                    return _arr[_sls].copy()
-
-            else:
-                t = (0,) + tuple(a + 1 for a in taxes)
-
-                def fetch(_arr=arr, _sls=bsls, _t=t):
-                    return _arr[_sls].transpose(_t).copy()
-
-            return spec.conn, fetch
-
-        adv = (slice(None),) + tuple(idx)
-
-        def fetch(_arr=arr, _idx=adv, _np=nparams):
-            value = _arr[_idx]
-            if value.ndim != _np + 1:
-                # All-constant (or 0-d) advanced indices collapse the grid
-                # axes; restore them so the batch axis stays leading and
-                # broadcasting stays trailing-aligned.
-                value = value.reshape((self._batch,) + (1,) * _np)
-            return value
-
-        return spec.conn, fetch
-
-    def _resolve_write(self, spec, axes, shape_full, bindings):
-        if not self._batched_mode:
-            return super()._resolve_write(spec, axes, shape_full, bindings)
-        if spec.wcr is not None:
+    def _check_write(self, spec, triples, bindings, lead=0):
+        if self._batched_mode and spec.wcr is not None:
             # The op-list builder never batches WCR scopes; a WCR write
             # reaching batched geometry is an internal inconsistency.
             raise _BatchAbort("WCR write in batched mode")
-        arr = self._store.get(spec.data)
-        if arr is None:
-            raise ExecutionError(f"Write to unknown container '{spec.data}'")
-        # Resolve against the per-trial shape, then prefix the batch axis.
-        geom = self._resolve_write_shape(spec, axes, shape_full, bindings, arr)
-        return geom
-
-    def _resolve_write_shape(self, spec, axes, shape_full, bindings, arr):
-        from repro.interpreter.executor import _EVAL_GLOBALS
-        from repro.interpreter.errors import MemoryViolation
-
-        if len(spec.dims) != arr.ndim - 1:
-            raise MemoryViolation(
-                spec.data, spec.subset_str, arr.shape[1:], "dimensionality mismatch"
-            )
-        index_1d: List[np.ndarray] = []
-        param_axes: List[int] = []
-        for kind, payload in spec.dims:
-            if kind == "param":
-                axis, offset = payload
-                param_axes.append(axis)
-                index_1d.append(axes[axis] + offset if offset else axes[axis])
-            else:
-                c = int(eval(payload, _EVAL_GLOBALS, bindings))  # noqa: S307
-                index_1d.append(np.asarray([c], dtype=np.int64))
-        self._check_vector_bounds(
-            spec.data, spec.subset_str, index_1d, arr.shape[1:]
-        )
-        nparams = len(shape_full)
-        red_axes = [a for a in range(nparams) if a not in param_axes]
-        kept_sorted = sorted(param_axes)
-        kept_shape = tuple(shape_full[a] for a in kept_sorted)
-        perm = [kept_sorted.index(a) for a in param_axes]
-        target_shape = tuple(
-            shape_full[payload[0]] if kind == "param" else 1
-            for kind, payload in spec.dims
-        )
-        slices = [self._seq_slice(v, trusted=True) for v in index_1d]
-        if index_1d and all(s is not None for s in slices):
-            mesh: Tuple = (slice(None),) + tuple(slices)
-        else:
-            inner = np.ix_(*index_1d) if index_1d else ()
-            mesh = (slice(None),) + tuple(inner)
-        identity_shape = perm == sorted(perm) and target_shape == kept_shape
-        return _WriteGeom(
-            spec, arr, mesh, perm, target_shape, red_axes, kept_shape,
-            identity_shape,
+        return super()._check_write(
+            spec, triples, bindings, int(self._batched_mode)
         )
 
     def _output_value(self, tasklet, conn, ns, shape_full, display_conn=None):

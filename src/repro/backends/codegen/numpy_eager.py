@@ -46,8 +46,12 @@ class BoundInput:
 
     conn: str
     data: str
-    #: One compiled index expression per dimension (point subsets only).
-    idx_code: List[Any]
+    #: ``InputPlan.dims`` with ``const`` payloads compiled (as
+    #: :attr:`BoundOutput.dims`); what a closed-form gather reads.
+    dims: List[Tuple[str, Any]]
+    #: One compiled index expression per dimension when some dimension is
+    #: ``expr`` (the gather then evaluates index arrays), else ``None``.
+    idx_code: Optional[List[Any]]
     subset_str: str
 
 
@@ -87,6 +91,9 @@ class BoundScope:
     #: Cleared permanently if vectorized execution fails at runtime
     #: (e.g. an index expression that does not evaluate on index grids).
     usable: bool = True
+    #: :attr:`ScopePlan.needs_grids`: whether an execution builds the
+    #: broadcast iteration grids at all.
+    needs_grids: bool = True
 
 
 @dataclass
@@ -135,6 +142,8 @@ class BoundChain:
     #: The chain plan this was bound from.
     chain_plan: Optional[ChainPlan] = None
     usable: bool = True
+    #: Whether any member reads the iteration grids.
+    needs_grids: bool = True
 
     def label_for(self, exc: BaseException) -> str:
         """The tasklet label owning the composed-code line that raised."""
@@ -165,6 +174,13 @@ class StateTable:
     members: Set[int] = field(default_factory=set)
     #: The state plan this table was bound from.
     state_plan: Optional[StatePlan] = None
+
+
+def _bind_dims(dims: List[Tuple[str, Any]]) -> List[Tuple[str, Any]]:
+    return [
+        (kind, payload if kind == "param" else compile_expression(payload))
+        for kind, payload in dims
+    ]
 
 
 def _make_cast(np_dtype) -> Callable:
@@ -239,26 +255,21 @@ class NumpyEagerEmitter:
             BoundInput(
                 ip.conn,
                 ip.data,
-                [compile_expression(e) for e in ip.index_exprs],
+                _bind_dims(ip.dims),
+                [compile_expression(e) for e in ip.index_exprs]
+                if any(kind == "expr" for kind, _ in ip.dims)
+                else None,
                 ip.subset_str,
             )
             for ip in plan.inputs
         ]
         outputs = [
-            BoundOutput(
-                op.conn,
-                op.data,
-                [
-                    (kind, payload if kind == "param" else compile_expression(payload))
-                    for kind, payload in op.dims
-                ],
-                op.wcr,
-                op.subset_str,
-            )
+            BoundOutput(op.conn, op.data, _bind_dims(op.dims), op.wcr, op.subset_str)
             for op in plan.outputs
         ]
         return BoundScope(
-            entry, tasklet, code_obj, inputs, outputs, plan.setup_deps, plan
+            entry, tasklet, code_obj, inputs, outputs, plan.setup_deps, plan,
+            needs_grids=plan.needs_grids,
         )
 
     # .................................................................. #
@@ -355,4 +366,5 @@ class NumpyEagerEmitter:
             line_labels=line_labels,
             setup_deps=chain_plan.setup_deps,
             chain_plan=chain_plan,
+            needs_grids=any(bs.needs_grids for bs in bound_members),
         )

@@ -14,12 +14,13 @@ Three layers keep the hot loop tight:
 * **scope fusion** -- bound chains (see
   :class:`repro.backends.codegen.numpy_eager.BoundChain`) execute as one
   gather / compute / scatter pass per chain instead of per scope;
-* **loop-hoisted setup** -- iteration grids, gather indices and write
-  geometry are cached per plan, keyed by the values of exactly the symbols
-  they read, so every iteration of an enclosing interstate loop reuses
-  them; arithmetic index sequences use basic slicing instead of advanced
-  indexing, including *permuted-axis* gathers (a transpose of a basic
-  slice where the dimension order and parameter-axis order differ);
+* **closed-form setup** -- bounds checks, gather indices and write regions
+  of ``param``/``const`` accesses are integer arithmetic on the map's
+  ranges (:mod:`repro.backends.geometry`: one basic index, a transpose for
+  permuted axes).  Only an input with an ``expr`` dimension materialises
+  index arrays, only a scope that reads them gets iteration grids.  Within
+  one run a plan keeps its latest setup, keyed by the symbols it reads, so
+  an interstate loop reuses it; a new trial or a tile loop computes afresh;
 * the state tables bind lazily through the configured emitter
   (:attr:`VectorizedExecutor.EMITTER_NAME`), reusing a plan seeded from a
   disk artifact when one resolves and re-analyzing otherwise.
@@ -62,6 +63,7 @@ from repro.backends.codegen.numpy_eager import (
     BoundScope,
     StateTable,
 )
+from repro.backends.geometry import Triple, access_index, axis_triple, gather_index
 from repro.backends.plan import StatePlan
 from repro.interpreter.errors import (
     ExecutionError,
@@ -151,7 +153,7 @@ class _ScopeSetup:
 @dataclass
 class _FusedSetup:
     """Loop-hoistable setup of a fused chain (shared grids, flattened
-    gathers and per-member write geometry)."""
+    gathers and write geometry)."""
 
     shape_full: Tuple[int, ...]
     iterations: int
@@ -159,8 +161,9 @@ class _FusedSetup:
     #: (composed-code name, fetch), flattened across all members (values
     #: bound before the single composed exec).
     gathers: List[Tuple[str, Callable[[], np.ndarray]]]
-    #: Per member, aligned with its ``outputs``: the write geometry.
-    member_geoms: List[List[_WriteGeom]]
+    #: Geometry of the members' ``"write"`` outputs, in chain order
+    #: (chain-internal outputs are bounds-checked but never written).
+    geoms: List[_WriteGeom]
 
 
 class VectorizedExecutor(SDFGExecutor):
@@ -169,10 +172,9 @@ class VectorizedExecutor(SDFGExecutor):
     for everything else.
 
     Chains of elementwise scopes are additionally *fused* (one gather /
-    compute / scatter pass per chain instead of per scope), and scope setup
-    -- iteration grids, gather indices, write geometry -- is cached per
-    plan and reused while the symbols it depends on are unchanged, hoisting
-    that work out of interstate loops."""
+    compute / scatter pass per chain instead of per scope); scope setup is
+    closed-form for ``param``/``const`` accesses and, within one run, kept
+    per plan while the symbols it depends on are unchanged."""
 
     _VEC_GLOBALS = {
         "__builtins__": _SAFE_BUILTINS,
@@ -336,36 +338,37 @@ class VectorizedExecutor(SDFGExecutor):
     # Setup (loop-hoisted per dependent-symbol values)
     # .................................................................. #
     def _resolve_domain(
-        self, entry: MapEntry, bindings: Dict[str, Any]
-    ) -> Tuple[List[np.ndarray], Tuple[int, ...], int, Dict[str, np.ndarray]]:
-        """Concrete iteration axes and broadcast grids for a map."""
-        axes: List[np.ndarray] = []
+        self, entry: MapEntry, bindings: Dict[str, Any], need_grids: bool = True
+    ) -> Tuple[List[Triple], Tuple[int, ...], int, Dict[str, np.ndarray]]:
+        """A map's ``(first, step, count)`` axis triples and -- only when
+        something reads them -- its broadcast iteration grids."""
+        triples: List[Triple] = []
         for rng in entry.map.ranges:
             b, e, s = rng.evaluate(bindings)
             if s == 0:
                 raise ExecutionError(f"Map '{entry.label}' has a zero step")
-            axes.append(np.arange(b, e + 1 if s > 0 else e - 1, s, dtype=np.int64))
-        shape_full = tuple(len(a) for a in axes)
-        iterations = int(np.prod(shape_full, dtype=np.int64))
-        nparams = len(axes)
+            triples.append(axis_triple(b, e, s))
+        shape_full = tuple(t[2] for t in triples)
+        iterations = math.prod(shape_full)
         grids: Dict[str, np.ndarray] = {}
-        for axis, (param, vals) in enumerate(zip(entry.map.params, axes)):
-            gshape = [1] * nparams
-            gshape[axis] = len(vals)
-            grids[param] = vals.reshape(gshape)
-        return axes, shape_full, iterations, grids
+        if need_grids and iterations:
+            nparams = len(triples)
+            for axis, (first, step, count) in enumerate(triples):
+                gshape = [1] * nparams
+                gshape[axis] = count
+                grids[entry.map.params[axis]] = np.arange(
+                    first, first + step * count, step, dtype=np.int64
+                ).reshape(gshape)
+        return triples, shape_full, iterations, grids
 
     @staticmethod
-    def _seq_slice(flat: np.ndarray, trusted: bool = False) -> Optional[slice]:
+    def _seq_slice(flat: np.ndarray) -> Optional[slice]:
         """A slice indexing the same 1-D positions as ``flat``, or ``None``.
 
-        Only arithmetic sequences (the shape every map-parameter axis and
-        every unit-slope affine index takes) qualify; basic indexing is
-        several times faster than advanced indexing with an index array.
-        The caller has already bounds-checked the values, so non-negative
-        starts are guaranteed.  ``trusted`` skips the O(n) element check for
-        sequences constructed from ``np.arange`` by this module itself --
-        the endpoints check still guards against accidental misuse.
+        Only arithmetic sequences qualify; basic indexing is several times
+        faster than advanced indexing with an index array.  The caller has
+        already bounds-checked the values, so non-negative starts are
+        guaranteed.
         """
         n = flat.size
         first = int(flat[0])
@@ -377,7 +380,7 @@ class VectorizedExecutor(SDFGExecutor):
         last = first + step * (n - 1)
         if int(flat[-1]) != last:
             return None
-        if not trusted and not np.array_equal(
+        if not np.array_equal(
             flat, np.arange(first, last + (1 if step > 0 else -1), step, dtype=flat.dtype)
         ):
             return None
@@ -442,85 +445,88 @@ class VectorizedExecutor(SDFGExecutor):
         return tuple(sls), tuple(taxes)
 
     def _resolve_gather(
-        self, spec: BoundInput, idx_ns: Dict[str, Any], nparams: int
+        self,
+        spec: BoundInput,
+        triples: List[Triple],
+        idx_ns: Dict[str, Any],
+        lead: int = 0,
     ) -> Tuple[str, Callable[[], np.ndarray]]:
+        """The fetch of one input; ``lead`` counts leading axes (the batched
+        runtime's trial axis) that indices leave alone."""
         arr = self._store.get(spec.data)
         if arr is None:
             raise ExecutionError(f"Read from unknown container '{spec.data}'")
-        idx = self._index_arrays(spec.idx_code, idx_ns)
-        self._check_vector_bounds(spec.data, spec.subset_str, idx, arr.shape)
-        fast = self._gather_slices(idx, arr.ndim, nparams)
-        if fast is not None:
-            sls, taxes = fast
-            # Basic indexing returns a view; the copy preserves the
-            # gather-copy semantics (readers must see pre-scope values even
-            # after deferred writes mutate the container).
-            if taxes is None:
+        shape, nparams = arr.shape[lead:], len(triples)
+        if spec.idx_code is None:
+            index = access_index(
+                spec.dims, triples, shape, idx_ns, spec.data, spec.subset_str
+            )
+            index, perm = gather_index(spec.dims, index, nparams, lead)
+        else:
+            # Some dimension is not a unit-slope sequence of one parameter:
+            # evaluate index arrays on the grids, check their extrema, and
+            # take back a slice wherever they turn out to be sequences.
+            idx = self._index_arrays(spec.idx_code, idx_ns)
+            self._check_vector_bounds(spec.data, spec.subset_str, idx, shape)
+            pre = (slice(None),) * lead
+            fast = self._gather_slices(idx, len(shape), nparams)
+            if fast is None:
+                # Advanced indexing copies; an ``expr`` index is an array
+                # of full grid rank, so the block already broadcasts.
+                return spec.conn, lambda _arr=arr, _idx=pre + tuple(idx): _arr[_idx]
+            index, perm = pre + fast[0], fast[1]
+            if lead and perm is not None:
+                perm = tuple(range(lead)) + tuple(a + lead for a in perm)
+        # Basic indexing returns a view; the copy preserves the gather-copy
+        # semantics (readers must see pre-scope values even after deferred
+        # writes mutate the container).
+        if perm is None:
 
-                def fetch(_arr=arr, _sls=sls):
-                    return _arr[_sls].copy()
+            def fetch(_arr=arr, _index=index):
+                return _arr[_index].copy()
 
-            else:
+        else:
 
-                def fetch(_arr=arr, _sls=sls, _t=taxes):
-                    return _arr[_sls].transpose(_t).copy()
-
-            return spec.conn, fetch
-
-        adv = tuple(idx)
-
-        def fetch(_arr=arr, _idx=adv):
-            return _arr[_idx]
+            def fetch(_arr=arr, _index=index, _perm=perm):
+                return _arr[_index].transpose(_perm).copy()
 
         return spec.conn, fetch
 
-    def _resolve_write(
-        self,
-        spec: BoundOutput,
-        axes: List[np.ndarray],
-        shape_full: Tuple[int, ...],
-        bindings: Dict[str, Any],
-    ) -> _WriteGeom:
+    def _check_write(
+        self, spec: BoundOutput, triples: List[Triple], bindings: Dict[str, Any],
+        lead: int = 0,
+    ) -> Tuple[np.ndarray, List[Any]]:
+        """A write's container and bounds-checked index (``param``/``const`` by
+        the analyzer's rules, so closed-form): all a chain-internal output needs."""
         arr = self._store.get(spec.data)
         if arr is None:
             raise ExecutionError(f"Write to unknown container '{spec.data}'")
-        if len(spec.dims) != arr.ndim:
-            raise MemoryViolation(
-                spec.data, spec.subset_str, arr.shape, "dimensionality mismatch"
-            )
-        index_1d: List[np.ndarray] = []
-        param_axes: List[int] = []
-        for kind, payload in spec.dims:
-            if kind == "param":
-                axis, offset = payload
-                param_axes.append(axis)
-                index_1d.append(axes[axis] + offset if offset else axes[axis])
-            else:
-                c = int(eval(payload, _EVAL_GLOBALS, bindings))  # noqa: S307
-                index_1d.append(np.asarray([c], dtype=np.int64))
-        self._check_vector_bounds(spec.data, spec.subset_str, index_1d, arr.shape)
-        nparams = len(shape_full)
-        red_axes = [a for a in range(nparams) if a not in param_axes]
+        return arr, access_index(
+            spec.dims, triples, arr.shape[lead:], bindings, spec.data, spec.subset_str
+        )
+
+    def _resolve_write(
+        self, spec: BoundOutput, triples: List[Triple], bindings: Dict[str, Any]
+    ) -> _WriteGeom:
+        """The bounds-checked geometry of one write: one basic index."""
+        arr, index = self._check_write(spec, triples, bindings)
+        # Leading (trial) axes whole, constants as length-1 slices: the
+        # region keeps the container's rank.
+        mesh = (slice(None),) * (arr.ndim - len(index)) + tuple(
+            i if isinstance(i, slice) else slice(i, i + 1) for i in index
+        )
+        param_axes = [payload[0] for kind, payload in spec.dims if kind == "param"]
+        red_axes = [a for a in range(len(triples)) if a not in param_axes]
         kept_sorted = sorted(param_axes)
-        kept_shape = tuple(shape_full[a] for a in kept_sorted)
+        kept_shape = tuple(triples[a][2] for a in kept_sorted)
         # Value axes end up in ascending-parameter order; ``perm`` reorders
         # them to the output's dimension order, ``target_shape`` re-inserts
         # length-1 axes for constant-indexed dimensions.
         perm = [kept_sorted.index(a) for a in param_axes]
         target_shape = tuple(
-            shape_full[payload[0]] if kind == "param" else 1
+            triples[payload[0]][2] if kind == "param" else 1
             for kind, payload in spec.dims
         )
-        # Every per-dimension index is an arithmetic sequence (map axes plus
-        # a constant offset, or a single constant), so the scatter target is
-        # expressible with basic slicing -- several times faster than the
-        # ``np.ix_`` advanced-indexing mesh, which stays as the fallback.
-        # ``trusted``: these arrays are arange-built by _resolve_domain.
-        slices = [self._seq_slice(v, trusted=True) for v in index_1d]
-        if index_1d and all(s is not None for s in slices):
-            mesh: Tuple = tuple(slices)
-        else:
-            mesh = np.ix_(*index_1d) if index_1d else ()
         identity_shape = perm == sorted(perm) and target_shape == kept_shape
         return _WriteGeom(
             spec, arr, mesh, perm, target_shape, red_axes, kept_shape,
@@ -533,23 +539,18 @@ class VectorizedExecutor(SDFGExecutor):
         cached = self._setup_cache.get(cache_key)
         if cached is not None and cached[0] == key:
             return cached[1]
-        axes, shape_full, iterations, grids = self._resolve_domain(plan.entry, bindings)
+        triples, shape_full, iterations, grids = self._resolve_domain(
+            plan.entry, bindings, plan.needs_grids
+        )
         if iterations == 0:
             # The interpreter executes nothing for an empty domain -- in
             # particular it never bounds-checks the memlets -- so neither
             # may the setup.
             setup = _ScopeSetup(shape_full, 0, grids, [], [])
         else:
-            idx_ns = dict(bindings)
-            idx_ns.update(grids)
-            nparams = len(axes)
-            gathers = [
-                self._resolve_gather(spec, idx_ns, nparams) for spec in plan.inputs
-            ]
-            geoms = [
-                self._resolve_write(spec, axes, shape_full, bindings)
-                for spec in plan.outputs
-            ]
+            idx_ns = {**bindings, **grids} if grids else bindings
+            gathers = [self._resolve_gather(s, triples, idx_ns) for s in plan.inputs]
+            geoms = [self._resolve_write(s, triples, bindings) for s in plan.outputs]
             setup = _ScopeSetup(shape_full, iterations, grids, gathers, geoms)
         self._setup_cache[cache_key] = (key, setup)
         return setup
@@ -560,28 +561,24 @@ class VectorizedExecutor(SDFGExecutor):
         cached = self._setup_cache.get(cache_key)
         if cached is not None and cached[0] == key:
             return cached[1]
-        axes, shape_full, iterations, grids = self._resolve_domain(
-            fused.entry, bindings
+        triples, shape_full, iterations, grids = self._resolve_domain(
+            fused.entry, bindings, fused.needs_grids
         )
         if iterations == 0:
             setup = _FusedSetup(shape_full, 0, grids, [], [])
         else:
-            idx_ns = dict(bindings)
-            idx_ns.update(grids)
-            nparams = len(axes)
+            idx_ns = {**bindings, **grids} if grids else bindings
             gathers: List[Tuple[str, Callable[[], np.ndarray]]] = []
-            member_geoms: List[List[_WriteGeom]] = []
+            geoms: List[_WriteGeom] = []
             for member in fused.members:
                 for spec, name in member.gathers:
-                    _, fetch = self._resolve_gather(spec, idx_ns, nparams)
-                    gathers.append((name, fetch))
-                member_geoms.append(
-                    [
-                        self._resolve_write(spec, axes, shape_full, bindings)
-                        for _, spec, _ in member.outputs
-                    ]
-                )
-            setup = _FusedSetup(shape_full, iterations, grids, gathers, member_geoms)
+                    gathers.append((name, self._resolve_gather(spec, triples, idx_ns)[1]))
+                for kind, spec, _ in member.outputs:
+                    if kind == "write":
+                        geoms.append(self._resolve_write(spec, triples, bindings))
+                    else:
+                        self._check_write(spec, triples, bindings)
+            setup = _FusedSetup(shape_full, iterations, grids, gathers, geoms)
         self._setup_cache[cache_key] = (key, setup)
         return setup
 
@@ -653,14 +650,15 @@ class VectorizedExecutor(SDFGExecutor):
 
         writes: List[Callable[[], None]] = []
         counts: List[Tuple[int, int]] = []
-        for member, geoms in zip(fused.members, setup.member_geoms):
-            for (kind, spec, out_name), geom in zip(member.outputs, geoms):
+        geoms = iter(setup.geoms)
+        for member in fused.members:
+            for kind, spec, out_name in member.outputs:
                 value = self._output_value(
                     member.plan.tasklet, out_name, ns, setup.shape_full,
                     display_conn=spec.conn,
                 )
                 if kind == "write":
-                    writes.append(self._make_write(geom, value, setup.shape_full))
+                    writes.append(self._make_write(next(geoms), value, setup.shape_full))
             counts.append((member.plan.tasklet.guid, setup.iterations))
         return writes, counts
 

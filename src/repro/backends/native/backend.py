@@ -30,6 +30,7 @@ from repro import faultinject
 from repro.backends.batched import BatchedBackend, BatchedExecutor, BatchedProgram
 from repro.backends.codegen.native_c import EXACT_INT_LIMIT, NativeKernel
 from repro.backends.codegen.python_driver import _artifact_stamp
+from repro.backends.geometry import access_index
 from repro.backends.native.bridge import KernelHandle, load_shared_object
 from repro.backends.native.probe import probe_shared_object
 from repro.backends.native.toolchain import (
@@ -39,7 +40,6 @@ from repro.backends.native.toolchain import (
 )
 from repro.backends.plan import PLAN_FORMAT_VERSION
 from repro.interpreter.errors import TaskletExecutionError
-from repro.interpreter.executor import _EVAL_GLOBALS
 from repro.sdfg.nodes import MapEntry, MapExit
 from repro.telemetry import TRACER as _TRACER
 from repro.telemetry import observe as _metric_observe
@@ -469,32 +469,28 @@ class NativeExecutor(BatchedExecutor):
         raises (caught by the caller) or returns ``None``; both defer to
         the Python op, which reproduces the authoritative error.  Success
         here therefore implies the Python path would have succeeded."""
-        axes, _shape_full, iterations, grids = self._resolve_domain(
-            kr.entry, bindings
+        # Grids only for gathers that materialise (an ``expr`` dimension);
+        # the kernel computes parameter values from begins and steps.
+        triples, _shape_full, iterations, grids = self._resolve_domain(
+            kr.entry,
+            bindings,
+            any(k == "gather" and s.idx_code is not None for k, s, _ in kr.accesses),
         )
-        if iterations == 0 or len(axes) != kr.nparams:
+        if iterations == 0 or len(triples) != kr.nparams:
             # Empty domains skip all checks (interpreter parity); the
             # Python op handles them with the same cached-setup cost.
             return None
         nparams = kr.nparams
-        idx_ns = dict(bindings)
-        idx_ns.update(grids)
+        idx_ns = {**bindings, **grids} if grids else bindings
         batched = self._batched_mode
 
-        begins: List[int] = []
-        steps: List[int] = []
-        for vals in axes:
-            b = int(vals[0])
-            s = int(vals[1]) - b if len(vals) > 1 else 0
-            last = b + s * (len(vals) - 1)
-            if abs(b) > EXACT_INT_LIMIT or abs(last) > EXACT_INT_LIMIT:
-                return None  # parameter values must be double-exact
-            begins.append(b)
-            steps.append(s)
         geom: List[int] = []
-        for b, s in zip(begins, steps):
-            geom.append(b)
-            geom.append(s)
+        for first, step, count in triples:
+            last = first + step * (count - 1)
+            if abs(first) > EXACT_INT_LIMIT or abs(last) > EXACT_INT_LIMIT:
+                return None  # parameter values must be double-exact
+            geom.append(first)
+            geom.append(step)
 
         arrays: List[np.ndarray] = []
         shapes: Dict[str, Tuple[int, ...]] = {}
@@ -525,50 +521,37 @@ class NativeExecutor(BatchedExecutor):
             arr = self._store.get(spec.data)
             if arr is None:
                 return None  # Python path raises the unknown-container error
-            if kind == "gather":
+            if kind == "check":
+                shape = arr.shape[1:] if batched else arr.shape
+            else:
+                shape = shapes[spec.data]
+            if kind == "gather" and spec.idx_code is not None:
                 idx = self._index_arrays(spec.idx_code, idx_ns)
-                self._check_vector_bounds(
-                    spec.data, spec.subset_str, idx, shapes[spec.data]
-                )
+                self._check_vector_bounds(spec.data, spec.subset_str, idx, shape)
                 dec = _affine_offsets(idx, strides[spec.data], nparams)
                 if dec is None:
                     return None
                 base, coefs = dec
-                geom.append(base)
-                geom.extend(coefs)
-            else:  # "write" or "check"
+            else:
+                index = access_index(
+                    spec.dims, triples, shape, bindings, spec.data, spec.subset_str
+                )
                 if kind == "check":
-                    shape = arr.shape[1:] if batched else arr.shape
-                else:
-                    shape = shapes[spec.data]
-                index_1d: List[np.ndarray] = []
-                for dkind, payload in spec.dims:
+                    continue
+                elem = strides[spec.data]
+                base = 0
+                coefs = [0] * nparams
+                for d, (dkind, payload) in enumerate(spec.dims):
                     if dkind == "param":
                         axis, offset = payload
-                        index_1d.append(
-                            axes[axis] + offset if offset else axes[axis]
-                        )
+                        base += elem[d] * (triples[axis][0] + offset)
+                        coefs[axis] += elem[d] * triples[axis][1]
                     else:
-                        c = int(eval(payload, _EVAL_GLOBALS, bindings))  # noqa: S307
-                        index_1d.append(np.asarray([c], dtype=np.int64))
-                self._check_vector_bounds(
-                    spec.data, spec.subset_str, index_1d, shape
-                )
-                if kind == "write":
-                    elem = strides[spec.data]
-                    base = 0
-                    coefs = [0] * nparams
-                    for d, (dkind, payload) in enumerate(spec.dims):
-                        if dkind == "param":
-                            axis, offset = payload
-                            base += elem[d] * (begins[axis] + offset)
-                            coefs[axis] += elem[d] * steps[axis]
-                        else:
-                            base += elem[d] * int(index_1d[d][0])
-                    geom.append(base)
-                    geom.extend(coefs)
+                        base += elem[d] * index[d]
+            geom.append(base)
+            geom.extend(coefs)
 
-        counts_arr = np.asarray([len(vals) for vals in axes], dtype=np.int64)
+        counts_arr = np.asarray([t[2] for t in triples], dtype=np.int64)
         geom_arr = np.asarray(geom, dtype=np.int64)
         scalars_arr = np.zeros(max(len(kr.extras), 1), dtype=np.float64)
         bstrides_arr = np.asarray(bstrides or [0], dtype=np.int64)

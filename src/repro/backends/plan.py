@@ -42,7 +42,18 @@ __all__ = [
 #: Version of the serialized plan format.  Bump on ANY structural change to
 #: the dataclasses below: persisted artifacts carry it, and a mismatch
 #: invalidates the cached entry.
-PLAN_FORMAT_VERSION = 1
+PLAN_FORMAT_VERSION = 2
+
+
+def _dims_from_json(raw) -> List[Tuple[str, Any]]:
+    dims: List[Tuple[str, Any]] = []
+    for kind, payload in raw:
+        if kind == "param":
+            axis, offset = payload
+            dims.append(("param", (int(axis), int(offset))))
+        else:
+            dims.append((str(kind), str(payload)))
+    return dims
 
 
 @dataclass
@@ -54,6 +65,16 @@ class InputPlan:
     #: One index expression (source text) per container dimension.
     index_exprs: List[str]
     subset_str: str
+    #: The same indices classified per dimension, exactly like
+    #: :attr:`OutputPlan.dims`: ``("param", (axis, offset))`` for a
+    #: unit-slope affine index in one map parameter (each parameter at most
+    #: once), ``("const", expr)`` for an index free of map parameters, and
+    #: -- inputs only -- ``("expr", text)`` for everything else (non-unit
+    #: slope, two parameters, piecewise, a parameter's second use).  An
+    #: input without an ``expr`` dimension is gathered in closed form
+    #: (:mod:`repro.backends.geometry`); one with, through index arrays
+    #: evaluated from :attr:`index_exprs`.
+    dims: List[Tuple[str, Any]]
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -61,6 +82,7 @@ class InputPlan:
             "data": self.data,
             "index_exprs": list(self.index_exprs),
             "subset_str": self.subset_str,
+            "dims": [list(dim) for dim in self.dims],
         }
 
     @classmethod
@@ -70,6 +92,7 @@ class InputPlan:
             data=d["data"],
             index_exprs=[str(e) for e in d["index_exprs"]],
             subset_str=d["subset_str"],
+            dims=_dims_from_json(d["dims"]),
         )
 
 
@@ -97,17 +120,10 @@ class OutputPlan:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "OutputPlan":
-        dims: List[Tuple[str, Any]] = []
-        for kind, payload in d["dims"]:
-            if kind == "param":
-                axis, offset = payload
-                dims.append(("param", (int(axis), int(offset))))
-            else:
-                dims.append(("const", str(payload)))
         return cls(
             conn=d["conn"],
             data=d["data"],
-            dims=dims,
+            dims=_dims_from_json(d["dims"]),
             wcr=d.get("wcr"),
             subset_str=d["subset_str"],
         )
@@ -133,6 +149,10 @@ class ScopePlan:
     #: Non-parameter names the scope's setup (grids, gather indices, write
     #: geometry) reads; executions with unchanged values reuse the setup.
     setup_deps: Tuple[str, ...] = ()
+    #: Whether anything reads the broadcast iteration grids: the tasklet
+    #: code names a map parameter, or an input has an ``expr`` dimension.
+    #: Otherwise a scope execution never builds them.
+    needs_grids: bool = True
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -144,6 +164,7 @@ class ScopePlan:
             "inputs": [i.to_dict() for i in self.inputs],
             "outputs": [o.to_dict() for o in self.outputs],
             "setup_deps": list(self.setup_deps),
+            "needs_grids": self.needs_grids,
         }
 
     @classmethod
@@ -157,6 +178,7 @@ class ScopePlan:
             inputs=[InputPlan.from_dict(i) for i in d["inputs"]],
             outputs=[OutputPlan.from_dict(o) for o in d["outputs"]],
             setup_deps=tuple(d.get("setup_deps", ())),
+            needs_grids=bool(d["needs_grids"]),
         )
 
 

@@ -394,18 +394,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         for backend in WORKER_BACKENDS
     ]
     try:
-        distributed = coordinator.wait(timeout=600.0)
+        try:
+            # Not ``coordinator.wait()`` yet: it stops the service the moment
+            # the last outcome lands, and a worker still starting up while
+            # its peer finished a small sweep would find the port closed,
+            # retry for --connect-retry-seconds and exit 1.
+            coordinator.scheduler.wait(coordinator.sweep_id, timeout=600.0)
+        finally:
+            # The sweep is complete (or failed) -- workers exit on their own
+            # once a request is answered with "done"; give them that
+            # round-trip before resorting to SIGTERM.
+            for proc in workers:
+                try:
+                    proc.wait(timeout=15.0)
+                except subprocess.TimeoutExpired:
+                    proc.terminate()
+            for proc in workers:
+                proc.wait(timeout=30.0)
+        distributed = coordinator.wait()  # complete: the result; stops the service
     finally:
-        # The sweep is complete (or failed) -- workers exit on their own
-        # after their final request is answered with "done"; give them that
-        # round-trip before resorting to SIGTERM.
-        for proc in workers:
-            try:
-                proc.wait(timeout=15.0)
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-        for proc in workers:
-            proc.wait(timeout=30.0)
         store.close()
 
     failures = [p.returncode for p in workers if p.returncode != 0]

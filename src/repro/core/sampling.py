@@ -65,6 +65,9 @@ class InputSampler:
         self.integer_range = integer_range
         self.rng = np.random.default_rng(seed)
         self._counter = 0
+        #: The program is final once a sampler exists, so the walk that
+        #: collects its free symbols happens once, not once per trial.
+        self._free_symbols = sorted(sdfg.free_symbols)
 
     # ------------------------------------------------------------------ #
     def sample_symbols(self) -> Dict[str, int]:
@@ -75,7 +78,7 @@ class InputSampler:
         interstate assignments or by the enclosing context).
         """
         out: Dict[str, int] = {sym: int(val) for sym, val in self.fixed_symbols.items()}
-        for sym in sorted(self.sdfg.free_symbols):
+        for sym in self._free_symbols:
             if sym in out:
                 continue
             constraint = self.constraints.get(sym)

@@ -48,6 +48,7 @@ from repro.sdfg.nodes import (
 )
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
+from repro.symbolic.expressions import Integer
 from repro.telemetry import TRACER as _TRACER
 
 __all__ = ["SDFGExecutor", "ExecutionResult", "execute_sdfg"]
@@ -416,18 +417,23 @@ class SDFGExecutor:
     # Memory access
     # ------------------------------------------------------------------ #
     def _subset_code(self, memlet: Memlet) -> List[Tuple[Any, Any, Any]]:
+        """Per range ``(begin, end, step)`` terms: an ``int`` for an integer
+        literal, a compiled expression otherwise; ``end`` is ``None`` for a
+        point range (it is the begin, evaluated once)."""
         # Keyed by the subset object (owned by the program's memlets), not by
         # the memlet wrapper, because temporary Memlet wrappers are created
         # during copies and their ids may be reused after garbage collection.
         key = id(memlet.subset)
         cached = self._subset_code_cache.get(key)
         if cached is None:
+
+            def term(expr):
+                if isinstance(expr, Integer):
+                    return expr.value
+                return compile_expression(str(expr))
+
             cached = [
-                (
-                    compile_expression(str(r.begin)),
-                    compile_expression(str(r.end)),
-                    compile_expression(str(r.step)),
-                )
+                (term(r.begin), None if r.is_point() else term(r.end), term(r.step))
                 for r in memlet.subset.ranges
             ]
             self._subset_code_cache[key] = cached
@@ -439,9 +445,12 @@ class SDFGExecutor:
         out: List[Tuple[int, int, int]] = []
         for bc, ec, sc in self._subset_code(memlet):
             try:
-                b = int(eval(bc, _EVAL_GLOBALS, bindings))  # noqa: S307
-                e = int(eval(ec, _EVAL_GLOBALS, bindings))  # noqa: S307
-                s = int(eval(sc, _EVAL_GLOBALS, bindings))  # noqa: S307
+                b = bc if bc.__class__ is int else int(eval(bc, _EVAL_GLOBALS, bindings))  # noqa: S307
+                if ec is None:
+                    e = b
+                else:
+                    e = ec if ec.__class__ is int else int(eval(ec, _EVAL_GLOBALS, bindings))  # noqa: S307
+                s = sc if sc.__class__ is int else int(eval(sc, _EVAL_GLOBALS, bindings))  # noqa: S307
             except Exception as exc:  # noqa: BLE001
                 raise ExecutionError(
                     f"Cannot evaluate subset of memlet {memlet}: {exc}"

@@ -672,3 +672,28 @@ class TestSmoke:
             "--max-instances", "1",
         ])
         assert rc == 0
+
+    def test_smoke_survives_a_late_worker(self, monkeypatch):
+        """One worker starts 2 s late: its peer has finished the 2-task
+        sweep by then.  The coordinator must still answer the latecomer
+        (with ``done``) instead of having closed the port under it."""
+        import subprocess
+
+        from repro.cluster import smoke
+
+        real_popen = subprocess.Popen
+        spawned = []
+
+        def late_second_worker(cmd, **kwargs):
+            spawned.append(cmd)
+            if len(spawned) == 2:
+                cmd = ["sh", "-c", 'sleep 2; exec "$@"', "sh", *cmd]
+            return real_popen(cmd, **kwargs)
+
+        monkeypatch.setattr(smoke.subprocess, "Popen", late_second_worker)
+        rc = smoke.main([
+            "--kernels", "jacobi_1d,scaled_diff", "--trials", "1",
+            "--max-instances", "1",
+        ])
+        assert len(spawned) == 2
+        assert rc == 0

@@ -1,0 +1,387 @@
+"""The closed-form scope geometry against the materialised path it replaced.
+
+``repro.backends.geometry`` derives bounds checks, gather indices and write
+regions of ``param``/``const`` accesses from the map's integers.  The
+reference below is what the runtime did before (and still does for ``expr``
+dimensions): build ``np.arange`` axes, evaluate broadcast index arrays,
+min/max-reduce them for the bounds check and gather with advanced indexing
+(scatter through an ``np.ix_`` mesh).  Same block bit for bit, same written
+region, same exception type and message -- serially and, with a leading
+trial axis, in the batched runtime.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from repro.backends import get_backend
+from repro.backends.analysis import analyze_program
+from repro.backends.batched import BatchedExecutor
+from repro.backends.codegen.numpy_eager import BoundInput, BoundOutput, _bind_dims
+from repro.backends.execute import VectorizedExecutor
+from repro.backends.geometry import axis_triple
+from repro.core.cutout import extract_cutout, transfer_match
+from repro.interpreter.errors import MemoryViolation
+from repro.sdfg import SDFG, Memlet, float64
+from repro.transforms import all_builtin_transformations
+from repro.workloads import get_workload
+
+BATCH = 3
+BINDINGS = {"c": 1, "N": 4}
+
+
+# ---------------------------------------------------------------------- #
+# Case generation and the materialised reference
+# ---------------------------------------------------------------------- #
+def random_case(rng):
+    """``(ranges, dims, shape)``: a map domain (positive / negative /
+    non-unit steps, length-1 axes, ends off the sequence), an access using
+    a random subset of the parameters once each in random dimension order
+    (permuted, rank-deficient or all-constant) with offsets and constant
+    dimensions, and a container shape that fits or misses by one."""
+    nparams = rng.randint(1, 3)
+    ranges = []
+    for _ in range(nparams):
+        step = rng.choice([1, 1, 2, 3, -1, -2])
+        count = rng.choice([1, 2, 3, 5])
+        begin = rng.randint(1, 5) + (-step * (count - 1) if step < 0 else 0)
+        slack = rng.randint(0, abs(step) - 1)
+        ranges.append((begin, begin + step * (count - 1) + (slack if step > 0 else -slack), step))
+    axes = list(range(nparams))
+    rng.shuffle(axes)
+    dims = [("param", (a, rng.choice([-2, -1, 0, 0, 1, 2]))) for a in axes[: rng.randint(0, nparams)]]
+    for _ in range(rng.randint(0 if dims else 1, 2)):
+        dims.insert(rng.randint(0, len(dims)), ("const", rng.choice(["0", "2", "c", "N - 1"])))
+    shape = []
+    for kind, payload in dims:
+        if kind == "param":
+            b, e, s = ranges[payload[0]]
+            hi = max(b, b + s * (len(range(b, e + 1 if s > 0 else e - 1, s)) - 1)) + payload[1]
+        else:
+            hi = int(eval(payload, {}, BINDINGS))
+        shape.append(max(1, hi + rng.choice([1, 1, 1, 0])))
+    return ranges, dims, tuple(shape)
+
+
+def materialise(ranges, dims):
+    """The index arrays of the old path: broadcast grids plus offsets for
+    gathers, their 1-D forms for writes."""
+    axes = [np.arange(b, e + 1 if s > 0 else e - 1, s, dtype=np.int64) for b, e, s in ranges]
+    grids, flat = [], []
+    for kind, payload in dims:
+        if kind == "param":
+            axis, offset = payload
+            gshape = [1] * len(axes)
+            gshape[axis] = len(axes[axis])
+            flat.append(axes[axis] + offset)
+            grids.append(flat[-1].reshape(gshape))
+        else:
+            c = int(eval(payload, {}, BINDINGS))
+            flat.append(np.asarray([c], dtype=np.int64))
+            grids.append(c)
+    return grids, flat
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except MemoryViolation as exc:
+        return exc
+
+
+def assert_same(ref, got):
+    if isinstance(ref, MemoryViolation):
+        assert type(got) is MemoryViolation and str(got) == str(ref)
+        return
+    assert not isinstance(got, Exception), got
+    ref, got = np.asarray(ref), np.asarray(got)
+    assert ref.shape == got.shape and ref.dtype == got.dtype
+    assert ref.tobytes() == np.ascontiguousarray(got).tobytes()
+
+
+def executor(cls, store, batched=False):
+    ex = cls(SDFG("geometry"))
+    ex._store = store
+    if batched:
+        ex._batched_mode, ex._batch = True, BATCH
+    return ex
+
+
+CASES = [random_case(random.Random(seed)) for seed in range(400)]
+
+
+# ---------------------------------------------------------------------- #
+class TestClosedFormAgainstMaterialised:
+    def test_axis_triple_counts_like_arange(self):
+        for b, e, s in itertools.product(range(-3, 4), range(-3, 4), (-3, -2, -1, 1, 2, 3)):
+            ref = np.arange(b, e + 1 if s > 0 else e - 1, s)
+            first, step, count = axis_triple(b, e, s)
+            assert count == len(ref)
+            if count:
+                assert (first, first + step * (count - 1)) == (ref[0], ref[-1])
+
+    def test_cases_cover_both_outcomes_and_shapes(self):
+        kinds = set()
+        for ranges, dims, shape in CASES:
+            grids, _ = materialise(ranges, dims)
+            ok = not isinstance(outcome(lambda: VectorizedExecutor._check_vector_bounds(
+                "A", "s", grids, shape)), MemoryViolation)
+            used = [p[0] for k, p in dims if k == "param"]
+            kinds.add((ok, "const" if not used else "permuted" if used != sorted(used)
+                       else "deficient" if len(used) < len(ranges) else "aligned"))
+        assert len(kinds) == 8
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_gather_fetches_the_same_block(self, batched):
+        for n, (ranges, dims, shape) in enumerate(CASES):
+            lead = (BATCH,) if batched else ()
+            arr = np.random.default_rng(n).standard_normal(lead + shape)
+            grids, _ = materialise(ranges, dims)
+            nparams = len(ranges)
+
+            def reference():
+                VectorizedExecutor._check_vector_bounds("A", "A[s]", grids, shape)
+                if not batched:
+                    return arr[tuple(grids)]
+                value = arr[(slice(None),) + tuple(grids)]
+                return value.reshape((BATCH,) + (1,) * nparams) if value.ndim != nparams + 1 else value
+
+            ex = executor(BatchedExecutor if batched else VectorizedExecutor, {"A": arr}, batched)
+            spec = BoundInput("x", "A", _bind_dims(dims), None, "A[s]")
+            triples = [axis_triple(*r) for r in ranges]
+
+            def closed():
+                value = ex._resolve_gather(spec, triples, BINDINGS)[1]()
+                assert not np.shares_memory(value, arr)
+                return value
+
+            ref, got = outcome(reference), outcome(closed)
+            assert_same(ref, got)
+            if not batched and not isinstance(ref, Exception):
+                assert type(got) is type(ref)  # an all-constant gather stays a scalar
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_write_hits_the_same_region(self, batched):
+        for ranges, dims, shape in CASES:
+            lead = (BATCH,) if batched else ()
+            _, flat = materialise(ranges, dims)
+
+            def reference():
+                VectorizedExecutor._check_vector_bounds("A", "A[s]", flat, shape)
+                mask = np.zeros(lead + shape)
+                mask[(slice(None),) * len(lead) + np.ix_(*flat)] = 1.0
+                return mask
+
+            arr = np.zeros(lead + shape)
+            ex = executor(BatchedExecutor if batched else VectorizedExecutor, {"A": arr}, batched)
+            spec = BoundOutput("y", "A", _bind_dims(dims), None, "A[s]")
+            triples = [axis_triple(*r) for r in ranges]
+
+            def closed():
+                geom = ex._resolve_write(spec, triples, BINDINGS)
+                arr[geom.mesh] = 1.0
+                return arr
+
+            assert_same(outcome(reference), outcome(closed))
+
+    def test_wcr_write_accumulates_like_the_iteration_loop(self):
+        for n, (ranges, dims, shape) in enumerate(CASES[:150]):
+            _, flat = materialise(ranges, dims)
+            if isinstance(outcome(lambda: VectorizedExecutor._check_vector_bounds(
+                    "A", "s", flat, shape)), MemoryViolation):
+                continue
+            counts = [len(range(b, e + 1 if s > 0 else e - 1, s)) for b, e, s in ranges]
+            value = np.random.default_rng(n).integers(-4, 5, size=counts).astype(np.float64)
+            ref = np.ones(shape)
+            for point in itertools.product(*(range(c) for c in counts)):
+                where = tuple(
+                    int(f[point[p[0]]]) if k == "param" else int(f[0])
+                    for (k, p), f in zip(dims, flat)
+                )
+                ref[where] += value[point]
+            arr = np.ones(shape)
+            ex = executor(VectorizedExecutor, {"A": arr})
+            spec = BoundOutput("y", "A", _bind_dims(dims), "sum", "A[s]")
+            geom = ex._resolve_write(spec, [axis_triple(*r) for r in ranges], BINDINGS)
+            ex._make_write(geom, value, tuple(counts))()
+            assert ref.tobytes() == arr.tobytes()
+
+    def test_dimensionality_mismatch_message(self):
+        ex = executor(VectorizedExecutor, {"A": np.zeros((3, 3))})
+        spec = BoundInput("x", "A", [("param", (0, 0))], None, "A[i]")
+        with pytest.raises(MemoryViolation) as got:
+            ex._resolve_gather(spec, [(0, 1, 3)], {})
+        with pytest.raises(MemoryViolation) as ref:
+            VectorizedExecutor._check_vector_bounds("A", "A[i]", [np.arange(3)], (3, 3))
+        assert str(got.value) == str(ref.value) and "dimensionality" in str(ref.value)
+
+
+# ---------------------------------------------------------------------- #
+# Classification (analysis) and whole programs
+# ---------------------------------------------------------------------- #
+def classified_program():
+    sdfg = SDFG("classified")
+    for name in "ABCDE":
+        sdfg.add_array(name, [20, 20], float64)
+    sdfg.add_array("Out", ["N", "N"], float64)
+    state = sdfg.add_state("s", is_start_state=True)
+    state.add_mapped_tasklet(
+        "t", {"i": "0:N-1", "j": "0:N-1"},
+        {
+            "a": Memlet.simple("A", ("j", "i + 1")),
+            "b": Memlet.simple("B", ("i", "i")),
+            "c": Memlet.simple("C", ("2*i", "j")),
+            "d": Memlet.simple("D", ("N", "j")),
+            "e": Memlet.simple("E", ("i + j", "0")),
+        },
+        "y = a + b + c + d + e", {"y": Memlet.simple("Out", ("i", "j"))},
+    )
+    return sdfg
+
+
+def scope_plans(sdfg):
+    return [p for s in analyze_program(sdfg).states for p in s.scopes.values() if p]
+
+
+class TestClassification:
+    def test_input_dims(self):
+        (plan,) = scope_plans(classified_program())
+        dims = {spec.data: spec.dims for spec in plan.inputs}
+        assert dims["A"] == [("param", (1, 0)), ("param", (0, 1))]
+        # A parameter's second use stays on the general path.
+        assert dims["B"] == [("param", (0, 0)), ("expr", "i")]
+        assert dims["C"][0][0] == "expr" and dims["C"][1] == ("param", (1, 0))
+        assert dims["D"] == [("const", "N"), ("param", (1, 0))]
+        assert dims["E"][0][0] == "expr" and dims["E"][1] == ("const", "0")
+        assert plan.needs_grids
+
+    def test_grids_only_when_something_reads_them(self):
+        def program(code, index):
+            sdfg = SDFG("g")
+            sdfg.add_array("A", ["N"], float64)
+            sdfg.add_array("Out", ["N"], float64)
+            sdfg.add_state("s", is_start_state=True).add_mapped_tasklet(
+                "t", {"i": "0:N-1"}, {"x": Memlet.simple("A", index)},
+                code, {"y": Memlet.simple("Out", "i")},
+            )
+            return sdfg
+
+        assert not scope_plans(program("y = 2.0 * x", "i"))[0].needs_grids
+        assert scope_plans(program("y = x + i", "i"))[0].needs_grids
+        assert scope_plans(program("y = 2.0 * x", "N - 1 - i"))[0].needs_grids
+
+    @pytest.mark.parametrize("backend", ["vectorized", "compiled", "batched", "native"])
+    def test_mixed_program_matches_the_interpreter(self, backend):
+        sdfg = classified_program()
+        rng = np.random.default_rng(0)
+        args = {n: rng.standard_normal(d.concrete_shape({"N": 6}))
+                for n, d in sdfg.arrays.items()}
+        ref = get_backend("interpreter").prepare(sdfg).run(dict(args), {"N": 6})
+        program = get_backend(backend).prepare(sdfg)
+        got = program.run(dict(args), {"N": 6})
+        assert ref.outputs["Out"].tobytes() == got.outputs["Out"].tobytes()
+        assert program.executor.stats["fallback"] == 0
+        # B[i, i] at N = 21 leaves the container: same error as the oracle.
+        big = {n: np.zeros(d.concrete_shape({"N": 21})) for n, d in sdfg.arrays.items()}
+        with pytest.raises(MemoryViolation) as want:
+            get_backend("interpreter").prepare(sdfg).run(dict(big), {"N": 21})
+        with pytest.raises(MemoryViolation) as have:
+            program.run(dict(big), {"N": 21})
+        assert type(have.value) is type(want.value)
+
+
+# ---------------------------------------------------------------------- #
+# Chain-internal outputs: checked (never written), also behind a trial axis
+# ---------------------------------------------------------------------- #
+def chain_program(domain):
+    """``A -> B[i + 1] -> Out`` over ``domain``; ``B`` is internal to the
+    fused chain."""
+    sdfg = SDFG("chain")
+    sdfg.add_array("A", ["N"], float64)
+    sdfg.add_transient("B", ["N"], float64)
+    sdfg.add_array("Out", ["N"], float64)
+    state = sdfg.add_state("s", is_start_state=True)
+    _, _, mexit = state.add_mapped_tasklet(
+        "p", {"i": domain}, {"x": Memlet.simple("A", "i")},
+        "y = x + 1.0", {"y": Memlet.simple("B", "i + 1")},
+    )
+    state.add_mapped_tasklet(
+        "c", {"i": domain}, {"x": Memlet.simple("B", "i + 1")},
+        "y = x * 2.0", {"y": Memlet.simple("Out", "i")},
+        input_nodes={"B": next(e.dst for e in state.out_edges(mexit))},
+    )
+    return sdfg
+
+
+class TestChainInternalOutputs:
+    def test_fused_chain_on_the_batch_axis(self, monkeypatch):
+        from repro.backends.batched import BatchedProgram
+
+        sdfg, symbols = chain_program("0:N-2"), {"N": 8}
+        args_list = [{"A": np.random.default_rng(k).standard_normal(8), "Out": np.zeros(8)}
+                     for k in range(BATCH)]
+        interp = get_backend("interpreter").prepare(sdfg)
+        program = BatchedProgram(sdfg)
+        checked = []
+        real = BatchedExecutor._check_write
+        monkeypatch.setattr(
+            BatchedExecutor, "_check_write",
+            lambda rt, spec, *a: checked.append((spec.data, rt._batched_mode)) or real(rt, spec, *a),
+        )
+        # ``run_batched`` has no serial fallback: a check against the wrong
+        # (batch-prefixed) shape would surface here.
+        got = program.executor.run_batched([dict(a) for a in args_list], symbols)
+        assert checked == [("B", True), ("Out", True)]
+        for args, result in zip(args_list, got):
+            want = interp.run(dict(args), symbols).outputs["Out"]
+            assert want.tobytes() == result.outputs["Out"].tobytes()
+
+    def test_out_of_bounds_internal_output_under_batched(self):
+        sdfg = chain_program("0:N-1")  # B[N] is one past the end
+        args = {"A": np.ones(8), "Out": np.zeros(8)}
+        with pytest.raises(MemoryViolation) as want:
+            get_backend("interpreter").prepare(sdfg).run(dict(args), {"N": 8})
+        with pytest.raises(MemoryViolation) as have:
+            get_backend("batched").prepare(sdfg).run(dict(args), {"N": 8})
+        assert type(have.value) is type(want.value) and "'B'" in str(have.value)
+
+
+# ---------------------------------------------------------------------- #
+# A transformed stencil runs without one index array
+# ---------------------------------------------------------------------- #
+class TestNoIndexArraysOnAffineScopes:
+    @pytest.mark.parametrize(
+        "name, options", [("MapTiling", {"tile_size": 2}), ("MapExpansion", {})]
+    )
+    def test_transformed_heat_3d_cutout(self, name, options, monkeypatch):
+        spec = get_workload("npbench", "heat_3d")
+        sdfg = spec.build()
+        xform = all_builtin_transformations()[name](**options)
+        match = xform.find_matches(sdfg)[0]
+        cutout = extract_cutout(sdfg, transformation=xform, match=match,
+                                symbol_values=spec.symbols)
+        transformed = cutout.sdfg.clone(new_name="transformed")
+        xform.apply(transformed, transfer_match(xform, match, transformed))
+        cutout.expose(transformed)
+        program = get_backend("compiled").prepare(transformed)
+        symbols = dict(spec.symbols)
+        args = {n: np.random.default_rng(1).standard_normal(d.concrete_shape(symbols))
+                for n, d in transformed.arrays.items() if not d.transient}
+        ref = get_backend("interpreter").prepare(transformed).run(dict(args), symbols)
+
+        calls = []
+        real_arange = np.arange
+        monkeypatch.setattr(np, "arange", lambda *a, **k: calls.append("arange") or real_arange(*a, **k))
+        monkeypatch.setattr(
+            VectorizedExecutor, "_check_vector_bounds",
+            staticmethod(lambda *a: calls.append("check")),
+        )
+        got = program.run(dict(args), symbols)
+        monkeypatch.undo()
+
+        assert calls == []
+        assert program.executor.stats["vectorized"] > 1
+        for name_, value in ref.outputs.items():
+            assert value.tobytes() == got.outputs[name_].tobytes()

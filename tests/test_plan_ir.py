@@ -18,6 +18,7 @@ from repro.backends.compiled import CompiledBackend, CompiledWholeProgram
 from repro.backends.plan import (
     PLAN_FORMAT_VERSION,
     ChainPlan,
+    InputPlan,
     ProgramPlan,
     StatePlan,
 )
@@ -54,6 +55,16 @@ class TestRoundTrip:
         plan = kernel_plan("gemm")
         assert any(s.scopes for s in plan.states)
 
+    def test_input_dims_round_trip(self):
+        """All three dimension classes survive the JSON wire typed."""
+        spec = InputPlan(
+            "x", "A", ["j + 1", "2*i", "N"], "A[j + 1, 2*i, N]",
+            [("param", (1, 1)), ("expr", "2*i"), ("const", "N")],
+        )
+        restored = InputPlan.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert restored == spec
+        assert restored.dims[0] == ("param", (1, 1))
+
     def test_format_mismatch_raises(self):
         plan = kernel_plan("scaled_diff")
         doc = plan.to_dict()
@@ -89,6 +100,27 @@ class TestDiskCacheGating:
         assert program.control_mode == "structured"
         # ... and the entry was rewritten at the current format.
         assert json.load(open(path))["plan_format"] == PLAN_FORMAT_VERSION
+
+    def test_version_1_artifact_is_a_miss(self, tmp_path):
+        """What format 1 wrote: inputs without ``dims``, scopes without
+        ``needs_grids``.  A miss by the stamp -- and a body that no longer
+        loads, should a stamp ever lie."""
+        blob, path = self.prime(tmp_path)
+        doc = json.load(open(path))
+        doc["plan_format"] = doc["plan"]["format"] = 1
+        for state in doc["plan"]["states"]:
+            for scope in filter(None, state["scopes"].values()):
+                del scope["needs_grids"]
+                for spec in scope["inputs"]:
+                    del spec["dims"]
+        json.dump(doc, open(path, "w"))
+        backend = CompiledBackend(cache_dir=str(tmp_path))
+        backend.prepare(sdfg_from_json(blob))
+        assert (backend.disk_hits, backend.disk_misses) == (0, 1)
+        assert json.load(open(path))["plan_format"] == PLAN_FORMAT_VERSION == 2
+        doc["plan"]["format"] = PLAN_FORMAT_VERSION
+        with pytest.raises(KeyError):
+            ProgramPlan.from_dict(doc["plan"])
 
     def test_missing_plan_format_is_a_miss(self, tmp_path):
         """Artifacts from before the plan split carry no plan at all."""
