@@ -9,19 +9,18 @@ test:
 	$(PY) -m pytest -x -q
 
 # Exercise the sweep pipeline end to end (2 workers, tiny budget) once per
-# execution backend -- the 'cross' pairs double as backend self-checks --
-# then a pooled sweep through the persistent compile cache (cold, then warm
-# from the populated cache), a traced mini sweep whose JSONL is validated
-# against the trace-event schema, the distributed loopback check, the
-# sweep-level benchmark's smoke run and the tier-1 test suite.
+# registered execution backend -- the oracle, the optimiser, and the two
+# 'cross' pairs that check the optimiser and its held C kernel tier against
+# the oracle on the batch axis -- then a pooled sweep through the persistent
+# compile cache (cold, then warm from the populated cache), a traced mini
+# sweep whose JSONL is validated against the trace-event schema, the
+# distributed loopback check, the sweep-level benchmark's smoke run and the
+# tier-1 test suite.
 smoke:
 	$(MAKE) lint-arch
 	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend interpreter
-	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend vectorized
 	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend compiled
-	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend cross
-	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend cross:compiled,interpreter
-	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend cross:batched,interpreter --trial-batch 4
+	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend cross:compiled,interpreter --trial-batch 4
 	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend cross:native,interpreter --trial-batch 4
 	rm -rf .smoke-cache && \
 	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend compiled --cache-dir .smoke-cache && \
@@ -67,9 +66,9 @@ sweep:
 bench-scaling:
 	cd benchmarks && PYTHONPATH=../src $(PY) -m pytest bench_pipeline_scaling.py -q -s
 
-# Interpreter / vectorized / compiled throughput at tiny sizes, including
-# the loop-nest kernel and the multi-scope fusion kernel (asserts the >=2x
-# scope-fusion speedup), plus fuzz-trial and compile-cache series
+# Interpreter / compiled throughput at tiny sizes, including the loop-nest
+# kernel and the multi-scope fusion kernel (asserts the >=2x scope-fusion
+# speedup), plus batch-axis, native, fuzz-trial and compile-cache series
 # (BENCH_backends.json).
 bench-quick:
 	cd benchmarks && PYTHONPATH=../src REPRO_BENCH_QUICK=1 $(PY) -m pytest bench_backend_throughput.py -q -s

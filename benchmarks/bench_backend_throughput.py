@@ -1,8 +1,8 @@
-"""Execution-backend throughput: interpreter vs. vectorized vs. compiled.
+"""Execution-backend throughput: interpreter vs. compiled (vs. native).
 
 Measures elements/second (map iterations executed per second) and
-trials/second (full program executions per second) for all three execution
-backends on five kernels -- a large affine matmul (``gemm``), a 2-D stencil
+trials/second (full program executions per second) for the oracle and the
+optimising backend on five kernels -- a large affine matmul (``gemm``), a 2-D stencil
 (``jacobi_2d``), an element-wise producer/consumer pipeline
 (``axpy_pipeline``), a sequential **loop nest** (``loop_smoother``, a
 time-stepped smoothing sweep whose state machine takes ``2T + 3`` interstate
@@ -23,9 +23,8 @@ Beyond raw kernel throughput the file also records:
   an on-disk artifact hit (``--cache-dir``; the sibling-worker path) and
   an in-memory cache hit;
 * a **batched-trials series**: trials/second for ``K = 32`` trials through
-  the ``batched`` backend's batch-axis execution vs. the same trials run
-  one at a time through the compiled backend, on an affine stencil at
-  fuzzing-cutout sizes;
+  the compiled backend's batch-axis execution vs. the same trials run one
+  at a time, on an affine stencil at fuzzing-cutout sizes;
 * a **native series**: trials/second for the ``native`` backend's C
   kernels vs. the compiled backend on the fused pipeline and the 2-D
   stencil (skipped cleanly when no C toolchain is present), plus a
@@ -43,8 +42,8 @@ Beyond raw kernel throughput the file also records:
 The backends must agree bitwise on every measured run (the measurement
 doubles as an equivalence check), and five speedup floors are asserted:
 
-* the vectorized backend must beat the interpreter by at least 5x on the
-  large affine matmul (the PR 2 margin),
+* the compiled backend's array kernels must beat the interpreter by at
+  least 5x on the large affine matmul (the PR 2 margin),
 * the compiled whole-program backend must beat the interpreter by at least
   5x on the loop nest -- the workload class where per-transition interpreter
   re-entry used to swallow the vectorized speedup,
@@ -85,9 +84,9 @@ from repro.workloads import get_workload
 
 OUTPUT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_backends.json")
 
-BACKENDS = ("interpreter", "vectorized", "compiled")
+BACKENDS = ("interpreter", "compiled")
 
-#: Required interpreter-to-vectorized speedup on the large affine matmul.
+#: Required interpreter-to-compiled speedup on the large affine matmul.
 REQUIRED_MATMUL_SPEEDUP = 5.0
 #: Required interpreter-to-compiled speedup on the sequential loop nest.
 REQUIRED_LOOP_NEST_SPEEDUP = 5.0
@@ -305,8 +304,6 @@ def test_backend_throughput(report_lines):
         report_lines, telemetry["untraced_seconds_per_trial"]
     )
 
-    jacobi_regression = _measure_jacobi_regression(report_lines)
-
     with open(OUTPUT_PATH, "w", encoding="utf-8") as f:
         json.dump(
             dict(
@@ -329,15 +326,14 @@ def test_backend_throughput(report_lines):
                 native_cache=native_cache,
                 telemetry=telemetry,
                 faults=faults,
-                jacobi_regression=jacobi_regression,
             ),
             f,
             indent=2,
         )
     report_lines.append(f"written to {OUTPUT_PATH}")
 
-    assert speedups["gemm"]["vectorized"] >= REQUIRED_MATMUL_SPEEDUP, (
-        f"vectorized backend only {speedups['gemm']['vectorized']:.1f}x faster "
+    assert speedups["gemm"]["compiled"] >= REQUIRED_MATMUL_SPEEDUP, (
+        f"compiled backend only {speedups['gemm']['compiled']:.1f}x faster "
         f"than the interpreter on the affine matmul "
         f"(required: {REQUIRED_MATMUL_SPEEDUP}x)"
     )
@@ -378,11 +374,6 @@ def test_backend_throughput(report_lines):
         f"{faults['disabled_overhead'] * 100:.3f}% of fused_pipeline trial "
         f"time (the pass-through must stay under "
         f"{MAX_DISABLED_FAULT_OVERHEAD * 100:.0f}%)"
-    )
-    assert jacobi_regression["compiled_over_vectorized"] >= 0.95, (
-        "the jacobi_2d compiled-vs-vectorized regression is back: "
-        f"compiled at {jacobi_regression['compiled_over_vectorized']:.2f}x "
-        "of vectorized (the concrete_shape memo used to close this gap)"
     )
 
 
@@ -617,12 +608,10 @@ def _measure_batched_trials(report_lines):
 
     The kernel is the affine 2-D stencil at fuzzing-cutout sizes, where
     NumPy's per-call fixed costs dominate the per-trial arithmetic -- the
-    regime the batched backend exists for.  Outcomes must be bitwise
+    regime batch-axis execution exists for.  Outcomes must be bitwise
     identical (and the batch-axis path is exercised directly through
     ``run_batched``, which has no serial fallback of its own).
     """
-    from repro.backends.batched import BatchedProgram
-
     n = 16 if quick_scale() else (32 if paper_scale() else 24)
     symbols = {"N": n}
     builder = _suite_builder("jacobi_2d")
@@ -630,11 +619,14 @@ def _measure_batched_trials(report_lines):
     args_list = [_arguments(sdfg, symbols, seed=k) for k in range(BATCH_TRIALS)]
 
     serial_program = CompiledWholeProgram(builder())
-    batched_program = BatchedProgram(builder())
-    assert batched_program.executor._batchable, "stencil must admit batching"
+    batched_program = CompiledWholeProgram(builder())
+    assert batched_program.executor.batchable, "stencil must admit batching"
+
+    def one_at_a_time(arguments_list, symbols):
+        return [serial_program.run(arguments, symbols) for arguments in arguments_list]
 
     # Warm-up doubles as the equivalence check.
-    ref = serial_program.run_batch([dict(a) for a in args_list], symbols)
+    ref = one_at_a_time([dict(a) for a in args_list], symbols)
     got = batched_program.executor.run_batched(
         [dict(a) for a in args_list], symbols
     )
@@ -657,7 +649,7 @@ def _measure_batched_trials(report_lines):
                 break
         return BATCH_TRIALS * reps / elapsed
 
-    serial_rate = trials_per_second(serial_program.run_batch)
+    serial_rate = trials_per_second(one_at_a_time)
     batched_rate = trials_per_second(batched_program.run_batch)
     speedup = batched_rate / serial_rate
     report_lines.append(
@@ -670,56 +662,6 @@ def _measure_batched_trials(report_lines):
         serial_trials_per_second=serial_rate,
         batched_trials_per_second=batched_rate,
         speedup=speedup,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# The jacobi_2d compiled-vs-vectorized regression (closed)
-# ---------------------------------------------------------------------- #
-def _measure_jacobi_regression(report_lines):
-    """The compiled backend used to trail the vectorized backend on
-    ``jacobi_2d`` (~55.7x vs. ~62.3x over the interpreter) because the
-    generated driver re-evaluated symbolic shapes (sympify + evaluate) on
-    every transient allocation and argument-coercion check, once per run
-    per container -- a fixed per-run cost the short stencil run never
-    amortized.  Memoizing ``Data.concrete_shape`` per symbol valuation
-    (invalidated by ``set_shape``) removed it; this series measures the
-    closed gap with long uncapped samples (the generic ``_measure``
-    helper's 64-trial cap makes ~18 ms samples on a kernel this fast --
-    far too noisy to compare two backends within ~10% of each other)."""
-    case = next(c for c in _cases() if c[0] == "jacobi_2d")
-    _kernel, builder, symbols, _volume = case
-    args = _arguments(builder(), symbols)
-    rates = {}
-    for backend_name in ("vectorized", "compiled"):
-        program = get_backend(backend_name).prepare(builder())
-        program.run(dict(args), symbols)  # warm-up
-        trials = 0
-        elapsed = 0.0
-        while trials < 2 or elapsed < 1.0:
-            start = time.perf_counter()
-            program.run(dict(args), symbols)
-            elapsed += time.perf_counter() - start
-            trials += 1
-            if trials >= 16384:
-                break
-        rates[backend_name] = trials / elapsed
-    ratio = rates["compiled"] / rates["vectorized"]
-    report_lines.append(
-        f"\njacobi_2d regression check (N={symbols['N']}): vectorized "
-        f"{rates['vectorized']:.1f} trials/s, compiled {rates['compiled']:.1f} "
-        f"trials/s -> compiled at {ratio:.2f}x of vectorized"
-    )
-    return dict(
-        kernel="jacobi_2d",
-        symbols=symbols,
-        vectorized_trials_per_second=rates["vectorized"],
-        compiled_trials_per_second=rates["compiled"],
-        compiled_over_vectorized=ratio,
-        cause="per-run symbolic shape evaluation in transient allocation "
-              "and argument coercion",
-        resolution="Data.concrete_shape memoized per symbol valuation "
-                   "(invalidated by set_shape)",
     )
 
 
@@ -738,7 +680,8 @@ def _measure_native(report_lines):
     rates exceed the generic ``_measure`` helper's 64-trial cap within
     milliseconds.
     """
-    from repro.backends.native import NativeBackend, detect_toolchain
+    from repro.backends import native_backend
+    from repro.backends.native import detect_toolchain
 
     if detect_toolchain() is None:
         report_lines.append(
@@ -765,7 +708,7 @@ def _measure_native(report_lines):
             continue
         args = _arguments(builder(), symbols)
         compiled = get_backend("compiled").prepare(builder())
-        native = NativeBackend().prepare(builder())
+        native = native_backend().prepare(builder())
         ref = compiled.run(dict(args), symbols)  # warm-up + equivalence
         res = native.run(dict(args), symbols)
         assert native.stats["native"] > 0, (
@@ -796,7 +739,8 @@ def _measure_native_cache(report_lines):
     """Prepare cost for the native tier: a cold ``cc`` compile (plus
     artifact store) vs. a sibling backend instance reloading the persisted
     shared object -- the toolchain-fingerprint-keyed disk-cache path."""
-    from repro.backends.native import NativeBackend, detect_toolchain
+    from repro.backends import native_backend
+    from repro.backends.native import detect_toolchain
 
     if detect_toolchain() is None:
         return dict(skipped=True, reason="no-toolchain")
@@ -815,16 +759,16 @@ def _measure_native_cache(report_lines):
                 last = backend.prepare(sdfg)
             return (time.perf_counter() - start) / programs, last
 
-        cold_backend = NativeBackend(cache_dir=cache_dir)
+        cold_backend = native_backend(cache_dir=cache_dir)
         cold, last = prepare_all(cold_backend)
         assert cold_backend.disk_misses == programs
-        assert last.executor.native_build["cache"] == "compiled"
-        warm_backend = NativeBackend(cache_dir=cache_dir)
+        assert last.executor.kernels.build["cache"] == "compiled"
+        warm_backend = native_backend(cache_dir=cache_dir)
         warm, last = prepare_all(warm_backend)
         assert warm_backend.disk_hits == programs, (
             f"expected {programs} disk hits, got {warm_backend.disk_hits}"
         )
-        assert last.executor.native_build["cache"] == "artifact"
+        assert last.executor.kernels.build["cache"] == "artifact"
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
     report_lines.append(

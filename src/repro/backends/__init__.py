@@ -1,53 +1,54 @@
 """Pluggable execution backends.
 
 Execution of dataflow programs is a swappable layer behind the
-:class:`~repro.backends.base.ExecutionBackend` seam:
+:class:`~repro.backends.base.ExecutionBackend` seam.  Three backends and a
+self-check are registered:
 
 * ``"interpreter"`` -- the reference backend
   (:mod:`repro.backends.interpreter`): node-by-node interpretation with
   element-wise map expansion.  Slow, but the semantic oracle.
-* ``"vectorized"`` -- the per-scope compiled backend
-  (:mod:`repro.backends.vectorized`): map scopes with affine memlets become
-  NumPy array expressions, compiled once per program and cached by SDFG
-  content hash; unsupported constructs fall back to the interpreter scope by
-  scope.  Interstate control flow still runs the interpreter's transition
-  loop.
-* ``"compiled"`` -- the whole-program backend
-  (:mod:`repro.backends.compiled`): one generated Python function per SDFG
-  lowers the state machine to structured control flow (native ``while``
-  loops and ``if`` chains, with a state-dispatch loop for irreducible
-  graphs) with inline interstate conditions/assignments, and executes each
-  state's dataflow through the vectorized scope kernels.
-* ``"batched"`` -- the trial-batched backend (:mod:`repro.backends.batched`):
-  the compiled backend plus batch execution: ``K`` fuzzing trials stack
-  along a leading batch axis and every batchable scope executes once per
-  batch; WCR/order-dependent scopes run per trial, and any batched failure
-  reruns the batch serially so verdicts stay bitwise identical to ``K``
-  serial runs.
-* ``"native"`` -- the native C tier (:mod:`repro.backends.native`): the
-  batched backend plus compiled kernels: fused elementwise chains and
-  fixed-trip affine loop nests are emitted as C, built once per program by
-  the system toolchain (``cc``/``gcc``/``clang``, overridable via
-  ``REPRO_NATIVE_CC``) and invoked through zero-copy buffer pointers.
-  Scopes the legality walk rejects -- and machines with no C compiler at
-  all -- run the batched backend's Python path bitwise identically.
+* ``"compiled"`` -- the one optimising backend
+  (:mod:`repro.backends.compiled`).  Map scopes with affine memlets become
+  NumPy array expressions (chains of elementwise scopes fused into one
+  kernel), compiled once per program and cached by SDFG content hash;
+  unsupported constructs fall back to the interpreter scope by scope.  One
+  generated Python function per SDFG lowers the state machine to structured
+  control flow (native ``while`` loops and ``if`` chains, with a
+  state-dispatch loop for irreducible graphs) with inline interstate
+  conditions/assignments.  ``run_batch`` with more than one trial stacks
+  the ``K`` trials along a leading batch axis and executes every batchable
+  scope once per batch; WCR/order-dependent scopes run per trial, and any
+  batched failure reruns the batch serially so verdicts stay bitwise
+  identical to ``K`` serial runs.
+* ``"native"`` -- the same classes, prepared under a name that makes each
+  program *hold* a C kernel tier (:mod:`repro.backends.native`): fused
+  elementwise chains and fixed-trip affine loop nests are emitted as C,
+  built once per program by the system toolchain (``cc``/``gcc``/``clang``,
+  overridable via ``REPRO_NATIVE_CC``) and invoked through zero-copy buffer
+  pointers.  Scopes the legality walk rejects -- and machines with no C
+  compiler at all -- run the compiled backend's Python path bitwise
+  identically.
 * ``"cross"`` -- the self-checking backend (:mod:`repro.backends.cross`):
   runs two backends in lockstep and raises
   :class:`~repro.backends.cross.BackendDivergenceError` on any bitwise
   difference -- FuzzyFlow's differential method applied to its own execution
-  layer.  ``cross`` pairs the interpreter with the vectorized backend;
-  ``cross:REF,CAND`` (e.g. ``cross:compiled,interpreter``) pairs any two
-  registered backends.
+  layer.  ``cross`` pairs the interpreter with the compiled backend;
+  ``cross:REF,CAND`` (e.g. ``cross:native,interpreter``) pairs any two
+  different registered backends.
+
+``"vectorized"`` and ``"batched"``, tiers the compiled backend absorbed,
+remain as aliases of ``"compiled"`` in :func:`get_backend`.
 
 ``get_backend(name).prepare(sdfg).run(args, symbols)`` is the whole API (plus
 ``run_batch`` for multi-trial execution); the differential fuzzer, verifier
 and sweep pipeline all thread a backend name through to this registry.
 
-Internally the compiled backends share a four-stage lowering pipeline --
+Internally the compiled backend is a four-stage lowering pipeline --
 **analyze** (:mod:`repro.backends.analysis`) -> **plan**
 (:mod:`repro.backends.plan`) -> **codegen**
-(:mod:`repro.backends.codegen`, a registry of emitters) -> **execute**
-(:mod:`repro.backends.execute`) -- see each stage's module docstring.
+(:mod:`repro.backends.codegen`) -> **execute**
+(:mod:`repro.backends.execute`, :mod:`repro.backends.compiled`) -- see each
+stage's module docstring.
 """
 
 from repro.backends.base import (
@@ -58,25 +59,15 @@ from repro.backends.base import (
     list_backends,
     register_backend,
 )
-from repro.backends.batched import (
-    BatchedBackend,
-    BatchedExecutor,
-    BatchedProgram,
-)
+from repro.backends.cache import sdfg_content_hash
 from repro.backends.compiled import (
     CompiledBackend,
     CompiledExecutor,
     CompiledWholeProgram,
+    native_backend,
 )
 from repro.backends.cross import BackendDivergenceError, CrossBackend, CrossProgram
 from repro.backends.interpreter import InterpreterBackend, InterpreterProgram
-from repro.backends.native import NativeBackend, NativeExecutor, NativeProgram
-from repro.backends.vectorized import (
-    VectorizedBackend,
-    VectorizedExecutor,
-    VectorizedProgram,
-    sdfg_content_hash,
-)
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -87,27 +78,18 @@ __all__ = [
     "register_backend",
     "InterpreterBackend",
     "InterpreterProgram",
-    "VectorizedBackend",
-    "VectorizedExecutor",
-    "VectorizedProgram",
     "sdfg_content_hash",
     "CompiledBackend",
     "CompiledExecutor",
     "CompiledWholeProgram",
-    "BatchedBackend",
-    "BatchedExecutor",
-    "BatchedProgram",
-    "NativeBackend",
-    "NativeExecutor",
-    "NativeProgram",
+    "native_backend",
     "CrossBackend",
     "CrossProgram",
     "BackendDivergenceError",
 ]
 
+
 register_backend("interpreter", InterpreterBackend)
-register_backend("vectorized", VectorizedBackend)
 register_backend("compiled", CompiledBackend)
-register_backend("batched", BatchedBackend)
-register_backend("native", NativeBackend)
+register_backend("native", native_backend)
 register_backend("cross", CrossBackend)

@@ -76,7 +76,7 @@ class CompiledProgram(abc.ABC):
         backend divergences) propagate.
 
         The default runs the trials serially through :meth:`run`; the
-        batched backend overrides this to stack trials along a leading
+        compiled backend overrides this to stack trials along a leading
         batch axis.
         """
         outcomes: List[Union[ExecutionResult, ExecutionError]] = []
@@ -86,8 +86,24 @@ class CompiledProgram(abc.ABC):
                     self.run(arguments, symbols, collect_coverage=collect_coverage)
                 )
             except ExecutionError as exc:
-                outcomes.append(exc)
+                outcomes.append(_without_frames(exc))
         return outcomes
+
+
+def _without_frames(exc: BaseException) -> BaseException:
+    """A caught error as a plain value: no traceback on it or its causes.
+
+    A traceback holds the frame that caught the error -- whose locals hold
+    the list the error is kept in -- and, through ``f_back``, every caller
+    up to the task with its programs: a cycle only the cyclic collector
+    frees.  Reports read the message, never the traceback."""
+    pending = [exc]
+    while pending:
+        link = pending.pop()
+        if link is not None and link.__traceback__ is not None:
+            link.__traceback__ = None
+            pending += (link.__cause__, link.__context__)
+    return exc
 
 
 class ExecutionBackend(abc.ABC):
@@ -109,6 +125,8 @@ class ExecutionBackend(abc.ABC):
 # ---------------------------------------------------------------------- #
 _FACTORIES: Dict[str, Callable[[], ExecutionBackend]] = {}
 _INSTANCES: Dict[str, ExecutionBackend] = {}
+#: Former tier names, resolved to the backend that absorbed them.
+_ALIASES: Dict[str, str] = {"vectorized": "compiled", "batched": "compiled"}
 
 
 def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None:
@@ -127,16 +145,18 @@ def get_backend(backend: Union[str, ExecutionBackend]) -> ExecutionBackend:
 
     Besides plain registry names, ``cross:REF,CAND`` materializes a
     self-checking pair of any two registered backends (e.g.
-    ``cross:compiled,interpreter``); the bare name ``cross`` remains the
-    interpreter-vs-vectorized default.
+    ``cross:native,interpreter``); the bare name ``cross`` is
+    ``cross:interpreter,compiled``.  ``vectorized`` and ``batched`` are
+    aliases of ``compiled`` (one class does all three jobs).
 
     Instances are shared per name so backend-level caches (e.g. the
-    vectorized backend's compiled-program cache, which keeps one LRU per
-    thread because prepared programs are not reentrant) persist across
-    callers within one process.
+    compiled backend's program cache, which keeps one LRU per thread
+    because prepared programs are not reentrant) persist across callers
+    within one process.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
+    backend = _ALIASES.get(backend, backend)
     if backend.startswith("cross:"):
         if backend not in _INSTANCES:
             _INSTANCES[backend] = _make_cross_pair(backend)
@@ -165,9 +185,16 @@ def _make_cross_pair(name: str) -> ExecutionBackend:
     for part in parts:
         if part == "cross" or part.startswith("cross:"):
             raise KeyError(f"Cross pairs cannot nest ('{name}')")
-        if part not in _FACTORIES:
+        if _ALIASES.get(part, part) not in _FACTORIES:
             raise KeyError(
                 f"Unknown execution backend '{part}' in cross pair '{name}' "
                 f"(available: {', '.join(list_backends())})"
             )
+    if get_backend(parts[0]) is get_backend(parts[1]):
+        # Both sides would get the *same* program object out of the shared
+        # per-thread cache: the check would pass by construction.
+        raise KeyError(
+            f"Cross pair '{name}' checks a backend against itself: "
+            f"'{parts[0]}' and '{parts[1]}' are the same backend"
+        )
     return CrossBackend(reference=parts[0], candidate=parts[1])

@@ -1,78 +1,24 @@
-"""Pluggable codegen emitters (the *codegen* layer of backend lowering).
+"""Code generators (the *codegen* layer of backend lowering).
 
 Backend lowering is a four-stage pipeline (see :mod:`repro.backends`):
 
     analyze  ->  plan  ->  codegen  ->  execute
 
-Emitters consume the serializable plan IR (:mod:`repro.backends.plan`) and
-bind it to a concrete program: compiling expressions, composing fused-chain
-code objects, generating whole-program drivers.  They are registered here
-by name so backends select a lowering strategy without forking the runtime:
+The modules here consume the serializable plan IR
+(:mod:`repro.backends.plan`) and bind it to a concrete program; the execute
+layer imports the one it needs directly:
 
-* ``numpy-eager`` -- eager NumPy scope kernels (vectorized + compiled
-  backends);
-* ``python-driver`` -- whole-program Python control-flow driver (compiled
-  backend's interstate tier);
-* ``batched`` -- NumPy scope kernels over a leading trial-batch axis, plus
-  the static batchability predicates (batched backend);
-* ``native-c`` -- the batched emitter plus C source generation: fused
+* :mod:`~repro.backends.codegen.numpy_eager` -- eager NumPy scope kernels
+  (plans bound to compiled code objects, fused chains composed) plus the
+  static predicates saying which of them may run on a leading trial axis;
+* :mod:`~repro.backends.codegen.python_driver` -- the whole-program Python
+  control-flow driver (the interstate tier);
+* :mod:`~repro.backends.codegen.native_c` -- C source generation: fused
   chains and fixed-trip affine loop nests lower to explicit C loop nests
-  (native backend; compilation and loading happen in
-  :mod:`repro.backends.native`, never here).
+  (compilation and loading happen in :mod:`repro.backends.native`, never
+  here).
 
-Layering rule (enforced by ``make lint-arch``): emitters never import from
+Layering rule (enforced by ``make lint-arch``): nothing here imports from
 :mod:`repro.backends.execute`, and no codegen module touches ``ctypes`` or
-shared objects -- the native emitter produces *source text only*.  The
-execute layer imports emitters, binds plans through them, and runs the
-result.
+shared objects -- the C generator produces *source text only*.
 """
-
-from __future__ import annotations
-
-from typing import Callable, Dict, List
-
-__all__ = [
-    "register_emitter",
-    "get_emitter",
-    "list_emitters",
-]
-
-_EMITTERS: Dict[str, Callable[[], object]] = {}
-
-
-def register_emitter(name: str, factory: Callable[[], object]) -> None:
-    """Register an emitter factory under ``name`` (last wins)."""
-    _EMITTERS[name] = factory
-
-
-def get_emitter(name: str) -> Callable[[], object]:
-    """The factory registered under ``name``.
-
-    Raises :class:`ValueError` with the known names on a miss.
-    """
-    try:
-        return _EMITTERS[name]
-    except KeyError:
-        known = ", ".join(sorted(_EMITTERS)) or "(none)"
-        raise ValueError(
-            f"Unknown emitter {name!r}. Known emitters: {known}"
-        ) from None
-
-
-def list_emitters() -> List[str]:
-    """Registered emitter names, sorted."""
-    return sorted(_EMITTERS)
-
-
-# Built-in emitters. Imported at the bottom so the registry exists first.
-from repro.backends.codegen.batched import BatchedEmitter  # noqa: E402
-from repro.backends.codegen.native_c import NativeCEmitter  # noqa: E402
-from repro.backends.codegen.numpy_eager import NumpyEagerEmitter  # noqa: E402
-from repro.backends.codegen.python_driver import (  # noqa: E402
-    PythonDriverEmitter,
-)
-
-register_emitter(NumpyEagerEmitter.name, NumpyEagerEmitter)
-register_emitter(PythonDriverEmitter.name, PythonDriverEmitter)
-register_emitter(BatchedEmitter.name, BatchedEmitter)
-register_emitter(NativeCEmitter.name, NativeCEmitter)

@@ -1,8 +1,7 @@
 """The ``native-c`` emitter: plans -> C kernels for scopes and fused chains.
 
-Binds plans exactly like the ``batched`` emitter (the bound structures and
-batchability predicates are inherited unchanged), and additionally lowers
-eligible scopes and fused chains to C source: one function per kernel, an
+Lowers eligible bound scopes and fused chains (the structures the
+``numpy-eager`` emitter binds) to C source: one function per kernel, an
 explicit loop nest over the iteration grid, scalarized chain handoffs, and
 WCR tails accumulated in iteration order.  The execute layer
 (:mod:`repro.backends.native`) compiles the assembled translation unit and
@@ -46,7 +45,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.backends.codegen.batched import BatchedEmitter
 from repro.backends.codegen.numpy_eager import (
     BoundChain,
     BoundOutput,
@@ -373,11 +371,8 @@ class _Translator:
 # ---------------------------------------------------------------------- #
 # Kernel emission
 # ---------------------------------------------------------------------- #
-class NativeCEmitter(BatchedEmitter):
-    """Binds plans like the batched emitter and lowers scopes/chains to C.
-
-    Registered as ``"native-c"`` in :mod:`repro.backends.codegen`.
-    """
+class NativeCEmitter:
+    """Lowers bound scopes and fused chains to C.  Stateless."""
 
     name = "native-c"
 

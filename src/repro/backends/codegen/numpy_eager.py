@@ -9,9 +9,11 @@ member-unique locals.  The result -- :class:`StateTable` of
 :class:`BoundScope` / :class:`BoundChain` -- is everything the execute
 layer consumes; nothing here runs any program code.
 
-This emitter feeds the vectorized and compiled backends (eager NumPy
-array evaluation, one kernel per scope or fused chain).  Emitters must not
-import from :mod:`repro.backends.execute` -- the layer direction is
+This emitter feeds the compiled backend (eager NumPy array evaluation, one
+kernel per scope or fused chain); the bound structures are the same on a
+leading trial axis, and :func:`scope_is_batchable` /
+:func:`chain_is_batchable` say which of them may run there.  Emitters must
+not import from :mod:`repro.backends.execute` -- the layer direction is
 enforced by ``make lint-arch``.
 """
 
@@ -37,6 +39,8 @@ __all__ = [
     "BoundChain",
     "StateTable",
     "NumpyEagerEmitter",
+    "scope_is_batchable",
+    "chain_is_batchable",
 ]
 
 
@@ -176,6 +180,22 @@ class StateTable:
     state_plan: Optional[StatePlan] = None
 
 
+def scope_is_batchable(plan: Optional[BoundScope]) -> bool:
+    """A vectorized scope runs on a leading trial axis unless it accumulates
+    via WCR: slabs apply sequentially in iteration order, and with a batch
+    axis the per-trial regions would interleave."""
+    return plan is not None and all(spec.wcr is None for spec in plan.outputs)
+
+
+def chain_is_batchable(chain: BoundChain) -> bool:
+    """A fused chain batches unless any member accumulates via WCR."""
+    return all(
+        spec.wcr is None
+        for member in chain.members
+        for _kind, spec, _name in member.outputs
+    )
+
+
 def _bind_dims(dims: List[Tuple[str, Any]]) -> List[Tuple[str, Any]]:
     return [
         (kind, payload if kind == "param" else compile_expression(payload))
@@ -209,11 +229,7 @@ class _LoadRenamer(ast.NodeTransformer):
 
 
 class NumpyEagerEmitter:
-    """Binds state plans to eager NumPy scope kernels.
-
-    Stateless; registered as ``"numpy-eager"`` in
-    :mod:`repro.backends.codegen`.
-    """
+    """Binds state plans to eager NumPy scope kernels.  Stateless."""
 
     name = "numpy-eager"
 

@@ -1,4 +1,4 @@
-"""The ``python-driver`` emitter: whole-program Python control-flow codegen.
+"""The Python driver generator: whole-program control-flow codegen.
 
 Third stage of the lowering pipeline (analyze -> plan -> codegen ->
 execute), covering *interstate* control flow where the ``numpy-eager``
@@ -49,8 +49,8 @@ from repro.symbolic.codegen import (
 
 __all__ = [
     "CODEGEN_VERSION",
-    "PythonDriverEmitter",
     "compile_driver",
+    "control_is_static",
 ]
 
 #: Version stamp of the driver code generator.  Bump on ANY change to the
@@ -83,11 +83,9 @@ _DRIVER_GLOBALS.update(
 def _artifact_stamp() -> Dict[str, Any]:
     """Identity fields every persisted driver artifact must carry.
 
-    The ``backend`` field stays ``"compiled"``: every backend built on this
-    emitter (compiled, batched) shares one artifact per content hash.  The
-    ``toolchain`` field is ``None`` for pure-Python artifacts; the native
-    backend overrides it with its compiler fingerprint (and a stale or
-    missing toolchain makes the entry a miss, so it is rewritten).
+    The ``toolchain`` field is ``None`` for pure-Python artifacts; a program
+    prepared under ``native`` carries its compiler fingerprint there (and a
+    stale or missing toolchain makes the entry a miss, so it is rewritten).
     """
     return {
         "format": 1,
@@ -467,16 +465,24 @@ def compile_driver(
         return "interpreted", None, _interpreted_drive, None
 
 
-class PythonDriverEmitter:
-    """Registry face of the driver generator (``"python-driver"``)."""
+def control_is_static(sdfg: SDFG, control_mode: str) -> bool:
+    """Whether one generated control path serves every trial of a batch.
 
-    name = "python-driver"
-
-    @staticmethod
-    def compile_driver(
-        sdfg: SDFG,
-        state_index: Dict[SDFGState, int],
-        artifact: Optional[Dict[str, Any]] = None,
-        info: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[str, Optional[str], Optional[Callable], Optional[Any]]:
-        return compile_driver(sdfg, state_index, artifact=artifact, info=info)
+    Requires a generated driver (``structured``/``dispatch``) and that no
+    interstate expression reads a scalar container -- scalar values live in
+    the (batched) store, and a condition reading one could steer trial ``k``
+    by trial ``0``'s value.  Such programs run entirely per trial.
+    """
+    if control_mode not in ("structured", "dispatch"):
+        return False
+    scalar_names = {
+        name
+        for name, desc in sdfg.arrays.items()
+        if isinstance(desc, Scalar)
+    }
+    if not scalar_names:
+        return True
+    for edge in sdfg.edges():
+        if edge.data.free_symbols & scalar_names:
+            return False
+    return True

@@ -1,8 +1,8 @@
 """The self-checking ``cross`` backend: FuzzyFlow applied to ourselves.
 
 Runs every execution through *two* backends -- by default the reference
-interpreter and the vectorized backend, but any registered pair can be
-named via ``cross:REF,CAND`` (e.g. ``cross:compiled,interpreter``) -- and
+interpreter and the compiled backend, but any registered pair can be
+named via ``cross:REF,CAND`` (e.g. ``cross:native,interpreter``) -- and
 compares the complete system states bit for bit.  Any divergence --
 different outputs, different final symbols, different transition counts, or
 one backend crashing where the other does not -- is a bug in an execution
@@ -26,6 +26,7 @@ from typing import Any, List, Mapping, Optional
 import numpy as np
 
 from repro.backends.base import CompiledProgram, ExecutionBackend, get_backend
+from repro.backends.cache import sdfg_content_hash
 from repro.interpreter.errors import ExecutionError, HangError
 from repro.interpreter.executor import ExecutionResult
 from repro.sdfg.sdfg import SDFG
@@ -41,7 +42,7 @@ class BackendDivergenceError(Exception):
         program: str,
         details: List[str],
         reference: str = "interpreter",
-        candidate: str = "vectorized",
+        candidate: str = "compiled",
         sdfg_hash: Optional[str] = None,
     ) -> None:
         self.program = program
@@ -84,7 +85,7 @@ class CrossProgram(CompiledProgram):
         reference: CompiledProgram,
         candidate: CompiledProgram,
         reference_name: str = "interpreter",
-        candidate_name: str = "vectorized",
+        candidate_name: str = "compiled",
         sdfg_hash: Optional[str] = None,
     ) -> None:
         super().__init__(sdfg)
@@ -112,25 +113,17 @@ class CrossProgram(CompiledProgram):
         symbols: Optional[Mapping[str, Any]] = None,
         collect_coverage: bool = False,
     ) -> ExecutionResult:
-        ref_result = ref_error = None
-        cand_result = cand_error = None
-        # Both backends copy their inputs, so the same mappings can be
-        # handed to each run without cross-contamination.
-        try:
-            ref_result = self.reference.run(
-                arguments, symbols, collect_coverage=collect_coverage
-            )
-        except ExecutionError as exc:
-            ref_error = exc
-        try:
-            cand_result = self.candidate.run(
-                arguments, symbols, collect_coverage=collect_coverage
-            )
-        except ExecutionError as exc:
-            cand_error = exc
-        return self._check_pair(
-            ref_result, ref_error, cand_result, cand_error, collect_coverage
+        (outcome,) = self.run_batch(
+            [arguments], symbols, collect_coverage=collect_coverage
         )
+        if isinstance(outcome, ExecutionError):
+            try:
+                raise outcome
+            finally:
+                # Raised from here the error's traceback holds this frame:
+                # a local still naming it would close a cycle.
+                del outcome
+        return outcome
 
     def run_batch(
         self,
@@ -140,10 +133,11 @@ class CrossProgram(CompiledProgram):
     ) -> List[Any]:
         """Cross-check a whole batch, pairing outcomes index by index.
 
-        Both sides run their own :meth:`run_batch` (so e.g. a batched
-        candidate keeps its batch-axis execution), then every trial's pair
-        is checked exactly like :meth:`run`: agreeing outcomes yield the
-        reference result or error, any disagreement raises
+        Both sides run their own :meth:`run_batch` (so a compiled side keeps
+        its batch-axis execution; both copy their inputs, so the same
+        mappings can be handed to each without cross-contamination), then
+        every trial's pair is judged: agreeing outcomes yield the reference
+        result or error, any disagreement raises
         :class:`BackendDivergenceError` for the whole batch.
         """
         ref_outcomes = self.reference.run_batch(
@@ -152,37 +146,21 @@ class CrossProgram(CompiledProgram):
         cand_outcomes = self.candidate.run_batch(
             arguments_list, symbols, collect_coverage=collect_coverage
         )
-        outcomes: List[Any] = []
-        for ref_out, cand_out in zip(ref_outcomes, cand_outcomes):
-            ref_error = ref_out if isinstance(ref_out, ExecutionError) else None
-            ref_result = ref_out if ref_error is None else None
-            cand_error = cand_out if isinstance(cand_out, ExecutionError) else None
-            cand_result = cand_out if cand_error is None else None
-            try:
-                outcomes.append(
-                    self._check_pair(
-                        ref_result, ref_error, cand_result, cand_error,
-                        collect_coverage,
-                    )
-                )
-            except ExecutionError as exc:
-                outcomes.append(exc)
-        return outcomes
+        return [
+            self._check_pair(ref_out, cand_out, collect_coverage)
+            for ref_out, cand_out in zip(ref_outcomes, cand_outcomes)
+        ]
 
-    def _check_pair(
-        self,
-        ref_result: Optional[ExecutionResult],
-        ref_error: Optional[ExecutionError],
-        cand_result: Optional[ExecutionResult],
-        cand_error: Optional[ExecutionError],
-        collect_coverage: bool,
-    ) -> ExecutionResult:
+    def _check_pair(self, ref_out: Any, cand_out: Any, collect_coverage: bool) -> Any:
         """Judge one (reference, candidate) outcome pair.
 
-        Returns the reference result when the pair agrees, re-raises the
-        reference error on agreeing failures, raises
+        Returns the reference outcome -- its result, or on agreeing
+        failures its error, so differential trial classification is
+        unchanged -- when the pair agrees; raises
         :class:`BackendDivergenceError` otherwise.
         """
+        ref_error = ref_out if isinstance(ref_out, ExecutionError) else None
+        cand_error = cand_out if isinstance(cand_out, ExecutionError) else None
         if ref_error is not None or cand_error is not None:
             if ref_error is None or cand_error is None:
                 raise self._diverged(
@@ -208,15 +186,13 @@ class CrossProgram(CompiledProgram):
                         f"{type(cand_error).__name__}"
                     ]
                 )
-            # Agreeing failures propagate the reference error so differential
-            # trial classification is unchanged.
-            raise ref_error
+            return ref_error
 
-        details = self._compare(ref_result, cand_result, collect_coverage)
+        details = self._compare(ref_out, cand_out, collect_coverage)
         if details:
             raise self._diverged(details)
         self.checked_runs += 1
-        return ref_result
+        return ref_out
 
     # .................................................................. #
     @staticmethod
@@ -244,7 +220,7 @@ class CrossProgram(CompiledProgram):
 class CrossBackend(ExecutionBackend):
     """Runs two backends side by side, comparing every execution.
 
-    The default pairing is the reference interpreter against the vectorized
+    The default pairing is the reference interpreter against the compiled
     backend; :func:`repro.backends.base.get_backend` materializes arbitrary
     pairs from ``cross:REF,CAND`` names.
     """
@@ -252,14 +228,12 @@ class CrossBackend(ExecutionBackend):
     name = "cross"
 
     def __init__(
-        self, reference: str = "interpreter", candidate: str = "vectorized"
+        self, reference: str = "interpreter", candidate: str = "compiled"
     ) -> None:
         self.reference_name = reference
         self.candidate_name = candidate
 
     def prepare(self, sdfg: SDFG, max_transitions: int = 100_000) -> CrossProgram:
-        from repro.backends.vectorized import sdfg_content_hash
-
         return CrossProgram(
             sdfg,
             get_backend(self.reference_name).prepare(sdfg, max_transitions=max_transitions),

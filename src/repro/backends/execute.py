@@ -21,9 +21,14 @@ Three layers keep the hot loop tight:
   index arrays, only a scope that reads them gets iteration grids.  Within
   one run a plan keeps its latest setup, keyed by the symbols it reads, so
   an interstate loop reuses it; a new trial or a tile loop computes afresh;
-* the state tables bind lazily through the configured emitter
-  (:attr:`VectorizedExecutor.EMITTER_NAME`), reusing a plan seeded from a
-  disk artifact when one resolves and re-analyzing otherwise.
+* the state tables bind lazily through the ``numpy-eager`` emitter, reusing
+  a plan seeded from a disk artifact when one resolves and re-analyzing
+  otherwise.
+
+The batch axis is state of a run: with ``_lead`` set, containers carry a
+leading trial axis (``(K,) + shape``), map grids broadcast against them by
+NumPy's trailing-axes alignment and the scope kernels run unmodified --
+only gather, scatter and output-broadcast geometry grow the extra axis.
 
 Bitwise fidelity to the interpreter is a design goal (the ``cross`` backend
 and the backend-equivalence test suite assert it):
@@ -40,7 +45,7 @@ and the backend-equivalence test suite assert it):
 
 On an out-of-bounds access the backend raises the same
 :class:`~repro.interpreter.errors.MemoryViolation` the interpreter raises;
-the only observable difference is that the vectorized backend detects the
+the only observable difference is that this runtime detects the
 violation before mutating any container (the interpreter stops mid-scope).
 Since results are only returned for successful runs, differential verdicts
 are unaffected.
@@ -50,17 +55,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.backends.analysis import analyze_state
-from repro.backends.codegen import get_emitter
 from repro.backends.codegen.numpy_eager import (
     BoundChain,
     BoundInput,
     BoundOutput,
     BoundScope,
+    NumpyEagerEmitter,
     StateTable,
 )
 from repro.backends.geometry import Triple, access_index, axis_triple, gather_index
@@ -76,7 +81,14 @@ from repro.sdfg.nodes import MapEntry, Tasklet
 from repro.sdfg.state import SDFGState
 from repro.telemetry import TRACER, inc as _metric_inc
 
-__all__ = ["VectorizedExecutor"]
+__all__ = ["ScopeRuntime"]
+
+
+class _BatchAbort(Exception):
+    """Internal: the batched attempt cannot proceed; rerun serially.
+
+    Deliberately not an :class:`ExecutionError` -- it signals an
+    infrastructure retreat, not a program failure."""
 
 
 # ---------------------------------------------------------------------- #
@@ -166,7 +178,7 @@ class _FusedSetup:
     geoms: List[_WriteGeom]
 
 
-class VectorizedExecutor(SDFGExecutor):
+class ScopeRuntime(SDFGExecutor):
     """An :class:`SDFGExecutor` that executes vectorizable map scopes as
     NumPy array expressions and falls back to element-wise interpretation
     for everything else.
@@ -174,7 +186,9 @@ class VectorizedExecutor(SDFGExecutor):
     Chains of elementwise scopes are additionally *fused* (one gather /
     compute / scatter pass per chain instead of per scope); scope setup is
     closed-form for ``param``/``const`` accesses and, within one run, kept
-    per plan while the symbols it depends on are unchanged."""
+    per plan while the symbols it depends on are unchanged.  The op lists
+    that run top-level scopes and chains, and the generated control-flow
+    driver, are :class:`repro.backends.compiled.CompiledExecutor`'s."""
 
     _VEC_GLOBALS = {
         "__builtins__": _SAFE_BUILTINS,
@@ -183,15 +197,12 @@ class VectorizedExecutor(SDFGExecutor):
         "math": _MATH_SHIM,
     }
 
-    #: Registry name of the emitter binding this executor's state tables.
-    EMITTER_NAME = "numpy-eager"
-
     def __init__(self, *args, fuse: bool = True, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         #: Whether elementwise scope chains are fused (disable to measure
         #: the fusion win, or to bisect a suspected fusion bug).
         self.fuse = fuse
-        self.emitter = get_emitter(self.EMITTER_NAME)()
+        self.emitter = NumpyEagerEmitter()
         #: Per-state lowering plans (serializable IR), by ``id(state)``.
         #: Pre-seeded from a disk artifact by the compiled backend; filled
         #: by :func:`repro.backends.analysis.analyze_state` otherwise.
@@ -201,14 +212,16 @@ class VectorizedExecutor(SDFGExecutor):
         self._tables: Dict[int, StateTable] = {}
         #: Per-plan setup cache: ``(id(plan), epoch) -> (dep-key, setup)``.
         #: Valid within one run only (it captures store arrays).  The epoch
-        #: is 0 except in the batched executor's per-trial fallback, where
-        #: trial ``k`` uses epoch ``k + 1`` so per-trial and batched setups
-        #: never collide.
+        #: is 0 except in a batched run's per-trial fallback, where trial
+        #: ``k`` uses epoch ``k + 1`` so per-trial and batched setups never
+        #: collide.
         self._setup_cache: Dict[Tuple[int, int], Tuple[Tuple, Any]] = {}
         self._setup_epoch = 0
-        #: Member-scope guids already covered by a fused execution in the
-        #: current state execution.
-        self._fused_done: Set[int] = set()
+        #: Leading (trial) axes of the store's containers that indices leave
+        #: alone: 1 while a batched run executes a scope on the batch axis,
+        #: 0 otherwise -- and the batch size (0 outside a batched run).
+        self._lead = 0
+        self._batch = 0
         #: Scope-execution counters (vectorized vs. interpreter fallback;
         #: ``fused`` counts whole-chain executions).
         self.stats: Dict[str, int] = {"vectorized": 0, "fallback": 0, "fused": 0}
@@ -220,7 +233,7 @@ class VectorizedExecutor(SDFGExecutor):
         try:
             return super().run(*args, **kwargs)
         finally:
-            # Programs prepared by the vectorized backend outlive their runs
+            # Programs prepared by the compiled backend outlive their runs
             # in the content-hash cache; drop the per-run data store (and the
             # setup cache, which captures store arrays) so a cached program
             # does not pin its last trial's arrays.
@@ -239,7 +252,6 @@ class VectorizedExecutor(SDFGExecutor):
         super()._setup(arguments, symbols)
         # Setup caches capture per-run store arrays; never reuse across runs.
         self._setup_cache.clear()
-        self._fused_done.clear()
 
     # .................................................................. #
     # Per-state decision tables
@@ -268,22 +280,15 @@ class VectorizedExecutor(SDFGExecutor):
     # Scope execution
     # .................................................................. #
     def _execute_map_scope(self, state, entry, bindings) -> None:
-        guid = entry.guid
-        if guid in self._fused_done:
-            # Covered by the fused execution of this chain's head earlier in
-            # the same state execution.
-            self._fused_done.discard(guid)
-            return
+        """A map the generic node walk reaches: one nested in a scope the
+        interpreter is expanding (top-level scopes, and with them every
+        fused chain, run from the whole-program executor's op lists)."""
         # The null span costs one call when tracing is off; enabled it
         # records one per-scope execute span (nested under the state span).
         with TRACER.span("execute.scope", "execute") as span:
             span.set("scope", entry.label)
-            table = self._table_for(state)
-            fused = table.heads.get(guid)
-            if fused is not None and self._try_fused(fused, bindings):
-                self._fused_done.update(fused.member_guids[1:])
-                return
-            self._run_single_scope(state, entry, table.plans.get(guid), bindings)
+            plan = self._table_for(state).plans.get(entry.guid)
+            self._run_single_scope(state, entry, plan, bindings)
 
     def _try_fused(self, fused: BoundChain, bindings: Dict[str, Any]) -> bool:
         """Execute a fused chain; ``False`` defers to per-scope execution."""
@@ -451,8 +456,10 @@ class VectorizedExecutor(SDFGExecutor):
         idx_ns: Dict[str, Any],
         lead: int = 0,
     ) -> Tuple[str, Callable[[], np.ndarray]]:
-        """The fetch of one input; ``lead`` counts leading axes (the batched
-        runtime's trial axis) that indices leave alone."""
+        """The fetch of one input; ``lead`` counts leading axes (a batched
+        run's trial axis) that indices leave alone: they are pure
+        symbol/parameter expressions -- identical for every trial --
+        resolved against the per-trial shape behind them."""
         arr = self._store.get(spec.data)
         if arr is None:
             raise ExecutionError(f"Read from unknown container '{spec.data}'")
@@ -501,15 +508,20 @@ class VectorizedExecutor(SDFGExecutor):
         arr = self._store.get(spec.data)
         if arr is None:
             raise ExecutionError(f"Write to unknown container '{spec.data}'")
+        if lead and spec.wcr is not None:
+            # The op-list builder never batches WCR scopes; a WCR write
+            # reaching batched geometry is an internal inconsistency.
+            raise _BatchAbort("WCR write in batched mode")
         return arr, access_index(
             spec.dims, triples, arr.shape[lead:], bindings, spec.data, spec.subset_str
         )
 
     def _resolve_write(
-        self, spec: BoundOutput, triples: List[Triple], bindings: Dict[str, Any]
+        self, spec: BoundOutput, triples: List[Triple], bindings: Dict[str, Any],
+        lead: int = 0,
     ) -> _WriteGeom:
         """The bounds-checked geometry of one write: one basic index."""
-        arr, index = self._check_write(spec, triples, bindings)
+        arr, index = self._check_write(spec, triples, bindings, lead)
         # Leading (trial) axes whole, constants as length-1 slices: the
         # region keeps the container's rank.
         mesh = (slice(None),) * (arr.ndim - len(index)) + tuple(
@@ -528,6 +540,10 @@ class VectorizedExecutor(SDFGExecutor):
             for kind, payload in spec.dims
         )
         identity_shape = perm == sorted(perm) and target_shape == kept_shape
+        if lead:  # the trial axis rides in front of the value, untouched
+            perm = [0] + [p + 1 for p in perm]
+            target_shape = (self._batch,) + target_shape
+            kept_shape = (self._batch,) + kept_shape
         return _WriteGeom(
             spec, arr, mesh, perm, target_shape, red_axes, kept_shape,
             identity_shape,
@@ -542,6 +558,9 @@ class VectorizedExecutor(SDFGExecutor):
         triples, shape_full, iterations, grids = self._resolve_domain(
             plan.entry, bindings, plan.needs_grids
         )
+        lead = self._lead
+        if lead:
+            shape_full = (self._batch,) + shape_full  # values carry the trial axis
         if iterations == 0:
             # The interpreter executes nothing for an empty domain -- in
             # particular it never bounds-checks the memlets -- so neither
@@ -549,8 +568,8 @@ class VectorizedExecutor(SDFGExecutor):
             setup = _ScopeSetup(shape_full, 0, grids, [], [])
         else:
             idx_ns = {**bindings, **grids} if grids else bindings
-            gathers = [self._resolve_gather(s, triples, idx_ns) for s in plan.inputs]
-            geoms = [self._resolve_write(s, triples, bindings) for s in plan.outputs]
+            gathers = [self._resolve_gather(s, triples, idx_ns, lead) for s in plan.inputs]
+            geoms = [self._resolve_write(s, triples, bindings, lead) for s in plan.outputs]
             setup = _ScopeSetup(shape_full, iterations, grids, gathers, geoms)
         self._setup_cache[cache_key] = (key, setup)
         return setup
@@ -564,6 +583,9 @@ class VectorizedExecutor(SDFGExecutor):
         triples, shape_full, iterations, grids = self._resolve_domain(
             fused.entry, bindings, fused.needs_grids
         )
+        lead = self._lead
+        if lead:
+            shape_full = (self._batch,) + shape_full
         if iterations == 0:
             setup = _FusedSetup(shape_full, 0, grids, [], [])
         else:
@@ -572,12 +594,12 @@ class VectorizedExecutor(SDFGExecutor):
             geoms: List[_WriteGeom] = []
             for member in fused.members:
                 for spec, name in member.gathers:
-                    gathers.append((name, self._resolve_gather(spec, triples, idx_ns)[1]))
+                    gathers.append((name, self._resolve_gather(spec, triples, idx_ns, lead)[1]))
                 for kind, spec, _ in member.outputs:
                     if kind == "write":
-                        geoms.append(self._resolve_write(spec, triples, bindings))
+                        geoms.append(self._resolve_write(spec, triples, bindings, lead))
                     else:
-                        self._check_write(spec, triples, bindings)
+                        self._check_write(spec, triples, bindings, lead)
             setup = _FusedSetup(shape_full, iterations, grids, gathers, geoms)
         self._setup_cache[cache_key] = (key, setup)
         return setup
@@ -725,6 +747,10 @@ class VectorizedExecutor(SDFGExecutor):
 
             return apply_direct
 
+        if self._lead and (geom.red_axes or spec.wcr is not None):
+            # Batchable scopes have no WCR and (bijectivity) no reduction
+            # axes: the value is ``(K,) + shape_full``, one slab.
+            raise _BatchAbort("reduction write in batched mode")
         # Reduction slabs, flattened in iteration (lexicographic) order.
         slabs = np.moveaxis(value, geom.red_axes, range(len(geom.red_axes))).reshape(
             (-1,) + geom.kept_shape

@@ -1,25 +1,24 @@
 """Runtime bridge for the native C kernel tier.
 
-Three small modules with a strict division of labor:
+Imported from one place outside this package: the compiled backend's
+``prepare``, when it runs under the registry name ``native``.  Three small
+modules with a strict division of labor:
 
 * :mod:`repro.backends.native.toolchain` -- compiler detection,
   fingerprinting and shared-object compilation (no loading);
 * :mod:`repro.backends.native.bridge` -- the *only* module in the
   backends tree that loads shared objects (enforced by ``make
   lint-arch``);
-* :mod:`repro.backends.native.backend` -- the ``native`` backend:
-  executor, program (artifact contract) and backend registration glue.
+* :mod:`repro.backends.native.kernels` -- :class:`KernelTier`, the object
+  a program prepared under ``native`` holds: emit, compile (or reload),
+  probe, load, and ``try_run`` per scope.
 
 The C code itself is produced by the ``native-c`` emitter in the codegen
 layer (:mod:`repro.backends.codegen.native_c`); this package only builds,
 loads and invokes it.
 """
 
-from repro.backends.native.backend import (
-    NativeBackend,
-    NativeExecutor,
-    NativeProgram,
-)
+from repro.backends.native.kernels import KernelTier
 from repro.backends.native.toolchain import (
     CC_ENV,
     NATIVE_CFLAGS,
@@ -28,9 +27,7 @@ from repro.backends.native.toolchain import (
 )
 
 __all__ = [
-    "NativeBackend",
-    "NativeExecutor",
-    "NativeProgram",
+    "KernelTier",
     "CC_ENV",
     "NATIVE_CFLAGS",
     "Toolchain",

@@ -1,12 +1,13 @@
-"""The ``native`` backend: trial-batched execution with C-compiled kernels.
+"""The kernel tier: the C kernels a program prepared under ``native`` holds.
 
-Extends the batched backend with a native tier: at prepare time the
-``native-c`` emitter lowers eligible scopes and fused chains to C, the
+:class:`KernelTier` is built once per program, after its plans are bound:
+the ``native-c`` emitter lowers eligible scopes and fused chains to C, the
 translation unit is compiled once (or reloaded from the program's disk
 artifact, keyed by the toolchain fingerprint), and the resulting kernels
-run through zero-copy buffer pointers.  Everything the emitter rejects --
-and any compile or load failure, including no toolchain at all -- runs the
-inherited batched/compiled Python path per scope, bitwise identically.
+run through zero-copy buffer pointers.  The compiled executor's scope and
+chain ops ask :meth:`KernelTier.try_run` first; everything the emitter
+rejects -- and any compile or load failure, including no toolchain at all
+-- runs the executor's Python path per scope, bitwise identically.
 
 Fallback is the parity mechanism, not an afterthought: the native setup
 re-derives the exact same domain, bounds and geometry checks the Python
@@ -27,9 +28,12 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import faultinject
-from repro.backends.batched import BatchedBackend, BatchedExecutor, BatchedProgram
-from repro.backends.codegen.native_c import EXACT_INT_LIMIT, NativeKernel
-from repro.backends.codegen.python_driver import _artifact_stamp
+from repro.backends.codegen.native_c import (
+    EXACT_INT_LIMIT,
+    NativeCEmitter,
+    NativeKernel,
+)
+from repro.backends.codegen.numpy_eager import BoundChain
 from repro.backends.geometry import access_index
 from repro.backends.native.bridge import KernelHandle, load_shared_object
 from repro.backends.native.probe import probe_shared_object
@@ -38,14 +42,13 @@ from repro.backends.native.toolchain import (
     compile_shared_object,
     detect_toolchain,
 )
-from repro.backends.plan import PLAN_FORMAT_VERSION
 from repro.interpreter.errors import TaskletExecutionError
-from repro.sdfg.nodes import MapEntry, MapExit
+from repro.sdfg.nodes import MapEntry
 from repro.telemetry import TRACER as _TRACER
 from repro.telemetry import observe as _metric_observe
 from repro.telemetry import perf_counter as _perf_counter
 
-__all__ = ["NativeBackend", "NativeProgram", "NativeExecutor"]
+__all__ = ["KernelTier"]
 
 _EXC = {"ValueError": ValueError, "OverflowError": OverflowError}
 
@@ -112,67 +115,64 @@ def _affine_offsets(
     return base, coefs
 
 
-class NativeExecutor(BatchedExecutor):
-    """A :class:`BatchedExecutor` whose scope/chain ops try a compiled C
-    kernel first and defer to the inherited Python ops on any miss."""
+class KernelTier:
+    """The compiled C kernels of one prepared program.
 
-    EMITTER_NAME = "native-c"
+    Holds no reference to the executor it serves (``rt`` is an argument
+    wherever it is needed, like the executor's own ops take it): the two
+    would form a cycle, and a finished task's programs are freed by
+    reference counting alone."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        #: ``("scope"|"chain", entry guid) -> (kernel, handle)``.  Created
-        #: before ``super().__init__`` because the op closures built there
-        #: consult it (late-bound) at call time.
-        self._native_kernels: Dict[Tuple[str, int], Tuple[NativeKernel, KernelHandle]] = {}
+    def __init__(self, rt, artifact: Optional[Dict[str, Any]] = None) -> None:
+        #: Head map-entry guid of a scope or chain -> ``(kernel, handle)``.
+        self._kernels: Dict[int, Tuple[NativeKernel, KernelHandle]] = {}
         #: Build diagnostics: kernel/reject counts, toolchain fingerprint,
         #: the assembled C source and ``.so`` bytes (for artifacts), and
         #: the failure mode when the tier is unavailable.
-        self.native_build: Dict[str, Any] = {}
-        self._native_lib = None
+        self.build: Dict[str, Any] = {}
+        self._lib = None
         #: Persistent geometry cache, ``id(kernel) -> {signature: geom}``
         #: (see :class:`_NativeGeom` for why it survives across runs).
-        self._native_geoms: Dict[int, Dict[Any, Optional[_NativeGeom]]] = {}
-        #: Per-run fast path: ``id(kernel) -> (run id, batched, depkey,
-        #: geom, ptrs)``.  Within one run the store's arrays are stable, so
-        #: repeated invocations (loop iterations) skip the layout signature
-        #: and pointer rebuild entirely.
-        self._native_memo: Dict[int, Tuple] = {}
-        self._native_run = 0
-        super().__init__(*args, **kwargs)
-        self.stats["native"] = 0
-        self._prepare_native(kwargs.get("artifact"))
+        self._geoms: Dict[int, Dict[Any, Optional[_NativeGeom]]] = {}
+        rt.stats["native"] = 0
+        self._prepare(rt, artifact)
+
+    @staticmethod
+    def toolchain_stamp() -> Optional[Dict[str, Any]]:
+        """This machine's compiler fingerprint (``None`` without one): what
+        the ``toolchain`` field of a ``-native`` artifact must equal."""
+        toolchain = detect_toolchain()
+        return toolchain.fingerprint() if toolchain is not None else None
+
+    def extend_artifact(self, art: Dict[str, Any]) -> None:
+        """Add the tier's part of a program's disk artifact: the toolchain
+        fingerprint that produced it, the assembled C source and the
+        compiled shared object."""
+        art["toolchain"] = self.build.get("fingerprint")
+        if self.build.get("so") is not None and self.build.get("c_source"):
+            art["native"] = {
+                "c_source": self.build["c_source"],
+                "so": base64.b64encode(self.build["so"]).decode("ascii"),
+            }
 
     # .................................................................. #
     # Preparation: emit, compile (or reload), load
     # .................................................................. #
-    def _prepare_native(self, artifact: Optional[Dict[str, Any]]) -> None:
+    def _prepare(self, rt, artifact: Optional[Dict[str, Any]]) -> None:
+        emitter = NativeCEmitter()
         kernels: List[NativeKernel] = []
-        kmap: Dict[Tuple[str, int], NativeKernel] = {}
+        kmap: Dict[int, NativeKernel] = {}
         rejected: Dict[str, str] = {}
-        for state in self._compiled_states:
-            table = self._table_for(state)
-            order = self._state_order(state)
-            scopes = self._scope_cache[id(state)]
-            for node in order:
-                if scopes.get(node) is not None or isinstance(node, MapExit):
-                    continue
-                if not isinstance(node, MapEntry):
-                    continue
-                if node.guid in table.members:
-                    continue
-                fused = table.heads.get(node.guid)
-                if fused is not None:
-                    kr, reason = self.emitter.chain_kernel(
-                        self.sdfg, fused, f"k{len(kernels)}"
-                    )
-                    key = ("chain", node.guid)
-                else:
-                    plan = table.plans.get(node.guid)
-                    if plan is None:
-                        continue  # analyzer-rejected: interpreter territory
-                    kr, reason = self.emitter.scope_kernel(
-                        self.sdfg, plan, f"k{len(kernels)}"
-                    )
-                    key = ("scope", node.guid)
+        for state in rt._compiled_states:
+            for node, bound in rt.top_level(state):
+                if not isinstance(node, MapEntry) or bound is None:
+                    continue  # no scope, or one the analyzer rejected
+                lower = (
+                    emitter.chain_kernel
+                    if isinstance(bound, BoundChain)
+                    else emitter.scope_kernel
+                )
+                kr, reason = lower(rt.sdfg, bound, f"k{len(kernels)}")
                 if kr is None:
                     rejected[node.label] = reason or "native-emit-error"
                 else:
@@ -184,8 +184,8 @@ class NativeExecutor(BatchedExecutor):
                         if kind == "check"
                     )
                     kernels.append(kr)
-                    kmap[key] = kr
-        self.native_build = {
+                    kmap[node.guid] = kr
+        self.build = {
             "kernels": len(kernels),
             "rejected": rejected,
             "fingerprint": None,
@@ -198,12 +198,12 @@ class NativeExecutor(BatchedExecutor):
             return
         toolchain = detect_toolchain()
         if toolchain is None:
-            self.native_build["error"] = "no-toolchain"
+            self.build["error"] = "no-toolchain"
             return
         fingerprint = toolchain.fingerprint()
-        self.native_build["fingerprint"] = fingerprint
-        source = self.emitter.assemble_source(kernels)
-        self.native_build["c_source"] = source
+        self.build["fingerprint"] = fingerprint
+        source = emitter.assemble_source(kernels)
+        self.build["c_source"] = source
 
         so_bytes: Optional[bytes] = None
         if artifact:
@@ -215,7 +215,7 @@ class NativeExecutor(BatchedExecutor):
             ):
                 try:
                     so_bytes = base64.b64decode(native["so"])
-                    self.native_build["cache"] = "artifact"
+                    self.build["cache"] = "artifact"
                 except Exception:  # noqa: BLE001 - corrupt cache: recompile
                     so_bytes = None
         if so_bytes is None:
@@ -227,12 +227,12 @@ class NativeExecutor(BatchedExecutor):
                     _metric_observe(
                         "repro_native_compile_seconds", _perf_counter() - t0
                     )
-                self.native_build["cache"] = "compiled"
+                self.build["cache"] = "compiled"
             except NativeCompileError as exc:
-                self.native_build["error"] = f"compile: {exc}"
+                self.build["error"] = f"compile: {exc}"
                 return
         probe_failed: frozenset = frozenset()
-        if self.native_build["cache"] == "compiled":
+        if self.build["cache"] == "compiled":
             # Freshly compiled bytes have never executed: first-call each
             # kernel in a disposable subprocess so a segfaulting kernel
             # kills the probe child, not this process.  Artifact reloads
@@ -241,108 +241,44 @@ class NativeExecutor(BatchedExecutor):
                 so_bytes, [k.fn_name for k in kernels]
             )
             if probe_failed:
-                self.native_build["probe_failed"] = sorted(probe_failed)
+                self.build["probe_failed"] = sorted(probe_failed)
                 if len(probe_failed) == len(kernels):
-                    self.native_build["error"] = "probe: all kernels failed"
-                    self.native_build["cache"] = "none"
+                    self.build["error"] = "probe: all kernels failed"
+                    self.build["cache"] = "none"
                     return
         try:
             with _TRACER.span("native.link", "native") as span:
                 span.set("kernels", len(kernels))
                 lib = load_shared_object(so_bytes, [k.fn_name for k in kernels])
         except OSError as exc:
-            self.native_build["error"] = f"load: {exc}"
-            self.native_build["cache"] = "none"
+            self.build["error"] = f"load: {exc}"
+            self.build["cache"] = "none"
             return
-        self.native_build["so"] = so_bytes
-        self._native_lib = lib
+        self.build["so"] = so_bytes
+        self._lib = lib
         for key, kr in kmap.items():
             if kr.fn_name in probe_failed:
                 continue  # its scope runs the Python path, bitwise identical
             handle = lib.get(kr.fn_name)
             if handle is not None:
-                self._native_kernels[key] = (kr, handle)
-
-    # .................................................................. #
-    # Op construction: try native, defer to the inherited op otherwise
-    # .................................................................. #
-    def _make_scope_op(self, state, entry, plan):
-        base = super()._make_scope_op(state, entry, plan)
-        if plan is None:
-            return base
-        key = ("scope", entry.guid)
-
-        def op(rt, symbols, _base=base, _key=key, _plan=plan):
-            native = rt._native_kernels.get(_key)
-            if native is None or not _plan.usable:
-                _base(rt, symbols)
-                return
-            if not rt._run_native(native[0], native[1], symbols):
-                _base(rt, symbols)
-
-        return op
-
-    def _make_fused_op(self, state, fused, table):
-        base = super()._make_fused_op(state, fused, table)
-        key = ("chain", fused.member_guids[0])
-
-        def op(rt, symbols, _base=base, _key=key, _fused=fused):
-            native = rt._native_kernels.get(_key)
-            if native is None or not _fused.usable:
-                _base(rt, symbols)
-                return
-            if not rt._run_native(native[0], native[1], symbols):
-                _base(rt, symbols)
-
-        return op
-
-    def _make_batched_scope_op(self, plan):
-        base = super()._make_batched_scope_op(plan)
-        key = ("scope", plan.entry.guid)
-
-        def op(rt, symbols, _base=base, _key=key, _plan=plan):
-            native = rt._native_kernels.get(_key)
-            if native is None or not _plan.usable:
-                _base(rt, symbols)
-                return
-            if not rt._run_native(native[0], native[1], symbols):
-                _base(rt, symbols)
-
-        return op
-
-    def _make_batched_fused_op(self, fused):
-        base = super()._make_batched_fused_op(fused)
-        key = ("chain", fused.member_guids[0])
-
-        def op(rt, symbols, _base=base, _key=key, _fused=fused):
-            native = rt._native_kernels.get(_key)
-            if native is None or not _fused.usable:
-                _base(rt, symbols)
-                return
-            if not rt._run_native(native[0], native[1], symbols):
-                _base(rt, symbols)
-
-        return op
+                self._kernels[key] = (kr, handle)
 
     # .................................................................. #
     # Native invocation
     # .................................................................. #
-    def _setup(self, arguments: Dict[str, Any], symbols: Dict[str, Any]) -> None:
-        # A fresh store invalidates the per-run pointer memo (the geometry
-        # cache itself survives: it holds offsets, not addresses).
-        self._native_run += 1
-        super()._setup(arguments, symbols)
-
-    def _run_native(
-        self, kr: NativeKernel, handle: KernelHandle, symbols: Dict[str, Any]
-    ) -> bool:
-        """Attempt one native execution; ``False`` defers to Python.
+    def try_run(self, rt, key: int, symbols: Dict[str, Any]) -> bool:
+        """Attempt one native execution of the scope or chain whose head
+        map entry has guid ``key``; ``False`` defers to Python.
 
         Raises only the in-kernel guard errors (the exact exception the
         interpreter's per-element ``math`` call would raise)."""
+        held = self._kernels.get(key)
+        if held is None:
+            return False
+        kr, handle = held
         if not kr.usable or not kr.bound.usable:
             return False
-        batched = self._batched_mode
+        batched = bool(rt._lead)
         kid = id(kr)
         # The geometry cache key: symbol values the setup depends on, plus
         # the exact memory layout of every container the kernel touches
@@ -350,25 +286,22 @@ class NativeExecutor(BatchedExecutor):
         # setup derives -- domain, bounds verdicts, affine offsets -- is a
         # pure function of these, so entries survive across runs; only the
         # buffer *addresses* change per run.  Within one run (one store,
-        # one trial view) even the addresses are stable, so the per-run
-        # memo skips the signature and pointer rebuild on repeat calls --
-        # the loop-iteration fast path.
+        # one trial view) even the addresses are stable, so the executor's
+        # per-run setup cache -- dropped with every new store, and keyed by
+        # the trial epoch like a plan's Python setup -- keeps ``(geometry,
+        # pointers)`` and repeat calls skip the signature and pointer
+        # rebuild: the loop-iteration fast path.
         try:
             deps = kr.setup_deps
             depkey = (
                 tuple([symbols.get(name) for name in deps]) if deps else ()
             )
-            memo = self._native_memo.get(kid)
-            if (
-                memo is not None
-                and memo[0] == self._native_run
-                and memo[1] == self._setup_epoch
-                and memo[2] == batched
-                and memo[3] == depkey
-            ):
-                geom, ptrs = memo[4], memo[5]
+            memo_key = (kid, rt._setup_epoch)
+            memo = rt._setup_cache.get(memo_key)
+            if memo is not None and memo[0] == depkey:
+                geom, ptrs = memo[1]
             else:
-                store = self._store
+                store = rt._store
                 arrays = []
                 for name in kr.buffers:
                     arr = store.get(name)
@@ -386,31 +319,24 @@ class NativeExecutor(BatchedExecutor):
                         return False
                     sig.append(arr.shape)
                     sig.append(arr.strides)
-                key = tuple(sig)
-                cache = self._native_geoms.setdefault(kid, {})
-                if key in cache:
-                    geom = cache[key]
+                sig_key = tuple(sig)
+                cache = self._geoms.setdefault(kid, {})
+                if sig_key in cache:
+                    geom = cache[sig_key]
                 else:
                     try:
-                        geom = self._native_geometry(kr, handle, symbols)
+                        geom = self._geometry(rt, kr, handle, symbols)
                     except Exception:  # noqa: BLE001 - Python raises the real error
                         geom = None
                     if len(cache) > 64:
                         cache.clear()  # fuzzing across many sizes: stay bounded
-                    cache[key] = geom
+                    cache[sig_key] = geom
                 ptrs = (
                     [arr.ctypes.data for arr in arrays]
                     if geom is not None
                     else None
                 )
-                self._native_memo[kid] = (
-                    self._native_run,
-                    self._setup_epoch,
-                    batched,
-                    depkey,
-                    geom,
-                    ptrs,
-                )
+                rt._setup_cache[memo_key] = (depkey, (geom, ptrs))
         except TypeError:
             return False  # unhashable symbol value: Python path handles it
         if geom is None:
@@ -436,7 +362,7 @@ class NativeExecutor(BatchedExecutor):
         # real in-kernel segfault.
         faultinject.hit("native.call", key=kr.fn_name)
         try:
-            rc = geom.call(ptrs, self._batch if batched else 1)
+            rc = geom.call(ptrs, rt._batch if batched else 1)
         except Exception:  # noqa: BLE001 - invocation-level failure: retire
             kr.usable = False
             return False
@@ -448,18 +374,18 @@ class NativeExecutor(BatchedExecutor):
             raise TaskletExecutionError(
                 guard.label, _EXC[guard.exc](guard.message)
             )
-        if not batched and self._coverage is not None:
+        if not batched and rt._coverage is not None:
             # Counts only feed coverage; skip the per-guid bookkeeping on
             # plain runs (batched ops discard counts either way).
             for guid in kr.count_guids:
-                self._tasklet_counts[guid] = (
-                    self._tasklet_counts.get(guid, 0) + geom.iterations
+                rt._tasklet_counts[guid] = (
+                    rt._tasklet_counts.get(guid, 0) + geom.iterations
                 )
-        self.stats["native"] += 1
+        rt.stats["native"] += 1
         return True
 
-    def _native_geometry(
-        self, kr: NativeKernel, handle: KernelHandle, bindings: Dict[str, Any]
+    def _geometry(
+        self, rt, kr: NativeKernel, handle: KernelHandle, bindings: Dict[str, Any]
     ) -> Optional[_NativeGeom]:
         """Geometry packing for one kernel (the native twin of the Python
         scope/fused setup).
@@ -471,7 +397,7 @@ class NativeExecutor(BatchedExecutor):
         here therefore implies the Python path would have succeeded."""
         # Grids only for gathers that materialise (an ``expr`` dimension);
         # the kernel computes parameter values from begins and steps.
-        triples, _shape_full, iterations, grids = self._resolve_domain(
+        triples, _shape_full, iterations, grids = rt._resolve_domain(
             kr.entry,
             bindings,
             any(k == "gather" and s.idx_code is not None for k, s, _ in kr.accesses),
@@ -482,7 +408,7 @@ class NativeExecutor(BatchedExecutor):
             return None
         nparams = kr.nparams
         idx_ns = {**bindings, **grids} if grids else bindings
-        batched = self._batched_mode
+        batched = bool(rt._lead)
 
         geom: List[int] = []
         for first, step, count in triples:
@@ -497,7 +423,7 @@ class NativeExecutor(BatchedExecutor):
         strides: Dict[str, List[int]] = {}
         bstrides: List[int] = []
         for name in kr.buffers:
-            arr = self._store.get(name)
+            arr = rt._store.get(name)
             if arr is None or arr.dtype != np.float64:
                 return None
             if batched:
@@ -518,7 +444,7 @@ class NativeExecutor(BatchedExecutor):
             arrays.append(arr)
 
         for kind, spec, _bi in kr.accesses:
-            arr = self._store.get(spec.data)
+            arr = rt._store.get(spec.data)
             if arr is None:
                 return None  # Python path raises the unknown-container error
             if kind == "check":
@@ -526,8 +452,8 @@ class NativeExecutor(BatchedExecutor):
             else:
                 shape = shapes[spec.data]
             if kind == "gather" and spec.idx_code is not None:
-                idx = self._index_arrays(spec.idx_code, idx_ns)
-                self._check_vector_bounds(spec.data, spec.subset_str, idx, shape)
+                idx = rt._index_arrays(spec.idx_code, idx_ns)
+                rt._check_vector_bounds(spec.data, spec.subset_str, idx, shape)
                 dec = _affine_offsets(idx, strides[spec.data], nparams)
                 if dec is None:
                     return None
@@ -559,68 +485,3 @@ class NativeExecutor(BatchedExecutor):
             len(kr.buffers), counts_arr, geom_arr, scalars_arr, bstrides_arr
         )
         return _NativeGeom(call, iterations, scalars_arr)
-
-
-class NativeProgram(BatchedProgram):
-    """A batched program whose artifact additionally carries the native
-    tier: the assembled C source and compiled shared object, stamped with
-    the toolchain fingerprint that produced them."""
-
-    executor_class = NativeExecutor
-    #: Disk-cache entries live beside -- not on top of -- the compiled and
-    #: batched backends' artifacts: the native artifact embeds a shared
-    #: object those backends would drag around for nothing.
-    artifact_variant = "-native"
-
-    @classmethod
-    def check_artifact(cls, artifact: Dict[str, Any]) -> bool:
-        """Artifact validity *including* the toolchain stamp: the stamp's
-        toolchain must equal this machine's current fingerprint (``None``
-        when no compiler is present), so a stale or missing toolchain field
-        is a miss and the entry is rewritten."""
-        stamp = _artifact_stamp()
-        toolchain = detect_toolchain()
-        stamp["toolchain"] = (
-            toolchain.fingerprint() if toolchain is not None else None
-        )
-        if not all(k in artifact and artifact[k] == v for k, v in stamp.items()):
-            return False
-        if artifact.get("plan_format") != PLAN_FORMAT_VERSION:
-            return False
-        if artifact.get("mode") not in ("structured", "dispatch", "interpreted"):
-            return False
-        native = artifact.get("native")
-        if native is not None:
-            if stamp["toolchain"] is None:
-                return False
-            if not (
-                isinstance(native, dict)
-                and isinstance(native.get("c_source"), str)
-                and isinstance(native.get("so"), str)
-            ):
-                return False
-        return True
-
-    def artifact(self) -> Optional[Dict[str, Any]]:
-        art = super().artifact()
-        if art is None:
-            return None
-        build = self.executor.native_build
-        art["toolchain"] = build.get("fingerprint")
-        if build.get("so") is not None and build.get("c_source"):
-            art["native"] = {
-                "c_source": build["c_source"],
-                "so": base64.b64encode(build["so"]).decode("ascii"),
-            }
-        return art
-
-
-class NativeBackend(BatchedBackend):
-    """Trial batching plus a native C kernel tier: fused chains and
-    fixed-trip affine loop nests compile to a shared object at prepare
-    time (cached on disk per toolchain fingerprint); everything else --
-    and every machine without a C compiler -- runs the batched backend's
-    Python path bitwise identically."""
-
-    name = "native"
-    program_class = NativeProgram

@@ -74,7 +74,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import faultinject
 from repro.backends import get_backend
-from repro.backends.vectorized import CACHE_DIR_ENV
+from repro.backends.cache import CACHE_DIR_ENV
 from repro.cluster.protocol import (
     ProtocolError,
     TOKEN_ENV,

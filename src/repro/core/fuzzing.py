@@ -135,9 +135,10 @@ class DifferentialFuzzer:
         self.tolerance = tolerance
         self.collect_coverage = collect_coverage
         #: Trials per ``run_batch`` call during a campaign (1 = serial).
-        #: Batch-capable backends (``batched``, or ``cross`` pairs wrapping
-        #: it) execute the whole batch along a leading batch axis; all
-        #: others run the batch serially with identical verdicts.
+        #: Batch-capable backends (``compiled``, ``native``, or ``cross``
+        #: pairs wrapping them) execute the whole batch along a leading
+        #: batch axis; all others run the batch serially with identical
+        #: verdicts.
         self.trial_batch = max(1, int(trial_batch))
         # Per-trial setup (argument coercion plans, symbol binding, compiled
         # subsets, vectorization plans) lives in prepare(), outside the

@@ -79,10 +79,10 @@ class FuzzyFlowVerifier:
         self.test_case_dir = test_case_dir
         self.use_coverage_guidance = use_coverage_guidance
         #: Execution backend for differential fuzzing ("interpreter",
-        #: "vectorized" or the self-checking "cross"; see repro.backends).
+        #: "compiled" or the self-checking "cross"; see repro.backends).
         self.backend = backend
         #: Trials per run_batch call (1 = serial; >1 enables batch-axis
-        #: execution on batch-capable backends such as "batched").
+        #: execution on batch-capable backends such as "compiled").
         self.trial_batch = trial_batch
 
     # ------------------------------------------------------------------ #

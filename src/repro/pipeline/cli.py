@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, TextIO
 
 from repro import faultinject
 from repro.backends import get_backend, list_backends
-from repro.backends.vectorized import CACHE_DIR_ENV
+from repro.backends.cache import CACHE_DIR_ENV
 from repro.faultinject import FAULTS_ENV as _FAULTS_ENV
 from repro.faultinject import SEED_ENV as _FAULT_SEED_ENV
 from repro.cluster.protocol import TOKEN_ENV as _TOKEN_ENV
@@ -168,16 +168,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BACKEND",
         help="execution backend: one of "
         f"{', '.join(list_backends())}, or 'cross:REF,CAND' to cross-check "
-        "any backend pair (e.g. 'cross:compiled,interpreter'); any "
-        "divergence fails the sweep as an infrastructure error "
+        "any pair of two different backends (e.g. "
+        "'cross:compiled,interpreter'); any divergence fails the sweep as "
+        "an infrastructure error.  'vectorized' and 'batched' are accepted "
+        "as aliases of 'compiled' "
         "(default: interpreter; with --connect: the worker-side override)",
     )
     parser.add_argument(
         "--trial-batch", default=1, type=int, metavar="K",
         help="trials per run_batch call (default: 1): batch-capable "
-        "backends (batched, or cross pairs wrapping it) stack K trial "
-        "inputs along a leading batch axis and execute each scope once "
-        "per batch; verdicts are bitwise identical to serial trials",
+        "backends (compiled, native, or cross pairs wrapping them) stack K "
+        "trial inputs along a leading batch axis and execute each scope "
+        "once per batch; verdicts are bitwise identical to serial trials",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",

@@ -23,8 +23,10 @@ __all__ = ["SweepResult"]
 #: is what every v1 sweep actually ran.
 #: Version 3 fixes the ``backend`` string format: besides plain registry
 #: names (now including ``"compiled"``), it may be a cross-check pair of
-#: the form ``"cross:REF,CAND"`` (the bare ``"cross"`` remains shorthand
-#: for ``"cross:interpreter,vectorized"``).  v2 documents load unchanged.
+#: the form ``"cross:REF,CAND"`` (the bare ``"cross"`` is shorthand for
+#: ``"cross:interpreter,compiled"``; documents written when it meant
+#: ``"cross:interpreter,vectorized"`` name the same pair, ``vectorized``
+#: now being an alias of ``compiled``).  v2 documents load unchanged.
 #: Version 4 adds two per-outcome fields for the distributed/resumable
 #: sweep service (``repro.cluster``): ``task_id`` (the deterministic task
 #: identity keying the result journal) and ``worker`` (shard metadata --

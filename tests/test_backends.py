@@ -1,12 +1,13 @@
 """Tests for the pluggable execution backends (repro.backends).
 
-The heart of this suite is backend equivalence: for every NPBench kernel the
-interpreter and the vectorized backend must produce *bitwise identical*
+The registry, and backend equivalence on hand-built programs: the
+interpreter and the compiled backend must produce *bitwise identical*
 :class:`ExecutionResult`s -- outputs, final symbols, transition counts and
 coverage maps -- and must agree on memory-violation detection.  Constructs
-the vectorized planner cannot express (nested SDFGs, data-dependent subsets,
+the scope planner cannot express (nested SDFGs, data-dependent subsets,
 order-dependent writes, non-element-wise tasklet code) must fall back to the
-interpreter scope by scope without changing any result.
+interpreter scope by scope without changing any result.  (The kernel-suite
+matrix lives in ``test_tier_parity.py``.)
 """
 
 import numpy as np
@@ -26,9 +27,7 @@ from repro.core.verifier import FuzzyFlowVerifier
 from repro.interpreter.errors import MemoryViolation
 from repro.sdfg import SDFG, Memlet, float64, int32
 from repro.transforms import all_builtin_transformations
-from repro.workloads import get_workload, get_workload_suite
-
-NPBENCH = [spec.name for spec in get_workload_suite("npbench")]
+from repro.workloads import get_workload
 
 
 def make_arguments(sdfg, symbols, seed=0):
@@ -42,7 +41,7 @@ def make_arguments(sdfg, symbols, seed=0):
 
 def run_both(sdfg, args, symbols, collect_coverage=True):
     ref = get_backend("interpreter").prepare(sdfg)
-    cand = get_backend("vectorized").prepare(sdfg)
+    cand = get_backend("compiled").prepare(sdfg)
     r1 = ref.run(dict(args), symbols, collect_coverage=collect_coverage)
     r2 = cand.run(dict(args), symbols, collect_coverage=collect_coverage)
     return r1, r2, cand
@@ -61,40 +60,70 @@ def assert_bitwise_equal(r1, r2):
 
 
 class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"interpreter", "vectorized", "compiled", "cross"} <= set(
-            list_backends()
-        )
+    def test_registered_names_are_exactly_the_canonical_four(self):
+        assert list_backends() == ["compiled", "cross", "interpreter", "native"]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError):
             get_backend("no_such_backend")
 
     def test_instance_passthrough_and_sharing(self):
-        be = get_backend("vectorized")
+        be = get_backend("compiled")
         assert get_backend(be) is be
-        assert get_backend("vectorized") is be  # shared per process
+        assert get_backend("compiled") is be  # shared per process
+
+    @pytest.mark.parametrize("alias", ["vectorized", "batched"])
+    def test_former_tier_names_are_aliases_of_compiled(self, alias):
+        assert get_backend(alias) is get_backend("compiled")
+        assert alias not in list_backends()
+
+    def test_native_is_the_compiled_class_holding_a_kernel_tier(self):
+        from repro.backends.native import KernelTier
+
+        native, compiled = get_backend("native"), get_backend("compiled")
+        assert type(native) is type(compiled) and native is not compiled
+        sdfg = get_workload("npbench", "jacobi_1d").build()
+        held, plain = native.prepare(sdfg), compiled.prepare(sdfg)
+        assert type(held) is type(plain)
+        assert isinstance(held.executor.kernels, KernelTier)
+        assert plain.executor.kernels is None
+
+    @pytest.mark.parametrize(
+        "name, both",
+        [
+            ("cross:compiled,batched", ("compiled", "batched")),
+            ("cross:vectorized,compiled", ("vectorized", "compiled")),
+            ("cross:batched,vectorized", ("batched", "vectorized")),
+            ("cross:native,native", ("native", "native")),
+        ],
+    )
+    def test_a_pair_of_one_backend_with_itself_is_rejected(self, name, both):
+        """Both sides would be handed the same program object by the shared
+        per-thread cache, and the check would pass by construction."""
+        with pytest.raises(KeyError) as exc_info:
+            get_backend(name)
+        assert all(f"'{part}'" in str(exc_info.value) for part in both)
+
+    def test_bare_cross_checks_the_interpreter_against_compiled(self):
+        backend = get_backend("cross")
+        assert (backend.reference_name, backend.candidate_name) == (
+            "interpreter", "compiled"
+        )
+        sdfg = get_workload("npbench", "jacobi_1d").build()
+        program = backend.prepare(sdfg)
+        assert program.reference is not program.candidate
+        assert (program.reference_name, program.candidate_name) == (
+            "interpreter", "compiled"
+        )
+
+    def test_an_aliased_side_still_pairs_with_a_different_backend(self):
+        backend = get_backend("cross:batched,interpreter")
+        sdfg = get_workload("npbench", "jacobi_1d").build()
+        program = backend.prepare(sdfg)
+        assert program.reference is get_backend("compiled").prepare(sdfg)
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("kernel", NPBENCH)
-    def test_bitwise_identical_results(self, kernel):
-        spec = get_workload("npbench", kernel)
-        sdfg = spec.build()
-        symbols = dict(spec.symbols)
-        args = make_arguments(sdfg, symbols)
-        r1, r2, _ = run_both(sdfg, args, symbols)
-        assert_bitwise_equal(r1, r2)
-
-    @pytest.mark.parametrize("kernel", NPBENCH)
-    def test_coverage_map_parity(self, kernel):
-        spec = get_workload("npbench", kernel)
-        sdfg = spec.build()
-        symbols = dict(spec.symbols)
-        args = make_arguments(sdfg, symbols)
-        r1, r2, _ = run_both(sdfg, args, symbols, collect_coverage=True)
-        assert r1.coverage.features() == r2.coverage.features()
-
     def test_affine_scopes_actually_vectorize(self):
         spec = get_workload("npbench", "gemm")
         sdfg = spec.build()
@@ -140,7 +169,7 @@ class TestBackendEquivalence:
             {"b": Memlet.simple("B", "i")},
         )
         args = {"A": np.ones(5), "B": np.zeros(5)}
-        for name in ("interpreter", "vectorized"):
+        for name in ("interpreter", "compiled"):
             with pytest.raises(TaskletExecutionError):
                 get_backend(name).prepare(sdfg).run(dict(args), {"N": 5})
 
@@ -169,12 +198,12 @@ class TestBackendEquivalence:
         )
         args = {"A": np.arange(6.0), "B": np.zeros(6)}
         errors = {}
-        for name in ("interpreter", "vectorized"):
+        for name in ("interpreter", "compiled"):
             program = get_backend(name).prepare(sdfg)
             with pytest.raises(MemoryViolation) as exc_info:
                 program.run(dict(args), {"N": 6})
             errors[name] = exc_info.value
-        assert errors["interpreter"].data == errors["vectorized"].data == "A"
+        assert errors["interpreter"].data == errors["compiled"].data == "A"
 
     def test_content_hash_cache_reuses_programs(self):
         """Clones and JSON roundtrips preserve node guids, so they share one
@@ -182,7 +211,7 @@ class TestBackendEquivalence:
         coverage identities) and correctly compile separately."""
         from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json
 
-        backend = get_backend("vectorized")
+        backend = get_backend("compiled")
         spec = get_workload("npbench", "jacobi_1d")
         sdfg = spec.build()
         clone = sdfg.clone()
@@ -393,11 +422,11 @@ class TestShiftedWriteIndices:
         )
         args = {"A": np.arange(8.0), "B": np.zeros(5)}
         errors = {}
-        for name in ("interpreter", "vectorized"):
+        for name in ("interpreter", "compiled"):
             with pytest.raises(MemoryViolation) as exc_info:
                 get_backend(name).prepare(sdfg).run(dict(args), {"N": 8})
             errors[name] = exc_info.value
-        assert errors["interpreter"].data == errors["vectorized"].data == "B"
+        assert errors["interpreter"].data == errors["compiled"].data == "B"
 
     @pytest.mark.parametrize("index_expr", ["i % 4", "Min(i, 3)", "i // 2 + i % 2"])
     def test_piecewise_indices_that_look_affine_on_probes_fall_back(self, index_expr):
@@ -451,17 +480,15 @@ class TestShiftedWriteIndices:
         assert_bitwise_equal(r1, r2)
         assert program.stats["vectorized"] == 0
 
-    @pytest.mark.parametrize("backend", ["vectorized", "compiled"])
-    def test_jacobi_style_shifted_kernel_parity(self, backend):
-        """End-to-end parity on a jacobi-like shifted stencil for both
-        compiled backends (the compiled one routes through the same scope
-        kernels inside its generated driver)."""
+    def test_jacobi_style_shifted_kernel_parity(self):
+        """End-to-end parity, coverage included, on a jacobi-like shifted
+        stencil."""
         sdfg = self._shifted_stencil("i + 1")
         args = {"A": np.arange(9.0), "B": np.zeros(9)}
         ref = get_backend("interpreter").prepare(sdfg).run(
             dict(args), {"N": 9}, collect_coverage=True
         )
-        cand = get_backend(backend).prepare(sdfg).run(
+        cand = get_backend("compiled").prepare(sdfg).run(
             dict(args), {"N": 9}, collect_coverage=True
         )
         assert_bitwise_equal(ref, cand)
@@ -514,7 +541,7 @@ class TestCrossBackend:
             program.run(dict(args), symbols)
 
     def test_differing_crash_types_are_not_divergence(self):
-        """The vectorized backend checks a scope's bounds before running any
+        """The compiled backend checks a scope's bounds before running any
         tasklet, so it may report MemoryViolation where the interpreter hits
         a TaskletExecutionError first; both are crashes, not a divergence."""
         from repro.interpreter.errors import ExecutionError, TaskletExecutionError
@@ -535,7 +562,7 @@ class TestCrossBackend:
             program.run(dict(args), {"N": 4})
         # Sanity: the candidate alone reports the other crash class.
         with pytest.raises(ExecutionError):
-            get_backend("vectorized").prepare(sdfg).run(dict(args), {"N": 4})
+            get_backend("compiled").prepare(sdfg).run(dict(args), {"N": 4})
 
     def test_agreeing_crashes_propagate_reference_error(self):
         sdfg = SDFG("oob")
@@ -563,7 +590,7 @@ class TestBackendsInTheWorkflow:
         )
         return verifier.verify(spec.build(), xform, symbol_values=spec.symbols)
 
-    @pytest.mark.parametrize("backend", ["vectorized", "cross"])
+    @pytest.mark.parametrize("backend", ["compiled", "cross"])
     def test_verifier_verdict_matches_interpreter(self, backend):
         reference = self._verify("interpreter")
         candidate = self._verify(backend)
@@ -586,7 +613,7 @@ class TestBackendsInTheWorkflow:
         xform.apply(transformed, transfer_match(xform, match, transformed))
         non_transient = [n for n, d in sdfg.arrays.items() if not d.transient]
         reports = {}
-        for backend in ("interpreter", "vectorized"):
+        for backend in ("interpreter", "compiled"):
             sampler = InputSampler(
                 sdfg, non_transient, non_transient, seed=7, vary_sizes=False
             )
@@ -594,6 +621,6 @@ class TestBackendsInTheWorkflow:
                 sdfg, transformed, non_transient, sampler, backend=backend
             )
             reports[backend] = fuzzer.run(num_trials=4)
-        a, b = reports["interpreter"], reports["vectorized"]
+        a, b = reports["interpreter"], reports["compiled"]
         assert [t.status for t in a.trials] == [t.status for t in b.trials]
         assert [t.max_abs_error for t in a.trials] == [t.max_abs_error for t in b.trials]

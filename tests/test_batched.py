@@ -1,7 +1,8 @@
-"""Tests for the trial-batched backend and the permuted-gather fast path.
+"""Tests for batch-axis execution and the permuted-gather fast path.
 
-The ``batched`` backend stacks ``K`` fuzzing trials along a leading batch
-axis and executes each batchable scope once per batch; WCR/order-dependent
+``run_batch`` on a compiled program stacks ``K`` fuzzing trials along a
+leading batch axis and executes each batchable scope once per batch;
+WCR/order-dependent
 scopes run per trial inside the batched run, non-batchable programs and
 failed batch attempts rerun serially.  The contract under test everywhere:
 per-trial outcomes (outputs, symbols, transitions, *and errors*) are
@@ -13,16 +14,13 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.backends.batched import BatchedProgram
+from repro.backends.codegen.numpy_eager import scope_is_batchable
 from repro.backends.compiled import CompiledWholeProgram
-from repro.backends.execute import VectorizedExecutor
+from repro.backends.execute import ScopeRuntime
 from repro.core import DifferentialFuzzer, InputSampler, derive_constraints
 from repro.interpreter.errors import ExecutionError
 from repro.sdfg import SDFG, Memlet, float64
 from repro.transforms import Vectorization
-from repro.workloads import get_workload, get_workload_suite
-
-NPBENCH = [spec.name for spec in get_workload_suite("npbench")]
 
 
 def make_arguments(sdfg, symbols, seed=0):
@@ -69,7 +67,7 @@ def batched_vs_serial(sdfg, symbols, batch=4, seed=0):
             ref.append(interp.run(dict(args), symbols))
         except ExecutionError as exc:
             ref.append(exc)
-    program = BatchedProgram(sdfg)
+    program = CompiledWholeProgram(sdfg)
     got = program.run_batch([dict(a) for a in args_list], symbols)
     assert_outcomes_identical(ref, got)
     return program
@@ -159,7 +157,7 @@ class TestGatherSlices:
         return (start + step * np.arange(n, dtype=np.int64)).reshape(shape)
 
     def check_equivalent(self, arr, idx, nparams):
-        fast = VectorizedExecutor._gather_slices(idx, arr.ndim, nparams)
+        fast = ScopeRuntime._gather_slices(idx, arr.ndim, nparams)
         assert fast is not None
         sls, taxes = fast
         block = arr[sls] if taxes is None else arr[sls].transpose(taxes)
@@ -197,31 +195,31 @@ class TestGatherSlices:
     def test_constant_dimension_becomes_length_one_slice(self):
         arr = np.arange(35.0).reshape(5, 7)
         idx = [3, self.grid((5,), 0)]
-        taxes = VectorizedExecutor._gather_slices(idx, 2, 2)
+        taxes = ScopeRuntime._gather_slices(idx, 2, 2)
         assert taxes is not None
 
     def test_all_constant_stays_on_advanced_path(self):
         # arr[2, 3] is a scalar; slices would produce a (1, 1) block.
-        assert VectorizedExecutor._gather_slices([2, 3], 2, 2) is None
+        assert ScopeRuntime._gather_slices([2, 3], 2, 2) is None
 
     def test_rank_mismatch_rejected(self):
         idx = [self.grid((5,), 0)]
-        assert VectorizedExecutor._gather_slices(idx, 1, 2) is None
+        assert ScopeRuntime._gather_slices(idx, 1, 2) is None
 
     def test_duplicate_axis_rejected(self):
         # A[i, i]: both dimensions ride parameter axis 0 -- a diagonal,
         # which no rectangular slice can express.
         g = self.grid((5, 1), 0)
-        assert VectorizedExecutor._gather_slices([g, g], 2, 2) is None
+        assert ScopeRuntime._gather_slices([g, g], 2, 2) is None
 
     def test_non_arithmetic_sequence_rejected(self):
         irregular = np.asarray([0, 1, 3], dtype=np.int64).reshape(3, 1)
         regular = self.grid((3, 4), 1)
-        assert VectorizedExecutor._gather_slices([irregular, regular], 2, 2) is None
+        assert ScopeRuntime._gather_slices([irregular, regular], 2, 2) is None
 
     def test_negative_constant_rejected(self):
         assert (
-            VectorizedExecutor._gather_slices([-1, self.grid((5,), 0)], 2, 2)
+            ScopeRuntime._gather_slices([-1, self.grid((5,), 0)], 2, 2)
             is None
         )
 
@@ -250,17 +248,12 @@ class TestBatchedParity:
         program = batched_vs_serial(reduction_program(), {"N": 11}, batch=4)
         # WCR accumulation is order-dependent: never batch-eligible.
         executor = program.executor
-        assert executor._batchable
-        plan = next(iter(executor._state_plans.values())).scopes
-        assert not executor.emitter.scope_is_batchable(next(iter(plan.values())))
+        assert executor.batchable
+        (bound,) = executor._table_for(executor._compiled_states[0]).plans.values()
+        assert not scope_is_batchable(bound)
 
     def test_permuted_gather_batch(self):
         batched_vs_serial(permuted_gather_program(), {"N": 5, "M": 7}, batch=6)
-
-    def test_npbench_kernels_batch_bitwise(self):
-        for name in NPBENCH:
-            spec = get_workload("npbench", name)
-            batched_vs_serial(spec.build(), dict(spec.symbols), batch=3)
 
     def test_batch_axis_path_is_actually_taken(self):
         """`run_batched` has no serial fallback of its own -- calling it
@@ -268,8 +261,8 @@ class TestBatchedParity:
         sdfg = looped_program()
         symbols = {"N": 8, "T": 4}
         args_list = trial_arguments(sdfg, symbols, 4)
-        program = BatchedProgram(sdfg)
-        assert program.executor._batchable
+        program = CompiledWholeProgram(sdfg)
+        assert program.executor.batchable
         got = program.executor.run_batched([dict(a) for a in args_list], symbols)
         interp = get_backend("interpreter").prepare(sdfg)
         ref = [interp.run(dict(a), symbols) for a in args_list]
@@ -294,7 +287,7 @@ class TestBatchedParity:
                 ref.append(exc)
         assert isinstance(ref[2], ExecutionError)
         assert sum(isinstance(r, ExecutionError) for r in ref) == 1
-        program = BatchedProgram(sdfg)
+        program = CompiledWholeProgram(sdfg)
         got = program.run_batch([dict(a) for a in args_list], symbols)
         assert_outcomes_identical(ref, got)
 
@@ -320,8 +313,8 @@ class TestBatchedParity:
         )
         sdfg.add_edge(a, b, InterstateEdge(condition="flag > 0"))
         sdfg.add_edge(a, c, InterstateEdge(condition="flag <= 0"))
-        program = BatchedProgram(sdfg)
-        assert not program.executor._batchable
+        program = CompiledWholeProgram(sdfg)
+        assert not program.executor.batchable
         symbols = {"N": 5}
         args_list = trial_arguments(sdfg, symbols, 3)
         args_list[0]["flag"] = np.asarray([1.0])
@@ -381,19 +374,19 @@ class TestFuzzerVerdictParity:
 
     @pytest.mark.parametrize("inject_bug", [False, True])
     def test_batched_fuzzing_reproduces_serial_verdicts(self, inject_bug):
-        serial = scale_fuzzer("batched", 1, inject_bug).run(num_trials=12)
-        batched = scale_fuzzer("batched", 4, inject_bug).run(num_trials=12)
+        serial = scale_fuzzer("compiled", 1, inject_bug).run(num_trials=12)
+        batched = scale_fuzzer("compiled", 4, inject_bug).run(num_trials=12)
         self.compare_reports(serial, batched)
 
     def test_batch_not_divisible_into_trials(self):
-        serial = scale_fuzzer("batched", 1).run(num_trials=7)
-        batched = scale_fuzzer("batched", 3).run(num_trials=7)
+        serial = scale_fuzzer("compiled", 1).run(num_trials=7)
+        batched = scale_fuzzer("compiled", 3).run(num_trials=7)
         self.compare_reports(serial, batched)
         assert batched.trials_attempted == 7
 
     def test_stop_on_failure_parity(self):
-        serial = scale_fuzzer("batched", 1).run(num_trials=30, stop_on_failure=True)
-        batched = scale_fuzzer("batched", 8).run(num_trials=30, stop_on_failure=True)
+        serial = scale_fuzzer("compiled", 1).run(num_trials=30, stop_on_failure=True)
+        batched = scale_fuzzer("compiled", 8).run(num_trials=30, stop_on_failure=True)
         assert serial.failures >= 1
         assert serial.first_failure_trial == batched.first_failure_trial
         assert serial.failing_symbols == batched.failing_symbols
@@ -425,8 +418,8 @@ class TestBuggyTableVerdictParity:
 
     def test_verdicts_identical(self):
         serial = self.sweep("compiled", 1)
-        batched = self.sweep("batched", 4)
-        # trial_batch and backend are execution knobs, not task identity.
+        batched = self.sweep("compiled", 4)
+        # trial_batch is an execution knob, not task identity.
         assert set(serial) == set(batched)
         for task_id, outcome in serial.items():
             other = batched[task_id]

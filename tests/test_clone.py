@@ -211,7 +211,7 @@ class TestSharedAcrossThreads:
     every thread of the process.  A prepared program holds the state of the
     run in progress, so it must never reach a second thread."""
 
-    @pytest.mark.parametrize("backend", ["vectorized", "compiled", "batched"])
+    @pytest.mark.parametrize("backend", ["compiled", "native"])
     def test_a_prepared_program_stays_in_its_thread(self, backend):
         program = build_workload("npbench", "gemm")
         prepare = get_backend(backend).prepare

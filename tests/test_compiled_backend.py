@@ -122,16 +122,7 @@ def build_irreducible():
     return sdfg
 
 
-class TestParityAcrossSuite:
-    @pytest.mark.parametrize("kernel", NPBENCH)
-    def test_bitwise_and_coverage_parity(self, kernel):
-        spec = get_workload("npbench", kernel)
-        sdfg = spec.build()
-        symbols = dict(spec.symbols)
-        args = make_arguments(sdfg, symbols)
-        r1, r2, _ = run_pair(sdfg, args, symbols)
-        assert_identical(r1, r2)
-
+class TestSuiteLowering:
     @pytest.mark.parametrize("kernel", NPBENCH)
     def test_suite_kernels_compile_structured(self, kernel):
         """Every suite kernel's state machine is reducible: no kernel should
@@ -472,18 +463,29 @@ class TestProgramsDieByRefcount:
         yield
         gc.enable()
 
-    @pytest.mark.parametrize("backend", ["compiled", "batched"])
+    @pytest.mark.parametrize("backend", ["compiled", "native"])
     def test_executor_and_its_ops_form_no_cycle(self, no_collector, backend):
+        """Serial and batched op lists take the executor as an argument,
+        and so does the kernel tier it holds."""
         sdfg = build_loop_nest()
-        program = get_backend(backend).program_class(sdfg)
-        program.run(make_arguments(sdfg, {"N": 6, "T": 3}), {"N": 6, "T": 3})
+        program = get_backend(backend).prepare(sdfg)
+        get_backend(backend)._lru.programs.clear()
+        symbols = {"N": 6, "T": 3}
+        program.run(make_arguments(sdfg, symbols), symbols)
+        program.run_batch([make_arguments(sdfg, symbols, seed=k) for k in range(3)], symbols)
+        assert program.executor._batched_ops is not None
         executor = weakref.ref(program.executor)
         del program
         assert executor() is None
 
-    def test_crashing_trials_leave_nothing_behind(self, no_collector):
+    @pytest.mark.parametrize(
+        "backend, trial_batch",
+        [("compiled", 1), ("cross:compiled,interpreter", 1), ("compiled", 4)],
+    )
+    def test_crashing_trials_leave_nothing_behind(self, no_collector, backend, trial_batch):
         """A caught trial error's traceback reaches every frame up to the
-        task; nothing on the way may hold the error in a local."""
+        task; nothing on the way -- the fuzzer's serial loop, the ``cross``
+        pairing, a batch's outcome list -- may keep the error with it."""
         from repro.core.reporting import TrialStatus
         from repro.core.verifier import FuzzyFlowVerifier
         from repro.transforms import all_builtin_transformations
@@ -495,7 +497,8 @@ class TestProgramsDieByRefcount:
         before = live_executors()
         spec = get_workload("npbench", "gemm")
         report = FuzzyFlowVerifier(
-            num_trials=6, size_max=10, seed=0, minimize_inputs=False, backend="compiled"
+            num_trials=6, size_max=10, seed=0, minimize_inputs=False,
+            backend=backend, trial_batch=trial_batch,
         ).verify_instance(
             spec.build(),
             all_builtin_transformations()["Vectorization"](inject_bug=True),

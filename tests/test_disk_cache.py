@@ -25,7 +25,7 @@ from repro.backends.compiled import (
     CompiledBackend,
     CompiledWholeProgram,
 )
-from repro.backends.vectorized import CACHE_DIR_ENV, VectorizedBackend
+from repro.backends.cache import CACHE_DIR_ENV
 from repro.sdfg import SDFG, InterstateEdge, Memlet, float64
 from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json
 
@@ -111,17 +111,6 @@ class TestDiskRoundtrip:
         r1 = p1.run(dict(args), {})
         r2 = p2.run(dict(args), {})
         assert r1.symbols == r2.symbols
-
-    def test_vectorized_backend_skips_the_disk_tier(self, tmp_path):
-        """The vectorized program persists nothing, so its backend performs
-        no disk I/O at all -- even when sharing a cache directory populated
-        by compiled siblings."""
-        blob = sdfg_to_json(build_loop_program())
-        CompiledBackend(cache_dir=str(tmp_path)).prepare(sdfg_from_json(blob))
-        assert glob.glob(str(tmp_path / "*.json"))  # sibling artifact exists
-        backend = VectorizedBackend(cache_dir=str(tmp_path))
-        backend.prepare(sdfg_from_json(blob))
-        assert (backend.disk_hits, backend.disk_misses) == (0, 0)
 
 
 class TestInvalidation:

@@ -14,7 +14,6 @@ import pytest
 
 from repro.backends import get_backend
 from repro.backends.compiled import CompiledWholeProgram
-from repro.backends.vectorized import VectorizedProgram
 from repro.sdfg import SDFG, InterstateEdge, Memlet, float64
 from repro.sdfg.analysis import elementwise_scope_chains
 from repro.workloads import get_workload, get_workload_suite
@@ -51,12 +50,12 @@ def interpreter_reference(sdfg, args, symbols):
 
 
 def run_all_backends(sdfg, symbols, seed=0):
-    """Interpreter vs. vectorized vs. compiled on one program; returns the
-    two candidate programs for stats inspection."""
+    """Interpreter vs. compiled on one program; returns the candidate
+    program, by backend name, for stats inspection."""
     args = make_arguments(sdfg, symbols, seed)
     ref = interpreter_reference(sdfg, args, symbols)
     programs = {}
-    for name in ("vectorized", "compiled"):
+    for name in ("compiled",):
         program = get_backend(name).prepare(sdfg)
         result = program.run(dict(args), symbols, collect_coverage=True)
         assert_identical(ref, result)
@@ -529,7 +528,7 @@ class TestFusionPreconditions:
     def test_runtime_failure_falls_back_to_members(self):
         """A fused chain that dies at runtime re-runs its members
         individually -- bitwise identically -- and stays disabled."""
-        for backend_cls in (VectorizedProgram, CompiledWholeProgram):
+        for backend_cls in (CompiledWholeProgram,):
             sdfg = chain_sdfg(["y = x + 1.0", "y = x * 2.0"])
             symbols = {"N": 9}
             args = make_arguments(sdfg, symbols)
@@ -609,7 +608,7 @@ class TestFusedErrorParity:
         )
         symbols = {"N": 8}
         args = make_arguments(sdfg, symbols)
-        for backend in ("interpreter", "vectorized", "compiled"):
+        for backend in ("interpreter", "compiled"):
             with pytest.raises(MemoryViolation):
                 get_backend(backend).prepare(sdfg).run(dict(args), symbols)
 

@@ -18,9 +18,9 @@ import pytest
 
 from repro.backends import get_backend
 from repro.backends.analysis import analyze_program
-from repro.backends.batched import BatchedExecutor
 from repro.backends.codegen.numpy_eager import BoundInput, BoundOutput, _bind_dims
-from repro.backends.execute import VectorizedExecutor
+from repro.backends.compiled import CompiledExecutor, CompiledWholeProgram
+from repro.backends.execute import ScopeRuntime
 from repro.backends.geometry import axis_triple
 from repro.core.cutout import extract_cutout, transfer_match
 from repro.interpreter.errors import MemoryViolation
@@ -101,11 +101,11 @@ def assert_same(ref, got):
     assert ref.tobytes() == np.ascontiguousarray(got).tobytes()
 
 
-def executor(cls, store, batched=False):
-    ex = cls(SDFG("geometry"))
+def executor(store, batched=False):
+    ex = ScopeRuntime(SDFG("geometry"))
     ex._store = store
     if batched:
-        ex._batched_mode, ex._batch = True, BATCH
+        ex._lead, ex._batch = 1, BATCH
     return ex
 
 
@@ -126,7 +126,7 @@ class TestClosedFormAgainstMaterialised:
         kinds = set()
         for ranges, dims, shape in CASES:
             grids, _ = materialise(ranges, dims)
-            ok = not isinstance(outcome(lambda: VectorizedExecutor._check_vector_bounds(
+            ok = not isinstance(outcome(lambda: ScopeRuntime._check_vector_bounds(
                 "A", "s", grids, shape)), MemoryViolation)
             used = [p[0] for k, p in dims if k == "param"]
             kinds.add((ok, "const" if not used else "permuted" if used != sorted(used)
@@ -142,18 +142,18 @@ class TestClosedFormAgainstMaterialised:
             nparams = len(ranges)
 
             def reference():
-                VectorizedExecutor._check_vector_bounds("A", "A[s]", grids, shape)
+                ScopeRuntime._check_vector_bounds("A", "A[s]", grids, shape)
                 if not batched:
                     return arr[tuple(grids)]
                 value = arr[(slice(None),) + tuple(grids)]
                 return value.reshape((BATCH,) + (1,) * nparams) if value.ndim != nparams + 1 else value
 
-            ex = executor(BatchedExecutor if batched else VectorizedExecutor, {"A": arr}, batched)
+            ex = executor({"A": arr}, batched)
             spec = BoundInput("x", "A", _bind_dims(dims), None, "A[s]")
             triples = [axis_triple(*r) for r in ranges]
 
             def closed():
-                value = ex._resolve_gather(spec, triples, BINDINGS)[1]()
+                value = ex._resolve_gather(spec, triples, BINDINGS, ex._lead)[1]()
                 assert not np.shares_memory(value, arr)
                 return value
 
@@ -169,18 +169,18 @@ class TestClosedFormAgainstMaterialised:
             _, flat = materialise(ranges, dims)
 
             def reference():
-                VectorizedExecutor._check_vector_bounds("A", "A[s]", flat, shape)
+                ScopeRuntime._check_vector_bounds("A", "A[s]", flat, shape)
                 mask = np.zeros(lead + shape)
                 mask[(slice(None),) * len(lead) + np.ix_(*flat)] = 1.0
                 return mask
 
             arr = np.zeros(lead + shape)
-            ex = executor(BatchedExecutor if batched else VectorizedExecutor, {"A": arr}, batched)
+            ex = executor({"A": arr}, batched)
             spec = BoundOutput("y", "A", _bind_dims(dims), None, "A[s]")
             triples = [axis_triple(*r) for r in ranges]
 
             def closed():
-                geom = ex._resolve_write(spec, triples, BINDINGS)
+                geom = ex._resolve_write(spec, triples, BINDINGS, ex._lead)
                 arr[geom.mesh] = 1.0
                 return arr
 
@@ -189,7 +189,7 @@ class TestClosedFormAgainstMaterialised:
     def test_wcr_write_accumulates_like_the_iteration_loop(self):
         for n, (ranges, dims, shape) in enumerate(CASES[:150]):
             _, flat = materialise(ranges, dims)
-            if isinstance(outcome(lambda: VectorizedExecutor._check_vector_bounds(
+            if isinstance(outcome(lambda: ScopeRuntime._check_vector_bounds(
                     "A", "s", flat, shape)), MemoryViolation):
                 continue
             counts = [len(range(b, e + 1 if s > 0 else e - 1, s)) for b, e, s in ranges]
@@ -202,19 +202,19 @@ class TestClosedFormAgainstMaterialised:
                 )
                 ref[where] += value[point]
             arr = np.ones(shape)
-            ex = executor(VectorizedExecutor, {"A": arr})
+            ex = executor({"A": arr})
             spec = BoundOutput("y", "A", _bind_dims(dims), "sum", "A[s]")
             geom = ex._resolve_write(spec, [axis_triple(*r) for r in ranges], BINDINGS)
             ex._make_write(geom, value, tuple(counts))()
             assert ref.tobytes() == arr.tobytes()
 
     def test_dimensionality_mismatch_message(self):
-        ex = executor(VectorizedExecutor, {"A": np.zeros((3, 3))})
+        ex = executor({"A": np.zeros((3, 3))})
         spec = BoundInput("x", "A", [("param", (0, 0))], None, "A[i]")
         with pytest.raises(MemoryViolation) as got:
             ex._resolve_gather(spec, [(0, 1, 3)], {})
         with pytest.raises(MemoryViolation) as ref:
-            VectorizedExecutor._check_vector_bounds("A", "A[i]", [np.arange(3)], (3, 3))
+            ScopeRuntime._check_vector_bounds("A", "A[i]", [np.arange(3)], (3, 3))
         assert str(got.value) == str(ref.value) and "dimensionality" in str(ref.value)
 
 
@@ -272,7 +272,7 @@ class TestClassification:
         assert scope_plans(program("y = x + i", "i"))[0].needs_grids
         assert scope_plans(program("y = 2.0 * x", "N - 1 - i"))[0].needs_grids
 
-    @pytest.mark.parametrize("backend", ["vectorized", "compiled", "batched", "native"])
+    @pytest.mark.parametrize("backend", ["compiled", "native"])
     def test_mixed_program_matches_the_interpreter(self, backend):
         sdfg = classified_program()
         rng = np.random.default_rng(0)
@@ -317,23 +317,21 @@ def chain_program(domain):
 
 class TestChainInternalOutputs:
     def test_fused_chain_on_the_batch_axis(self, monkeypatch):
-        from repro.backends.batched import BatchedProgram
-
         sdfg, symbols = chain_program("0:N-2"), {"N": 8}
         args_list = [{"A": np.random.default_rng(k).standard_normal(8), "Out": np.zeros(8)}
                      for k in range(BATCH)]
         interp = get_backend("interpreter").prepare(sdfg)
-        program = BatchedProgram(sdfg)
+        program = CompiledWholeProgram(sdfg)
         checked = []
-        real = BatchedExecutor._check_write
+        real = CompiledExecutor._check_write
         monkeypatch.setattr(
-            BatchedExecutor, "_check_write",
-            lambda rt, spec, *a: checked.append((spec.data, rt._batched_mode)) or real(rt, spec, *a),
+            CompiledExecutor, "_check_write",
+            lambda rt, spec, *a: checked.append((spec.data, rt._lead)) or real(rt, spec, *a),
         )
         # ``run_batched`` has no serial fallback: a check against the wrong
         # (batch-prefixed) shape would surface here.
         got = program.executor.run_batched([dict(a) for a in args_list], symbols)
-        assert checked == [("B", True), ("Out", True)]
+        assert checked == [("B", 1), ("Out", 1)]
         for args, result in zip(args_list, got):
             want = interp.run(dict(args), symbols).outputs["Out"]
             assert want.tobytes() == result.outputs["Out"].tobytes()
@@ -344,7 +342,7 @@ class TestChainInternalOutputs:
         with pytest.raises(MemoryViolation) as want:
             get_backend("interpreter").prepare(sdfg).run(dict(args), {"N": 8})
         with pytest.raises(MemoryViolation) as have:
-            get_backend("batched").prepare(sdfg).run(dict(args), {"N": 8})
+            get_backend("compiled").prepare(sdfg).run(dict(args), {"N": 8})
         assert type(have.value) is type(want.value) and "'B'" in str(have.value)
 
 
@@ -375,7 +373,7 @@ class TestNoIndexArraysOnAffineScopes:
         real_arange = np.arange
         monkeypatch.setattr(np, "arange", lambda *a, **k: calls.append("arange") or real_arange(*a, **k))
         monkeypatch.setattr(
-            VectorizedExecutor, "_check_vector_bounds",
+            ScopeRuntime, "_check_vector_bounds",
             staticmethod(lambda *a: calls.append("check")),
         )
         got = program.run(dict(args), symbols)

@@ -1,9 +1,9 @@
 """Tests for the native C kernel tier (the ``native`` backend).
 
-The native backend extends the trial-batched backend: at prepare time
+A program prepared under ``native`` holds a kernel tier: at prepare time
 eligible scopes and fused chains are lowered to C, compiled, and invoked
 through zero-copy buffer pointers; everything else -- and any machine
-without a C compiler -- runs the inherited Python path.  The contract under
+without a C compiler -- runs the compiled backend's Python path.  The contract under
 test everywhere: outcomes (outputs, symbols, transitions, *and errors*) are
 bitwise identical to the interpreter whether or not a single native kernel
 fired, so differential verdicts cannot depend on the presence of a
@@ -17,17 +17,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
+from repro.backends import CompiledBackend, get_backend, native_backend
 from repro.backends.base import CompiledProgram
 from repro.backends.cross import BackendDivergenceError, CrossBackend, CrossProgram
-from repro.backends.native import NativeBackend, NativeProgram, detect_toolchain
+from repro.backends.native import KernelTier, detect_toolchain
 from repro.backends.native.toolchain import CC_ENV
 from repro.interpreter.errors import ExecutionError, TaskletExecutionError
 from repro.sdfg import SDFG, Memlet, float64
 from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json
-from repro.workloads import get_workload, get_workload_suite
-
-NPBENCH = [spec.name for spec in get_workload_suite("npbench")]
+from repro.workloads import get_workload
 
 #: Toolchain presence only *gates assertions about native execution counts*;
 #: every parity test must pass identically without one.
@@ -61,7 +59,7 @@ def native_vs_interpreter(sdfg, symbols, seed=0, backend=None):
     Returns the native program for stats inspection."""
     args = make_arguments(sdfg, symbols, seed)
     interp = get_backend("interpreter").prepare(sdfg)
-    program = (backend or NativeBackend()).prepare(sdfg)
+    program = (backend or native_backend()).prepare(sdfg)
     try:
         ref = interp.run(dict(args), symbols, collect_coverage=True)
     except ExecutionError as exc:
@@ -167,30 +165,11 @@ def loop_nest_program():
 # Bitwise parity with the interpreter
 # ---------------------------------------------------------------------- #
 class TestNativeParity:
-    @pytest.mark.parametrize("kernel", NPBENCH)
-    def test_npbench_serial_bitwise(self, kernel):
-        spec = get_workload("npbench", kernel)
-        native_vs_interpreter(spec.build(), dict(spec.symbols))
-
-    @pytest.mark.parametrize("kernel", NPBENCH)
-    def test_npbench_batch_bitwise(self, kernel):
-        spec = get_workload("npbench", kernel)
-        sdfg, symbols = spec.build(), dict(spec.symbols)
-        args_list = [make_arguments(sdfg, symbols, seed=s) for s in range(3)]
-        interp = get_backend("interpreter").prepare(sdfg)
-        ref = [interp.run(dict(a), symbols) for a in args_list]
-        got = NativeBackend().prepare(sdfg).run_batch(
-            [dict(a) for a in args_list], symbols
-        )
-        for r, g in zip(ref, got):
-            assert not isinstance(g, ExecutionError)
-            assert_identical(r, g)
-
     def test_fused_chain_fires_natively(self):
         program = native_vs_interpreter(chain_program(), {"N": 33})
         if HAVE_CC:
             assert program.stats["native"] >= 1
-            assert program.executor.native_build["kernels"] >= 1
+            assert program.executor.kernels.build["kernels"] >= 1
 
     def test_loop_nest_reuses_geometry_across_iterations(self):
         program = native_vs_interpreter(loop_nest_program(), {"N": 17, "T": 6})
@@ -209,7 +188,7 @@ class TestNativeParity:
         sdfg = wcr_tail_program(wcr)
         symbols = {"N": 4}
         interp = get_backend("interpreter").prepare(sdfg)
-        program = NativeBackend().prepare(sdfg)
+        program = native_backend().prepare(sdfg)
         for pattern in ([-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0]):
             args = {"A": np.asarray(pattern), "Out": np.zeros(1)}
             ref = interp.run(dict(args), symbols)
@@ -221,7 +200,7 @@ class TestNativeParity:
         symbols = {"N": 5}
         args = {"A": np.asarray([1.0, np.nan, 3.0, -2.0, 0.5]), "Out": np.zeros(1)}
         ref = get_backend("interpreter").prepare(sdfg).run(dict(args), symbols)
-        res = NativeBackend().prepare(sdfg).run(dict(args), symbols)
+        res = native_backend().prepare(sdfg).run(dict(args), symbols)
         assert ref.outputs["Out"].tobytes() == res.outputs["Out"].tobytes()
 
     def test_strided_subset(self):
@@ -240,7 +219,7 @@ class TestNativeParity:
         base = np.random.default_rng(7).standard_normal(20)
         args = {"A": base[::2], "Out": np.zeros(10)}
         ref = get_backend("interpreter").prepare(sdfg).run(dict(args), symbols)
-        res = NativeBackend().prepare(sdfg).run(dict(args), symbols)
+        res = native_backend().prepare(sdfg).run(dict(args), symbols)
         assert_identical(ref, res)
 
 
@@ -254,7 +233,7 @@ class TestCrashTaxonomy:
         args = {"A": np.asarray(values, dtype=np.float64),
                 "Out": np.zeros(len(values))}
         interp = get_backend("interpreter").prepare(sdfg)
-        program = NativeBackend().prepare(sdfg)
+        program = native_backend().prepare(sdfg)
         with pytest.raises(TaskletExecutionError) as ref:
             interp.run(dict(args), symbols)
         with pytest.raises(TaskletExecutionError) as got:
@@ -266,7 +245,7 @@ class TestCrashTaxonomy:
         """The in-kernel guard reproduces CPython's exact ValueError."""
         program = self.crash_case("math.sqrt(x)", [1.0, 4.0, -1.0, 9.0])
         if HAVE_CC:
-            assert program.executor.native_build["kernels"] >= 1
+            assert program.executor.kernels.build["kernels"] >= 1
 
     def test_exp_range_error(self):
         self.crash_case("math.exp(x)", [1.0, 1000.0])
@@ -288,7 +267,7 @@ class TestCrashTaxonomy:
                 ref.append(interp.run(dict(args), symbols))
             except ExecutionError as exc:
                 ref.append(exc)
-        got = NativeBackend().prepare(sdfg).run_batch(
+        got = native_backend().prepare(sdfg).run_batch(
             [dict(a) for a in args_list], symbols
         )
         for k, (r, g) in enumerate(zip(ref, got)):
@@ -308,11 +287,11 @@ class TestToolchainFallback:
         monkeypatch.setenv(CC_ENV, str(tmp_path / "missing-cc"))
         assert detect_toolchain() is None
         program = native_vs_interpreter(
-            chain_program(), {"N": 21}, backend=NativeBackend()
+            chain_program(), {"N": 21}, backend=native_backend()
         )
         assert program.stats["native"] == 0
-        assert program.executor.native_build["error"] == "no-toolchain"
-        assert program.executor.native_build["kernels"] >= 1  # emitted, unbuilt
+        assert program.executor.kernels.build["error"] == "no-toolchain"
+        assert program.executor.kernels.build["kernels"] >= 1  # emitted, unbuilt
 
     def test_missing_compiler_crash_taxonomy_unchanged(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CC_ENV, str(tmp_path / "missing-cc"))
@@ -322,7 +301,7 @@ class TestToolchainFallback:
         with pytest.raises(TaskletExecutionError) as ref:
             get_backend("interpreter").prepare(sdfg).run(dict(args), symbols)
         with pytest.raises(TaskletExecutionError) as got:
-            NativeBackend().prepare(sdfg).run(dict(args), symbols)
+            native_backend().prepare(sdfg).run(dict(args), symbols)
         assert str(got.value) == str(ref.value)
 
     @needs_cc
@@ -331,8 +310,8 @@ class TestToolchainFallback:
         monkeypatch.setenv(CC_ENV, real.cc)
         forced = detect_toolchain()
         assert forced is not None and forced.cc == real.cc
-        program = NativeBackend().prepare(chain_program())
-        assert program.executor.native_build["fingerprint"]["cc"] == real.cc
+        program = native_backend().prepare(chain_program())
+        assert program.executor.kernels.build["fingerprint"]["cc"] == real.cc
 
 
 # ---------------------------------------------------------------------- #
@@ -361,7 +340,7 @@ class TestCrossNativeInterpreter:
         sdfg = chain_program()
         symbols = {"N": 9}
         args = make_arguments(sdfg, symbols)
-        native = NativeBackend().prepare(sdfg)
+        native = native_backend().prepare(sdfg)
 
         class PerturbedNative(CompiledProgram):
             def run(self, arguments=None, symbols=None, collect_coverage=False):
@@ -386,8 +365,8 @@ class TestCrossNativeInterpreter:
 # ---------------------------------------------------------------------- #
 class TestEmitterRejections:
     def build_reasons(self, sdfg):
-        program = NativeBackend().prepare(sdfg)
-        return program.executor.native_build["rejected"]
+        program = native_backend().prepare(sdfg)
+        return program.executor.kernels.build["rejected"]
 
     def test_unsupported_call_is_rejected_not_failed(self):
         # math.gamma has no C guard mapping: the scope must *run* (Python
@@ -396,8 +375,8 @@ class TestEmitterRejections:
         symbols = {"N": 5}
         args = {"A": np.abs(make_arguments(sdfg, symbols)["A"]) + 0.5,
                 "Out": np.zeros(5)}
-        program = NativeBackend().prepare(sdfg)
-        reasons = program.executor.native_build["rejected"]
+        program = native_backend().prepare(sdfg)
+        reasons = program.executor.kernels.build["rejected"]
         assert any(r.startswith("native-") for r in reasons.values())
         ref = get_backend("interpreter").prepare(sdfg).run(dict(args), symbols)
         res = program.run(dict(args), symbols)
@@ -418,9 +397,9 @@ class TestEmitterRejections:
 class TestNativeArtifacts:
     def test_artifact_embeds_source_and_object(self, tmp_path):
         blob = sdfg_to_json(chain_program())
-        writer = NativeBackend(cache_dir=str(tmp_path))
+        writer = native_backend(cache_dir=str(tmp_path))
         p1 = writer.prepare(sdfg_from_json(blob))
-        assert p1.executor.native_build["cache"] == "compiled"
+        assert p1.executor.kernels.build["cache"] == "compiled"
         (path,) = glob.glob(str(tmp_path / "*-native.json"))
         doc = json.load(open(path))
         assert doc["toolchain"] == detect_toolchain().fingerprint()
@@ -429,11 +408,11 @@ class TestNativeArtifacts:
 
     def test_sibling_reuses_shared_object(self, tmp_path):
         blob = sdfg_to_json(chain_program())
-        NativeBackend(cache_dir=str(tmp_path)).prepare(sdfg_from_json(blob))
-        reader = NativeBackend(cache_dir=str(tmp_path))
+        native_backend(cache_dir=str(tmp_path)).prepare(sdfg_from_json(blob))
+        reader = native_backend(cache_dir=str(tmp_path))
         p2 = reader.prepare(sdfg_from_json(blob))
         assert reader.disk_hits == 1
-        assert p2.executor.native_build["cache"] == "artifact"
+        assert p2.executor.kernels.build["cache"] == "artifact"
         # ... and the reloaded object executes bitwise-identically.
         sdfg = sdfg_from_json(blob)
         symbols = {"N": 19}
@@ -445,15 +424,15 @@ class TestNativeArtifacts:
 
     def test_stale_toolchain_recompiles(self, tmp_path):
         blob = sdfg_to_json(chain_program())
-        NativeBackend(cache_dir=str(tmp_path)).prepare(sdfg_from_json(blob))
+        native_backend(cache_dir=str(tmp_path)).prepare(sdfg_from_json(blob))
         (path,) = glob.glob(str(tmp_path / "*-native.json"))
         doc = json.load(open(path))
         doc["toolchain"]["version"] = "stale-0.0"
         json.dump(doc, open(path, "w"))
-        backend = NativeBackend(cache_dir=str(tmp_path))
+        backend = native_backend(cache_dir=str(tmp_path))
         program = backend.prepare(sdfg_from_json(blob))
         assert backend.disk_hits == 0
-        assert program.executor.native_build["cache"] == "compiled"
+        assert program.executor.kernels.build["cache"] == "compiled"
         assert json.load(open(path))["toolchain"] == (
             detect_toolchain().fingerprint()
         )
@@ -462,11 +441,9 @@ class TestNativeArtifacts:
         """Native artifacts must not shadow the compiled backend's entries
         for the same content hash (they embed a shared object the pure
         Python backends cannot use)."""
-        from repro.backends.compiled import CompiledBackend
-
         blob = sdfg_to_json(chain_program())
         CompiledBackend(cache_dir=str(tmp_path)).prepare(sdfg_from_json(blob))
-        NativeBackend(cache_dir=str(tmp_path)).prepare(sdfg_from_json(blob))
+        native_backend(cache_dir=str(tmp_path)).prepare(sdfg_from_json(blob))
         plain = [p for p in glob.glob(str(tmp_path / "*.json"))
                  if not p.endswith("-native.json")]
         native = glob.glob(str(tmp_path / "*-native.json"))
@@ -485,7 +462,7 @@ class TestRegistry:
 
         assert "native" in list_backends()
         program = get_backend("native").prepare(chain_program())
-        assert isinstance(program, NativeProgram)
+        assert isinstance(program.executor.kernels, KernelTier)
 
     def test_trial_batch_native_parity(self):
         """The fuzzer's --trial-batch path through the native backend must
@@ -495,7 +472,7 @@ class TestRegistry:
         args_list = [make_arguments(sdfg, symbols, seed=s) for s in range(6)]
         interp = get_backend("interpreter").prepare(sdfg)
         ref = [interp.run(dict(a), symbols) for a in args_list]
-        program = NativeBackend().prepare(sdfg)
+        program = native_backend().prepare(sdfg)
         got = program.executor.run_batched(
             [dict(a) for a in args_list], symbols
         )

@@ -1,0 +1,170 @@
+"""The tier-parity matrix: every optimising path against the interpreter.
+
+``{compiled, native}`` x ``{run, run_batch K=4}`` on every npbench kernel,
+one bert cutout (a tiled map: the outer scope is expanded by the
+interpreter, the inner one runs vectorized, once per tile) and one cloudsc
+cutout.  Per trial the outputs, the final symbols, the transition count and
+the coverage features must equal the oracle's bit for bit -- whether or not
+a single scope vectorized, batched or ran as a C kernel.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from repro.backends import get_backend
+from repro.core.cutout import extract_cutout, transfer_match
+from repro.interpreter.errors import ExecutionError
+from repro.transforms import all_builtin_transformations
+from repro.workloads import get_workload, get_workload_suite
+
+BATCH = 4
+TIERS = ["compiled", "native"]
+
+
+def transformed_cutout(suite, name, transformation, **options):
+    """The exposed cutout of the transformation's first match, transformed."""
+    spec = get_workload(suite, name)
+    sdfg = spec.build()
+    xform = all_builtin_transformations()[transformation](**options)
+    match = xform.find_matches(sdfg)[0]
+    cutout = extract_cutout(
+        sdfg, transformation=xform, match=match, symbol_values=spec.symbols
+    )
+    transformed = cutout.sdfg.clone(new_name=f"{name}_{transformation}")
+    xform.apply(transformed, transfer_match(xform, match, transformed))
+    cutout.expose(transformed)
+    return transformed, dict(spec.symbols)
+
+
+def npbench_kernel(name):
+    spec = get_workload("npbench", name)
+    return spec.build(), dict(spec.symbols)
+
+
+PROGRAMS = {
+    **{
+        spec.name: functools.partial(npbench_kernel, spec.name)
+        for spec in get_workload_suite("npbench")
+    },
+    "bert:tiled_cutout": functools.partial(
+        transformed_cutout, "bert", "encoder_layer", "MapTiling", tile_size=2
+    ),
+    "cloudsc:expanded_cutout": functools.partial(
+        transformed_cutout, "cloudsc", "cloudsc", "MapExpansion"
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def case(name):
+    """One build per program: a backend asked twice for it (``run``, then
+    ``run_batch``) answers from its program cache, so ``native`` compiles
+    each program's kernels once."""
+    sdfg, symbols = PROGRAMS[name]()
+    trials = [
+        {
+            container: np.random.default_rng(seed).standard_normal(
+                desc.concrete_shape(symbols)
+            )
+            for container, desc in sdfg.arrays.items()
+            if not desc.transient
+        }
+        for seed in range(BATCH)
+    ]
+    interpreter = get_backend("interpreter").prepare(sdfg)
+    return sdfg, symbols, trials, interpreter
+
+
+def oracle(name, collect_coverage):
+    sdfg, symbols, trials, interpreter = case(name)
+    outcomes = []
+    for arguments in trials:
+        try:
+            outcomes.append(
+                interpreter.run(dict(arguments), symbols, collect_coverage=collect_coverage)
+            )
+        except ExecutionError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def assert_same_outcome(want, got):
+    if isinstance(want, ExecutionError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, ExecutionError), got
+    assert set(got.outputs) == set(want.outputs)
+    for container, value in want.outputs.items():
+        other = got.outputs[container]
+        assert other.dtype == value.dtype and other.shape == value.shape, container
+        assert np.ascontiguousarray(other).tobytes() == (
+            np.ascontiguousarray(value).tobytes()
+        ), f"container '{container}' differs bitwise"
+    assert got.symbols == want.symbols
+    assert got.transitions == want.transitions
+    assert got.coverage.features() == want.coverage.features()
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("name", PROGRAMS)
+class TestTierParity:
+    def test_run(self, name, tier):
+        sdfg, symbols, trials, _ = case(name)
+        program = get_backend(tier).prepare(sdfg)
+        for arguments, want in zip(trials, oracle(name, collect_coverage=True)):
+            try:
+                got = program.run(dict(arguments), symbols, collect_coverage=True)
+            except ExecutionError as exc:
+                got = exc
+            assert_same_outcome(want, got)
+
+    def test_run_batch(self, name, tier):
+        """Without coverage the batch runs on the trial axis; with it, trial
+        by trial (coverage is per trial) -- same outcomes either way."""
+        sdfg, symbols, trials, _ = case(name)
+        program = get_backend(tier).prepare(sdfg)
+        for collect_coverage in (False, True):
+            got = program.run_batch(
+                [dict(arguments) for arguments in trials], symbols,
+                collect_coverage=collect_coverage,
+            )
+            want = oracle(name, collect_coverage)
+            assert len(got) == len(want) == BATCH
+            for w, g in zip(want, got):
+                assert_same_outcome(w, g)
+
+
+class TestTheMatrixExercisesEveryPath:
+    """Parity of paths nobody took proves nothing."""
+
+    def test_scopes_vectorize_fuse_and_fall_back(self):
+        stats = {"vectorized": 0, "fused": 0, "fallback": 0}
+        for name in PROGRAMS:
+            sdfg, symbols, trials, _ = case(name)
+            program = get_backend("compiled").prepare(sdfg)
+            before = dict(program.stats)
+            program.run(dict(trials[0]), symbols)
+            for key in stats:
+                stats[key] += program.stats[key] - before[key]
+        assert all(stats.values()), stats
+
+    def test_batches_take_the_trial_axis(self):
+        for name in ("gemm", "jacobi_2d", "bert:tiled_cutout"):
+            sdfg, symbols, trials, _ = case(name)
+            executor = get_backend("compiled").prepare(sdfg).executor
+            assert executor.batchable
+            executor.run_batched([dict(a) for a in trials], symbols)  # raises on retreat
+
+    def test_kernels_fire_where_a_toolchain_exists(self):
+        from repro.backends.native import detect_toolchain
+
+        fired = 0
+        for name in ("gemm", "jacobi_2d"):
+            sdfg, symbols, trials, _ = case(name)
+            program = get_backend("native").prepare(sdfg)
+            program.run(dict(trials[0]), symbols)
+            program.run_batch([dict(a) for a in trials], symbols)
+            fired += program.stats["native"]
+        assert fired > 0 or detect_toolchain() is None

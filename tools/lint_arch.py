@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Architecture lint for the backend lowering pipeline.
 
-Enforces two structural invariants of ``src/repro/backends/`` (see the
-package docstring for the analyze -> plan -> codegen -> execute pipeline):
+Enforces six structural invariants of ``src/repro/`` -- three of the
+backends (see that package's docstring for the analyze -> plan -> codegen ->
+execute pipeline), one of the cluster, two of the whole tree:
 
 1. **Module size** -- no module under ``src/repro/backends/`` may exceed
    800 lines.  The pre-split backend grew monolithic modules where legality
