@@ -89,11 +89,12 @@ bench-e2e-check:
 # alternating runs of workload W on the committed files of BASE and on the
 # working tree; per end-to-end metric both medians with quartiles, wins /
 # pairs and the gain / within-bound / regressed verdict.  N=10 takes about
-# 2 x N x 24 s.  FUZZ_SEED=1 is the held-out fuzzing seed.
+# 2 x N x 24 s.  FUZZ_SEED=1 is the held-out fuzzing seed; TRACE=1 pairs the
+# driver's traced form and prints per-layer medians (where a move came from).
 BASE ?= HEAD~1
 N ?= 10
 bench-pairs:
-	$(PY) tools/bench_pairs.py --workload $(W) --base $(BASE) --pairs $(N) $(if $(FUZZ_SEED),--fuzz-seed $(FUZZ_SEED))
+	$(PY) tools/bench_pairs.py --workload $(W) --base $(BASE) --pairs $(N) $(if $(FUZZ_SEED),--fuzz-seed $(FUZZ_SEED)) $(if $(TRACE),--trace)
 
 # Structural invariants of src/repro/backends/ and src/repro/cluster/:
 # module-size caps, the codegen -> execute layering rule (emitters never

@@ -4,7 +4,10 @@ First stage of the backend lowering pipeline (analyze -> plan -> codegen ->
 execute): decides, per map scope, whether the scope can execute as whole-
 array NumPy operations -- and per elementwise scope chain (discovered
 structurally by :func:`repro.sdfg.analysis.elementwise_scope_chains`),
-whether the chain can fuse into one straight-line kernel.  The result is
+whether the chain can fuse into one straight-line kernel.  A scope is read
+through its normalised form (:mod:`repro.backends.normalize`: perfect nests
+flattened, tiles and vector blocks densified), so the rules below only ever
+see one tasklet under a flat domain.  The result is
 the typed plan IR of :mod:`repro.backends.plan`; no code is generated and
 nothing is executed here.
 
@@ -24,8 +27,10 @@ observe (or race with) the accumulation.
 from __future__ import annotations
 
 import ast
+import functools
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.backends.normalize import normalize_scope, unit_affine_offset
 from repro.backends.plan import (
     ChainPlan,
     InputPlan,
@@ -35,18 +40,18 @@ from repro.backends.plan import (
     ScopePlan,
     StatePlan,
 )
-from repro.sdfg.analysis import elementwise_scope_chains
+from repro.sdfg.analysis import elementwise_scope_chains, scope_children
 from repro.sdfg.memlet import Memlet
-from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, Tasklet
+from repro.sdfg.nodes import AccessNode, MapEntry, MapExit
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
+from repro.symbolic.expressions import Symbol
 from repro.telemetry import TRACER, inc as _metric_inc, observe as _metric_observe
 
 __all__ = [
     "code_is_vectorizable",
     "unit_affine_offset",
     "classify_index",
-    "point_index_exprs",
     "analyze_scope",
     "analyze_chain",
     "analyze_state",
@@ -80,7 +85,8 @@ def code_is_vectorizable(code: str, np_names: frozenset) -> bool:
     return _vectorizable_names(code, np_names) is not None
 
 
-def _vectorizable_names(code: str, np_names: frozenset) -> Optional[Set[str]]:
+@functools.lru_cache(maxsize=4096)  # a sweep plans the same few tasklets over and over
+def _vectorizable_names(code: str, np_names: frozenset) -> Optional[frozenset]:
     """The names vectorizable tasklet code reads, ``None`` when the code
     does not stay element-wise under array substitution.
 
@@ -169,30 +175,7 @@ def _vectorizable_names(code: str, np_names: frozenset) -> Optional[Set[str]]:
             np_locals.add(stmt.targets[0].id)
         else:
             np_locals.discard(stmt.targets[0].id)
-    return loaded
-
-
-def unit_affine_offset(expr, param: str) -> Optional[int]:
-    """Integer ``c`` such that ``expr == param + c``, else ``None``.
-
-    The match is *structural* -- ``Symbol(param)`` or a two-term sum of
-    ``Symbol(param)`` and an integer constant (what ``i + 1`` / ``i - 1`` /
-    ``1 + i`` parse and fold to).  Probing concrete points instead would
-    accept piecewise expressions (``i % 4096``, ``Min(i, C)``) that agree
-    with ``param + c`` on the probe set but wrap elsewhere, silently
-    corrupting vectorized writes.
-    """
-    from repro.symbolic.expressions import Add, Integer, Symbol
-
-    if isinstance(expr, Symbol):
-        return 0 if expr.name == param else None
-    if isinstance(expr, Add) and len(expr.args) == 2:
-        a, b = expr.args
-        if isinstance(b, Symbol):
-            a, b = b, a
-        if isinstance(a, Symbol) and a.name == param and isinstance(b, Integer):
-            return b.value
-    return None
+    return frozenset(loaded)
 
 
 def classify_index(
@@ -202,8 +185,6 @@ def classify_index(
     free of map parameters, ``("param", (axis, offset))`` when unit-slope
     affine in one parameter not in ``used`` (which it then joins), ``None``
     for everything else."""
-    from repro.symbolic.expressions import Symbol
-
     if isinstance(expr, Symbol):  # the common case, without a tree walk
         p, offset = expr.name, 0
         if p not in params:
@@ -222,56 +203,49 @@ def classify_index(
     return "param", (params.index(p), offset)
 
 
-def point_index_exprs(memlet: Memlet) -> Optional[List[str]]:
-    """Per-dimension index expression strings, or None if not all points."""
-    if memlet.subset is None:
-        return None
-    exprs = []
-    for r in memlet.subset.ranges:
-        if not r.is_point():
-            return None
-        exprs.append(str(r.begin))
-    return exprs
-
-
 # ---------------------------------------------------------------------- #
 # Scope analysis
 # ---------------------------------------------------------------------- #
 def analyze_scope(
-    state: SDFGState, entry: MapEntry, children: List[Any]
+    state: SDFGState, entry: MapEntry, children: Dict[Any, List[Any]]
 ) -> Tuple[Optional[ScopePlan], Optional[str]]:
     """Build the vectorized plan for one map scope, or explain the refusal.
 
-    Returns ``(plan, None)`` on success and ``(None, reason)`` otherwise;
-    the reason slug names the first legality rule that failed.
+    ``children`` maps the state's map entries to the nodes directly inside
+    them.  Returns ``(plan, None)`` on success and ``(None, reason)``
+    otherwise; the reason slug names the first legality rule that failed.
+    The rules read the scope through its normalised form
+    (:func:`repro.backends.normalize.normalize_scope`): a flat domain whose
+    innermost map entry / exit carry the tasklet's edges.
     """
-    # Exactly one tasklet in the scope: nested maps, nested SDFGs and
-    # in-scope access nodes all fall back to the interpreter.
-    if len(children) != 1 or not isinstance(children[0], Tasklet):
-        return None, "scope-not-single-tasklet"
-    tasklet = children[0]
+    flat, reason = normalize_scope(state, entry, children)
+    if flat is None:
+        return None, reason
+    tasklet = flat.tasklet
     if tasklet.side_effect_callback:
         return None, "side-effect-tasklet"
-    params = entry.map.params
+    params = flat.params
+    inner = flat.levels[-1]
 
     inputs: List[InputPlan] = []
     for edge in state.in_edges(tasklet):
         memlet: Memlet = edge.data
         if memlet is None or memlet.is_empty:
-            if edge.src is not entry:
+            if edge.src is not inner:
                 return None, "non-entry-dependency-edge"
             continue
-        if edge.src is not entry or edge.dst_conn is None:
+        if edge.src is not inner or edge.dst_conn is None:
             return None, "input-not-from-map-entry"
         if memlet.dynamic or memlet.other_subset is not None:
             return None, "dynamic-or-copy-input-subset"
-        exprs = point_index_exprs(memlet)
-        if exprs is None:
+        index = flat.point_indices(memlet) if memlet.subset is not None else None
+        if index is None:
             return None, "non-point-input-subset"
+        exprs = [str(e) for e in index]
         used: List[str] = []
         dims = [
-            classify_index(r.begin, params, used) or ("expr", text)
-            for r, text in zip(memlet.subset.ranges, exprs)
+            classify_index(e, params, used) or ("expr", text)
+            for e, text in zip(index, exprs)
         ]
         inputs.append(
             InputPlan(edge.dst_conn, memlet.data, exprs, str(memlet.subset), dims)
@@ -281,26 +255,27 @@ def analyze_scope(
     for edge in state.out_edges(tasklet):
         memlet = edge.data
         if memlet is None or memlet.is_empty:
-            if isinstance(edge.dst, MapExit) and edge.dst.map is entry.map:
+            if isinstance(edge.dst, MapExit) and edge.dst.map is inner.map:
                 continue
             return None, "empty-output-not-to-map-exit"
-        if not isinstance(edge.dst, MapExit) or edge.dst.map is not entry.map:
+        if not isinstance(edge.dst, MapExit) or edge.dst.map is not inner.map:
             return None, "output-not-to-own-map-exit"
         if edge.src_conn is None or memlet.dynamic or memlet.other_subset is not None:
             return None, "dynamic-or-copy-output-subset"
         if memlet.subset is None:
             return None, "missing-output-subset"
+        index = flat.point_indices(memlet)
+        if index is None:
+            return None, "non-point-output-subset"
         dims: List[Tuple[str, Any]] = []
         used_params: List[str] = []
-        for r in memlet.subset.ranges:
-            if not r.is_point():
-                return None, "non-point-output-subset"
+        for e in index:
             # A unit-slope index (``i``, ``i + 1``) lowers to a slice
             # offset; the shift keeps the write a bijection, so the plain /
             # WCR write paths apply unchanged.
-            dim = classify_index(r.begin, params, used_params)
+            dim = classify_index(e, params, used_params)
             if dim is None:
-                if str(r.begin).strip() in used_params:
+                if str(e).strip() in used_params:
                     # Same parameter indexing two dimensions.
                     return None, "parameter-reused-across-dims"
                 return None, "non-affine-output-index"
@@ -313,6 +288,10 @@ def analyze_scope(
                 return None, "non-bijective-write"
         elif memlet.wcr not in ("sum", "prod", "min", "max"):
             return None, "unsupported-wcr"
+        elif flat.tiled and len(params) - len(used_params) > 1:
+            # The nest meets an output element tile by tile, the flat domain
+            # axis by axis: with two reduction axes the orders differ.
+            return None, "tile-reorders-reduction"
         outputs.append(
             OutputPlan(edge.src_conn, memlet.data, dims, memlet.wcr, str(memlet.subset))
         )
@@ -336,6 +315,9 @@ def analyze_scope(
     names = _vectorizable_names(tasklet.code, frozenset(s.conn for s in inputs))
     if names is None:
         return None, "non-vectorizable-code"
+    for name, slug in flat.unread.items():
+        if name in names:
+            return None, slug
     needs_grids = bool(names & set(params)) or any(
         kind == "expr" for spec in inputs for kind, _ in spec.dims
     )
@@ -343,9 +325,7 @@ def analyze_scope(
     # Setup dependencies: every non-parameter name the iteration grids,
     # gather indices and write geometry read.  Executions with unchanged
     # values for these names reuse the cached setup (loop hoisting).
-    deps: Set[str] = set()
-    for rng in entry.map.ranges:
-        deps |= rng.free_symbols
+    deps: Set[str] = set(flat.deps)
     for edge in state.in_edges(tasklet):
         if edge.data is not None and not edge.data.is_empty and edge.data.subset is not None:
             deps |= edge.data.subset.free_symbols
@@ -364,6 +344,8 @@ def analyze_scope(
             outputs=outputs,
             setup_deps=tuple(sorted(deps)),
             needs_grids=needs_grids,
+            level_guids=tuple(level.guid for level in flat.levels),
+            domain=flat.axes,
         ),
         None,
     )
@@ -416,10 +398,29 @@ def analyze_chain(
     """
     from repro.sdfg.data import Array
 
+    # Candidates share the head's *outermost* map; members of a chain run
+    # over one domain, so a normalised scope must match the head's axis for
+    # axis.
+    nodes_by_guid = {n.guid: n for n in state.nodes()}
+
+    def domain(plan: ScopePlan) -> List[Tuple]:
+        return [
+            (
+                axis.param, axis.width, axis.clamp, axis.per_block,
+                nodes_by_guid[plan.level_guids[axis.level]].map.ranges[axis.dim],
+            )
+            for axis in plan.domain
+        ]
+
     planned: List[Tuple[MapEntry, ScopePlan]] = []
+    head_domain: Optional[List[Tuple]] = None
     for entry in entries:
         plan = plans.get(entry.guid)
         if plan is None:
+            break
+        if head_domain is None:
+            head_domain = domain(plan)
+        elif domain(plan) != head_domain:
             break
         planned.append((entry, plan))
 
@@ -458,10 +459,9 @@ def analyze_chain(
 
     # Intermediates used nowhere outside the chain are never materialized.
     chain_nodes: Set[Any] = set()
-    tasklets_by_guid = {n.guid: n for n in state.nodes()}
     for entry, plan, _ in accepted:
         chain_nodes.add(entry)
-        chain_nodes.add(tasklets_by_guid[plan.tasklet_guid])
+        chain_nodes.add(nodes_by_guid[plan.tasklet_guid])
     for node in state.nodes():
         if isinstance(node, MapExit) and any(
             node.map is e.map for e in member_entries
@@ -514,14 +514,15 @@ def analyze_state(
         span.set("state", state.label)
         plans: Dict[int, Optional[ScopePlan]] = {}
         reasons: Dict[int, str] = {}
+        children = scope_children(order, scopes)
+        flattened: Set[int] = set()  # inner entries a planned nest covers
         for node in order:
-            if not isinstance(node, MapEntry):
+            if not isinstance(node, MapEntry) or node.guid in flattened:
                 continue
-            children = [
-                n for n in order if scopes.get(n) is node and not isinstance(n, MapExit)
-            ]
             plan, reason = analyze_scope(state, node, children)
             plans[node.guid] = plan
+            if plan is not None:
+                flattened.update(plan.level_guids[1:])
             if reason is not None:
                 reasons[node.guid] = reason
                 _metric_inc(

@@ -156,7 +156,6 @@ class NativeKernel:
 
     kind: str  #: "scope" | "chain"
     fn_name: str
-    entry: Any  #: the MapEntry whose map defines the iteration domain
     nparams: int
     buffers: List[str]  #: container name per ``bufs`` slot
     accesses: List[Tuple[str, Any, Optional[int]]]
@@ -408,7 +407,7 @@ class NativeCEmitter:
     def _emit_scope(
         self, sdfg: SDFG, bound: BoundScope, fn_name: str
     ) -> NativeKernel:
-        nparams = len(bound.entry.map.params)
+        nparams = len(bound.domain)
         self._check_containers(
             sdfg,
             [spec.data for spec in bound.inputs]
@@ -439,8 +438,8 @@ class NativeCEmitter:
             ngeom += 1
 
         tr = _Translator(env, cast_names=set())
-        for param_axis, param in enumerate(bound.entry.map.params):
-            env[param] = f"__pv{param_axis}"
+        for param_axis, axis in enumerate(bound.domain):
+            env[axis.param] = f"__pv{param_axis}"
         tree = ast.parse(bound.plan.code if bound.plan else "")
         if not tree.body:
             raise _Reject("native-unsupported-stmt")
@@ -463,7 +462,6 @@ class NativeCEmitter:
         return NativeKernel(
             kind="scope",
             fn_name=fn_name,
-            entry=bound.entry,
             nparams=nparams,
             buffers=buffers,
             accesses=accesses,
@@ -478,7 +476,7 @@ class NativeCEmitter:
     def _emit_chain(
         self, sdfg: SDFG, chain: BoundChain, fn_name: str
     ) -> NativeKernel:
-        nparams = len(chain.entry.map.params)
+        nparams = len(chain.domain)
         datas: List[str] = []
         gathers: List[Tuple[str, str]] = []
         writes: List[Tuple[str, str, Optional[str]]] = []
@@ -532,8 +530,8 @@ class NativeCEmitter:
 
         cast_names = set(chain.cast_bindings)
         tr = _Translator(env, cast_names=cast_names)
-        for param_axis, param in enumerate(chain.entry.map.params):
-            env[param] = f"__pv{param_axis}"
+        for param_axis, axis in enumerate(chain.domain):
+            env[axis.param] = f"__pv{param_axis}"
         tree = ast.parse(chain.source)
         if not tree.body:
             raise _Reject("native-unsupported-stmt")
@@ -552,7 +550,6 @@ class NativeCEmitter:
         return NativeKernel(
             kind="chain",
             fn_name=fn_name,
-            entry=chain.entry,
             nparams=nparams,
             buffers=buffers,
             accesses=accesses,

@@ -7,7 +7,8 @@ resolve to nodes, index-expression strings compile to code objects, member
 tasklets of a fused chain compose into one straight-line code object with
 member-unique locals.  The result -- :class:`StateTable` of
 :class:`BoundScope` / :class:`BoundChain` -- is everything the execute
-layer consumes; nothing here runs any program code.
+layer consumes; nothing here runs any program code (the runtime asks a
+:class:`BoundAxis` for its iteration sequence under the run's symbols).
 
 This emitter feeds the compiled backend (eager NumPy array evaluation, one
 kernel per scope or fused chain); the bound structures are the same on a
@@ -25,13 +26,17 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.backends.plan import ChainPlan, ScopePlan, StatePlan
-from repro.interpreter.tasklet_exec import compile_expression
+from repro.backends.geometry import Triple, axis_triple
+from repro.backends.plan import AxisPlan, ChainPlan, ScopePlan, StatePlan
+from repro.interpreter.errors import ExecutionError
+from repro.interpreter.executor import _EVAL_GLOBALS
+from repro.interpreter.tasklet_exec import compile_expression, compile_tasklet
 from repro.sdfg.nodes import MapEntry, Tasklet
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 
 __all__ = [
+    "BoundAxis",
     "BoundInput",
     "BoundOutput",
     "BoundScope",
@@ -42,6 +47,46 @@ __all__ = [
     "scope_is_batchable",
     "chain_is_batchable",
 ]
+
+
+class BoundAxis:
+    """An :class:`~repro.backends.plan.AxisPlan` bound to the map range it
+    iterates."""
+
+    __slots__ = ("param", "label", "range", "width", "clamp", "per_block")
+
+    def __init__(self, plan: AxisPlan, entry: MapEntry) -> None:
+        self.param = plan.param
+        self.label = entry.label
+        self.range = entry.map.ranges[plan.dim]
+        self.width = plan.width
+        self.clamp = None if plan.clamp is None else compile_expression(plan.clamp)
+        self.per_block = plan.per_block
+
+    def resolve(self, bindings: Dict[str, Any]) -> Tuple[Triple, int]:
+        """The axis's ``(first, step, count)`` under ``bindings`` and how
+        often the tasklet runs along it (the block count of a ``per_block``
+        axis, else ``count``)."""
+        begin, end, step = self.range.evaluate(bindings)
+        if step == 0:
+            raise ExecutionError(f"Map '{self.label}' has a zero step")
+        triple = axis_triple(begin, end, step)
+        first, _, blocks = triple
+        if not self.width or not blocks:
+            return triple, blocks
+        # Densified: the union of the width-``width`` blocks that start at
+        # the strided values, cut off at the clamp.
+        last = first + step * (blocks - 1)
+        end = last + self.width - 1
+        if self.clamp is not None:
+            clamp = int(eval(self.clamp, _EVAL_GLOBALS, bindings))  # noqa: S307
+            if self.per_block and last > clamp:
+                # An empty block still runs its tasklet in the interpreter;
+                # no flat domain does that.  The plan is dropped for good.
+                raise ValueError("empty block on a densified axis")
+            end = min(end, clamp)
+        count = max(0, end - first + 1)
+        return (first, 1, count), blocks if self.per_block else count
 
 
 @dataclass
@@ -98,6 +143,8 @@ class BoundScope:
     #: :attr:`ScopePlan.needs_grids`: whether an execution builds the
     #: broadcast iteration grids at all.
     needs_grids: bool = True
+    #: The flat domain (:attr:`ScopePlan.domain`) the scope runs over.
+    domain: List[BoundAxis] = field(default_factory=list)
 
 
 @dataclass
@@ -128,7 +175,9 @@ class BoundChain:
     per-member namespaces, no intermediate materialization.
     """
 
-    entry: MapEntry  # the head scope: grids/domain are built from its map
+    entry: MapEntry  # of the head scope
+    #: The head scope's domain; every member runs over an equal one.
+    domain: List[BoundAxis]
     members: List[BoundMember]
     member_entries: List[MapEntry]
     member_guids: Tuple[int, ...]
@@ -170,7 +219,8 @@ class StateTable:
     """Per-state lowering decisions, bound to the program's nodes."""
 
     #: Bound scope (or ``None`` for analyzer-rejected scopes) per map-entry
-    #: guid, covering top-level *and* nested map entries.
+    #: guid, covering top-level *and* nested map entries -- but not the
+    #: inner entries of a nest that was flattened into its outermost scope.
     plans: Dict[int, Optional[BoundScope]]
     #: Fused chains by head-entry guid.
     heads: Dict[int, BoundChain]
@@ -266,7 +316,7 @@ class NumpyEagerEmitter:
     ) -> BoundScope:
         entry = nodes_by_guid[plan.entry_guid]
         tasklet = nodes_by_guid[plan.tasklet_guid]
-        code_obj = compile(plan.code, "<vectorized-tasklet>", "exec")
+        code_obj = compile_tasklet(plan.code)
         inputs = [
             BoundInput(
                 ip.conn,
@@ -283,9 +333,11 @@ class NumpyEagerEmitter:
             BoundOutput(op.conn, op.data, _bind_dims(op.dims), op.wcr, op.subset_str)
             for op in plan.outputs
         ]
+        levels = [nodes_by_guid[guid] for guid in plan.level_guids]
         return BoundScope(
             entry, tasklet, code_obj, inputs, outputs, plan.setup_deps, plan,
             needs_grids=plan.needs_grids,
+            domain=[BoundAxis(axis, levels[axis.level]) for axis in plan.domain],
         )
 
     # .................................................................. #
@@ -372,6 +424,7 @@ class NumpyEagerEmitter:
 
         return BoundChain(
             entry=member_entries[0],
+            domain=bound_members[0].domain,
             members=members,
             member_entries=member_entries,
             member_guids=chain_plan.member_guids,

@@ -2,7 +2,7 @@
 
 Map scopes whose memlets are affine in the map parameters run as NumPy
 array expressions (:mod:`repro.backends.execute`; any construct the
-analyzer cannot express -- nested SDFGs or nested maps inside a scope,
+analyzer cannot express -- nested SDFGs or imperfect nests inside a scope,
 data-dependent subsets, non-affine output indices, write-conflict patterns
 it cannot prove race-free, tasklet code outside the vectorizable subset of
 Python -- falls back node-by-node to the interpreter for exactly that

@@ -68,7 +68,7 @@ from repro.backends.codegen.numpy_eager import (
     NumpyEagerEmitter,
     StateTable,
 )
-from repro.backends.geometry import Triple, access_index, axis_triple, gather_index
+from repro.backends.geometry import Triple, access_index, gather_index
 from repro.backends.plan import StatePlan
 from repro.interpreter.errors import (
     ExecutionError,
@@ -342,26 +342,27 @@ class ScopeRuntime(SDFGExecutor):
     # .................................................................. #
     # Setup (loop-hoisted per dependent-symbol values)
     # .................................................................. #
+    @staticmethod
     def _resolve_domain(
-        self, entry: MapEntry, bindings: Dict[str, Any], need_grids: bool = True
+        bound, bindings: Dict[str, Any], need_grids: bool = True
     ) -> Tuple[List[Triple], Tuple[int, ...], int, Dict[str, np.ndarray]]:
-        """A map's ``(first, step, count)`` axis triples and -- only when
+        """The ``(first, step, count)`` axis triples of a bound scope's or
+        chain's flat domain, its tasklet executions and -- only when
         something reads them -- its broadcast iteration grids."""
         triples: List[Triple] = []
-        for rng in entry.map.ranges:
-            b, e, s = rng.evaluate(bindings)
-            if s == 0:
-                raise ExecutionError(f"Map '{entry.label}' has a zero step")
-            triples.append(axis_triple(b, e, s))
+        iterations = 1
+        for axis in bound.domain:
+            triple, runs = axis.resolve(bindings)
+            triples.append(triple)
+            iterations *= runs
         shape_full = tuple(t[2] for t in triples)
-        iterations = math.prod(shape_full)
         grids: Dict[str, np.ndarray] = {}
         if need_grids and iterations:
             nparams = len(triples)
             for axis, (first, step, count) in enumerate(triples):
                 gshape = [1] * nparams
                 gshape[axis] = count
-                grids[entry.map.params[axis]] = np.arange(
+                grids[bound.domain[axis].param] = np.arange(
                     first, first + step * count, step, dtype=np.int64
                 ).reshape(gshape)
         return triples, shape_full, iterations, grids
@@ -556,7 +557,7 @@ class ScopeRuntime(SDFGExecutor):
         if cached is not None and cached[0] == key:
             return cached[1]
         triples, shape_full, iterations, grids = self._resolve_domain(
-            plan.entry, bindings, plan.needs_grids
+            plan, bindings, plan.needs_grids
         )
         lead = self._lead
         if lead:
@@ -581,7 +582,7 @@ class ScopeRuntime(SDFGExecutor):
         if cached is not None and cached[0] == key:
             return cached[1]
         triples, shape_full, iterations, grids = self._resolve_domain(
-            fused.entry, bindings, fused.needs_grids
+            fused, bindings, fused.needs_grids
         )
         lead = self._lead
         if lead:

@@ -398,7 +398,7 @@ class KernelTier:
         # Grids only for gathers that materialise (an ``expr`` dimension);
         # the kernel computes parameter values from begins and steps.
         triples, _shape_full, iterations, grids = rt._resolve_domain(
-            kr.entry,
+            kr.bound,
             bindings,
             any(k == "gather" and s.idx_code is not None for k, s, _ in kr.accesses),
         )

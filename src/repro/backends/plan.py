@@ -33,6 +33,7 @@ __all__ = [
     "PLAN_FORMAT_VERSION",
     "InputPlan",
     "OutputPlan",
+    "AxisPlan",
     "ScopePlan",
     "ChainPlan",
     "StatePlan",
@@ -42,7 +43,7 @@ __all__ = [
 #: Version of the serialized plan format.  Bump on ANY structural change to
 #: the dataclasses below: persisted artifacts carry it, and a mismatch
 #: invalidates the cached entry.
-PLAN_FORMAT_VERSION = 2
+PLAN_FORMAT_VERSION = 3
 
 
 def _dims_from_json(raw) -> List[Tuple[str, Any]]:
@@ -130,6 +131,41 @@ class OutputPlan:
 
 
 @dataclass
+class AxisPlan:
+    """One axis of the flat iteration domain a scope was planned over
+    (:mod:`repro.backends.normalize`)."""
+
+    param: str
+    #: The source of the axis's range: range ``dim`` of the map whose entry
+    #: is :attr:`ScopePlan.level_guids` ``[level]``.
+    level: int
+    dim: int
+    #: A densified axis: that range has step ``width`` and each of its
+    #: values ``t`` stood for the block ``t : t + width - 1``, cut off at
+    #: ``clamp`` (source text) when there is one; the axis iterates the
+    #: union of the blocks with unit step.  0 for an axis taken as it is.
+    width: int = 0
+    clamp: Optional[str] = None
+    #: The block was a memlet range of the range's own parameter
+    #: (Vectorization), so the tasklet ran once per block, not per element.
+    per_block: bool = False
+
+    def to_dict(self) -> Dict[str, Any]:
+        return dict(self.__dict__)
+
+    @classmethod
+    def from_dict(cls, d: Dict[str, Any]) -> "AxisPlan":
+        return cls(
+            param=d["param"],
+            level=int(d["level"]),
+            dim=int(d["dim"]),
+            width=int(d["width"]),
+            clamp=d["clamp"],
+            per_block=bool(d["per_block"]),
+        )
+
+
+@dataclass
 class ScopePlan:
     """The vectorized-lowering recipe for one map scope.
 
@@ -138,6 +174,7 @@ class ScopePlan:
     resolves against the program it was derived from).
     """
 
+    #: The scope's (outermost) map entry.
     entry_guid: int
     entry_label: str
     tasklet_guid: int
@@ -153,6 +190,11 @@ class ScopePlan:
     #: code names a map parameter, or an input has an ``expr`` dimension.
     #: Otherwise a scope execution never builds them.
     needs_grids: bool = True
+    #: Map entries of the perfect nest the scope was flattened from,
+    #: outermost (``entry_guid``) first; one entry for a plain scope.
+    level_guids: Tuple[int, ...] = ()
+    #: The flat domain the accesses' ``param`` axes index, in nest order.
+    domain: List[AxisPlan] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -165,6 +207,8 @@ class ScopePlan:
             "outputs": [o.to_dict() for o in self.outputs],
             "setup_deps": list(self.setup_deps),
             "needs_grids": self.needs_grids,
+            "level_guids": list(self.level_guids),
+            "domain": [a.to_dict() for a in self.domain],
         }
 
     @classmethod
@@ -179,6 +223,8 @@ class ScopePlan:
             outputs=[OutputPlan.from_dict(o) for o in d["outputs"]],
             setup_deps=tuple(d.get("setup_deps", ())),
             needs_grids=bool(d["needs_grids"]),
+            level_guids=tuple(int(g) for g in d["level_guids"]),
+            domain=[AxisPlan.from_dict(a) for a in d["domain"]],
         )
 
 

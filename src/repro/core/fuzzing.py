@@ -90,26 +90,25 @@ def compare_system_states(
             mismatched.append(name)
             max_err = float("inf")
             continue
-        if tolerance == 0:
-            if not np.array_equal(ref, cand):
-                mismatched.append(name)
-                max_err = max(max_err, _max_abs_diff(ref, cand))
+        if np.array_equal(ref, cand):
+            # Equal arrays (no NaN on either side: NaN != NaN) have equal
+            # NaN/inf patterns and zero difference; only the others pay for
+            # the isnan / isinf / nan_to_num passes below.
             continue
-        if np.issubdtype(ref.dtype, np.floating):
-            finite_mismatch = not np.array_equal(np.isnan(ref), np.isnan(cand)) or not np.array_equal(
-                np.isinf(ref), np.isinf(cand)
-            )
-            diff = np.abs(np.nan_to_num(ref) - np.nan_to_num(cand))
-            err = float(diff.max()) if diff.size else 0.0
-            if finite_mismatch or err > tolerance:
-                mismatched.append(name)
-                max_err = max(max_err, err if not finite_mismatch else float("inf"))
-            else:
-                max_err = max(max_err, err)
+        if tolerance == 0 or not np.issubdtype(ref.dtype, np.floating):
+            mismatched.append(name)
+            max_err = max(max_err, _max_abs_diff(ref, cand))
+            continue
+        finite_mismatch = not np.array_equal(np.isnan(ref), np.isnan(cand)) or not np.array_equal(
+            np.isinf(ref), np.isinf(cand)
+        )
+        diff = np.abs(np.nan_to_num(ref) - np.nan_to_num(cand))
+        err = float(diff.max()) if diff.size else 0.0
+        if finite_mismatch or err > tolerance:
+            mismatched.append(name)
+            max_err = max(max_err, err if not finite_mismatch else float("inf"))
         else:
-            if not np.array_equal(ref, cand):
-                mismatched.append(name)
-                max_err = max(max_err, _max_abs_diff(ref, cand))
+            max_err = max(max_err, err)
     return mismatched, max_err
 
 

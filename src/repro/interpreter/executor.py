@@ -46,6 +46,7 @@ from repro.sdfg.nodes import (
     Node,
     Tasklet,
 )
+from repro.sdfg.analysis import scope_children
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 from repro.symbolic.expressions import Integer
@@ -104,6 +105,11 @@ class SDFGExecutor:
         # Caches invariant across runs.
         self._topo_cache: Dict[int, List[Node]] = {}
         self._scope_cache: Dict[int, Dict[Node, Optional[MapEntry]]] = {}
+        #: Per state, the nodes directly inside each map scope; per tasklet,
+        #: its ``(connector, memlet)`` reads and writes and the connectors it
+        #: must assign.
+        self._children_cache: Dict[int, Dict[MapEntry, List[Node]]] = {}
+        self._tasklet_io: Dict[int, Tuple[List, List, Set[str]]] = {}
         self._subset_code_cache: Dict[int, List[Tuple[Any, Any, Any]]] = {}
         self._free_symbols_cache: Optional[Set[str]] = None
 
@@ -286,8 +292,9 @@ class SDFGExecutor:
     def _state_order(self, state: SDFGState) -> List[Node]:
         key = id(state)
         if key not in self._topo_cache:
-            self._topo_cache[key] = state.topological_sort()
-            self._scope_cache[key] = state.scope_dict()
+            order = self._topo_cache[key] = state.topological_sort()
+            scopes = self._scope_cache[key] = state.scope_dict()
+            self._children_cache[key] = scope_children(order, scopes)
         return self._topo_cache[key]
 
     def _execute_state(self, state: SDFGState) -> None:
@@ -319,23 +326,24 @@ class SDFGExecutor:
 
     # .................................................................. #
     def _execute_tasklet(self, state: SDFGState, node: Tasklet, bindings: Dict[str, Any]) -> None:
-        inputs: Dict[str, Any] = {}
-        for edge in state.in_edges(node):
-            memlet: Memlet = edge.data
-            if memlet is None or memlet.is_empty or edge.dst_conn is None:
-                continue
-            inputs[edge.dst_conn] = self._read(memlet, bindings)
-        out_conns = [
-            e.src_conn
-            for e in state.out_edges(node)
-            if e.src_conn is not None and e.data is not None and not e.data.is_empty
-        ]
-        outputs = self._runner.run(node.label, node.code, inputs, set(out_conns), bindings)
-        for edge in state.out_edges(node):
-            memlet = edge.data
-            if memlet is None or memlet.is_empty or edge.src_conn is None:
-                continue
-            self._write(memlet, outputs[edge.src_conn], bindings)
+        io = self._tasklet_io.get(id(node))
+        if io is None:
+            reads = [
+                (e.dst_conn, e.data)
+                for e in state.in_edges(node)
+                if e.data is not None and not e.data.is_empty and e.dst_conn is not None
+            ]
+            writes = [
+                (e.src_conn, e.data)
+                for e in state.out_edges(node)
+                if e.data is not None and not e.data.is_empty and e.src_conn is not None
+            ]
+            io = self._tasklet_io[id(node)] = (reads, writes, {conn for conn, _ in writes})
+        reads, writes, out_conns = io
+        inputs = {conn: self._read(memlet, bindings) for conn, memlet in reads}
+        outputs = self._runner.run(node.label, node.code, inputs, out_conns, bindings)
+        for conn, memlet in writes:
+            self._write(memlet, outputs[conn], bindings)
         self._tasklet_counts[node.guid] = self._tasklet_counts.get(node.guid, 0) + 1
 
     def _execute_copies_into(
@@ -395,9 +403,8 @@ class SDFGExecutor:
     def _execute_map_scope(
         self, state: SDFGState, entry: MapEntry, bindings: Dict[str, Any]
     ) -> None:
-        order = self._state_order(state)
-        scopes = self._scope_cache[id(state)]
-        children = [n for n in order if scopes.get(n) is entry and not isinstance(n, MapExit)]
+        self._state_order(state)  # fills the per-state caches
+        children = self._children_cache[id(state)].get(entry, ())
         params = entry.map.params
         # Concretize iteration ranges once per scope execution.
         dims: List[range] = []

@@ -5,8 +5,9 @@ names.  Inputs are bound as local variables, the code runs in a restricted
 namespace (NumPy, ``math`` and a small set of builtins), and outputs are read
 back from the namespace by connector name.
 
-Compiled code objects are cached per code string, so executing the same
-tasklet for millions of map iterations does not recompile it.
+Compiled code objects are cached per code string for the whole process, so
+neither executing the same tasklet for millions of map iterations nor
+preparing the many cutouts of one workload recompiles it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from repro.interpreter.errors import TaskletExecutionError
 
-__all__ = ["TaskletRunner", "compile_expression"]
+__all__ = ["TaskletRunner", "compile_expression", "compile_tasklet"]
 
 _SAFE_BUILTINS = {
     "abs": abs,
@@ -37,6 +38,7 @@ _SAFE_BUILTINS = {
 }
 
 _expr_cache: Dict[str, Any] = {}
+_tasklet_cache: Dict[str, Any] = {}
 
 
 def compile_expression(expr: str):
@@ -46,6 +48,14 @@ def compile_expression(expr: str):
         code = compile(expr, "<expr>", "eval")
         _expr_cache[expr] = code
     return code
+
+
+def compile_tasklet(code: str):
+    """Compile (and cache) a tasklet's code block."""
+    obj = _tasklet_cache.get(code)
+    if obj is None:
+        obj = _tasklet_cache[code] = compile(code, "<tasklet>", "exec")
+    return obj
 
 
 def evaluate_expression(expr: str, namespace: Mapping[str, Any]) -> Any:
@@ -59,15 +69,7 @@ class TaskletRunner:
     """Compiles and executes tasklet code blocks."""
 
     def __init__(self) -> None:
-        self._code_cache: Dict[str, Any] = {}
         self._globals = {"__builtins__": _SAFE_BUILTINS, "np": np, "numpy": np, "math": math}
-
-    def _compiled(self, code: str):
-        obj = self._code_cache.get(code)
-        if obj is None:
-            obj = compile(code, "<tasklet>", "exec")
-            self._code_cache[code] = obj
-        return obj
 
     def run(
         self,
@@ -83,7 +85,7 @@ class TaskletRunner:
             namespace.update(symbols)
         namespace.update(inputs)
         try:
-            exec(self._compiled(code), self._globals, namespace)  # noqa: S102
+            exec(compile_tasklet(code), self._globals, namespace)  # noqa: S102
         except Exception as exc:  # noqa: BLE001 - converted to a typed error
             raise TaskletExecutionError(label, exc) from exc
         outputs: Dict[str, Any] = {}

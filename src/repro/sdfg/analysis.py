@@ -30,6 +30,7 @@ __all__ = [
     "states_reachable_from",
     "states_reaching",
     "all_map_entries",
+    "scope_children",
     "loop_variable_bounds",
     "CFExec",
     "CFArm",
@@ -226,6 +227,17 @@ def all_map_entries(sdfg: SDFG) -> List[Tuple[SDFGState, MapEntry]]:
             if isinstance(node, MapEntry):
                 out.append((state, node))
     return out
+
+
+def scope_children(order: List, scopes: Dict) -> Dict[MapEntry, List]:
+    """The nodes directly inside each map scope (map exits left out), in the
+    execution order ``order``; ``scopes`` is the state's ``scope_dict()``."""
+    children: Dict[MapEntry, List] = {}
+    for node in order:
+        scope = scopes.get(node)
+        if scope is not None and not isinstance(node, MapExit):
+            children.setdefault(scope, []).append(node)
+    return children
 
 
 def loop_variable_bounds(sdfg: SDFG, symbols: Dict[str, int]) -> Dict[str, Tuple[int, int]]:

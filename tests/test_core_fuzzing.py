@@ -169,6 +169,31 @@ class TestCompare:
         mism, _ = compare_system_states(a, {"x": np.array([np.nan, 1.0])}, ["x"])
         assert not mism
 
+    @pytest.mark.parametrize(
+        "ref, cand, tolerance, mismatch, err",
+        [
+            # Equal arrays leave through the array_equal fast path, ...
+            ([1.0, np.inf, -np.inf], [1.0, np.inf, -np.inf], 1e-5, False, 0.0),
+            ([-0.0, 0.0], [0.0, -0.0], 1e-5, False, 0.0),
+            ([-0.0, 0.0], [0.0, -0.0], 0, False, 0.0),
+            # ... NaN-carrying or unequal ones through the full comparison.
+            ([np.nan, 1.0], [np.nan, 1.0 + 1e-7], 1e-5, False, 1e-7),
+            ([np.nan, 1.0], [np.nan, 1.0], 1e-5, False, 0.0),
+            ([np.nan, 1.0], [np.nan, 1.0], 0, True, 0.0),  # bitwise: NaN != NaN
+            ([np.nan, 1.0], [2.0, 1.0], 1e-5, True, np.inf),
+            ([1.0, np.inf], [1.0, -np.inf], 1e-5, True, np.inf),
+            ([1.0, np.inf], [1.0, 5.0], 1e-5, True, np.inf),
+            ([1.0, 2.0], [1.0, 2.5], 1e-5, True, 0.5),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # inf - (-inf), as before
+    def test_special_values(self, ref, cand, tolerance, mismatch, err):
+        mism, got = compare_system_states(
+            {"x": np.array(ref)}, {"x": np.array(cand)}, ["x"], tolerance=tolerance
+        )
+        assert mism == (["x"] if mismatch else [])
+        assert got == pytest.approx(err, abs=1e-12)
+
     def test_integer_exact(self):
         a = {"x": np.array([1, 2, 3])}
         b = {"x": np.array([1, 2, 4])}

@@ -131,6 +131,40 @@ class TestInvalidation:
         assert program.control_mode == "structured"
         assert json.load(open(path))["codegen_version"] == CODEGEN_VERSION
 
+    def test_format_2_artifact_is_a_miss_and_rewritten(self, tmp_path):
+        """What plan format 2 wrote: scopes without the domain they were
+        planned over.  The stamp makes it a miss; a stamp that lied would
+        leave a plan body that no longer loads, and re-analysis."""
+        blob, path = self.prime(tmp_path)
+        doc = json.load(open(path))
+        doc["plan_format"] = doc["plan"]["format"] = 2
+        for state in doc["plan"]["states"]:
+            for scope in filter(None, state["scopes"].values()):
+                del scope["domain"], scope["level_guids"]
+        json.dump(doc, open(path, "w"))
+        backend = CompiledBackend(cache_dir=str(tmp_path))
+        program = backend.prepare(sdfg_from_json(blob))
+        assert (backend.disk_hits, backend.disk_misses) == (0, 1)
+        healed = json.load(open(path))
+        assert healed["plan_format"] == 3
+        assert all(
+            scope["domain"] and scope["level_guids"]
+            for state in healed["plan"]["states"]
+            for scope in state["scopes"].values()
+        )
+        want = get_backend("interpreter").prepare(sdfg_from_json(blob)).run(run_args(), {"N": 16, "T": 3})
+        got = program.run(run_args(), {"N": 16, "T": 3})
+        assert got.outputs["A"].tobytes() == want.outputs["A"].tobytes()
+        # The lying stamp: format says 3, the body is format 2.
+        doc["plan_format"] = doc["plan"]["format"] = 3
+        json.dump(doc, open(path, "w"))
+        backend = CompiledBackend(cache_dir=str(tmp_path))
+        program = backend.prepare(sdfg_from_json(blob))
+        assert backend.disk_hits == 1  # loaded, seed discarded, re-analysed
+        assert program.run(run_args(), {"N": 16, "T": 3}).outputs["A"].tobytes() == (
+            want.outputs["A"].tobytes()
+        )
+
     def test_wrong_python_tag_is_a_miss(self, tmp_path):
         blob, path = self.prime(tmp_path)
         doc = json.load(open(path))

@@ -17,9 +17,11 @@ from repro.backends import get_backend
 from repro.backends.compiled import CompiledBackend, CompiledWholeProgram
 from repro.backends.plan import (
     PLAN_FORMAT_VERSION,
+    AxisPlan,
     ChainPlan,
     InputPlan,
     ProgramPlan,
+    ScopePlan,
     StatePlan,
 )
 from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json
@@ -64,6 +66,29 @@ class TestRoundTrip:
         restored = InputPlan.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored == spec
         assert restored.dims[0] == ("param", (1, 1))
+
+    def test_scope_domain_round_trips(self):
+        """A scope planned over a normalised domain -- a flattened nest with
+        one tile-densified and one vector-block axis -- survives the JSON
+        wire typed, and every kernel's plan records its (plain) domain."""
+        plan = ScopePlan(
+            entry_guid=7, entry_label="m_tiles", tasklet_guid=9, tasklet_label="t",
+            code="o = a", inputs=[], outputs=[], setup_deps=("N",), needs_grids=False,
+            level_guids=(7, 8),
+            domain=[
+                AxisPlan("i", 0, 0, width=8, clamp="N - 1"),
+                AxisPlan("j", 1, 0, width=4, per_block=True),
+                AxisPlan("k", 1, 1),
+            ],
+        )
+        restored = ScopePlan.from_dict(json.loads(json.dumps(plan.to_dict())))
+        assert restored == plan
+        assert restored.domain[0].clamp == "N - 1" and restored.domain[1].per_block
+        assert isinstance(restored.level_guids, tuple)
+        for state in kernel_plan("gemm").states:
+            for scope in filter(None, state.scopes.values()):
+                assert scope.level_guids == (scope.entry_guid,)
+                assert scope.domain and all(a.width == 0 for a in scope.domain)
 
     def test_format_mismatch_raises(self):
         plan = kernel_plan("scaled_diff")
@@ -117,7 +142,7 @@ class TestDiskCacheGating:
         backend = CompiledBackend(cache_dir=str(tmp_path))
         backend.prepare(sdfg_from_json(blob))
         assert (backend.disk_hits, backend.disk_misses) == (0, 1)
-        assert json.load(open(path))["plan_format"] == PLAN_FORMAT_VERSION == 2
+        assert json.load(open(path))["plan_format"] == PLAN_FORMAT_VERSION == 3
         doc["plan"]["format"] = PLAN_FORMAT_VERSION
         with pytest.raises(KeyError):
             ProgramPlan.from_dict(doc["plan"])

@@ -1,9 +1,10 @@
 """The tier-parity matrix: every optimising path against the interpreter.
 
 ``{compiled, native}`` x ``{run, run_batch K=4}`` on every npbench kernel,
-one bert cutout (a tiled map: the outer scope is expanded by the
+two bert cutouts (a tiled map, which normalises to one flat scope, and its
+off-by-one twin, which is refused: the outer scope is expanded by the
 interpreter, the inner one runs vectorized, once per tile) and one cloudsc
-cutout.  Per trial the outputs, the final symbols, the transition count and
+cutout (an expanded map, flattened).  Per trial the outputs, the final symbols, the transition count and
 the coverage features must equal the oracle's bit for bit -- whether or not
 a single scope vectorized, batched or ran as a C kernel.
 """
@@ -50,6 +51,10 @@ PROGRAMS = {
     },
     "bert:tiled_cutout": functools.partial(
         transformed_cutout, "bert", "encoder_layer", "MapTiling", tile_size=2
+    ),
+    "bert:off_by_one_tiled_cutout": functools.partial(
+        transformed_cutout, "bert", "encoder_layer", "MapTiling", tile_size=2,
+        inject_bug=True, bug_kind="off_by_one",
     ),
     "cloudsc:expanded_cutout": functools.partial(
         transformed_cutout, "cloudsc", "cloudsc", "MapExpansion"

@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of one benchmark workload.
 
     python tools/bench_pairs.py --workload npbench_clean_deep
-    make bench-pairs W=npbench_clean_deep [BASE=HEAD~1] [N=10] [FUZZ_SEED=1]
+    make bench-pairs W=npbench_clean_deep [BASE=HEAD~1] [N=10] [FUZZ_SEED=1] [TRACE=1]
 
 Extracts the committed files of ``--base`` into a temporary directory
 (``git archive``: nothing under ``.git`` changes), then runs the driver form
@@ -17,7 +17,10 @@ distance between the base's own quartiles and no more failed operations
 than the base; a median worse than the base by more than the metric's bound
 is a *regression* (exit status 1); otherwise the metric is *within bound*,
 or *unresolved* when the base's own quartile distance is wider than the
-bound.  It only reads ``benchmarks/e2e/``.
+bound.  With ``--trace`` the same alternation runs the driver's ``--trace 1``
+form and prints the paired medians of the per-layer metrics instead (no
+verdicts: layers have no bounds; they say where an end-to-end move came
+from).  It only reads ``benchmarks/e2e/``.
 """
 
 from __future__ import annotations
@@ -35,13 +38,15 @@ from typing import Any, Dict, List
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float, extra: List[str]) -> Dict[str, Any]:
+def run_once(
+    tree: str, workload: str, seed: int, seconds: float, extra: List[str], trace: bool = False
+) -> Dict[str, Any]:
     """One driver-form run in ``tree``; its last stdout line is the result."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, os.path.join("benchmarks", "e2e", "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0", *extra],
+         "--seconds", str(seconds), "--trace", "1" if trace else "0", *extra],
         cwd=tree, env=env, check=True, capture_output=True, text=True,
     )
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -81,6 +86,19 @@ def verdict(
     )
 
 
+def layer_line(metric: Dict[str, Any], base: List[float], change: List[float]) -> str:
+    """One per-layer report line: both medians, their ratio and the pairs in
+    which the working tree had the better value."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    wins = sum(sign * c < sign * b for b, c in zip(base, change))
+    bmed, cmed = statistics.median(base), statistics.median(change)
+    ratio = f"{cmed / bmed:6.2f}x" if bmed else "      -"
+    return (
+        f"{metric['name']:<40} base {bmed:10.4g}   change {cmed:10.4g} {metric['unit']:<6}"
+        f" {ratio}   wins {wins}/{len(base)}"
+    )
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
@@ -89,11 +107,15 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=None,
                         help="per run (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--fuzz-seed", type=int, default=None)
+    parser.add_argument("--trace", action="store_true",
+                        help="pair the traced form: per-layer medians, no verdicts")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         bench = json.load(f)
     seconds = args.seconds or bench["run_seconds"]
+    metrics = bench["per_layer"] if args.trace else bench["end_to_end"]
+    progress = [] if args.trace else metrics  # sixty layer values fit no progress line
     extra = [] if args.fuzz_seed is None else ["--fuzz-seed", str(args.fuzz_seed)]
 
     base_tree = tempfile.mkdtemp(prefix="bench_pairs_base_")
@@ -106,13 +128,13 @@ def main(argv: List[str] | None = None) -> int:
         subprocess.run(["tar", "-x", "-C", base_tree], input=archive.stdout, check=True)
         for i in range(args.pairs):
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                result = run_once(sides[side], args.workload, i, seconds, extra)
+                result = run_once(sides[side], args.workload, i, seconds, extra, args.trace)
                 runs[side].append(result)
                 print(
                     f"pair {i} {side:<6} failed {result['failed']}/{result['attempted']}  "
                     + "  ".join(
                         f"{m['name']} {result['metrics'][m['name']]['value']:.4g}"
-                        for m in bench["end_to_end"]
+                        for m in progress
                     ),
                     flush=True,
                 )
@@ -122,6 +144,13 @@ def main(argv: List[str] | None = None) -> int:
     print(f"\n{args.workload}: {args.pairs} pairs x {seconds:g} s, base {args.base}"
           + (f", fuzz seed {args.fuzz_seed}" if extra else ""))
     failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
+    if args.trace:
+        for metric in metrics:
+            print(layer_line(metric, *(
+                [r["metrics"][metric["name"]]["value"] for r in runs[side]]
+                for side in ("base", "change")
+            )))
+        return 0
     lines = [
         verdict(
             metric,
@@ -129,7 +158,7 @@ def main(argv: List[str] | None = None) -> int:
             [r["metrics"][metric["name"]]["value"] for r in runs["change"]],
             failed["change"] <= failed["base"],
         )
-        for metric in bench["end_to_end"]
+        for metric in metrics
     ]
     print("\n".join(lines))
     for side in ("base", "change"):
