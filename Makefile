@@ -36,7 +36,7 @@ smoke:
 	$(PY) -m pytest -x -q
 
 # Loopback distributed sweep, two scenarios:
-# 1. a one-shot coordinator plus two worker subprocesses (running
+# 1. a one-shot service plus two worker subprocesses (running
 #    *different* backends), journaled, diffed field-by-field against the
 #    serial runner (modulo timing/host metadata);
 # 2. the always-on verification service: two concurrent HTTP-submitted
@@ -45,8 +45,8 @@ smoke:
 #    sweeps must match their serial references with isolated journals and
 #    zero re-runs across the restart.
 smoke-dist:
-	$(PY) -m repro.cluster.smoke --trials 2 --max-instances 1
-	$(PY) -m repro.cluster.smoke --two-sweeps --trials 2 --max-instances 1
+	$(PY) tools/smoke_dist.py --trials 2 --max-instances 1
+	$(PY) tools/smoke_dist.py --two-sweeps --trials 2 --max-instances 1
 
 # The chaos kill-matrix (seeded fault injection, repro.faultinject):
 # scenario A runs one sweep through a worker SIGKILL mid-lease, garbled
@@ -57,7 +57,7 @@ smoke-dist:
 # must complete with the poison quarantined, clean verdicts unchanged, and
 # the deadline/hung-task metrics exposed.
 smoke-chaos:
-	$(PY) -m repro.cluster.chaos --trials 2 --max-instances 1
+	$(PY) tools/smoke_chaos.py --trials 2 --max-instances 1
 
 # The full injected-bug sweep at default scale.
 sweep:

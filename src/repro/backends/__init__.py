@@ -36,9 +36,6 @@ self-check are registered:
   ``cross:REF,CAND`` (e.g. ``cross:native,interpreter``) pairs any two
   different registered backends.
 
-``"vectorized"`` and ``"batched"``, tiers the compiled backend absorbed,
-remain as aliases of ``"compiled"`` in :func:`get_backend`.
-
 ``get_backend(name).prepare(sdfg).run(args, symbols)`` is the whole API (plus
 ``run_batch`` for multi-trial execution); the differential fuzzer, verifier
 and sweep pipeline all thread a backend name through to this registry.

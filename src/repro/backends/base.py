@@ -125,8 +125,6 @@ class ExecutionBackend(abc.ABC):
 # ---------------------------------------------------------------------- #
 _FACTORIES: Dict[str, Callable[[], ExecutionBackend]] = {}
 _INSTANCES: Dict[str, ExecutionBackend] = {}
-#: Former tier names, resolved to the backend that absorbed them.
-_ALIASES: Dict[str, str] = {"vectorized": "compiled", "batched": "compiled"}
 
 
 def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None:
@@ -146,8 +144,7 @@ def get_backend(backend: Union[str, ExecutionBackend]) -> ExecutionBackend:
     Besides plain registry names, ``cross:REF,CAND`` materializes a
     self-checking pair of any two registered backends (e.g.
     ``cross:native,interpreter``); the bare name ``cross`` is
-    ``cross:interpreter,compiled``.  ``vectorized`` and ``batched`` are
-    aliases of ``compiled`` (one class does all three jobs).
+    ``cross:interpreter,compiled``.
 
     Instances are shared per name so backend-level caches (e.g. the
     compiled backend's program cache, which keeps one LRU per thread
@@ -156,7 +153,6 @@ def get_backend(backend: Union[str, ExecutionBackend]) -> ExecutionBackend:
     """
     if isinstance(backend, ExecutionBackend):
         return backend
-    backend = _ALIASES.get(backend, backend)
     if backend.startswith("cross:"):
         if backend not in _INSTANCES:
             _INSTANCES[backend] = _make_cross_pair(backend)
@@ -185,16 +181,15 @@ def _make_cross_pair(name: str) -> ExecutionBackend:
     for part in parts:
         if part == "cross" or part.startswith("cross:"):
             raise KeyError(f"Cross pairs cannot nest ('{name}')")
-        if _ALIASES.get(part, part) not in _FACTORIES:
+        if part not in _FACTORIES:
             raise KeyError(
                 f"Unknown execution backend '{part}' in cross pair '{name}' "
                 f"(available: {', '.join(list_backends())})"
             )
-    if get_backend(parts[0]) is get_backend(parts[1]):
+    if parts[0] == parts[1]:
         # Both sides would get the *same* program object out of the shared
         # per-thread cache: the check would pass by construction.
         raise KeyError(
-            f"Cross pair '{name}' checks a backend against itself: "
-            f"'{parts[0]}' and '{parts[1]}' are the same backend"
+            f"Cross pair '{name}' checks backend '{parts[0]}' against itself"
         )
     return CrossBackend(reference=parts[0], candidate=parts[1])

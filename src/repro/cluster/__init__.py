@@ -12,9 +12,10 @@ layers:
    construction; any sweep (distributed or single-machine) journals its
    outcomes and can be killed and resumed, re-running only incomplete
    tasks.
-3. **Scheduler core** (:mod:`repro.cluster.scheduler`) -- the transport-free
-   service brain: a registry of concurrently active sweeps, each with its
-   own queue, journal, retry budget and lifecycle state
+3. **Scheduler core** (:mod:`repro.cluster.scheduler`, per-sweep state in
+   :mod:`repro.cluster.sweep`) -- the transport-free service brain: a
+   registry of concurrently active sweeps, each with its own queue,
+   journal, retry budget and lifecycle state
    (``submitted -> running -> draining -> complete``), dispatched to
    workers by weighted fair share with latency-adaptive shard sizing.
 4. **Transport** (:mod:`repro.cluster.service`) -- the asyncio
@@ -28,19 +29,18 @@ layers:
    service bounces (``--reconnect-seconds``), and the thin HTTP client
    (:mod:`repro.cluster.client`) behind ``repro.pipeline --submit``.
 
-:class:`SweepCoordinator` (:mod:`repro.cluster.coordinator`) remains as the
-one-shot convenience facade: one sweep, served until complete, workers
-drained with ``done`` -- now a thin wrapper over scheduler + service.
-
 Entry points::
 
     python -m repro.cluster.service --listen :8765 --http :8766 \\
         --state-dir svc                  # the always-on service
     python -m repro.pipeline --submit HOST:8766 ...   # thin submit client
     python -m repro.pipeline --serve :8765 --journal sweep.jsonl [--resume]
+                                         # one sweep, served until complete
     python -m repro.cluster.worker --connect HOST:8765 --backend B --procs N
-    python -m repro.cluster.smoke        # loopback service + workers,
-                                         # diffed against the serial runner
+
+The loopback and fault-injection scenarios that diff all of this against
+the serial runner are scripts outside the package: ``tools/smoke_dist.py``
+(``make smoke-dist``) and ``tools/smoke_chaos.py`` (``make smoke-chaos``).
 
 The invariant everything here defends: a distributed, killed-and-resumed,
 heterogeneous-backend sweep -- even one of several running concurrently on
@@ -49,7 +49,6 @@ a shared worker pool -- aggregates to a :class:`SweepResult` whose
 a plain serial run's.
 """
 
-from repro.cluster.coordinator import SweepCoordinator
 from repro.cluster.journal import JournalError, ResultStore, sweep_identity
 from repro.cluster.protocol import (
     ProtocolError,
@@ -62,7 +61,6 @@ from repro.cluster.service import VerificationService
 from repro.cluster.state import ServiceState, restore_sweeps
 
 __all__ = [
-    "SweepCoordinator",
     "SweepScheduler",
     "VerificationService",
     "ServiceState",

@@ -24,7 +24,7 @@ even though it re-enumerates its task list from scratch; the ``sweep_id`` check 
 resume a journal written for a *different* task set (changed trial budget,
 different kernels, ...) instead of silently mixing two sweeps.  Duplicate
 records for one task (possible only across separate journaling runs -- the
-coordinator drops a late duplicate result *before* it reaches the journal)
+scheduler drops a late duplicate result *before* it reaches the journal)
 resolve last-wins on load.
 """
 
@@ -193,21 +193,20 @@ class ResultStore:
                     raise JournalError(
                         f"{path!r} does not start with a journal header"
                     )
-                if record.get("schema_version", 0) > SCHEMA_VERSION:
+                if record.get("schema_version") != SCHEMA_VERSION:
                     raise JournalError(
-                        f"{path!r} was written by a newer schema "
-                        f"(version {record['schema_version']}, "
-                        f"this build reads <= {SCHEMA_VERSION})"
+                        f"{path!r} was written with schema version "
+                        f"{record.get('schema_version')!r}; this build "
+                        f"reads only version {SCHEMA_VERSION}"
                     )
                 header = record
             elif record.get("kind") == "outcome":
                 task_id = record.get("task_id")
                 outcome = record.get("outcome")
-                crc = record.get("crc")  # absent in pre-checksum journals
                 if (
                     not isinstance(task_id, str)
                     or not isinstance(outcome, dict)
-                    or (crc is not None and crc != _outcome_crc(outcome))
+                    or record.get("crc") != _outcome_crc(outcome)
                 ):
                     metrics.inc("repro_journal_records_skipped_total")
                     continue

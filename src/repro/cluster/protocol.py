@@ -1,6 +1,6 @@
 """Length-prefixed JSON message framing for the sweep cluster.
 
-Every message on a coordinator/worker connection is one UTF-8 JSON object
+Every message on a service/worker connection is one UTF-8 JSON object
 preceded by a 4-byte big-endian length.  JSON keeps the protocol
 debuggable (``nc`` + a hex dump suffices) and reuses the sweep's existing
 JSON-safe outcome dicts verbatim; the length prefix makes message

@@ -18,14 +18,12 @@ scheduler verbs and nothing else:
 * :meth:`SweepScheduler.release` -- return a lost connection's in-flight
   leases to their queues with bounded per-task retries.
 
-Sweeps move through ``submitted -> running -> draining -> complete``
-(*draining* once the queue is empty but leases are still in flight; a
-per-sweep event wakes :meth:`wait` on completion).  Every invariant of
-the one-shot coordinator survives multi-tenancy: requeue-on-disconnect
-with bounded retries and retry anti-affinity, dedup by task ID (late
-results from workers presumed lost are dropped), tail-leveled shard
-sizing, and bitwise ``comparable_dict()`` parity with a serial run --
-now *per sweep*.
+Per-sweep state and the ``submitted -> running -> draining -> complete``
+lifecycle live in :mod:`repro.cluster.sweep`.  The invariants hold *per
+sweep*: requeue-on-disconnect with bounded retries and retry
+anti-affinity, dedup by task ID (late results from workers presumed lost
+are dropped), tail-leveled shard sizing, and bitwise ``comparable_dict()``
+parity with a serial run.
 
 Shard sizing is additionally **latency-adaptive**: a per-connection EWMA
 of observed per-task wall-clock caps each shard near
@@ -42,199 +40,20 @@ time modules, so the core is unit-testable with plain function calls (see
 from __future__ import annotations
 
 import threading
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faultinject
-from repro.core.reporting import Verdict
+from repro.cluster.sweep import COMPLETE, RUNNING, SUBMITTED, SweepEntry
 from repro.pipeline.result import SweepResult
-from repro.pipeline.tasks import SweepTask
+from repro.pipeline.tasks import SweepTask, sweep_labels, untested_outcome
 from repro.telemetry import MetricsRegistry
 from repro.telemetry import monotonic as _monotonic
 from repro.telemetry.metrics import parse_metric_key
 
-__all__ = [
-    "SweepScheduler",
-    "SweepEntry",
-    "SUBMITTED",
-    "RUNNING",
-    "DRAINING",
-    "COMPLETE",
-    "SWEEP_STATES",
-]
-
-#: Sweep lifecycle states, in order.
-SUBMITTED, RUNNING, DRAINING, COMPLETE = (
-    "submitted", "running", "draining", "complete")
-SWEEP_STATES = (SUBMITTED, RUNNING, DRAINING, COMPLETE)
+__all__ = ["SweepScheduler"]
 
 #: Smoothing factor of the per-connection task-latency EWMA.
 _EWMA_ALPHA = 0.3
-
-
-class SweepEntry:
-    """One registered sweep: tasks, queue, outcomes, journal, lifecycle."""
-
-    def __init__(
-        self,
-        sweep_id: str,
-        tasks: Sequence[SweepTask],
-        *,
-        suite: str,
-        buggy: bool,
-        backend: str,
-        priority: float,
-        max_task_retries: int,
-        store: Optional[Any],
-        completed: Optional[Dict[str, Dict[str, Any]]],
-        progress_callback: Optional[Callable[..., None]],
-        owns_store: bool,
-        clock: Callable[[], float],
-    ) -> None:
-        self.sweep_id = sweep_id
-        self.tasks = list(tasks)
-        self.suite = suite
-        self.buggy = buggy
-        self.backend = backend
-        self.priority = max(priority, 1e-6)
-        self.max_task_retries = max_task_retries
-        self.store = store
-        self.owns_store = owns_store
-        self.progress_callback = progress_callback
-        self.task_ids = [t.task_id for t in self.tasks]
-        self.index_of = {tid: i for i, tid in enumerate(self.task_ids)}
-        self.outcomes: List[Optional[Dict[str, Any]]] = [None] * len(self.tasks)
-        self.pending: deque = deque()
-        self.lost_leases: Dict[int, int] = {}
-        #: index -> distinct worker numbers whose lease on it failed
-        #: (connection loss, contained crash, or deadline timeout).
-        self.failed_workers: Dict[int, set] = {}
-        #: Quarantined-task records, surfaced through ``/status``.
-        self.quarantined: List[Dict[str, Any]] = []
-        self.done_count = 0
-        self.leased_total = 0  # tasks ever dispatched (fair-share deficit)
-        self.in_flight = 0
-        self.shard_sizes: List[int] = []
-        self.shard_meta: List[Dict[str, Any]] = []
-        self.state = SUBMITTED
-        self.done_event = threading.Event()
-        self.submitted_at = clock()
-        self.completed_at: Optional[float] = None
-        self.first_fresh_at: Optional[float] = None
-        self.fresh_count = 0  # outcomes executed this service life (not restored)
-        #: Per-sweep metrics: deltas piggybacked on this sweep's result
-        #: frames, merged as they land (attached to the sweep's result).
-        self.metrics = MetricsRegistry()
-        #: Fuzzing trials attempted across this sweep's landed outcomes.
-        self.trials_attempted = 0
-
-        completed = completed if completed is not None else (
-            dict(store.completed) if store is not None else {}
-        )
-        for index, tid in enumerate(self.task_ids):
-            outcome = completed.get(tid)
-            if outcome is not None:
-                self.outcomes[index] = outcome
-                self.done_count += 1
-            else:
-                self.pending.append(index)
-        if self.done_count == len(self.tasks):
-            self._finish(clock)
-
-    # -- helpers (caller holds the scheduler lock) --------------------- #
-    @property
-    def total(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def remaining(self) -> int:
-        return self.total - self.done_count
-
-    def _finish(self, clock: Callable[[], float]) -> None:
-        self.state = COMPLETE
-        self.completed_at = clock()
-        self.done_event.set()
-        if self.store is not None and self.owns_store:
-            self.store.close()
-
-    def _refresh_state(self, clock: Callable[[], float]) -> None:
-        if self.done_count == self.total:
-            if self.state != COMPLETE:
-                self._finish(clock)
-        elif self.state != SUBMITTED:
-            # Draining: nothing queued, but leases still in flight.
-            self.state = DRAINING if not self.pending else RUNNING
-
-    def synthetic_outcome(
-        self, index: int, error: str, worker: Optional[Dict[str, Any]]
-    ) -> Dict[str, Any]:
-        """A journal-shaped UNTESTED outcome for a task that never ran."""
-        task = self.tasks[index]
-        return {
-            "suite": task.suite,
-            "workload": task.workload,
-            "transformation": task.transformation.name,
-            "match_index": task.match_index,
-            "task_id": self.task_ids[index],
-            "worker": worker,
-            "verdict": Verdict.UNTESTED.value,
-            "match_description": task.match_description,
-            "error": error,
-            "report": None,
-        }
-
-    def result(self) -> SweepResult:
-        duration = (self.completed_at or self.submitted_at) - self.submitted_at
-        return SweepResult(
-            suite=self.suite,
-            buggy=self.buggy,
-            backend=self.backend,
-            outcomes=list(self.outcomes),
-            duration_seconds=duration,
-            sweep_id=self.sweep_id,
-            telemetry=(
-                None
-                if self.metrics.is_empty()
-                else {"metrics": self.metrics.snapshot()}
-            ),
-        )
-
-    def snapshot(self, clock: Callable[[], float]) -> Dict[str, Any]:
-        """Progress/ETA introspection document (JSON-safe)."""
-        now = clock()
-        rate = None
-        eta = None
-        if self.fresh_count > 1 and self.first_fresh_at is not None:
-            elapsed = now - self.first_fresh_at
-            if elapsed > 0:
-                # The anchoring outcome's latency was not observed.
-                rate = (self.fresh_count - 1) / elapsed
-                if rate > 0:
-                    eta = self.remaining / rate
-        return {
-            "sweep_id": self.sweep_id,
-            "state": self.state,
-            "suite": self.suite,
-            "buggy": self.buggy,
-            "backend": self.backend,
-            "priority": self.priority,
-            "total": self.total,
-            "done": self.done_count,
-            "pending": len(self.pending),
-            "in_flight": self.in_flight,
-            "shards": len(self.shard_sizes),
-            "shard_sizes": list(self.shard_sizes),
-            "tasks_per_second": rate,
-            "eta_seconds": eta,
-            "age_seconds": now - self.submitted_at,
-            "quarantined": [dict(q) for q in self.quarantined],
-            "journal": getattr(self.store, "path", None),
-            "counters": {
-                "tasks_done": self.done_count,
-                "tasks_fresh": self.fresh_count,
-                "trials_attempted": self.trials_attempted,
-            },
-        }
 
 
 class _ConnState:
@@ -264,7 +83,6 @@ class SweepScheduler:
         self,
         *,
         max_task_retries: int = 2,
-        batch_size: int = 0,
         target_lease_seconds: float = 10.0,
         done_when_idle: bool = False,
         quarantine_workers: int = 3,
@@ -277,13 +95,11 @@ class SweepScheduler:
         #: remains (a poison task must not burn its budget against every
         #: worker in the fleet); 0 disables quarantine.
         self.quarantine_workers = quarantine_workers
-        #: Global hard cap on tasks per shard; 0 defers to worker requests.
-        self.batch_size = batch_size
         #: Latency-adaptive sizing target: a shard should take roughly this
         #: long on the requesting worker (given its observed per-task EWMA).
         self.target_lease_seconds = target_lease_seconds
         #: ``True``: an idle scheduler (every sweep complete) answers leases
-        #: with ``done`` so workers drain and exit (one-shot coordinator
+        #: with ``done`` so workers drain and exit (the one-shot ``--serve``
         #: mode); a persistent service leaves this ``False`` and idle
         #: workers park on ``wait`` until the next sweep arrives.
         self.done_when_idle = done_when_idle
@@ -313,24 +129,12 @@ class SweepScheduler:
         priority: float = 1.0,
         max_task_retries: Optional[int] = None,
         store: Optional[Any] = None,
-        completed: Optional[Dict[str, Dict[str, Any]]] = None,
         progress_callback: Optional[Callable[..., None]] = None,
         owns_store: bool = False,
     ) -> str:
         """Register a sweep; returns its id.  Safe while workers run."""
         tasks = list(tasks)
-        if suite is None:
-            suite = tasks[0].suite if tasks else "npbench"
-        if buggy is None:
-            buggy = any(
-                bool(t.transformation.kwargs.get("inject_bug")) for t in tasks
-            )
-        if backend is None:
-            backend = (
-                tasks[0].verifier_kwargs.get("backend", "interpreter")
-                if tasks
-                else "interpreter"
-            )
+        suite, buggy, backend = sweep_labels(tasks, suite, buggy, backend)
         with self._lock:
             if sweep_id is None:
                 sweep_id = f"sweep-{len(self._sweeps) + 1:03d}"
@@ -351,7 +155,6 @@ class SweepScheduler:
                     else self.max_task_retries
                 ),
                 store=store,
-                completed=completed,
                 progress_callback=progress_callback,
                 owns_store=owns_store,
                 clock=self._clock,
@@ -482,19 +285,19 @@ class SweepScheduler:
         if error is None and worker_outcome is not None:
             outcome = worker_outcome
         else:
-            outcome = entry.synthetic_outcome(index, error, dict(conn.info))
+            outcome = untested_outcome(
+                entry.tasks[index], error, task_id=task_id, worker=dict(conn.info)
+            )
         self._land(entry, index, task_id, outcome)
 
     # ------------------------------------------------------------------ #
     # Dispatch (fair share + adaptive sizing)
     # ------------------------------------------------------------------ #
     def _shard_cap(self, entry: SweepEntry, conn: _ConnState, max_tasks: int) -> int:
-        """Bound a shard by the worker request, the global batch cap, the
-        connection's latency estimate, and (with >1 active workers) the
-        pending-count tail leveler."""
+        """Bound a shard by the worker request, the connection's latency
+        estimate, and (with >1 active workers) the pending-count tail
+        leveler."""
         max_tasks = max(1, max_tasks)
-        if self.batch_size > 0:
-            max_tasks = min(max_tasks, self.batch_size)
         if conn.latency_ewma and conn.latency_ewma > 0:
             latency_cap = max(
                 1, int(self.target_lease_seconds / conn.latency_ewma)
@@ -729,8 +532,9 @@ class SweepScheduler:
             for index, outcome in enumerate(entry.outcomes):
                 if outcome is not None:
                     continue
-                entry.outcomes[index] = entry.synthetic_outcome(
-                    index, "sweep cancelled", None
+                entry.outcomes[index] = untested_outcome(
+                    entry.tasks[index], "sweep cancelled",
+                    task_id=entry.task_ids[index],
                 )
                 entry.done_count += 1
             entry.pending.clear()

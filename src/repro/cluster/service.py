@@ -8,9 +8,8 @@ every wire message translates into one call on the transport-free
 
 Three transports multiplex over one scheduler:
 
-* **Worker socket** -- an asyncio rewrite of the accept/dispatch loop
-  speaking the existing length-prefixed JSON protocol *unchanged*
-  (:mod:`repro.cluster.protocol`): pre-service workers connect as-is.
+* **Worker socket** -- the accept/dispatch loop speaking the
+  length-prefixed JSON protocol (:mod:`repro.cluster.protocol`).
   Workers are elastic -- they join and leave mid-service and are assigned
   shards from whichever active sweep fair-share picks.
 * **HTTP/JSON** (optional second port) -- ``POST /sweeps`` submits a
@@ -40,9 +39,8 @@ clients in the ``X-Repro-Token`` header; a bad token gets a clean refusal
 tokenless.
 
 The event loop runs in a dedicated daemon thread, so synchronous callers
-(the pipeline CLI, tests, the one-shot coordinator wrapper) drive the
-service with plain ``start()`` / ``submit()`` / ``wait_sweep()`` /
-``stop()`` calls.
+(the pipeline CLI, tests) drive the service with plain ``start()`` /
+``submit()`` / ``wait_sweep()`` / ``stop()`` calls.
 
 Entry point::
 
@@ -64,10 +62,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faultinject
 from repro.cluster.protocol import MAX_MESSAGE_BYTES, ProtocolError, TOKEN_ENV
-from repro.cluster.scheduler import COMPLETE, SweepScheduler
+from repro.cluster.scheduler import SweepScheduler
 from repro.cluster.state import ServiceState, restore_sweeps
+from repro.cluster.sweep import COMPLETE
 from repro.pipeline.result import SweepResult
-from repro.pipeline.tasks import SweepTask
+from repro.pipeline.tasks import SweepTask, sweep_labels
 from repro.telemetry import monotonic as _monotonic
 
 __all__ = ["VerificationService", "main"]
@@ -144,7 +143,6 @@ class VerificationService:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        scheduler: Optional[SweepScheduler] = None,
         http_host: Optional[str] = None,
         http_port: Optional[int] = None,
         state_dir: Optional[str] = None,
@@ -162,7 +160,7 @@ class VerificationService:
         self.http_host = http_host if http_host is not None else host
         #: ``None`` disables the HTTP endpoint; 0 picks a free port.
         self.http_port = http_port
-        self.scheduler = scheduler or SweepScheduler(
+        self.scheduler = SweepScheduler(
             max_task_retries=max_task_retries,
             done_when_idle=done_when_idle,
             target_lease_seconds=target_lease_seconds,
@@ -318,7 +316,6 @@ class VerificationService:
         priority: float = 1.0,
         max_task_retries: Optional[int] = None,
         store: Optional[Any] = None,
-        completed: Optional[Dict[str, Dict[str, Any]]] = None,
         progress_callback: Optional[Callable[..., None]] = None,
     ) -> str:
         """Register a sweep; with a state dir, persist it first.
@@ -336,36 +333,25 @@ class VerificationService:
                 priority=priority,
                 max_task_retries=max_task_retries,
                 store=store,
-                completed=completed,
                 progress_callback=progress_callback,
             )
         with self._submit_lock:
             sweep_id = self.state.allocate_sweep_id()
-            entry_suite = suite or (tasks[0].suite if tasks else "npbench")
-            entry_buggy = buggy if buggy is not None else any(
-                bool(t.transformation.kwargs.get("inject_bug")) for t in tasks
-            )
-            entry_backend = backend or (
-                tasks[0].verifier_kwargs.get("backend", "interpreter")
-                if tasks
-                else "interpreter"
-            )
+            suite, buggy, backend = sweep_labels(tasks, suite, buggy, backend)
             self.state.persist(sweep_id, tasks, {
-                "suite": entry_suite,
-                "buggy": entry_buggy,
-                "backend": entry_backend,
+                "suite": suite,
+                "buggy": buggy,
+                "backend": backend,
                 "priority": priority,
                 "max_task_retries": max_task_retries,
             })
-            journal = self.state.open_store(
-                sweep_id, tasks, entry_suite, entry_buggy, entry_backend
-            )
+            journal = self.state.open_store(sweep_id, tasks, suite, buggy, backend)
             return self.scheduler.submit(
                 tasks,
                 sweep_id=sweep_id,
-                suite=entry_suite,
-                buggy=entry_buggy,
-                backend=entry_backend,
+                suite=suite,
+                buggy=buggy,
+                backend=backend,
                 priority=priority,
                 max_task_retries=max_task_retries,
                 store=journal,

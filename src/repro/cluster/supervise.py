@@ -29,9 +29,8 @@ import queue
 from collections import deque
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
-from repro.core.reporting import Verdict
 from repro.pipeline.runner import _pool_context, execute_task_with_metrics
-from repro.pipeline.tasks import SweepTask
+from repro.pipeline.tasks import SweepTask, untested_outcome
 from repro.telemetry import monotonic as _monotonic
 
 __all__ = ["SupervisedExecutor"]
@@ -101,19 +100,9 @@ class SupervisedExecutor:
             )
         else:
             error = "worker process died while running this task"
-        return {
-            "suite": task.suite,
-            "workload": task.workload,
-            "transformation": task.transformation.name,
-            "match_index": task.match_index,
-            "task_id": task_id,
-            "worker": None,
-            "verdict": Verdict.UNTESTED.value,
-            "match_description": task.match_description,
-            "error": error,
-            "report": None,
-            "failure": reason,
-        }
+        outcome = untested_outcome(task, error, task_id=task_id)
+        outcome["failure"] = reason
+        return outcome
 
     # ------------------------------------------------------------------ #
     def run_shard(

@@ -32,7 +32,7 @@ service bounce*: when the connection drops mid-service it retries the
 connection with *jittered* exponential backoff for up to ``T`` seconds
 (fresh budget per drop) instead of treating the EOF as end-of-sweep --
 the jitter de-correlates a fleet's reconnect stampede after a bounce.
-The default 0 keeps the one-shot behavior: a vanished coordinator means
+The default 0 keeps the one-shot behavior: a vanished service means
 the sweep is over.
 
 With ``--task-timeout T`` tasks execute on *killable supervised
@@ -253,7 +253,7 @@ def run_worker(
     auth_token: Optional[str] = None,
     quiet: bool = False,
 ) -> int:
-    """Serve one service/coordinator until it reports the sweeps complete.
+    """Serve one service until it reports the sweeps complete.
 
     With ``reconnect_seconds > 0`` a dropped connection (service bounce,
     network flake) is retried with jittered exponential backoff for up to
@@ -333,12 +333,11 @@ def run_worker(
                 message = {
                     "type": "result",
                     "shard": shard,
+                    "sweep": sweep,
                     "index": index,
                     "task_id": task_id,
                     "outcome": outcome,
                 }
-                if sweep is not None:
-                    message["sweep"] = sweep
                 if metrics and any(
                     metrics.get(k)
                     for k in ("counters", "gauges", "histograms")

@@ -44,12 +44,6 @@ class FlowNetwork:
         self._capacity[u][v] = self._capacity[u].get(v, 0.0) + capacity
         self._capacity[v].setdefault(u, self._capacity[v].get(u, 0.0))
 
-    def set_edge(self, u: Hashable, v: Hashable, capacity: float) -> None:
-        self.add_node(u)
-        self.add_node(v)
-        self._capacity[u][v] = capacity
-        self._capacity[v].setdefault(u, self._capacity[v].get(u, 0.0))
-
     def nodes(self) -> Set[Hashable]:
         return set(self._nodes)
 

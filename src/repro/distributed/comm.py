@@ -48,13 +48,6 @@ class SimulatedComm:
             for r in range(self.size)
         ]
 
-    def allgather_rows(self, locals_: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """All ranks receive the row-wise concatenation of all local buffers."""
-        self._check_participants(locals_)
-        self.num_collectives += 1
-        full = np.concatenate(list(locals_), axis=0)
-        return [np.array(full, copy=True) for _ in range(self.size)]
-
     def allreduce(
         self, locals_: Sequence[np.ndarray], op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add
     ) -> List[np.ndarray]:

@@ -63,10 +63,6 @@ class CoverageMap:
         """Add all features of ``other`` into this map."""
         self._features |= other._features
 
-    def new_features(self, other: "CoverageMap") -> Set[int]:
-        """Features present in ``other`` but not in this map."""
-        return other._features - self._features
-
     def has_new_coverage(self, other: "CoverageMap") -> bool:
         """Whether ``other`` exercises anything this map has not seen."""
         return bool(other._features - self._features)

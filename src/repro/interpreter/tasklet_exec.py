@@ -58,13 +58,6 @@ def compile_tasklet(code: str):
     return obj
 
 
-def evaluate_expression(expr: str, namespace: Mapping[str, Any]) -> Any:
-    """Evaluate a Python expression in a restricted namespace."""
-    code = compile_expression(expr)
-    globs = {"__builtins__": _SAFE_BUILTINS, "np": np, "math": math}
-    return eval(code, globs, dict(namespace))  # noqa: S307 - restricted namespace
-
-
 class TaskletRunner:
     """Compiles and executes tasklet code blocks."""
 

@@ -23,14 +23,14 @@ function in the identical order, so their verdict tables match exactly.
 
 Every task has a deterministic identity (:attr:`SweepTask.task_id`), and
 any run can journal its outcomes to -- and resume from -- an append-only
-result store; :mod:`repro.cluster` builds the distributed coordinator/
-worker service on exactly these seams.
+result store; :mod:`repro.cluster` builds the distributed service and
+its workers on exactly these seams.
 
 CLI::
 
     python -m repro.pipeline --suite npbench --buggy --workers 4 --trials 6
     python -m repro.pipeline --serve :8765 --journal sweep.jsonl [--resume]
-    python -m repro.pipeline --connect HOST:8765 --procs 8
+    python -m repro.cluster.worker --connect HOST:8765 --procs 8
 """
 
 from repro.pipeline.result import SweepResult

@@ -23,9 +23,6 @@ Distributed / resumable operation (see :mod:`repro.cluster`):
   POSTed to the service's HTTP endpoint, progress is polled, and the
   completed result is fetched and rendered exactly like a local run
   (``--detach`` returns immediately after printing the sweep id);
-* ``--connect HOST:PORT`` turns this invocation *into* a worker
-  (``--procs`` drives a local pool; ``--backend`` overrides the sweep's
-  backend for this worker only);
 * ``--journal PATH`` appends every completed outcome to a crash-safe JSONL
   journal, and ``--resume`` reloads it so a killed sweep (local or served)
   re-runs only its incomplete tasks.
@@ -84,7 +81,7 @@ class ProgressPrinter:
     armed.  Two properties keep the line truthful under failure:
 
     * the displayed ``completed`` / ``total`` counts come from the runner
-      or coordinator, which count each task exactly once -- a requeued task
+      or scheduler, which count each task exactly once -- a requeued task
       (worker died mid-sweep) neither inflates the denominator nor double-
       counts on redelivery, so ``[k/total]`` never drifts;
     * restored (journal-resumed) outcomes are excluded from the rate, so a
@@ -170,9 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"{', '.join(list_backends())}, or 'cross:REF,CAND' to cross-check "
         "any pair of two different backends (e.g. "
         "'cross:compiled,interpreter'); any divergence fails the sweep as "
-        "an infrastructure error.  'vectorized' and 'batched' are accepted "
-        "as aliases of 'compiled' "
-        "(default: interpreter; with --connect: the worker-side override)",
+        "an infrastructure error (default: interpreter)",
     )
     parser.add_argument(
         "--trial-batch", default=1, type=int, metavar="K",
@@ -221,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = parser.add_argument_group("distributed / resumable operation")
     cluster.add_argument(
         "--serve", default=None, metavar="HOST:PORT",
-        help="serve tasks to remote workers (repro.cluster.worker --connect) "
+        help="serve tasks to remote workers (python -m repro.cluster.worker) "
         "instead of executing locally; PORT 0 picks a free port",
     )
     cluster.add_argument(
@@ -242,11 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         "receives ~3x the worker time of a priority-1 sweep)",
     )
     cluster.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
-        help="act as a worker for a coordinator at HOST:PORT (no local "
-        "task enumeration; --procs sizes the local pool)",
-    )
-    cluster.add_argument(
         "--local-procs", type=int, default=0, metavar="N",
         help="with --serve: also execute tasks with N in-process executor "
         "threads, so the serving invocation progresses with zero external "
@@ -260,12 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--auth-token", default=os.environ.get(_TOKEN_ENV),
         help="shared cluster secret: with --serve, require it from "
-        "non-loopback workers/clients; with --submit or --connect, present "
-        f"it to the service (default: ${_TOKEN_ENV})",
-    )
-    cluster.add_argument(
-        "--procs", type=int, default=1,
-        help="worker-mode process count (with --connect; default 1)",
+        "non-loopback workers/clients; with --submit, present it to the "
+        f"service (default: ${_TOKEN_ENV})",
     )
     cluster.add_argument(
         "--journal", default=None, metavar="PATH",
@@ -335,12 +321,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    modes = [flag for flag, v in (
-        ("--serve", args.serve), ("--connect", args.connect),
-        ("--submit", args.submit),
-    ) if v]
-    if len(modes) > 1:
-        parser.error(f"{' and '.join(modes)} are mutually exclusive")
+    if args.serve and args.submit:
+        parser.error("--serve and --submit are mutually exclusive")
     if args.resume and not args.journal:
         parser.error("--resume requires --journal PATH")
     if args.submit and args.journal:
@@ -366,40 +348,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             faultinject.configure(args.faults, seed=args.fault_seed)
         except faultinject.FaultSpecError as exc:
             parser.error(str(exc))
-
-    # ------------------------------------------------------------------ #
-    # Worker mode: no enumeration, no report -- serve one coordinator.
-    # ------------------------------------------------------------------ #
-    if args.connect:
-        from repro.cluster.protocol import ProtocolError
-        from repro.cluster.worker import parse_endpoint, run_worker
-
-        # A worker enumerates nothing and writes no report: flags that shape
-        # or persist the sweep belong on the coordinator invocation, and
-        # ignoring them silently would be worse than refusing.
-        for flag, value in (
-            ("--journal", args.journal), ("--resume", args.resume),
-            ("--json", args.json), ("--markdown", args.markdown),
-        ):
-            if value:
-                parser.error(
-                    f"{flag} applies to the sweep owner, not a worker; "
-                    f"pass it to the --serve (or local) invocation instead"
-                )
-        try:
-            host, port = parse_endpoint(args.connect)
-            run_worker(
-                host,
-                port,
-                backend=args.backend,
-                procs=max(args.procs, args.workers),
-                auth_token=args.auth_token,
-                quiet=args.quiet,
-            )
-        except (OSError, ProtocolError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        return 0
 
     backend = args.backend or "interpreter"
     workloads = None
@@ -512,7 +460,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if args.serve:
-            from repro.cluster.coordinator import SweepCoordinator
+            from repro.cluster.service import VerificationService
             from repro.cluster.worker import parse_endpoint
 
             try:
@@ -521,43 +469,54 @@ def main(argv: Optional[List[str]] = None) -> int:
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            coordinator = SweepCoordinator(
-                tasks,
+            # done_when_idle: once the sweep completes workers are told
+            # ``done`` and drain, instead of parking for a next sweep.
+            service = VerificationService(
                 host,
                 port,
-                store=store,
-                max_task_retries=args.max_task_retries,
+                http_host=http_endpoint[0] if http_endpoint else None,
+                http_port=http_endpoint[1] if http_endpoint else None,
+                auth_token=args.auth_token,
                 worker_timeout=args.worker_timeout,
-                progress_callback=progress,
+                local_procs=args.local_procs,
+                done_when_idle=True,
+                max_task_retries=args.max_task_retries,
+            )
+            sweep_id = service.submit(
+                tasks,
                 suite=args.suite,
                 buggy=args.buggy,
                 backend=backend,
-                auth_token=args.auth_token,
-                local_procs=args.local_procs,
-                http_host=http_endpoint[0] if http_endpoint else None,
-                http_port=http_endpoint[1] if http_endpoint else None,
+                store=store,
+                progress_callback=progress,
             )
-            bound_host, bound_port = coordinator.start()
-            if not args.quiet:
-                extras = []
-                if args.local_procs:
-                    extras.append(f"{args.local_procs} local executor(s)")
-                if coordinator.http_address:
-                    hh, hp = coordinator.http_address
-                    extras.append(f"status on http://{hh}:{hp}/status")
-                print(
-                    f"[pipeline] serving {coordinator.remaining}/{len(tasks)} "
-                    f"task(s) on {bound_host}:{bound_port} "
-                    f"(suite '{args.suite}', "
-                    f"{'buggy' if args.buggy else 'faithful'}, "
-                    f"backend '{backend}'"
-                    + (", " + ", ".join(extras) if extras else "")
-                    + f"); waiting for workers: "
-                    f"python -m repro.cluster.worker "
-                    f"--connect {bound_host}:{bound_port}",
-                    flush=True,
-                )
-            result = coordinator.wait()
+            bound_host, bound_port = service.start()
+            try:
+                if not args.quiet:
+                    extras = []
+                    if args.local_procs:
+                        extras.append(f"{args.local_procs} local executor(s)")
+                    if service.http_address:
+                        hh, hp = service.http_address
+                        extras.append(f"status on http://{hh}:{hp}/status")
+                    restored = len(store.completed) if store is not None else 0
+                    print(
+                        f"[pipeline] serving {len(tasks) - restored}/{len(tasks)} "
+                        f"task(s) on {bound_host}:{bound_port} "
+                        f"(suite '{args.suite}', "
+                        f"{'buggy' if args.buggy else 'faithful'}, "
+                        f"backend '{backend}'"
+                        + (", " + ", ".join(extras) if extras else "")
+                        + f"); waiting for workers: "
+                        f"python -m repro.cluster.worker "
+                        f"--connect {bound_host}:{bound_port}",
+                        flush=True,
+                    )
+                result = service.wait_sweep(sweep_id)
+            finally:
+                service.stop()
+            result.workers = max(1, service.scheduler.worker_count)
+            result.sweep_id = None  # a one-shot sweep has no service identity
         else:
             workers = max(1, args.workers)
             if not args.quiet:

@@ -17,40 +17,9 @@ from repro.core.reporting import Verdict
 
 __all__ = ["SweepResult"]
 
-#: Version of the JSON document produced by :meth:`SweepResult.to_dict`.
-#: Version 2 adds the ``backend`` field (execution backend used for the
-#: sweep); version-1 documents lack it and load as ``"interpreter"``, which
-#: is what every v1 sweep actually ran.
-#: Version 3 fixes the ``backend`` string format: besides plain registry
-#: names (now including ``"compiled"``), it may be a cross-check pair of
-#: the form ``"cross:REF,CAND"`` (the bare ``"cross"`` is shorthand for
-#: ``"cross:interpreter,compiled"``; documents written when it meant
-#: ``"cross:interpreter,vectorized"`` name the same pair, ``vectorized``
-#: now being an alias of ``compiled``).  v2 documents load unchanged.
-#: Version 4 adds two per-outcome fields for the distributed/resumable
-#: sweep service (``repro.cluster``): ``task_id`` (the deterministic task
-#: identity keying the result journal) and ``worker`` (shard metadata --
-#: host/pid/shard/backend -- for outcomes produced by a remote worker;
-#: ``None`` for local runs).  v1-v3 documents load with both defaulted to
-#: ``None``; no aggregate field changed.
-#: Version 5 adds the top-level ``sweep_id`` field: the submission id a
-#: sweep was assigned by the always-on verification service
-#: (``sweep-NNN``); ``None`` for sweeps run outside the service.  v1-v4
-#: documents load with ``sweep_id=None``.  Like ``workers``, the field
-#: describes *how* the sweep ran, not what it computed, so
-#: :meth:`SweepResult.comparable_dict` strips it.
-#: Version 6 adds the optional top-level ``telemetry`` section: the
-#: aggregated metrics snapshot of the sweep (``{"metrics": {counters,
-#: gauges, histograms}}``, see :mod:`repro.telemetry.metrics`), or ``None``
-#: when telemetry recorded nothing.  v1-v5 documents load with
-#: ``telemetry=None``.  Telemetry describes how the sweep *ran* (cache
-#: luck, batching, timings), never what it computed, so
-#: :meth:`SweepResult.comparable_dict` strips it.
+#: Version of the JSON document :meth:`SweepResult.to_dict` writes -- and the
+#: only one :meth:`SweepResult.from_dict` and the journal loader read.
 SCHEMA_VERSION = 6
-
-#: Per-outcome keys introduced by schema version 4, with load-time defaults
-#: applied to documents written by older versions.
-_V4_OUTCOME_DEFAULTS: Dict[str, Any] = {"task_id": None, "worker": None}
 
 
 @dataclass
@@ -104,8 +73,8 @@ class SweepResult:
     # ------------------------------------------------------------------ #
     # Renderers
     # ------------------------------------------------------------------ #
-    def to_dict(self, include_outcomes: bool = True) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+    def to_dict(self) -> Dict[str, Any]:
+        return {
             "schema_version": SCHEMA_VERSION,
             "suite": self.suite,
             "buggy": self.buggy,
@@ -116,40 +85,36 @@ class SweepResult:
             "duration_seconds": self.duration_seconds,
             "verdict_table": self.verdict_table(),
             "totals": dict(zip(("instances", "failing"), self.totals())),
+            "outcomes": list(self.outcomes),
         }
-        if include_outcomes:
-            out["outcomes"] = list(self.outcomes)
-        return out
 
-    def to_json(self, indent: Optional[int] = 2, include_outcomes: bool = True) -> str:
-        return json.dumps(self.to_dict(include_outcomes=include_outcomes), indent=indent)
+    def to_json(self, indent: Optional[int] = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "SweepResult":
-        """Load any schema version (1-6), filling defaulted fields.
+        """Load a document written by :meth:`to_dict` of this schema version.
 
-        v1 documents predate backend selection and load as ``"interpreter"``
-        (what every v1 sweep ran); v1-v3 outcomes gain the v4 ``task_id`` /
-        ``worker`` keys with ``None`` defaults so downstream consumers see a
-        uniform shape; v1-v4 documents predate the verification service and
-        load with ``sweep_id=None``; v1-v5 documents predate telemetry and
-        load with ``telemetry=None``.
+        Documents arrive from outside the process (``--json`` files, the
+        service's HTTP result endpoint), so the version is checked: any
+        other ``schema_version`` is a :class:`ValueError`, never a guess at
+        what the missing fields meant.
         """
-        outcomes = []
-        for o in d.get("outcomes", []):
-            o = dict(o)
-            for key, default in _V4_OUTCOME_DEFAULTS.items():
-                o.setdefault(key, default)
-            outcomes.append(o)
+        version = d.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ValueError(
+                f"sweep result document has schema_version {version!r}; "
+                f"this build reads only version {SCHEMA_VERSION}"
+            )
         return cls(
             suite=d["suite"],
-            buggy=d.get("buggy", False),
-            workers=d.get("workers", 1),
-            backend=d.get("backend", "interpreter"),
-            outcomes=outcomes,
-            duration_seconds=d.get("duration_seconds", 0.0),
-            sweep_id=d.get("sweep_id"),
-            telemetry=d.get("telemetry"),
+            buggy=d["buggy"],
+            workers=d["workers"],
+            backend=d["backend"],
+            outcomes=list(d["outcomes"]),
+            duration_seconds=d["duration_seconds"],
+            sweep_id=d["sweep_id"],
+            telemetry=d["telemetry"],
         )
 
     def comparable_dict(self) -> Dict[str, Any]:
@@ -219,8 +184,8 @@ class SweepResult:
     def fallback_reasons(self, top: int = 5) -> List[Tuple[str, int]]:
         """The top scope-lowering fallback reasons recorded by telemetry.
 
-        Empty when the sweep ran without telemetry (schema <= 5 documents,
-        or interpreter-only sweeps that never attempt lowering)."""
+        Empty when telemetry recorded nothing (e.g. interpreter-only sweeps
+        never attempt lowering)."""
         from repro.telemetry import fallback_summary
 
         if not self.telemetry:

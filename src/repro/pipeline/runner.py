@@ -27,7 +27,7 @@ from repro import faultinject
 from repro.core.reporting import Verdict
 from repro.core.verifier import FuzzyFlowVerifier
 from repro.pipeline.result import SweepResult
-from repro.pipeline.tasks import SweepTask
+from repro.pipeline.tasks import SweepTask, sweep_labels, untested_outcome
 from repro.telemetry import TRACER as _TRACER
 from repro.telemetry import MetricsRegistry, capture
 from repro.telemetry import perf_counter as _perf_counter
@@ -45,15 +45,6 @@ def execute_task(task: SweepTask) -> Dict[str, Any]:
     transformation, ...) are captured in the ``error`` field instead of
     killing the whole sweep.
     """
-    base = {
-        "suite": task.suite,
-        "workload": task.workload,
-        "transformation": task.transformation.name,
-        "match_index": task.match_index,
-        "task_id": task.task_id,
-        "worker": None,
-        "error": None,
-    }
     try:
         # Inside the try block: an `exception` fault becomes a journaled
         # UNTESTED outcome (like any infrastructure error) while `crash` /
@@ -68,21 +59,26 @@ def execute_task(task: SweepTask) -> Dict[str, Any]:
             sdfg, xform, task.match_index, symbol_values=task.symbols
         )
     except Exception as exc:  # noqa: BLE001 - reported per task
-        base["verdict"] = Verdict.UNTESTED.value
-        base["match_description"] = task.match_description
-        base["error"] = f"{type(exc).__name__}: {exc}"
-        base["report"] = None
-        return base
-    base["verdict"] = report.verdict.value
-    base["match_description"] = report.match_description
-    base["report"] = report.to_dict()
+        return untested_outcome(task, f"{type(exc).__name__}: {exc}")
+    error = None
     if report.verdict == Verdict.UNTESTED and report.error_message:
         # E.g. the worker-side rebuild produced fewer matches than the
-        # coordinator enumerated: an infrastructure problem, not a verdict --
-        # surface it through SweepResult.errors() instead of letting the
+        # sweep's owner enumerated: an infrastructure problem, not a verdict
+        # -- surface it through SweepResult.errors() instead of letting the
         # instance silently vanish from the verdict table.
-        base["error"] = report.error_message
-    return base
+        error = report.error_message
+    return {
+        "suite": task.suite,
+        "workload": task.workload,
+        "transformation": task.transformation.name,
+        "match_index": task.match_index,
+        "task_id": task.task_id,
+        "worker": None,
+        "error": error,
+        "verdict": report.verdict.value,
+        "match_description": report.match_description,
+        "report": report.to_dict(),
+    }
 
 
 def execute_task_with_metrics(
@@ -124,9 +120,8 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 class SweepRunner:
     """Fans sweep tasks out to a worker pool and aggregates the outcomes."""
 
-    def __init__(self, workers: int = 1, chunksize: int = 1) -> None:
+    def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, int(workers))
-        self.chunksize = max(1, int(chunksize))
 
     def run(
         self,
@@ -137,7 +132,6 @@ class SweepRunner:
         progress_callback: Optional[ProgressCallback] = None,
         store: Optional[Any] = None,
         completed: Optional[Mapping[str, Dict[str, Any]]] = None,
-        sweep_id: Optional[str] = None,
     ) -> SweepResult:
         """Execute all tasks and aggregate them into a :class:`SweepResult`.
 
@@ -155,24 +149,11 @@ class SweepRunner:
         without re-execution -- the resume path.  The progress callback only
         fires for freshly executed tasks, but its ``completed`` count
         includes the restored ones, so ``[k/total]`` lines stay truthful.
-        ``sweep_id`` labels the result with a verification-service
-        submission id (stripped by ``comparable_dict()``).
         """
         start = _perf_counter()
         tasks = list(tasks)
         total = len(tasks)
-        if suite is None:
-            suite = tasks[0].suite if tasks else "npbench"
-        if buggy is None:
-            buggy = any(
-                bool(t.transformation.kwargs.get("inject_bug")) for t in tasks
-            )
-        if backend is None:
-            backend = (
-                tasks[0].verifier_kwargs.get("backend", "interpreter")
-                if tasks
-                else "interpreter"
-            )
+        suite, buggy, backend = sweep_labels(tasks, suite, buggy, backend)
 
         # Partition into restored (journaled) and pending work.
         outcomes: List[Optional[Dict[str, Any]]] = [None] * total
@@ -213,7 +194,7 @@ class SweepRunner:
             ctx = _pool_context()
             with ctx.Pool(processes=workers_used) as pool:
                 for index, outcome, metrics in pool.imap_unordered(
-                    _execute_indexed, pending, chunksize=self.chunksize
+                    _execute_indexed, pending
                 ):
                     land(index, outcome, metrics)
         return SweepResult(
@@ -223,7 +204,6 @@ class SweepRunner:
             backend=backend,
             outcomes=outcomes,
             duration_seconds=_perf_counter() - start,
-            sweep_id=sweep_id,
             telemetry=(
                 None if agg.is_empty() else {"metrics": agg.snapshot()}
             ),

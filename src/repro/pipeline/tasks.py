@@ -15,8 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.reporting import Verdict
 from repro.core.verifier import FuzzyFlowVerifier
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json
@@ -28,6 +29,8 @@ __all__ = [
     "SweepTask",
     "default_transformation_specs",
     "enumerate_sweep_tasks",
+    "sweep_labels",
+    "untested_outcome",
 ]
 
 #: Suite name used for tasks that carry their program as serialized JSON.
@@ -154,6 +157,60 @@ class SweepTask:
             verifier_kwargs=dict(d.get("verifier_kwargs", {})),
             sdfg_json=d.get("sdfg_json"),
         )
+
+
+def untested_outcome(
+    task: SweepTask,
+    error: str,
+    *,
+    task_id: Optional[str] = None,
+    worker: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """The outcome document of a task that produced no verdict.
+
+    Every infrastructure failure lands as this one shape -- an exception
+    while running the task, a lease lost past its retry budget, a
+    quarantine, a cancellation, a supervised member killed at its deadline
+    -- so it surfaces through ``SweepResult.errors()`` and the journal like
+    any other outcome.  ``task_id`` is the id the scheduler issued for the
+    lease, when there was one; it defaults to the task's own.
+    """
+    return {
+        "suite": task.suite,
+        "workload": task.workload,
+        "transformation": task.transformation.name,
+        "match_index": task.match_index,
+        "task_id": task.task_id if task_id is None else task_id,
+        "worker": worker,
+        "verdict": Verdict.UNTESTED.value,
+        "match_description": task.match_description,
+        "error": error,
+        "report": None,
+    }
+
+
+def sweep_labels(
+    tasks: Sequence[SweepTask],
+    suite: Optional[str] = None,
+    buggy: Optional[bool] = None,
+    backend: Optional[str] = None,
+) -> Tuple[str, bool, str]:
+    """The ``(suite, buggy, backend)`` a sweep's result is labelled with.
+
+    Labels the caller leaves as ``None`` are derived from the tasks
+    themselves, so a report header cannot contradict what was run.
+    """
+    if suite is None:
+        suite = tasks[0].suite if tasks else "npbench"
+    if buggy is None:
+        buggy = any(bool(t.transformation.kwargs.get("inject_bug")) for t in tasks)
+    if backend is None:
+        backend = (
+            tasks[0].verifier_kwargs.get("backend", "interpreter")
+            if tasks
+            else "interpreter"
+        )
+    return suite, buggy, backend
 
 
 def enumerate_sweep_tasks(

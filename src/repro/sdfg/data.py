@@ -52,10 +52,6 @@ class Data:
             total = Mul.make(total, s)
         return simplify(total)
 
-    def size_in_bytes(self) -> Expr:
-        """Total size in bytes (symbolic)."""
-        return simplify(Mul.make(self.total_size(), Integer(self.dtype.bytes)))
-
     def concrete_shape(self, symbols: Mapping[str, int] | None = None) -> Tuple[int, ...]:
         """Shape with all symbols substituted by concrete values.
 

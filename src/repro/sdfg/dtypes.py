@@ -50,16 +50,8 @@ class typeclass:
         return self.nptype.itemsize
 
     @property
-    def is_float(self) -> bool:
-        return np.issubdtype(self.nptype, np.floating)
-
-    @property
     def is_integer(self) -> bool:
         return np.issubdtype(self.nptype, np.integer)
-
-    @property
-    def is_bool(self) -> bool:
-        return self.nptype == np.dtype(bool)
 
     def as_numpy(self) -> np.dtype:
         return self.nptype
@@ -136,10 +128,6 @@ class StorageType(enum.Enum):
     GPU_Global = "GPU_Global"
     GPU_Shared = "GPU_Shared"
 
-    @property
-    def is_device(self) -> bool:
-        return self in (StorageType.GPU_Global, StorageType.GPU_Shared)
-
 
 class ScheduleType(enum.Enum):
     """How a map scope is scheduled."""
@@ -148,10 +136,6 @@ class ScheduleType(enum.Enum):
     CPU_Multicore = "CPU_Multicore"
     GPU_Device = "GPU_Device"
     Vectorized = "Vectorized"
-
-    @property
-    def is_parallel(self) -> bool:
-        return self in (ScheduleType.CPU_Multicore, ScheduleType.GPU_Device)
 
 
 # ---------------------------------------------------------------------- #

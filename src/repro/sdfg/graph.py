@@ -119,15 +119,6 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         self._in[dst].append(edge)
         return edge
 
-    def add_edge_object(self, edge: Edge[NodeT, EdgeDataT]) -> Edge[NodeT, EdgeDataT]:
-        """Insert a pre-constructed edge object (nodes are added if needed)."""
-        self.add_node(edge.src)
-        self.add_node(edge.dst)
-        self._edges.append(edge)
-        self._out[edge.src].append(edge)
-        self._in[edge.dst].append(edge)
-        return edge
-
     def remove_edge(self, edge: Edge[NodeT, EdgeDataT]) -> None:
         try:
             self._edges.remove(edge)
@@ -172,9 +163,6 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
     # ------------------------------------------------------------------ #
     def in_degree(self, node: NodeT) -> int:
         return len(self._in[node])
-
-    def out_degree(self, node: NodeT) -> int:
-        return len(self._out[node])
 
     def successors(self, node: NodeT) -> List[NodeT]:
         out: List[NodeT] = []
@@ -231,26 +219,6 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
             yield node
             edges = self._in[node] if reverse else self._out[node]
             for e in edges:
-                nxt = e.src if reverse else e.dst
-                if id(nxt) not in visited:
-                    visited.add(id(nxt))
-                    queue.append(nxt)
-
-    def bfs_edges(
-        self, sources: Iterable[NodeT], reverse: bool = False
-    ) -> Iterator[Edge[NodeT, EdgeDataT]]:
-        """Breadth-first edge traversal from the given sources."""
-        visited: Set[int] = set()
-        queue: deque[NodeT] = deque()
-        for s in sources:
-            if id(s) not in visited:
-                visited.add(id(s))
-                queue.append(s)
-        while queue:
-            node = queue.popleft()
-            edges = self._in[node] if reverse else self._out[node]
-            for e in edges:
-                yield e
                 nxt = e.src if reverse else e.dst
                 if id(nxt) not in visited:
                     visited.add(id(nxt))

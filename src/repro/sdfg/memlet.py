@@ -92,9 +92,6 @@ class Memlet:
         """Concrete number of elements moved."""
         return int(self.volume().evaluate(bindings))
 
-    def set_volume(self, volume: ExprLike) -> None:
-        self._volume = sympify(volume)
-
     @property
     def free_symbols(self) -> set:
         out: set = set()

@@ -191,9 +191,6 @@ class Map:
             out |= r.free_symbols
         return out - set(self.params)
 
-    def range_for(self, param: str) -> Range:
-        return self.ranges[self.params.index(param)]
-
     def num_iterations(self) -> Expr:
         total = sympify(1)
         for r in self.ranges:

@@ -76,9 +76,6 @@ class InterstateEdge:
             k: str(v) for k, v in (assignments or {}).items()
         }
 
-    def is_unconditional(self) -> bool:
-        return self.condition.strip() in ("True", "1", "")
-
     @property
     def free_symbols(self) -> Set[str]:
         """Names the condition and assignment expressions actually read.
@@ -235,20 +232,6 @@ class SDFG:
                 self._start_state = state
         return state
 
-    def add_state_after(
-        self, state: SDFGState, label: Optional[str] = None,
-        condition: str = "True",
-        assignments: Optional[Dict[str, Union[str, int]]] = None,
-    ) -> SDFGState:
-        """Add a new state and connect ``state -> new`` unconditionally,
-        rerouting existing successors of ``state`` to leave the new state."""
-        new_state = self.add_state(label)
-        for e in list(self._states.out_edges(state)):
-            self._states.add_edge(new_state, e.dst, e.data)
-            self._states.remove_edge(e)
-        self.add_edge(state, new_state, InterstateEdge(condition, assignments))
-        return new_state
-
     def add_edge(
         self, src: SDFGState, dst: SDFGState, edge: Optional[InterstateEdge] = None
     ) -> Edge[SDFGState, InterstateEdge]:
@@ -347,14 +330,6 @@ class SDFG:
                 return state, node
         return None
 
-    def used_data(self) -> Set[str]:
-        """Names of containers accessed anywhere in the program."""
-        out: Set[str] = set()
-        for state in self.states():
-            for node in state.data_nodes():
-                out.add(node.data)
-        return out
-
     @property
     def free_symbols(self) -> Set[str]:
         """Symbols that must be provided to run the program."""
@@ -383,9 +358,6 @@ class SDFG:
             if sym not in args:
                 args[sym] = self.symbols.get(sym, dtype_from_numpy("int64"))
         return args
-
-    def input_arrays(self) -> Dict[str, Data]:
-        return {n: d for n, d in self.arrays.items() if not d.transient}
 
     def transients(self) -> Dict[str, Data]:
         return {n: d for n, d in self.arrays.items() if d.transient}

@@ -89,12 +89,6 @@ class SDFGState:
         self.graph.add_node(node)
         return node
 
-    def add_read(self, data: str) -> AccessNode:
-        return self.add_access(data)
-
-    def add_write(self, data: str) -> AccessNode:
-        return self.add_access(data)
-
     def add_tasklet(
         self,
         label: str,
@@ -395,11 +389,6 @@ class SDFGState:
         if include_boundary:
             return [entry] + inner + [exit_]
         return inner
-
-    def top_level_nodes(self) -> List[Node]:
-        """Nodes not enclosed by any map scope."""
-        sdict = self.scope_dict()
-        return [n for n in self.graph.nodes() if sdict.get(n) is None]
 
     # ------------------------------------------------------------------ #
     # Read/write sets

@@ -266,14 +266,6 @@ class Subset:
             )
         return Subset([r.offset_by(o) for r, o in zip(self.ranges, origin)])
 
-    def min_element(self) -> List[Expr]:
-        """Per-dimension lower bound."""
-        return [r.begin for r in self.ranges]
-
-    def max_element(self) -> List[Expr]:
-        """Per-dimension upper bound (inclusive)."""
-        return [r.end for r in self.ranges]
-
     def size(self) -> List[Expr]:
         """Per-dimension number of elements."""
         return [r.num_elements() for r in self.ranges]

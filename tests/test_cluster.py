@@ -1,6 +1,8 @@
 """Tests for the distributed sweep service (repro.cluster)."""
 
+import importlib.util
 import json
+import pathlib
 import socket
 import threading
 
@@ -10,7 +12,7 @@ from repro.cluster import (
     JournalError,
     ProtocolError,
     ResultStore,
-    SweepCoordinator,
+    VerificationService,
     parse_endpoint,
     recv_message,
     run_worker,
@@ -196,6 +198,18 @@ class TestResultStore:
                 path, cheap_tasks(5), "npbench", False, "interpreter", resume=True
             )
 
+    def test_resume_refuses_a_journal_of_another_schema_version(self, tmp_path):
+        tasks = cheap_tasks(2)
+        path = tmp_path / "j.jsonl"
+        ResultStore.open(str(path), tasks, "npbench", False, "interpreter").close()
+        header = json.loads(path.read_text())
+        header["schema_version"] = 5
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(JournalError, match=r"version 5.*version 6"):
+            ResultStore.open(
+                str(path), tasks, "npbench", False, "interpreter", resume=True
+            )
+
     def test_resume_without_journal_starts_fresh(self, tmp_path):
         path = str(tmp_path / "missing.jsonl")
         store = ResultStore.open(
@@ -314,8 +328,28 @@ class TestRunnerResume:
 
 
 # ---------------------------------------------------------------------- #
-# Coordinator / worker loopback
+# One-shot service / worker loopback
 # ---------------------------------------------------------------------- #
+def serve(tasks, store=None, progress_callback=None, **service_kwargs):
+    """One sweep on a started one-shot loopback service, the way
+    ``python -m repro.pipeline --serve`` builds it."""
+    service = VerificationService(
+        "127.0.0.1", 0, done_when_idle=True, **service_kwargs
+    )
+    sweep_id = service.submit(
+        tasks, store=store, progress_callback=progress_callback
+    )
+    service.start()
+    return service, sweep_id
+
+
+def finish(service, sweep_id, timeout):
+    try:
+        return service.wait_sweep(sweep_id, timeout)
+    finally:
+        service.stop()
+
+
 def start_worker_thread(address, **kwargs):
     host, port = address
     thread = threading.Thread(
@@ -328,17 +362,17 @@ def start_worker_thread(address, **kwargs):
     return thread
 
 
-class TestCoordinator:
+class TestOneShotService:
     def test_loopback_two_workers_matches_serial(self):
         tasks = real_tasks()
         serial = SweepRunner(workers=1).run(tasks)
-        coordinator = SweepCoordinator(tasks, "127.0.0.1", 0)
-        address = coordinator.start()
+        service, sweep_id = serve(tasks)
+        address = service.address
         threads = [
             start_worker_thread(address, backend="interpreter"),
             start_worker_thread(address, backend="compiled"),
         ]
-        result = coordinator.wait(timeout=120.0)
+        result = finish(service, sweep_id, timeout=120.0)
         for thread in threads:
             thread.join(timeout=10.0)
         assert result.comparable_dict() == serial.comparable_dict()
@@ -351,13 +385,10 @@ class TestCoordinator:
     def test_worker_disconnect_requeues_inflight_tasks(self):
         tasks = cheap_tasks(3)
         progress = []
-        coordinator = SweepCoordinator(
-            tasks,
-            "127.0.0.1",
-            0,
-            progress_callback=lambda i, o, c, t: progress.append((c, t)),
+        service, sweep_id = serve(
+            tasks, progress_callback=lambda i, o, c, t: progress.append((c, t))
         )
-        host, port = coordinator.start()
+        host, port = service.address
 
         # An evil worker leases one task and vanishes without a result.
         sock = socket.create_connection((host, port))
@@ -371,7 +402,7 @@ class TestCoordinator:
         # A real worker then completes the whole sweep, including the
         # requeued task.
         thread = start_worker_thread((host, port))
-        result = coordinator.wait(timeout=60.0)
+        result = finish(service, sweep_id, timeout=60.0)
         thread.join(timeout=10.0)
         assert all(o is not None for o in result.outcomes)
         assert len(result.outcomes) == 3
@@ -382,10 +413,8 @@ class TestCoordinator:
 
     def test_retry_budget_exhaustion_records_infra_error(self):
         tasks = cheap_tasks(1)
-        coordinator = SweepCoordinator(
-            tasks, "127.0.0.1", 0, max_task_retries=1
-        )
-        host, port = coordinator.start()
+        service, sweep_id = serve(tasks, max_task_retries=1)
+        host, port = service.address
         # Two lost leases exhaust a budget of 1 requeue.
         for _ in range(2):
             sock = socket.create_connection((host, port))
@@ -394,7 +423,7 @@ class TestCoordinator:
             send_message(sock, {"type": "request", "max_tasks": 1})
             assert recv_message(sock)["type"] == "tasks"
             sock.close()
-        result = coordinator.wait(timeout=30.0)
+        result = finish(service, sweep_id, timeout=30.0)
         outcome = result.outcomes[0]
         assert outcome["verdict"] == "untested"
         assert "connection lost" in outcome["error"]
@@ -402,8 +431,8 @@ class TestCoordinator:
 
     def test_late_duplicate_result_is_dropped(self):
         tasks = cheap_tasks(1)
-        coordinator = SweepCoordinator(tasks, "127.0.0.1", 0)
-        host, port = coordinator.start()
+        service, sweep_id = serve(tasks)
+        host, port = service.address
         task_id = tasks[0].task_id
 
         def deliver(tag):
@@ -422,7 +451,7 @@ class TestCoordinator:
         deliver("first")
         deliver("second")  # late duplicate (e.g. a worker presumed lost)
         # Drain the queue so the sweep is complete-by-results.
-        result = coordinator.wait(timeout=30.0)
+        result = finish(service, sweep_id, timeout=30.0)
         assert result.outcomes[0]["tag"] == "first"
         assert result.outcomes[0]["worker"]["host"] == "first"
 
@@ -430,8 +459,8 @@ class TestCoordinator:
         """A lost worker's task is requeued; if its result then arrives
         anyway, the pending entry must not be handed to the next worker."""
         tasks = cheap_tasks(2)
-        coordinator = SweepCoordinator(tasks, "127.0.0.1", 0)
-        host, port = coordinator.start()
+        service, sweep_id = serve(tasks)
+        host, port = service.address
 
         # Worker A leases BOTH tasks, then vanishes -> both requeued.
         a = socket.create_connection((host, port))
@@ -443,7 +472,7 @@ class TestCoordinator:
         a.close()
         import time as _time
 
-        _time.sleep(0.2)  # let the coordinator notice the disconnect
+        _time.sleep(0.2)  # let the service notice the disconnect
 
         # Worker B delivers A's result for task 0 (the "late arrival").
         entry0 = lease["tasks"][0]
@@ -472,18 +501,18 @@ class TestCoordinator:
         })
         assert recv_message(b)["type"] == "ack"
         b.close()
-        result = coordinator.wait(timeout=30.0)
+        result = finish(service, sweep_id, timeout=30.0)
         assert all(o is not None for o in result.outcomes)
 
-    def test_worker_echoes_coordinator_issued_task_id(self):
+    def test_worker_echoes_service_issued_task_id(self):
         """The worker must key results by the lease's task_id, never by a
         worker-side recomputation."""
         from repro.cluster.worker import _rebuild_tasks
 
         task = cheap_tasks(1)[0]
-        entry = {"index": 7, "task_id": "coordinator-issued", "task": task.to_dict()}
+        entry = {"index": 7, "task_id": "service-issued", "task": task.to_dict()}
         [(index, task_id, rebuilt)] = _rebuild_tasks([entry], backend="compiled")
-        assert (index, task_id) == (7, "coordinator-issued")
+        assert (index, task_id) == (7, "service-issued")
         assert rebuilt.verifier_kwargs["backend"] == "compiled"
         assert task_id != rebuilt.task_id  # even when they would differ
 
@@ -500,8 +529,8 @@ class TestCoordinator:
         resumed = ResultStore.open(
             path, tasks, "npbench", True, "interpreter", resume=True
         )
-        coordinator = SweepCoordinator(tasks, "127.0.0.1", 0, store=resumed)
-        address = coordinator.start()
+        service, sweep_id = serve(tasks, store=resumed)
+        address = service.address
         executed = []
         thread = threading.Thread(
             target=lambda: executed.append(
@@ -510,16 +539,14 @@ class TestCoordinator:
             daemon=True,
         )
         thread.start()
-        result = coordinator.wait(timeout=60.0)
+        result = finish(service, sweep_id, timeout=60.0)
         thread.join(timeout=10.0)
         resumed.close()
         assert executed == [2]  # only the unfinished tail crossed the wire
         assert result.comparable_dict() == serial.comparable_dict()
 
     def test_empty_task_list_completes_immediately(self):
-        coordinator = SweepCoordinator([], "127.0.0.1", 0)
-        coordinator.start()
-        result = coordinator.wait(timeout=5.0)
+        result = finish(*serve([]), timeout=5.0)
         assert result.outcomes == []
 
 
@@ -544,8 +571,8 @@ class TestAdaptiveSharding:
         """Guided self-scheduling: shards start at the requested size and
         fall toward one as the remaining work approaches the worker count."""
         tasks = cheap_tasks(12)
-        coordinator = SweepCoordinator(tasks, "127.0.0.1", 0)
-        host, port = coordinator.start()
+        service, sweep_id = serve(tasks)
+        host, port = service.address
         idle = socket.create_connection((host, port))
         send_message(idle, {"type": "hello", "worker": {"host": "idle"}})
         recv_message(idle)
@@ -563,21 +590,21 @@ class TestAdaptiveSharding:
             _complete_shard(busy, reply)
         idle.close()
         busy.close()
-        result = coordinator.wait(timeout=30.0)
+        result = finish(service, sweep_id, timeout=30.0)
         assert all(o is not None for o in result.outcomes)
         assert sum(sizes) == len(tasks)
         # 2 active workers, requests of 4: ceil(pending / 4) caps the tail.
         assert sizes[0] > sizes[-1], f"tail shards never shrank: {sizes}"
         assert sizes == sorted(sizes, reverse=True), f"non-monotone: {sizes}"
         assert sizes[-1] == 1
-        assert coordinator.shard_sizes == sizes
+        assert service.scheduler.sweep_status(sweep_id)["shard_sizes"] == sizes
 
     def test_lone_worker_is_never_capped(self):
         """With nobody to level against, a single worker gets what it asks
         for -- capping would only multiply request round-trips."""
         tasks = cheap_tasks(6)
-        coordinator = SweepCoordinator(tasks, "127.0.0.1", 0)
-        host, port = coordinator.start()
+        service, sweep_id = serve(tasks)
+        host, port = service.address
         w = socket.create_connection((host, port))
         send_message(w, {"type": "hello", "worker": {"host": "solo"}})
         recv_message(w)
@@ -586,31 +613,29 @@ class TestAdaptiveSharding:
         assert len(reply["tasks"]) == 6
         _complete_shard(w, reply)
         w.close()
-        result = coordinator.wait(timeout=30.0)
+        result = finish(service, sweep_id, timeout=30.0)
         assert all(o is not None for o in result.outcomes)
 
 
 class TestHeartbeats:
     def test_ping_gets_pong(self):
-        coordinator = SweepCoordinator(cheap_tasks(1), "127.0.0.1", 0)
-        host, port = coordinator.start()
+        service, _ = serve(cheap_tasks(1))
+        host, port = service.address
         w = socket.create_connection((host, port))
         try:
             send_message(w, {"type": "ping"})
             assert recv_message(w)["type"] == "pong"
         finally:
             w.close()
-            coordinator._shutdown()
+            service.stop()
 
     def test_hung_worker_times_out_and_tasks_requeue(self):
         """A worker that leases tasks and then goes silent (no pings, no
         results) is reaped after ``worker_timeout``; its in-flight shard is
         requeued and completed by a healthy worker."""
         tasks = cheap_tasks(2)
-        coordinator = SweepCoordinator(
-            tasks, "127.0.0.1", 0, worker_timeout=0.5
-        )
-        host, port = coordinator.start()
+        service, sweep_id = serve(tasks, worker_timeout=0.5)
+        host, port = service.address
         hung = socket.create_connection((host, port))
         send_message(hung, {"type": "hello", "worker": {"host": "hung"}})
         recv_message(hung)
@@ -623,7 +648,7 @@ class TestHeartbeats:
             host, port, heartbeat_seconds=0.1, quiet=True
         )
         assert executed == 2
-        result = coordinator.wait(timeout=30.0)
+        result = finish(service, sweep_id, timeout=30.0)
         hung.close()
         for outcome in result.outcomes:
             assert outcome is not None
@@ -635,10 +660,8 @@ class TestHeartbeats:
         import time as _time
 
         tasks = cheap_tasks(1)
-        coordinator = SweepCoordinator(
-            tasks, "127.0.0.1", 0, worker_timeout=0.4
-        )
-        host, port = coordinator.start()
+        service, sweep_id = serve(tasks, worker_timeout=0.4)
+        host, port = service.address
         w = socket.create_connection((host, port))
         send_message(w, {"type": "hello", "worker": {"host": "slow"}})
         recv_message(w)
@@ -654,7 +677,7 @@ class TestHeartbeats:
         send_message(w, {"type": "request", "max_tasks": 1})
         assert recv_message(w)["type"] == "done"
         w.close()
-        result = coordinator.wait(timeout=30.0)
+        result = finish(service, sweep_id, timeout=30.0)
         outcome = result.outcomes[0]
         assert outcome["verdict"] == "untested"
         assert "connection lost" not in (outcome.get("error") or "")
@@ -663,11 +686,18 @@ class TestHeartbeats:
 # ---------------------------------------------------------------------- #
 # End-to-end loopback smoke (subprocess workers), small scale
 # ---------------------------------------------------------------------- #
+def load_smoke_dist():
+    """``tools/smoke_dist.py`` as a module (``tools/`` is not a package)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / "smoke_dist.py"
+    spec = importlib.util.spec_from_file_location("smoke_dist", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestSmoke:
     def test_smoke_main_mini(self):
-        from repro.cluster.smoke import main as smoke_main
-
-        rc = smoke_main([
+        rc = load_smoke_dist().main([
             "--kernels", "jacobi_1d,scaled_diff", "--trials", "1",
             "--max-instances", "1",
         ])
@@ -675,12 +705,11 @@ class TestSmoke:
 
     def test_smoke_survives_a_late_worker(self, monkeypatch):
         """One worker starts 2 s late: its peer has finished the 2-task
-        sweep by then.  The coordinator must still answer the latecomer
+        sweep by then.  The service must still answer the latecomer
         (with ``done``) instead of having closed the port under it."""
         import subprocess
 
-        from repro.cluster import smoke
-
+        smoke = load_smoke_dist()
         real_popen = subprocess.Popen
         spawned = []
 

@@ -219,79 +219,39 @@ class TestSweepResult:
             "duration_seconds", "verdict_table", "totals", "outcomes",
         }
         assert doc["backend"] == "interpreter"
-        # v5: the service submission id; None for sweeps run outside it.
+        # The service submission id; None for sweeps run outside it.
         assert doc["sweep_id"] is None
         for entry in doc["verdict_table"].values():
             assert set(entry) == {"instances", "failing", "verdicts"}
-        # v4: every outcome carries its deterministic task identity plus
+        # Every outcome carries its deterministic task identity plus
         # shard metadata (None for local runs).
         for outcome in doc["outcomes"]:
             assert isinstance(outcome["task_id"], str) and outcome["task_id"]
             assert outcome["worker"] is None
 
-    def test_v1_document_migrates_to_interpreter_backend(self):
-        """schema_version 1 documents predate backend selection; every v1
-        sweep ran the interpreter, so they load with that backend label --
-        and their outcomes gain the v4 task_id/worker keys (defaulted)."""
-        v1 = json.loads(self._result().to_json())
-        v1.pop("backend")
-        v1["schema_version"] = 1
-        for outcome in v1["outcomes"]:
-            outcome.pop("task_id")
-            outcome.pop("worker")
-        restored = SweepResult.from_dict(v1)
-        assert restored.backend == "interpreter"
-        assert all(o["task_id"] is None for o in restored.outcomes)
-        assert all(o["worker"] is None for o in restored.outcomes)
-        assert restored.totals() == self._result().totals()
+    def test_document_of_another_schema_version_is_refused(self):
+        """This build reads what it writes: a v5 document (no telemetry
+        section) is an error naming both versions, not a guess at what the
+        missing fields meant."""
+        v5 = json.loads(self._result().to_json())
+        v5["schema_version"] = 5
+        v5.pop("telemetry")
+        with pytest.raises(ValueError, match=r"schema_version 5.*version 6"):
+            SweepResult.from_dict(v5)
+        v5.pop("schema_version")
+        with pytest.raises(ValueError, match=r"schema_version None.*version 6"):
+            SweepResult.from_dict(v5)
 
-    def test_v2_document_loads_with_defaulted_shard_fields(self):
-        """v2 documents have a backend but predate task IDs; they load
-        unchanged except for the defaulted v4 outcome keys."""
-        v2 = json.loads(self._result().to_json())
-        v2["schema_version"] = 2
-        v2["backend"] = "vectorized"
-        for outcome in v2["outcomes"]:
-            outcome.pop("task_id")
-            outcome.pop("worker")
-        restored = SweepResult.from_dict(v2)
-        assert restored.backend == "vectorized"
-        assert restored.totals() == self._result().totals()
-        assert all(o["task_id"] is None for o in restored.outcomes)
-
-    def test_v3_document_loads_with_defaulted_shard_fields(self):
-        """v3 (cross-pair backend strings) loads identically; only the v4
-        outcome keys are filled in."""
-        v3 = json.loads(self._result().to_json())
-        v3["schema_version"] = 3
-        v3["backend"] = "cross:compiled,interpreter"
-        for outcome in v3["outcomes"]:
-            outcome.pop("task_id")
-            outcome.pop("worker")
-        restored = SweepResult.from_dict(v3)
-        assert restored.backend == "cross:compiled,interpreter"
-        assert restored.verdict_table() == self._result().verdict_table()
-        assert all(
-            o["task_id"] is None and o["worker"] is None for o in restored.outcomes
-        )
-
-    def test_v4_document_loads_without_sweep_id(self):
-        """v4 documents predate the verification service: they lack the
-        top-level sweep_id and load with None, and comparable_dict()
-        strips the field so pre/post-service sweeps stay comparable."""
-        v4 = json.loads(self._result().to_json())
-        v4["schema_version"] = 4
-        v4.pop("sweep_id")
-        restored = SweepResult.from_dict(v4)
-        assert restored.sweep_id is None
-        assert restored.totals() == self._result().totals()
-        labeled = SweepResult.from_dict(json.loads(self._result().to_json()))
+    def test_comparable_dict_strips_the_service_submission_id(self):
+        doc = json.loads(self._result().to_json())
+        plain = SweepResult.from_dict(doc)
+        labeled = SweepResult.from_dict(doc)
         labeled.sweep_id = "sweep-042"
         assert "sweep_id" not in labeled.comparable_dict()
-        assert labeled.comparable_dict() == restored.comparable_dict()
+        assert labeled.comparable_dict() == plain.comparable_dict()
 
-    def test_v4_journal_roundtrips_to_sweep_result(self, tmp_path):
-        """The v4 path end to end: journal a sweep, reassemble a SweepResult
+    def test_journal_roundtrips_to_sweep_result(self, tmp_path):
+        """The journaled path end to end: journal a sweep, reassemble a SweepResult
         from the journal alone, and compare its to_dict() (modulo timing)
         against the directly aggregated result."""
         from repro.cluster.journal import ResultStore
@@ -361,22 +321,23 @@ class TestCLI:
             pipeline_main(["--resume"])
         assert "--journal" in capsys.readouterr().err
 
-    def test_cli_serve_connect_exclusive(self, capsys):
+    def test_cli_refuses_a_former_tier_name_as_backend(self, capsys):
         with pytest.raises(SystemExit):
-            pipeline_main(["--serve", ":0", "--connect", "localhost:1"])
+            pipeline_main(["--backend", "batched"])
+        err = capsys.readouterr().err
+        assert "Unknown execution backend 'batched'" in err
+        assert "compiled, cross, interpreter, native" in err
+
+    def test_cli_serve_submit_exclusive(self, capsys):
+        with pytest.raises(SystemExit):
+            pipeline_main(["--serve", ":0", "--submit", "localhost:1"])
         assert "mutually exclusive" in capsys.readouterr().err
 
-    def test_cli_connect_rejects_sweep_owner_flags(self, capsys, tmp_path):
-        """Report/journal flags on a worker invocation would be silently
-        ignored; refuse them instead."""
-        for flags in (
-            ["--journal", str(tmp_path / "j.jsonl")],
-            ["--json", str(tmp_path / "r.json")],
-            ["--markdown", str(tmp_path / "r.md")],
-        ):
-            with pytest.raises(SystemExit):
-                pipeline_main(["--connect", "localhost:1"] + flags)
-            assert "sweep owner" in capsys.readouterr().err
+    def test_cli_has_no_worker_mode(self, capsys):
+        """``python -m repro.cluster.worker`` is the one worker entrance."""
+        with pytest.raises(SystemExit):
+            pipeline_main(["--connect", "localhost:1"])
+        assert "unrecognized arguments: --connect" in capsys.readouterr().err
 
 
 class TestProgressPrinter:

@@ -36,16 +36,12 @@ from repro.cluster.client import (
     wait_sweep,
 )
 from repro.cluster.journal import ResultStore
-from repro.cluster.scheduler import (
-    COMPLETE,
-    DRAINING,
-    RUNNING,
-    SUBMITTED,
-    SweepScheduler,
-)
+from repro.cluster.scheduler import SweepScheduler
 from repro.cluster.service import VerificationService
 from repro.cluster.state import ServiceState, restore_sweeps
+from repro.cluster.sweep import COMPLETE, DRAINING, RUNNING, SUBMITTED
 from repro.cluster.worker import ServiceRefused, _backoff_delays, run_worker
+from repro.telemetry.metrics import GLOBAL as GLOBAL_METRICS
 from repro.telemetry.metrics import metric_key
 from repro.pipeline import (
     SweepRunner,
@@ -473,6 +469,36 @@ class TestService:
         finally:
             service.stop()
 
+    def test_pipeline_submit_client_renders_the_result(self, capsys, tmp_path):
+        """``python -m repro.pipeline --submit``: tasks go to the service
+        over HTTP, the fetched result renders like a local run's, and
+        ``--detach`` returns once the sweep id is printed."""
+        from repro.pipeline.cli import main as pipeline_main
+
+        sweep = ["--kernels", "jacobi_1d", "--trials", "1", "--max-instances", "1"]
+        local_json, served_json = tmp_path / "local.json", tmp_path / "served.json"
+        assert pipeline_main(sweep + ["--quiet", "--json", str(local_json)]) == 0
+        capsys.readouterr()
+
+        service = VerificationService(http_port=0, local_procs=1)
+        service.start()
+        host, port = service.http_address
+        submit = ["--submit", f"{host}:{port}"] + sweep
+        try:
+            assert pipeline_main(submit + ["--json", str(served_json)]) == 0
+            out = capsys.readouterr().out
+            assert "as sweep sweep-001" in out and "TOTAL" in out
+            served = SweepResult.from_dict(json.loads(served_json.read_text()))
+            local = SweepResult.from_dict(json.loads(local_json.read_text()))
+            assert served.sweep_id == "sweep-001"
+            assert served.comparable_dict() == local.comparable_dict()
+
+            assert pipeline_main(submit + ["--detach"]) == 0
+            out = capsys.readouterr().out
+            assert "as sweep sweep-002" in out and "TOTAL" not in out
+        finally:
+            service.stop()
+
     def test_http_result_conflict_and_bad_submission(self):
         service = VerificationService(http_port=0)  # no workers at all
         service.start()
@@ -708,8 +734,9 @@ class TestFailureDomains:
             "repro_task_timeouts_total", {"sweep": sid}
         )] == 1
 
-    def test_garbled_journal_record_is_skipped_and_rerun_on_resume(
-        self, tmp_path
+    @pytest.mark.parametrize("damage", ["payload altered", "crc removed"])
+    def test_unverifiable_journal_record_is_skipped_and_rerun_on_resume(
+        self, tmp_path, damage
     ):
         tasks = cheap_tasks(3)
         path = str(tmp_path / "journal.jsonl")
@@ -719,15 +746,24 @@ class TestFailureDomains:
         store.close()
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
-        # Corrupt the payload of the middle record (line 0 is the header):
-        # its embedded CRC no longer matches the outcome.
+        # Damage the middle record (line 0 is the header): either its
+        # embedded CRC no longer matches the outcome, or it has none -- and
+        # a record nothing vouches for is not trusted.
         assert "m1" in lines[2]
-        lines[2] = lines[2].replace("m1", "mX")
+        if damage == "payload altered":
+            lines[2] = lines[2].replace("m1", "mX")
+        else:
+            record = json.loads(lines[2])
+            del record["crc"]
+            lines[2] = json.dumps(record, separators=(",", ":"))
         with open(path, "w", encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
 
+        skipped = "repro_journal_records_skipped_total"
+        before = GLOBAL_METRICS.snapshot()["counters"].get(skipped, 0)
         _, completed = ResultStore._load(path)
         assert set(completed) == {tasks[0].task_id, tasks[2].task_id}
+        assert GLOBAL_METRICS.snapshot()["counters"][skipped] == before + 1
 
         # Resume parity: the skipped task is simply incomplete -- it re-runs
         # and its fresh record wins; the intact records are untouched.
@@ -762,6 +798,43 @@ class TestFailureDomains:
 # ---------------------------------------------------------------------- #
 # Sweep cancellation (DELETE /sweeps/<id>)
 # ---------------------------------------------------------------------- #
+def _untested_by_exception(task):
+    return execute_task(task)  # cheap tasks name a suite that does not exist
+
+
+def _untested_by_lost_lease(task):
+    scheduler = SweepScheduler(max_task_retries=0)
+    sid = scheduler.submit([task])
+    scheduler.lease("c1", 1)
+    scheduler.release("c1")
+    return scheduler.result(sid).outcomes[0]
+
+
+def _untested_by_supervisor(task):
+    from repro.cluster.supervise import SupervisedExecutor
+
+    return SupervisedExecutor._failure_outcome(task, task.task_id, "timeout", 1.0)
+
+
+@pytest.mark.parametrize(
+    "site, extra",
+    [
+        (_untested_by_exception, set()),
+        (_untested_by_lost_lease, set()),
+        (_untested_by_supervisor, {"failure"}),
+    ],
+)
+def test_every_untested_outcome_has_the_shape_of_a_verdict_outcome(site, extra):
+    verdict_outcome = execute_task(real_tasks(["jacobi_1d"])[0])
+    assert verdict_outcome["verdict"] != "untested"
+    task = cheap_tasks(1)[0]
+    outcome = site(task)
+    assert set(outcome) == set(verdict_outcome) | extra
+    assert outcome["verdict"] == "untested" and outcome["error"]
+    assert outcome["report"] is None
+    assert outcome["task_id"] == task.task_id
+
+
 class TestSweepCancellation:
     def test_delete_cancels_and_evicts_a_running_sweep(self, tmp_path):
         service = VerificationService(

@@ -28,12 +28,12 @@ execute pipeline), one of the cluster, two of the whole tree:
 
 4. **Transport containment** -- within ``src/repro/cluster/``, only the
    transport module (``repro/cluster/service.py``) may import
-   :mod:`asyncio`, and the scheduler core (``scheduler.py``, ``state.py``,
-   ``coordinator.py``) must not import :mod:`socket` either: the service
+   :mod:`asyncio`, and the scheduler core (``scheduler.py``, ``sweep.py``,
+   ``state.py``) must not import :mod:`socket` either: the service
    brain stays transport-free and unit-testable with plain function
    calls, and every socket/event-loop detail stays behind one auditable
-   module.  (The worker, protocol and smoke modules are *clients* and may
-   use blocking sockets.)  The 800-line module cap applies to
+   module.  (The worker and protocol modules are *clients* and may use
+   blocking sockets.)  The 800-line module cap applies to
    ``src/repro/cluster/`` too, so the service split cannot silently
    regrow a monolith.
 
@@ -129,8 +129,8 @@ CLUSTER = ROOT / "src" / "repro" / "cluster"
 #: The sole cluster module allowed to import asyncio (the transport).
 TRANSPORT = CLUSTER / "service.py"
 #: Cluster modules that must stay transport-free entirely (no socket):
-#: the scheduler core and everything that merely composes it.
-TRANSPORT_FREE = ("scheduler.py", "state.py", "coordinator.py")
+#: the scheduler core.
+TRANSPORT_FREE = ("scheduler.py", "sweep.py", "state.py")
 
 
 def _imported_modules(path: Path):

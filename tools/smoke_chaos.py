@@ -1,7 +1,7 @@
 """Chaos smoke checks: the kill-matrix behind ``make smoke-chaos``.
 
-Where :mod:`repro.cluster.smoke` proves the distributed pipeline matches
-the serial runner on a *clean* day, this module proves it on a bad one.
+Where ``tools/smoke_dist.py`` proves the distributed pipeline matches
+the serial runner on a *clean* day, this script proves it on a bad one.
 Both scenarios drive real worker subprocesses against a real service with
 :mod:`repro.faultinject` armed, and every fault is seeded -- a failing run
 replays exactly.
@@ -47,14 +47,22 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional
 
-from repro import faultinject
-from repro.cluster.smoke import (
+from smoke_dist import (  # the sibling script: tools/ is sys.path[0]
     _enumerate,
     _first_difference,
     _free_port,
     _scrape_metrics,
     _worker_env,
 )
+
+from repro import faultinject
+from repro.cluster.client import (
+    service_status,
+    submit_sweep,
+    sweep_status,
+    wait_sweep,
+)
+from repro.cluster.service import VerificationService
 from repro.core.reporting import Verdict
 from repro.pipeline.runner import SweepRunner
 from repro.telemetry import monotonic as _monotonic
@@ -109,9 +117,6 @@ def _counter(name: str) -> float:
 
 def _kill_matrix_scenario(args: argparse.Namespace) -> int:
     """Scenario A: serial parity through crashes, garbling, and a bounce."""
-    from repro.cluster.client import submit_sweep, sweep_status, wait_sweep
-    from repro.cluster.service import VerificationService
-
     tasks = _enumerate(["gemm", "atax", "mvt", "bicg"], args)
     print(
         f"[smoke-chaos/A] {len(tasks)} task(s); serial reference "
@@ -233,9 +238,6 @@ def _kill_matrix_scenario(args: argparse.Namespace) -> int:
 
 def _containment_scenario(args: argparse.Namespace) -> int:
     """Scenario B: poison and hung tasks are contained, not contagious."""
-    from repro.cluster.client import service_status, submit_sweep, wait_sweep
-    from repro.cluster.service import VerificationService
-
     poisoned = {"gemm", "atax"}
     tasks = _enumerate(["gemm", "atax", "mvt"], args)
     clean_tasks = [t for t in tasks if t.workload not in poisoned]
@@ -381,7 +383,7 @@ def _containment_scenario(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.cluster.chaos",
+        prog="python tools/smoke_chaos.py",
         description="Chaos kill-matrix: serial parity through worker "
         "crashes, frame/journal garbling and a service bounce, plus "
         "containment of poison and hung tasks.",

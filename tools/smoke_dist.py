@@ -1,8 +1,8 @@
 """Loopback distributed-sweep smoke checks (``make smoke-dist``).
 
 **Default scenario** -- runs the npbench mini sweep twice: once through
-the serial in-process runner, once through a loopback coordinator feeding
-two worker *subprocesses* -- and diffs the two reports field by field
+the serial in-process runner, once through a loopback one-shot service
+feeding two worker *subprocesses* -- and diffs the two reports field by field
 (:meth:`SweepResult.comparable_dict`, i.e. modulo timing and per-outcome
 worker metadata).  The two workers deliberately run *different* execution
 backends (interpreter and compiled), so the diff simultaneously checks:
@@ -47,8 +47,9 @@ from typing import Any, Dict, List, Optional
 
 import repro
 
-from repro.cluster.coordinator import SweepCoordinator
+from repro.cluster.client import submit_sweep, sweep_status, wait_sweep
 from repro.cluster.journal import ResultStore
+from repro.cluster.service import VerificationService
 from repro.pipeline.result import SweepResult
 from repro.pipeline.runner import SweepRunner
 from repro.pipeline.tasks import enumerate_sweep_tasks
@@ -147,9 +148,6 @@ def _scrape_metrics(host: str, port: int) -> str:
 def _two_sweep_service_scenario(args: argparse.Namespace) -> int:
     """Two concurrent HTTP-submitted sweeps, one shared elastic worker
     pool, and a kill/restore of the service in the middle."""
-    from repro.cluster.client import submit_sweep, sweep_status, wait_sweep
-    from repro.cluster.service import VerificationService
-
     subsets = (["gemm", "atax"], ["mvt", "bicg"])
     task_sets = [_enumerate(subset, args) for subset in subsets]
     print(
@@ -334,9 +332,9 @@ def _two_sweep_service_scenario(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.cluster.smoke",
-        description="Loopback coordinator + 2 heterogeneous workers vs. the "
-        "serial runner on the npbench mini sweep.",
+        prog="python tools/smoke_dist.py",
+        description="Loopback one-shot service + 2 heterogeneous workers vs. "
+        "the serial runner on the npbench mini sweep.",
     )
     parser.add_argument("--trials", type=int, default=2)
     parser.add_argument("--max-instances", type=int, default=1)
@@ -373,10 +371,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     store = ResultStore.open(
         journal_path, tasks, serial.suite, serial.buggy, serial.backend
     )
-    coordinator = SweepCoordinator(tasks, "127.0.0.1", 0, store=store)
-    host, port = coordinator.start()
+    # done_when_idle: workers are told ``done`` once the sweep completes.
+    service = VerificationService("127.0.0.1", 0, done_when_idle=True)
+    sweep_id = service.submit(tasks, store=store)
+    host, port = service.start()
     print(
-        f"[smoke-dist] coordinator on {host}:{port}; spawning workers "
+        f"[smoke-dist] service on {host}:{port}; spawning workers "
         f"{' + '.join(WORKER_BACKENDS)} ...",
         flush=True,
     )
@@ -394,25 +394,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         for backend in WORKER_BACKENDS
     ]
     try:
-        try:
-            # Not ``coordinator.wait()`` yet: it stops the service the moment
-            # the last outcome lands, and a worker still starting up while
-            # its peer finished a small sweep would find the port closed,
-            # retry for --connect-retry-seconds and exit 1.
-            coordinator.scheduler.wait(coordinator.sweep_id, timeout=600.0)
-        finally:
-            # The sweep is complete (or failed) -- workers exit on their own
-            # once a request is answered with "done"; give them that
-            # round-trip before resorting to SIGTERM.
-            for proc in workers:
-                try:
-                    proc.wait(timeout=15.0)
-                except subprocess.TimeoutExpired:
-                    proc.terminate()
-            for proc in workers:
-                proc.wait(timeout=30.0)
-        distributed = coordinator.wait()  # complete: the result; stops the service
+        distributed = service.wait_sweep(sweep_id, timeout=600.0)
     finally:
+        # The service stays up until both workers have exited: a worker
+        # still starting up while its peer finished a small sweep would
+        # otherwise find the port closed, retry for
+        # --connect-retry-seconds and exit 1.  Workers exit on their own
+        # once a request is answered with "done"; give them that
+        # round-trip before resorting to SIGTERM.
+        for proc in workers:
+            try:
+                proc.wait(timeout=15.0)
+            except subprocess.TimeoutExpired:
+                proc.terminate()
+        for proc in workers:
+            proc.wait(timeout=30.0)
+        service.stop()
         store.close()
 
     failures = [p.returncode for p in workers if p.returncode != 0]
