@@ -103,6 +103,7 @@ bench-pairs:
 # asyncio; the scheduler core stays socket-free), clock containment
 # (only repro.telemetry touches time.monotonic/perf_counter), and fault
 # containment (only repro.faultinject may hard-kill/signal a process;
-# fault helpers import from the package root only).
+# fault helpers import from the package root only), and graph containment
+# (only repro.sdfg.graph touches a graph's internals or bumps its version).
 lint-arch:
 	$(PY) tools/lint_arch.py

@@ -10,8 +10,9 @@ self-check are registered:
 * ``"compiled"`` -- the one optimising backend
   (:mod:`repro.backends.compiled`).  Map scopes with affine memlets become
   NumPy array expressions (chains of elementwise scopes fused into one
-  kernel), compiled once per program and cached by SDFG content hash;
-  unsupported constructs fall back to the interpreter scope by scope.  One
+  kernel), compiled once per ``prepare`` (persisted by SDFG content hash
+  only with a cache directory); unsupported constructs fall back to the
+  interpreter scope by scope.  One
   generated Python function per SDFG lowers the state machine to structured
   control flow (native ``while`` loops and ``if`` chains, with a
   state-dispatch loop for irreducible graphs) with inline interstate

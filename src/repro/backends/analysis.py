@@ -40,7 +40,7 @@ from repro.backends.plan import (
     ScopePlan,
     StatePlan,
 )
-from repro.sdfg.analysis import elementwise_scope_chains, scope_children
+from repro.sdfg.analysis import elementwise_scope_chains
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.nodes import AccessNode, MapEntry, MapExit
 from repro.sdfg.sdfg import SDFG
@@ -207,18 +207,17 @@ def classify_index(
 # Scope analysis
 # ---------------------------------------------------------------------- #
 def analyze_scope(
-    state: SDFGState, entry: MapEntry, children: Dict[Any, List[Any]]
+    state: SDFGState, entry: MapEntry
 ) -> Tuple[Optional[ScopePlan], Optional[str]]:
     """Build the vectorized plan for one map scope, or explain the refusal.
 
-    ``children`` maps the state's map entries to the nodes directly inside
-    them.  Returns ``(plan, None)`` on success and ``(None, reason)``
+    Returns ``(plan, None)`` on success and ``(None, reason)``
     otherwise; the reason slug names the first legality rule that failed.
     The rules read the scope through its normalised form
     (:func:`repro.backends.normalize.normalize_scope`): a flat domain whose
     innermost map entry / exit carry the tasklet's edges.
     """
-    flat, reason = normalize_scope(state, entry, children)
+    flat, reason = normalize_scope(state, entry)
     if flat is None:
         return None, reason
     tasklet = flat.tasklet
@@ -494,13 +493,7 @@ def analyze_chain(
 # ---------------------------------------------------------------------- #
 # State / program analysis
 # ---------------------------------------------------------------------- #
-def analyze_state(
-    sdfg: SDFG,
-    state: SDFGState,
-    order: List[Any],
-    scopes: Dict[Any, Any],
-    fuse: bool = True,
-) -> StatePlan:
+def analyze_state(sdfg: SDFG, state: SDFGState, fuse: bool = True) -> StatePlan:
     """Analyze one state: every map scope, then every fusable chain.
 
     Telemetry: lowering outcomes count into
@@ -514,12 +507,11 @@ def analyze_state(
         span.set("state", state.label)
         plans: Dict[int, Optional[ScopePlan]] = {}
         reasons: Dict[int, str] = {}
-        children = scope_children(order, scopes)
         flattened: Set[int] = set()  # inner entries a planned nest covers
-        for node in order:
+        for node in state.topological_sort():
             if not isinstance(node, MapEntry) or node.guid in flattened:
                 continue
-            plan, reason = analyze_scope(state, node, children)
+            plan, reason = analyze_scope(state, node)
             plans[node.guid] = plan
             if plan is not None:
                 flattened.update(plan.level_guids[1:])
@@ -535,7 +527,7 @@ def analyze_state(
                 )
         chains: List[ChainPlan] = []
         if fuse:
-            for chain in elementwise_scope_chains(state, order, scopes):
+            for chain in elementwise_scope_chains(state):
                 chain_plan = analyze_chain(sdfg, state, chain, plans)
                 if chain_plan is not None:
                     chains.append(chain_plan)
@@ -554,9 +546,7 @@ def analyze_program(sdfg: SDFG, fuse: bool = True) -> ProgramPlan:
     """Analyze every state of a program into one :class:`ProgramPlan`."""
     states: List[StatePlan] = []
     for state in sdfg.states():
-        order = state.topological_sort()
-        scopes = state.scope_dict()
-        states.append(analyze_state(sdfg, state, order, scopes, fuse=fuse))
+        states.append(analyze_state(sdfg, state, fuse=fuse))
     return ProgramPlan(
         format=PLAN_FORMAT_VERSION,
         sdfg_name=sdfg.name,

@@ -146,10 +146,9 @@ def get_backend(backend: Union[str, ExecutionBackend]) -> ExecutionBackend:
     ``cross:native,interpreter``); the bare name ``cross`` is
     ``cross:interpreter,compiled``.
 
-    Instances are shared per name so backend-level caches (e.g. the
-    compiled backend's program cache, which keeps one LRU per thread
-    because prepared programs are not reentrant) persist across callers
-    within one process.
+    Instances are shared per name, so a backend's counters (e.g. the
+    compiled backend's disk-cache hits) accumulate across callers within
+    one process; every ``prepare`` still returns a program of its own.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
@@ -187,8 +186,7 @@ def _make_cross_pair(name: str) -> ExecutionBackend:
                 f"(available: {', '.join(list_backends())})"
             )
     if parts[0] == parts[1]:
-        # Both sides would get the *same* program object out of the shared
-        # per-thread cache: the check would pass by construction.
+        # A backend checked against itself checks nothing.
         raise KeyError(
             f"Cross pair '{name}' checks backend '{parts[0]}' against itself"
         )

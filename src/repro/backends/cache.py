@@ -1,10 +1,11 @@
 """Program identity and the on-disk compile-artifact cache.
 
-:func:`sdfg_content_hash` is the key every cache tier uses (the compiled
-backend's per-thread program LRU, the disk tier below, the ``cross``
-backend's divergence reports).  :class:`ProgramDiskCache` is the optional
-directory of compile artifacts (``cache_dir`` / :data:`CACHE_DIR_ENV`)
-shared across worker processes.
+:func:`sdfg_content_hash` serialises the whole program, so it is taken
+only where a program's identity is needed: the key of the disk tier below
+(no directory configured, no hash) and the label of a ``cross`` backend's
+divergence report.  :class:`ProgramDiskCache` is the optional directory of
+compile artifacts (``cache_dir`` / :data:`CACHE_DIR_ENV`) shared across
+worker processes.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from repro.backends.geometry import Triple, axis_triple
 from repro.backends.plan import AxisPlan, ChainPlan, ScopePlan, StatePlan
 from repro.interpreter.errors import ExecutionError
 from repro.interpreter.executor import _EVAL_GLOBALS
-from repro.interpreter.tasklet_exec import compile_expression, compile_tasklet
+from repro.interpreter.tasklet_exec import compile_code, compile_expression
 from repro.sdfg.nodes import MapEntry, Tasklet
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
@@ -316,7 +316,7 @@ class NumpyEagerEmitter:
     ) -> BoundScope:
         entry = nodes_by_guid[plan.entry_guid]
         tasklet = nodes_by_guid[plan.tasklet_guid]
-        code_obj = compile_tasklet(plan.code)
+        code_obj = compile_code(plan.code)
         inputs = [
             BoundInput(
                 ip.conn,

@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.interpreter.executor import _EVAL_GLOBALS
 from repro.interpreter.executor import SDFGExecutor as _SDFGExecutor
+from repro.interpreter.tasklet_exec import compile_code
 from repro.sdfg.analysis import (
     CFBlock,
     CFBranch,
@@ -78,6 +79,12 @@ _DRIVER_GLOBALS.update(
         "__Exception": Exception,
     }
 )
+
+#: Filename of every generated driver.  Drivers compile through the shared
+#: source memo, so the name cannot be per program: programs whose drivers
+#: have equal source text (most single-state cutouts) share one code object
+#: and each ``exec`` it into a namespace of their own.
+_DRIVER_FILENAME = "<compiled-sdfg>"
 
 
 def _artifact_stamp() -> Dict[str, Any]:
@@ -376,7 +383,7 @@ def _interpreted_drive(rt) -> int:
 
 
 def _load_driver_artifact(
-    sdfg: SDFG, artifact: Dict[str, Any]
+    artifact: Dict[str, Any]
 ) -> Optional[Tuple[str, Optional[str], Optional[Callable], Optional[Any]]]:
     """Reconstruct a driver from a persisted artifact, or ``None``."""
     mode = artifact.get("mode")
@@ -394,7 +401,7 @@ def _load_driver_artifact(
             code = None
     if code is None and source:
         try:
-            code = compile(source, f"<compiled-sdfg:{sdfg.name}>", "exec")
+            code = compile_code(source, _DRIVER_FILENAME)
         except SyntaxError:
             code = None
     if code is None:
@@ -429,7 +436,7 @@ def compile_driver(
         return "empty", None, None, None
 
     if artifact is not None:
-        loaded = _load_driver_artifact(sdfg, artifact)
+        loaded = _load_driver_artifact(artifact)
         if loaded is not None:
             return loaded
 
@@ -456,7 +463,7 @@ def compile_driver(
             emitter.emit_driver(emitter.emit_dispatch)
         source = emitter.source()
         namespace: Dict[str, Any] = {}
-        code = compile(source, f"<compiled-sdfg:{sdfg.name}>", "exec")
+        code = compile_code(source, _DRIVER_FILENAME)
         exec(code, dict(_DRIVER_GLOBALS), namespace)  # noqa: S102
         if info is not None:
             info["hoisted"] = sorted(emitter.all_hoisted)

@@ -71,14 +71,19 @@ and fused chains the C generator accepts run as compiled C, tried first by
 the same ops, serially and on the batch axis alike; everything else -- and
 every machine without a C compiler -- runs the Python path above.
 
-**Caches.**  Prepared programs are kept per thread, keyed by SDFG content
-hash; preparing the same cutout twice (e.g. repeated sweep tasks) is free.
-With a cache *directory* configured the generated driver is additionally
-persisted as an on-disk artifact (keyed by content hash, codegen version,
-plan-format version and Python build) **together with the serialized
-lowering plan** (:class:`~repro.backends.plan.ProgramPlan`), so sibling
-worker processes -- pool workers, cluster workers -- skip control-flow
-structuring, code generation *and* scope analysis entirely.
+**Caches.**  Every ``prepare`` builds a program private to its caller:
+nothing is kept in memory between prepares, so a prepared program never
+reaches a second thread.  Driver code objects are memoised process-wide by
+source text (:func:`repro.interpreter.tasklet_exec.compile_code`; each
+program still ``exec``s its own driver function), and each state's
+structure queries by its scope index (:class:`repro.sdfg.state.SDFGState`).
+Only with a cache *directory* configured is the program's content hash
+taken: the generated driver is then persisted as an on-disk artifact (keyed
+by content hash, codegen version, plan-format version and Python build)
+**together with the serialized lowering plan**
+(:class:`~repro.backends.plan.ProgramPlan`), so sibling worker processes --
+pool workers, cluster workers -- skip control-flow structuring, code
+generation *and* scope analysis entirely.
 """
 
 from __future__ import annotations
@@ -86,8 +91,6 @@ from __future__ import annotations
 import base64
 import marshal
 import os
-import threading
-from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -112,7 +115,7 @@ from repro.interpreter.errors import ExecutionError, HangError
 from repro.interpreter.executor import _EVAL_GLOBALS, ExecutionResult
 from repro.interpreter.tasklet_exec import compile_expression
 from repro.sdfg.analysis import access_node_is_transparent
-from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, NestedSDFGNode, Tasklet
+from repro.sdfg.nodes import AccessNode, MapEntry, NestedSDFGNode, Tasklet
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 from repro.telemetry import TRACER as _TRACER, inc as _metric_inc
@@ -154,8 +157,8 @@ class CompiledExecutor(ScopeRuntime):
         #: program prepared under ``native``; scope and chain ops try it
         #: first.  ``None`` otherwise.
         self.kernels = None
-        self._compiled_states: List[SDFGState] = list(sdfg.states())
-        state_index = {s: i for i, s in enumerate(self._compiled_states)}
+        #: Each state's position in ``_state_ops``, in ``sdfg.states()`` order.
+        self._state_index = {s: i for i, s in enumerate(sdfg.states())}
         artifact_hoisted = self._seed_state_plans(artifact)
         # Per-state op lists, fixed at prepare time: one prebound function
         # per executable top-level node.  The generic ``_execute_state``
@@ -163,21 +166,18 @@ class CompiledExecutor(ScopeRuntime):
         # scope plans -- and formerly copied the full symbol dict -- on
         # every transition, which dominates transition-heavy loop nests.
         # Fused-chain members and no-op access nodes are dropped statically.
-        self._state_ops: List[List[StateOp]] = []
-        self._state_ops_by_id: Dict[int, List[StateOp]] = {}
         # The bind/codegen phases of prepare: analyze spans (if any plan
         # must be rebuilt) nest inside via _table_for -> analyze_state.
         with _TRACER.span("codegen.bind", "prepare") as span:
             span.set("emitter", self.emitter.name)
-            for state in self._compiled_states:
-                ops = self._build_state_ops(state)
-                self._state_ops.append(ops)
-                self._state_ops_by_id[id(state)] = ops
+            self._state_ops: List[List[StateOp]] = [
+                self._build_state_ops(state) for state in self._state_index
+            ]
         info: Dict[str, Any] = {}
         with _TRACER.span("codegen.driver", "prepare") as span:
             span.set("seeded", artifact is not None)
             self.control_mode, self.driver_source, self._drive, self._driver_code = (
-                compile_driver(sdfg, state_index, artifact=artifact, info=info)
+                compile_driver(sdfg, self._state_index, artifact=artifact, info=info)
             )
         #: Loop-invariant symbol loads the driver hoisted (fresh compiles
         #: report them via ``info``; artifact-seeded drivers carry them in
@@ -190,7 +190,7 @@ class CompiledExecutor(ScopeRuntime):
         #: by per-trial ops; views alias the batch arrays, so in-place
         #: writes flow both ways.
         self._trial_stores: List[Dict[str, np.ndarray]] = []
-        #: Batched op lists (parallel to ``_compiled_states``) and whether
+        #: Batched op lists (parallel to ``_state_ops``) and whether
         #: the control flow admits batching at all: both derived on the
         #: first multi-trial ``run_batch``, so serial use never pays them.
         self._batched_ops: Optional[List[List[StateOp]]] = None
@@ -210,9 +210,9 @@ class CompiledExecutor(ScopeRuntime):
             return ()
         try:
             plan = ProgramPlan.from_dict(artifact["plan"])
-            if len(plan.states) != len(self._compiled_states):
+            if len(plan.states) != len(self._state_index):
                 raise ValueError("state count mismatch")
-            for state, splan in zip(self._compiled_states, plan.states):
+            for state, splan in zip(self._state_index, plan.states):
                 self._state_plans[id(state)] = splan
             return tuple(plan.hoisted_symbols)
         except Exception:  # noqa: BLE001 - any bad seed degrades to re-analysis
@@ -226,7 +226,7 @@ class CompiledExecutor(ScopeRuntime):
         return ProgramPlan(
             format=PLAN_FORMAT_VERSION,
             sdfg_name=self.sdfg.name,
-            states=[self._state_plans[id(s)] for s in self._compiled_states],
+            states=[self._state_plans[id(s)] for s in self._state_index],
             hoisted_symbols=tuple(self.hoisted_symbols),
         )
 
@@ -239,11 +239,7 @@ class CompiledExecutor(ScopeRuntime):
         non-head members of a chain (their head's op covers them) are
         skipped."""
         table = self._table_for(state)
-        order = self._state_order(state)
-        scopes = self._scope_cache[id(state)]
-        for node in order:
-            if scopes.get(node) is not None or isinstance(node, MapExit):
-                continue
+        for node in state.scope_children().get(None, ()):
             if not isinstance(node, MapEntry):
                 yield node, None
             elif node.guid not in table.members:
@@ -409,7 +405,7 @@ class CompiledExecutor(ScopeRuntime):
         the op lists inline without even this method call.
         """
         symbols = self._symbols
-        for op in self._state_ops_by_id[id(state)]:
+        for op in self._state_ops[self._state_index[state]]:
             op(self, symbols)
 
     # .................................................................. #
@@ -488,7 +484,7 @@ class CompiledExecutor(ScopeRuntime):
         self._lead = 1
         if self._batched_ops is None:
             self._batched_ops = [
-                self._build_state_ops(s, batched=True) for s in self._compiled_states
+                self._build_state_ops(s, batched=True) for s in self._state_index
             ]
         serial_ops, self._state_ops = self._state_ops, self._batched_ops
         try:
@@ -649,36 +645,22 @@ class CompiledWholeProgram(CompiledProgram):
         return art
 
 
-class _ProgramLRU(threading.local):
-    """The in-memory tier of one backend: an LRU *per thread*.
-
-    A prepared program is not reentrant (its executor holds the symbols and
-    data store of the run in progress), and equal content hashes are common
-    across the tasks of a sweep (cutouts of one match of a shared workload
-    program), so a program is only ever handed back to the thread that
-    prepared it."""
-
-    def __init__(self) -> None:  # runs once in every thread that touches it
-        self.programs: "OrderedDict[Tuple[str, int], CompiledWholeProgram]" = OrderedDict()
-
-
 class CompiledBackend(ExecutionBackend):
     """Whole-program compilation: structured interstate control flow plus
-    vectorized (and fused) state dataflow, cached by SDFG content hash.
+    vectorized (and fused) state dataflow.
 
-    The hash covers the exact serialization *including node guids* (which
-    clones and JSON roundtrips preserve), so cache hits occur for repeated
-    prepares of the same program object, its clones, and worker-side
-    deserializations -- while two independent builds of the same kernel,
-    whose coverage features are keyed by their distinct guids, correctly
-    compile separately.
-
+    Every ``prepare`` returns a new program: a prepared program holds the
+    state of the run in progress, so it belongs to the call that made it.
     With a cache *directory* configured (the ``cache_dir`` argument, the
     ``--cache-dir`` CLI option, or the ``REPRO_CACHE_DIR`` environment
     variable -- read dynamically so it reaches forked pool workers), the
-    in-memory cache gains an on-disk tier: the compile artifact is stored
-    keyed by content hash and codegen version, and sibling worker processes
-    skip recompilation.
+    compile artifact is stored on disk keyed by SDFG content hash and
+    codegen version, and sibling worker processes skip recompilation.  The
+    hash covers the exact serialization *including node guids* (which
+    clones and JSON roundtrips preserve), so a clone or a worker-side
+    deserialization hits -- while two independent builds of the same
+    kernel, whose coverage features are keyed by their distinct guids,
+    compile separately.  Without a directory no hash is taken.
 
     The registry holds this class twice.  The instance named ``native``
     attaches a C kernel tier to every program it prepares and keeps its
@@ -688,18 +670,9 @@ class CompiledBackend(ExecutionBackend):
 
     name = "compiled"
 
-    def __init__(
-        self,
-        cache_size: int = 64,
-        cache_dir: Optional[str] = None,
-        fuse: bool = True,
-    ) -> None:
-        self.cache_size = cache_size
+    def __init__(self, cache_dir: Optional[str] = None, fuse: bool = True) -> None:
         self.fuse = fuse
         self._explicit_cache_dir = cache_dir
-        self._lru = _ProgramLRU()
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.disk_hits = 0
         self.disk_misses = 0
 
@@ -709,24 +682,6 @@ class CompiledBackend(ExecutionBackend):
         return self._explicit_cache_dir or os.environ.get(CACHE_DIR_ENV) or None
 
     def prepare(self, sdfg: SDFG, max_transitions: int = 100_000) -> CompiledWholeProgram:
-        content_hash = sdfg_content_hash(sdfg)
-        key = (content_hash, max_transitions)
-        cache = self._lru.programs
-        program = cache.get(key)
-        if program is not None:
-            cache.move_to_end(key)
-            self.cache_hits += 1
-            _metric_inc(
-                "repro_prepare_cache_total",
-                labels={"tier": self.name, "level": "memory", "outcome": "hit"},
-            )
-            return program
-        self.cache_misses += 1
-        _metric_inc(
-            "repro_prepare_cache_total",
-            labels={"tier": self.name, "level": "memory", "outcome": "miss"},
-        )
-
         with _TRACER.span("backend.prepare", "prepare") as span:
             span.set("tier", self.name)
             span.set("sdfg", sdfg.name)
@@ -738,6 +693,7 @@ class CompiledBackend(ExecutionBackend):
             artifact: Optional[Dict[str, Any]] = None
             directory = self.cache_dir
             if directory is not None:
+                content_hash = sdfg_content_hash(sdfg)
                 disk = ProgramDiskCache(directory)
                 artifact, status = disk.load_classified(
                     content_hash, max_transitions, variant
@@ -767,10 +723,6 @@ class CompiledBackend(ExecutionBackend):
                 fresh = program.artifact()
                 if fresh is not None:
                     disk.store(content_hash, max_transitions, fresh, variant)
-
-        cache[key] = program
-        while len(cache) > self.cache_size:
-            cache.popitem(last=False)
         return program
 
 

@@ -86,25 +86,24 @@ class CrossProgram(CompiledProgram):
         candidate: CompiledProgram,
         reference_name: str = "interpreter",
         candidate_name: str = "compiled",
-        sdfg_hash: Optional[str] = None,
     ) -> None:
         super().__init__(sdfg)
         self.reference = reference
         self.candidate = candidate
         self.reference_name = reference_name
         self.candidate_name = candidate_name
-        self.sdfg_hash = sdfg_hash
         #: Number of executions that were cross-checked without divergence.
         self.checked_runs = 0
 
     # .................................................................. #
     def _diverged(self, details: List[str]) -> BackendDivergenceError:
+        # The program is hashed only when there is a divergence to label.
         return BackendDivergenceError(
             self.sdfg.name,
             details,
             reference=self.reference_name,
             candidate=self.candidate_name,
-            sdfg_hash=self.sdfg_hash,
+            sdfg_hash=sdfg_content_hash(self.sdfg),
         )
 
     def run(
@@ -240,5 +239,4 @@ class CrossBackend(ExecutionBackend):
             get_backend(self.candidate_name).prepare(sdfg, max_transitions=max_transitions),
             reference_name=self.reference_name,
             candidate_name=self.candidate_name,
-            sdfg_hash=sdfg_content_hash(sdfg),
         )

@@ -233,10 +233,9 @@ class ScopeRuntime(SDFGExecutor):
         try:
             return super().run(*args, **kwargs)
         finally:
-            # Programs prepared by the compiled backend outlive their runs
-            # in the content-hash cache; drop the per-run data store (and the
-            # setup cache, which captures store arrays) so a cached program
-            # does not pin its last trial's arrays.
+            # A prepared program outlives its runs (one per trial); drop the
+            # per-run data store (and the setup cache, which captures store
+            # arrays) so an idle program does not pin its last trial's arrays.
             self._store = {}
             self._symbols = {}
             self._setup_cache = {}
@@ -270,9 +269,7 @@ class ScopeRuntime(SDFGExecutor):
                 return self.emitter.bind_state(self.sdfg, state, splan)
             except Exception:  # noqa: BLE001 - stale seeded plan: re-analyze
                 pass
-        order = self._state_order(state)
-        scopes = self._scope_cache[id(state)]
-        splan = analyze_state(self.sdfg, state, order, scopes, fuse=self.fuse)
+        splan = analyze_state(self.sdfg, state, fuse=self.fuse)
         self._state_plans[id(state)] = splan
         return self.emitter.bind_state(self.sdfg, state, splan)
 

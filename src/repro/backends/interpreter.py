@@ -3,9 +3,9 @@
 This is a thin adapter putting :class:`~repro.interpreter.executor.SDFGExecutor`
 behind the :class:`~repro.backends.base.ExecutionBackend` seam.  ``prepare``
 constructs the executor once per program; the executor's internal caches
-(topological orders, scope dictionaries, compiled subset/tasklet code) then
-persist across ``run`` calls, so repeated fuzzing trials on the same cutout
-stop re-deriving them.
+(tasklet I/O lists, compiled subset code) then persist across ``run``
+calls, so repeated fuzzing trials on the same cutout stop re-deriving them.
+Execution order and scopes come from each state's own scope index.
 """
 
 from __future__ import annotations

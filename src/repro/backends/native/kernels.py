@@ -163,7 +163,7 @@ class KernelTier:
         kernels: List[NativeKernel] = []
         kmap: Dict[int, NativeKernel] = {}
         rejected: Dict[str, str] = {}
-        for state in rt._compiled_states:
+        for state in rt._state_index:
             for node, bound in rt.top_level(state):
                 if not isinstance(node, MapEntry) or bound is None:
                     continue  # no scope, or one the analyzer rejected

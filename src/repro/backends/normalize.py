@@ -117,13 +117,10 @@ def _is_block(r, t: str, width: int, params: Set[str]) -> Tuple[bool, Optional[E
 
 
 def normalize_scope(
-    state: SDFGState, entry: MapEntry, children: Dict[Any, List[Any]]
+    state: SDFGState, entry: MapEntry
 ) -> Tuple[Optional[FlatScope], Optional[str]]:
-    """The flat form of the scope under ``entry``, or the refusal's reason.
-
-    ``children`` maps every map entry of the state to the nodes directly
-    inside it (map exits left out), in execution order.
-    """
+    """The flat form of the scope under ``entry``, or the refusal's reason."""
+    children = state.scope_children()
     levels = [entry]
     inside = children.get(entry, ())
     while len(inside) == 1 and isinstance(inside[0], MapEntry):

@@ -372,9 +372,7 @@ class SweepScheduler:
                     "latency_ewma": conn.latency_ewma,
                     "tasks": shard,
                 }
-            if self.done_when_idle and all(
-                e.state == COMPLETE for e in self._sweeps.values()
-            ):
+            if self._finished():
                 return {"type": "done"}
             # Outstanding work is leased elsewhere (or no sweep is active):
             # the worker backs off briefly and asks again.
@@ -584,6 +582,18 @@ class SweepScheduler:
                 "total_tasks": sum(e.total for e in self._sweeps.values()),
                 "done_tasks": sum(e.done_count for e in self._sweeps.values()),
             }
+
+    def _finished(self) -> bool:
+        return self.done_when_idle and all(
+            e.state == COMPLETE for e in self._sweeps.values()
+        )
+
+    @property
+    def finished(self) -> bool:
+        """Whether every request is now answered ``done``: a one-shot
+        scheduler (``done_when_idle``) whose sweeps are all complete."""
+        with self._lock:
+            return self._finished()
 
     @property
     def worker_count(self) -> int:

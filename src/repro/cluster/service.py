@@ -73,6 +73,10 @@ __all__ = ["VerificationService", "main"]
 
 _LENGTH = struct.Struct(">I")
 
+#: How long a stopping one-shot service whose sweeps are complete waits for
+#: its connected workers to ask, hear ``done`` and disconnect.
+DONE_GRACE_SECONDS = 2.0
+
 _HTTP_REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -231,7 +235,11 @@ class VerificationService:
 
         Deliberately *not* a graceful drain: in-flight leases die with
         their connections, exactly like a process kill -- restartability
-        comes from the journals, not from shutdown choreography.
+        comes from the journals, not from shutdown choreography.  The one
+        exception is a one-shot service whose sweeps are complete: there
+        is nothing left to lose, and each connected worker's next request
+        is answered ``done`` before the connections close (for at most
+        :data:`DONE_GRACE_SECONDS`), so no worker sees a reset.
         """
         self._local_stop.set()
         if self._loop is not None and self._thread is not None and self._thread.is_alive():
@@ -272,6 +280,13 @@ class VerificationService:
             http_server.close()
         if reaper is not None:
             reaper.cancel()
+        if self.scheduler.finished:
+            # The last ack completed the sweep, so a worker's next request
+            # may already be on the wire: let every connected worker hear
+            # ``done`` and hang up first.
+            deadline = _monotonic() + DONE_GRACE_SECONDS
+            while self._conn_meta and _monotonic() < deadline:
+                await asyncio.sleep(0.01)
         # Abort (not drain) live worker connections: a service bounce must
         # look like a crash to the requeue/retry machinery, which is the
         # path the journals make safe.

@@ -46,7 +46,6 @@ from repro.sdfg.nodes import (
     Node,
     Tasklet,
 )
-from repro.sdfg.analysis import scope_children
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 from repro.symbolic.expressions import Integer
@@ -102,13 +101,9 @@ class SDFGExecutor:
         self._symbols: Dict[str, Any] = {}
         self._coverage: Optional[CoverageMap] = None
         self._tasklet_counts: Dict[int, int] = {}
-        # Caches invariant across runs.
-        self._topo_cache: Dict[int, List[Node]] = {}
-        self._scope_cache: Dict[int, Dict[Node, Optional[MapEntry]]] = {}
-        #: Per state, the nodes directly inside each map scope; per tasklet,
-        #: its ``(connector, memlet)`` reads and writes and the connectors it
-        #: must assign.
-        self._children_cache: Dict[int, Dict[MapEntry, List[Node]]] = {}
+        # Caches invariant across runs (execution order and scopes come from
+        # each state's own scope index).  Per tasklet, its ``(connector,
+        # memlet)`` reads and writes and the connectors it must assign.
         self._tasklet_io: Dict[int, Tuple[List, List, Set[str]]] = {}
         self._subset_code_cache: Dict[int, List[Tuple[Any, Any, Any]]] = {}
         self._free_symbols_cache: Optional[Set[str]] = None
@@ -185,9 +180,9 @@ class SDFGExecutor:
                 self._symbols[name] = self._as_symbol_value(arguments.pop(name))
 
         # free_symbols walks every memlet subset and interstate expression;
-        # cache it across runs (like the topological orders, this assumes
-        # the program is not mutated after preparation -- the repeated-trial
-        # contract every backend already relies on).
+        # cache it across runs (this assumes the program is not mutated
+        # after preparation -- the repeated-trial contract every backend
+        # already relies on).
         if self._free_symbols_cache is None:
             self._free_symbols_cache = self.sdfg.free_symbols
         missing_syms = self._free_symbols_cache - set(self._symbols)
@@ -289,25 +284,15 @@ class SDFGExecutor:
     # ------------------------------------------------------------------ #
     # Dataflow execution
     # ------------------------------------------------------------------ #
-    def _state_order(self, state: SDFGState) -> List[Node]:
-        key = id(state)
-        if key not in self._topo_cache:
-            order = self._topo_cache[key] = state.topological_sort()
-            scopes = self._scope_cache[key] = state.scope_dict()
-            self._children_cache[key] = scope_children(order, scopes)
-        return self._topo_cache[key]
-
     def _execute_state(self, state: SDFGState) -> None:
         # Null span (free) unless tracing is enabled; then one per-state
         # execute span, with per-scope spans nesting inside it.
         with _TRACER.span("execute.state", "execute") as span:
             span.set("state", state.label)
-            order = self._state_order(state)
-            scopes = self._scope_cache[id(state)]
             bindings = dict(self._symbols)
-            for node in order:
-                if scopes.get(node) is not None:
-                    continue  # handled by its enclosing map scope
+            # Top-level nodes in execution order; the rest run inside their
+            # enclosing map scope, map exits with their entry.
+            for node in state.scope_children().get(None, ()):
                 self._execute_node(state, node, bindings)
 
     def _execute_node(self, state: SDFGState, node: Node, bindings: Dict[str, Any]) -> None:
@@ -403,8 +388,7 @@ class SDFGExecutor:
     def _execute_map_scope(
         self, state: SDFGState, entry: MapEntry, bindings: Dict[str, Any]
     ) -> None:
-        self._state_order(state)  # fills the per-state caches
-        children = self._children_cache[id(state)].get(entry, ())
+        children = state.scope_children().get(entry, ())
         params = entry.map.params
         # Concretize iteration ranges once per scope execution.
         dims: List[range] = []

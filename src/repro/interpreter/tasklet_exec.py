@@ -7,19 +7,21 @@ back from the namespace by connector name.
 
 Compiled code objects are cached per code string for the whole process, so
 neither executing the same tasklet for millions of map iterations nor
-preparing the many cutouts of one workload recompiles it.
+preparing the many cutouts of one workload recompiles it.  The compiled
+backend's generated drivers share the same statement memo
+(:func:`compile_code`): equal driver sources compile once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Mapping
+from typing import Any, Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
 from repro.interpreter.errors import TaskletExecutionError
 
-__all__ = ["TaskletRunner", "compile_expression", "compile_tasklet"]
+__all__ = ["TaskletRunner", "compile_code", "compile_expression"]
 
 _SAFE_BUILTINS = {
     "abs": abs,
@@ -38,7 +40,7 @@ _SAFE_BUILTINS = {
 }
 
 _expr_cache: Dict[str, Any] = {}
-_tasklet_cache: Dict[str, Any] = {}
+_code_cache: Dict[Tuple[str, str], Any] = {}
 
 
 def compile_expression(expr: str):
@@ -50,11 +52,16 @@ def compile_expression(expr: str):
     return code
 
 
-def compile_tasklet(code: str):
-    """Compile (and cache) a tasklet's code block."""
-    obj = _tasklet_cache.get(code)
+def compile_code(source: str, filename: str = "<tasklet>"):
+    """Compile (and cache) a block of statements: by default a tasklet's.
+
+    Threads may race on a first compile; both produce equal code objects
+    and one store wins, which is harmless.  Code objects are immutable, so
+    sharing one across programs shares no runtime state."""
+    key = (source, filename)
+    obj = _code_cache.get(key)
     if obj is None:
-        obj = _tasklet_cache[code] = compile(code, "<tasklet>", "exec")
+        obj = _code_cache[key] = compile(source, filename, "exec")
     return obj
 
 
@@ -78,7 +85,7 @@ class TaskletRunner:
             namespace.update(symbols)
         namespace.update(inputs)
         try:
-            exec(compile_tasklet(code), self._globals, namespace)  # noqa: S102
+            exec(compile_code(code), self._globals, namespace)  # noqa: S102
         except Exception as exc:  # noqa: BLE001 - converted to a typed error
             raise TaskletExecutionError(label, exc) from exc
         outputs: Dict[str, Any] = {}

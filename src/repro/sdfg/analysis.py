@@ -7,7 +7,6 @@ Currently provides:
   transformation and by the gray-box constraint analysis (loop bounds
   constrain the values a loop variable can take, Sec. 5.1),
 * state reachability helpers used by the side-effect analyses (Sec. 3.1),
-* map-scope enumeration across the program,
 * structured-control-flow recovery for the compiled whole-program backend,
 * elementwise scope-chain discovery (candidate producer/consumer map scopes
   for the vectorized backend's scope fusion).
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.sdfg.graph import Edge
-from repro.sdfg.nodes import AccessNode, MapEntry, MapExit
+from repro.sdfg.nodes import AccessNode, MapEntry
 from repro.sdfg.sdfg import SDFG, InterstateEdge
 from repro.sdfg.state import SDFGState
 
@@ -29,8 +28,6 @@ __all__ = [
     "find_loops",
     "states_reachable_from",
     "states_reaching",
-    "all_map_entries",
-    "scope_children",
     "loop_variable_bounds",
     "CFExec",
     "CFArm",
@@ -217,27 +214,6 @@ def states_reaching(sdfg: SDFG, state: SDFGState) -> Set[SDFGState]:
             stack.append(prv)
     visited.discard(state)
     return visited
-
-
-def all_map_entries(sdfg: SDFG) -> List[Tuple[SDFGState, MapEntry]]:
-    """All map entry nodes in the program with their states."""
-    out: List[Tuple[SDFGState, MapEntry]] = []
-    for state in sdfg.states():
-        for node in state.nodes():
-            if isinstance(node, MapEntry):
-                out.append((state, node))
-    return out
-
-
-def scope_children(order: List, scopes: Dict) -> Dict[MapEntry, List]:
-    """The nodes directly inside each map scope (map exits left out), in the
-    execution order ``order``; ``scopes`` is the state's ``scope_dict()``."""
-    children: Dict[MapEntry, List] = {}
-    for node in order:
-        scope = scopes.get(node)
-        if scope is not None and not isinstance(node, MapExit):
-            children.setdefault(scope, []).append(node)
-    return children
 
 
 def loop_variable_bounds(sdfg: SDFG, symbols: Dict[str, int]) -> Dict[str, Tuple[int, int]]:
@@ -460,11 +436,7 @@ def access_node_is_transparent(state: SDFGState, node: AccessNode) -> bool:
     return True
 
 
-def elementwise_scope_chains(
-    state: SDFGState,
-    order: Optional[List] = None,
-    scopes: Optional[Dict] = None,
-) -> List[List[MapEntry]]:
+def elementwise_scope_chains(state: SDFGState) -> List[List[MapEntry]]:
     """Runs of fusable-candidate top-level map scopes in execution order.
 
     A chain is a maximal sequence of two or more top-level map entries such
@@ -480,12 +452,8 @@ def elementwise_scope_chains(
 
     Whether a candidate chain is actually *legal* to fuse additionally
     depends on its memlets (the vectorized planner's job); this pass is
-    purely structural and safe to call on any state.
+    purely structural and safe to call on any acyclic state.
     """
-    if order is None:
-        order = state.topological_sort()
-    if scopes is None:
-        scopes = state.scope_dict()
 
     def signature(entry: MapEntry) -> Tuple:
         return (
@@ -501,15 +469,13 @@ def elementwise_scope_chains(
             chains.append(list(run))
         run.clear()
 
-    for node in order:
-        if scopes.get(node) is not None:
-            continue  # inside some scope: ordered by its entry, not here
+    # Top-level nodes only: the rest are ordered by their entry, and map
+    # exits pair with an entry already in (or before) the run.
+    for node in state.scope_children().get(None, ()):
         if isinstance(node, MapEntry):
             if run and signature(node) != signature(run[0]):
                 close()
             run.append(node)
-        elif isinstance(node, MapExit):
-            continue  # paired with an entry already in (or before) the run
         elif isinstance(node, AccessNode) and access_node_is_transparent(state, node):
             continue
         else:

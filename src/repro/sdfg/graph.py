@@ -55,7 +55,14 @@ class Edge(Generic[NodeT, EdgeDataT]):
 
 
 class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
-    """Directed multigraph with insertion-ordered nodes and edges."""
+    """Directed multigraph with insertion-ordered nodes and edges.
+
+    ``version`` counts structural mutations: every node or edge added or
+    removed bumps it, so anything derived from the structure alone (e.g. a
+    state's scope index) is valid exactly while the version is unchanged.
+    These methods are the only writers of the graph's internals (enforced
+    by ``make lint-arch``); edges are never re-pointed in place.
+    """
 
     def __init__(self) -> None:
         # Node -> insertion index (dict preserves order).
@@ -64,6 +71,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         self._out: Dict[NodeT, List[Edge[NodeT, EdgeDataT]]] = {}
         self._in: Dict[NodeT, List[Edge[NodeT, EdgeDataT]]] = {}
         self._next_index = 0
+        self.version = 0
 
     # ------------------------------------------------------------------ #
     # Nodes
@@ -74,6 +82,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
             self._next_index += 1
             self._out[node] = []
             self._in[node] = []
+            self.version += 1
         return node
 
     def remove_node(self, node: NodeT) -> None:
@@ -84,6 +93,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         del self._nodes[node]
         del self._out[node]
         del self._in[node]
+        self.version += 1
 
     def has_node(self, node: NodeT) -> bool:
         return node in self._nodes
@@ -117,6 +127,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         self._edges.append(edge)
         self._out[src].append(edge)
         self._in[dst].append(edge)
+        self.version += 1
         return edge
 
     def remove_edge(self, edge: Edge[NodeT, EdgeDataT]) -> None:
@@ -126,6 +137,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
             raise GraphError(f"Edge {edge!r} not in graph") from exc
         self._out[edge.src].remove(edge)
         self._in[edge.dst].remove(edge)
+        self.version += 1
 
     def has_edge(self, edge: Edge[NodeT, EdgeDataT]) -> bool:
         return edge in self._edges
@@ -145,15 +157,6 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         if node not in self._nodes:
             raise GraphError(f"Node {node!r} not in graph")
         return list(self._in[node])
-
-    def all_edges(self, *nodes: NodeT) -> List[Edge[NodeT, EdgeDataT]]:
-        """All edges incident to any of the given nodes (no duplicates)."""
-        seen: List[Edge[NodeT, EdgeDataT]] = []
-        for node in nodes:
-            for e in self.in_edges(node) + self.out_edges(node):
-                if e not in seen:
-                    seen.append(e)
-        return seen
 
     def edges_between(self, src: NodeT, dst: NodeT) -> List[Edge[NodeT, EdgeDataT]]:
         return [e for e in self._out.get(src, []) if e.dst is dst]

@@ -324,12 +324,6 @@ class SDFG:
                 out.append((state, node))
         return out
 
-    def node_by_guid(self, guid: int) -> Optional[Tuple[SDFGState, Node]]:
-        for state, node in self.all_nodes():
-            if node.guid == guid:
-                return state, node
-        return None
-
     @property
     def free_symbols(self) -> Set[str]:
         """Symbols that must be provided to run the program."""

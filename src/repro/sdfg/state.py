@@ -11,8 +11,8 @@ builders and the transformations rely on.
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.sdfg.dtypes import ScheduleType
 from repro.sdfg.graph import Edge, GraphError, OrderedMultiDiGraph
@@ -32,6 +32,8 @@ from repro.symbolic.ranges import Range, Subset
 from repro.symbolic.simplify import simplify
 
 __all__ = ["SDFGState", "propagate_memlet"]
+
+_CYCLIC = "Graph contains a cycle; topological sort impossible"
 
 
 def propagate_memlet(inner: Memlet, map_obj: Map) -> Memlet:
@@ -67,12 +69,96 @@ def propagate_memlet(inner: Memlet, map_obj: Map) -> Memlet:
     )
 
 
+class _ScopeIndex:
+    """What every scope query of one state derives from its structure,
+    built in one pass at one ``graph.version``: the topological order
+    (``None`` for a cyclic graph), the scope dict, each scope's direct
+    children, each map's first entry / exit, the first map exit without an
+    entry (which makes every scope-dict query raise), and -- filled on the
+    first :meth:`SDFGState.scope_subgraph_nodes` -- every node inside each
+    scope.  The views handed out are read-only and shared."""
+
+    __slots__ = ("version", "order", "scopes", "children", "entries", "exits",
+                 "orphan_exit", "inside")
+
+    def __init__(self, graph: OrderedMultiDiGraph) -> None:
+        self.version = graph.version
+        nodes = graph.nodes()
+        entries: Dict[Map, MapEntry] = {}
+        exits: Dict[Map, MapExit] = {}
+        for n in nodes:
+            if isinstance(n, MapEntry):
+                entries.setdefault(n.map, n)
+            elif isinstance(n, MapExit):
+                exits.setdefault(n.map, n)
+        self.orphan_exit = next(
+            (n for n in nodes if isinstance(n, MapExit) and n.map not in entries), None
+        )
+        try:
+            order: Optional[List[Node]] = graph.topological_sort()
+        except GraphError:
+            order = None
+        # A node's scope is that of its first predecessor (or the
+        # predecessor itself, when it is a map entry).
+        scopes: Dict[Node, Optional[MapEntry]] = {}
+        children: Dict[Optional[MapEntry], List[Node]] = {}
+        for node in nodes if order is None else order:
+            preds = graph.in_edges(node)
+            scope = None
+            if preds:
+                src = preds[0].src
+                if isinstance(src, MapEntry):
+                    scope = src
+                elif isinstance(src, MapExit):
+                    scope = scopes.get(entries.get(src.map))
+                else:
+                    scope = scopes.get(src)
+            scopes[node] = scope
+            if not isinstance(node, MapExit):
+                children.setdefault(scope, []).append(node)
+        self.order = None if order is None else tuple(order)
+        self.scopes = MappingProxyType(scopes)
+        self.children = MappingProxyType({k: tuple(v) for k, v in children.items()})
+        self.entries = entries
+        self.exits = exits
+        self.inside: Optional[Dict[MapEntry, List[Node]]] = None
+
+    def nodes_inside(self, graph: OrderedMultiDiGraph) -> Dict[MapEntry, List[Node]]:
+        """Every node (in graph order) whose scope chain reaches each entry."""
+        if self.inside is None:
+            inside: Dict[MapEntry, List[Node]] = {}
+            for node in graph.nodes():
+                scope = self.scopes[node]
+                while scope is not None:
+                    members = inside.setdefault(scope, [])
+                    if members and members[-1] is node:
+                        break  # a scope chain that cycles (cyclic graphs only)
+                    members.append(node)
+                    scope = self.scopes.get(scope)
+            self.inside = inside
+        return self.inside
+
+
 class SDFGState:
-    """A single dataflow graph (one node of the control-flow state machine)."""
+    """A single dataflow graph (one node of the control-flow state machine).
+
+    The scope queries (``topological_sort``, ``scope_dict``,
+    ``scope_children``, ``scope_subgraph_nodes``, ``exit_node``,
+    ``entry_node_for_exit``) read one index per state, rebuilt on the first
+    query after the graph's ``version`` moves -- which is why the graph is
+    mutated only through its own methods.  Copies and pickles drop the
+    index.  A program shared read-only across threads may have two threads
+    build it at once: both compute the same value and the index is set by a
+    single store, so the race is harmless.
+    """
 
     def __init__(self, label: str) -> None:
         self.label = label
         self.graph: OrderedMultiDiGraph[Node, Memlet] = OrderedMultiDiGraph()
+        self._index: Optional[_ScopeIndex] = None
+
+    def __getstate__(self) -> Dict:
+        return {**self.__dict__, "_index": None}
 
     # ------------------------------------------------------------------ #
     # Node/edge management
@@ -295,9 +381,6 @@ class SDFGState:
     def out_edges(self, node: Node) -> List[Edge[Node, Memlet]]:
         return self.graph.out_edges(node)
 
-    def all_edges(self, *nodes: Node) -> List[Edge[Node, Memlet]]:
-        return self.graph.all_edges(*nodes)
-
     def data_nodes(self) -> List[AccessNode]:
         return [n for n in self.graph.nodes() if isinstance(n, AccessNode)]
 
@@ -310,82 +393,61 @@ class SDFGState:
     def sink_nodes(self) -> List[Node]:
         return self.graph.sink_nodes()
 
-    def topological_sort(self) -> List[Node]:
-        return self.graph.topological_sort()
-
-    def node_by_guid(self, guid: int) -> Optional[Node]:
-        for n in self.graph.nodes():
-            if n.guid == guid:
-                return n
-        return None
+    def topological_sort(self) -> Tuple[Node, ...]:
+        order = self._scope_index().order
+        if order is None:
+            raise GraphError(_CYCLIC)
+        return order
 
     # ------------------------------------------------------------------ #
     # Scopes
     # ------------------------------------------------------------------ #
+    def _scope_index(self) -> _ScopeIndex:
+        index = self._index
+        if index is None or index.version != self.graph.version:
+            index = self._index = _ScopeIndex(self.graph)
+        return index
+
+    def _checked_index(self, ordered: bool = False) -> _ScopeIndex:
+        """The index, once every map exit is known to have its entry (and,
+        if ``ordered``, the graph to be acyclic)."""
+        index = self._scope_index()
+        if ordered and index.order is None:
+            raise GraphError(_CYCLIC)
+        if index.orphan_exit is not None:
+            raise GraphError(f"No matching MapEntry for {index.orphan_exit!r}")
+        return index
+
     def exit_node(self, entry: MapEntry) -> MapExit:
         """The map exit matching a map entry."""
-        for n in self.graph.nodes():
-            if isinstance(n, MapExit) and n.map is entry.map:
-                return n
-        raise GraphError(f"No matching MapExit for {entry!r}")
+        exit_ = self._scope_index().exits.get(entry.map)
+        if exit_ is None:
+            raise GraphError(f"No matching MapExit for {entry!r}")
+        return exit_
 
     def entry_node_for_exit(self, exit_: MapExit) -> MapEntry:
-        for n in self.graph.nodes():
-            if isinstance(n, MapEntry) and n.map is exit_.map:
-                return n
-        raise GraphError(f"No matching MapEntry for {exit_!r}")
+        entry = self._scope_index().entries.get(exit_.map)
+        if entry is None:
+            raise GraphError(f"No matching MapEntry for {exit_!r}")
+        return entry
 
-    def scope_dict(self) -> Dict[Node, Optional[MapEntry]]:
+    def scope_dict(self) -> Mapping[Node, Optional[MapEntry]]:
         """Map each node to its innermost enclosing map entry (or ``None``)."""
-        result: Dict[Node, Optional[MapEntry]] = {}
-        try:
-            order = self.graph.topological_sort()
-        except GraphError:
-            order = self.graph.nodes()
-        exit_to_entry: Dict[MapExit, MapEntry] = {}
-        for n in self.graph.nodes():
-            if isinstance(n, MapExit):
-                exit_to_entry[n] = self.entry_node_for_exit(n)
-        for node in order:
-            preds = self.graph.in_edges(node)
-            if not preds:
-                result[node] = None
-                continue
-            src = preds[0].src
-            if isinstance(src, MapEntry):
-                result[node] = src
-            elif isinstance(src, MapExit):
-                entry = exit_to_entry[src]
-                result[node] = result.get(entry)
-            else:
-                result[node] = result.get(src)
-        return result
+        return self._checked_index().scopes
 
-    def scope_children(self) -> Dict[Optional[MapEntry], List[Node]]:
-        """Inverse of :meth:`scope_dict`: scope entry -> direct child nodes."""
-        sdict = self.scope_dict()
-        out: Dict[Optional[MapEntry], List[Node]] = {}
-        for node, scope in sdict.items():
-            out.setdefault(scope, []).append(node)
-        return out
+    def scope_children(self) -> Mapping[Optional[MapEntry], Tuple[Node, ...]]:
+        """The nodes directly inside each map entry (``None``: the top
+        level), in execution order, map exits left out.  A cyclic state has
+        no execution order and raises like :meth:`topological_sort`."""
+        return self._checked_index(ordered=True).children
 
     def scope_subgraph_nodes(
         self, entry: MapEntry, include_boundary: bool = True
     ) -> List[Node]:
         """All nodes inside a map scope (optionally with entry/exit)."""
         exit_ = self.exit_node(entry)
-        sdict = self.scope_dict()
-        inner: List[Node] = []
-        # A node is in the scope if walking up its scope chain reaches `entry`.
-        for node in self.graph.nodes():
-            if node is entry or node is exit_:
-                continue
-            scope = sdict.get(node)
-            while scope is not None:
-                if scope is entry:
-                    inner.append(node)
-                    break
-                scope = sdict.get(scope)
+        members = self._checked_index().nodes_inside(self.graph).get(entry, ())
+        inner = [n for n in members if n is not entry and n is not exit_]
         if include_boundary:
             return [entry] + inner + [exit_]
         return inner

@@ -195,21 +195,25 @@ class TestBackendEquivalence:
             errors[name] = exc_info.value
         assert errors["interpreter"].data == errors["compiled"].data == "A"
 
-    def test_content_hash_cache_reuses_programs(self):
+    def test_content_hash_names_clones_and_roundtrips_alike(self, tmp_path):
         """Clones and JSON roundtrips preserve node guids, so they share one
-        compiled program; independent builds have fresh guids (distinct
+        disk-cache entry; independent builds have fresh guids (distinct
         coverage identities) and correctly compile separately."""
+        from repro.backends import CompiledBackend
         from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json
 
-        backend = get_backend("compiled")
+        backend = CompiledBackend(cache_dir=str(tmp_path))
         spec = get_workload("npbench", "jacobi_1d")
         sdfg = spec.build()
         clone = sdfg.clone()
         roundtrip = sdfg_from_json(sdfg_to_json(sdfg))
         assert sdfg_content_hash(sdfg) == sdfg_content_hash(clone)
-        assert backend.prepare(sdfg) is backend.prepare(clone)
-        assert backend.prepare(sdfg) is backend.prepare(roundtrip)
+        for program in (sdfg, clone, roundtrip):
+            backend.prepare(program)
+        assert (backend.disk_misses, backend.disk_hits) == (1, 2)
         assert sdfg_content_hash(sdfg) != sdfg_content_hash(spec.build())
+        backend.prepare(spec.build())
+        assert backend.disk_misses == 2
 
 
 class TestFallbackPaths:

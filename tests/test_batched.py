@@ -249,7 +249,7 @@ class TestBatchedParity:
         # WCR accumulation is order-dependent: never batch-eligible.
         executor = program.executor
         assert executor.batchable
-        (bound,) = executor._table_for(executor._compiled_states[0]).plans.values()
+        (bound,) = executor._table_for(executor.sdfg.states()[0]).plans.values()
         assert not scope_is_batchable(bound)
 
     def test_permuted_gather_batch(self):

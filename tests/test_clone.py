@@ -206,21 +206,20 @@ class TestSharedWorkloads:
 
 
 class TestSharedAcrossThreads:
-    """With one build per process, node guids are stable across tasks, so
-    cutouts of one match (``MapTiling`` and its buggy variants) hash alike in
-    every thread of the process.  A prepared program holds the state of the
-    run in progress, so it must never reach a second thread."""
+    """With one build per process, every thread reads the same workload
+    program (and its states' scope indexes).  A prepared program holds the
+    state of the run in progress, so it must never reach a second caller."""
 
     @pytest.mark.parametrize("backend", ["compiled", "native"])
-    def test_a_prepared_program_stays_in_its_thread(self, backend):
+    def test_every_prepare_is_private_to_its_caller(self, backend):
         program = build_workload("npbench", "gemm")
         prepare = get_backend(backend).prepare
-        mine = prepare(program)
-        assert prepare(program.clone()) is mine
-        with ThreadPoolExecutor(1) as pool:
-            theirs = pool.submit(prepare, program).result()
-            assert pool.submit(prepare, program).result() is theirs
-        assert theirs is not mine and theirs.executor is not mine.executor
+        mine = [prepare(program), prepare(program.clone())]
+        with ThreadPoolExecutor(2) as pool:
+            theirs = list(pool.map(prepare, [program, program]))
+        programs = mine + theirs
+        assert len({id(p) for p in programs}) == len(programs)
+        assert len({id(p.executor) for p in programs}) == len(programs)
 
     def test_threaded_sweep_matches_the_serial_one(self):
         tasks = enumerate_sweep_tasks(

@@ -5,6 +5,7 @@ import json
 import pathlib
 import socket
 import threading
+import time
 
 import pytest
 
@@ -548,6 +549,29 @@ class TestOneShotService:
     def test_empty_task_list_completes_immediately(self):
         result = finish(*serve([]), timeout=5.0)
         assert result.outcomes == []
+
+    def test_a_request_racing_the_stop_is_answered_done(self):
+        """The worker's last ack completes the sweep, the caller stops the
+        service, and only then does the worker's next request arrive: it is
+        answered ``done``, not with a reset."""
+        service, sweep_id = serve(cheap_tasks(1))
+        sock = socket.create_connection(service.address)
+        try:
+            send_message(sock, {"type": "hello", "worker": {}})
+            assert recv_message(sock)["type"] == "welcome"
+            send_message(sock, {"type": "request", "max_tasks": 1})
+            _complete_shard(sock, recv_message(sock))
+            service.wait_sweep(sweep_id, 10.0)
+            stopper = threading.Thread(target=service.stop)
+            stopper.start()
+            while not service._stop_async.is_set():
+                time.sleep(0.001)
+            send_message(sock, {"type": "request", "max_tasks": 1})
+            assert recv_message(sock) == {"type": "done"}
+        finally:
+            sock.close()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
 
 
 def _fake_outcome(entry):

@@ -14,13 +14,16 @@ import weakref
 import numpy as np
 import pytest
 
+import repro.backends.compiled as compiled_module
 from repro.backends import (
     BackendDivergenceError,
+    CompiledBackend,
     CompiledExecutor,
     CrossBackend,
     get_backend,
     sdfg_content_hash,
 )
+from repro.backends.cache import CACHE_DIR_ENV
 from repro.interpreter.errors import ExecutionError, HangError
 from repro.sdfg import SDFG, InterstateEdge, Memlet, float64
 from repro.sdfg.analysis import structured_control_flow
@@ -288,19 +291,53 @@ class TestControlFlowLowering:
 
 
 class TestPreparationCache:
-    def test_repeated_prepare_hits_cache(self):
+    """Nothing is kept between prepares: each returns a program of its own,
+    and only a configured cache directory makes prepare hash the program."""
+
+    @pytest.fixture
+    def no_hashing(self, monkeypatch):
+        def refuse(sdfg):
+            raise AssertionError("prepare hashed the program")
+
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        monkeypatch.setattr(compiled_module, "sdfg_content_hash", refuse)
+
+    def test_every_prepare_returns_a_private_program(self, no_hashing):
         backend = get_backend("compiled")
         sdfg = build_loop_nest()
-        clone = sdfg.clone()
-        misses_before = backend.cache_misses
-        hits_before = backend.cache_hits
-        program = backend.prepare(sdfg)
-        assert backend.prepare(clone) is program
-        assert backend.prepare(sdfg) is program
-        assert backend.cache_misses == misses_before + 1
-        assert backend.cache_hits == hits_before + 2
-        # Independent builds have fresh guids -> distinct programs.
-        assert sdfg_content_hash(sdfg) != sdfg_content_hash(build_loop_nest())
+        programs = [backend.prepare(sdfg), backend.prepare(sdfg.clone()), backend.prepare(sdfg)]
+        assert len({id(p) for p in programs}) == 3
+        assert len({id(p.executor) for p in programs}) == 3
+        assert not hasattr(backend, "cache_hits")
+
+    def test_a_cache_dir_still_hits_on_disk(self, tmp_path):
+        sdfg = build_loop_nest()
+        backend = CompiledBackend(cache_dir=str(tmp_path))
+        first = backend.prepare(sdfg)
+        second = backend.prepare(sdfg.clone())
+        assert (backend.disk_misses, backend.disk_hits) == (1, 1)
+        assert first is not second
+
+    def test_equal_driver_sources_share_code_not_functions(self, no_hashing):
+        """Two independent builds (fresh guids, different names) emit the
+        same driver text: it compiles once, and each program execs its own
+        driver function from the shared code object."""
+        one = build_loop_nest()
+        two = build_loop_nest()
+        two.name = "another_loop_nest"
+        a = get_backend("compiled").prepare(one).executor
+        b = get_backend("compiled").prepare(two).executor
+        assert a.control_mode == b.control_mode == "structured"
+        assert a.driver_source == b.driver_source
+        assert a._driver_code is b._driver_code
+        assert a._drive is not b._drive
+        assert a._drive.__code__ is b._drive.__code__
+        symbols = {"N": 9, "T": 3}
+        args = make_arguments(one, symbols)
+        assert_identical(
+            get_backend("interpreter").prepare(two).run(dict(args), symbols, collect_coverage=True),
+            get_backend("compiled").prepare(two).run(dict(args), symbols, collect_coverage=True),
+        )
 
     def test_cached_program_reruns_identically(self):
         backend = get_backend("compiled")
@@ -388,7 +425,6 @@ class TestDivergenceErrorContext:
         program = CrossProgram(
             sdfg, reference, Broken(sdfg),
             reference_name="interpreter", candidate_name="broken",
-            sdfg_hash=sdfg_content_hash(sdfg),
         )
         args = {"X": np.zeros(1), "s": np.array([1.0])}
         with pytest.raises(BackendDivergenceError) as exc_info:
@@ -409,10 +445,9 @@ class TestStateNamespaceReuse:
     def test_state_op_lists_built_at_prepare_time(self):
         sdfg = build_loop_nest()
         executor = CompiledExecutor(sdfg)
-        assert set(executor._state_ops_by_id) == {
-            id(s) for s in executor._compiled_states
-        }
-        assert len(executor._state_ops) == len(executor._compiled_states)
+        assert list(executor._state_index) == list(sdfg.states())
+        assert list(executor._state_index.values()) == list(range(len(sdfg.states())))
+        assert len(executor._state_ops) == len(executor._state_index)
         # Every op list holds prebound closures taking only the symbol dict.
         assert all(
             callable(op) for ops in executor._state_ops for op in ops
@@ -422,22 +457,20 @@ class TestStateNamespaceReuse:
         sdfg = build_loop_nest()
         executor = CompiledExecutor(sdfg)
         seen = []
-        for state_id, ops in executor._state_ops_by_id.items():
 
-            def wrap(op):
-                def spying(rt, symbols):
-                    # Identity must be checked at call time: the run contract
-                    # rebinds executor._symbols to a fresh dict after each run.
-                    seen.append(rt is executor and symbols is executor._symbols)
-                    return op(rt, symbols)
+        def wrap(op):
+            def spying(rt, symbols):
+                # Identity must be checked at call time: the run contract
+                # rebinds executor._symbols to a fresh dict after each run.
+                seen.append(rt is executor and symbols is executor._symbols)
+                return op(rt, symbols)
 
-                return spying
+            return spying
 
-            executor._state_ops_by_id[state_id] = [wrap(op) for op in ops]
-        # The driver captured executor._state_ops at prepare time; patch the
-        # shared lists in place so the generated code sees the spies too.
-        for index, state in enumerate(executor._compiled_states):
-            executor._state_ops[index][:] = executor._state_ops_by_id[id(state)]
+        # Both the generated driver and _execute_state read the op lists
+        # from executor._state_ops; patch them in place.
+        for ops in executor._state_ops:
+            ops[:] = [wrap(op) for op in ops]
         executor.run(make_arguments(sdfg, {"N": 6, "T": 3}), {"N": 6, "T": 3})
         assert seen, "no ops executed"
         assert all(seen), "a state execution copied the symbol namespace"
@@ -469,7 +502,6 @@ class TestProgramsDieByRefcount:
         and so does the kernel tier it holds."""
         sdfg = build_loop_nest()
         program = get_backend(backend).prepare(sdfg)
-        get_backend(backend)._lru.programs.clear()
         symbols = {"N": 6, "T": 3}
         program.run(make_arguments(sdfg, symbols), symbols)
         program.run_batch([make_arguments(sdfg, symbols, seed=k) for k in range(3)], symbols)
@@ -491,7 +523,6 @@ class TestProgramsDieByRefcount:
         from repro.transforms import all_builtin_transformations
 
         def live_executors():
-            get_backend("compiled")._lru.programs.clear()
             return sum(isinstance(o, CompiledExecutor) for o in gc.get_objects())
 
         before = live_executors()

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Architecture lint for the backend lowering pipeline.
 
-Enforces six structural invariants of ``src/repro/`` -- three of the
+Enforces seven structural invariants of ``src/repro/`` -- three of the
 backends (see that package's docstring for the analyze -> plan -> codegen ->
-execute pipeline), one of the cluster, two of the whole tree:
+execute pipeline), one of the cluster, three of the whole tree:
 
 1. **Module size** -- no module under ``src/repro/backends/`` may exceed
    800 lines.  The pre-split backend grew monolithic modules where legality
@@ -54,6 +54,15 @@ execute pipeline), one of the cluster, two of the whole tree:
    :mod:`repro.faultinject` package root (``hit`` / ``garble_bytes`` /
    ``garble_text``), which is also the only sanctioned import path --
    reaching into the package's internals from elsewhere is a violation.
+
+7. **Graph containment** -- within ``src/repro/``, only the graph module
+   (``repro/sdfg/graph.py``) may touch a graph's internals: no other module
+   reads or writes another object's ``_nodes`` / ``_in`` / ``_out`` /
+   ``_edges``, assigns a ``version`` that is not its own, or subclasses
+   ``OrderedMultiDiGraph``.  Every structural mutation must go through the
+   graph's methods, which bump ``version``: each state's scope index is
+   valid exactly while the version is unchanged, so a mutation that
+   bypassed them would leave every scope query silently stale.
 
 Exits non-zero listing every violation.  Wired into ``make lint-arch`` and
 ``make smoke``.
@@ -258,6 +267,42 @@ def _check_faults(path: Path) -> List[str]:
     return violations
 
 
+#: The sole module allowed to touch a graph's internals.
+GRAPH_HOME = SRC / "sdfg" / "graph.py"
+_GRAPH_INTERNALS = ("_nodes", "_in", "_out", "_edges")
+
+
+def _is_self(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _check_graph(path: Path) -> List[str]:
+    """Violations of the graph-containment rule in one module."""
+    violations: List[str] = []
+    rel = path.relative_to(ROOT)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None))
+            == "OrderedMultiDiGraph"
+            for base in node.bases
+        ):
+            violations.append(
+                f"{rel}:{node.lineno}: only repro.sdfg.graph may subclass "
+                f"OrderedMultiDiGraph"
+            )
+        elif isinstance(node, ast.Attribute) and not _is_self(node.value) and (
+            node.attr in _GRAPH_INTERNALS
+            or (node.attr == "version" and not isinstance(node.ctx, ast.Load))
+        ):
+            violations.append(
+                f"{rel}:{node.lineno}: '.{node.attr}' of another object -- "
+                f"mutate and read graphs only through OrderedMultiDiGraph "
+                f"methods (its version keeps the scope indexes valid)"
+            )
+    return violations
+
+
 def main() -> int:
     failures: List[str] = []
     for path in sorted(BACKENDS.rglob("*.py")):
@@ -284,6 +329,8 @@ def main() -> int:
             failures.extend(_check_clock(path))
         if FAULT_HOME not in path.parents:
             failures.extend(_check_faults(path))
+        if path != GRAPH_HOME:
+            failures.extend(_check_graph(path))
     if failures:
         print("Architecture lint FAILED:", file=sys.stderr)
         for failure in failures:
@@ -292,7 +339,7 @@ def main() -> int:
     print(
         "Architecture lint OK (module sizes, codegen->execute layering, "
         "FFI containment, cluster transport containment, clock "
-        "containment, fault containment)."
+        "containment, fault containment, graph containment)."
     )
     return 0
 
