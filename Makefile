@@ -69,7 +69,7 @@ bench-scaling:
 # Interpreter / compiled throughput at tiny sizes, including the loop-nest
 # kernel and the multi-scope fusion kernel (asserts the >=2x scope-fusion
 # speedup), plus batch-axis, native, fuzz-trial and compile-cache series
-# (BENCH_backends.json).
+# (BENCH_backends.json, rewritten only when every floor holds).
 bench-quick:
 	cd benchmarks && PYTHONPATH=../src REPRO_BENCH_QUICK=1 $(PY) -m pytest bench_backend_throughput.py -q -s
 

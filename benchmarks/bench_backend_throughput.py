@@ -8,8 +8,9 @@ optimising backend on five kernels -- a large affine matmul (``gemm``), a 2-D st
 time-stepped smoothing sweep whose state machine takes ``2T + 3`` interstate
 transitions) and a **fusion-stressing multi-scope pipeline**
 (``fused_pipeline``: a loop whose body chains eight elementwise map scopes
-through seven transient intermediates) -- and writes the series to
-``BENCH_backends.json``.
+through seven transient intermediates) -- and, once every floor below
+holds, writes the series to ``BENCH_backends.json`` (a failing run leaves
+the file alone).
 
 Beyond raw kernel throughput the file also records:
 
@@ -304,34 +305,6 @@ def test_backend_throughput(report_lines):
         report_lines, telemetry["untraced_seconds_per_trial"]
     )
 
-    with open(OUTPUT_PATH, "w", encoding="utf-8") as f:
-        json.dump(
-            dict(
-                benchmark="backend_throughput",
-                quick=quick_scale(),
-                paper_scale=paper_scale(),
-                backends=list(BACKENDS),
-                required_matmul_speedup=REQUIRED_MATMUL_SPEEDUP,
-                required_loop_nest_speedup=REQUIRED_LOOP_NEST_SPEEDUP,
-                required_fusion_speedup=REQUIRED_FUSION_SPEEDUP,
-                required_batched_speedup=REQUIRED_BATCHED_SPEEDUP,
-                required_native_speedup=REQUIRED_NATIVE_SPEEDUP,
-                speedups=speedups,
-                rows=rows,
-                fusion=fusion,
-                fuzz_trials=fuzz_trials,
-                compile_cache=compile_cache,
-                batched_trials=batched_trials,
-                native=native,
-                native_cache=native_cache,
-                telemetry=telemetry,
-                faults=faults,
-            ),
-            f,
-            indent=2,
-        )
-    report_lines.append(f"written to {OUTPUT_PATH}")
-
     assert speedups["gemm"]["compiled"] >= REQUIRED_MATMUL_SPEEDUP, (
         f"compiled backend only {speedups['gemm']['compiled']:.1f}x faster "
         f"than the interpreter on the affine matmul "
@@ -375,6 +348,36 @@ def test_backend_throughput(report_lines):
         f"time (the pass-through must stay under "
         f"{MAX_DISABLED_FAULT_OVERHEAD * 100:.0f}%)"
     )
+
+    # Written only once every floor holds: a failing run leaves the
+    # recorded series as they were.
+    with open(OUTPUT_PATH, "w", encoding="utf-8") as f:
+        json.dump(
+            dict(
+                benchmark="backend_throughput",
+                quick=quick_scale(),
+                paper_scale=paper_scale(),
+                backends=list(BACKENDS),
+                required_matmul_speedup=REQUIRED_MATMUL_SPEEDUP,
+                required_loop_nest_speedup=REQUIRED_LOOP_NEST_SPEEDUP,
+                required_fusion_speedup=REQUIRED_FUSION_SPEEDUP,
+                required_batched_speedup=REQUIRED_BATCHED_SPEEDUP,
+                required_native_speedup=REQUIRED_NATIVE_SPEEDUP,
+                speedups=speedups,
+                rows=rows,
+                fusion=fusion,
+                fuzz_trials=fuzz_trials,
+                compile_cache=compile_cache,
+                batched_trials=batched_trials,
+                native=native,
+                native_cache=native_cache,
+                telemetry=telemetry,
+                faults=faults,
+            ),
+            f,
+            indent=2,
+        )
+    report_lines.append(f"written to {OUTPUT_PATH}")
 
 
 # ---------------------------------------------------------------------- #

@@ -12,10 +12,15 @@ Executes a parametric dataflow program on concrete inputs:
   of a segmentation fault),
 * optionally records AFL-style coverage features for coverage-guided fuzzing.
 
-Performance notes (this is the hot loop of every fuzzing trial): subset bound
-expressions are compiled to Python code objects once per memlet and evaluated
-against a plain ``dict`` of symbol values, and tasklet code objects are cached
-by the :class:`~repro.interpreter.tasklet_exec.TaskletRunner`.
+Performance notes (this is the hot loop of every fuzzing trial): a memory
+access costs one ``eval``.  Each memlet subset compiles once per executor
+(keyed by ``id(subset)``) into one code object that yields all of its terms,
+left to right, against a plain ``dict`` of symbol values.  A *static point*
+subset (every range a point with a literal step, the element-wise access of a
+map body) yields its index tuple directly -- a constant tuple when every term
+is a literal -- and is bounds-checked inline; error messages are built only on
+failure.  Tasklet code objects are cached by the
+:class:`~repro.interpreter.tasklet_exec.TaskletRunner`.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from repro.sdfg.nodes import (
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 from repro.symbolic.expressions import Integer
+from repro.symbolic.ranges import Subset
 from repro.telemetry import TRACER as _TRACER
 
 __all__ = ["SDFGExecutor", "ExecutionResult", "execute_sdfg"]
@@ -64,6 +70,80 @@ _EVAL_GLOBALS = {
     "True": True,
     "False": False,
 }
+
+#: The real ``int`` in generated subset code, reached through a constant so
+#: that no symbol (not even one named ``int``) can shadow it.
+_INT = "(0).__class__"
+
+
+class _Access:
+    """One memlet subset, compiled for an executor.
+
+    ``code`` evaluates every term in one ``eval``, each coerced with the real
+    ``int``; it is the value tuple itself when every term is a literal.  A
+    static point subset (``inside`` set) yields its index tuple; any other
+    yields ``begin, [end,] step`` per range, ``end`` left out of a point range
+    (``points``).  The subset is held so its ``id`` stays its own."""
+
+    __slots__ = ("subset", "code", "inside", "points")
+
+    def __init__(self, subset: Subset) -> None:
+        ranges = subset.ranges
+        self.subset = subset
+        self.points = tuple(r.is_point() for r in ranges)
+        static = bool(ranges) and all(
+            p and isinstance(r.step, Integer) for p, r in zip(self.points, ranges)
+        )
+        if static:
+            terms = [r.begin for r in ranges]
+            self.inside = _inside(len(ranges))
+        else:
+            terms = [
+                t for p, r in zip(self.points, ranges)
+                for t in ((r.begin, r.step) if p else (r.begin, r.end, r.step))
+            ]
+            self.inside = None
+        if all(isinstance(t, Integer) for t in terms):
+            self.code = tuple(t.value for t in terms)
+        else:
+            self.code = compile_expression(
+                "(" + "".join(
+                    f"{t.value}, " if isinstance(t, Integer) else f"{_INT}({t}), "
+                    for t in terms
+                ) + ")"
+            )
+
+
+_INSIDE: Dict[int, Any] = {}
+
+
+def _inside(rank: int):
+    """``inside(index, shape)``: whether a rank-``rank`` index tuple lies in
+    ``shape``, one chained comparison per dimension (built once per rank)."""
+    check = _INSIDE.get(rank)
+    if check is None:
+        dims = "".join(f" and 0 <= i[{d}] < s[{d}]" for d in range(rank))
+        check = _INSIDE[rank] = eval(f"lambda i, s: len(s) == {rank}{dims}")  # noqa: S307
+    return check
+
+
+def _check_bounds(data: str, concrete: List[Tuple[int, int, int]], shape: Tuple[int, ...]) -> None:
+    """Raise :class:`MemoryViolation` unless every ``(begin, end, step)``
+    range lies inside ``shape`` (an empty positive-step range always does)."""
+    if len(concrete) != len(shape):
+        raise MemoryViolation(data, str(concrete), shape, "dimensionality mismatch")
+    for (b, e, s), dim in zip(concrete, shape):
+        if s > 0 and b > e:
+            continue  # empty range
+        lo, hi = (b, e) if b <= e else (e, b)
+        if lo < 0 or hi >= dim:
+            raise MemoryViolation(
+                data,
+                ", ".join(
+                    f"{bb}:{ee}:{ss}" if bb != ee else str(bb) for bb, ee, ss in concrete
+                ),
+                shape,
+            )
 
 
 @dataclass
@@ -103,9 +183,11 @@ class SDFGExecutor:
         self._tasklet_counts: Dict[int, int] = {}
         # Caches invariant across runs (execution order and scopes come from
         # each state's own scope index).  Per tasklet, its ``(connector,
-        # memlet)`` reads and writes and the connectors it must assign.
+        # data, subset, memlet)`` reads, ``(connector, data, subset, wcr)``
+        # writes and the connectors it must assign; per subset, by id, its
+        # compiled access.
         self._tasklet_io: Dict[int, Tuple[List, List, Set[str]]] = {}
-        self._subset_code_cache: Dict[int, List[Tuple[Any, Any, Any]]] = {}
+        self._accesses: Dict[int, _Access] = {}
         self._free_symbols_cache: Optional[Set[str]] = None
 
     # ------------------------------------------------------------------ #
@@ -314,21 +396,24 @@ class SDFGExecutor:
         io = self._tasklet_io.get(id(node))
         if io is None:
             reads = [
-                (e.dst_conn, e.data)
+                (e.dst_conn, e.data.data, e.data.subset, e.data)
                 for e in state.in_edges(node)
                 if e.data is not None and not e.data.is_empty and e.dst_conn is not None
             ]
             writes = [
-                (e.src_conn, e.data)
+                (e.src_conn, *_write_target(e.data))
                 for e in state.out_edges(node)
                 if e.data is not None and not e.data.is_empty and e.src_conn is not None
             ]
-            io = self._tasklet_io[id(node)] = (reads, writes, {conn for conn, _ in writes})
+            io = self._tasklet_io[id(node)] = (reads, writes, {w[0] for w in writes})
         reads, writes, out_conns = io
-        inputs = {conn: self._read(memlet, bindings) for conn, memlet in reads}
+        inputs = {
+            conn: self._read(data, subset, bindings, memlet)
+            for conn, data, subset, memlet in reads
+        }
         outputs = self._runner.run(node.label, node.code, inputs, out_conns, bindings)
-        for conn, memlet in writes:
-            self._write(memlet, outputs[conn], bindings)
+        for conn, data, subset, wcr in writes:
+            self._write(data, subset, wcr, outputs[conn], bindings)
         self._tasklet_counts[node.guid] = self._tasklet_counts.get(node.guid, 0) + 1
 
     def _execute_copies_into(
@@ -346,14 +431,10 @@ class SDFGExecutor:
             if src_data == node.data and memlet.other_subset is not None:
                 # Memlet was annotated with respect to the destination.
                 src_data = edge.src.data
-            value = self._read(
-                Memlet(src_data, src_subset, wcr=None), bindings
-            )
+            value = self._read(src_data, src_subset, bindings)
             if dst_subset is None:
                 dst_subset = src_subset
-            self._write(
-                Memlet(node.data, dst_subset, wcr=memlet.wcr), value, bindings,
-            )
+            self._write(node.data, dst_subset, memlet.wcr, value, bindings)
 
     def _execute_nested(
         self, state: SDFGState, node: NestedSDFGNode, bindings: Dict[str, Any]
@@ -364,7 +445,9 @@ class SDFGExecutor:
             memlet: Memlet = edge.data
             if memlet is None or memlet.is_empty or edge.dst_conn is None:
                 continue
-            args[edge.dst_conn] = np.asarray(self._read(memlet, bindings))
+            args[edge.dst_conn] = np.asarray(
+                self._read(memlet.data, memlet.subset, bindings, memlet)
+            )
         nested_syms = {
             k: int(v.evaluate(bindings)) for k, v in node.symbol_mapping.items()
         }
@@ -374,14 +457,16 @@ class SDFGExecutor:
             if memlet is None or memlet.is_empty or edge.src_conn is None:
                 continue
             if edge.src_conn not in args:
-                args[edge.src_conn] = np.asarray(self._read(memlet, bindings))
+                args[edge.src_conn] = np.asarray(
+                    self._read(memlet.data, memlet.subset, bindings, memlet)
+                )
         executor = SDFGExecutor(nested, max_transitions=self.max_transitions)
         result = executor.run(args, nested_syms)
         for edge in state.out_edges(node):
             memlet = edge.data
             if memlet is None or memlet.is_empty or edge.src_conn is None:
                 continue
-            self._write(memlet, result.outputs[edge.src_conn], bindings)
+            self._write(*_write_target(memlet), result.outputs[edge.src_conn], bindings)
         self._tasklet_counts[node.guid] = self._tasklet_counts.get(node.guid, 0) + 1
 
     # .................................................................. #
@@ -407,106 +492,98 @@ class SDFGExecutor:
     # ------------------------------------------------------------------ #
     # Memory access
     # ------------------------------------------------------------------ #
-    def _subset_code(self, memlet: Memlet) -> List[Tuple[Any, Any, Any]]:
-        """Per range ``(begin, end, step)`` terms: an ``int`` for an integer
-        literal, a compiled expression otherwise; ``end`` is ``None`` for a
-        point range (it is the begin, evaluated once)."""
-        # Keyed by the subset object (owned by the program's memlets), not by
-        # the memlet wrapper, because temporary Memlet wrappers are created
-        # during copies and their ids may be reused after garbage collection.
-        key = id(memlet.subset)
-        cached = self._subset_code_cache.get(key)
-        if cached is None:
-
-            def term(expr):
-                if isinstance(expr, Integer):
-                    return expr.value
-                return compile_expression(str(expr))
-
-            cached = [
-                (term(r.begin), None if r.is_point() else term(r.end), term(r.step))
-                for r in memlet.subset.ranges
-            ]
-            self._subset_code_cache[key] = cached
-        return cached
-
-    def _concrete_subset(
-        self, memlet: Memlet, bindings: Dict[str, Any]
-    ) -> List[Tuple[int, int, int]]:
-        out: List[Tuple[int, int, int]] = []
-        for bc, ec, sc in self._subset_code(memlet):
+    def _index(
+        self,
+        data: str,
+        subset: Subset,
+        wcr: Optional[str],
+        bindings: Dict[str, Any],
+        shape: Tuple[int, ...],
+        memlet: Optional[Memlet] = None,
+    ) -> tuple:
+        """The bounds-checked index of ``subset`` into a ``data`` container
+        of ``shape``: a tuple of ints for a single element, of slices for a
+        region.  Errors quote ``memlet``, or the memlet ``data[subset]``
+        with ``wcr``, built only then."""
+        access = self._accesses.get(id(subset))
+        if access is None:
+            access = self._accesses[id(subset)] = _Access(subset)
+        values = access.code
+        if values.__class__ is not tuple:
             try:
-                b = bc if bc.__class__ is int else int(eval(bc, _EVAL_GLOBALS, bindings))  # noqa: S307
-                if ec is None:
-                    e = b
-                else:
-                    e = ec if ec.__class__ is int else int(eval(ec, _EVAL_GLOBALS, bindings))  # noqa: S307
-                s = sc if sc.__class__ is int else int(eval(sc, _EVAL_GLOBALS, bindings))  # noqa: S307
+                values = eval(values, _EVAL_GLOBALS, bindings)  # noqa: S307
             except Exception as exc:  # noqa: BLE001
+                if memlet is None:
+                    memlet = Memlet(data, subset, wcr=wcr)
                 raise ExecutionError(
                     f"Cannot evaluate subset of memlet {memlet}: {exc}"
                 ) from exc
-            out.append((b, e, s))
-        return out
-
-    def _check_bounds(
-        self, data: str, concrete: List[Tuple[int, int, int]], shape: Tuple[int, ...]
-    ) -> None:
-        if len(concrete) != len(shape):
-            raise MemoryViolation(data, str(concrete), shape, "dimensionality mismatch")
-        for (b, e, s), dim in zip(concrete, shape):
-            if s > 0 and b > e:
-                continue  # empty range
-            lo, hi = (b, e) if b <= e else (e, b)
-            if lo < 0 or hi >= dim:
-                raise MemoryViolation(
-                    data,
-                    ", ".join(
-                        f"{bb}:{ee}:{ss}" if bb != ee else str(bb) for bb, ee, ss in concrete
-                    ),
-                    shape,
+        if access.inside is not None:
+            if not access.inside(values, shape):
+                _check_bounds(
+                    data, [(i, i, r.step.value) for i, r in zip(values, subset.ranges)], shape
                 )
-
-    def _read(self, memlet: Memlet, bindings: Dict[str, Any]) -> Any:
-        if memlet.data not in self._store:
-            raise ExecutionError(f"Read from unknown container '{memlet.data}'")
-        arr = self._store[memlet.data]
-        concrete = self._concrete_subset(memlet, bindings)
-        self._check_bounds(memlet.data, concrete, arr.shape)
+            return values
+        concrete = []
+        terms = iter(values)
+        for point in access.points:
+            b = next(terms)
+            concrete.append((b, b if point else next(terms), next(terms)))
+        _check_bounds(data, concrete, shape)
         if all(b == e for b, e, _ in concrete):
-            idx = tuple(b for b, _, _ in concrete)
-            return arr[idx]
-        slices = tuple(
+            return tuple(b for b, _, _ in concrete)
+        return tuple(
             slice(b, e + 1, s) if s > 0 else slice(b, None if e - 1 < 0 else e - 1, s)
             for b, e, s in concrete
         )
-        return arr[slices].copy()
 
-    def _write(self, memlet: Memlet, value: Any, bindings: Dict[str, Any]) -> None:
-        if memlet.data not in self._store:
-            raise ExecutionError(f"Write to unknown container '{memlet.data}'")
-        arr = self._store[memlet.data]
-        subset = memlet.other_subset if memlet.other_subset is not None else memlet.subset
-        target = Memlet(memlet.data, subset, wcr=memlet.wcr) if subset is not memlet.subset else memlet
-        concrete = self._concrete_subset(target, bindings)
-        self._check_bounds(memlet.data, concrete, arr.shape)
-        if all(b == e for b, e, _ in concrete):
-            idx: Any = tuple(b for b, _, _ in concrete)
-        else:
-            idx = tuple(
-                slice(b, e + 1, s) if s > 0 else slice(b, None if e - 1 < 0 else e - 1, s)
-                for b, e, s in concrete
-            )
-        if memlet.wcr is not None:
-            func = reduction_function(memlet.wcr)
+    def _read(
+        self,
+        data: str,
+        subset: Subset,
+        bindings: Dict[str, Any],
+        memlet: Optional[Memlet] = None,
+    ) -> Any:
+        """One element as a scalar, a region as a copy."""
+        arr = self._store.get(data)
+        if arr is None:
+            raise ExecutionError(f"Read from unknown container '{data}'")
+        idx = self._index(data, subset, None, bindings, arr.shape, memlet)
+        if idx and idx[0].__class__ is slice:
+            return arr[idx].copy()
+        return arr[idx]
+
+    def _write(
+        self,
+        data: str,
+        subset: Subset,
+        wcr: Optional[str],
+        value: Any,
+        bindings: Dict[str, Any],
+    ) -> None:
+        arr = self._store.get(data)
+        if arr is None:
+            raise ExecutionError(f"Write to unknown container '{data}'")
+        idx = self._index(data, subset, wcr, bindings, arr.shape)
+        if wcr is not None:
+            func = reduction_function(wcr)
             arr[idx] = func(arr[idx], value)
         else:
             val = np.asarray(value)
-            if isinstance(idx, tuple) and all(isinstance(i, slice) for i in idx):
+            # A region (and a rank-0 index, as always) takes a value of its
+            # element count in any shape.
+            if not idx or idx[0].__class__ is slice:
                 region_shape = arr[idx].shape
                 if val.shape != region_shape and val.size == np.prod(region_shape, dtype=int):
                     val = val.reshape(region_shape)
             arr[idx] = val
+
+
+def _write_target(memlet: Memlet) -> Tuple[str, Subset, Optional[str]]:
+    """``(data, subset, wcr)`` of a memlet's write: a copy edge writes its
+    ``other_subset``."""
+    subset = memlet.other_subset if memlet.other_subset is not None else memlet.subset
+    return memlet.data, subset, memlet.wcr
 
 
 def execute_sdfg(
