@@ -9,23 +9,16 @@ test:
 	$(PY) -m pytest -x -q
 
 # Exercise the sweep pipeline end to end (2 workers, tiny budget) once per
-# registered execution backend -- the oracle, the optimiser, and the two
-# 'cross' pairs that check the optimiser and its held C kernel tier against
-# the oracle on the batch axis -- then a pooled sweep through the persistent
-# compile cache (cold, then warm from the populated cache), a traced mini
-# sweep whose JSONL is validated against the trace-event schema, the
-# distributed loopback check, the sweep-level benchmark's smoke run and the
-# tier-1 test suite.
+# registered execution backend -- the oracle, the optimiser, and the 'cross'
+# pair that checks the optimiser against the oracle on the batch axis --
+# then a traced mini sweep whose JSONL is validated against the trace-event
+# schema, the distributed loopback check, the sweep-level benchmark's smoke
+# run and the tier-1 test suite.
 smoke:
 	$(MAKE) lint-arch
 	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend interpreter
 	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend compiled
 	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend cross:compiled,interpreter --trial-batch 4
-	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend cross:native,interpreter --trial-batch 4
-	rm -rf .smoke-cache && \
-	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend compiled --cache-dir .smoke-cache && \
-	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend compiled --cache-dir .smoke-cache && \
-	ls .smoke-cache/*.json > /dev/null && rm -rf .smoke-cache
 	rm -f .smoke-trace.jsonl && \
 	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend compiled --trace .smoke-trace.jsonl && \
 	$(PY) -m repro.telemetry --validate .smoke-trace.jsonl && \
@@ -98,10 +91,9 @@ bench-pairs:
 
 # Structural invariants of src/repro/backends/ and src/repro/cluster/:
 # module-size caps, the codegen -> execute layering rule (emitters never
-# import the runtime), FFI containment (only the native bridge imports
-# ctypes), cluster transport containment (only the service module imports
-# asyncio; the scheduler core stays socket-free), clock containment
-# (only repro.telemetry touches time.monotonic/perf_counter), and fault
+# import the runtime), cluster transport containment (only the service
+# module imports asyncio; the scheduler core stays socket-free), clock
+# containment (only repro.telemetry touches time.monotonic/perf_counter), and fault
 # containment (only repro.faultinject may hard-kill/signal a process;
 # fault helpers import from the package root only), and graph containment
 # (only repro.sdfg.graph touches a graph's internals or bumps its version).

@@ -1,4 +1,4 @@
-"""Execution-backend throughput: interpreter vs. compiled (vs. native).
+"""Execution-backend throughput: interpreter vs. compiled.
 
 Measures elements/second (map iterations executed per second) and
 trials/second (full program executions per second) for the oracle and the
@@ -20,17 +20,9 @@ Beyond raw kernel throughput the file also records:
   pays per task;
 * a **scope-fusion series**: the compiled backend with fusion enabled vs.
   disabled on ``fused_pipeline``;
-* a **compile-cache series**: per-program prepare cost for a cold compile,
-  an on-disk artifact hit (``--cache-dir``; the sibling-worker path) and
-  an in-memory cache hit;
 * a **batched-trials series**: trials/second for ``K = 32`` trials through
   the compiled backend's batch-axis execution vs. the same trials run one
   at a time, on an affine stencil at fuzzing-cutout sizes;
-* a **native series**: trials/second for the ``native`` backend's C
-  kernels vs. the compiled backend on the fused pipeline and the 2-D
-  stencil (skipped cleanly when no C toolchain is present), plus a
-  **native compile-cache series** (cold ``cc`` compile vs. a sibling
-  reloading the persisted shared object);
 * a **telemetry-overhead series**: fused_pipeline trial time untraced vs.
   traced, plus the disabled null-span fast-path cost -- asserting the
   disabled overhead stays under 2% and enabled tracing under 10%;
@@ -41,7 +33,7 @@ Beyond raw kernel throughput the file also records:
   under 2% of fused_pipeline trial time.
 
 The backends must agree bitwise on every measured run (the measurement
-doubles as an equivalence check), and five speedup floors are asserted:
+doubles as an equivalence check), and four speedup floors are asserted:
 
 * the compiled backend's array kernels must beat the interpreter by at
   least 5x on the large affine matmul (the PR 2 margin),
@@ -53,11 +45,7 @@ doubles as an equivalence check), and five speedup floors are asserted:
 * batch-axis execution must beat per-trial compiled execution by at least
   5x in trials/second on the affine stencil (the PR 6 margin) -- small
   cutouts pay NumPy's per-call fixed costs ``K`` times serially but once
-  per scope when batched, and
-* with a C toolchain present, the native backend must beat the compiled
-  backend by at least 5x in trials/second on both the fused pipeline and
-  the 2-D stencil (the PR 7 margin) -- the C loop nest replaces NumPy's
-  per-op dispatch and temporary traffic with one foreign call per scope.
+  per scope when batched.
 
 Set ``REPRO_BENCH_QUICK=1`` (the ``make bench-quick`` target) for tiny sizes,
 ``REPRO_PAPER_SCALE=1`` for larger ones.
@@ -76,11 +64,10 @@ import numpy as np
 from conftest import paper_scale
 
 from repro.backends import get_backend
-from repro.backends.compiled import CompiledBackend, CompiledWholeProgram
+from repro.backends.compiled import CompiledWholeProgram
 from repro.core.fuzzing import DifferentialFuzzer
 from repro.core.sampling import InputSampler
 from repro.sdfg import SDFG, Memlet, float64
-from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json
 from repro.workloads import get_workload
 
 OUTPUT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_backends.json")
@@ -96,9 +83,6 @@ REQUIRED_FUSION_SPEEDUP = 2.0
 #: Required batch-axis vs. per-trial compiled speedup (trials/s) on the
 #: affine stencil.
 REQUIRED_BATCHED_SPEEDUP = 5.0
-#: Required native-vs-compiled speedup (trials/s) on the fused pipeline
-#: and the 2-D stencil, asserted only when a C toolchain is present.
-REQUIRED_NATIVE_SPEEDUP = 5.0
 #: Trials per batch in the batched-trials series.
 BATCH_TRIALS = 32
 #: Ceiling on the *disabled* telemetry fast path (null-span cost x spans
@@ -112,8 +96,7 @@ MAX_ENABLED_TELEMETRY_OVERHEAD = 0.10
 MAX_DISABLED_FAULT_OVERHEAD = 0.02
 #: Generous ceiling on fault-point pass-throughs per trial: the wired
 #: points fire per *task* (task.execute, journal.record, protocol.send,
-#: scheduler.dispatch) or per native kernel call (native.call), far below
-#: this density.
+#: scheduler.dispatch), far below this density.
 FAULT_HITS_PER_TRIAL = 64
 
 
@@ -296,10 +279,7 @@ def test_backend_throughput(report_lines):
 
     fusion = _measure_fusion(report_lines)
     fuzz_trials = _measure_fuzz_trials(report_lines)
-    compile_cache = _measure_compile_cache(report_lines)
     batched_trials = _measure_batched_trials(report_lines)
-    native = _measure_native(report_lines)
-    native_cache = _measure_native_cache(report_lines)
     telemetry = _measure_telemetry_overhead(report_lines)
     faults = _measure_fault_overhead(
         report_lines, telemetry["untraced_seconds_per_trial"]
@@ -325,13 +305,6 @@ def test_backend_throughput(report_lines):
         f"than per-trial compiled execution on the affine stencil "
         f"(required: {REQUIRED_BATCHED_SPEEDUP}x)"
     )
-    if not native["skipped"]:
-        for kernel, row in native["kernels"].items():
-            assert row["speedup"] >= REQUIRED_NATIVE_SPEEDUP, (
-                f"native backend only {row['speedup']:.2f}x faster than the "
-                f"compiled backend on {kernel} "
-                f"(required: {REQUIRED_NATIVE_SPEEDUP}x)"
-            )
     assert telemetry["disabled_overhead"] <= MAX_DISABLED_TELEMETRY_OVERHEAD, (
         f"disabled telemetry costs {telemetry['disabled_overhead'] * 100:.3f}% "
         f"of fused_pipeline trial time (the null-span fast path must stay "
@@ -362,15 +335,11 @@ def test_backend_throughput(report_lines):
                 required_loop_nest_speedup=REQUIRED_LOOP_NEST_SPEEDUP,
                 required_fusion_speedup=REQUIRED_FUSION_SPEEDUP,
                 required_batched_speedup=REQUIRED_BATCHED_SPEEDUP,
-                required_native_speedup=REQUIRED_NATIVE_SPEEDUP,
                 speedups=speedups,
                 rows=rows,
                 fusion=fusion,
                 fuzz_trials=fuzz_trials,
-                compile_cache=compile_cache,
                 batched_trials=batched_trials,
-                native=native,
-                native_cache=native_cache,
                 telemetry=telemetry,
                 faults=faults,
             ),
@@ -667,189 +636,3 @@ def _measure_batched_trials(report_lines):
         speedup=speedup,
     )
 
-
-# ---------------------------------------------------------------------- #
-# Native tier: C kernels vs. the compiled backend
-# ---------------------------------------------------------------------- #
-def _measure_native(report_lines):
-    """Trials/second for the native backend's C kernels vs. the compiled
-    backend on the two kernels the native tier targets: the fused
-    elementwise chain and the fixed-trip stencil loop nest.
-
-    Skipped cleanly (recorded, not failed) when no C toolchain is present
-    -- the native backend then *is* the compiled backend plus a rejected
-    build, so there is nothing to measure.  Outcomes must be bitwise
-    identical; the uncapped measurement loop matters because the native
-    rates exceed the generic ``_measure`` helper's 64-trial cap within
-    milliseconds.
-    """
-    from repro.backends import native_backend
-    from repro.backends.native import detect_toolchain
-
-    if detect_toolchain() is None:
-        report_lines.append(
-            "\nnative tier: no C toolchain detected -- series skipped"
-        )
-        return dict(skipped=True, reason="no-toolchain", kernels={})
-
-    def trials_per_second(program, args, symbols):
-        trials = 0
-        elapsed = 0.0
-        while trials < 2 or elapsed < 0.5:
-            start = time.perf_counter()
-            program.run(dict(args), symbols)
-            elapsed += time.perf_counter() - start
-            trials += 1
-            if trials >= 8192:
-                break
-        return trials / elapsed
-
-    series = {}
-    report_lines.append("\nnative tier (trials/s vs. the compiled backend):")
-    for kernel, builder, symbols, _volume in _cases():
-        if kernel not in ("fused_pipeline", "jacobi_2d"):
-            continue
-        args = _arguments(builder(), symbols)
-        compiled = get_backend("compiled").prepare(builder())
-        native = native_backend().prepare(builder())
-        ref = compiled.run(dict(args), symbols)  # warm-up + equivalence
-        res = native.run(dict(args), symbols)
-        assert native.stats["native"] > 0, (
-            f"{kernel}: no native kernel fired (all scopes fell back)"
-        )
-        for name in ref.outputs:
-            assert ref.outputs[name].tobytes() == res.outputs[name].tobytes(), (
-                f"{kernel}: compiled/native outputs diverge bitwise on '{name}'"
-            )
-        assert ref.transitions == res.transitions
-        compiled_rate = trials_per_second(compiled, args, symbols)
-        native_rate = trials_per_second(native, args, symbols)
-        speedup = native_rate / compiled_rate
-        series[kernel] = dict(
-            symbols=symbols,
-            compiled_trials_per_second=compiled_rate,
-            native_trials_per_second=native_rate,
-            speedup=speedup,
-        )
-        report_lines.append(
-            f"  {kernel:<16}compiled {compiled_rate:>9.1f}/s  "
-            f"native {native_rate:>9.1f}/s  -> {speedup:.2f}x"
-        )
-    return dict(skipped=False, reason=None, kernels=series)
-
-
-def _measure_native_cache(report_lines):
-    """Prepare cost for the native tier: a cold ``cc`` compile (plus
-    artifact store) vs. a sibling backend instance reloading the persisted
-    shared object -- the toolchain-fingerprint-keyed disk-cache path."""
-    from repro.backends import native_backend
-    from repro.backends.native import detect_toolchain
-
-    if detect_toolchain() is None:
-        return dict(skipped=True, reason="no-toolchain")
-    programs = 4 if quick_scale() else 8
-    blobs = [
-        sdfg_to_json(build_fused_pipeline(stages=2 + (k % 4)))
-        for k in range(programs)
-    ]
-    cache_dir = tempfile.mkdtemp(prefix="repro-bench-native-cache-")
-    try:
-        def prepare_all(backend):
-            sdfgs = [sdfg_from_json(blob) for blob in blobs]
-            start = time.perf_counter()
-            last = None
-            for sdfg in sdfgs:
-                last = backend.prepare(sdfg)
-            return (time.perf_counter() - start) / programs, last
-
-        cold_backend = native_backend(cache_dir=cache_dir)
-        cold, last = prepare_all(cold_backend)
-        assert cold_backend.disk_misses == programs
-        assert last.executor.kernels.build["cache"] == "compiled"
-        warm_backend = native_backend(cache_dir=cache_dir)
-        warm, last = prepare_all(warm_backend)
-        assert warm_backend.disk_hits == programs, (
-            f"expected {programs} disk hits, got {warm_backend.disk_hits}"
-        )
-        assert last.executor.kernels.build["cache"] == "artifact"
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-    report_lines.append(
-        f"\nnative compile cache ({programs} distinct programs): "
-        f"cold cc+store {cold * 1e3:.2f} ms/program, "
-        f"shared-object reload {warm * 1e3:.2f} ms/program"
-    )
-    # A sibling must never pay the compiler again: the reload path is pure
-    # deserialization + dlopen.
-    assert warm < cold, (
-        f"artifact reload ({warm * 1e3:.2f} ms/program) not faster than a "
-        f"cold native compile ({cold * 1e3:.2f} ms/program)"
-    )
-    return dict(
-        skipped=False,
-        programs=programs,
-        cold_compile_seconds_per_program=cold,
-        artifact_reload_seconds_per_program=warm,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Compile cache: cold prepare vs. disk-artifact hit vs. memory hit
-# ---------------------------------------------------------------------- #
-def _measure_compile_cache(report_lines):
-    """Per-program prepare cost with and without the on-disk artifact tier.
-
-    The 'disk' row is the sibling-worker path: a *fresh* backend instance
-    (as a pool/cluster worker process would construct) preparing programs
-    whose driver artifacts another instance already persisted.
-    """
-    programs = 8 if quick_scale() else 16
-    n_fp, t_fp = _fusion_scale()
-    # Distinct programs (distinct content hashes) from one structural family.
-    blobs = [
-        sdfg_to_json(build_fused_pipeline(stages=2 + (k % 4)))
-        for k in range(programs)
-    ]
-    cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
-    try:
-        def prepare_all(backend):
-            # Deserialize outside the clock: every worker pays that cost
-            # identically, cached or not.
-            sdfgs = [sdfg_from_json(blob) for blob in blobs]
-            start = time.perf_counter()
-            for sdfg in sdfgs:
-                backend.prepare(sdfg)
-            return (time.perf_counter() - start) / programs
-
-        nocache = prepare_all(CompiledBackend())
-        cold_backend = CompiledBackend(cache_dir=cache_dir)
-        cold = prepare_all(cold_backend)
-        assert cold_backend.disk_misses == programs
-        warm_backend = CompiledBackend(cache_dir=cache_dir)
-        warm = prepare_all(warm_backend)
-        assert warm_backend.disk_hits == programs, (
-            f"expected {programs} disk hits, got {warm_backend.disk_hits}"
-        )
-        memory = prepare_all(cold_backend)  # same instance: in-memory hits
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-    report_lines.append(
-        f"\ncompile cache ({programs} distinct programs): "
-        f"no-cache {nocache * 1e3:.2f} ms/program, cold+store {cold * 1e3:.2f}, "
-        f"disk hit {warm * 1e3:.2f}, memory hit {memory * 1e3:.2f}"
-    )
-    # Disk-hit vs. cold-compile-plus-store compares the two paths a worker
-    # fleet actually takes (first worker vs. every sibling), both touching
-    # the same storage -- so the margin (~2x measured) is robust to machine
-    # speed in a way a zero-margin warm-vs-nocache inequality would not be.
-    assert warm < cold, (
-        f"disk-artifact prepare ({warm * 1e3:.2f} ms/program) not faster than "
-        f"a cold compile+store ({cold * 1e3:.2f} ms/program)"
-    )
-    return dict(
-        programs=programs,
-        no_cache_seconds_per_program=nocache,
-        cold_store_seconds_per_program=cold,
-        disk_hit_seconds_per_program=warm,
-        memory_hit_seconds_per_program=memory,
-    )

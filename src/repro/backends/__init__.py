@@ -1,7 +1,7 @@
 """Pluggable execution backends.
 
 Execution of dataflow programs is a swappable layer behind the
-:class:`~repro.backends.base.ExecutionBackend` seam.  Three backends and a
+:class:`~repro.backends.base.ExecutionBackend` seam.  Two backends and a
 self-check are registered:
 
 * ``"interpreter"`` -- the reference backend
@@ -10,31 +10,21 @@ self-check are registered:
 * ``"compiled"`` -- the one optimising backend
   (:mod:`repro.backends.compiled`).  Map scopes with affine memlets become
   NumPy array expressions (chains of elementwise scopes fused into one
-  kernel), compiled once per ``prepare`` (persisted by SDFG content hash
-  only with a cache directory); unsupported constructs fall back to the
-  interpreter scope by scope.  One
-  generated Python function per SDFG lowers the state machine to structured
-  control flow (native ``while`` loops and ``if`` chains, with a
-  state-dispatch loop for irreducible graphs) with inline interstate
-  conditions/assignments.  ``run_batch`` with more than one trial stacks
+  kernel), compiled once per ``prepare``; unsupported constructs fall back
+  to the interpreter scope by scope.  One generated Python function per
+  SDFG lowers the state machine to structured control flow (native
+  ``while`` loops and ``if`` chains, with a state-dispatch loop for
+  irreducible graphs) with inline interstate conditions/assignments.  ``run_batch`` with more than one trial stacks
   the ``K`` trials along a leading batch axis and executes every batchable
   scope once per batch; WCR/order-dependent scopes run per trial, and any
   batched failure reruns the batch serially so verdicts stay bitwise
   identical to ``K`` serial runs.
-* ``"native"`` -- the same classes, prepared under a name that makes each
-  program *hold* a C kernel tier (:mod:`repro.backends.native`): fused
-  elementwise chains and fixed-trip affine loop nests are emitted as C,
-  built once per program by the system toolchain (``cc``/``gcc``/``clang``,
-  overridable via ``REPRO_NATIVE_CC``) and invoked through zero-copy buffer
-  pointers.  Scopes the legality walk rejects -- and machines with no C
-  compiler at all -- run the compiled backend's Python path bitwise
-  identically.
 * ``"cross"`` -- the self-checking backend (:mod:`repro.backends.cross`):
   runs two backends in lockstep and raises
   :class:`~repro.backends.cross.BackendDivergenceError` on any bitwise
   difference -- FuzzyFlow's differential method applied to its own execution
   layer.  ``cross`` pairs the interpreter with the compiled backend;
-  ``cross:REF,CAND`` (e.g. ``cross:native,interpreter``) pairs any two
+  ``cross:REF,CAND`` (e.g. ``cross:interpreter,compiled``) pairs any two
   different registered backends.
 
 ``get_backend(name).prepare(sdfg).run(args, symbols)`` is the whole API (plus
@@ -57,14 +47,17 @@ from repro.backends.base import (
     list_backends,
     register_backend,
 )
-from repro.backends.cache import sdfg_content_hash
 from repro.backends.compiled import (
     CompiledBackend,
     CompiledExecutor,
     CompiledWholeProgram,
-    native_backend,
 )
-from repro.backends.cross import BackendDivergenceError, CrossBackend, CrossProgram
+from repro.backends.cross import (
+    BackendDivergenceError,
+    CrossBackend,
+    CrossProgram,
+    sdfg_content_hash,
+)
 from repro.backends.interpreter import InterpreterBackend, InterpreterProgram
 
 __all__ = [
@@ -80,7 +73,6 @@ __all__ = [
     "CompiledBackend",
     "CompiledExecutor",
     "CompiledWholeProgram",
-    "native_backend",
     "CrossBackend",
     "CrossProgram",
     "BackendDivergenceError",
@@ -89,5 +81,4 @@ __all__ = [
 
 register_backend("interpreter", InterpreterBackend)
 register_backend("compiled", CompiledBackend)
-register_backend("native", native_backend)
 register_backend("cross", CrossBackend)

@@ -35,7 +35,6 @@ from repro.backends.plan import (
     ChainPlan,
     InputPlan,
     OutputPlan,
-    PLAN_FORMAT_VERSION,
     ProgramPlan,
     ScopePlan,
     StatePlan,
@@ -544,12 +543,7 @@ def analyze_state(sdfg: SDFG, state: SDFGState, fuse: bool = True) -> StatePlan:
 
 def analyze_program(sdfg: SDFG, fuse: bool = True) -> ProgramPlan:
     """Analyze every state of a program into one :class:`ProgramPlan`."""
-    states: List[StatePlan] = []
-    for state in sdfg.states():
-        states.append(analyze_state(sdfg, state, fuse=fuse))
     return ProgramPlan(
-        format=PLAN_FORMAT_VERSION,
         sdfg_name=sdfg.name,
-        states=states,
-        hoisted_symbols=(),
+        states=[analyze_state(sdfg, state, fuse=fuse) for state in sdfg.states()],
     )

@@ -143,12 +143,11 @@ def get_backend(backend: Union[str, ExecutionBackend]) -> ExecutionBackend:
 
     Besides plain registry names, ``cross:REF,CAND`` materializes a
     self-checking pair of any two registered backends (e.g.
-    ``cross:native,interpreter``); the bare name ``cross`` is
+    ``cross:compiled,interpreter``); the bare name ``cross`` is
     ``cross:interpreter,compiled``.
 
-    Instances are shared per name, so a backend's counters (e.g. the
-    compiled backend's disk-cache hits) accumulate across callers within
-    one process; every ``prepare`` still returns a program of its own.
+    Instances are shared per name within one process; every ``prepare``
+    still returns a program of its own.
     """
     if isinstance(backend, ExecutionBackend):
         return backend

@@ -4,7 +4,7 @@ Backend lowering is a four-stage pipeline (see :mod:`repro.backends`):
 
     analyze  ->  plan  ->  codegen  ->  execute
 
-The modules here consume the serializable plan IR
+The modules here consume the plan IR
 (:mod:`repro.backends.plan`) and bind it to a concrete program; the execute
 layer imports the one it needs directly:
 
@@ -12,13 +12,8 @@ layer imports the one it needs directly:
   (plans bound to compiled code objects, fused chains composed) plus the
   static predicates saying which of them may run on a leading trial axis;
 * :mod:`~repro.backends.codegen.python_driver` -- the whole-program Python
-  control-flow driver (the interstate tier);
-* :mod:`~repro.backends.codegen.native_c` -- C source generation: fused
-  chains and fixed-trip affine loop nests lower to explicit C loop nests
-  (compilation and loading happen in :mod:`repro.backends.native`, never
-  here).
+  control-flow driver (the interstate tier).
 
 Layering rule (enforced by ``make lint-arch``): nothing here imports from
-:mod:`repro.backends.execute`, and no codegen module touches ``ctypes`` or
-shared objects -- the C generator produces *source text only*.
+:mod:`repro.backends.execute`.
 """

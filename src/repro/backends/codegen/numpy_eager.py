@@ -1,7 +1,7 @@
 """The ``numpy-eager`` emitter: plans -> bound NumPy scope kernels.
 
 Third stage of the lowering pipeline (analyze -> plan -> codegen ->
-execute).  An emitter consumes the serializable plan IR
+execute).  An emitter consumes the plan IR
 (:mod:`repro.backends.plan`) and *binds* it to one concrete program: guids
 resolve to nodes, index-expression strings compile to code objects, member
 tasklets of a fused chain compose into one straight-line code object with
@@ -135,7 +135,7 @@ class BoundScope:
     #: reuse the cached setup: the loop-invariant part of the scope is
     #: hoisted out of the loop.
     setup_deps: Tuple[str, ...] = ()
-    #: The plan this scope was bound from (diagnostics / re-serialization).
+    #: The plan this scope was bound from (diagnostics).
     plan: Optional[ScopePlan] = None
     #: Cleared permanently if vectorized execution fails at runtime
     #: (e.g. an index expression that does not evaluate on index grids).
@@ -287,12 +287,8 @@ class NumpyEagerEmitter:
     def bind_state(
         self, sdfg: SDFG, state: SDFGState, state_plan: StatePlan
     ) -> StateTable:
-        """Bind one state's plan against the live program graph.
-
-        Raises on a plan that does not resolve (e.g. a stale artifact whose
-        guids or shapes no longer match); callers treat that as "re-analyze
-        from scratch".
-        """
+        """Bind one state's plan against the live program graph; raises on
+        a plan whose guids do not resolve in ``state``."""
         nodes_by_guid = {n.guid: n for n in state.nodes()}
         plans: Dict[int, Optional[BoundScope]] = {}
         for guid, scope_plan in state_plan.scopes.items():

@@ -25,9 +25,6 @@ enforced by ``make lint-arch``.
 
 from __future__ import annotations
 
-import base64
-import marshal
-import sys
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.interpreter.executor import _EVAL_GLOBALS
@@ -49,21 +46,9 @@ from repro.symbolic.codegen import (
 )
 
 __all__ = [
-    "CODEGEN_VERSION",
     "compile_driver",
     "control_is_static",
 ]
-
-#: Version stamp of the driver code generator.  Bump on ANY change to the
-#: emitted driver source, the driver globals, or the runtime services the
-#: driver calls: on-disk artifacts carry it, and a mismatch invalidates the
-#: cached entry (it is recompiled and overwritten).
-#: 6: lowering split into analyze/plan/codegen/execute; artifacts carry the
-#: serialized program plan next to the driver.
-#: 7: artifact stamps carry a ``toolchain`` field (``None`` for pure-Python
-#: artifacts; a compiler fingerprint for the native backend's variant).
-#: 8: state ops are called as ``op(executor, symbols)``.
-CODEGEN_VERSION = 8
 
 #: Globals of the generated driver.  User expressions see exactly the
 #: interpreter's ``_EVAL_GLOBALS`` vocabulary; the dunder-prefixed aliases
@@ -85,23 +70,6 @@ _DRIVER_GLOBALS.update(
 #: have equal source text (most single-state cutouts) share one code object
 #: and each ``exec`` it into a namespace of their own.
 _DRIVER_FILENAME = "<compiled-sdfg>"
-
-
-def _artifact_stamp() -> Dict[str, Any]:
-    """Identity fields every persisted driver artifact must carry.
-
-    The ``toolchain`` field is ``None`` for pure-Python artifacts; a program
-    prepared under ``native`` carries its compiler fingerprint there (and a
-    stale or missing toolchain makes the entry a miss, so it is rewritten).
-    """
-    return {
-        "format": 1,
-        "codegen_version": CODEGEN_VERSION,
-        # marshal'd code objects are only valid for the same Python build.
-        "python": sys.implementation.cache_tag,
-        "backend": "compiled",
-        "toolchain": None,
-    }
 
 
 # ---------------------------------------------------------------------- #
@@ -133,8 +101,6 @@ class _DriverEmitter:
         )
         #: Active loop-invariant bindings: symbol name -> driver local.
         self.hoisted: Dict[str, str] = {}
-        #: Every symbol ever hoisted (reported in the program plan).
-        self.all_hoisted: Set[str] = set()
         self._hoist_counter = 0
 
     # .................................................................. #
@@ -270,7 +236,6 @@ class _DriverEmitter:
             self._hoist_counter += 1
             self.line(f"{local} = __sym[{name!r}]")
             self.hoisted[name] = local
-            self.all_hoisted.add(name)
         return names
 
     # .................................................................. #
@@ -382,63 +347,17 @@ def _interpreted_drive(rt) -> int:
     return _SDFGExecutor._run_control_loop(rt)
 
 
-def _load_driver_artifact(
-    artifact: Dict[str, Any]
-) -> Optional[Tuple[str, Optional[str], Optional[Callable], Optional[Any]]]:
-    """Reconstruct a driver from a persisted artifact, or ``None``."""
-    mode = artifact.get("mode")
-    if mode == "interpreted":
-        return "interpreted", None, _interpreted_drive, None
-    if mode not in ("structured", "dispatch"):
-        return None
-    source = artifact.get("source")
-    code = None
-    blob = artifact.get("code")
-    if blob:
-        try:
-            code = marshal.loads(base64.b64decode(blob))
-        except Exception:  # noqa: BLE001 - any corruption degrades to source
-            code = None
-    if code is None and source:
-        try:
-            code = compile_code(source, _DRIVER_FILENAME)
-        except SyntaxError:
-            code = None
-    if code is None:
-        return None
-    try:
-        namespace: Dict[str, Any] = {}
-        exec(code, dict(_DRIVER_GLOBALS), namespace)  # noqa: S102
-        return mode, source, namespace["__drive"], code
-    except Exception:  # noqa: BLE001 - unusable artifact: recompile fresh
-        return None
-
-
 def compile_driver(
-    sdfg: SDFG,
-    state_index: Dict[SDFGState, int],
-    artifact: Optional[Dict[str, Any]] = None,
-    info: Optional[Dict[str, Any]] = None,
-) -> Tuple[str, Optional[str], Optional[Callable], Optional[Any]]:
+    sdfg: SDFG, state_index: Dict[SDFGState, int]
+) -> Tuple[str, Optional[str], Optional[Callable]]:
     """Generate the whole-program driver for ``sdfg``.
 
-    Returns ``(mode, source, fn, code)`` where mode is ``"structured"``,
+    Returns ``(mode, source, fn)`` where mode is ``"structured"``,
     ``"dispatch"``, ``"interpreted"`` (dynamic-transition safety net) or
     ``"empty"`` (stateless program; running it raises like the interpreter).
-    ``code`` is the compiled module code object backing ``fn`` (marshalable
-    for the on-disk artifact cache).  With a valid ``artifact`` (a previously
-    persisted driver for the *same* content hash), structuring and emission
-    are skipped entirely.  ``info``, when given, receives emission metadata
-    (currently ``"hoisted"``: the loop-invariant symbols hoisted into driver
-    locals) on a fresh structured/dispatch emission.
     """
     if not sdfg.states():
-        return "empty", None, None, None
-
-    if artifact is not None:
-        loaded = _load_driver_artifact(artifact)
-        if loaded is not None:
-            return loaded
+        return "empty", None, None
 
     scalar_names = {
         name for name, desc in sdfg.arrays.items() if isinstance(desc, Scalar)
@@ -450,7 +369,7 @@ def compile_driver(
         # An interstate assignment shadowing a scalar container cannot be
         # routed statically (the interpreter's namespace lets the assigned
         # value win within a transition, the scalar win on the next one).
-        return "interpreted", None, _interpreted_drive, None
+        return "interpreted", None, _interpreted_drive
 
     try:
         tree = structured_control_flow(sdfg)
@@ -465,11 +384,9 @@ def compile_driver(
         namespace: Dict[str, Any] = {}
         code = compile_code(source, _DRIVER_FILENAME)
         exec(code, dict(_DRIVER_GLOBALS), namespace)  # noqa: S102
-        if info is not None:
-            info["hoisted"] = sorted(emitter.all_hoisted)
-        return mode, source, namespace["__drive"], code
+        return mode, source, namespace["__drive"]
     except Exception:  # noqa: BLE001 - never fail prepare; degrade instead
-        return "interpreted", None, _interpreted_drive, None
+        return "interpreted", None, _interpreted_drive
 
 
 def control_is_static(sdfg: SDFG, control_mode: str) -> bool:

@@ -65,51 +65,30 @@ fidelity is non-negotiable:
   therefore every differential verdict) is **bitwise identical** to ``K``
   serial runs by construction.
 
-**Kernels.**  A program prepared under the registry name ``native``
-additionally *holds* a kernel tier (:mod:`repro.backends.native`): scopes
-and fused chains the C generator accepts run as compiled C, tried first by
-the same ops, serially and on the batch axis alike; everything else -- and
-every machine without a C compiler -- runs the Python path above.
-
 **Caches.**  Every ``prepare`` builds a program private to its caller:
 nothing is kept in memory between prepares, so a prepared program never
 reaches a second thread.  Driver code objects are memoised process-wide by
 source text (:func:`repro.interpreter.tasklet_exec.compile_code`; each
 program still ``exec``s its own driver function), and each state's
 structure queries by its scope index (:class:`repro.sdfg.state.SDFGState`).
-Only with a cache *directory* configured is the program's content hash
-taken: the generated driver is then persisted as an on-disk artifact (keyed
-by content hash, codegen version, plan-format version and Python build)
-**together with the serialized lowering plan**
-(:class:`~repro.backends.plan.ProgramPlan`), so sibling worker processes --
-pool workers, cluster workers -- skip control-flow structuring, code
-generation *and* scope analysis entirely.
+Nothing is written to disk and the program is never hashed.
 """
 
 from __future__ import annotations
 
-import base64
-import marshal
-import os
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
 from repro.backends.base import CompiledProgram, ExecutionBackend
-from repro.backends.cache import CACHE_DIR_ENV, ProgramDiskCache, sdfg_content_hash
 from repro.backends.codegen.numpy_eager import (
     BoundChain,
     chain_is_batchable,
     scope_is_batchable,
 )
-from repro.backends.codegen.python_driver import (
-    CODEGEN_VERSION,
-    _artifact_stamp,
-    compile_driver,
-    control_is_static,
-)
+from repro.backends.codegen.python_driver import compile_driver, control_is_static
 from repro.backends.execute import ScopeRuntime, _BatchAbort
-from repro.backends.plan import PLAN_FORMAT_VERSION, ProgramPlan
+from repro.backends.plan import ProgramPlan
 from repro.interpreter.coverage import CoverageMap
 from repro.interpreter.errors import ExecutionError, HangError
 from repro.interpreter.executor import _EVAL_GLOBALS, ExecutionResult
@@ -128,11 +107,9 @@ StateOp = Callable[["CompiledExecutor", Dict[str, Any]], None]
 
 __all__ = [
     "CompiledBackend",
-    "native_backend",
     "CompiledWholeProgram",
     "CompiledExecutor",
     "compile_driver",
-    "CODEGEN_VERSION",
 ]
 
 
@@ -149,42 +126,28 @@ class CompiledExecutor(ScopeRuntime):
         self,
         sdfg: SDFG,
         max_transitions: int = 100_000,
-        artifact: Optional[Dict[str, Any]] = None,
         **kwargs,
     ) -> None:
         super().__init__(sdfg, max_transitions=max_transitions, **kwargs)
-        #: The C kernel tier (:class:`repro.backends.native.KernelTier`) of a
-        #: program prepared under ``native``; scope and chain ops try it
-        #: first.  ``None`` otherwise.
-        self.kernels = None
         #: Each state's position in ``_state_ops``, in ``sdfg.states()`` order.
         self._state_index = {s: i for i, s in enumerate(sdfg.states())}
-        artifact_hoisted = self._seed_state_plans(artifact)
         # Per-state op lists, fixed at prepare time: one prebound function
         # per executable top-level node.  The generic ``_execute_state``
         # re-derives node lists, re-dispatches on node type and re-looks-up
         # scope plans -- and formerly copied the full symbol dict -- on
         # every transition, which dominates transition-heavy loop nests.
         # Fused-chain members and no-op access nodes are dropped statically.
-        # The bind/codegen phases of prepare: analyze spans (if any plan
-        # must be rebuilt) nest inside via _table_for -> analyze_state.
+        # The bind/codegen phases of prepare: analyze spans nest inside via
+        # _table_for -> analyze_state.
         with _TRACER.span("codegen.bind", "prepare") as span:
             span.set("emitter", self.emitter.name)
             self._state_ops: List[List[StateOp]] = [
                 self._build_state_ops(state) for state in self._state_index
             ]
-        info: Dict[str, Any] = {}
-        with _TRACER.span("codegen.driver", "prepare") as span:
-            span.set("seeded", artifact is not None)
-            self.control_mode, self.driver_source, self._drive, self._driver_code = (
-                compile_driver(sdfg, self._state_index, artifact=artifact, info=info)
+        with _TRACER.span("codegen.driver", "prepare"):
+            self.control_mode, self.driver_source, self._drive = compile_driver(
+                sdfg, self._state_index
             )
-        #: Loop-invariant symbol loads the driver hoisted (fresh compiles
-        #: report them via ``info``; artifact-seeded drivers carry them in
-        #: the persisted plan).
-        self.hoisted_symbols: Tuple[str, ...] = tuple(
-            info.get("hoisted") or artifact_hoisted or ()
-        )
         #: Per-trial views into a batched run's store (container name ->
         #: ``(K,) + shape`` array): trial ``k``'s serial-shaped store, used
         #: by per-trial ops; views alias the batch arrays, so in-place
@@ -196,71 +159,41 @@ class CompiledExecutor(ScopeRuntime):
         self._batched_ops: Optional[List[List[StateOp]]] = None
         self._batchable: Optional[bool] = None
 
-    def _seed_state_plans(
-        self, artifact: Optional[Dict[str, Any]]
-    ) -> Tuple[str, ...]:
-        """Pre-populate per-state lowering plans from a disk artifact.
-
-        Node guids are covered by the content hash, so an artifact plan
-        always resolves against this program; any inconsistency (format
-        drift, state-count mismatch, malformed payload) simply discards the
-        seed and re-analysis runs.  Returns the plan's hoisted symbols.
-        """
-        if not artifact or "plan" not in artifact:
-            return ()
-        try:
-            plan = ProgramPlan.from_dict(artifact["plan"])
-            if len(plan.states) != len(self._state_index):
-                raise ValueError("state count mismatch")
-            for state, splan in zip(self._state_index, plan.states):
-                self._state_plans[id(state)] = splan
-            return tuple(plan.hoisted_symbols)
-        except Exception:  # noqa: BLE001 - any bad seed degrades to re-analysis
-            self._state_plans.clear()
-            return ()
-
     @property
     def program_plan(self) -> ProgramPlan:
         """The complete lowering plan (every state is bound at prepare
         time, so the per-state plans are always populated here)."""
         return ProgramPlan(
-            format=PLAN_FORMAT_VERSION,
             sdfg_name=self.sdfg.name,
-            states=[self._state_plans[id(s)] for s in self._state_index],
-            hoisted_symbols=tuple(self.hoisted_symbols),
+            states=[self._table_for(s).state_plan for s in self._state_index],
         )
 
     # Op-list construction ............................................. #
-    def top_level(self, state: SDFGState) -> Iterator[Tuple[Any, Any]]:
-        """The executable top-level nodes of a state in execution order, as
-        ``(node, bound)``: for a map entry the fused chain it heads, else
-        its bound scope (``None`` when the analyzer rejected it); ``None``
-        for every other node.  Nodes inside a scope, map exits and the
-        non-head members of a chain (their head's op covers them) are
-        skipped."""
-        table = self._table_for(state)
-        for node in state.scope_children().get(None, ()):
-            if not isinstance(node, MapEntry):
-                yield node, None
-            elif node.guid not in table.members:
-                fused = table.heads.get(node.guid)
-                yield node, fused if fused is not None else table.plans.get(node.guid)
-
     def _build_state_ops(self, state: SDFGState, batched: bool = False) -> List[StateOp]:
-        """One state's op list.  The ``batched`` twin gives batchable scopes
-        and chains batch-axis ops and runs everything else per trial."""
+        """One state's op list, over its top-level nodes in execution order.
+        A map entry runs the fused chain it heads, else its bound scope
+        (``None`` when the analyzer rejected it); nodes inside a scope, map
+        exits and the non-head members of a chain (their head's op covers
+        them) get no op.  The ``batched`` twin gives batchable scopes and
+        chains batch-axis ops and runs everything else per trial."""
+        table = self._table_for(state)
         ops: List[StateOp] = []
-        for node, bound in self.top_level(state):
+        for node in state.scope_children().get(None, ()):
             if not isinstance(node, MapEntry):
                 op = self._make_node_op(state, node)
                 if op is None:
                     continue
+            elif node.guid in table.members:
+                continue
             else:
+                bound = table.heads.get(node.guid)
+                if bound is None:
+                    bound = table.plans.get(node.guid)
                 fused = isinstance(bound, BoundChain)
                 if batched and (
                     chain_is_batchable(bound) if fused else scope_is_batchable(bound)
                 ):
-                    ops.append(self._make_batched_op(node, bound))
+                    ops.append(self._make_batched_op(bound))
                     continue
                 op = (
                     self._make_fused_op(state, bound)
@@ -301,26 +234,18 @@ class CompiledExecutor(ScopeRuntime):
 
         return op
 
-    # Scope and chain ops try the held C kernel first (keyed by the entry's
-    # guid) and run the Python path on any miss.
     def _make_scope_op(
         self, state: SDFGState, entry: MapEntry, plan
     ) -> StateOp:
-        def op(rt, symbols, _state=state, _entry=entry, _plan=plan, _key=entry.guid):
-            kernels = rt.kernels
-            if kernels is None or not kernels.try_run(rt, _key, symbols):
-                rt._run_single_scope(_state, _entry, _plan, symbols)
+        def op(rt, symbols, _state=state, _entry=entry, _plan=plan):
+            rt._run_single_scope(_state, _entry, _plan, symbols)
 
         return op
 
     def _make_fused_op(self, state: SDFGState, fused: BoundChain) -> StateOp:
         members = [(m.plan.entry, m.plan) for m in fused.members]
 
-        def op(rt, symbols, _state=state, _fused=fused, _members=members,
-               _key=fused.member_guids[0]):
-            kernels = rt.kernels
-            if kernels is not None and kernels.try_run(rt, _key, symbols):
-                return
+        def op(rt, symbols, _state=state, _fused=fused, _members=members):
             if rt._try_fused(_fused, symbols):
                 return
             # The chain did not survive contact with runtime values: run the
@@ -332,17 +257,14 @@ class CompiledExecutor(ScopeRuntime):
 
         return op
 
-    def _make_batched_op(self, entry: MapEntry, bound) -> StateOp:
+    def _make_batched_op(self, bound) -> StateOp:
         """A batchable scope or chain on the batch axis.  No fallback of its
         own: whatever fails here abandons the batched attempt."""
         fused = isinstance(bound, BoundChain)
 
-        def op(rt, symbols, _bound=bound, _fused=fused, _key=entry.guid):
+        def op(rt, symbols, _bound=bound, _fused=fused):
             if not _bound.usable:
                 raise _BatchAbort("plan unusable")
-            kernels = rt.kernels
-            if kernels is not None and kernels.try_run(rt, _key, symbols):
-                return
             compute = rt._compute_fused if _fused else rt._compute_vectorized
             writes, _ = compute(_bound, symbols)
             for apply_write in writes:
@@ -532,11 +454,10 @@ class CompiledWholeProgram(CompiledProgram):
         sdfg: SDFG,
         max_transitions: int = 100_000,
         fuse: bool = True,
-        artifact: Optional[Dict[str, Any]] = None,
     ) -> None:
         super().__init__(sdfg)
         self.executor = CompiledExecutor(
-            sdfg, max_transitions=max_transitions, fuse=fuse, artifact=artifact
+            sdfg, max_transitions=max_transitions, fuse=fuse
         )
 
     @property
@@ -584,151 +505,23 @@ class CompiledWholeProgram(CompiledProgram):
             arguments_list, symbols, collect_coverage=collect_coverage
         )
 
-    @staticmethod
-    def check_artifact(artifact: Dict[str, Any], toolchain: Any = None) -> bool:
-        """Whether a disk artifact was produced by this exact generator
-        (format, codegen version, plan format, Python build, toolchain) and
-        names a known mode.
-
-        ``toolchain`` is the compiler fingerprint the kernel tier builds
-        with -- ``None`` for the pure-Python variant and on a machine
-        without a compiler -- so a stale or missing toolchain field is a
-        miss and the entry is rewritten.  A ``native`` section needs a
-        toolchain and must be well-formed.
-        """
-        stamp = _artifact_stamp()
-        stamp["toolchain"] = toolchain
-        native = artifact.get("native")
-        # Presence-required comparison: a stamp field whose expected value
-        # is None (e.g. ``toolchain``) must still *exist* in the artifact --
-        # ``artifact.get(k) == None`` would accept entries predating the
-        # field entirely.
-        return (
-            all(k in artifact and artifact[k] == v for k, v in stamp.items())
-            and artifact.get("plan_format") == PLAN_FORMAT_VERSION
-            and artifact.get("mode") in ("structured", "dispatch", "interpreted")
-            and (
-                native is None
-                or (
-                    toolchain is not None
-                    and isinstance(native, dict)
-                    and isinstance(native.get("c_source"), str)
-                    and isinstance(native.get("so"), str)
-                )
-            )
-        )
-
-    def artifact(self) -> Optional[Dict[str, Any]]:
-        """The persistable artifact: driver (mode + source + marshaled
-        code) plus the serialized lowering plan -- and, with a kernel tier,
-        its toolchain stamp, C source and shared object."""
-        executor = self.executor
-        mode = executor.control_mode
-        if mode == "empty":
-            return None
-        art = _artifact_stamp()
-        art["mode"] = mode
-        if mode in ("structured", "dispatch"):
-            if executor.driver_source is None or executor._driver_code is None:
-                return None
-            art["source"] = executor.driver_source
-            art["code"] = base64.b64encode(
-                marshal.dumps(executor._driver_code)
-            ).decode("ascii")
-        art["plan_format"] = PLAN_FORMAT_VERSION
-        try:
-            art["plan"] = executor.program_plan.to_dict()
-        except Exception:  # noqa: BLE001 - a plan that cannot serialize is
-            return None  # not worth persisting a partial artifact for
-        if executor.kernels is not None:
-            executor.kernels.extend_artifact(art)
-        return art
-
-
 class CompiledBackend(ExecutionBackend):
     """Whole-program compilation: structured interstate control flow plus
     vectorized (and fused) state dataflow.
 
     Every ``prepare`` returns a new program: a prepared program holds the
     state of the run in progress, so it belongs to the call that made it.
-    With a cache *directory* configured (the ``cache_dir`` argument, the
-    ``--cache-dir`` CLI option, or the ``REPRO_CACHE_DIR`` environment
-    variable -- read dynamically so it reaches forked pool workers), the
-    compile artifact is stored on disk keyed by SDFG content hash and
-    codegen version, and sibling worker processes skip recompilation.  The
-    hash covers the exact serialization *including node guids* (which
-    clones and JSON roundtrips preserve), so a clone or a worker-side
-    deserialization hits -- while two independent builds of the same
-    kernel, whose coverage features are keyed by their distinct guids,
-    compile separately.  Without a directory no hash is taken.
-
-    The registry holds this class twice.  The instance named ``native``
-    attaches a C kernel tier to every program it prepares and keeps its
-    disk entries -- which embed a shared object the other instance would
-    drag around for nothing -- under the ``-native`` artifact variant.
     """
 
     name = "compiled"
 
-    def __init__(self, cache_dir: Optional[str] = None, fuse: bool = True) -> None:
+    def __init__(self, fuse: bool = True) -> None:
         self.fuse = fuse
-        self._explicit_cache_dir = cache_dir
-        self.disk_hits = 0
-        self.disk_misses = 0
-
-    @property
-    def cache_dir(self) -> Optional[str]:
-        """The active on-disk cache directory (explicit or environment)."""
-        return self._explicit_cache_dir or os.environ.get(CACHE_DIR_ENV) or None
 
     def prepare(self, sdfg: SDFG, max_transitions: int = 100_000) -> CompiledWholeProgram:
         with _TRACER.span("backend.prepare", "prepare") as span:
             span.set("tier", self.name)
             span.set("sdfg", sdfg.name)
-            native = self.name == "native"
-            if native:
-                from repro.backends.native import KernelTier
-            variant = "-native" if native else ""
-            disk: Optional[ProgramDiskCache] = None
-            artifact: Optional[Dict[str, Any]] = None
-            directory = self.cache_dir
-            if directory is not None:
-                content_hash = sdfg_content_hash(sdfg)
-                disk = ProgramDiskCache(directory)
-                artifact, status = disk.load_classified(
-                    content_hash, max_transitions, variant
-                )
-                if artifact is not None and not CompiledWholeProgram.check_artifact(
-                    artifact, KernelTier.toolchain_stamp() if native else None
-                ):
-                    artifact = None
-                    status = "stale"  # parseable, but wrong version/toolchain
-                if artifact is not None:
-                    self.disk_hits += 1
-                else:
-                    self.disk_misses += 1
-                span.set("disk_cache", status)
-                _metric_inc(
-                    "repro_disk_cache_total",
-                    labels={"tier": self.name, "outcome": status},
-                )
-
-            program = CompiledWholeProgram(
-                sdfg, max_transitions=max_transitions, fuse=self.fuse,
-                artifact=artifact,
+            return CompiledWholeProgram(
+                sdfg, max_transitions=max_transitions, fuse=self.fuse
             )
-            if native:
-                program.executor.kernels = KernelTier(program.executor, artifact)
-            if disk is not None and artifact is None:
-                fresh = program.artifact()
-                if fresh is not None:
-                    disk.store(content_hash, max_transitions, fresh, variant)
-        return program
-
-
-def native_backend(*args, **kwargs) -> CompiledBackend:
-    """A :class:`CompiledBackend` (same arguments) under the name ``native``:
-    what the registry builds for that name."""
-    backend = CompiledBackend(*args, **kwargs)
-    backend.name = "native"
-    return backend

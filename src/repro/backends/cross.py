@@ -2,7 +2,7 @@
 
 Runs every execution through *two* backends -- by default the reference
 interpreter and the compiled backend, but any registered pair can be
-named via ``cross:REF,CAND`` (e.g. ``cross:native,interpreter``) -- and
+named via ``cross:REF,CAND`` (e.g. ``cross:compiled,interpreter``) -- and
 compares the complete system states bit for bit.  Any divergence --
 different outputs, different final symbols, different transition counts, or
 one backend crashing where the other does not -- is a bug in an execution
@@ -21,17 +21,29 @@ which program once it is reconstructed on the coordinator side.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, List, Mapping, Optional
 
 import numpy as np
 
 from repro.backends.base import CompiledProgram, ExecutionBackend, get_backend
-from repro.backends.cache import sdfg_content_hash
 from repro.interpreter.errors import ExecutionError, HangError
 from repro.interpreter.executor import ExecutionResult
 from repro.sdfg.sdfg import SDFG
+from repro.sdfg.serialize import sdfg_to_json
 
-__all__ = ["CrossBackend", "CrossProgram", "BackendDivergenceError"]
+__all__ = [
+    "CrossBackend",
+    "CrossProgram",
+    "BackendDivergenceError",
+    "sdfg_content_hash",
+]
+
+
+def sdfg_content_hash(sdfg: SDFG) -> str:
+    """Content hash of a program (its canonical JSON serialization): the
+    program a divergence report names."""
+    return hashlib.sha256(sdfg_to_json(sdfg).encode("utf-8")).hexdigest()
 
 
 class BackendDivergenceError(Exception):

@@ -21,9 +21,8 @@ Three layers keep the hot loop tight:
   index arrays, only a scope that reads them gets iteration grids.  Within
   one run a plan keeps its latest setup, keyed by the symbols it reads, so
   an interstate loop reuses it; a new trial or a tile loop computes afresh;
-* the state tables bind lazily through the ``numpy-eager`` emitter, reusing
-  a plan seeded from a disk artifact when one resolves and re-analyzing
-  otherwise.
+* the state tables bind lazily through the ``numpy-eager`` emitter, from
+  each state's analyzed plan.
 
 The batch axis is state of a run: with ``_lead`` set, containers carry a
 leading trial axis (``(K,) + shape``), map grids broadcast against them by
@@ -69,7 +68,6 @@ from repro.backends.codegen.numpy_eager import (
     StateTable,
 )
 from repro.backends.geometry import Triple, access_index, gather_index
-from repro.backends.plan import StatePlan
 from repro.interpreter.errors import (
     ExecutionError,
     MemoryViolation,
@@ -203,10 +201,6 @@ class ScopeRuntime(SDFGExecutor):
         #: the fusion win, or to bisect a suspected fusion bug).
         self.fuse = fuse
         self.emitter = NumpyEagerEmitter()
-        #: Per-state lowering plans (serializable IR), by ``id(state)``.
-        #: Pre-seeded from a disk artifact by the compiled backend; filled
-        #: by :func:`repro.backends.analysis.analyze_state` otherwise.
-        self._state_plans: Dict[int, StatePlan] = {}
         #: Per-state bound tables (plans + fused chains), built once per
         #: state on first execution.
         self._tables: Dict[int, StateTable] = {}
@@ -258,20 +252,10 @@ class ScopeRuntime(SDFGExecutor):
     def _table_for(self, state: SDFGState) -> StateTable:
         table = self._tables.get(id(state))
         if table is None:
-            table = self._build_state_table(state)
+            splan = analyze_state(self.sdfg, state, fuse=self.fuse)
+            table = self.emitter.bind_state(self.sdfg, state, splan)
             self._tables[id(state)] = table
         return table
-
-    def _build_state_table(self, state: SDFGState) -> StateTable:
-        splan = self._state_plans.get(id(state))
-        if splan is not None:
-            try:
-                return self.emitter.bind_state(self.sdfg, state, splan)
-            except Exception:  # noqa: BLE001 - stale seeded plan: re-analyze
-                pass
-        splan = analyze_state(self.sdfg, state, fuse=self.fuse)
-        self._state_plans[id(state)] = splan
-        return self.emitter.bind_state(self.sdfg, state, splan)
 
     # .................................................................. #
     # Scope execution

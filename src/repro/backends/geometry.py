@@ -6,8 +6,8 @@ per-dimension index the analyzer has classified (``InputPlan.dims`` /
 sequence ``first + offset, step, count`` of one map axis, ``("const",
 code)`` a single position.  Bounds checks and NumPy indices for such
 accesses follow from the map's evaluated ranges by integer arithmetic; no
-index array is built, reduced or re-recognised.  Shared by the vectorized,
-batched (``lead=1``: a leading trial axis) and native runtimes; accesses
+index array is built, reduced or re-recognised.  Shared by the serial and
+batched (``lead=1``: a leading trial axis) runs; accesses
 with an ``expr`` dimension never come here (they materialise their index
 arrays in :mod:`repro.backends.execute`).
 """

@@ -7,17 +7,9 @@ Backend lowering is a four-stage pipeline (see :mod:`repro.backends`):
 This module is the contract between the stages: every lowering decision the
 analyzer makes -- which scopes vectorize and why the others do not, which
 scopes fuse into which chains, which intermediates are chain-private, which
-gather/write geometry each memlet lowers to, which symbols the driver
-hoists -- is captured in plain, serializable dataclasses.  Emitters
-(:mod:`repro.backends.codegen`) consume plans and bind them to a concrete
-program's nodes; the execute layer never re-derives a decision.
-
-Plans are JSON round-trippable (:meth:`ProgramPlan.to_dict` /
-:meth:`ProgramPlan.from_dict`), so the compiled backend persists them in its
-on-disk artifacts next to the generated driver: a sibling worker process
-skips scope analysis and fusion legality entirely.  The format is versioned
-by :data:`PLAN_FORMAT_VERSION`; a mismatch is a cache *miss* (the plan is
-re-derived and the artifact rewritten), never an error.
+gather/write geometry each memlet lowers to -- is captured in plain
+dataclasses.  Emitters (:mod:`repro.backends.codegen`) consume plans and
+bind them to a concrete program's nodes; the execute layer never re-derives a decision.
 
 Expressions are stored as *source strings* (per-dimension point indices,
 constant output dimensions), not compiled code objects -- compilation is the
@@ -30,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
-    "PLAN_FORMAT_VERSION",
     "InputPlan",
     "OutputPlan",
     "AxisPlan",
@@ -39,22 +30,6 @@ __all__ = [
     "StatePlan",
     "ProgramPlan",
 ]
-
-#: Version of the serialized plan format.  Bump on ANY structural change to
-#: the dataclasses below: persisted artifacts carry it, and a mismatch
-#: invalidates the cached entry.
-PLAN_FORMAT_VERSION = 3
-
-
-def _dims_from_json(raw) -> List[Tuple[str, Any]]:
-    dims: List[Tuple[str, Any]] = []
-    for kind, payload in raw:
-        if kind == "param":
-            axis, offset = payload
-            dims.append(("param", (int(axis), int(offset))))
-        else:
-            dims.append((str(kind), str(payload)))
-    return dims
 
 
 @dataclass
@@ -77,25 +52,6 @@ class InputPlan:
     #: evaluated from :attr:`index_exprs`.
     dims: List[Tuple[str, Any]]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "conn": self.conn,
-            "data": self.data,
-            "index_exprs": list(self.index_exprs),
-            "subset_str": self.subset_str,
-            "dims": [list(dim) for dim in self.dims],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "InputPlan":
-        return cls(
-            conn=d["conn"],
-            data=d["data"],
-            index_exprs=[str(e) for e in d["index_exprs"]],
-            subset_str=d["subset_str"],
-            dims=_dims_from_json(d["dims"]),
-        )
-
 
 @dataclass
 class OutputPlan:
@@ -109,25 +65,6 @@ class OutputPlan:
     dims: List[Tuple[str, Any]]
     wcr: Optional[str]
     subset_str: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "conn": self.conn,
-            "data": self.data,
-            "dims": [list(dim) for dim in self.dims],
-            "wcr": self.wcr,
-            "subset_str": self.subset_str,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "OutputPlan":
-        return cls(
-            conn=d["conn"],
-            data=d["data"],
-            dims=_dims_from_json(d["dims"]),
-            wcr=d.get("wcr"),
-            subset_str=d["subset_str"],
-        )
 
 
 @dataclass
@@ -150,28 +87,12 @@ class AxisPlan:
     #: (Vectorization), so the tasklet ran once per block, not per element.
     per_block: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "AxisPlan":
-        return cls(
-            param=d["param"],
-            level=int(d["level"]),
-            dim=int(d["dim"]),
-            width=int(d["width"]),
-            clamp=d["clamp"],
-            per_block=bool(d["per_block"]),
-        )
-
 
 @dataclass
 class ScopePlan:
     """The vectorized-lowering recipe for one map scope.
 
-    Nodes are referenced by guid (stable across clone and JSON round-trip,
-    and covered by the SDFG content hash, so an artifact plan always
-    resolves against the program it was derived from).
+    Nodes are referenced by guid (stable across clone and JSON round-trip).
     """
 
     #: The scope's (outermost) map entry.
@@ -196,37 +117,6 @@ class ScopePlan:
     #: The flat domain the accesses' ``param`` axes index, in nest order.
     domain: List[AxisPlan] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "entry_guid": self.entry_guid,
-            "entry_label": self.entry_label,
-            "tasklet_guid": self.tasklet_guid,
-            "tasklet_label": self.tasklet_label,
-            "code": self.code,
-            "inputs": [i.to_dict() for i in self.inputs],
-            "outputs": [o.to_dict() for o in self.outputs],
-            "setup_deps": list(self.setup_deps),
-            "needs_grids": self.needs_grids,
-            "level_guids": list(self.level_guids),
-            "domain": [a.to_dict() for a in self.domain],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ScopePlan":
-        return cls(
-            entry_guid=int(d["entry_guid"]),
-            entry_label=d["entry_label"],
-            tasklet_guid=int(d["tasklet_guid"]),
-            tasklet_label=d["tasklet_label"],
-            code=d["code"],
-            inputs=[InputPlan.from_dict(i) for i in d["inputs"]],
-            outputs=[OutputPlan.from_dict(o) for o in d["outputs"]],
-            setup_deps=tuple(d.get("setup_deps", ())),
-            needs_grids=bool(d["needs_grids"]),
-            level_guids=tuple(int(g) for g in d["level_guids"]),
-            domain=[AxisPlan.from_dict(a) for a in d["domain"]],
-        )
-
 
 @dataclass
 class ChainPlan:
@@ -243,23 +133,6 @@ class ChainPlan:
     internal: Tuple[str, ...] = ()
     setup_deps: Tuple[str, ...] = ()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "member_guids": list(self.member_guids),
-            "routes": [list(r) for r in self.routes],
-            "internal": list(self.internal),
-            "setup_deps": list(self.setup_deps),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ChainPlan":
-        return cls(
-            member_guids=tuple(int(g) for g in d["member_guids"]),
-            routes=[[str(step) for step in r] for r in d["routes"]],
-            internal=tuple(d.get("internal", ())),
-            setup_deps=tuple(d.get("setup_deps", ())),
-        )
-
 
 @dataclass
 class StatePlan:
@@ -272,68 +145,11 @@ class StatePlan:
     fallback_reasons: Dict[int, str] = field(default_factory=dict)
     chains: List[ChainPlan] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "state_label": self.state_label,
-            "scopes": {
-                str(guid): (plan.to_dict() if plan is not None else None)
-                for guid, plan in self.scopes.items()
-            },
-            "fallback_reasons": {
-                str(guid): reason for guid, reason in self.fallback_reasons.items()
-            },
-            "chains": [c.to_dict() for c in self.chains],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "StatePlan":
-        return cls(
-            state_label=d["state_label"],
-            scopes={
-                int(guid): (ScopePlan.from_dict(p) if p is not None else None)
-                for guid, p in d.get("scopes", {}).items()
-            },
-            fallback_reasons={
-                int(guid): str(reason)
-                for guid, reason in d.get("fallback_reasons", {}).items()
-            },
-            chains=[ChainPlan.from_dict(c) for c in d.get("chains", [])],
-        )
-
 
 @dataclass
 class ProgramPlan:
-    """The complete lowering plan of one program.
+    """The complete lowering plan of one program; ``states`` follows the
+    order of ``sdfg.states()``."""
 
-    ``states`` follows the order of ``sdfg.states()`` (the artifact and the
-    rebuilt program enumerate identically -- the content hash pins the
-    serialization).  ``hoisted_symbols`` records the loop-invariant symbol
-    loads the driver emitter hoisted, for inspection and reporting.
-    """
-
-    format: int
     sdfg_name: str
     states: List[StatePlan] = field(default_factory=list)
-    hoisted_symbols: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format": self.format,
-            "sdfg_name": self.sdfg_name,
-            "states": [s.to_dict() for s in self.states],
-            "hoisted_symbols": list(self.hoisted_symbols),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ProgramPlan":
-        fmt = d.get("format")
-        if fmt != PLAN_FORMAT_VERSION:
-            raise ValueError(
-                f"Plan format {fmt!r} does not match {PLAN_FORMAT_VERSION}"
-            )
-        return cls(
-            format=int(fmt),
-            sdfg_name=d.get("sdfg_name", ""),
-            states=[StatePlan.from_dict(s) for s in d.get("states", [])],
-            hoisted_symbols=tuple(d.get("hoisted_symbols", ())),
-        )

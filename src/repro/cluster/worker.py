@@ -10,10 +10,9 @@ lands, repeat until the service says ``done``.  Execution reuses the
 pipeline's :func:`~repro.pipeline.runner.execute_task` verbatim, so a
 distributed sweep computes bitwise the same outcome dicts as a local one.
 
-* ``--procs 1`` (the default) executes in-process, which keeps the chosen
-  backend's content-hash program cache warm across all tasks of a shard --
-  repeated (workload x transformation) cutouts compile once per worker, not
-  once per task.
+* ``--procs 1`` (the default) executes in-process, which keeps the
+  process-wide memo of compiled driver code warm across all tasks of a
+  shard -- equal driver sources compile once per worker, not once per task.
 * ``--procs N`` drives a local fork pool (the same shared-nothing model as
   ``repro.pipeline --workers N``), streaming results as they complete.
 * ``--backend B`` overrides the sweep's execution backend *for this worker
@@ -74,7 +73,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import faultinject
 from repro.backends import get_backend
-from repro.backends.cache import CACHE_DIR_ENV
 from repro.cluster.protocol import (
     ProtocolError,
     TOKEN_ENV,
@@ -468,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--procs", type=int, default=1,
         help="local worker processes; 1 (default) executes in-process and "
-        "shares the backend program cache across a shard's tasks",
+        "shares compiled driver code across a shard's tasks",
     )
     parser.add_argument(
         "--connect-retry-seconds", type=float, default=10.0,
@@ -510,12 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the service was started with --auth-token and this worker is "
         f"not on its loopback (default: ${TOKEN_ENV})",
     )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="persistent compiled-program cache directory (sets "
-        f"{CACHE_DIR_ENV}); share it between workers on one machine to "
-        "compile each distinct program once",
-    )
     parser.add_argument("--quiet", action="store_true", help="suppress status lines")
     return parser
 
@@ -533,8 +525,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-    if args.cache_dir:
-        os.environ[CACHE_DIR_ENV] = os.path.abspath(args.cache_dir)
     if args.faults:
         try:
             faultinject.configure(args.faults, seed=args.fault_seed)

@@ -134,8 +134,8 @@ class DifferentialFuzzer:
         self.tolerance = tolerance
         self.collect_coverage = collect_coverage
         #: Trials per ``run_batch`` call during a campaign (1 = serial).
-        #: Batch-capable backends (``compiled``, ``native``, or ``cross``
-        #: pairs wrapping them) execute the whole batch along a leading
+        #: Batch-capable backends (``compiled``, or ``cross`` pairs
+        #: wrapping it) execute the whole batch along a leading
         #: batch axis; all others run the batch serially with identical
         #: verdicts.
         self.trial_batch = max(1, int(trial_batch))

@@ -3,8 +3,8 @@
 The verifier differential-tests backends against an oracle; this package
 does the same for the *harness itself*.  A **fault plan** binds failure
 kinds to named **fault points** (``task.execute``, ``protocol.send``,
-``journal.record``, ``scheduler.dispatch``, ``native.call``,
-``native.probe``) and is armed through the environment --
+``journal.record``, ``scheduler.dispatch``) and is armed through the
+environment --
 :data:`FAULTS_ENV` / :data:`SEED_ENV` -- so forked pool members and
 spawned cluster workers inherit it without plumbing.
 

@@ -37,7 +37,6 @@ from typing import Any, Dict, List, Optional, TextIO
 
 from repro import faultinject
 from repro.backends import get_backend, list_backends
-from repro.backends.cache import CACHE_DIR_ENV
 from repro.faultinject import FAULTS_ENV as _FAULTS_ENV
 from repro.faultinject import SEED_ENV as _FAULT_SEED_ENV
 from repro.cluster.protocol import TOKEN_ENV as _TOKEN_ENV
@@ -172,16 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trial-batch", default=1, type=int, metavar="K",
         help="trials per run_batch call (default: 1): batch-capable "
-        "backends (compiled, native, or cross pairs wrapping them) stack K "
+        "backends (compiled, or cross pairs wrapping it) stack K "
         "trial inputs along a leading batch axis and execute each scope "
         "once per batch; verdicts are bitwise identical to serial trials",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="persistent compiled-program cache directory (sets "
-        f"{CACHE_DIR_ENV}): pool workers and cluster workers share compile "
-        "artifacts across processes and sweep invocations instead of "
-        "recompiling the same programs per process",
     )
     parser.add_argument(
         "--progress", action="store_true",
@@ -332,12 +324,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "state directory) to the service"
         )
 
-    if args.cache_dir:
-        # Through the environment so forked/spawned pool workers (and any
-        # backend instance, whenever constructed) pick it up.
-        os.environ[CACHE_DIR_ENV] = os.path.abspath(args.cache_dir)
     if args.trace:
-        # Likewise environment-propagated: every process in the sweep
+        # Environment-propagated: every process in the sweep
         # (pool workers, cluster workers spawned from here) appends to the
         # same JSONL file under an exclusive lock.
         configure_tracing(args.trace)

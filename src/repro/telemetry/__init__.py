@@ -4,18 +4,18 @@ Three cooperating pieces, threaded through every layer of the system:
 
 * :mod:`repro.telemetry.clock` -- the **clock seam**.  The only module
   (outside benchmarks) allowed to call ``time.monotonic`` /
-  ``time.perf_counter`` (lint rule 5); everything timing-dependent
+  ``time.perf_counter`` (lint rule 4); everything timing-dependent
   injects or imports its clock from here, so tests drive time
   deterministically.
 * :mod:`repro.telemetry.trace` -- the **span tracer**.  Context-manager
   spans over the analyze -> plan -> codegen -> execute prepare phases,
-  per-trial fuzzing, per-state/per-scope execution and native
-  compile/link steps; JSONL output that doubles as Chrome trace events.
+  per-trial fuzzing and per-state/per-scope execution; JSONL output that
+  doubles as Chrome trace events.
   Disabled (the default) it allocates nothing.
 * :mod:`repro.telemetry.metrics` -- the **metrics registry**.  Counters,
   gauges and fixed-log-bucket histograms for scope-lowering outcomes
   (keyed by the plan IR's rejection-reason strings), fusion chain
-  lengths, cache hit/miss/stale/corrupt per tier, batch-vs-serial trial
+  lengths, batch-vs-serial trial
   counts, crash-resample retries and worker latency EWMAs; snapshots are
   plain JSON that piggybacks worker result frames, merges fleet-wide in
   the service, and renders as Prometheus text exposition (``GET

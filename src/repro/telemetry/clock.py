@@ -1,6 +1,6 @@
 """The clock seam: every monotonic timestamp in ``repro`` flows through here.
 
-Architecture rule 5 (``tools/lint_arch.py``): outside ``repro.telemetry``
+Architecture rule 4 (``tools/lint_arch.py``): outside ``repro.telemetry``
 and the benchmarks, no module may call :func:`time.monotonic` or
 :func:`time.perf_counter` directly.  Timing-dependent code takes its clock
 from this module instead -- either the module-level functions (which

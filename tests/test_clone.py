@@ -210,10 +210,9 @@ class TestSharedAcrossThreads:
     program (and its states' scope indexes).  A prepared program holds the
     state of the run in progress, so it must never reach a second caller."""
 
-    @pytest.mark.parametrize("backend", ["compiled", "native"])
-    def test_every_prepare_is_private_to_its_caller(self, backend):
+    def test_every_prepare_is_private_to_its_caller(self):
         program = build_workload("npbench", "gemm")
-        prepare = get_backend(backend).prepare
+        prepare = get_backend("compiled").prepare
         mine = [prepare(program), prepare(program.clone())]
         with ThreadPoolExecutor(2) as pool:
             theirs = list(pool.map(prepare, [program, program]))

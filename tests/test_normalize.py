@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.backends.compiled import CompiledWholeProgram
-from repro.backends.plan import ProgramPlan
 from repro.interpreter.errors import ExecutionError
 from repro.interpreter.executor import SDFGExecutor
 from repro.sdfg import SDFG, Memlet, float64
@@ -311,16 +310,13 @@ class TestRefusedTiles:
         assert "tile-reorders-reduction" in state.fallback_reasons.values()
 
     def test_clean_tile_flattens_to_the_original_domain(self):
-        program, state = plan_of(self.tiled())
+        _, state = plan_of(self.tiled())
         (plan,) = state.scopes.values()
         # ``i`` and ``j`` iterate the union of the blocks of the outer map's
         # two strided ranges.
         assert [(a.param, a.level, a.dim) for a in plan.domain] == [("i", 0, 0), ("j", 0, 1)]
         assert all(a.width == 4 and a.clamp == "N -1" and not a.per_block for a in plan.domain)
         assert len(plan.level_guids) == 2
-        # Through the JSON wire, like a disk artifact's plan.
-        doc = program.executor.program_plan.to_dict()
-        assert ProgramPlan.from_dict(doc).to_dict() == doc
 
 
 # ---------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ from repro.pipeline import (
     enumerate_sweep_tasks,
     execute_task,
 )
+from repro.cluster.worker import main as worker_main
 from repro.pipeline.cli import main as pipeline_main
 from repro.sdfg import SDFG, float64
 from repro.sdfg.serialize import sdfg_to_json
@@ -326,7 +327,26 @@ class TestCLI:
             pipeline_main(["--backend", "batched"])
         err = capsys.readouterr().err
         assert "Unknown execution backend 'batched'" in err
-        assert "compiled, cross, interpreter, native" in err
+        assert "compiled, cross, interpreter" in err
+
+    @pytest.mark.parametrize("backend", ["native", "cross:native,interpreter"])
+    def test_both_clis_refuse_the_deleted_kernel_tier(self, capsys, backend):
+        with pytest.raises(SystemExit):
+            pipeline_main(["--backend", backend])
+        err = capsys.readouterr().err
+        assert "Unknown execution backend 'native'" in err
+        assert "(available: compiled, cross, interpreter" in err
+        # The worker validates before it connects to anything.
+        assert worker_main(["--connect", "127.0.0.1:1", "--backend", backend]) == 2
+        err = capsys.readouterr().err
+        assert "Unknown execution backend 'native'" in err
+        assert "(available: compiled, cross, interpreter" in err
+
+    def test_neither_cli_takes_a_cache_dir(self, capsys):
+        for main in (pipeline_main, lambda argv: worker_main(["--connect", "127.0.0.1:1", *argv])):
+            with pytest.raises(SystemExit):
+                main(["--cache-dir", "somewhere"])
+            assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
 
     def test_cli_serve_submit_exclusive(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Architecture lint for the backend lowering pipeline.
 
-Enforces seven structural invariants of ``src/repro/`` -- three of the
+Enforces six structural invariants of ``src/repro/`` -- two of the
 backends (see that package's docstring for the analyze -> plan -> codegen ->
 execute pipeline), one of the cluster, three of the whole tree:
 
@@ -15,18 +15,9 @@ execute pipeline), one of the cluster, three of the whole tree:
    any spelling: absolute imports, ``from repro.backends import execute``,
    or relative forms (``from ..execute import ...``, ``from .. import
    execute``).  The execute layer consumes emitters, never the reverse;
-   a back-edge would let runtime state leak into code generation and make
-   plans non-serializable.  The native C emitter is codegen too: it
-   produces source *text*, nothing runnable.
+   a back-edge would let runtime state leak into code generation.
 
-3. **Foreign-function containment** -- within ``src/repro/backends/``,
-   only the native runtime bridge (``repro/backends/native/bridge.py``)
-   may import :mod:`ctypes` (and with it load shared objects).  Every
-   ``dlopen`` and FFI detail stays behind that one auditable module; the
-   emitter and toolchain layers deal exclusively in source text and
-   object bytes.
-
-4. **Transport containment** -- within ``src/repro/cluster/``, only the
+3. **Transport containment** -- within ``src/repro/cluster/``, only the
    transport module (``repro/cluster/service.py``) may import
    :mod:`asyncio`, and the scheduler core (``scheduler.py``, ``sweep.py``,
    ``state.py``) must not import :mod:`socket` either: the service
@@ -37,7 +28,7 @@ execute pipeline), one of the cluster, three of the whole tree:
    ``src/repro/cluster/`` too, so the service split cannot silently
    regrow a monolith.
 
-5. **Clock containment** -- within ``src/repro/``, only the telemetry
+4. **Clock containment** -- within ``src/repro/``, only the telemetry
    clock seam (``repro/telemetry/``) may call :func:`time.monotonic` or
    :func:`time.perf_counter` (or import them from :mod:`time`).  Every
    other module takes its clock from :mod:`repro.telemetry` --
@@ -45,7 +36,7 @@ execute pipeline), one of the cluster, three of the whole tree:
    clock and trace timestamps stay on one monotonic domain.  Benchmarks
    (``benchmarks/``) sit outside ``src/`` and are exempt.
 
-6. **Fault containment** -- within ``src/repro/``, only the fault
+5. **Fault containment** -- within ``src/repro/``, only the fault
    injection seam (``repro/faultinject/``) may hard-kill or signal a
    process (``os._exit``, ``os.kill``, ``os.abort``,
    ``signal.raise_signal``): ad-hoc process faults scattered through the
@@ -55,7 +46,7 @@ execute pipeline), one of the cluster, three of the whole tree:
    ``garble_text``), which is also the only sanctioned import path --
    reaching into the package's internals from elsewhere is a violation.
 
-7. **Graph containment** -- within ``src/repro/``, only the graph module
+6. **Graph containment** -- within ``src/repro/``, only the graph module
    (``repro/sdfg/graph.py``) may touch a graph's internals: no other module
    reads or writes another object's ``_nodes`` / ``_in`` / ``_out`` /
    ``_edges``, assigns a ``version`` that is not its own, or subclasses
@@ -131,9 +122,6 @@ def _check_imports(path: Path) -> List[str]:
     return violations
 
 
-#: The sole backends module allowed to import ctypes / load shared objects.
-FFI_BRIDGE = BACKENDS / "native" / "bridge.py"
-
 CLUSTER = ROOT / "src" / "repro" / "cluster"
 #: The sole cluster module allowed to import asyncio (the transport).
 TRANSPORT = CLUSTER / "service.py"
@@ -170,27 +158,6 @@ def _check_transport(path: Path) -> List[str]:
                 f"{rel}:{lineno}: the scheduler core must stay "
                 f"transport-free (no socket imports)"
             )
-    return violations
-
-
-def _check_ffi(path: Path) -> List[str]:
-    """Violations of the foreign-function containment rule in one module."""
-    violations: List[str] = []
-    rel = path.relative_to(ROOT)
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module or ""]
-        else:
-            continue
-        for name in names:
-            if name == "ctypes" or name.startswith("ctypes."):
-                violations.append(
-                    f"{rel}:{node.lineno}: only the native runtime bridge "
-                    f"may import ctypes / load shared objects"
-                )
     return violations
 
 
@@ -312,8 +279,6 @@ def main() -> int:
                 f"{path.relative_to(ROOT)}: {lines} lines exceeds the "
                 f"{MAX_LINES}-line backend-module cap"
             )
-        if path != FFI_BRIDGE:
-            failures.extend(_check_ffi(path))
     for path in sorted(CODEGEN.rglob("*.py")):
         failures.extend(_check_imports(path))
     for path in sorted(CLUSTER.rglob("*.py")):
@@ -338,7 +303,7 @@ def main() -> int:
         return 1
     print(
         "Architecture lint OK (module sizes, codegen->execute layering, "
-        "FFI containment, cluster transport containment, clock "
+        "cluster transport containment, clock "
         "containment, fault containment, graph containment)."
     )
     return 0
