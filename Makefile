@@ -10,7 +10,7 @@ test:
 
 # Exercise the sweep pipeline end to end (2 workers, tiny budget) once per
 # registered execution backend -- the oracle, the optimiser, and the 'cross'
-# pair that checks the optimiser against the oracle on the batch axis --
+# pair that checks the optimiser against the oracle --
 # then a traced mini sweep whose JSONL is validated against the trace-event
 # schema, the distributed loopback check, the sweep-level benchmark's smoke
 # run and the tier-1 test suite.
@@ -18,7 +18,7 @@ smoke:
 	$(MAKE) lint-arch
 	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend interpreter
 	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend compiled
-	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend cross:compiled,interpreter --trial-batch 4
+	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend cross:compiled,interpreter
 	rm -f .smoke-trace.jsonl && \
 	$(PY) -m repro.pipeline --suite npbench --workers 2 --trials 2 --max-instances 1 --backend compiled --trace .smoke-trace.jsonl && \
 	$(PY) -m repro.telemetry --validate .smoke-trace.jsonl && \
@@ -61,7 +61,7 @@ bench-scaling:
 
 # Interpreter / compiled throughput at tiny sizes, including the loop-nest
 # kernel and the multi-scope fusion kernel (asserts the >=2x scope-fusion
-# speedup), plus batch-axis, native, fuzz-trial and compile-cache series
+# speedup), plus fuzz-trial, telemetry-overhead and fault-overhead series
 # (BENCH_backends.json, rewritten only when every floor holds).
 bench-quick:
 	cd benchmarks && PYTHONPATH=../src REPRO_BENCH_QUICK=1 $(PY) -m pytest bench_backend_throughput.py -q -s

@@ -20,9 +20,6 @@ Beyond raw kernel throughput the file also records:
   pays per task;
 * a **scope-fusion series**: the compiled backend with fusion enabled vs.
   disabled on ``fused_pipeline``;
-* a **batched-trials series**: trials/second for ``K = 32`` trials through
-  the compiled backend's batch-axis execution vs. the same trials run one
-  at a time, on an affine stencil at fuzzing-cutout sizes;
 * a **telemetry-overhead series**: fused_pipeline trial time untraced vs.
   traced, plus the disabled null-span fast-path cost -- asserting the
   disabled overhead stays under 2% and enabled tracing under 10%;
@@ -33,7 +30,7 @@ Beyond raw kernel throughput the file also records:
   under 2% of fused_pipeline trial time.
 
 The backends must agree bitwise on every measured run (the measurement
-doubles as an equivalence check), and four speedup floors are asserted:
+doubles as an equivalence check), and three speedup floors are asserted:
 
 * the compiled backend's array kernels must beat the interpreter by at
   least 5x on the large affine matmul (the PR 2 margin),
@@ -41,11 +38,7 @@ doubles as an equivalence check), and four speedup floors are asserted:
   5x on the loop nest -- the workload class where per-transition interpreter
   re-entry used to swallow the vectorized speedup,
 * scope fusion must beat the unfused compiled backend by at least 2x on
-  the multi-scope pipeline (the PR 5 margin), and
-* batch-axis execution must beat per-trial compiled execution by at least
-  5x in trials/second on the affine stencil (the PR 6 margin) -- small
-  cutouts pay NumPy's per-call fixed costs ``K`` times serially but once
-  per scope when batched.
+  the multi-scope pipeline (the PR 5 margin).
 
 Set ``REPRO_BENCH_QUICK=1`` (the ``make bench-quick`` target) for tiny sizes,
 ``REPRO_PAPER_SCALE=1`` for larger ones.
@@ -80,11 +73,6 @@ REQUIRED_MATMUL_SPEEDUP = 5.0
 REQUIRED_LOOP_NEST_SPEEDUP = 5.0
 #: Required fused-vs-unfused compiled speedup on the multi-scope pipeline.
 REQUIRED_FUSION_SPEEDUP = 2.0
-#: Required batch-axis vs. per-trial compiled speedup (trials/s) on the
-#: affine stencil.
-REQUIRED_BATCHED_SPEEDUP = 5.0
-#: Trials per batch in the batched-trials series.
-BATCH_TRIALS = 32
 #: Ceiling on the *disabled* telemetry fast path (null-span cost x spans
 #: per trial) as a fraction of fused_pipeline trial time.
 MAX_DISABLED_TELEMETRY_OVERHEAD = 0.02
@@ -279,7 +267,6 @@ def test_backend_throughput(report_lines):
 
     fusion = _measure_fusion(report_lines)
     fuzz_trials = _measure_fuzz_trials(report_lines)
-    batched_trials = _measure_batched_trials(report_lines)
     telemetry = _measure_telemetry_overhead(report_lines)
     faults = _measure_fault_overhead(
         report_lines, telemetry["untraced_seconds_per_trial"]
@@ -299,11 +286,6 @@ def test_backend_throughput(report_lines):
         f"scope fusion only {fusion['speedup']:.2f}x faster than the unfused "
         f"compiled backend on the multi-scope pipeline "
         f"(required: {REQUIRED_FUSION_SPEEDUP}x)"
-    )
-    assert batched_trials["speedup"] >= REQUIRED_BATCHED_SPEEDUP, (
-        f"batch-axis execution only {batched_trials['speedup']:.2f}x faster "
-        f"than per-trial compiled execution on the affine stencil "
-        f"(required: {REQUIRED_BATCHED_SPEEDUP}x)"
     )
     assert telemetry["disabled_overhead"] <= MAX_DISABLED_TELEMETRY_OVERHEAD, (
         f"disabled telemetry costs {telemetry['disabled_overhead'] * 100:.3f}% "
@@ -334,12 +316,10 @@ def test_backend_throughput(report_lines):
                 required_matmul_speedup=REQUIRED_MATMUL_SPEEDUP,
                 required_loop_nest_speedup=REQUIRED_LOOP_NEST_SPEEDUP,
                 required_fusion_speedup=REQUIRED_FUSION_SPEEDUP,
-                required_batched_speedup=REQUIRED_BATCHED_SPEEDUP,
                 speedups=speedups,
                 rows=rows,
                 fusion=fusion,
                 fuzz_trials=fuzz_trials,
-                batched_trials=batched_trials,
                 telemetry=telemetry,
                 faults=faults,
             ),
@@ -569,70 +549,3 @@ def _measure_fault_overhead(report_lines, baseline):
         disabled_overhead=disabled_overhead,
         armed_overhead=armed_overhead,
     )
-
-
-# ---------------------------------------------------------------------- #
-# Batched trials: batch-axis execution vs. per-trial compiled
-# ---------------------------------------------------------------------- #
-def _measure_batched_trials(report_lines):
-    """Trials/second for K trials batched along the leading axis vs. run
-    one at a time through the compiled backend.
-
-    The kernel is the affine 2-D stencil at fuzzing-cutout sizes, where
-    NumPy's per-call fixed costs dominate the per-trial arithmetic -- the
-    regime batch-axis execution exists for.  Outcomes must be bitwise
-    identical (and the batch-axis path is exercised directly through
-    ``run_batched``, which has no serial fallback of its own).
-    """
-    n = 16 if quick_scale() else (32 if paper_scale() else 24)
-    symbols = {"N": n}
-    builder = _suite_builder("jacobi_2d")
-    sdfg = builder()
-    args_list = [_arguments(sdfg, symbols, seed=k) for k in range(BATCH_TRIALS)]
-
-    serial_program = CompiledWholeProgram(builder())
-    batched_program = CompiledWholeProgram(builder())
-    assert batched_program.executor.batchable, "stencil must admit batching"
-
-    def one_at_a_time(arguments_list, symbols):
-        return [serial_program.run(arguments, symbols) for arguments in arguments_list]
-
-    # Warm-up doubles as the equivalence check.
-    ref = one_at_a_time([dict(a) for a in args_list], symbols)
-    got = batched_program.executor.run_batched(
-        [dict(a) for a in args_list], symbols
-    )
-    for k, (a, b) in enumerate(zip(ref, got)):
-        for name in a.outputs:
-            assert np.array_equal(a.outputs[name], b.outputs[name]), (
-                f"trial {k}: batched/serial outputs diverge on '{name}'"
-            )
-        assert a.transitions == b.transitions, f"trial {k}: transitions diverge"
-
-    def trials_per_second(run_batch):
-        reps = 0
-        elapsed = 0.0
-        while reps < 2 or elapsed < 0.3:
-            start = time.perf_counter()
-            run_batch([dict(a) for a in args_list], symbols)
-            elapsed += time.perf_counter() - start
-            reps += 1
-            if reps >= 64:
-                break
-        return BATCH_TRIALS * reps / elapsed
-
-    serial_rate = trials_per_second(one_at_a_time)
-    batched_rate = trials_per_second(batched_program.run_batch)
-    speedup = batched_rate / serial_rate
-    report_lines.append(
-        f"\nbatched trials (jacobi_2d, N={n}, K={BATCH_TRIALS}): "
-        f"per-trial {serial_rate:.1f} trials/s, batched {batched_rate:.1f} "
-        f"trials/s -> {speedup:.2f}x"
-    )
-    return dict(
-        kernel="jacobi_2d", symbols=symbols, batch=BATCH_TRIALS,
-        serial_trials_per_second=serial_rate,
-        batched_trials_per_second=batched_rate,
-        speedup=speedup,
-    )
-

@@ -14,11 +14,7 @@ self-check are registered:
   to the interpreter scope by scope.  One generated Python function per
   SDFG lowers the state machine to structured control flow (native
   ``while`` loops and ``if`` chains, with a state-dispatch loop for
-  irreducible graphs) with inline interstate conditions/assignments.  ``run_batch`` with more than one trial stacks
-  the ``K`` trials along a leading batch axis and executes every batchable
-  scope once per batch; WCR/order-dependent scopes run per trial, and any
-  batched failure reruns the batch serially so verdicts stay bitwise
-  identical to ``K`` serial runs.
+  irreducible graphs) with inline interstate conditions/assignments.
 * ``"cross"`` -- the self-checking backend (:mod:`repro.backends.cross`):
   runs two backends in lockstep and raises
   :class:`~repro.backends.cross.BackendDivergenceError` on any bitwise
@@ -27,9 +23,9 @@ self-check are registered:
   ``cross:REF,CAND`` (e.g. ``cross:interpreter,compiled``) pairs any two
   different registered backends.
 
-``get_backend(name).prepare(sdfg).run(args, symbols)`` is the whole API (plus
-``run_batch`` for multi-trial execution); the differential fuzzer, verifier
-and sweep pipeline all thread a backend name through to this registry.
+``get_backend(name).prepare(sdfg).run(args, symbols)`` is the whole API, one
+trial per call; the differential fuzzer, verifier and sweep pipeline all
+thread a backend name through to this registry.
 
 Internally the compiled backend is a four-stage lowering pipeline --
 **analyze** (:mod:`repro.backends.analysis`) -> **plan**

@@ -23,7 +23,6 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
-from repro.interpreter.errors import ExecutionError
 from repro.interpreter.executor import ExecutionResult
 from repro.sdfg.sdfg import SDFG
 
@@ -59,51 +58,6 @@ class CompiledProgram(abc.ABC):
         failures (crashes, hangs, memory violations) so differential testing
         classifies trials identically across backends.
         """
-
-    def run_batch(
-        self,
-        arguments_list: List[Mapping[str, Any]],
-        symbols: Optional[Mapping[str, Any]] = None,
-        collect_coverage: bool = False,
-    ) -> List[Union[ExecutionResult, ExecutionError]]:
-        """Execute the program once per argument mapping (same symbols).
-
-        Returns one outcome per trial, **in order**: the
-        :class:`ExecutionResult` of a successful run or the
-        :class:`~repro.interpreter.errors.ExecutionError` it raised --
-        batch execution must never let one trial's crash mask its
-        neighbours' verdicts.  Non-``ExecutionError`` exceptions (e.g.
-        backend divergences) propagate.
-
-        The default runs the trials serially through :meth:`run`; the
-        compiled backend overrides this to stack trials along a leading
-        batch axis.
-        """
-        outcomes: List[Union[ExecutionResult, ExecutionError]] = []
-        for arguments in arguments_list:
-            try:
-                outcomes.append(
-                    self.run(arguments, symbols, collect_coverage=collect_coverage)
-                )
-            except ExecutionError as exc:
-                outcomes.append(_without_frames(exc))
-        return outcomes
-
-
-def _without_frames(exc: BaseException) -> BaseException:
-    """A caught error as a plain value: no traceback on it or its causes.
-
-    A traceback holds the frame that caught the error -- whose locals hold
-    the list the error is kept in -- and, through ``f_back``, every caller
-    up to the task with its programs: a cycle only the cyclic collector
-    frees.  Reports read the message, never the traceback."""
-    pending = [exc]
-    while pending:
-        link = pending.pop()
-        if link is not None and link.__traceback__ is not None:
-            link.__traceback__ = None
-            pending += (link.__cause__, link.__context__)
-    return exc
 
 
 class ExecutionBackend(abc.ABC):

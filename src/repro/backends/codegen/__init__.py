@@ -9,8 +9,7 @@ The modules here consume the plan IR
 layer imports the one it needs directly:
 
 * :mod:`~repro.backends.codegen.numpy_eager` -- eager NumPy scope kernels
-  (plans bound to compiled code objects, fused chains composed) plus the
-  static predicates saying which of them may run on a leading trial axis;
+  (plans bound to compiled code objects, fused chains composed);
 * :mod:`~repro.backends.codegen.python_driver` -- the whole-program Python
   control-flow driver (the interstate tier).
 

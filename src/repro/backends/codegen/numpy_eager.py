@@ -11,11 +11,9 @@ layer consumes; nothing here runs any program code (the runtime asks a
 :class:`BoundAxis` for its iteration sequence under the run's symbols).
 
 This emitter feeds the compiled backend (eager NumPy array evaluation, one
-kernel per scope or fused chain); the bound structures are the same on a
-leading trial axis, and :func:`scope_is_batchable` /
-:func:`chain_is_batchable` say which of them may run there.  Emitters must
-not import from :mod:`repro.backends.execute` -- the layer direction is
-enforced by ``make lint-arch``.
+kernel per scope or fused chain).  Emitters must not import from
+:mod:`repro.backends.execute` -- the layer direction is enforced by ``make
+lint-arch``.
 """
 
 from __future__ import annotations
@@ -44,8 +42,6 @@ __all__ = [
     "BoundChain",
     "StateTable",
     "NumpyEagerEmitter",
-    "scope_is_batchable",
-    "chain_is_batchable",
 ]
 
 
@@ -228,22 +224,6 @@ class StateTable:
     members: Set[int] = field(default_factory=set)
     #: The state plan this table was bound from.
     state_plan: Optional[StatePlan] = None
-
-
-def scope_is_batchable(plan: Optional[BoundScope]) -> bool:
-    """A vectorized scope runs on a leading trial axis unless it accumulates
-    via WCR: slabs apply sequentially in iteration order, and with a batch
-    axis the per-trial regions would interleave."""
-    return plan is not None and all(spec.wcr is None for spec in plan.outputs)
-
-
-def chain_is_batchable(chain: BoundChain) -> bool:
-    """A fused chain batches unless any member accumulates via WCR."""
-    return all(
-        spec.wcr is None
-        for member in chain.members
-        for _kind, spec, _name in member.outputs
-    )
 
 
 def _bind_dims(dims: List[Tuple[str, Any]]) -> List[Tuple[str, Any]]:

@@ -45,10 +45,7 @@ from repro.symbolic.codegen import (
     emit_interstate_expression,
 )
 
-__all__ = [
-    "compile_driver",
-    "control_is_static",
-]
+__all__ = ["compile_driver"]
 
 #: Globals of the generated driver.  User expressions see exactly the
 #: interpreter's ``_EVAL_GLOBALS`` vocabulary; the dunder-prefixed aliases
@@ -388,25 +385,3 @@ def compile_driver(
     except Exception:  # noqa: BLE001 - never fail prepare; degrade instead
         return "interpreted", None, _interpreted_drive
 
-
-def control_is_static(sdfg: SDFG, control_mode: str) -> bool:
-    """Whether one generated control path serves every trial of a batch.
-
-    Requires a generated driver (``structured``/``dispatch``) and that no
-    interstate expression reads a scalar container -- scalar values live in
-    the (batched) store, and a condition reading one could steer trial ``k``
-    by trial ``0``'s value.  Such programs run entirely per trial.
-    """
-    if control_mode not in ("structured", "dispatch"):
-        return False
-    scalar_names = {
-        name
-        for name, desc in sdfg.arrays.items()
-        if isinstance(desc, Scalar)
-    }
-    if not scalar_names:
-        return True
-    for edge in sdfg.edges():
-        if edge.data.free_symbols & scalar_names:
-            return False
-    return True

@@ -124,43 +124,32 @@ class CrossProgram(CompiledProgram):
         symbols: Optional[Mapping[str, Any]] = None,
         collect_coverage: bool = False,
     ) -> ExecutionResult:
-        (outcome,) = self.run_batch(
-            [arguments], symbols, collect_coverage=collect_coverage
-        )
+        """Run both sides on the same inputs (each copies them) and judge
+        the pair: the reference's result, or its error when both failed."""
+        try:
+            ref_out = self.reference.run(
+                arguments, symbols, collect_coverage=collect_coverage
+            )
+        except ExecutionError as exc:
+            ref_out = exc
+        try:
+            cand_out = self.candidate.run(
+                arguments, symbols, collect_coverage=collect_coverage
+            )
+        except ExecutionError as exc:
+            cand_out = exc
+        try:
+            outcome = self._check_pair(ref_out, cand_out, collect_coverage)
+        finally:
+            # A caught error's traceback holds this frame: a local still
+            # naming the error would close a cycle.
+            ref_out = cand_out = None
         if isinstance(outcome, ExecutionError):
             try:
                 raise outcome
             finally:
-                # Raised from here the error's traceback holds this frame:
-                # a local still naming it would close a cycle.
                 del outcome
         return outcome
-
-    def run_batch(
-        self,
-        arguments_list: List[Mapping[str, Any]],
-        symbols: Optional[Mapping[str, Any]] = None,
-        collect_coverage: bool = False,
-    ) -> List[Any]:
-        """Cross-check a whole batch, pairing outcomes index by index.
-
-        Both sides run their own :meth:`run_batch` (so a compiled side keeps
-        its batch-axis execution; both copy their inputs, so the same
-        mappings can be handed to each without cross-contamination), then
-        every trial's pair is judged: agreeing outcomes yield the reference
-        result or error, any disagreement raises
-        :class:`BackendDivergenceError` for the whole batch.
-        """
-        ref_outcomes = self.reference.run_batch(
-            arguments_list, symbols, collect_coverage=collect_coverage
-        )
-        cand_outcomes = self.candidate.run_batch(
-            arguments_list, symbols, collect_coverage=collect_coverage
-        )
-        return [
-            self._check_pair(ref_out, cand_out, collect_coverage)
-            for ref_out, cand_out in zip(ref_outcomes, cand_outcomes)
-        ]
 
     def _check_pair(self, ref_out: Any, cand_out: Any, collect_coverage: bool) -> Any:
         """Judge one (reference, candidate) outcome pair.

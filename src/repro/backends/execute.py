@@ -24,11 +24,6 @@ Three layers keep the hot loop tight:
 * the state tables bind lazily through the ``numpy-eager`` emitter, from
   each state's analyzed plan.
 
-The batch axis is state of a run: with ``_lead`` set, containers carry a
-leading trial axis (``(K,) + shape``), map grids broadcast against them by
-NumPy's trailing-axes alignment and the scope kernels run unmodified --
-only gather, scatter and output-broadcast geometry grow the extra axis.
-
 Bitwise fidelity to the interpreter is a design goal (the ``cross`` backend
 and the backend-equivalence test suite assert it):
 
@@ -80,13 +75,6 @@ from repro.sdfg.state import SDFGState
 from repro.telemetry import TRACER, inc as _metric_inc
 
 __all__ = ["ScopeRuntime"]
-
-
-class _BatchAbort(Exception):
-    """Internal: the batched attempt cannot proceed; rerun serially.
-
-    Deliberately not an :class:`ExecutionError` -- it signals an
-    infrastructure retreat, not a program failure."""
 
 
 # ---------------------------------------------------------------------- #
@@ -204,18 +192,9 @@ class ScopeRuntime(SDFGExecutor):
         #: Per-state bound tables (plans + fused chains), built once per
         #: state on first execution.
         self._tables: Dict[int, StateTable] = {}
-        #: Per-plan setup cache: ``(id(plan), epoch) -> (dep-key, setup)``.
-        #: Valid within one run only (it captures store arrays).  The epoch
-        #: is 0 except in a batched run's per-trial fallback, where trial
-        #: ``k`` uses epoch ``k + 1`` so per-trial and batched setups never
-        #: collide.
-        self._setup_cache: Dict[Tuple[int, int], Tuple[Tuple, Any]] = {}
-        self._setup_epoch = 0
-        #: Leading (trial) axes of the store's containers that indices leave
-        #: alone: 1 while a batched run executes a scope on the batch axis,
-        #: 0 otherwise -- and the batch size (0 outside a batched run).
-        self._lead = 0
-        self._batch = 0
+        #: Per-plan setup cache: ``id(plan) -> (dep-key, setup)``.  Valid
+        #: within one run only (it captures store arrays).
+        self._setup_cache: Dict[int, Tuple[Tuple, Any]] = {}
         #: Scope-execution counters (vectorized vs. interpreter fallback;
         #: ``fused`` counts whole-chain executions).
         self.stats: Dict[str, int] = {"vectorized": 0, "fallback": 0, "fused": 0}
@@ -229,7 +208,8 @@ class ScopeRuntime(SDFGExecutor):
         finally:
             # A prepared program outlives its runs (one per trial); drop the
             # per-run data store (and the setup cache, which captures store
-            # arrays) so an idle program does not pin its last trial's arrays.
+            # arrays and must never serve another run) so an idle program
+            # does not pin its last trial's arrays.
             self._store = {}
             self._symbols = {}
             self._setup_cache = {}
@@ -240,11 +220,6 @@ class ScopeRuntime(SDFGExecutor):
                         "repro_scope_exec_total", delta, labels={"outcome": key}
                     )
                     self._stats_flushed[key] = value
-
-    def _setup(self, arguments: Dict[str, Any], symbols: Dict[str, Any]) -> None:
-        super()._setup(arguments, symbols)
-        # Setup caches capture per-run store arrays; never reuse across runs.
-        self._setup_cache.clear()
 
     # .................................................................. #
     # Per-state decision tables
@@ -436,36 +411,29 @@ class ScopeRuntime(SDFGExecutor):
         spec: BoundInput,
         triples: List[Triple],
         idx_ns: Dict[str, Any],
-        lead: int = 0,
     ) -> Tuple[str, Callable[[], np.ndarray]]:
-        """The fetch of one input; ``lead`` counts leading axes (a batched
-        run's trial axis) that indices leave alone: they are pure
-        symbol/parameter expressions -- identical for every trial --
-        resolved against the per-trial shape behind them."""
+        """The fetch of one input."""
         arr = self._store.get(spec.data)
         if arr is None:
             raise ExecutionError(f"Read from unknown container '{spec.data}'")
-        shape, nparams = arr.shape[lead:], len(triples)
+        shape, nparams = arr.shape, len(triples)
         if spec.idx_code is None:
             index = access_index(
                 spec.dims, triples, shape, idx_ns, spec.data, spec.subset_str
             )
-            index, perm = gather_index(spec.dims, index, nparams, lead)
+            index, perm = gather_index(spec.dims, index, nparams)
         else:
             # Some dimension is not a unit-slope sequence of one parameter:
             # evaluate index arrays on the grids, check their extrema, and
             # take back a slice wherever they turn out to be sequences.
             idx = self._index_arrays(spec.idx_code, idx_ns)
             self._check_vector_bounds(spec.data, spec.subset_str, idx, shape)
-            pre = (slice(None),) * lead
             fast = self._gather_slices(idx, len(shape), nparams)
             if fast is None:
                 # Advanced indexing copies; an ``expr`` index is an array
                 # of full grid rank, so the block already broadcasts.
-                return spec.conn, lambda _arr=arr, _idx=pre + tuple(idx): _arr[_idx]
-            index, perm = pre + fast[0], fast[1]
-            if lead and perm is not None:
-                perm = tuple(range(lead)) + tuple(a + lead for a in perm)
+                return spec.conn, lambda _arr=arr, _idx=tuple(idx): _arr[_idx]
+            index, perm = fast
         # Basic indexing returns a view; the copy preserves the gather-copy
         # semantics (readers must see pre-scope values even after deferred
         # writes mutate the container).
@@ -482,33 +450,24 @@ class ScopeRuntime(SDFGExecutor):
         return spec.conn, fetch
 
     def _check_write(
-        self, spec: BoundOutput, triples: List[Triple], bindings: Dict[str, Any],
-        lead: int = 0,
+        self, spec: BoundOutput, triples: List[Triple], bindings: Dict[str, Any]
     ) -> Tuple[np.ndarray, List[Any]]:
         """A write's container and bounds-checked index (``param``/``const`` by
         the analyzer's rules, so closed-form): all a chain-internal output needs."""
         arr = self._store.get(spec.data)
         if arr is None:
             raise ExecutionError(f"Write to unknown container '{spec.data}'")
-        if lead and spec.wcr is not None:
-            # The op-list builder never batches WCR scopes; a WCR write
-            # reaching batched geometry is an internal inconsistency.
-            raise _BatchAbort("WCR write in batched mode")
         return arr, access_index(
-            spec.dims, triples, arr.shape[lead:], bindings, spec.data, spec.subset_str
+            spec.dims, triples, arr.shape, bindings, spec.data, spec.subset_str
         )
 
     def _resolve_write(
-        self, spec: BoundOutput, triples: List[Triple], bindings: Dict[str, Any],
-        lead: int = 0,
+        self, spec: BoundOutput, triples: List[Triple], bindings: Dict[str, Any]
     ) -> _WriteGeom:
         """The bounds-checked geometry of one write: one basic index."""
-        arr, index = self._check_write(spec, triples, bindings, lead)
-        # Leading (trial) axes whole, constants as length-1 slices: the
-        # region keeps the container's rank.
-        mesh = (slice(None),) * (arr.ndim - len(index)) + tuple(
-            i if isinstance(i, slice) else slice(i, i + 1) for i in index
-        )
+        arr, index = self._check_write(spec, triples, bindings)
+        # Constants as length-1 slices: the region keeps the container's rank.
+        mesh = tuple(i if isinstance(i, slice) else slice(i, i + 1) for i in index)
         param_axes = [payload[0] for kind, payload in spec.dims if kind == "param"]
         red_axes = [a for a in range(len(triples)) if a not in param_axes]
         kept_sorted = sorted(param_axes)
@@ -522,10 +481,6 @@ class ScopeRuntime(SDFGExecutor):
             for kind, payload in spec.dims
         )
         identity_shape = perm == sorted(perm) and target_shape == kept_shape
-        if lead:  # the trial axis rides in front of the value, untouched
-            perm = [0] + [p + 1 for p in perm]
-            target_shape = (self._batch,) + target_shape
-            kept_shape = (self._batch,) + kept_shape
         return _WriteGeom(
             spec, arr, mesh, perm, target_shape, red_axes, kept_shape,
             identity_shape,
@@ -533,16 +488,12 @@ class ScopeRuntime(SDFGExecutor):
 
     def _scope_setup(self, plan: BoundScope, bindings: Dict[str, Any]) -> _ScopeSetup:
         key = tuple(bindings.get(name) for name in plan.setup_deps)
-        cache_key = (id(plan), self._setup_epoch)
-        cached = self._setup_cache.get(cache_key)
+        cached = self._setup_cache.get(id(plan))
         if cached is not None and cached[0] == key:
             return cached[1]
         triples, shape_full, iterations, grids = self._resolve_domain(
             plan, bindings, plan.needs_grids
         )
-        lead = self._lead
-        if lead:
-            shape_full = (self._batch,) + shape_full  # values carry the trial axis
         if iterations == 0:
             # The interpreter executes nothing for an empty domain -- in
             # particular it never bounds-checks the memlets -- so neither
@@ -550,24 +501,20 @@ class ScopeRuntime(SDFGExecutor):
             setup = _ScopeSetup(shape_full, 0, grids, [], [])
         else:
             idx_ns = {**bindings, **grids} if grids else bindings
-            gathers = [self._resolve_gather(s, triples, idx_ns, lead) for s in plan.inputs]
-            geoms = [self._resolve_write(s, triples, bindings, lead) for s in plan.outputs]
+            gathers = [self._resolve_gather(s, triples, idx_ns) for s in plan.inputs]
+            geoms = [self._resolve_write(s, triples, bindings) for s in plan.outputs]
             setup = _ScopeSetup(shape_full, iterations, grids, gathers, geoms)
-        self._setup_cache[cache_key] = (key, setup)
+        self._setup_cache[id(plan)] = (key, setup)
         return setup
 
     def _fused_setup(self, fused: BoundChain, bindings: Dict[str, Any]) -> _FusedSetup:
         key = tuple(bindings.get(name) for name in fused.setup_deps)
-        cache_key = (id(fused), self._setup_epoch)
-        cached = self._setup_cache.get(cache_key)
+        cached = self._setup_cache.get(id(fused))
         if cached is not None and cached[0] == key:
             return cached[1]
         triples, shape_full, iterations, grids = self._resolve_domain(
             fused, bindings, fused.needs_grids
         )
-        lead = self._lead
-        if lead:
-            shape_full = (self._batch,) + shape_full
         if iterations == 0:
             setup = _FusedSetup(shape_full, 0, grids, [], [])
         else:
@@ -576,14 +523,14 @@ class ScopeRuntime(SDFGExecutor):
             geoms: List[_WriteGeom] = []
             for member in fused.members:
                 for spec, name in member.gathers:
-                    gathers.append((name, self._resolve_gather(spec, triples, idx_ns, lead)[1]))
+                    gathers.append((name, self._resolve_gather(spec, triples, idx_ns)[1]))
                 for kind, spec, _ in member.outputs:
                     if kind == "write":
-                        geoms.append(self._resolve_write(spec, triples, bindings, lead))
+                        geoms.append(self._resolve_write(spec, triples, bindings))
                     else:
-                        self._check_write(spec, triples, bindings, lead)
+                        self._check_write(spec, triples, bindings)
             setup = _FusedSetup(shape_full, iterations, grids, gathers, geoms)
-        self._setup_cache[cache_key] = (key, setup)
+        self._setup_cache[id(fused)] = (key, setup)
         return setup
 
     # .................................................................. #
@@ -729,10 +676,6 @@ class ScopeRuntime(SDFGExecutor):
 
             return apply_direct
 
-        if self._lead and (geom.red_axes or spec.wcr is not None):
-            # Batchable scopes have no WCR and (bijectivity) no reduction
-            # axes: the value is ``(K,) + shape_full``, one slab.
-            raise _BatchAbort("reduction write in batched mode")
         # Reduction slabs, flattened in iteration (lexicographic) order.
         slabs = np.moveaxis(value, geom.red_axes, range(len(geom.red_axes))).reshape(
             (-1,) + geom.kept_shape

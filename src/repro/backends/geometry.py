@@ -6,10 +6,9 @@ per-dimension index the analyzer has classified (``InputPlan.dims`` /
 sequence ``first + offset, step, count`` of one map axis, ``("const",
 code)`` a single position.  Bounds checks and NumPy indices for such
 accesses follow from the map's evaluated ranges by integer arithmetic; no
-index array is built, reduced or re-recognised.  Shared by the serial and
-batched (``lead=1``: a leading trial axis) runs; accesses
-with an ``expr`` dimension never come here (they materialise their index
-arrays in :mod:`repro.backends.execute`).
+index array is built, reduced or re-recognised.  Accesses with an
+``expr`` dimension never come here (they materialise their index arrays in
+:mod:`repro.backends.execute`).
 """
 
 from __future__ import annotations
@@ -74,24 +73,24 @@ def access_index(
 
 
 def gather_index(
-    dims: Sequence[Tuple[str, Any]], index: List[Any], nparams: int, lead: int = 0
+    dims: Sequence[Tuple[str, Any]], index: List[Any], nparams: int
 ) -> Tuple[Tuple, Optional[Tuple[int, ...]]]:
     """``(basic index, transpose)`` fetching the block a broadcast gather
     with index grids would: parameter axes in map order, length 1 for
-    parameters the access does not use, ``lead`` untouched axes in front.
-    ``transpose`` is ``None`` when the indexed block already has that
-    layout; an all-constant gather without ``lead`` stays a scalar read.
+    parameters the access does not use.  ``transpose`` is ``None`` when the
+    indexed block already has that layout; an all-constant gather stays a
+    scalar read.
     """
     used = [payload[0] for kind, payload in dims if kind == "param"]
-    if not used and not lead:
+    if not used:
         return tuple(index), None
-    # Indexed block: ``lead`` axes, the used parameters in dimension order,
-    # then one new axis per unused parameter.
+    # Indexed block: the used parameters in dimension order, then one new
+    # axis per unused parameter.
     order = used + [a for a in range(nparams) if a not in used]
-    full = (slice(None),) * lead + tuple(index) + (None,) * (nparams - len(used))
+    full = tuple(index) + (None,) * (nparams - len(used))
     if order == sorted(order):
         return full, None
-    perm = list(range(lead + nparams))
+    perm = list(range(nparams))
     for pos, axis in enumerate(order):
-        perm[lead + axis] = lead + pos
+        perm[axis] = pos
     return full, tuple(perm)

@@ -2,9 +2,9 @@
 
 Rewrites a map scope into a *flat domain with point accesses* before the
 legality rules of :func:`repro.backends.analysis.analyze_scope` see it, so
-everything downstream -- plan, closed-form geometry, serial runtime, batch
-axis -- handles a nest of maps or a strided map over blocks as the flat
-unit-step scope it computes the same thing as.  Two rewrites, both
+everything downstream -- plan, closed-form geometry, runtime -- handles a
+nest of maps or a strided map over blocks as the flat unit-step scope it
+computes the same thing as.  Two rewrites, both
 matched on expression trees (like :func:`unit_affine_offset`), never by
 probing points:
 

@@ -579,12 +579,18 @@ class VerificationService:
         return 404, {"error": f"unknown endpoint {path!r}"}
 
     def _http_submit(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
+        from repro.core.verifier import FuzzyFlowVerifier
+
         try:
             doc = json.loads(body.decode("utf-8"))
             task_dicts = doc["tasks"]
             if not isinstance(task_dicts, list):
                 raise TypeError("'tasks' must be a list")
             tasks = [SweepTask.from_dict(d) for d in task_dicts]
+            for task in tasks:
+                # A keyword the verifier does not take is refused here, not
+                # as one UNTESTED outcome per task later.
+                FuzzyFlowVerifier(**task.verifier_kwargs)
         except Exception as exc:  # noqa: BLE001 - reported to the client
             return 400, {"error": f"bad submission: {type(exc).__name__}: {exc}"}
         sweep_id = self.submit(

@@ -150,6 +150,10 @@ def restore_sweeps(scheduler: Any, state: ServiceState) -> List[str]:
             continue  # submitted live before start(); nothing to restore
         meta = state.load_meta(sweep_id)
         tasks = [SweepTask.from_dict(d) for d in meta["tasks"]]
+        for task in tasks:
+            # Retired knob of older state directories: it never entered the
+            # task id, and the verifier no longer takes it.
+            task.verifier_kwargs.pop("trial_batch", None)
         store = state.open_store(
             sweep_id,
             tasks,

@@ -157,11 +157,10 @@ def _worker_metadata(backend: Optional[str], procs: int) -> Dict[str, Any]:
 def _rebuild_tasks(
     entries: List[Dict[str, Any]],
     backend: Optional[str],
-    trial_batch: Optional[int] = None,
 ) -> List[Tuple[int, str, SweepTask]]:
-    """Deserialize a shard, applying this worker's backend and
-    trial-batch overrides (both excluded from task identity, so overriding
-    them never forks the sweep's accounting).
+    """Deserialize a shard, applying this worker's backend override
+    (excluded from task identity, so overriding it never forks the
+    sweep's accounting).
 
     The service-issued ``task_id`` travels with each task and is echoed
     back verbatim in the result message: the service keys its accounting
@@ -172,8 +171,6 @@ def _rebuild_tasks(
         task = SweepTask.from_dict(entry["task"])
         if backend is not None:
             task.verifier_kwargs["backend"] = backend
-        if trial_batch is not None:
-            task.verifier_kwargs["trial_batch"] = trial_batch
         out.append((entry["index"], entry["task_id"], task))
     return out
 
@@ -242,7 +239,6 @@ def run_worker(
     host: str,
     port: int,
     backend: Optional[str] = None,
-    trial_batch: Optional[int] = None,
     procs: int = 1,
     connect_retry_seconds: float = 10.0,
     heartbeat_seconds: float = 5.0,
@@ -368,7 +364,7 @@ def run_worker(
                     raise ProtocolError(f"Expected tasks/wait/done, got {reply!r}")
                 shard = reply.get("shard")
                 sweep = reply.get("sweep")
-                indexed = _rebuild_tasks(reply.get("tasks", []), backend, trial_batch)
+                indexed = _rebuild_tasks(reply.get("tasks", []), backend)
                 now = _monotonic()
                 with in_flight_lock:
                     for _, task_id, _ in indexed:
@@ -457,13 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         "execution layer across machines)",
     )
     parser.add_argument(
-        "--trial-batch", type=int, default=None, metavar="K",
-        help="override the sweep's trials-per-batch for this worker only "
-        "(batch-capable backends execute K trials along a leading batch "
-        "axis; verdicts are serial-identical, so this never forks task "
-        "identity)",
-    )
-    parser.add_argument(
         "--procs", type=int, default=1,
         help="local worker processes; 1 (default) executes in-process and "
         "shares compiled driver code across a shard's tasks",
@@ -536,7 +525,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             host,
             port,
             backend=args.backend,
-            trial_batch=args.trial_batch,
             procs=args.procs,
             connect_retry_seconds=args.connect_retry_seconds,
             heartbeat_seconds=args.heartbeat_seconds,

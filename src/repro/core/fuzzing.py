@@ -11,7 +11,7 @@ matching the paper's footnote 1).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -125,7 +125,6 @@ class DifferentialFuzzer:
         max_transitions: int = 100_000,
         collect_coverage: bool = False,
         backend: Union[str, ExecutionBackend] = DEFAULT_BACKEND,
-        trial_batch: int = 1,
     ) -> None:
         self.original = original
         self.transformed = transformed
@@ -133,12 +132,6 @@ class DifferentialFuzzer:
         self.sampler = sampler
         self.tolerance = tolerance
         self.collect_coverage = collect_coverage
-        #: Trials per ``run_batch`` call during a campaign (1 = serial).
-        #: Batch-capable backends (``compiled``, or ``cross`` pairs
-        #: wrapping it) execute the whole batch along a leading
-        #: batch axis; all others run the batch serially with identical
-        #: verdicts.
-        self.trial_batch = max(1, int(trial_batch))
         # Per-trial setup (argument coercion plans, symbol binding, compiled
         # subsets, vectorization plans) lives in prepare(), outside the
         # trial loop.  Backend errors other than ExecutionError -- notably a
@@ -193,7 +186,7 @@ class DifferentialFuzzer:
         trans_error: Optional[Exception],
     ) -> TrialResult:
         """Turn one trial's (original, transformed) outcome pair into a
-        verdict -- shared by the serial and batched campaign loops."""
+        verdict."""
         if orig_error is not None and trans_error is not None:
             return TrialResult(
                 index=index,
@@ -255,14 +248,7 @@ class DifferentialFuzzer:
         executed trial (including skips and retries) while
         ``trials_effective`` counts the trials that actually compared the two
         programs.
-
-        With ``trial_batch > 1`` (and no explicit ``samples``), inputs are
-        sampled in rounds and executed through the backends'
-        :meth:`~repro.backends.base.CompiledProgram.run_batch`; verdicts
-        are identical to the serial loop, skipped slots retry serially.
         """
-        if self.trial_batch > 1 and samples is None:
-            return self._run_batched(num_trials, stop_on_failure, max_skip_retries)
         report = FuzzingReport()
         start = _perf_counter()
         stop = False
@@ -279,7 +265,7 @@ class DifferentialFuzzer:
                 report.trials.append(trial)
                 report.trials_run += 1
                 report.trials_attempted += 1
-                _metric_inc("repro_trials_total", labels={"mode": "serial"})
+                _metric_inc("repro_trials_total")
                 if trial.status == TrialStatus.SKIPPED_BOTH_CRASH:
                     report.trials_skipped += 1
                     if retries < max_skip_retries:
@@ -299,113 +285,5 @@ class DifferentialFuzzer:
                     if stop_on_failure:
                         stop = True
                 break
-        report.duration_seconds = _perf_counter() - start
-        return report
-
-    # ------------------------------------------------------------------ #
-    def _note_effective(
-        self,
-        report: FuzzingReport,
-        trial: TrialResult,
-        sample: InputSample,
-        stop_on_failure: bool,
-    ) -> bool:
-        """Book-keep a non-skipped trial; returns True when the campaign
-        should stop (first failure under ``stop_on_failure``)."""
-        report.trials_effective += 1
-        if trial.is_failure:
-            report.failures += 1
-            if report.first_failure_trial is None:
-                report.first_failure_trial = len(report.trials)
-                report.failing_inputs = {
-                    k: np.array(v, copy=True) for k, v in sample.arguments.items()
-                }
-                report.failing_symbols = dict(sample.symbols)
-            if stop_on_failure:
-                return True
-        return False
-
-    def _run_batched(
-        self, num_trials: int, stop_on_failure: bool, max_skip_retries: int
-    ) -> FuzzingReport:
-        """The batched campaign loop: sample a round of inputs, execute both
-        programs via ``run_batch``, classify every pair.
-
-        Rounds are split into consecutive equal-symbol groups (a batch
-        shares one symbol binding).  ``SKIPPED_BOTH_CRASH`` slots carry no
-        differential information and retry *serially* -- re-batching a
-        single resample would gain nothing.
-        """
-        report = FuzzingReport()
-        start = _perf_counter()
-        stop = False
-        slots_done = 0
-        while slots_done < num_trials and not stop:
-            round_size = min(self.trial_batch, num_trials - slots_done)
-            slots_done += round_size
-            round_samples = [self.sampler.sample() for _ in range(round_size)]
-            groups: List[List[InputSample]] = []
-            for sample in round_samples:
-                if groups and dict(sample.symbols) == dict(groups[-1][0].symbols):
-                    groups[-1].append(sample)
-                else:
-                    groups.append([sample])
-            for group in groups:
-                if stop:
-                    break
-                orig_outs = self._orig_exec.run_batch(
-                    [s.copy_arguments() for s in group],
-                    group[0].symbols,
-                    collect_coverage=self.collect_coverage,
-                )
-                trans_outs = self._trans_exec.run_batch(
-                    [s.copy_arguments() for s in group],
-                    group[0].symbols,
-                    collect_coverage=False,
-                )
-                for sample, orig_out, trans_out in zip(group, orig_outs, trans_outs):
-                    if stop:
-                        break
-                    orig_error = (
-                        orig_out if isinstance(orig_out, ExecutionError) else None
-                    )
-                    trans_error = (
-                        trans_out if isinstance(trans_out, ExecutionError) else None
-                    )
-                    trial = self._classify(
-                        sample,
-                        len(report.trials),
-                        None if orig_error is not None else orig_out,
-                        orig_error,
-                        None if trans_error is not None else trans_out,
-                        trans_error,
-                    )
-                    report.trials.append(trial)
-                    report.trials_run += 1
-                    report.trials_attempted += 1
-                    _metric_inc("repro_trials_total", labels={"mode": "batched"})
-                    if trial.status != TrialStatus.SKIPPED_BOTH_CRASH:
-                        stop = self._note_effective(
-                            report, trial, sample, stop_on_failure
-                        )
-                        continue
-                    report.trials_skipped += 1
-                    retries = 0
-                    while retries < max_skip_retries:
-                        retries += 1
-                        _metric_inc("repro_trial_retries_total")
-                        retry_sample = self.sampler.sample()
-                        trial = self.run_trial(retry_sample, index=len(report.trials))
-                        report.trials.append(trial)
-                        report.trials_run += 1
-                        report.trials_attempted += 1
-                        _metric_inc("repro_trials_total", labels={"mode": "serial"})
-                        if trial.status == TrialStatus.SKIPPED_BOTH_CRASH:
-                            report.trials_skipped += 1
-                            continue
-                        stop = self._note_effective(
-                            report, trial, retry_sample, stop_on_failure
-                        )
-                        break
         report.duration_seconds = _perf_counter() - start
         return report

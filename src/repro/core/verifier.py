@@ -65,7 +65,6 @@ class FuzzyFlowVerifier:
         test_case_dir: Optional[str] = None,
         use_coverage_guidance: bool = False,
         backend: str = "interpreter",
-        trial_batch: int = 1,
     ) -> None:
         self.num_trials = num_trials
         self.tolerance = tolerance
@@ -81,9 +80,6 @@ class FuzzyFlowVerifier:
         #: Execution backend for differential fuzzing ("interpreter",
         #: "compiled" or the self-checking "cross"; see repro.backends).
         self.backend = backend
-        #: Trials per run_batch call (1 = serial; >1 enables batch-axis
-        #: execution on batch-capable backends such as "compiled").
-        self.trial_batch = trial_batch
 
     # ------------------------------------------------------------------ #
     def verify(
@@ -227,7 +223,6 @@ class FuzzyFlowVerifier:
             tolerance=self.tolerance,
             max_transitions=self.max_transitions,
             backend=self.backend,
-            trial_batch=self.trial_batch,
         )
         with _TRACER.span("verify.fuzz", "verify") as span:
             span.set("trials", self.num_trials)
@@ -447,7 +442,6 @@ class FuzzyFlowVerifier:
             tolerance=self.tolerance,
             max_transitions=self.max_transitions,
             backend=self.backend,
-            trial_batch=self.trial_batch,
         )
         fuzzing_report = fuzzer.run(
             num_trials=num_trials if num_trials is not None else self.num_trials,

@@ -169,13 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         "an infrastructure error (default: interpreter)",
     )
     parser.add_argument(
-        "--trial-batch", default=1, type=int, metavar="K",
-        help="trials per run_batch call (default: 1): batch-capable "
-        "backends (compiled, or cross pairs wrapping it) stack K "
-        "trial inputs along a leading batch axis and execute each scope "
-        "once per batch; verdicts are bitwise identical to serial trials",
-    )
-    parser.add_argument(
         "--progress", action="store_true",
         help="print each task's verdict as it completes, with tasks/s and ETA",
     )
@@ -354,7 +347,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 size_max=args.size_max,
                 minimize_inputs=False,
                 backend=backend,
-                trial_batch=args.trial_batch,
             ),
         )
     except KeyError as exc:

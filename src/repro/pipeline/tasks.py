@@ -97,21 +97,15 @@ class SweepTask:
 
         The hash covers everything that decides the task's *outcome*: its
         coordinates, the fuzzing configuration and (for custom workloads)
-        the serialized program.  Three fields are deliberately excluded:
+        the serialized program.  Two fields are deliberately excluded:
         ``match_description`` (cosmetic, derived from the coordinates) and
-        the ``backend`` and ``trial_batch`` entries of ``verifier_kwargs``
-        -- backends are bitwise-equivalent by contract and trial batching
-        is a pure execution-strategy knob with serial-identical verdicts,
-        so a resumed or distributed sweep may complete a task on a
-        different backend or batch size than the one that journaled it
-        (heterogeneous workers are a free cross-check, not a different
-        sweep).
+        the ``backend`` entry of ``verifier_kwargs`` -- backends are
+        bitwise-equivalent by contract, so a resumed or distributed sweep
+        may complete a task on a different backend than the one that
+        journaled it (heterogeneous workers are a free cross-check, not a
+        different sweep).
         """
-        kwargs = {
-            k: v
-            for k, v in self.verifier_kwargs.items()
-            if k not in ("backend", "trial_batch")
-        }
+        kwargs = {k: v for k, v in self.verifier_kwargs.items() if k != "backend"}
         basis = {
             "suite": self.suite,
             "workload": self.workload,

@@ -15,8 +15,7 @@ Three cooperating pieces, threaded through every layer of the system:
 * :mod:`repro.telemetry.metrics` -- the **metrics registry**.  Counters,
   gauges and fixed-log-bucket histograms for scope-lowering outcomes
   (keyed by the plan IR's rejection-reason strings), fusion chain
-  lengths, batch-vs-serial trial
-  counts, crash-resample retries and worker latency EWMAs; snapshots are
+  lengths, trial counts, crash-resample retries and worker latency EWMAs; snapshots are
   plain JSON that piggybacks worker result frames, merges fleet-wide in
   the service, and renders as Prometheus text exposition (``GET
   /metrics``).

@@ -608,3 +608,93 @@ class TestBackendsInTheWorkflow:
         a, b = reports["interpreter"], reports["compiled"]
         assert [t.status for t in a.trials] == [t.status for t in b.trials]
         assert [t.max_abs_error for t in a.trials] == [t.max_abs_error for t in b.trials]
+
+
+def scale_fuzzer(backend, inject_bug=True, seed=0):
+    """Fuzzes ``Y = factor * X`` against its vectorized twin, drawing a fresh
+    ``N`` per trial: the buggy twin fails only where ``N`` is no multiple of
+    the vector width."""
+    from repro.core import derive_constraints
+    from repro.frontend import add_scale
+    from repro.transforms import Vectorization
+
+    original = SDFG("scale")
+    original.add_array("X", ["N"], float64)
+    original.add_array("Y", ["N"], float64)
+    original.add_scalar("factor", float64)
+    state = original.add_state("s")
+    add_scale(original, state, "X", "Y", "factor")
+    transformed = original.clone()
+    Vectorization(vector_size=4, inject_bug=inject_bug).apply_to_first(transformed)
+    constraints = derive_constraints(original, symbol_values={"N": 8}, size_max=16)
+    sampler = InputSampler(original, ["X", "factor"], ["Y"], constraints, seed=seed)
+    return DifferentialFuzzer(original, transformed, ["Y"], sampler, backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "cross:compiled,interpreter"])
+class TestVerdictsMatchTheInterpreter:
+    """A report -- per-trial sizes, statuses and errors, the first failure
+    and its inputs -- must not depend on the backend that ran it."""
+
+    def compare_reports(self, want, got):
+        assert [t.status for t in want.trials] == [t.status for t in got.trials]
+        assert [t.symbols for t in want.trials] == [t.symbols for t in got.trials]
+        assert [t.mismatched_containers for t in want.trials] == [
+            t.mismatched_containers for t in got.trials
+        ]
+        assert [t.max_abs_error for t in want.trials] == [t.max_abs_error for t in got.trials]
+        assert want.failures == got.failures
+        assert want.first_failure_trial == got.first_failure_trial
+        assert want.trials_effective == got.trials_effective
+        assert want.failing_symbols == got.failing_symbols
+        if want.failing_inputs is None:
+            assert got.failing_inputs is None
+        else:
+            assert set(want.failing_inputs) == set(got.failing_inputs)
+            for name in want.failing_inputs:
+                assert np.array_equal(want.failing_inputs[name], got.failing_inputs[name])
+
+    @pytest.mark.parametrize("inject_bug", [False, True])
+    def test_fuzzing_report(self, backend, inject_bug):
+        want = scale_fuzzer("interpreter", inject_bug).run(num_trials=12)
+        got = scale_fuzzer(backend, inject_bug).run(num_trials=12)
+        assert (want.failures > 0) == inject_bug
+        self.compare_reports(want, got)
+
+    def test_stop_on_failure(self, backend):
+        want = scale_fuzzer("interpreter").run(num_trials=30, stop_on_failure=True)
+        got = scale_fuzzer(backend).run(num_trials=30, stop_on_failure=True)
+        assert want.failures >= 1
+        self.compare_reports(want, got)
+
+    def test_buggy_table_verdicts(self, backend):
+        """Table 2 in miniature: one instance per workload and
+        transformation (the full table runs in ``make smoke``)."""
+        from repro.pipeline import enumerate_sweep_tasks, execute_task
+
+        def sweep(backend):
+            tasks = enumerate_sweep_tasks(
+                suite="npbench", buggy=True, max_instances=1,
+                verifier_kwargs=dict(
+                    num_trials=4, seed=0, size_max=8, minimize_inputs=False,
+                    backend=backend,
+                ),
+            )
+            return {t.task_id: execute_task(t) for t in tasks}
+
+        want, got = sweep("interpreter"), sweep(backend)
+        assert set(want) == set(got)
+        assert {"pass", "semantic_change"} <= {o["verdict"] for o in want.values()}
+        for task_id, outcome in want.items():
+            other = got[task_id]
+            assert other["verdict"] == outcome["verdict"], outcome["workload"]
+            a, b = outcome["report"], other["report"]
+            if a is None or b is None:
+                assert a == b
+                continue
+            fa, fb = a.get("fuzzing"), b.get("fuzzing")
+            if fa is None or fb is None:
+                assert fa == fb
+                continue
+            for field in ("trials_run", "trials_effective", "failures", "first_failure_trial"):
+                assert fa[field] == fb[field], (outcome["workload"], field)

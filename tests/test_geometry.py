@@ -6,8 +6,9 @@ reference below is what the runtime did before (and still does for ``expr``
 dimensions): build ``np.arange`` axes, evaluate broadcast index arrays,
 min/max-reduce them for the bounds check and gather with advanced indexing
 (scatter through an ``np.ix_`` mesh).  Same block bit for bit, same written
-region, same exception type and message -- serially and, with a leading
-trial axis, in the batched runtime.
+region, same exception type and message.  ``expr`` dimensions keep the
+materialised path, and :class:`TestGatherSlices` checks the basic-slicing
+shortcut it takes wherever the index arrays turn out to be sequences.
 """
 
 import itertools
@@ -28,7 +29,6 @@ from repro.sdfg import SDFG, Memlet, float64
 from repro.transforms import all_builtin_transformations
 from repro.workloads import get_workload
 
-BATCH = 3
 BINDINGS = {"c": 1, "N": 4}
 
 
@@ -101,11 +101,9 @@ def assert_same(ref, got):
     assert ref.tobytes() == np.ascontiguousarray(got).tobytes()
 
 
-def executor(store, batched=False):
+def executor(store):
     ex = ScopeRuntime(SDFG("geometry"))
     ex._store = store
-    if batched:
-        ex._lead, ex._batch = 1, BATCH
     return ex
 
 
@@ -133,54 +131,46 @@ class TestClosedFormAgainstMaterialised:
                        else "deficient" if len(used) < len(ranges) else "aligned"))
         assert len(kinds) == 8
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_gather_fetches_the_same_block(self, batched):
+    def test_gather_fetches_the_same_block(self):
         for n, (ranges, dims, shape) in enumerate(CASES):
-            lead = (BATCH,) if batched else ()
-            arr = np.random.default_rng(n).standard_normal(lead + shape)
+            arr = np.random.default_rng(n).standard_normal(shape)
             grids, _ = materialise(ranges, dims)
-            nparams = len(ranges)
 
             def reference():
                 ScopeRuntime._check_vector_bounds("A", "A[s]", grids, shape)
-                if not batched:
-                    return arr[tuple(grids)]
-                value = arr[(slice(None),) + tuple(grids)]
-                return value.reshape((BATCH,) + (1,) * nparams) if value.ndim != nparams + 1 else value
+                return arr[tuple(grids)]
 
-            ex = executor({"A": arr}, batched)
+            ex = executor({"A": arr})
             spec = BoundInput("x", "A", _bind_dims(dims), None, "A[s]")
             triples = [axis_triple(*r) for r in ranges]
 
             def closed():
-                value = ex._resolve_gather(spec, triples, BINDINGS, ex._lead)[1]()
+                value = ex._resolve_gather(spec, triples, BINDINGS)[1]()
                 assert not np.shares_memory(value, arr)
                 return value
 
             ref, got = outcome(reference), outcome(closed)
             assert_same(ref, got)
-            if not batched and not isinstance(ref, Exception):
+            if not isinstance(ref, Exception):
                 assert type(got) is type(ref)  # an all-constant gather stays a scalar
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_write_hits_the_same_region(self, batched):
+    def test_write_hits_the_same_region(self):
         for ranges, dims, shape in CASES:
-            lead = (BATCH,) if batched else ()
             _, flat = materialise(ranges, dims)
 
             def reference():
                 ScopeRuntime._check_vector_bounds("A", "A[s]", flat, shape)
-                mask = np.zeros(lead + shape)
-                mask[(slice(None),) * len(lead) + np.ix_(*flat)] = 1.0
+                mask = np.zeros(shape)
+                mask[np.ix_(*flat)] = 1.0
                 return mask
 
-            arr = np.zeros(lead + shape)
-            ex = executor({"A": arr}, batched)
+            arr = np.zeros(shape)
+            ex = executor({"A": arr})
             spec = BoundOutput("y", "A", _bind_dims(dims), None, "A[s]")
             triples = [axis_triple(*r) for r in ranges]
 
             def closed():
-                geom = ex._resolve_write(spec, triples, BINDINGS, ex._lead)
+                geom = ex._resolve_write(spec, triples, BINDINGS)
                 arr[geom.mesh] = 1.0
                 return arr
 
@@ -216,6 +206,121 @@ class TestClosedFormAgainstMaterialised:
         with pytest.raises(MemoryViolation) as ref:
             ScopeRuntime._check_vector_bounds("A", "A[i]", [np.arange(3)], (3, 3))
         assert str(got.value) == str(ref.value) and "dimensionality" in str(ref.value)
+
+
+# ---------------------------------------------------------------------- #
+# The permuted-gather slice fast path of ``expr`` accesses (unit level)
+# ---------------------------------------------------------------------- #
+def make_arguments(sdfg, symbols, seed=0):
+    rng = np.random.default_rng(seed)
+    return {
+        name: rng.standard_normal(desc.concrete_shape(symbols))
+        for name, desc in sdfg.arrays.items()
+        if not desc.transient
+    }
+
+
+def permuted_gather_program():
+    """Reads ``A[j, i]`` under an ``i, j`` map: the transposed-slice fast
+    path."""
+    sdfg = SDFG("permuted")
+    sdfg.add_array("A", ["M", "N"], float64)
+    sdfg.add_array("Out", ["N", "M"], float64)
+    state = sdfg.add_state("s", is_start_state=True)
+    state.add_mapped_tasklet(
+        "t", {"i": "0:N-1", "j": "0:M-1"},
+        {"x": Memlet.simple("A", ("j", "i"))},
+        "y = x + 1.0", {"y": Memlet.simple("Out", ("i", "j"))},
+    )
+    return sdfg
+
+
+class TestGatherSlices:
+    """``_gather_slices`` turns broadcast gathers into basic slicing plus a
+    transpose; every accepted geometry must index the exact same elements
+    as the advanced-indexing path it replaces."""
+
+    def grid(self, extents, axis, start=0, step=1):
+        n = extents[axis]
+        shape = [1] * len(extents)
+        shape[axis] = n
+        return (start + step * np.arange(n, dtype=np.int64)).reshape(shape)
+
+    def check_equivalent(self, arr, idx, nparams):
+        fast = ScopeRuntime._gather_slices(idx, arr.ndim, nparams)
+        assert fast is not None
+        sls, taxes = fast
+        block = arr[sls] if taxes is None else arr[sls].transpose(taxes)
+        reference = arr[tuple(idx)]
+        assert block.shape == reference.shape
+        assert np.array_equal(block, reference)
+        return taxes
+
+    def test_aligned_gather_needs_no_transpose(self):
+        arr = np.arange(35.0).reshape(5, 7)
+        idx = [self.grid((5, 7), 0), self.grid((5, 7), 1)]
+        assert self.check_equivalent(arr, idx, nparams=2) is None
+
+    def test_permuted_gather_transposes(self):
+        arr = np.arange(35.0).reshape(5, 7)
+        # A[j, i] under an (i, j) map: dim 0 rides axis 1 and vice versa.
+        idx = [self.grid((4, 5), 1), self.grid((4, 5), 0)]
+        assert self.check_equivalent(arr, idx, nparams=2) == (1, 0)
+
+    def test_three_dim_rotation(self):
+        arr = np.arange(2.0 * 3 * 4).reshape(2, 3, 4)
+        extents = (3, 4, 2)  # A[k, i, j] under an (i, j, k) map
+        idx = [
+            self.grid(extents, 2),
+            self.grid(extents, 0),
+            self.grid(extents, 1),
+        ]
+        assert self.check_equivalent(arr, idx, nparams=3) == (1, 2, 0)
+
+    def test_strided_and_offset_sequences(self):
+        arr = np.arange(100.0).reshape(10, 10)
+        idx = [self.grid((4, 3), 0, start=1, step=2), self.grid((4, 3), 1, start=2, step=3)]
+        assert self.check_equivalent(arr, idx, nparams=2) is None
+
+    def test_constant_dimension_becomes_length_one_slice(self):
+        idx = [3, self.grid((5,), 0)]
+        taxes = ScopeRuntime._gather_slices(idx, 2, 2)
+        assert taxes is not None
+
+    def test_all_constant_stays_on_advanced_path(self):
+        # arr[2, 3] is a scalar; slices would produce a (1, 1) block.
+        assert ScopeRuntime._gather_slices([2, 3], 2, 2) is None
+
+    def test_rank_mismatch_rejected(self):
+        idx = [self.grid((5,), 0)]
+        assert ScopeRuntime._gather_slices(idx, 1, 2) is None
+
+    def test_duplicate_axis_rejected(self):
+        # A[i, i]: both dimensions ride parameter axis 0 -- a diagonal,
+        # which no rectangular slice can express.
+        g = self.grid((5, 1), 0)
+        assert ScopeRuntime._gather_slices([g, g], 2, 2) is None
+
+    def test_non_arithmetic_sequence_rejected(self):
+        irregular = np.asarray([0, 1, 3], dtype=np.int64).reshape(3, 1)
+        regular = self.grid((3, 4), 1)
+        assert ScopeRuntime._gather_slices([irregular, regular], 2, 2) is None
+
+    def test_negative_constant_rejected(self):
+        assert (
+            ScopeRuntime._gather_slices([-1, self.grid((5,), 0)], 2, 2)
+            is None
+        )
+
+    def test_permuted_program_end_to_end(self):
+        sdfg = permuted_gather_program()
+        symbols = {"N": 6, "M": 9}
+        args = make_arguments(sdfg, symbols)
+        ref = get_backend("interpreter").prepare(sdfg).run(dict(args), symbols)
+        program = CompiledWholeProgram(sdfg)
+        res = program.run(dict(args), symbols)
+        assert ref.outputs["Out"].tobytes() == res.outputs["Out"].tobytes()
+        assert program.stats["vectorized"] == 1 and program.stats["fallback"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -292,7 +397,7 @@ class TestClassification:
 
 
 # ---------------------------------------------------------------------- #
-# Chain-internal outputs: checked (never written), also behind a trial axis
+# Chain-internal outputs: checked (never written)
 # ---------------------------------------------------------------------- #
 def chain_program(domain):
     """``A -> B[i + 1] -> Out`` over ``domain``; ``B`` is internal to the
@@ -315,27 +420,23 @@ def chain_program(domain):
 
 
 class TestChainInternalOutputs:
-    def test_fused_chain_on_the_batch_axis(self, monkeypatch):
+    def test_fused_chain_checks_its_internal_output(self, monkeypatch):
         sdfg, symbols = chain_program("0:N-2"), {"N": 8}
-        args_list = [{"A": np.random.default_rng(k).standard_normal(8), "Out": np.zeros(8)}
-                     for k in range(BATCH)]
-        interp = get_backend("interpreter").prepare(sdfg)
+        args = {"A": np.random.default_rng(0).standard_normal(8), "Out": np.zeros(8)}
+        want = get_backend("interpreter").prepare(sdfg).run(dict(args), symbols)
         program = CompiledWholeProgram(sdfg)
         checked = []
         real = CompiledExecutor._check_write
         monkeypatch.setattr(
             CompiledExecutor, "_check_write",
-            lambda rt, spec, *a: checked.append((spec.data, rt._lead)) or real(rt, spec, *a),
+            lambda rt, spec, *a: checked.append(spec.data) or real(rt, spec, *a),
         )
-        # ``run_batched`` has no serial fallback: a check against the wrong
-        # (batch-prefixed) shape would surface here.
-        got = program.executor.run_batched([dict(a) for a in args_list], symbols)
-        assert checked == [("B", 1), ("Out", 1)]
-        for args, result in zip(args_list, got):
-            want = interp.run(dict(args), symbols).outputs["Out"]
-            assert want.tobytes() == result.outputs["Out"].tobytes()
+        got = program.run(dict(args), symbols)
+        assert checked == ["B", "Out"]
+        assert program.stats["fused"] == 1
+        assert want.outputs["Out"].tobytes() == got.outputs["Out"].tobytes()
 
-    def test_out_of_bounds_internal_output_under_batched(self):
+    def test_out_of_bounds_internal_output(self):
         sdfg = chain_program("0:N-1")  # B[N] is one past the end
         args = {"A": np.ones(8), "Out": np.zeros(8)}
         with pytest.raises(MemoryViolation) as want:

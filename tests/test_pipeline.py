@@ -114,6 +114,32 @@ class TestTaskEnumeration:
         with pytest.raises(KeyError):
             TransformationSpec("NoSuchTransformation").instantiate()
 
+    @pytest.mark.parametrize("backend", ["interpreter", "compiled"])
+    def test_task_ids_are_pinned(self, backend):
+        """The ids of the CLI's default ``--buggy`` tasks are literals: a
+        ``--journal`` written by an earlier build resumes with zero re-runs
+        only while they stay put.  The backend is not part of the identity."""
+        tasks = enumerate_sweep_tasks(
+            suite="npbench",
+            buggy=True,
+            max_instances=4,
+            verifier_kwargs=dict(
+                num_trials=6, seed=0, size_max=10, minimize_inputs=False,
+                backend=backend,
+            ),
+        )
+        assert len(tasks) == 95
+        assert {
+            (t.workload, t.transformation.name, t.match_index): t.task_id
+            for t in (tasks[0], tasks[1], tasks[2], tasks[40], tasks[-1])
+        } == {
+            ("gemm", "BufferTiling", 0): "3c5224202c9dcefc",
+            ("gemm", "MapExpansion", 0): "64b831d63b072983",
+            ("gemm", "MapExpansion", 1): "93df4ae4c37e9cfc",
+            ("2mm", "Vectorization", 1): "814cddb175dde309",
+            ("iterative_smoother", "Vectorization", 0): "e5e37cd558264aeb",
+        }
+
 
 class TestExecuteTask:
     def test_single_task_roundtrip(self):
@@ -347,6 +373,12 @@ class TestCLI:
             with pytest.raises(SystemExit):
                 main(["--cache-dir", "somewhere"])
             assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+
+    def test_neither_cli_takes_a_trial_batch(self, capsys):
+        for main in (pipeline_main, lambda argv: worker_main(["--connect", "127.0.0.1:1", *argv])):
+            with pytest.raises(SystemExit):
+                main(["--trial-batch", "4"])
+            assert "unrecognized arguments: --trial-batch" in capsys.readouterr().err
 
     def test_cli_serve_submit_exclusive(self, capsys):
         with pytest.raises(SystemExit):

@@ -41,6 +41,7 @@ from repro.cluster.service import VerificationService
 from repro.cluster.state import ServiceState, restore_sweeps
 from repro.cluster.sweep import COMPLETE, DRAINING, RUNNING, SUBMITTED
 from repro.cluster.worker import ServiceRefused, _backoff_delays, run_worker
+from repro.core.verifier import FuzzyFlowVerifier
 from repro.telemetry.metrics import GLOBAL as GLOBAL_METRICS
 from repro.telemetry.metrics import metric_key
 from repro.pipeline import (
@@ -389,6 +390,40 @@ class TestServiceState:
         # its own state directory.
         assert restore_sweeps(second, state) == []
 
+    def test_restore_accepts_state_written_with_trial_batch(self, tmp_path):
+        """Older services persisted ``trial_batch: 1`` in every task's
+        verifier keywords.  The key never entered the task id, so such a
+        state directory restores against its journal with no re-runs, and
+        the remaining tasks reach a verifier that accepts them."""
+        tasks = cheap_tasks(3)
+        old_format = [SweepTask.from_dict(t.to_dict()) for t in tasks]
+        for task in old_format:
+            task.verifier_kwargs["trial_batch"] = 1
+        state = ServiceState(str(tmp_path))
+        sid = state.allocate_sweep_id()
+        state.persist(sid, old_format, {
+            "suite": "no_such_suite", "buggy": False, "backend": "interpreter",
+        })
+        # The journal header holds the ids the older service computed,
+        # which are the ids of the tasks without the retired key.
+        store = state.open_store(sid, tasks, "no_such_suite", False, "interpreter")
+        first = SweepScheduler()
+        first.submit(tasks, sweep_id=sid, store=store, owns_store=True)
+        reply = first.lease("c", 2)
+        for entry in reply["tasks"]:
+            _record(first, "c", reply, entry)
+        first.close()
+
+        second = SweepScheduler()
+        assert restore_sweeps(second, state) == [sid]
+        assert second.sweep_status(sid)["done"] == 2
+        reply = second.lease("c", 10)
+        assert [e["task_id"] for e in reply["tasks"]] == [tasks[2].task_id]
+        remaining = SweepTask.from_dict(reply["tasks"][0]["task"])
+        assert "trial_batch" not in remaining.verifier_kwargs
+        FuzzyFlowVerifier(**remaining.verifier_kwargs)
+        second.close()
+
 
 # ---------------------------------------------------------------------- #
 # The asyncio service end to end
@@ -513,6 +548,25 @@ class TestService:
             with pytest.raises(ServiceClientError) as err:
                 _request(host, port, "POST", "/sweeps", body={"tasks": 5})
             assert err.value.status == 400
+        finally:
+            service.stop()
+
+    @pytest.mark.parametrize("key", ["num_trails", "trial_batch"])
+    def test_http_submit_refuses_unknown_verifier_keywords(self, key):
+        """A keyword the verifier does not take (a typo, or one an older
+        CLI still writes) is a 400 naming the key, not a sweep whose every
+        task lands UNTESTED with a ``TypeError``."""
+        service = VerificationService(http_port=0)
+        service.start()
+        host, port = service.http_address
+        try:
+            tasks = cheap_tasks(2)
+            tasks[1].verifier_kwargs[key] = 1
+            with pytest.raises(ServiceClientError) as err:
+                submit_sweep(host, port, tasks)
+            assert err.value.status == 400
+            assert repr(key) in err.value.doc["error"]
+            assert service_status(host, port)["sweeps"] == {}
         finally:
             service.stop()
 

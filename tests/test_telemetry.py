@@ -178,8 +178,8 @@ class TestMetrics:
         frames = []
         for worker in range(2):
             with capture() as sink:
-                inc("repro_trials_total", labels={"mode": "serial"})
-                inc("repro_trials_total", 2, labels={"mode": "serial"})
+                inc("repro_scope_exec_total", labels={"outcome": "vectorized"})
+                inc("repro_scope_exec_total", 2, labels={"outcome": "vectorized"})
                 sink.set_gauge("latency", float(worker))
                 sink.observe("repro_trial_seconds", 0.5)
             frames.append(sink.snapshot())
@@ -188,7 +188,7 @@ class TestMetrics:
         for frame in frames:
             fleet.merge(frame)
         snap = fleet.snapshot()
-        key = metric_key("repro_trials_total", {"mode": "serial"})
+        key = metric_key("repro_scope_exec_total", {"outcome": "vectorized"})
         assert snap["counters"][key] == 6.0  # counters add
         assert snap["gauges"]["latency"] == 1.0  # last write wins
         hist = snap["histograms"]["repro_trial_seconds"]

@@ -1,13 +1,13 @@
 """The tier-parity matrix: every optimising path against the interpreter.
 
-``{compiled, cross:compiled,interpreter}`` x ``{run, run_batch K=4}`` on
-every npbench kernel, two bert cutouts (a tiled map, which normalises to
+``{compiled, cross:compiled,interpreter}`` x ``{with, without coverage}``,
+four trials through one prepared program each, on every npbench kernel, two bert cutouts (a tiled map, which normalises to
 one flat scope, and its
 off-by-one twin, which is refused: the outer scope is expanded by the
 interpreter, the inner one runs vectorized, once per tile) and one cloudsc
 cutout (an expanded map, flattened).  Per trial the outputs, the final symbols, the transition count and
 the coverage features must equal the oracle's bit for bit -- whether or not
-a single scope vectorized, fused or batched.
+a single scope vectorized, fused or fell back.
 """
 
 import functools
@@ -21,7 +21,7 @@ from repro.interpreter.errors import ExecutionError
 from repro.transforms import all_builtin_transformations
 from repro.workloads import get_workload, get_workload_suite
 
-BATCH = 4
+TRIALS = 4
 #: The optimiser alone, and the optimiser checked against the oracle by the
 #: ``cross`` pair (which hands back the optimiser's outcomes when they agree).
 TIERS = ["compiled", "cross:compiled,interpreter"]
@@ -78,7 +78,7 @@ def case(name):
             for container, desc in sdfg.arrays.items()
             if not desc.transient
         }
-        for seed in range(BATCH)
+        for seed in range(TRIALS)
     ]
     interpreter = get_backend("interpreter").prepare(sdfg)
     return sdfg, symbols, trials, interpreter
@@ -117,30 +117,27 @@ def assert_same_outcome(want, got):
 @pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("name", PROGRAMS)
 class TestTierParity:
-    def test_run(self, name, tier):
+    def check(self, name, tier, collect_coverage):
         sdfg, symbols, trials, _ = case(name)
         program = get_backend(tier).prepare(sdfg)
-        for arguments, want in zip(trials, oracle(name, collect_coverage=True)):
+        want = oracle(name, collect_coverage)
+        assert len(want) == TRIALS
+        for arguments, w in zip(trials, want):
             try:
-                got = program.run(dict(arguments), symbols, collect_coverage=True)
+                got = program.run(
+                    dict(arguments), symbols, collect_coverage=collect_coverage
+                )
             except ExecutionError as exc:
                 got = exc
-            assert_same_outcome(want, got)
+            assert_same_outcome(w, got)
 
-    def test_run_batch(self, name, tier):
-        """Without coverage the batch runs on the trial axis; with it, trial
-        by trial (coverage is per trial) -- same outcomes either way."""
-        sdfg, symbols, trials, _ = case(name)
-        program = get_backend(tier).prepare(sdfg)
-        for collect_coverage in (False, True):
-            got = program.run_batch(
-                [dict(arguments) for arguments in trials], symbols,
-                collect_coverage=collect_coverage,
-            )
-            want = oracle(name, collect_coverage)
-            assert len(got) == len(want) == BATCH
-            for w, g in zip(want, got):
-                assert_same_outcome(w, g)
+    def test_run(self, name, tier):
+        self.check(name, tier, collect_coverage=True)
+
+    def test_run_without_coverage(self, name, tier):
+        """Without coverage no tasklet is counted and no feature recorded;
+        the outcomes must not change."""
+        self.check(name, tier, collect_coverage=False)
 
 
 class TestTheMatrixExercisesEveryPath:
@@ -156,10 +153,3 @@ class TestTheMatrixExercisesEveryPath:
             for key in stats:
                 stats[key] += program.stats[key] - before[key]
         assert all(stats.values()), stats
-
-    def test_batches_take_the_trial_axis(self):
-        for name in ("gemm", "jacobi_2d", "bert:tiled_cutout"):
-            sdfg, symbols, trials, _ = case(name)
-            executor = get_backend("compiled").prepare(sdfg).executor
-            assert executor.batchable
-            executor.run_batched([dict(a) for a in trials], symbols)  # raises on retreat

@@ -2,7 +2,8 @@
 
 Small hand-built programs that steer one scope down one path each -- a
 fusable elementwise chain, a WCR tail, strided and permuted subsets,
-strided argument views, a map inside a loop and tasklets that crash --
+strided argument views, a map inside a loop, a branch on a scalar
+container and tasklets that crash --
 run under ``compiled`` and under the ``cross:compiled,interpreter`` pair.
 Outcomes (outputs, symbols, transitions, coverage *and errors*) must equal
 the interpreter's bit for bit.
@@ -15,7 +16,7 @@ from repro.backends import get_backend
 from repro.backends.base import CompiledProgram
 from repro.backends.cross import BackendDivergenceError, CrossProgram
 from repro.interpreter.errors import ExecutionError, TaskletExecutionError
-from repro.sdfg import SDFG, Memlet, float64
+from repro.sdfg import SDFG, InterstateEdge, Memlet, float64
 from repro.workloads import get_workload
 
 BACKENDS = ["compiled", "cross:compiled,interpreter"]
@@ -149,6 +150,27 @@ def loop_nest_program():
     return sdfg
 
 
+def branch_program():
+    """Adds one to ``A`` if ``flag > 0``, else subtracts one."""
+    sdfg = SDFG("databranch")
+    sdfg.add_array("A", ["N"], float64)
+    sdfg.add_scalar("flag", float64)
+    a = sdfg.add_state("a", is_start_state=True)
+    b = sdfg.add_state("b")
+    c = sdfg.add_state("c")
+    b.add_mapped_tasklet(
+        "inc", {"i": "0:N-1"}, {"x": Memlet.simple("A", "i")},
+        "y = x + 1.0", {"y": Memlet.simple("A", "i")},
+    )
+    c.add_mapped_tasklet(
+        "dec", {"i": "0:N-1"}, {"x": Memlet.simple("A", "i")},
+        "y = x - 1.0", {"y": Memlet.simple("A", "i")},
+    )
+    sdfg.add_edge(a, b, InterstateEdge(condition="flag > 0"))
+    sdfg.add_edge(a, c, InterstateEdge(condition="flag <= 0"))
+    return sdfg
+
+
 # ---------------------------------------------------------------------- #
 # Bitwise parity with the interpreter
 # ---------------------------------------------------------------------- #
@@ -192,6 +214,37 @@ class TestVectorParity:
     def test_permuted_subset(self, backend):
         vs_interpreter(permuted_program(), {"N": 6, "M": 9}, backend)
 
+    def test_sizes_change_between_trials(self, backend):
+        """The fuzzer draws fresh sizes per trial; one prepared program
+        serves them all."""
+        sdfg = permuted_program()
+        interp = get_backend("interpreter").prepare(sdfg)
+        program = get_backend(backend).prepare(sdfg)
+        for seed, (n, m) in enumerate([(6, 9), (3, 4), (1, 7), (6, 9)]):
+            symbols = {"N": n, "M": m}
+            args = make_arguments(sdfg, symbols, seed=seed)
+            ref = interp.run(dict(args), symbols, collect_coverage=True)
+            res = program.run(dict(args), symbols, collect_coverage=True)
+            assert_identical(ref, res)
+            assert ref.coverage.features() == res.coverage.features()
+
+    def test_data_dependent_branch(self, backend):
+        """An interstate condition that reads a scalar container: trials
+        with different values take different branches."""
+        sdfg = branch_program()
+        symbols = {"N": 5}
+        interp = get_backend("interpreter").prepare(sdfg)
+        program = get_backend(backend).prepare(sdfg)
+        outputs = []
+        for flag in (1.0, -1.0, 2.0):
+            args = make_arguments(sdfg, symbols, seed=0)
+            args["flag"] = np.asarray([flag])
+            ref = interp.run(dict(args), symbols)
+            assert_identical(ref, program.run(dict(args), symbols))
+            outputs.append(ref.outputs["A"])
+        assert np.array_equal(outputs[0], outputs[2])
+        assert not np.array_equal(outputs[0], outputs[1])
+
     def test_noncontiguous_input_views(self, backend):
         """Strided argument *arrays* (as opposed to strided subsets) are
         read through their own strides, not assumed C-ordered."""
@@ -221,19 +274,21 @@ class TestThePathsAreTaken:
         program = vs_interpreter(strided_program(), {"N": 12})
         assert program.stats["vectorized"] >= 1
 
-    def test_trial_batch_parity(self):
-        """The fuzzer's --trial-batch path (the trial axis) must reproduce
-        serial outcomes exactly."""
+    def test_one_program_fuses_every_trial(self):
+        """The fuzzer runs all of a task's trials through one prepared
+        program: each trial fuses again and matches its own oracle run."""
         sdfg = chain_program()
         symbols = {"N": 14}
-        args_list = [make_arguments(sdfg, symbols, seed=s) for s in range(6)]
         interp = get_backend("interpreter").prepare(sdfg)
-        ref = [interp.run(dict(a), symbols) for a in args_list]
         program = get_backend("compiled").prepare(sdfg)
-        assert program.executor.batchable
-        got = program.executor.run_batched([dict(a) for a in args_list], symbols)
-        for r, g in zip(ref, got):
-            assert_identical(r, g)
+        for seed in range(6):
+            args = make_arguments(sdfg, symbols, seed=seed)
+            assert_identical(interp.run(dict(args), symbols), program.run(dict(args), symbols))
+            if seed == 0:
+                per_trial = program.stats["fused"]
+        assert per_trial >= 1
+        assert program.stats["fused"] == 6 * per_trial
+        assert program.stats["fallback"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -263,7 +318,9 @@ class TestCrashTaxonomy:
     def test_log_domain_error(self, backend):
         self.crash_case(backend, "math.log(x)", [1.0, 0.0])
 
-    def test_crashing_trial_in_batch(self, backend):
+    def test_crashing_trial_among_trials(self, backend):
+        """A crash in one trial leaves the prepared program fit for the
+        next: every trial's outcome, the error included, is the oracle's."""
         sdfg = crash_program("math.sqrt(x)")
         symbols = {"N": 5}
         args_list = [make_arguments(sdfg, symbols, seed=s) for s in range(4)]
@@ -271,20 +328,16 @@ class TestCrashTaxonomy:
             args["A"] = np.abs(args["A"]) + 0.5
         args_list[1]["A"][2] = -2.0
         interp = get_backend("interpreter").prepare(sdfg)
-        ref = []
-        for args in args_list:
-            try:
-                ref.append(interp.run(dict(args), symbols))
-            except ExecutionError as exc:
-                ref.append(exc)
-        got = get_backend(backend).prepare(sdfg).run_batch(
-            [dict(a) for a in args_list], symbols
-        )
-        for k, (r, g) in enumerate(zip(ref, got)):
-            if isinstance(r, ExecutionError):
-                assert type(g) is type(r) and str(g) == str(r), f"trial {k}"
+        program = get_backend(backend).prepare(sdfg)
+        for k, args in enumerate(args_list):
+            if k == 1:
+                with pytest.raises(TaskletExecutionError) as ref:
+                    interp.run(dict(args), symbols)
+                with pytest.raises(TaskletExecutionError) as got:
+                    program.run(dict(args), symbols)
+                assert str(got.value) == str(ref.value)
             else:
-                assert_identical(r, g)
+                assert_identical(interp.run(dict(args), symbols), program.run(dict(args), symbols))
 
 
 # ---------------------------------------------------------------------- #
