@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke smoke-dist smoke-chaos sweep bench-scaling bench-quick bench-e2e bench-e2e-check bench-pairs lint-arch
+.PHONY: test smoke smoke-dist smoke-chaos sweep bench-scaling bench-quick bench-figs bench-e2e bench-e2e-check bench-pairs lint-arch
 
 test:
 	$(PY) -m pytest -x -q
@@ -58,6 +58,13 @@ sweep:
 
 bench-scaling:
 	cd benchmarks && PYTHONPATH=../src $(PY) -m pytest bench_pipeline_scaling.py -q -s
+
+# The paper-figure benchmarks (Figs. 2-6) and the CLOUDSC case study: the
+# only callers of the verifier's vary_sizes / stop_on_failure knobs, of
+# verify_whole_program and of the coverage-guided baseline; about 20 s,
+# writes nothing.
+bench-figs:
+	cd benchmarks && PYTHONPATH=../src $(PY) -m pytest bench_fig*.py bench_cloudsc_case_study.py -q
 
 # Interpreter / compiled throughput at tiny sizes, including the loop-nest
 # kernel and the multi-scope fusion kernel (asserts the >=2x scope-fusion

@@ -6,7 +6,7 @@ whole program, comparing white-box and black-box change isolation and the
 effect of including direct data dependencies.
 """
 
-from repro.core import extract_cutout
+from repro.core import black_box_change_set, extract_cutout
 from repro.transforms import MapTiling
 from repro.workloads import build_matmul_chain
 
@@ -51,23 +51,24 @@ def test_fig3_cutout_extraction(benchmark, report_lines):
 
 def test_fig3_white_box_vs_black_box(benchmark, report_lines):
     xform = MapTiling(tile_size=4)
-    sdfg_w = build_matmul_chain()
+    sdfg = build_matmul_chain()
+    match = _mm2_match(xform, sdfg)
     cut_white = extract_cutout(
-        sdfg_w, transformation=xform, match=_mm2_match(xform, sdfg_w),
-        symbol_values={"N": N},
+        sdfg, transformation=xform, match=match, symbol_values={"N": N},
     )
-    sdfg_b = build_matmul_chain()
-    cut_black = benchmark.pedantic(
-        lambda: extract_cutout(
-            sdfg_b, transformation=xform, match=_mm2_match(xform, sdfg_b),
-            use_black_box=True, symbol_values={"N": N},
-        ),
-        rounds=1, iterations=1,
-    )
+
+    def black_box():
+        nodes, states = black_box_change_set(sdfg, xform, match)
+        return extract_cutout(sdfg, nodes=nodes, states=states, symbol_values={"N": N})
+
+    cut_black = benchmark.pedantic(black_box, rounds=1, iterations=1)
     report_lines.append(f"white-box cutout nodes           : {cut_white.num_nodes()}")
     report_lines.append(f"black-box cutout nodes           : {cut_black.num_nodes()}")
     report_lines.append(f"white-box input configuration    : {sorted(cut_white.input_configuration)}")
     report_lines.append(f"black-box input configuration    : {sorted(cut_black.input_configuration)}")
-    # Both isolate the same sub-program (the black box one may be slightly
-    # larger but must cover the white-box change set).
-    assert set(cut_white.system_state) <= set(cut_black.system_state)
+    # Graph diffing recovers no more than the transformation reports: the
+    # black-box cutout lies inside the white-box one (on every registered
+    # instance, tests/test_black_box_audit.py), here with the same system state.
+    assert cut_black.node_guids <= cut_white.node_guids
+    assert set(cut_black.input_configuration) <= set(cut_white.input_configuration)
+    assert set(cut_black.system_state) == set(cut_white.system_state)

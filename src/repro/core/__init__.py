@@ -3,12 +3,16 @@
 High-level entry points:
 
 * :func:`repro.core.verifier.verify_transformation` /
-  :class:`repro.core.verifier.FuzzyFlowVerifier` -- the full workflow,
+  :class:`repro.core.verifier.FuzzyFlowVerifier` -- the full workflow, one
+  path (white-box ΔT, constraint-based sampling) with eight knobs,
 * :func:`repro.core.cutout.extract_cutout` -- cutout extraction on its own,
+  around a match's white-box ΔT or any explicit node/state set (such as
+  :func:`repro.core.change_isolation.black_box_change_set`'s),
 * :func:`repro.core.input_minimization.minimize_input_configuration` -- the
   minimum input-flow cut,
-* :class:`repro.core.fuzzing.DifferentialFuzzer` /
-  :class:`repro.core.coverage_fuzz.CoverageGuidedFuzzer` -- the fuzzers.
+* :class:`repro.core.fuzzing.DifferentialFuzzer` -- the verifier's fuzzer,
+  and :class:`repro.core.coverage_fuzz.CoverageGuidedFuzzer`, the AFL-style
+  baseline it is measured against (Fig. 5).
 """
 
 from repro.core.change_isolation import (

@@ -5,12 +5,15 @@ Two modes are provided, mirroring the paper:
 * **white box** -- the transformation self-reports the nodes/states it will
   modify (:meth:`PatternTransformation.modified_nodes` /
   :meth:`~PatternTransformation.modified_states`).  This is how DaCe
-  transformations expose their pattern, and it is the default.
+  transformations expose their pattern, and it is the one the verifier uses.
 * **black box** -- the change set is recovered by diffing the program graph
   before and after applying the transformation to a throw-away copy.  Nodes
   are matched by their guid (which survives copies); nodes whose fingerprint
   changed, nodes that only exist on one side, and the endpoints of
-  added/removed/modified edges are all part of ΔT.
+  added/removed/modified edges are all part of ΔT.  It audits the white box:
+  on every registered instance, the cutout ``extract_cutout(sdfg, nodes=,
+  states=)`` builds from it lies inside the white-box cutout
+  (``tests/test_black_box_audit.py``).
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ The comparison with the gray-box constraint-based fuzzer (which samples sizes
 uniformly within derived constraints) reproduces the Sec. 6.1 observation:
 finding *input-size-dependent* bugs takes the coverage-guided loop many more
 trials, because it starts from the (well-behaved) default sizes and only
-drifts away slowly.
+drifts away slowly.  It is that baseline (``benchmarks/bench_fig5``), not a
+mode of :class:`~repro.core.verifier.FuzzyFlowVerifier`: wrap a
+:class:`~repro.core.fuzzing.DifferentialFuzzer` to use it.
 """
 
 from __future__ import annotations

@@ -191,25 +191,23 @@ def extract_cutout(
     match: Optional[Match] = None,
     nodes: Optional[Sequence[Tuple[SDFGState, Node]]] = None,
     states: Optional[Sequence[SDFGState]] = None,
-    use_black_box: bool = False,
     symbol_values: Optional[Dict[str, int]] = None,
 ) -> Cutout:
     """Extract a cutout around a transformation match or an explicit node set.
 
-    If a transformation+match is given, the change set ΔT is obtained from the
-    transformation (white box) or by graph diffing (``use_black_box=True``).
+    If a transformation+match is given, the change set ΔT is the one the
+    transformation reports (white box).  Any other change set -- e.g. the
+    graph-diffing black box, ``black_box_change_set(sdfg, xform, match)`` --
+    is passed as ``nodes=`` / ``states=``.
     """
-    from repro.core.change_isolation import black_box_change_set, white_box_change_set
+    from repro.core.change_isolation import white_box_change_set
 
     if nodes is None and states is None:
         if transformation is None or match is None:
             raise ValueError(
                 "Either a transformation match or an explicit node/state set is required"
             )
-        if use_black_box:
-            nodes, states = black_box_change_set(sdfg, transformation, match)
-        else:
-            nodes, states = white_box_change_set(sdfg, transformation, match)
+        nodes, states = white_box_change_set(sdfg, transformation, match)
 
     node_list = list(nodes or [])
     state_list = list(states or [])

@@ -4,9 +4,9 @@ Each trial samples an input configuration, runs it through the original
 cutout ``c`` and the transformed cutout ``T(c)``, and compares their system
 states.  A trial fails -- labelling the transformation as semantics-changing
 -- if the transformed program crashes or hangs while the original does not,
-or if any system-state container differs by more than the configured
-threshold (``1e-5`` by default, bit-wise equality when the threshold is 0,
-matching the paper's footnote 1).
+or if any system-state container differs by more than :data:`TOLERANCE`
+(bit-wise equality when :func:`compare_system_states` is given a threshold
+of 0, matching the paper's footnote 1).
 """
 
 from __future__ import annotations
@@ -26,7 +26,11 @@ from repro.telemetry import inc as _metric_inc
 from repro.telemetry import observe as _metric_observe
 from repro.telemetry import perf_counter as _perf_counter
 
-__all__ = ["DifferentialFuzzer", "compare_system_states"]
+__all__ = ["TOLERANCE", "DifferentialFuzzer", "compare_system_states"]
+
+#: The largest absolute difference at which two floating-point system-state
+#: containers still compare equal.
+TOLERANCE = 1e-5
 
 
 def _max_abs_diff(ref: np.ndarray, cand: np.ndarray) -> float:
@@ -62,7 +66,7 @@ def compare_system_states(
     reference: Mapping[str, np.ndarray],
     candidate: Mapping[str, np.ndarray],
     system_state: Sequence[str],
-    tolerance: float = 1e-5,
+    tolerance: float = TOLERANCE,
 ) -> Tuple[List[str], float]:
     """Compare two sets of program outputs on the system-state containers.
 
@@ -121,25 +125,23 @@ class DifferentialFuzzer:
         transformed: SDFG,
         system_state: Sequence[str],
         sampler: InputSampler,
-        tolerance: float = 1e-5,
-        max_transitions: int = 100_000,
-        collect_coverage: bool = False,
         backend: Union[str, ExecutionBackend] = DEFAULT_BACKEND,
     ) -> None:
         self.original = original
         self.transformed = transformed
         self.system_state = list(system_state)
         self.sampler = sampler
-        self.tolerance = tolerance
-        self.collect_coverage = collect_coverage
+        #: Whether trials record the original's coverage map; only
+        #: :class:`~repro.core.coverage_fuzz.CoverageGuidedFuzzer` sets it.
+        self.collect_coverage = False
         # Per-trial setup (argument coercion plans, symbol binding, compiled
         # subsets, vectorization plans) lives in prepare(), outside the
         # trial loop.  Backend errors other than ExecutionError -- notably a
         # cross-backend divergence -- propagate out of run_trial: they are
         # backend bugs, not properties of the program under test.
         self.backend = get_backend(backend)
-        self._orig_exec = self.backend.prepare(original, max_transitions=max_transitions)
-        self._trans_exec = self.backend.prepare(transformed, max_transitions=max_transitions)
+        self._orig_exec = self.backend.prepare(original)
+        self._trans_exec = self.backend.prepare(transformed)
 
     # ------------------------------------------------------------------ #
     def run_trial(self, sample: InputSample, index: int = 0) -> TrialResult:
@@ -215,7 +217,7 @@ class DifferentialFuzzer:
             )
 
         mismatched, max_err = compare_system_states(
-            orig_result.outputs, trans_result.outputs, self.system_state, self.tolerance
+            orig_result.outputs, trans_result.outputs, self.system_state
         )
         if mismatched:
             return TrialResult(

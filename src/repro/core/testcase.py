@@ -39,12 +39,12 @@ class ReproducibleTestCase:
     system_state: List[str]
     input_configuration: List[str]
     verdict: str = ""
-    tolerance: float = 1e-5
     notes: str = ""
 
     # ------------------------------------------------------------------ #
     def replay(self) -> Dict[str, Any]:
-        """Re-run both cutouts on the stored inputs and re-compare."""
+        """Re-run both cutouts on the stored inputs and re-compare (within
+        :data:`repro.core.fuzzing.TOLERANCE`, as the fuzzer does)."""
         result: Dict[str, Any] = {"reproduced": False, "mismatched": [], "error": ""}
         orig_exec = SDFGExecutor(self.original_cutout)
         try:
@@ -65,9 +65,7 @@ class ReproducibleTestCase:
             result["reproduced"] = True
             result["error"] = f"transformed cutout failed: {exc}"
             return result
-        mismatched, max_err = compare_system_states(
-            ref.outputs, cand.outputs, self.system_state, self.tolerance
-        )
+        mismatched, max_err = compare_system_states(ref.outputs, cand.outputs, self.system_state)
         result["reproduced"] = bool(mismatched)
         result["mismatched"] = mismatched
         result["max_abs_error"] = max_err
@@ -91,7 +89,6 @@ def save_test_case(case: ReproducibleTestCase, directory: str) -> str:
         "system_state": list(case.system_state),
         "input_configuration": list(case.input_configuration),
         "verdict": case.verdict,
-        "tolerance": case.tolerance,
         "notes": case.notes,
     }
     with open(os.path.join(directory, "metadata.json"), "w", encoding="utf-8") as f:
@@ -118,6 +115,5 @@ def load_test_case(directory: str) -> ReproducibleTestCase:
         system_state=list(meta.get("system_state", [])),
         input_configuration=list(meta.get("input_configuration", [])),
         verdict=meta.get("verdict", ""),
-        tolerance=float(meta.get("tolerance", 1e-5)),
         notes=meta.get("notes", ""),
     )

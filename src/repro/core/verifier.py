@@ -1,82 +1,76 @@
 """The top-level FuzzyFlow workflow (Fig. 1).
 
 :class:`FuzzyFlowVerifier` ties the pieces together for one transformation
-instance:
+instance, along one path:
 
-1. **change isolation** -- obtain ΔT from the transformation (white box) or by
-   graph diffing (black box),
+1. **change isolation** -- ΔT as the transformation reports it (white box,
+   Sec. 3),
 2. **cutout extraction** -- build a standalone test program around ΔT with its
    input configuration and system state,
 3. **input minimization** -- optionally shrink the input configuration with
-   the minimum input-flow cut,
+   the minimum input-flow cut (Sec. 4),
 4. **transformation application** -- transfer the match onto the cutout and
    apply it; failures or invalid results are reported as "generates invalid
    code",
-5. **gray-box differential fuzzing** -- sample constrained inputs and compare
-   system states, and
+5. **gray-box differential fuzzing** -- sample inputs within the derived
+   constraints and compare system states (Sec. 5), and
 6. **test-case generation** -- persist the fault-inducing input together with
    both cutouts when a fault is found.
 
 ``verify_whole_program`` provides the baseline the paper compares against:
-differential testing of the *entire* application instead of the cutout.
+differential testing of the *entire* application instead of the cutout; it
+shares the match pick and the fuzzing step with ``verify``.
+
+The verifier takes eight knobs and no more (``tests/test_core_verifier.py``
+pins them).  The alternatives the paper measures this path against live
+beside it, not behind switches: black-box ΔT is
+:func:`repro.core.change_isolation.black_box_change_set`, whose result
+``extract_cutout(sdfg, nodes=, states=)`` turns into a cutout, and the
+AFL-style loop is :class:`repro.core.coverage_fuzz.CoverageGuidedFuzzer`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+import os
+from typing import List, Mapping, Optional, Sequence
 
 from repro.core.constraints import derive_constraints
 from repro.core.cutout import Cutout, extract_cutout, transfer_match
-from repro.core.coverage_fuzz import CoverageGuidedFuzzer
 from repro.core.fuzzing import DifferentialFuzzer
-from repro.core.input_minimization import MinimizationResult, minimize_input_configuration
-from repro.core.reporting import (
-    FuzzingReport,
-    TransformationTestReport,
-    Verdict,
-)
+from repro.core.input_minimization import minimize_input_configuration
+from repro.core.reporting import TransformationTestReport, Verdict
 from repro.core.sampling import InputSampler
 from repro.core.testcase import ReproducibleTestCase, save_test_case
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.validation import InvalidSDFGError, validate_sdfg
 from repro.telemetry import TRACER as _TRACER
 from repro.telemetry import perf_counter as _perf_counter
-from repro.transforms.base import Match, PatternTransformation, TransformationError
+from repro.transforms.base import Match, PatternTransformation
 
 __all__ = ["FuzzyFlowVerifier", "verify_transformation"]
 
 
 class FuzzyFlowVerifier:
-    """Configurable driver for testing transformation instances."""
+    """Driver for testing transformation instances."""
 
     def __init__(
         self,
         num_trials: int = 50,
-        tolerance: float = 1e-5,
         minimize_inputs: bool = True,
-        use_black_box: bool = False,
         vary_sizes: bool = True,
         stop_on_failure: bool = True,
         size_max: int = 32,
         seed: int = 0,
-        max_transitions: int = 100_000,
         test_case_dir: Optional[str] = None,
-        use_coverage_guidance: bool = False,
         backend: str = "interpreter",
     ) -> None:
         self.num_trials = num_trials
-        self.tolerance = tolerance
         self.minimize_inputs = minimize_inputs
-        self.use_black_box = use_black_box
         self.vary_sizes = vary_sizes
         self.stop_on_failure = stop_on_failure
         self.size_max = size_max
         self.seed = seed
-        self.max_transitions = max_transitions
         self.test_case_dir = test_case_dir
-        self.use_coverage_guidance = use_coverage_guidance
         #: Execution backend for differential fuzzing ("interpreter",
         #: "compiled" or the self-checking "cross"; see repro.backends).
         self.backend = backend
@@ -89,7 +83,6 @@ class FuzzyFlowVerifier:
         match: Optional[Match] = None,
         symbol_values: Optional[Mapping[str, int]] = None,
         fixed_symbols: Optional[Mapping[str, int]] = None,
-        custom_constraints: Optional[Mapping[str, Tuple[int, int]]] = None,
     ) -> TransformationTestReport:
         """Test one transformation instance on a program.
 
@@ -101,21 +94,9 @@ class FuzzyFlowVerifier:
         has been applied."""
         start = _perf_counter()
         symbol_values = dict(symbol_values or {})
-
+        match = self._pick_match(sdfg, transformation, match)
         if match is None:
-            candidates = [
-                m
-                for m in transformation.find_matches(sdfg)
-                if transformation.can_be_applied(sdfg, m)
-            ]
-            if not candidates:
-                return TransformationTestReport(
-                    transformation=transformation.name,
-                    match_description="(no applicable match)",
-                    verdict=Verdict.UNTESTED,
-                    duration_seconds=_perf_counter() - start,
-                )
-            match = candidates[0]
+            return _no_match_report(transformation, start)
 
         report = TransformationTestReport(
             transformation=transformation.name,
@@ -130,17 +111,12 @@ class FuzzyFlowVerifier:
                     sdfg,
                     transformation=transformation,
                     match=match,
-                    use_black_box=self.use_black_box,
                     symbol_values=symbol_values,
                 )
         except Exception as exc:  # noqa: BLE001 - reported as a verdict
-            report.verdict = Verdict.INVALID_CODE
-            report.error_message = f"cutout extraction failed: {exc}"
-            report.duration_seconds = _perf_counter() - start
-            return report
+            return _invalid(report, f"cutout extraction failed: {exc}", start)
 
         # 3. Input-configuration minimization (dataflow cutouts only).
-        minimization: Optional[MinimizationResult] = None
         if self.minimize_inputs and cutout.kind == "dataflow":
             try:
                 with _TRACER.span("verify.minimize", "verify"):
@@ -178,10 +154,7 @@ class FuzzyFlowVerifier:
                 cutout_match = transfer_match(transformation, match, transformed)
                 transformation.apply(transformed, cutout_match)
         except Exception as exc:  # noqa: BLE001 - reported as a verdict
-            report.verdict = Verdict.INVALID_CODE
-            report.error_message = f"failed to apply transformation to the cutout: {exc}"
-            report.duration_seconds = _perf_counter() - start
-            return report
+            return _invalid(report, f"failed to apply transformation to the cutout: {exc}", start)
 
         # Only now, after the clone and the application (a transformation
         # may consult ``transient``), are the flags finalised -- in place.
@@ -192,84 +165,86 @@ class FuzzyFlowVerifier:
         try:
             validate_sdfg(transformed)
         except InvalidSDFGError as exc:
-            report.verdict = Verdict.INVALID_CODE
-            report.error_message = f"transformed program is invalid: {exc}"
-            report.duration_seconds = _perf_counter() - start
-            self._maybe_save_test_case(report, cutout, transformed, None, {}, symbol_values)
+            _invalid(report, f"transformed program is invalid: {exc}", start)
+            self._maybe_save_test_case(report, cutout, transformed, symbol_values)
             return report
 
         # 6. Gray-box differential fuzzing.
+        self._fuzz(
+            report, sdfg, cutout.sdfg, transformed, cutout.input_configuration,
+            cutout.system_state, symbol_values, fixed_symbols, start,
+        )
+        if report.verdict.is_failure:
+            self._maybe_save_test_case(report, cutout, transformed, symbol_values)
+        return report
+
+    # ------------------------------------------------------------------ #
+    def _pick_match(
+        self, sdfg: SDFG, transformation: PatternTransformation, match: Optional[Match]
+    ) -> Optional[Match]:
+        """``match``, or else the first applicable one (``None`` if none)."""
+        if match is not None:
+            return match
+        matches = self.enumerate_instances(sdfg, transformation, max_instances=1)
+        return matches[0] if matches else None
+
+    def _fuzz(
+        self,
+        report: TransformationTestReport,
+        sdfg: SDFG,
+        original: SDFG,
+        transformed: SDFG,
+        input_configuration: Sequence[str],
+        system_state: Sequence[str],
+        symbol_values: Mapping[str, int],
+        fixed_symbols: Optional[Mapping[str, int]],
+        start: float,
+    ) -> None:
+        """Constraints -> sampler -> fuzzer -> verdict, into ``report``.
+
+        ``original`` is the program under test (a cutout, or ``sdfg``
+        itself for the whole-program baseline); ``sdfg`` is the program it
+        was taken from, the context its constraints are derived in."""
         constraints = derive_constraints(
-            cutout.sdfg,
+            original,
             original_sdfg=sdfg,
             symbol_values=symbol_values,
             size_max=self.size_max,
-            custom=custom_constraints,
         )
         sampler = InputSampler(
-            cutout.sdfg,
-            cutout.input_configuration,
-            cutout.system_state,
+            original,
+            input_configuration,
+            system_state,
             constraints=constraints,
             fixed_symbols=fixed_symbols,
             vary_sizes=self.vary_sizes,
             seed=self.seed,
         )
         fuzzer = DifferentialFuzzer(
-            cutout.sdfg,
-            transformed,
-            cutout.system_state,
-            sampler,
-            tolerance=self.tolerance,
-            max_transitions=self.max_transitions,
-            backend=self.backend,
+            original, transformed, system_state, sampler, backend=self.backend
         )
         with _TRACER.span("verify.fuzz", "verify") as span:
             span.set("trials", self.num_trials)
-            if self.use_coverage_guidance:
-                cg = CoverageGuidedFuzzer(fuzzer, sampler, seed=self.seed)
-                fuzzing_report = cg.run(
-                    max_trials=self.num_trials,
-                    default_symbols={
-                        k: int(v) for k, v in symbol_values.items()
-                        if k in cutout.sdfg.free_symbols
-                    } or None,
-                    stop_on_failure=self.stop_on_failure,
-                )
-            else:
-                fuzzing_report = fuzzer.run(
-                    num_trials=self.num_trials, stop_on_failure=self.stop_on_failure
-                )
-
-        report.fuzzing = fuzzing_report
-        report.verdict = fuzzing_report.verdict()
+            report.fuzzing = fuzzer.run(
+                num_trials=self.num_trials, stop_on_failure=self.stop_on_failure
+            )
+        report.verdict = report.fuzzing.verdict()
         report.duration_seconds = _perf_counter() - start
 
-        if report.verdict.is_failure:
-            self._maybe_save_test_case(
-                report,
-                cutout,
-                transformed,
-                fuzzing_report.failing_inputs,
-                fuzzing_report.failing_symbols or {},
-                symbol_values,
-            )
-        return report
-
-    # ------------------------------------------------------------------ #
     def _maybe_save_test_case(
         self,
         report: TransformationTestReport,
         cutout: Cutout,
         transformed: SDFG,
-        failing_inputs: Optional[Dict[str, np.ndarray]],
-        failing_symbols: Dict[str, int],
         symbol_values: Mapping[str, int],
     ) -> None:
+        """Persist the failing input of ``report`` (none if the transformed
+        cutout was invalid) with both cutouts, when ``test_case_dir`` is set."""
         if self.test_case_dir is None:
             return
-        import os
-
+        fuzzing = report.fuzzing
+        failing_inputs = fuzzing.failing_inputs if fuzzing else None
+        failing_symbols = fuzzing.failing_symbols if fuzzing else None
         case = ReproducibleTestCase(
             name=f"{report.transformation}_{len(os.listdir(self.test_case_dir)) if os.path.isdir(self.test_case_dir) else 0}",
             transformation=report.transformation,
@@ -371,7 +346,6 @@ class FuzzyFlowVerifier:
         match: Optional[Match] = None,
         symbol_values: Optional[Mapping[str, int]] = None,
         fixed_symbols: Optional[Mapping[str, int]] = None,
-        num_trials: Optional[int] = None,
     ) -> TransformationTestReport:
         """Baseline: differential testing of the entire application.
 
@@ -379,20 +353,9 @@ class FuzzyFlowVerifier:
         testing against (e.g. the 528x headline of Sec. 6.1)."""
         start = _perf_counter()
         symbol_values = dict(symbol_values or {})
+        match = self._pick_match(sdfg, transformation, match)
         if match is None:
-            candidates = [
-                m
-                for m in transformation.find_matches(sdfg)
-                if transformation.can_be_applied(sdfg, m)
-            ]
-            if not candidates:
-                return TransformationTestReport(
-                    transformation=transformation.name,
-                    match_description="(no applicable match)",
-                    verdict=Verdict.UNTESTED,
-                    duration_seconds=_perf_counter() - start,
-                )
-            match = candidates[0]
+            return _no_match_report(transformation, start)
 
         report = TransformationTestReport(
             transformation=transformation.name,
@@ -405,15 +368,9 @@ class FuzzyFlowVerifier:
             transformation.apply(transformed, prog_match)
             validate_sdfg(transformed)
         except InvalidSDFGError as exc:
-            report.verdict = Verdict.INVALID_CODE
-            report.error_message = str(exc)
-            report.duration_seconds = _perf_counter() - start
-            return report
+            return _invalid(report, str(exc), start)
         except Exception as exc:  # noqa: BLE001
-            report.verdict = Verdict.INVALID_CODE
-            report.error_message = f"failed to apply transformation: {exc}"
-            report.duration_seconds = _perf_counter() - start
-            return report
+            return _invalid(report, f"failed to apply transformation: {exc}", start)
 
         non_transient = [n for n, d in sdfg.arrays.items() if not d.transient]
         report.input_configuration = list(non_transient)
@@ -422,35 +379,32 @@ class FuzzyFlowVerifier:
         report.cutout_nodes = sum(len(s.nodes()) for s in sdfg.states())
         report.cutout_states = len(sdfg.states())
 
-        constraints = derive_constraints(
-            sdfg, original_sdfg=sdfg, symbol_values=symbol_values, size_max=self.size_max
+        self._fuzz(
+            report, sdfg, sdfg, transformed, non_transient, non_transient,
+            symbol_values, fixed_symbols, start,
         )
-        sampler = InputSampler(
-            sdfg,
-            non_transient,
-            non_transient,
-            constraints=constraints,
-            fixed_symbols=fixed_symbols,
-            vary_sizes=self.vary_sizes,
-            seed=self.seed,
-        )
-        fuzzer = DifferentialFuzzer(
-            sdfg,
-            transformed,
-            non_transient,
-            sampler,
-            tolerance=self.tolerance,
-            max_transitions=self.max_transitions,
-            backend=self.backend,
-        )
-        fuzzing_report = fuzzer.run(
-            num_trials=num_trials if num_trials is not None else self.num_trials,
-            stop_on_failure=self.stop_on_failure,
-        )
-        report.fuzzing = fuzzing_report
-        report.verdict = fuzzing_report.verdict()
-        report.duration_seconds = _perf_counter() - start
         return report
+
+
+def _no_match_report(
+    transformation: PatternTransformation, start: float
+) -> TransformationTestReport:
+    return TransformationTestReport(
+        transformation=transformation.name,
+        match_description="(no applicable match)",
+        verdict=Verdict.UNTESTED,
+        duration_seconds=_perf_counter() - start,
+    )
+
+
+def _invalid(
+    report: TransformationTestReport, message: str, start: float
+) -> TransformationTestReport:
+    """Label ``report`` "generates invalid code" with ``message``."""
+    report.verdict = Verdict.INVALID_CODE
+    report.error_message = message
+    report.duration_seconds = _perf_counter() - start
+    return report
 
 
 def verify_transformation(

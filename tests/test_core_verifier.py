@@ -1,5 +1,7 @@
 """End-to-end tests of the FuzzyFlow verifier against every bug class."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -351,20 +353,6 @@ class TestVerifierFeatures:
         )
         assert report.minimized is False
 
-    def test_black_box_isolation(self):
-        report = verify_transformation(
-            producer_consumer_program(), Vectorization(vector_size=4),
-            symbol_values={"N": 8}, use_black_box=True, **VERIFIER,
-        )
-        assert report.verdict == Verdict.PASS
-
-    def test_black_box_catches_bug(self):
-        report = verify_transformation(
-            tasklet_chain_program(), TaskletFusion(inject_bug=True),
-            use_black_box=True, **VERIFIER,
-        )
-        assert report.verdict == Verdict.SEMANTIC_CHANGE
-
     def test_untested_when_no_match(self):
         sdfg = SDFG("empty")
         sdfg.add_state("s")
@@ -415,10 +403,12 @@ class TestVerifierFeatures:
         )
         assert whole.verdict == Verdict.PASS
 
-    def test_coverage_guided_mode(self):
-        report = verify_transformation(
-            producer_consumer_program(), Vectorization(vector_size=4, inject_bug=True),
-            symbol_values={"N": 8}, num_trials=150, seed=3, size_max=12,
-            use_coverage_guidance=True,
-        )
-        assert report.verdict.is_failure
+    def test_knob_set_is_pinned(self):
+        """One verifier configuration: each of these is set by some entry
+        point (README "Verifier configuration"); a ninth knob needs a
+        deliberate edit here."""
+        knobs = list(inspect.signature(FuzzyFlowVerifier.__init__).parameters)[1:]
+        assert knobs == [
+            "num_trials", "minimize_inputs", "vary_sizes", "stop_on_failure",
+            "size_max", "seed", "test_case_dir", "backend",
+        ]

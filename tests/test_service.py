@@ -551,11 +551,14 @@ class TestService:
         finally:
             service.stop()
 
-    @pytest.mark.parametrize("key", ["num_trails", "trial_batch"])
+    @pytest.mark.parametrize("key", [
+        "num_trails", "trial_batch",
+        "use_black_box", "use_coverage_guidance", "tolerance", "max_transitions",
+    ])
     def test_http_submit_refuses_unknown_verifier_keywords(self, key):
-        """A keyword the verifier does not take (a typo, or one an older
-        CLI still writes) is a 400 naming the key, not a sweep whose every
-        task lands UNTESTED with a ``TypeError``."""
+        """A keyword the verifier does not take (a typo, or a retired knob
+        an older client still writes) is a 400 naming the key, not a sweep
+        whose every task lands UNTESTED with a ``TypeError``."""
         service = VerificationService(http_port=0)
         service.start()
         host, port = service.http_address
