@@ -17,13 +17,12 @@ layers:
    registry of concurrently active sweeps, each with its own queue,
    journal, retry budget and lifecycle state
    (``submitted -> running -> draining -> complete``), dispatched to
-   workers by weighted fair share with latency-adaptive shard sizing.
+   workers by weighted fair share with tail-leveled shard sizing.
 4. **Transport** (:mod:`repro.cluster.service`) -- the asyncio
    :class:`VerificationService`: the worker socket loop, an HTTP
-   submit/status API, shared-secret auth for non-loopback peers, and
-   optional in-process local executors.  State-dir persistence
-   (:mod:`repro.cluster.state`) makes the whole service
-   kill-and-restartable with every in-flight sweep restored.
+   submit/status API and shared-secret auth for non-loopback peers.
+   State-dir persistence (:mod:`repro.cluster.state`) makes the whole
+   service kill-and-restartable with every in-flight sweep restored.
 5. **Execution clients** -- elastic socket workers
    (:mod:`repro.cluster.worker`) that join/leave mid-service and survive
    service bounces (``--reconnect-seconds``), and the thin HTTP client

@@ -14,13 +14,13 @@ worker sends              service replies
 ========================  ===========================================
 ``hello`` {worker: {...}, ``welcome`` {total, sweeps, suite, buggy,
   token?}                 backend} | ``error`` {error} on auth refusal
-``request`` {max_tasks}   ``tasks`` {shard, sweep, latency_ewma,
+``request`` {max_tasks}   ``tasks`` {shard, sweep,
                           tasks: [{index, task_id, task}]}
                           | ``wait`` {} (nothing leasable right now)
                           | ``done`` {} (one-shot mode, all sweeps done)
 ``result`` {index, shard, ``ack`` {}
-  sweep?, task_id,
-  outcome, metrics?}
+  task_id, outcome,
+  metrics?}
 ``ping`` {metrics?}       ``pong`` {} (heartbeat; proves a busy worker is
                           alive so a ``worker_timeout`` service does not
                           requeue its in-flight shard; ``metrics`` carries
@@ -28,11 +28,11 @@ worker sends              service replies
                           oldest-task age, for hung-task visibility)
 ========================  ===========================================
 
-Multi-tenancy rides on two optional fields: leases carry the ``sweep``
-submission id and workers echo it back in results.  Pre-service workers
-that echo only ``task_id`` still route correctly -- the service resolves
-results through the connection's lease table first -- so old workers
-connect to the always-on service unchanged.
+A result answers a lease on the same connection: the service resolves it
+through that connection's lease table alone, which stays unambiguous when
+two concurrent sweeps contain an identical task.  A result with no
+matching lease is dropped.  The lease's ``sweep`` field names the
+submission the shard belongs to; results do not echo it.
 
 ``result`` frames may additionally carry an optional ``metrics`` field:
 the task's telemetry delta snapshot (``{counters, gauges, histograms}``,

@@ -12,29 +12,32 @@ scheduler verbs and nothing else:
   of dispatched work (deficit fair-share: a sweep of priority 3 receives
   ~3x the leases of a priority-1 sweep while both have pending work);
 * :meth:`SweepScheduler.record_result` -- route a finished outcome back to
-  its sweep (connection lease table, then explicit sweep id, then a global
-  task-id search, so pre-multi-tenant workers that never echo a sweep id
-  still route correctly), journal it, and fire the progress callback;
+  its sweep through the reporting connection's lease table, journal it,
+  and fire the progress callback;
 * :meth:`SweepScheduler.release` -- return a lost connection's in-flight
   leases to their queues with bounded per-task retries.
 
 Per-sweep state and the ``submitted -> running -> draining -> complete``
 lifecycle live in :mod:`repro.cluster.sweep`.  The invariants hold *per
 sweep*: requeue-on-disconnect with bounded retries and retry
-anti-affinity, dedup by task ID (late results from workers presumed lost
-are dropped), tail-leveled shard sizing, and bitwise ``comparable_dict()``
-parity with a serial run.
+anti-affinity, tail-leveled shard sizing, and bitwise
+``comparable_dict()`` parity with a serial run.
 
-Shard sizing is additionally **latency-adaptive**: a per-connection EWMA
-of observed per-task wall-clock caps each shard near
-``target_lease_seconds / ewma`` (slow workers take small, cheap-to-requeue
-shards; fast ones amortize round-trips), with the pending-count tail cap
-``ceil(pending / (2 * active))`` still applied on top; the chosen size
-and latency estimate are recorded in each shard's metadata.
+A result is accepted only on the connection that leased its task: the
+service releases a connection only after its read loop ends, and a worker
+delivers a shard's results on the socket that leased it.  A result with no
+matching lease (a duplicate, a late report for a cancelled sweep, or a
+report on a connection already released) is dropped -- it never lands in
+another sweep that happens to contain the same task id.
+
+A shard holds at most what the worker asked for (its process count) and,
+with more than one active worker, at most ``ceil(pending / (2 * active))``
+tasks, so the tail of a sweep spreads across the fleet.
 
 Everything is guarded by one lock and calls only the standard threading /
 time modules, so the core is unit-testable with plain function calls (see
-``tests/test_service.py::TestScheduler``) -- no event loop required.
+``tests/test_service.py::TestScheduler`` and the reference model in
+``tests/test_scheduler_model.py``) -- no event loop required.
 """
 
 from __future__ import annotations
@@ -52,38 +55,29 @@ from repro.telemetry.metrics import parse_metric_key
 
 __all__ = ["SweepScheduler"]
 
-#: Smoothing factor of the per-connection task-latency EWMA.
-_EWMA_ALPHA = 0.3
-
 
 class _ConnState:
-    """Per-connection accounting: identity, lease table, latency EWMA."""
+    """Per-connection accounting: identity and lease table."""
 
-    def __init__(self, number: int, clock_now: float) -> None:
+    def __init__(self, number: int) -> None:
         self.number = number
         self.info: Dict[str, Any] = {"worker": number}
         self.introduced = False
         #: Outstanding leases: (sweep_id, index, task_id) triples.
         self.leases: List[Tuple[str, int, str]] = []
-        #: EWMA of observed per-task wall-clock seconds; None until observed.
-        self.latency_ewma: Optional[float] = None
-        #: Monotonic time of the last lease or result on this connection.
-        self.last_event = clock_now
 
 
 class SweepScheduler:
     """Multi-sweep task scheduler behind the always-on service.
 
-    Transport-free: drive it with plain method calls (tests), from the
-    asyncio socket/HTTP service (:mod:`repro.cluster.service`), or from
-    in-process local executor threads -- all three concurrently.
+    Transport-free: drive it with plain method calls (tests) or from the
+    asyncio socket/HTTP service (:mod:`repro.cluster.service`).
     """
 
     def __init__(
         self,
         *,
         max_task_retries: int = 2,
-        target_lease_seconds: float = 10.0,
         done_when_idle: bool = False,
         quarantine_workers: int = 3,
         clock: Callable[[], float] = _monotonic,
@@ -95,9 +89,6 @@ class SweepScheduler:
         #: remains (a poison task must not burn its budget against every
         #: worker in the fleet); 0 disables quarantine.
         self.quarantine_workers = quarantine_workers
-        #: Latency-adaptive sizing target: a shard should take roughly this
-        #: long on the requesting worker (given its observed per-task EWMA).
-        self.target_lease_seconds = target_lease_seconds
         #: ``True``: an idle scheduler (every sweep complete) answers leases
         #: with ``done`` so workers drain and exit (the one-shot ``--serve``
         #: mode); a persistent service leaves this ``False`` and idle
@@ -178,7 +169,7 @@ class SweepScheduler:
         conn = self._conns.get(conn_key)
         if conn is None:
             self._worker_counter += 1
-            conn = _ConnState(self._worker_counter, self._clock())
+            conn = _ConnState(self._worker_counter)
             self._conns[conn_key] = conn
         return conn
 
@@ -216,9 +207,7 @@ class SweepScheduler:
             if conn.introduced:
                 self._active_workers -= 1
             for sweep_id, index, task_id in conn.leases:
-                entry = self._sweeps.get(sweep_id)
-                if entry is None or entry.outcomes[index] is not None:
-                    continue  # sweep gone, or its result raced the loss
+                entry = self._sweeps[sweep_id]
                 entry.in_flight -= 1
                 self._fail_task(entry, index, task_id, conn, "connection lost")
             conn.leases.clear()
@@ -291,18 +280,12 @@ class SweepScheduler:
         self._land(entry, index, task_id, outcome)
 
     # ------------------------------------------------------------------ #
-    # Dispatch (fair share + adaptive sizing)
+    # Dispatch (fair share + tail-leveled sizing)
     # ------------------------------------------------------------------ #
-    def _shard_cap(self, entry: SweepEntry, conn: _ConnState, max_tasks: int) -> int:
-        """Bound a shard by the worker request, the connection's latency
-        estimate, and (with >1 active workers) the pending-count tail
-        leveler."""
+    def _shard_cap(self, entry: SweepEntry, max_tasks: int) -> int:
+        """Bound a shard by the worker request and (with >1 active workers)
+        the pending-count tail leveler."""
         max_tasks = max(1, max_tasks)
-        if conn.latency_ewma and conn.latency_ewma > 0:
-            latency_cap = max(
-                1, int(self.target_lease_seconds / conn.latency_ewma)
-            )
-            max_tasks = min(max_tasks, latency_cap)
         if self._active_workers > 1:
             pending = len(entry.pending)
             tail_cap = max(1, -(-pending // (2 * self._active_workers)))
@@ -324,15 +307,11 @@ class SweepScheduler:
         with self._lock:
             conn = self._conn(conn_key)
             for entry in self._fair_order():
-                cap = self._shard_cap(entry, conn, max_tasks)
+                cap = self._shard_cap(entry, max_tasks)
                 shard: List[Dict[str, Any]] = []
                 deferred: List[int] = []
                 while entry.pending and len(shard) < cap:
                     index = entry.pending.popleft()
-                    if entry.outcomes[index] is not None:
-                        # Requeued after a lost lease, but the "lost"
-                        # worker's result landed anyway: don't re-run.
-                        continue
                     if len(self._conns) > 1 and (
                         conn.number in entry.failed_workers.get(index, ())
                     ):
@@ -355,21 +334,13 @@ class SweepScheduler:
                 entry.leased_total += len(shard)
                 entry.in_flight += len(shard)
                 entry.shard_sizes.append(len(shard))
-                entry.shard_meta.append({
-                    "shard": self._shard_counter,
-                    "size": len(shard),
-                    "worker": conn.number,
-                    "latency_ewma": conn.latency_ewma,
-                })
                 if entry.state == SUBMITTED:
                     entry.state = RUNNING
                 entry._refresh_state(self._clock)
-                conn.last_event = self._clock()
                 return {
                     "type": "tasks",
                     "shard": self._shard_counter,
                     "sweep": entry.sweep_id,
-                    "latency_ewma": conn.latency_ewma,
                     "tasks": shard,
                 }
             if self._finished():
@@ -382,34 +353,19 @@ class SweepScheduler:
     # Results
     # ------------------------------------------------------------------ #
     def _route(
-        self, conn: _ConnState, task_id: Any, sweep_hint: Optional[str]
-    ) -> Optional[Tuple[SweepEntry, int, bool]]:
-        """Find (sweep, index, was_leased_here) for an arriving result.
+        self, conn: _ConnState, task_id: Any
+    ) -> Optional[Tuple[SweepEntry, int]]:
+        """Take the lease an arriving result answers off the connection's
+        lease table; ``None`` when the connection holds no such lease.
 
-        Priority: this connection's lease table (unambiguous even when two
-        concurrent sweeps contain an identical task), then the message's
-        explicit sweep id, then a global search -- preferring an incomplete
-        match so a late duplicate never shadows fresh work elsewhere.
+        The lease table is the only route: it is unambiguous even when two
+        concurrent sweeps contain an identical task.
         """
         for pos, (sweep_id, index, tid) in enumerate(conn.leases):
             if tid == task_id:
-                entry = self._sweeps.get(sweep_id)
-                if entry is not None:
-                    del conn.leases[pos]
-                    return entry, index, True
-        if sweep_hint is not None:
-            entry = self._sweeps.get(sweep_hint)
-            if entry is not None and task_id in entry.index_of:
-                return entry, entry.index_of[task_id], False
-        fallback = None
-        for entry in self._sweeps.values():
-            index = entry.index_of.get(task_id)
-            if index is None:
-                continue
-            if entry.outcomes[index] is None:
-                return entry, index, False
-            fallback = fallback or (entry, index, False)
-        return fallback
+                del conn.leases[pos]
+                return self._sweeps[sweep_id], index
+        return None
 
     def _land(
         self,
@@ -446,40 +402,20 @@ class SweepScheduler:
         entry._refresh_state(self._clock)
 
     def record_result(self, conn_key: Any, message: Dict[str, Any]) -> None:
-        """Consume a ``result`` message (late duplicates are dropped)."""
+        """Consume a ``result`` message; one without a lease is dropped."""
         task_id = message.get("task_id")
         with self._lock:
-            conn = self._conn(conn_key)
-            # Latency observation: the gap since this connection's last
-            # lease or result approximates one task's wall-clock (folding a
-            # multi-process worker's parallelism into observed throughput).
-            now = self._clock()
-            elapsed = now - conn.last_event
-            conn.last_event = now
-            if elapsed > 0:
-                conn.latency_ewma = (
-                    elapsed
-                    if conn.latency_ewma is None
-                    else _EWMA_ALPHA * elapsed + (1 - _EWMA_ALPHA) * conn.latency_ewma
-                )
-                self.metrics.set_gauge(
-                    "repro_worker_latency_ewma_seconds",
-                    conn.latency_ewma,
-                    labels={"worker": str(conn.number)},
-                )
-            routed = self._route(conn, task_id, message.get("sweep"))
+            conn = self._conns.get(conn_key)
+            routed = self._route(conn, task_id) if conn is not None else None
             if routed is None:
-                return  # a task of some forgotten sweep; drop it
-            entry, index, was_leased = routed
-            if was_leased:
-                entry.in_flight -= 1
-            if entry.outcomes[index] is not None:
-                return  # late duplicate after a requeue: first result won
+                return  # a duplicate, or a task of a cancelled sweep
+            entry, index = routed
+            entry.in_flight -= 1
             outcome = dict(message.get("outcome") or {})
             outcome["task_id"] = task_id
             outcome["worker"] = {**conn.info, "shard": message.get("shard")}
             failure = outcome.get("failure")
-            if failure in ("timeout", "crash") and was_leased:
+            if failure in ("timeout", "crash"):
                 # A supervised worker contained this failure (deadline
                 # watchdog or dead pool member).  Account it like a lost
                 # lease -- retry elsewhere, quarantine on distinct workers,
@@ -519,7 +455,7 @@ class SweepScheduler:
 
         Unfinished tasks get synthetic UNTESTED outcomes (not journaled:
         the caller is about to evict the sweep's state), the queue clears,
-        outstanding leases drop (late results route nowhere), waiters wake.
+        outstanding leases drop (late results are dropped), waiters wake.
         Raises KeyError for an unknown sweep, ValueError when already
         complete (the transport's 404/409).
         """

@@ -6,7 +6,7 @@ every wire message translates into one call on the transport-free
 :class:`~repro.cluster.scheduler.SweepScheduler` -- ``lease``,
 ``record_result``, ``release``, ``worker_joined`` -- and nothing else.
 
-Three transports multiplex over one scheduler:
+Two transports multiplex over one scheduler:
 
 * **Worker socket** -- the accept/dispatch loop speaking the
   length-prefixed JSON protocol (:mod:`repro.cluster.protocol`).
@@ -18,11 +18,9 @@ Three transports multiplex over one scheduler:
   completed sweep's full :class:`~repro.pipeline.result.SweepResult`
   document.  A tiny hand-rolled HTTP/1.1 server (one request per
   connection) keeps the dependency surface at zero.
-* **Local executors** (``local_procs > 0``) -- in-process threads that
-  lease from the scheduler directly and run
-  :func:`~repro.pipeline.runner.execute_task`, so a ``--serve
-  --local-procs N`` service makes progress with no external workers at
-  all.
+
+Every task runs in a worker: ``python -m repro.cluster.worker --connect
+HOST:PORT --procs N`` is the one executor, local or remote.
 
 With a state directory (:class:`~repro.cluster.state.ServiceState`) every
 submission is persisted (meta + per-sweep journal) before it is
@@ -45,7 +43,7 @@ The event loop runs in a dedicated daemon thread, so synchronous callers
 Entry point::
 
     python -m repro.cluster.service --listen :8765 --http :8766 \\
-        --state-dir service-state --local-procs 2
+        --state-dir service-state
 """
 
 from __future__ import annotations
@@ -153,10 +151,8 @@ class VerificationService:
         auth_token: Optional[str] = None,
         auth_exempt_loopback: bool = True,
         worker_timeout: float = 0.0,
-        local_procs: int = 0,
         done_when_idle: bool = False,
         max_task_retries: int = 2,
-        target_lease_seconds: float = 10.0,
         quarantine_workers: int = 3,
     ) -> None:
         self.host = host
@@ -167,7 +163,6 @@ class VerificationService:
         self.scheduler = SweepScheduler(
             max_task_retries=max_task_retries,
             done_when_idle=done_when_idle,
-            target_lease_seconds=target_lease_seconds,
             quarantine_workers=quarantine_workers,
         )
         self.state = ServiceState(state_dir) if state_dir else None
@@ -177,7 +172,6 @@ class VerificationService:
         #: exercise refusals without a second network namespace.
         self.auth_exempt_loopback = auth_exempt_loopback
         self.worker_timeout = worker_timeout
-        self.local_procs = max(0, int(local_procs))
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_async: Optional[asyncio.Event] = None
@@ -189,8 +183,6 @@ class VerificationService:
         #: writer -> {"last": monotonic} for the hung-worker reaper.
         self._conn_meta: Dict[Any, Dict[str, float]] = {}
         self._submit_lock = threading.Lock()
-        self._local_threads: List[threading.Thread] = []
-        self._local_stop = threading.Event()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -221,13 +213,6 @@ class VerificationService:
         if self._startup_error is not None:
             self._thread.join(timeout=2.0)
             raise self._startup_error
-        for n in range(self.local_procs):
-            thread = threading.Thread(
-                target=self._local_loop, args=(n,),
-                name=f"service-local-{n}", daemon=True,
-            )
-            thread.start()
-            self._local_threads.append(thread)
         return self.address
 
     def stop(self) -> None:
@@ -241,15 +226,12 @@ class VerificationService:
         is answered ``done`` before the connections close (for at most
         :data:`DONE_GRACE_SECONDS`), so no worker sees a reset.
         """
-        self._local_stop.set()
         if self._loop is not None and self._thread is not None and self._thread.is_alive():
             try:
                 self._loop.call_soon_threadsafe(self._stop_async.set)
             except RuntimeError:
                 pass  # loop already closed
             self._thread.join(timeout=5.0)
-        for thread in self._local_threads:
-            thread.join(timeout=5.0)
         self.scheduler.close()
 
     async def _main(self) -> None:
@@ -535,8 +517,8 @@ class VerificationService:
             return 200, self.scheduler.service_status()
         if method == "GET" and path == "/metrics":
             # Fleet-wide aggregation: every worker's piggybacked metric
-            # deltas plus the scheduler's own per-sweep counters and
-            # latency gauges, as Prometheus text (no client library).
+            # deltas plus the scheduler's own per-sweep counters, as
+            # Prometheus text (no client library).
             return 200, self.scheduler.metrics.render_prometheus()
         if method == "GET" and path.startswith("/sweeps/"):
             rest = path[len("/sweeps/"):]
@@ -603,52 +585,6 @@ class VerificationService:
         )
         return 200, self.scheduler.sweep_status(sweep_id)
 
-    # ------------------------------------------------------------------ #
-    # Local in-process executors
-    # ------------------------------------------------------------------ #
-    def _local_loop(self, n: int) -> None:
-        """One in-process execution client: lease, execute, record, repeat.
-
-        Each task runs under a telemetry capture scope (ContextVar-backed,
-        so concurrent executor threads never mix deltas) and piggybacks its
-        metric delta on the result message, exactly like a remote worker.
-        """
-        from repro.pipeline.runner import execute_task_with_metrics
-
-        conn_key = f"local-{n}"
-        self.scheduler.worker_joined(conn_key, {
-            "host": "in-process",
-            "pid": os.getpid(),
-            "backend": None,
-            "procs": 1,
-        })
-        try:
-            while not self._local_stop.is_set():
-                reply = self.scheduler.lease(conn_key, 1)
-                if reply["type"] == "done":
-                    return
-                if reply["type"] != "tasks":
-                    self._local_stop.wait(0.05)
-                    continue
-                for entry in reply["tasks"]:
-                    outcome, metrics = execute_task_with_metrics(
-                        SweepTask.from_dict(entry["task"])
-                    )
-                    message = {
-                        "type": "result",
-                        "shard": reply["shard"],
-                        "sweep": reply["sweep"],
-                        "index": entry["index"],
-                        "task_id": entry["task_id"],
-                        "outcome": outcome,
-                    }
-                    if any(metrics.get(k) for k in
-                           ("counters", "gauges", "histograms")):
-                        message["metrics"] = metrics
-                    self.scheduler.record_result(conn_key, message)
-        finally:
-            self.scheduler.release(conn_key)
-
 
 # ---------------------------------------------------------------------- #
 def build_parser() -> argparse.ArgumentParser:
@@ -676,11 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default .repro-service)",
     )
     parser.add_argument(
-        "--local-procs", type=int, default=0, metavar="N",
-        help="also execute tasks in-process with N local executor threads "
-        "(default 0: external workers only)",
-    )
-    parser.add_argument(
         "--auth-token", default=os.environ.get(TOKEN_ENV),
         help="shared secret required from non-loopback workers and HTTP "
         f"clients (default: ${TOKEN_ENV}; loopback peers are exempt)",
@@ -696,20 +627,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 2)",
     )
     parser.add_argument(
-        "--target-lease-seconds", type=float, default=10.0,
-        help="latency-adaptive shard sizing target: shards are sized so "
-        "one shard takes roughly this long on the requesting worker "
-        "(default 10)",
-    )
-    parser.add_argument(
         "--quarantine-workers", type=int, default=3,
         help="quarantine a task once it has failed on this many distinct "
         "workers, even with retry budget left (default 3; 0 disables)",
     )
     parser.add_argument(
         "--faults", default=None, metavar="SPEC",
-        help="arm deterministic fault injection (exported to local "
-        f"executors via ${faultinject.FAULTS_ENV}); chaos testing only",
+        help="arm deterministic fault injection in the service process "
+        f"(also exported as ${faultinject.FAULTS_ENV}); chaos testing only",
     )
     parser.add_argument(
         "--fault-seed", type=int, default=None, metavar="N",
@@ -742,9 +667,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         state_dir=args.state_dir,
         auth_token=args.auth_token,
         worker_timeout=args.worker_timeout,
-        local_procs=args.local_procs,
         max_task_retries=args.max_task_retries,
-        target_lease_seconds=args.target_lease_seconds,
         quarantine_workers=args.quarantine_workers,
     )
     service.start()

@@ -150,26 +150,18 @@ def restore_sweeps(scheduler: Any, state: ServiceState) -> List[str]:
             continue  # submitted live before start(); nothing to restore
         meta = state.load_meta(sweep_id)
         tasks = [SweepTask.from_dict(d) for d in meta["tasks"]]
-        for task in tasks:
-            # Retired knob of older state directories: it never entered the
-            # task id, and the verifier no longer takes it.
-            task.verifier_kwargs.pop("trial_batch", None)
         store = state.open_store(
-            sweep_id,
-            tasks,
-            meta.get("suite", "npbench"),
-            bool(meta.get("buggy", False)),
-            meta.get("backend", "interpreter"),
+            sweep_id, tasks, meta["suite"], meta["buggy"], meta["backend"],
             resume=True,
         )
         scheduler.submit(
             tasks,
             sweep_id=sweep_id,
-            suite=meta.get("suite"),
-            buggy=meta.get("buggy"),
-            backend=meta.get("backend"),
-            priority=float(meta.get("priority", 1.0)),
-            max_task_retries=meta.get("max_task_retries"),
+            suite=meta["suite"],
+            buggy=meta["buggy"],
+            backend=meta["backend"],
+            priority=meta["priority"],
+            max_task_retries=meta["max_task_retries"],
             store=store,
             owns_store=True,
         )

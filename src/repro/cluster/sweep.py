@@ -54,7 +54,6 @@ class SweepEntry:
         self.owns_store = owns_store
         self.progress_callback = progress_callback
         self.task_ids = [t.task_id for t in self.tasks]
-        self.index_of = {tid: i for i, tid in enumerate(self.task_ids)}
         self.outcomes: List[Optional[Dict[str, Any]]] = [None] * len(self.tasks)
         self.pending: deque = deque()
         self.lost_leases: Dict[int, int] = {}
@@ -67,7 +66,6 @@ class SweepEntry:
         self.leased_total = 0  # tasks ever dispatched (fair-share deficit)
         self.in_flight = 0
         self.shard_sizes: List[int] = []
-        self.shard_meta: List[Dict[str, Any]] = []
         self.state = SUBMITTED
         self.done_event = threading.Event()
         self.submitted_at = clock()

@@ -23,10 +23,10 @@ distributed sweep computes bitwise the same outcome dicts as a local one.
 
 Workers are *elastic* against an always-on verification service
 (:mod:`repro.cluster.service`): they may join mid-sweep, are handed shards
-from whichever active sweep fair-share picks (echoing each lease's
-``sweep`` id back with its results), park on ``wait`` when every task is
-leased elsewhere, and may simply be killed -- the service requeues their
-in-flight shard.  With ``--reconnect-seconds T`` a worker also *survives a
+from whichever active sweep fair-share picks (delivering each shard's
+results on the connection that leased it), park on ``wait`` when every
+task is leased elsewhere, and may simply be killed -- the service
+requeues their in-flight shard.  With ``--reconnect-seconds T`` a worker also *survives a
 service bounce*: when the connection drops mid-service it retries the
 connection with *jittered* exponential backoff for up to ``T`` seconds
 (fresh budget per drop) instead of treating the EOF as end-of-sweep --
@@ -320,14 +320,13 @@ def run_worker(
             heartbeat.start()
 
             def deliver(
-                shard: Any, sweep: Any, index: int, task_id: str,
+                shard: Any, index: int, task_id: str,
                 outcome: Dict[str, Any],
                 metrics: Optional[Dict[str, Any]] = None,
             ) -> None:
                 message = {
                     "type": "result",
                     "shard": shard,
-                    "sweep": sweep,
                     "index": index,
                     "task_id": task_id,
                     "outcome": outcome,
@@ -363,7 +362,6 @@ def run_worker(
                 if reply.get("type") != "tasks":
                     raise ProtocolError(f"Expected tasks/wait/done, got {reply!r}")
                 shard = reply.get("shard")
-                sweep = reply.get("sweep")
                 indexed = _rebuild_tasks(reply.get("tasks", []), backend)
                 now = _monotonic()
                 with in_flight_lock:
@@ -373,18 +371,18 @@ def run_worker(
                     for index, task_id, outcome, metrics in (
                         supervisor.run_shard(indexed)
                     ):
-                        deliver(shard, sweep, index, task_id, outcome, metrics)
+                        deliver(shard, index, task_id, outcome, metrics)
                         executed += 1
                 elif pool is not None:
                     for index, task_id, outcome, metrics in pool.imap_unordered(
                         _execute_indexed_entry, indexed
                     ):
-                        deliver(shard, sweep, index, task_id, outcome, metrics)
+                        deliver(shard, index, task_id, outcome, metrics)
                         executed += 1
                 else:
                     for index, task_id, task in indexed:
                         outcome, metrics = execute_task_with_metrics(task)
-                        deliver(shard, sweep, index, task_id, outcome, metrics)
+                        deliver(shard, index, task_id, outcome, metrics)
                         executed += 1
         finally:
             heartbeat.stop()

@@ -15,9 +15,7 @@ Distributed / resumable operation (see :mod:`repro.cluster`):
 * ``--serve HOST:PORT`` serves the enumerated tasks to remote workers
   (``python -m repro.cluster.worker --connect HOST:PORT``) instead of
   running them locally, requeueing the in-flight shard of any worker that
-  disconnects; ``--local-procs N`` additionally executes tasks in-process
-  so the serve invocation makes progress with no external workers, and
-  ``--http HOST:PORT`` exposes a live status endpoint;
+  disconnects; ``--http HOST:PORT`` exposes a live status endpoint;
 * ``--submit HOST:PORT`` is the *thin client* of an always-on verification
   service (``python -m repro.cluster.service``): the enumerated tasks are
   POSTed to the service's HTTP endpoint, progress is polled, and the
@@ -220,12 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --submit: fair-share weight of this sweep relative to "
         "others active on the service (default 1.0; a priority-3 sweep "
         "receives ~3x the worker time of a priority-1 sweep)",
-    )
-    cluster.add_argument(
-        "--local-procs", type=int, default=0, metavar="N",
-        help="with --serve: also execute tasks with N in-process executor "
-        "threads, so the serving invocation progresses with zero external "
-        "workers (default 0)",
     )
     cluster.add_argument(
         "--http", default=None, metavar="HOST:PORT",
@@ -458,7 +450,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 http_port=http_endpoint[1] if http_endpoint else None,
                 auth_token=args.auth_token,
                 worker_timeout=args.worker_timeout,
-                local_procs=args.local_procs,
                 done_when_idle=True,
                 max_task_retries=args.max_task_retries,
             )
@@ -473,21 +464,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             bound_host, bound_port = service.start()
             try:
                 if not args.quiet:
-                    extras = []
-                    if args.local_procs:
-                        extras.append(f"{args.local_procs} local executor(s)")
+                    status = ""
                     if service.http_address:
                         hh, hp = service.http_address
-                        extras.append(f"status on http://{hh}:{hp}/status")
+                        status = f", status on http://{hh}:{hp}/status"
                     restored = len(store.completed) if store is not None else 0
                     print(
                         f"[pipeline] serving {len(tasks) - restored}/{len(tasks)} "
                         f"task(s) on {bound_host}:{bound_port} "
                         f"(suite '{args.suite}', "
                         f"{'buggy' if args.buggy else 'faithful'}, "
-                        f"backend '{backend}'"
-                        + (", " + ", ".join(extras) if extras else "")
-                        + f"); waiting for workers: "
+                        f"backend '{backend}'{status}); waiting for workers: "
                         f"python -m repro.cluster.worker "
                         f"--connect {bound_host}:{bound_port}",
                         flush=True,

@@ -9,7 +9,7 @@ swap the time source mid-run) or an injected callable defaulting to them.
 
 That containment is what makes the tracer and every duration field
 testable: :func:`set_clock` installs a deterministic fake, and *all*
-spans, EWMAs and ``duration_seconds`` fields follow it.
+spans, deadlines and ``duration_seconds`` fields follow it.
 """
 
 from __future__ import annotations

@@ -436,10 +436,13 @@ class TestOneShotService:
         host, port = service.address
         task_id = tasks[0].task_id
 
-        def deliver(tag):
+        def deliver(tag, lease):
             sock = socket.create_connection((host, port))
             send_message(sock, {"type": "hello", "worker": {"host": tag}})
             recv_message(sock)
+            if lease:
+                send_message(sock, {"type": "request", "max_tasks": 1})
+                assert recv_message(sock)["tasks"][0]["task_id"] == task_id
             send_message(sock, {
                 "type": "result", "shard": 1, "index": 0, "task_id": task_id,
                 "outcome": {"task_id": task_id, "verdict": "untested",
@@ -449,16 +452,18 @@ class TestOneShotService:
             assert recv_message(sock)["type"] == "ack"
             sock.close()
 
-        deliver("first")
-        deliver("second")  # late duplicate (e.g. a worker presumed lost)
-        # Drain the queue so the sweep is complete-by-results.
+        deliver("first", lease=True)
+        # A late duplicate (e.g. from a worker presumed lost) holds no
+        # lease on this connection: acknowledged, then dropped.
+        deliver("second", lease=False)
         result = finish(service, sweep_id, timeout=30.0)
         assert result.outcomes[0]["tag"] == "first"
         assert result.outcomes[0]["worker"]["host"] == "first"
 
-    def test_requeued_task_not_re_leased_after_late_result(self):
-        """A lost worker's task is requeued; if its result then arrives
-        anyway, the pending entry must not be handed to the next worker."""
+    def test_late_result_from_a_lost_worker_is_dropped_and_rerun(self):
+        """A lost worker's tasks are requeued; its result for one of them,
+        arriving on another connection that never leased it, is dropped, and
+        the requeued task runs again on the worker that leases it."""
         tasks = cheap_tasks(2)
         service, sweep_id = serve(tasks)
         host, port = service.address
@@ -471,39 +476,36 @@ class TestOneShotService:
         lease = recv_message(a)
         assert len(lease["tasks"]) == 2
         a.close()
-        import time as _time
+        deadline = time.monotonic() + 10.0
+        while service.scheduler.active_workers and time.monotonic() < deadline:
+            time.sleep(0.01)  # let the service notice the disconnect
 
-        _time.sleep(0.2)  # let the service notice the disconnect
+        def report(shard, entry, tag):
+            return {
+                "type": "result", "shard": shard, "index": entry["index"],
+                "task_id": entry["task_id"],
+                "outcome": {"task_id": entry["task_id"], "verdict": "untested",
+                            "transformation": "MapTiling", "tag": tag,
+                            "error": None},
+            }
 
         # Worker B delivers A's result for task 0 (the "late arrival").
-        entry0 = lease["tasks"][0]
         b = socket.create_connection((host, port))
         send_message(b, {"type": "hello", "worker": {"host": "b"}})
         recv_message(b)
-        send_message(b, {
-            "type": "result", "shard": lease["shard"], "index": entry0["index"],
-            "task_id": entry0["task_id"],
-            "outcome": {"task_id": entry0["task_id"], "verdict": "untested",
-                        "transformation": "MapTiling", "error": None},
-        })
+        send_message(b, report(lease["shard"], lease["tasks"][0], "late"))
         assert recv_message(b)["type"] == "ack"
-        # B now asks for work: only task 1 may be served -- task 0 is
-        # complete even though its requeued index is still in the queue.
+        assert service.scheduler.sweep_status(sweep_id)["done"] == 0
+        # B now asks for work: both requeued tasks are served and land once.
         send_message(b, {"type": "request", "max_tasks": 2})
         second = recv_message(b)
-        assert second["type"] == "tasks"
-        assert [e["index"] for e in second["tasks"]] == [lease["tasks"][1]["index"]]
-        entry1 = second["tasks"][0]
-        send_message(b, {
-            "type": "result", "shard": second["shard"], "index": entry1["index"],
-            "task_id": entry1["task_id"],
-            "outcome": {"task_id": entry1["task_id"], "verdict": "untested",
-                        "transformation": "MapTiling", "error": None},
-        })
-        assert recv_message(b)["type"] == "ack"
+        assert sorted(e["index"] for e in second["tasks"]) == [0, 1]
+        for entry in second["tasks"]:
+            send_message(b, report(second["shard"], entry, "b"))
+            assert recv_message(b)["type"] == "ack"
         b.close()
         result = finish(service, sweep_id, timeout=30.0)
-        assert all(o is not None for o in result.outcomes)
+        assert [o["tag"] for o in result.outcomes] == ["b", "b"]
 
     def test_worker_echoes_service_issued_task_id(self):
         """The worker must key results by the lease's task_id, never by a

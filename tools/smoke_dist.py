@@ -307,7 +307,9 @@ def _two_sweep_service_scenario(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    wanted = ["repro_worker_latency_ewma_seconds"] + [
+    # repro_trials_total is counted inside the workers' fuzz loops and
+    # reaches the service only on result frames.
+    wanted = ["repro_trials_total"] + [
         f'repro_sweep_tasks_total{{sweep="{sid}"}}' for sid in sweep_ids
     ]
     for needle in wanted:
