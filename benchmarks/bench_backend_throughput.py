@@ -340,7 +340,13 @@ def _measure_fusion(report_lines):
     results = {}
     times = {}
     for fused in (True, False):
-        program = CompiledWholeProgram(sdfg, fuse=fused)
+        program = CompiledWholeProgram(sdfg)
+        if not fused:
+            # Disable every chain the way a chain that fails at runtime is
+            # disabled: its members then execute scope by scope.
+            for state in sdfg.states():
+                for chain in program.executor._table_for(state).heads.values():
+                    chain.usable = False
         results[fused] = program.run(dict(args), symbols)
         if fused:
             assert program.stats["fused"] > 0, "fusion never fired on the pipeline"

@@ -1,7 +1,7 @@
 """Serial-vs-parallel scaling of the sweep pipeline (Sec. 6.3 at scale).
 
 Runs the injected-bug NPBench sweep once through the serial runner and once
-through a 4-worker pool, checks that both aggregate to the identical
+through 4 worker processes, checks that both aggregate to the identical
 verdict table (the pipeline's shared-nothing workers must not change any
 result), and records the speedup.  The >= 2x speedup assertion only fires
 on machines with at least 4 CPUs -- on smaller containers the parallel run

@@ -492,7 +492,7 @@ def analyze_chain(
 # ---------------------------------------------------------------------- #
 # State / program analysis
 # ---------------------------------------------------------------------- #
-def analyze_state(sdfg: SDFG, state: SDFGState, fuse: bool = True) -> StatePlan:
+def analyze_state(sdfg: SDFG, state: SDFGState) -> StatePlan:
     """Analyze one state: every map scope, then every fusable chain.
 
     Telemetry: lowering outcomes count into
@@ -525,14 +525,13 @@ def analyze_state(sdfg: SDFG, state: SDFGState, fuse: bool = True) -> StatePlan:
                     "repro_scope_lowering_total", labels={"outcome": "vectorized"}
                 )
         chains: List[ChainPlan] = []
-        if fuse:
-            for chain in elementwise_scope_chains(state):
-                chain_plan = analyze_chain(sdfg, state, chain, plans)
-                if chain_plan is not None:
-                    chains.append(chain_plan)
-                    _metric_observe(
-                        "repro_fusion_chain_length", len(chain_plan.member_guids)
-                    )
+        for chain in elementwise_scope_chains(state):
+            chain_plan = analyze_chain(sdfg, state, chain, plans)
+            if chain_plan is not None:
+                chains.append(chain_plan)
+                _metric_observe(
+                    "repro_fusion_chain_length", len(chain_plan.member_guids)
+                )
     return StatePlan(
         state_label=state.label,
         scopes=plans,
@@ -541,9 +540,9 @@ def analyze_state(sdfg: SDFG, state: SDFGState, fuse: bool = True) -> StatePlan:
     )
 
 
-def analyze_program(sdfg: SDFG, fuse: bool = True) -> ProgramPlan:
+def analyze_program(sdfg: SDFG) -> ProgramPlan:
     """Analyze every state of a program into one :class:`ProgramPlan`."""
     return ProgramPlan(
         sdfg_name=sdfg.name,
-        states=[analyze_state(sdfg, state, fuse=fuse) for state in sdfg.states()],
+        states=[analyze_state(sdfg, state) for state in sdfg.states()],
     )

@@ -88,13 +88,8 @@ class CompiledExecutor(ScopeRuntime):
     """A :class:`ScopeRuntime` whose control flow is one generated Python
     function and whose per-state dataflow is a prepared op list."""
 
-    def __init__(
-        self,
-        sdfg: SDFG,
-        max_transitions: int = 100_000,
-        **kwargs,
-    ) -> None:
-        super().__init__(sdfg, max_transitions=max_transitions, **kwargs)
+    def __init__(self, sdfg: SDFG, max_transitions: int = 100_000) -> None:
+        super().__init__(sdfg, max_transitions=max_transitions)
         #: Each state's position in ``_state_ops``, in ``sdfg.states()`` order.
         self._state_index = {s: i for i, s in enumerate(sdfg.states())}
         # Per-state op lists, fixed at prepare time: one prebound function
@@ -259,12 +254,9 @@ class CompiledWholeProgram(CompiledProgram):
         self,
         sdfg: SDFG,
         max_transitions: int = 100_000,
-        fuse: bool = True,
     ) -> None:
         super().__init__(sdfg)
-        self.executor = CompiledExecutor(
-            sdfg, max_transitions=max_transitions, fuse=fuse
-        )
+        self.executor = CompiledExecutor(sdfg, max_transitions=max_transitions)
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -297,13 +289,8 @@ class CompiledBackend(ExecutionBackend):
 
     name = "compiled"
 
-    def __init__(self, fuse: bool = True) -> None:
-        self.fuse = fuse
-
     def prepare(self, sdfg: SDFG, max_transitions: int = 100_000) -> CompiledWholeProgram:
         with _TRACER.span("backend.prepare", "prepare") as span:
             span.set("tier", self.name)
             span.set("sdfg", sdfg.name)
-            return CompiledWholeProgram(
-                sdfg, max_transitions=max_transitions, fuse=self.fuse
-            )
+            return CompiledWholeProgram(sdfg, max_transitions=max_transitions)

@@ -183,11 +183,8 @@ class ScopeRuntime(SDFGExecutor):
         "math": _MATH_SHIM,
     }
 
-    def __init__(self, *args, fuse: bool = True, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: Whether elementwise scope chains are fused (disable to measure
-        #: the fusion win, or to bisect a suspected fusion bug).
-        self.fuse = fuse
         self.emitter = NumpyEagerEmitter()
         #: Per-state bound tables (plans + fused chains), built once per
         #: state on first execution.
@@ -227,7 +224,7 @@ class ScopeRuntime(SDFGExecutor):
     def _table_for(self, state: SDFGState) -> StateTable:
         table = self._tables.get(id(state))
         if table is None:
-            splan = analyze_state(self.sdfg, state, fuse=self.fuse)
+            splan = analyze_state(self.sdfg, state)
             table = self.emitter.bind_state(self.sdfg, state, splan)
             self._tables[id(state)] = table
         return table

@@ -26,7 +26,11 @@ layers:
 5. **Execution clients** -- elastic socket workers
    (:mod:`repro.cluster.worker`) that join/leave mid-service and survive
    service bounces (``--reconnect-seconds``), and the thin HTTP client
-   (:mod:`repro.cluster.client`) behind ``repro.pipeline --submit``.
+   (:mod:`repro.cluster.client`) behind ``repro.pipeline --submit``.  A
+   worker runs each shard through the pipeline's one local executor,
+   :func:`repro.pipeline.runner.run_shard`: inline, or on supervised
+   member processes that turn a crashed or hung task into a retryable
+   ``failure``-flagged outcome.
 
 Entry points::
 

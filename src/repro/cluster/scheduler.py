@@ -417,7 +417,7 @@ class SweepScheduler:
             failure = outcome.get("failure")
             if failure in ("timeout", "crash"):
                 # A supervised worker contained this failure (deadline
-                # watchdog or dead pool member).  Account it like a lost
+                # watchdog or dead member process).  Account it like a lost
                 # lease -- retry elsewhere, quarantine on distinct workers,
                 # land the worker's synthetic outcome only on exhaustion.
                 if failure == "timeout":

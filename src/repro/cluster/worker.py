@@ -13,8 +13,9 @@ distributed sweep computes bitwise the same outcome dicts as a local one.
 * ``--procs 1`` (the default) executes in-process, which keeps the
   process-wide memo of compiled driver code warm across all tasks of a
   shard -- equal driver sources compile once per worker, not once per task.
-* ``--procs N`` drives a local fork pool (the same shared-nothing model as
-  ``repro.pipeline --workers N``), streaming results as they complete.
+* ``--procs N`` runs the shard on N supervised member processes (the
+  same :func:`~repro.pipeline.runner.run_shard` as ``repro.pipeline
+  --workers N``), streaming results as they complete.
 * ``--backend B`` overrides the sweep's execution backend *for this worker
   only*.  Backends are bitwise-equivalent, so heterogeneous workers are a
   free cross-machine cross-check: the aggregated report must be identical
@@ -34,13 +35,14 @@ the jitter de-correlates a fleet's reconnect stampede after a bounce.
 The default 0 keeps the one-shot behavior: a vanished service means
 the sweep is over.
 
-With ``--task-timeout T`` tasks execute on *killable supervised
-processes* (:mod:`repro.cluster.supervise`): a task that hangs past its
-deadline, or whose process dies (segfault, OOM kill), is contained -- the
-member is killed and respawned, and the task reports a retryable
-``failure``-flagged UNTESTED outcome the scheduler can retry elsewhere or
-quarantine, instead of stalling the sweep or losing the worker's other
-in-flight work.
+Whenever tasks run on member processes (``--procs N`` or ``--task-timeout
+T``) they run on *killable supervised processes*
+(:class:`~repro.pipeline.runner.SupervisedExecutor`): a task whose process
+dies (segfault, OOM kill), or, with ``--task-timeout T``, that hangs past
+its ``T``-second deadline, is contained -- the member is killed and
+respawned, and the task reports a retryable ``failure``-flagged UNTESTED
+outcome the scheduler can retry elsewhere or quarantine, instead of
+stalling the sweep or losing the worker's other in-flight work.
 
 Talking to a non-loopback service started with an auth token requires the
 shared secret (``--auth-token`` or ``REPRO_CLUSTER_TOKEN``), presented in
@@ -79,8 +81,7 @@ from repro.cluster.protocol import (
     recv_message,
     send_message,
 )
-from repro.cluster.supervise import SupervisedExecutor
-from repro.pipeline.runner import _pool_context, execute_task_with_metrics
+from repro.pipeline.runner import local_executor, run_shard
 from repro.pipeline.tasks import SweepTask
 from repro.telemetry import monotonic as _monotonic
 
@@ -252,10 +253,12 @@ def run_worker(
     With ``reconnect_seconds > 0`` a dropped connection (service bounce,
     network flake) is retried with jittered exponential backoff for up to
     that many seconds per drop; an auth refusal (:class:`ServiceRefused`)
-    is always fatal.  With ``task_timeout > 0`` tasks run on killable
-    supervised processes (:class:`~repro.cluster.supervise.
-    SupervisedExecutor`): a hung or crashed task yields a retryable
-    ``failure``-flagged outcome instead of stalling or killing the worker.
+    is always fatal.  Shards run through
+    :func:`~repro.pipeline.runner.run_shard`: inline for one process
+    without a deadline, else on killable supervised processes, where a
+    crashed task (or one past ``task_timeout`` seconds, when that is
+    > 0) yields a retryable ``failure``-flagged outcome instead of
+    stalling or killing the worker.
     Returns the number of tasks this worker executed.
     """
     if backend is not None:
@@ -267,8 +270,6 @@ def run_worker(
             print(f"[worker {os.getpid()}] {text}", flush=True)
 
     executed = 0
-    pool = None
-    supervisor: Optional[SupervisedExecutor] = None
 
     # In-flight task starts, keyed by task_id -- feeds the heartbeat's
     # status gauges so the service can see a hung task's age.
@@ -367,34 +368,20 @@ def run_worker(
                 with in_flight_lock:
                     for _, task_id, _ in indexed:
                         in_flight[task_id] = now
-                if supervisor is not None:
-                    for index, task_id, outcome, metrics in (
-                        supervisor.run_shard(indexed)
-                    ):
-                        deliver(shard, index, task_id, outcome, metrics)
-                        executed += 1
-                elif pool is not None:
-                    for index, task_id, outcome, metrics in pool.imap_unordered(
-                        _execute_indexed_entry, indexed
-                    ):
-                        deliver(shard, index, task_id, outcome, metrics)
-                        executed += 1
-                else:
-                    for index, task_id, task in indexed:
-                        outcome, metrics = execute_task_with_metrics(task)
-                        deliver(shard, index, task_id, outcome, metrics)
-                        executed += 1
+                for index, task_id, outcome, metrics in run_shard(
+                    indexed, executor
+                ):
+                    deliver(shard, index, task_id, outcome, metrics)
+                    executed += 1
         finally:
             heartbeat.stop()
             sock.close()
             with in_flight_lock:
                 in_flight.clear()
 
+    # Members start before the first connection and serve every lease.
+    executor = local_executor(procs, task_timeout)
     try:
-        if task_timeout > 0:
-            supervisor = SupervisedExecutor(procs, task_timeout)
-        elif procs > 1:
-            pool = _pool_context().Pool(processes=procs)
         retry_budget = connect_retry_seconds
         while True:
             sock = _connect(host, port, retry_budget)
@@ -416,20 +403,9 @@ def run_worker(
             say(f"service went away; retrying for up to {reconnect_seconds:g} s")
         say(f"sweeps complete; this worker executed {executed} task(s)")
     finally:
-        if supervisor is not None:
-            supervisor.close()
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        if executor is not None:
+            executor.close()
     return executed
-
-
-def _execute_indexed_entry(
-    item: Tuple[int, str, SweepTask]
-) -> Tuple[int, str, Dict[str, Any], Dict[str, Any]]:
-    index, task_id, task = item
-    outcome, metrics = execute_task_with_metrics(task)
-    return index, task_id, outcome, metrics
 
 
 # ---------------------------------------------------------------------- #
@@ -453,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--procs", type=int, default=1,
         help="local worker processes; 1 (default) executes in-process and "
-        "shares compiled driver code across a shard's tasks",
+        "shares compiled driver code across a shard's tasks, more run on "
+        "supervised processes that contain a crashed task",
     )
     parser.add_argument(
         "--connect-retry-seconds", type=float, default=10.0,
@@ -476,9 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--task-timeout", type=float, default=0.0, metavar="SECONDS",
         help="per-task wall-clock deadline: tasks run on killable "
-        "supervised processes, and a hung or crashed task yields a "
-        "retryable UNTESTED outcome instead of stalling or killing this "
-        "worker; 0 (default) disables supervision",
+        "supervised processes, and a hung task yields a retryable "
+        "UNTESTED outcome instead of stalling this worker; 0 (default) "
+        "sets no deadline (with --procs > 1 a crashed task is still "
+        "contained)",
     )
     parser.add_argument(
         "--faults", default=None, metavar="SPEC",

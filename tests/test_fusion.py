@@ -555,17 +555,6 @@ class TestFusionPreconditions:
             assert_identical(ref, result2)
             assert program.stats["fused"] == 0
 
-    def test_fusion_disabled_by_flag(self):
-        sdfg = chain_sdfg(["y = x + 1.0", "y = x * 2.0"])
-        symbols = {"N": 9}
-        args = make_arguments(sdfg, symbols)
-        ref = interpreter_reference(sdfg, args, symbols)
-        program = CompiledWholeProgram(sdfg, fuse=False)
-        result = program.run(dict(args), symbols, collect_coverage=True)
-        assert_identical(ref, result)
-        assert program.stats["fused"] == 0
-        assert program.stats["vectorized"] == 2
-
 
 # ---------------------------------------------------------------------- #
 # Error parity through composed chains

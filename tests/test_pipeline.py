@@ -1,9 +1,14 @@
 """Tests for the parallel sweep pipeline (repro.pipeline)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro import faultinject
 from repro.core import Verdict
 from repro.frontend import add_scale
 from repro.pipeline import (
@@ -15,8 +20,10 @@ from repro.pipeline import (
     enumerate_sweep_tasks,
     execute_task,
 )
+from repro.cluster.journal import ResultStore
 from repro.cluster.worker import main as worker_main
 from repro.pipeline.cli import main as pipeline_main
+from repro.pipeline.runner import SupervisedExecutor, local_executor, run_shard
 from repro.sdfg import SDFG, float64
 from repro.sdfg.serialize import sdfg_to_json
 from repro.transforms import all_builtin_transformations
@@ -227,6 +234,67 @@ class TestSweepRunner:
         ]
 
 
+@pytest.fixture
+def faults():
+    """Arm a fault plan in this process (member processes fork it along);
+    disarmed again after the test."""
+    yield lambda spec: faultinject.configure(spec, export=False)
+    faultinject.configure(None, export=False)
+
+
+def _cheap_items(n):
+    """Tasks that fail fast (unknown suite) after the ``task.execute``
+    fault point: enough to drive the executor without verifying anything."""
+    tasks = [
+        SweepTask(
+            suite="no_such_suite",
+            workload=f"w{i}",
+            transformation=TransformationSpec("MapTiling", {}),
+            match_index=0,
+            match_description=f"cheap #{i}",
+            verifier_kwargs=dict(VERIFIER_KWARGS),
+        )
+        for i in range(n)
+    ]
+    return [(i, task.task_id, task) for i, task in enumerate(tasks)]
+
+
+class TestSupervisedExecution:
+    def test_hang_past_the_deadline_is_a_timeout_outcome(self, faults):
+        faults("task.execute[w0]=hang:60")
+        executor = SupervisedExecutor(1, 0.5)
+        try:
+            landed = {i: o for i, _, o, _ in executor.run_shard(_cheap_items(2))}
+        finally:
+            executor.close()
+        assert landed[0]["failure"] == "timeout"
+        assert landed[0]["verdict"] == Verdict.UNTESTED.value
+        assert "0.5 s deadline" in landed[0]["error"]
+        # The respawned member runs the rest of the shard.
+        assert "failure" not in landed[1]
+
+    def test_crash_without_a_deadline_is_a_crash_outcome(self, faults):
+        faults("task.execute[w1]=crash")
+        executor = SupervisedExecutor(2, 0.0)
+        try:
+            landed = {i: o for i, _, o, _ in executor.run_shard(_cheap_items(3))}
+        finally:
+            executor.close()
+        assert landed[1]["failure"] == "crash"
+        assert landed[1]["error"] == "worker process died while running this task"
+        assert "failure" not in landed[0] and "failure" not in landed[2]
+
+    def test_one_process_without_a_deadline_runs_inline(self, faults):
+        faults("task.execute[w0]=exception")
+        items = _cheap_items(2)
+        assert local_executor(1, 0.0) is None
+        landed = list(run_shard(items, None))
+        assert [i for i, _, _, _ in landed] == [0, 1]
+        # The plan armed here fires here: no member process in between.
+        assert "FaultInjected" in landed[0][2]["error"]
+        assert faultinject.hit_counts()
+
+
 class TestSweepResult:
     def _result(self):
         return SweepRunner(workers=1).run(_tasks(buggy=True), suite="npbench", buggy=True)
@@ -303,6 +371,32 @@ class TestSweepResult:
         restored = SweepResult.from_dict(json.loads(reassembled.to_json()))
         assert restored.comparable_dict() == direct.comparable_dict()
 
+    def test_crashed_outcomes_are_reported_but_not_journaled(
+        self, tmp_path, faults
+    ):
+        """A task whose process died lands in the result (``errors()``, exit
+        code 1) but not in the journal, so ``--resume`` runs it again."""
+        tasks = _tasks(buggy=True, kernels=["jacobi_1d", "axpy_pipeline"])
+        serial = SweepRunner(workers=1).run(tasks)
+        path = str(tmp_path / "sweep.jsonl")
+        store = ResultStore.open(path, tasks, "npbench", True, "interpreter")
+        faults("task.execute[jacobi_1d]=crash")
+        crashed = SweepRunner(workers=2).run(tasks, store=store)
+        faults(None)
+        store.close()
+
+        poisoned = {t.task_id for t in tasks if t.workload == "jacobi_1d"}
+        assert poisoned and len(poisoned) < len(tasks)
+        for outcome in crashed.outcomes:
+            if outcome["task_id"] in poisoned:
+                assert outcome["failure"] == "crash"
+        assert len(crashed.errors()) == len(poisoned)
+        _, journaled = ResultStore._load(path)
+        assert set(journaled) == {t.task_id for t in tasks} - poisoned
+
+        resumed = SweepRunner(workers=1).run(tasks, completed=journaled)
+        assert resumed.comparable_dict() == serial.comparable_dict()
+
     def test_cross_pair_backend_label_roundtrips(self):
         result = SweepRunner(workers=1).run(
             [], suite="npbench", buggy=False, backend="cross:compiled,interpreter"
@@ -342,6 +436,43 @@ class TestCLI:
         ])
         assert rc == 0
         assert "buggy sweep" in capsys.readouterr().out
+
+    def test_cli_parallel_sweep_survives_a_crashed_process(
+        self, capsys, tmp_path
+    ):
+        """A process that dies under ``--workers 2`` costs its task, not the
+        sweep: the task is UNTESTED, every other verdict is the serial one,
+        and the exit code reports the error."""
+        sweep = [
+            "--suite", "npbench", "--buggy", "--trials", "2",
+            "--max-instances", "1", "--kernels", "gemm,atax",
+            "--backend", "compiled", "--quiet",
+        ]
+        serial_json = tmp_path / "serial.json"
+        assert pipeline_main(sweep + ["--json", str(serial_json)]) == 0
+        capsys.readouterr()
+
+        crashed_json = tmp_path / "crashed.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.pipeline", *sweep,
+             "--workers", "2", "--json", str(crashed_json),
+             "--faults", "task.execute[gemm]=crash"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+
+        serial = json.loads(serial_json.read_text())["outcomes"]
+        crashed = json.loads(crashed_json.read_text())["outcomes"]
+        assert len(crashed) == len(serial)
+        assert any(o["workload"] == "gemm" for o in serial)
+        for ref, got in zip(serial, crashed):
+            if got["workload"] == "gemm":
+                assert got["verdict"] == Verdict.UNTESTED.value
+                assert got["failure"] == "crash"
+            else:
+                assert got["verdict"] == ref["verdict"]
 
     def test_cli_resume_requires_journal(self, capsys):
         with pytest.raises(SystemExit):

@@ -26,6 +26,7 @@ import time
 
 import pytest
 
+from repro import faultinject
 from repro.cluster import recv_message, send_message
 from repro.cluster.client import (
     ServiceClientError,
@@ -774,6 +775,46 @@ class TestFailureDomains:
             "repro_task_timeouts_total", {"sweep": sid}
         )] == 1
 
+    @pytest.mark.parametrize("task_timeout", [0.0, 30.0])
+    def test_multi_process_worker_contains_a_crashed_task(self, task_timeout):
+        """A ``--procs 2`` worker whose member process dies mid-task reports
+        a retryable crash instead of wedging its lease (its heartbeat would
+        keep a ``--worker-timeout`` from ever requeueing it): the scheduler
+        retries the task and, its budget spent, lands the crash outcome."""
+        tasks = real_tasks(["gemm", "jacobi_1d"])
+        serial = SweepRunner(workers=1).run(tasks)
+        poisoned = [i for i, t in enumerate(tasks) if t.workload == "gemm"]
+        assert poisoned and len(poisoned) < len(tasks)
+
+        service = VerificationService(
+            "127.0.0.1", 0, done_when_idle=True, max_task_retries=1
+        )
+        sid = service.submit(tasks)
+        service.start()
+        executed = []
+        faultinject.configure("task.execute[gemm]=crash", export=False)
+        try:
+            worker = start_worker_thread(
+                service.address, results=executed, procs=2,
+                heartbeat_seconds=0.2, task_timeout=task_timeout,
+            )
+            worker.join(timeout=60.0)
+            assert not worker.is_alive(), "the worker hung on a dead process"
+            result = service.wait_sweep(sid, timeout=5.0)
+        finally:
+            faultinject.configure(None, export=False)
+            service.stop()
+
+        # Every poisoned task ran twice (budget 1), every other task once.
+        assert executed == [len(tasks) + len(poisoned)]
+        for index, (ref, got) in enumerate(zip(serial.outcomes, result.outcomes)):
+            if index in poisoned:
+                assert got["failure"] == "crash"
+                assert got["verdict"] == "untested"
+            else:
+                assert got["verdict"] == ref["verdict"]
+                assert "failure" not in got
+
     @pytest.mark.parametrize("damage", ["payload altered", "crc removed"])
     def test_unverifiable_journal_record_is_skipped_and_rerun_on_resume(
         self, tmp_path, damage
@@ -851,7 +892,7 @@ def _untested_by_lost_lease(task):
 
 
 def _untested_by_supervisor(task):
-    from repro.cluster.supervise import SupervisedExecutor
+    from repro.pipeline.runner import SupervisedExecutor
 
     return SupervisedExecutor._failure_outcome(task, task.task_id, "timeout", 1.0)
 
