@@ -102,7 +102,9 @@ bench-pairs:
 # module imports asyncio; the scheduler core stays socket-free), clock
 # containment (only repro.telemetry touches time.monotonic/perf_counter), and fault
 # containment (only repro.faultinject may hard-kill/signal a process;
-# fault helpers import from the package root only), and graph containment
-# (only repro.sdfg.graph touches a graph's internals or bumps its version).
+# fault helpers import from the package root only), graph containment
+# (only repro.sdfg.graph touches a graph's internals or bumps its version),
+# and copy containment (sdfg/, core/, transforms/ and backends/ never use the
+# copy module: the IR is copied only by repro.sdfg.copier).
 lint-arch:
 	$(PY) tools/lint_arch.py

@@ -18,14 +18,12 @@ applied there (:func:`transfer_match`).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.side_effects import SideEffectAnalysis, analyze_side_effects
-from repro.sdfg.data import Data
-from repro.sdfg.memlet import Memlet
-from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, NestedSDFGNode, Node, Tasklet
+from repro.sdfg.copier import clone_state
+from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, Node
 from repro.sdfg.sdfg import SDFG, InterstateEdge
 from repro.sdfg.state import SDFGState
 from repro.transforms.base import Match, PatternTransformation, TransformationError
@@ -134,28 +132,6 @@ def _expand_node_set(state: SDFGState, nodes: Sequence[Node]) -> List[Node]:
     return sorted(selected.values(), key=lambda n: order[id(n)])
 
 
-def _copy_subgraph(
-    sdfg: SDFG, state: SDFGState, nodes: Sequence[Node], target: SDFG, target_state: SDFGState
-) -> Dict[int, Node]:
-    """Copy the induced subgraph of ``nodes`` into ``target_state``."""
-    node_list = list(nodes)
-    copies: List[Node] = copy.deepcopy(node_list)
-    id_map: Dict[int, Node] = {id(o): c for o, c in zip(node_list, copies)}
-    for c in copies:
-        target_state.add_node(c)
-    in_set = {id(n) for n in node_list}
-    for edge in state.edges():
-        if id(edge.src) in in_set and id(edge.dst) in in_set:
-            target_state.graph.add_edge(
-                id_map[id(edge.src)],
-                id_map[id(edge.dst)],
-                copy.deepcopy(edge.data),
-                edge.src_conn,
-                edge.dst_conn,
-            )
-    return id_map
-
-
 def _register_containers(
     sdfg: SDFG, target: SDFG, state_or_states
 ) -> None:
@@ -173,7 +149,7 @@ def _register_containers(
             continue
         if name not in sdfg.arrays:
             continue
-        target.arrays[name] = copy.deepcopy(sdfg.arrays[name])
+        target.arrays[name] = sdfg.arrays[name].clone()
         for sym in target.arrays[name].free_symbols:
             target.add_symbol(sym)
     for sym, dtype in sdfg.symbols.items():
@@ -241,8 +217,9 @@ def _extract_dataflow_cutout(
     )
 
     target = SDFG(f"cutout_{sdfg.name}")
-    target_state = target.add_state(state.label, is_start_state=True)
-    _copy_subgraph(sdfg, state, expanded, target, target_state)
+    target_state = clone_state(state, expanded)
+    target._states.add_node(target_state)
+    target.start_state = target_state
     _register_containers(sdfg, target, target_state)
 
     return Cutout(
@@ -272,7 +249,7 @@ def extract_state_cutout(
 
     copies: Dict[SDFGState, SDFGState] = {}
     for st in state_list:
-        new_state = copy.deepcopy(st)
+        new_state = clone_state(st)
         copies[st] = new_state
         target._states.add_node(new_state)
 
@@ -283,7 +260,7 @@ def extract_state_cutout(
         src_in = edge.src in included
         dst_in = edge.dst in included
         if src_in and dst_in:
-            target.add_edge(copies[edge.src], copies[edge.dst], copy.deepcopy(edge.data))
+            target.add_edge(copies[edge.src], copies[edge.dst], edge.data.clone())
         elif dst_in and not src_in:
             # Control flow entering the cutout region: preserve assignments
             # (e.g. loop-counter initialization) but drop the condition.
@@ -294,7 +271,7 @@ def extract_state_cutout(
             )
             start_connected = True
         elif src_in and not dst_in:
-            target.add_edge(copies[edge.src], end_stub, copy.deepcopy(edge.data))
+            target.add_edge(copies[edge.src], end_stub, edge.data.clone())
             end_connected = True
     if not start_connected and state_list:
         target.add_edge(start_stub, copies[state_list[0]], InterstateEdge())

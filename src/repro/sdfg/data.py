@@ -9,7 +9,6 @@ for generalizing extracted test cases to different input sizes.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -95,7 +94,11 @@ class Data:
         return out
 
     def clone(self) -> "Data":
-        return copy.deepcopy(self)
+        """A new descriptor over the same (immutable) shape and type, without
+        the shape cache of :meth:`concrete_shape`."""
+        out = object.__new__(type(self))
+        out.__dict__ = {k: v for k, v in self.__dict__.items() if k != "_shape_cache"}
+        return out
 
     def allocate(self, symbols: Mapping[str, int] | None = None) -> np.ndarray:
         """Allocate a zero-initialized NumPy buffer for this descriptor."""

@@ -17,6 +17,8 @@ from typing import Any, Dict, Union
 
 import numpy as np
 
+from repro.symbolic.expressions import Immutable
+
 __all__ = [
     "typeclass",
     "float32",
@@ -35,8 +37,9 @@ __all__ = [
 ]
 
 
-class typeclass:
-    """A scalar element type backed by a NumPy dtype."""
+class typeclass(Immutable):
+    """A scalar element type backed by a NumPy dtype (immutable: copies of a
+    program share their element types)."""
 
     __slots__ = ("name", "nptype")
 
@@ -72,13 +75,6 @@ class typeclass:
 
     def __hash__(self) -> int:
         return hash(("typeclass", self.nptype.str))
-
-    # Immutable: copies of a program share its element types.
-    def __copy__(self) -> "typeclass":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "typeclass":
-        return self
 
     def __str__(self) -> str:
         return self.name

@@ -17,7 +17,7 @@ and edge identity semantics stay fully under our control.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Generic, Iterable, Iterator, List, Optional, Set, Tuple, TypeVar
+from typing import Any, Callable, Dict, Generic, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, TypeVar
 
 NodeT = TypeVar("NodeT")
 EdgeDataT = TypeVar("EdgeDataT")
@@ -94,6 +94,35 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         del self._out[node]
         del self._in[node]
         self.version += 1
+
+    def copy(
+        self,
+        node_map: Mapping[NodeT, NodeT],
+        edge_data: Callable[[EdgeDataT], EdgeDataT],
+    ) -> "OrderedMultiDiGraph[NodeT, EdgeDataT]":
+        """A new graph over the images ``node_map`` gives this graph's nodes
+        (in this graph's order; a node it does not map is left out) and a new
+        edge for every edge between two mapped nodes, carrying
+        ``edge_data(edge.data)``.  Built directly, with ``version`` set as if
+        every node and edge had been added one by one."""
+        out: OrderedMultiDiGraph[NodeT, EdgeDataT] = OrderedMultiDiGraph()
+        nodes, outs, ins, edges = out._nodes, out._out, out._in, out._edges
+        for node in self._nodes:
+            new = node_map.get(node)
+            if new is not None:
+                nodes[new] = len(nodes)
+                outs[new] = []
+                ins[new] = []
+        for e in self._edges:
+            src, dst = node_map.get(e.src), node_map.get(e.dst)
+            if src is not None and dst is not None:
+                edge = Edge(src, dst, edge_data(e.data), e.src_conn, e.dst_conn)
+                edges.append(edge)
+                outs[src].append(edge)
+                ins[dst].append(edge)
+        out._next_index = len(nodes)
+        out.version = len(nodes) + len(edges)
+        return out
 
     def has_node(self, node: NodeT) -> bool:
         return node in self._nodes

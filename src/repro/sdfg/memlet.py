@@ -10,7 +10,6 @@ as edge capacity (Sec. 4 of the paper).
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.symbolic.expressions import Expr, sympify
@@ -120,7 +119,15 @@ class Memlet:
         return out
 
     def clone(self) -> "Memlet":
-        return copy.deepcopy(self)
+        """A new memlet over the same (immutable) subsets and volume."""
+        out = Memlet.__new__(Memlet)
+        out.data = self.data
+        out.subset = self.subset
+        out.other_subset = self.other_subset
+        out.wcr = self.wcr
+        out._volume = self._volume
+        out.dynamic = self.dynamic
+        return out
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict:

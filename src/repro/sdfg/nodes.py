@@ -1,16 +1,15 @@
 """Dataflow graph nodes: access nodes, tasklets and map scopes.
 
 Every node carries a *guid* -- a globally unique identifier that survives
-deep copies.  When a program is copied and a transformation is applied to the
-copy, nodes that existed before keep their guid while newly created nodes get
-fresh ones; the black-box change-isolation analysis (Sec. 3, step 2) uses
-this to compute the set of modified nodes between the original and the
-transformed graph.
+copies (:mod:`repro.sdfg.copier`).  When a program is copied and a
+transformation is applied to the copy, nodes that existed before keep their
+guid while newly created nodes get fresh ones; the black-box
+change-isolation analysis (Sec. 3, step 2) uses this to compute the set of
+modified nodes between the original and the transformed graph.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -50,22 +49,6 @@ class Node:
         self.in_connectors: Set[str] = set()
         #: Named output connectors.
         self.out_connectors: Set[str] = set()
-
-    # Deep copies preserve the guid (the copy *is* the same program element);
-    # use :meth:`fresh_copy` to create a genuinely new element.
-    def __deepcopy__(self, memo) -> "Node":
-        cls = self.__class__
-        result = cls.__new__(cls)
-        memo[id(self)] = result
-        for k, v in self.__dict__.items():
-            result.__dict__[k] = copy.deepcopy(v, memo)
-        return result
-
-    def fresh_copy(self) -> "Node":
-        """Deep copy with a *new* guid (represents a new program element)."""
-        out = copy.deepcopy(self)
-        out.guid = next_guid()
-        return out
 
     def add_in_connector(self, name: str) -> str:
         self.in_connectors.add(name)

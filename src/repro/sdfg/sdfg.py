@@ -13,7 +13,6 @@ program's argument list.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -98,6 +97,13 @@ class InterstateEdge:
                 names |= set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", expr))
         return names - _EXPRESSION_BUILTINS - _EXPRESSION_KEYWORDS
 
+    def clone(self) -> "InterstateEdge":
+        """A new edge with its own ``assignments`` dict."""
+        out = InterstateEdge.__new__(InterstateEdge)
+        out.condition = self.condition
+        out.assignments = dict(self.assignments)
+        return out
+
     def to_dict(self) -> Dict:
         return {"condition": self.condition, "assignments": dict(self.assignments)}
 
@@ -124,7 +130,8 @@ class SDFG:
             OrderedMultiDiGraph()
         )
         self._start_state: Optional[SDFGState] = None
-        self._label_counter = itertools.count(0)
+        #: Number of the next default state label (``state_<k>``).
+        self._next_label = 0
 
     # ------------------------------------------------------------------ #
     # Data descriptors
@@ -216,7 +223,9 @@ class SDFG:
     # States and control flow
     # ------------------------------------------------------------------ #
     def add_state(self, label: Optional[str] = None, is_start_state: bool = False) -> SDFGState:
-        label = label or f"state_{next(self._label_counter)}"
+        if not label:
+            label = f"state_{self._next_label}"
+            self._next_label += 1
         existing = {s.label for s in self._states.nodes()}
         base = label
         i = 0
@@ -360,9 +369,12 @@ class SDFG:
     # Copying, serialization, validation
     # ------------------------------------------------------------------ #
     def clone(self, new_name: Optional[str] = None) -> "SDFG":
-        """Deep copy of the program.  Node guids are preserved, so the copy
-        can be diffed against the original after transforming it."""
-        out = copy.deepcopy(self)
+        """Structural copy of the program (:mod:`repro.sdfg.copier`).  Node
+        guids are preserved, so the copy can be diffed against the original
+        after transforming it."""
+        from repro.sdfg.copier import clone_sdfg
+
+        out = clone_sdfg(self)
         if new_name:
             out.name = new_name
         return out

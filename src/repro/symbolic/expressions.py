@@ -39,8 +39,22 @@ __all__ = [
 ]
 
 
-class Expr:
-    """Base class for all symbolic expressions."""
+class Immutable:
+    """An object whose fields are assigned in ``__init__`` only.  Copies
+    share it: :mod:`copy` returns the object itself, and the IR copier
+    (:mod:`repro.sdfg.copier`) never rebuilds one."""
+
+    __slots__ = ()
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo: dict):
+        return self
+
+
+class Expr(Immutable):
+    """Base class for all symbolic expressions (immutable)."""
 
     __slots__ = ()
 
@@ -65,14 +79,6 @@ class Expr:
 
     def is_constant(self) -> bool:
         return not self.free_symbols
-
-    # Immutable (slots are assigned in ``__init__`` only), so copying a
-    # program shares its expressions instead of rebuilding them.
-    def __copy__(self) -> "Expr":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "Expr":
-        return self
 
     # ------------------------------------------------------------------ #
     # Python protocol

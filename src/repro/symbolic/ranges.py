@@ -24,6 +24,7 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.symbolic.expressions import (
     Add,
     Expr,
+    Immutable,
     Integer,
     Max,
     Min,
@@ -38,7 +39,7 @@ ExprLike = Union[Expr, int, str]
 __all__ = ["Range", "Subset", "Indices"]
 
 
-class Range:
+class Range(Immutable):
     """A one-dimensional range ``begin:end:step`` with an inclusive end."""
 
     __slots__ = ("begin", "end", "step")
@@ -158,13 +159,6 @@ class Range:
     def __hash__(self) -> int:
         return hash(("Range", self.begin, self.end, self.step))
 
-    # Immutable, like the expressions it holds: copies share it.
-    def __copy__(self) -> "Range":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "Range":
-        return self
-
     def __str__(self) -> str:
         if self.is_point():
             return str(self.begin)
@@ -176,7 +170,7 @@ class Range:
         return f"Range({self})"
 
 
-class Subset:
+class Subset(Immutable):
     """A multi-dimensional subset: one :class:`Range` per dimension."""
 
     __slots__ = ("ranges",)
@@ -328,13 +322,6 @@ class Subset:
 
     def __hash__(self) -> int:
         return hash(("Subset", self.ranges))
-
-    # Immutable (``ranges`` is a tuple of immutable ranges): copies share it.
-    def __copy__(self) -> "Subset":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "Subset":
-        return self
 
     def __str__(self) -> str:
         return ", ".join(str(r) for r in self.ranges)

@@ -15,10 +15,10 @@ correct variants pass.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
+from repro.sdfg.copier import clone_state
 from repro.sdfg.nodes import Node, next_guid
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
@@ -158,12 +158,12 @@ def all_builtin_transformations() -> Dict[str, Type[PatternTransformation]]:
 # Helpers shared by concrete transformations
 # ---------------------------------------------------------------------- #
 def copy_state_into(sdfg: SDFG, state: SDFGState, new_label: str) -> SDFGState:
-    """Deep-copy a state into ``sdfg`` under a new label.
+    """Copy a state into ``sdfg`` under a new label.
 
     All copied nodes receive *fresh* guids: the copies are new program
     elements (e.g. unrolled loop body instances), not the originals.
     """
-    new_state = copy.deepcopy(state)
+    new_state = clone_state(state)
     new_state.label = new_label
     for node in new_state.nodes():
         node.guid = next_guid()

@@ -1,30 +1,39 @@
 """Copy semantics of programs and the shared-workload contract.
 
-``SDFG.clone`` copies every mutable carrier (states, nodes, maps, memlets,
-data descriptors) and shares the immutable leaves (expressions, ranges,
-subsets, element types).  ``build_workload`` hands every caller in the
-process the same program, which is only sound while everything downstream
-of it -- enumeration, cutout extraction, ``verify`` -- reads and never
-writes.  These tests pin both halves.
+Every IR copy -- ``SDFG.clone``, a cutout, an unrolled state -- goes
+through the structural copier (``repro.sdfg.copier``): it copies every
+mutable carrier (states, graphs, nodes, connector sets, maps, memlets, data
+descriptors, interstate edges) and shares the immutable leaves
+(expressions, ranges, subsets, element types).  The no-aliasing audit walks
+the object graph of each copy to check exactly that, and that a copied map
+entry and exit still share one map.  ``build_workload`` hands every caller
+in the process the same program, which is only sound while everything
+downstream of it -- enumeration, cutout extraction, ``verify`` -- reads and
+never writes.  These tests pin both halves.
 """
 
 import copy
 import dataclasses
+import enum
+import gc
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.sdfg.copier as copier
 import repro.workloads as workloads
 from repro.backends import get_backend, sdfg_content_hash
-from repro.core.cutout import extract_state_cutout, transfer_match
+from repro.core.cutout import extract_cutout, extract_state_cutout, transfer_match
 from repro.core.verifier import FuzzyFlowVerifier
 from repro.pipeline import SweepRunner, enumerate_sweep_tasks, execute_task
 from repro.pipeline.tasks import default_transformation_specs
 from repro.sdfg.data import Array
 from repro.sdfg.dtypes import float64, typeclass
-from repro.sdfg.nodes import MapEntry
+from repro.sdfg.memlet import Memlet
+from repro.sdfg.nodes import MapEntry, MapExit
 from repro.sdfg.sdfg import SDFG
-from repro.symbolic.expressions import sympify
+from repro.symbolic.expressions import Expr, sympify
 from repro.symbolic.ranges import Indices, Range, Subset
 from repro.transforms.base import copy_state_into
 from repro.workloads import build_workload, get_workload_suite
@@ -49,6 +58,52 @@ def _mutable_parts(sdfg):
         parts += [n.map.ranges for n in state.nodes() if isinstance(n, MapEntry)]
         parts += [e.data for e in state.edges() if e.data is not None]
     return parts
+
+
+#: What a copy may share with its source: immutable leaves.
+_LEAVES = (str, int, float, bool, type(None), enum.Enum, Expr, Range, Subset, typeclass)
+#: Never walked into: they are reached through every instance's class.
+_OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+
+
+def _is_leaf(obj):
+    if isinstance(obj, (tuple, frozenset)):
+        return all(_is_leaf(item) for item in obj)
+    return isinstance(obj, _LEAVES)
+
+
+def _reachable(root):
+    """id -> object for everything ``gc.get_referents`` reaches from
+    ``root``, without walking into leaves, classes, modules or functions."""
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _OPAQUE):
+            continue
+        seen[id(obj)] = obj
+        if not isinstance(obj, _LEAVES):
+            stack.extend(gc.get_referents(obj))
+    return seen
+
+
+def _shared_carriers(source, copied):
+    """Objects reachable from both programs that are not immutable leaves."""
+    theirs = _reachable(source)
+    return [obj for key, obj in _reachable(copied).items() if key in theirs and not _is_leaf(obj)]
+
+
+def _unshared_map_exits(states):
+    """Map exits in ``states`` (nested programs included) whose map is not
+    the map of an entry in the same state."""
+    out = []
+    for state in states:
+        maps = {id(n.map) for n in state.nodes() if isinstance(n, MapEntry)}
+        out += [n for n in state.nodes() if isinstance(n, MapExit) and id(n.map) not in maps]
+        for node in state.nodes():
+            if hasattr(node, "sdfg"):
+                out += _unshared_map_exits(node.sdfg.states())
+    return out
 
 
 def _first_instance(sdfg):
@@ -108,6 +163,30 @@ class TestImmutableLeaves:
         clone.transient = True
         assert [str(s) for s in desc.shape] == ["N", "M"] and not desc.transient
 
+    def test_a_cloned_descriptor_starts_without_the_shape_cache(self):
+        desc = Array(float64, ["N", "M"])
+        assert desc.concrete_shape({"N": 3, "M": 4}) == (3, 4)
+        assert "_shape_cache" in vars(desc)
+        clone = desc.clone()
+        assert "_shape_cache" not in vars(clone)
+        for values in ({"N": 3, "M": 4}, {"N": 5, "M": 1}):
+            assert clone.concrete_shape(values) == desc.concrete_shape(values)
+
+
+def test_a_clone_names_its_next_state_like_the_original():
+    """The default-label counter is a plain int the copier carries over (an
+    ``itertools.count`` cannot be copied on every supported Python)."""
+    program = SDFG("labels")
+    program.add_state()
+    program.add_state()
+    clone = program.clone()
+    assert clone.add_state().label == program.add_state().label == "state_2"
+    for sdfg in (program, clone):
+        assert not [
+            name for name, value in vars(sdfg).items()
+            if type(value).__module__ == "itertools"
+        ]
+
 
 @pytest.mark.parametrize("suite,name", REGISTERED, ids=[f"{s}/{n}" for s, n in REGISTERED])
 class TestCloneIsolation:
@@ -141,15 +220,78 @@ class TestCloneIsolation:
         assert sdfg_content_hash(original) == before
 
 
+@pytest.mark.parametrize("suite,name", REGISTERED, ids=[f"{s}/{n}" for s, n in REGISTERED])
+class TestNoAliasing:
+    """Walk each copy's object graph: whatever it shares with its source is
+    an immutable leaf, and each copied map exit shares its entry's map."""
+
+    def test_clone_cutout_and_transformed_cutout(self, suite, name):
+        program = build_workload(suite, name)
+        xform, match = _first_instance(program)
+        cutout = extract_cutout(program, xform, match)
+        transformed = cutout.sdfg.clone()
+        xform.apply(transformed, transfer_match(xform, match, transformed))
+        pairs = [(program, program.clone()), (program, cutout.sdfg), (cutout.sdfg, transformed)]
+        for source, copied in pairs:
+            assert _shared_carriers(source, copied) == []
+            assert _unshared_map_exits(copied.states()) == []
+
+    def test_copy_state_into_gives_fresh_guids(self, suite, name):
+        program = workloads.get_workload(suite, name).build()
+        state = max(program.states(), key=lambda s: len(s.nodes()))
+        again = copy_state_into(program, state, "again")
+        assert len(again.nodes()) == len(state.nodes())
+        old = {n.guid for _, n in program.all_nodes() if n not in again.nodes()}
+        assert not old & {n.guid for n in again.nodes()}
+        assert _shared_carriers(state, again) == []
+        assert _unshared_map_exits([again]) == []
+
+
+def test_nested_programs_are_copied_with_their_node():
+    inner = SDFG("inner")
+    inner.add_array("x", ["K"], float64)
+    inner.add_array("y", ["K"], float64)
+    inner.add_state("s").add_mapped_tasklet(
+        "sq", {"i": "0:K-1"}, {"a": Memlet.simple("x", "i")}, "b = a * a",
+        {"b": Memlet.simple("y", "i")},
+    )
+    outer = SDFG("outer")
+    outer.add_array("inp", ["N"], float64)
+    outer.add_array("out", ["N"], float64)
+    state = outer.add_state("s")
+    nested = state.add_nested_sdfg(inner, ["x"], ["y"], {"K": "N"})
+    state.add_edge(state.add_access("inp"), None, nested, "x", Memlet.simple("inp", "0:N-1"))
+    state.add_edge(nested, "y", state.add_access("out"), None, Memlet.simple("out", "0:N-1"))
+    clone, again = outer.clone(), copier.clone_state(state)
+    for copied, states in ((clone, clone.states()), (again, [again])):
+        assert _shared_carriers(outer, copied) == []
+        assert _unshared_map_exits(states) == []
+    (twin,) = [n for n in clone.start_state.nodes() if n.guid == nested.guid]
+    assert twin.sdfg is not inner and twin.symbol_mapping == nested.symbol_mapping
+
+
+def test_the_audit_catches_a_copier_that_shares_map_params(monkeypatch):
+    def sharing_clone_map(m):
+        out = type(m).__new__(type(m))
+        out.__dict__ = {**m.__dict__, "ranges": list(m.ranges)}
+        return out
+
+    monkeypatch.setattr(copier, "_clone_map", sharing_clone_map)
+    program = build_workload("npbench", "gemm")
+    params = [n.map.params for _, n in program.all_nodes() if isinstance(n, MapEntry)]
+    shared = _shared_carriers(program, program.clone())
+    assert params and all(any(p is obj for obj in shared) for p in params)
+
+
 def test_copying_states_never_copies_their_program(monkeypatch):
     """States hold no reference back to their program, so a state cutout or
     an unrolled loop body costs the states it copies, not the whole SDFG."""
     program = workloads.get_workload("npbench", "windowed_update").build()
 
-    def no_program_copy(self, memo):
-        raise AssertionError(f"whole-program copy of {self.name}")
+    def no_program_copy(sdfg):
+        raise AssertionError(f"whole-program copy of {sdfg.name}")
 
-    monkeypatch.setattr(SDFG, "__deepcopy__", no_program_copy, raising=False)
+    monkeypatch.setattr(copier, "clone_sdfg", no_program_copy)
     cutout = extract_state_cutout(program, program.states()[:2], {})
     assert {s.label for s in program.states()[:2]} <= {s.label for s in cutout.sdfg.states()}
     copy_state_into(program, program.states()[0], "again")

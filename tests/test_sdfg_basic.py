@@ -328,10 +328,6 @@ class TestCloningAndSerialization:
         clone.add_array("extra", [4], float64)
         assert "extra" not in sdfg.arrays
 
-    def test_fresh_copy_changes_guid(self):
-        t = Tasklet("t", ["a"], ["b"], "b = a")
-        assert t.fresh_copy().guid != t.guid
-
     def test_json_roundtrip(self):
         sdfg = build_elementwise_scale()
         text = sdfg.to_json()

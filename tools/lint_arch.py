@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Architecture lint for the backend lowering pipeline.
 
-Enforces six structural invariants of ``src/repro/`` -- two of the
+Enforces seven structural invariants of ``src/repro/`` -- two of the
 backends (see that package's docstring for the analyze -> plan -> codegen ->
-execute pipeline), one of the cluster, three of the whole tree:
+execute pipeline), one of the cluster, three of the whole tree and one of
+the IR packages:
 
 1. **Module size** -- no module under ``src/repro/backends/`` may exceed
    800 lines.  The pre-split backend grew monolithic modules where legality
@@ -54,6 +55,15 @@ execute pipeline), one of the cluster, three of the whole tree:
    graph's methods, which bump ``version``: each state's scope index is
    valid exactly while the version is unchanged, so a mutation that
    bypassed them would leave every scope query silently stale.
+
+7. **Copy containment** -- no module under ``src/repro/sdfg/``,
+   ``src/repro/core/``, ``src/repro/transforms/`` or
+   ``src/repro/backends/`` may import :mod:`copy` (in any spelling) or
+   call ``copy.copy`` / ``copy.deepcopy``.  The structural copier
+   (``repro/sdfg/copier.py``) is the one way to copy the IR: it shares the
+   immutable leaves and copies each map once per state copy, so a ``MapEntry``
+   and its ``MapExit`` keep sharing one map; a generic deep copy pays for a
+   memo over every leaf and would bring back a second copy semantics.
 
 Exits non-zero listing every violation.  Wired into ``make lint-arch`` and
 ``make smoke``.
@@ -270,6 +280,33 @@ def _check_graph(path: Path) -> List[str]:
     return violations
 
 
+#: The IR packages, which copy only through ``repro/sdfg/copier.py``.
+COPY_FREE = tuple(SRC / name for name in ("sdfg", "core", "transforms", "backends"))
+
+
+def _check_copy(path: Path) -> List[str]:
+    """Violations of the copy-containment rule in one module."""
+    violations: List[str] = []
+    rel = path.relative_to(ROOT)
+    hint = "copy the IR through repro.sdfg.copier"
+    for lineno, module in _imported_modules(path):
+        if module.split(".", 1)[0] == "copy":
+            violations.append(f"{rel}:{lineno}: imports copy -- {hint}")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "copy"
+            and node.func.attr in ("copy", "deepcopy")
+        ):
+            violations.append(
+                f"{rel}:{node.lineno}: copy.{node.func.attr}() -- {hint}"
+            )
+    return violations
+
+
 def main() -> int:
     failures: List[str] = []
     for path in sorted(BACKENDS.rglob("*.py")):
@@ -296,6 +333,8 @@ def main() -> int:
             failures.extend(_check_faults(path))
         if path != GRAPH_HOME:
             failures.extend(_check_graph(path))
+        if any(home in path.parents for home in COPY_FREE):
+            failures.extend(_check_copy(path))
     if failures:
         print("Architecture lint FAILED:", file=sys.stderr)
         for failure in failures:
@@ -304,7 +343,7 @@ def main() -> int:
     print(
         "Architecture lint OK (module sizes, codegen->execute layering, "
         "cluster transport containment, clock "
-        "containment, fault containment, graph containment)."
+        "containment, fault containment, graph containment, copy containment)."
     )
     return 0
 
