@@ -60,9 +60,8 @@ bench-scaling:
 	cd benchmarks && PYTHONPATH=../src $(PY) -m pytest bench_pipeline_scaling.py -q -s
 
 # The paper-figure benchmarks (Figs. 2-6) and the CLOUDSC case study: the
-# only callers of the verifier's vary_sizes / stop_on_failure knobs, of
-# verify_whole_program and of the coverage-guided baseline; about 20 s,
-# writes nothing.
+# only callers of the verifier's vary_sizes / stop_on_failure knobs and of
+# verify_whole_program; a few seconds, writes nothing.
 bench-figs:
 	cd benchmarks && PYTHONPATH=../src $(PY) -m pytest bench_fig*.py bench_cloudsc_case_study.py -q
 

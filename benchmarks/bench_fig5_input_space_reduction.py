@@ -9,9 +9,9 @@ as BERT-large: SM >> P):
   (paper: ~2x),
 * the fuzzing-throughput advantage of cutout-based testing over running the
   whole application differentially (paper headline: up to 528x),
-* trials-to-detection of the size-dependent vectorization bug: gray-box
-  constrained size sampling vs. the AFL-style coverage-guided loop
-  (paper: ~1 trial vs. ~157 trials).
+* trials-to-detection of the size-dependent vectorization bug under
+  gray-box constrained size sampling (paper: ~1 trial, against ~157 for the
+  AFL++ coverage-guided baseline, which this reproduction does not carry).
 """
 
 import time
@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from repro.core import (
-    CoverageGuidedFuzzer,
     DifferentialFuzzer,
     FuzzyFlowVerifier,
     InputSampler,
@@ -151,9 +150,9 @@ def test_fig5_cutout_vs_whole_application_rate(benchmark, report_lines):
     assert speedup > 1.5
 
 
-def test_fig5_graybox_vs_coverage_guided_trials(benchmark, report_lines):
+def test_fig5_graybox_trials_to_detection(benchmark, report_lines):
     """Trials needed to expose the size-dependent vectorization bug."""
-    def build_pair(seed):
+    def build_fuzzer(seed):
         sdfg = build_attention_scores()
         xform = Vectorization(vector_size=4, inject_bug=True)
         match = _scale_match(xform, sdfg)
@@ -168,25 +167,17 @@ def test_fig5_graybox_vs_coverage_guided_trials(benchmark, report_lines):
         sampler = InputSampler(
             exe_o, cutout.input_configuration, cutout.system_state, constraints, seed=seed,
         )
-        fuzzer = DifferentialFuzzer(exe_o, exe_t, cutout.system_state, sampler)
-        return fuzzer, sampler
+        return DifferentialFuzzer(exe_o, exe_t, cutout.system_state, sampler)
 
     def campaign():
-        gray, cov = [], []
+        gray = []
         for seed in range(3):
-            fuzzer, _ = build_pair(seed)
-            rep = fuzzer.run(num_trials=60, stop_on_failure=True)
+            rep = build_fuzzer(seed).run(num_trials=60, stop_on_failure=True)
             gray.append(rep.first_failure_trial or 60)
-            fuzzer2, sampler2 = build_pair(seed + 50)
-            cg = CoverageGuidedFuzzer(fuzzer2, sampler2, seed=seed, mutate_sizes_probability=0.15)
-            rep2 = cg.run(max_trials=250, default_symbols=SYMS, stop_on_failure=True)
-            cov.append(rep2.first_failure_trial or 250)
-        return gray, cov
+        return gray
 
-    gray, cov = benchmark.pedantic(campaign, rounds=1, iterations=1)
+    gray = benchmark.pedantic(campaign, rounds=1, iterations=1)
 
     gray_avg = sum(gray) / len(gray)
-    cov_avg = sum(cov) / len(cov)
     report_lines.append(f"gray-box trials to detection     : {gray_avg:6.1f} (paper: ~1)")
-    report_lines.append(f"coverage-guided trials           : {cov_avg:6.1f} (paper: ~157)")
-    assert gray_avg < cov_avg
+    assert gray_avg <= 2

@@ -50,7 +50,6 @@ class CompiledProgram(abc.ABC):
         self,
         arguments: Optional[Mapping[str, Any]] = None,
         symbols: Optional[Mapping[str, Any]] = None,
-        collect_coverage: bool = False,
     ) -> ExecutionResult:
         """Execute the prepared program and return the final system state.
 

@@ -59,17 +59,15 @@ class BoundAxis:
         self.clamp = None if plan.clamp is None else compile_expression(plan.clamp)
         self.per_block = plan.per_block
 
-    def resolve(self, bindings: Dict[str, Any]) -> Tuple[Triple, int]:
-        """The axis's ``(first, step, count)`` under ``bindings`` and how
-        often the tasklet runs along it (the block count of a ``per_block``
-        axis, else ``count``)."""
+    def resolve(self, bindings: Dict[str, Any]) -> Triple:
+        """The axis's ``(first, step, count)`` under ``bindings``."""
         begin, end, step = self.range.evaluate(bindings)
         if step == 0:
             raise ExecutionError(f"Map '{self.label}' has a zero step")
         triple = axis_triple(begin, end, step)
         first, _, blocks = triple
         if not self.width or not blocks:
-            return triple, blocks
+            return triple
         # Densified: the union of the width-``width`` blocks that start at
         # the strided values, cut off at the clamp.
         last = first + step * (blocks - 1)
@@ -82,7 +80,7 @@ class BoundAxis:
                 raise ValueError("empty block on a densified axis")
             end = min(end, clamp)
         count = max(0, end - first + 1)
-        return (first, 1, count), blocks if self.per_block else count
+        return first, 1, count
 
 
 @dataclass

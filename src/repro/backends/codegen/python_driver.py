@@ -113,29 +113,24 @@ class _DriverEmitter:
         self.indent += 1
         self.line("__sym = __rt._symbols")
         self.line("__store = __rt._store")
-        self.line("__cov = __rt._coverage")
         self.line("__max = __rt.max_transitions")
         self.line("__allops = __rt._state_ops")
         for index in range(len(self.state_index)):
             self.line(f"__ops{index} = __allops[{index}]")
         self.line("__t = 0")
-        self.line("__prev = '__start__'")
         body()
         self.line("return __t")
         self.indent -= 1
 
     def emit_exec(self, state: SDFGState) -> None:
         """One state execution, mirroring the interpreter's per-state steps:
-        hang check, transition coverage, dataflow, transition count.  The
-        dataflow is the state's prepared op list, iterated inline."""
+        hang check, dataflow, transition count.  The dataflow is the state's
+        prepared op list, iterated inline."""
         self.line("if __t > __max:")
         self.line("    __rt._hang()")
-        self.line("if __cov is not None:")
-        self.line(f"    __cov.record_transition(__prev, {state.label!r})")
         index = self.state_index[state]
         self.line(f"for __f in __ops{index}:")
         self.line("    __f(__rt, __sym)")
-        self.line(f"__prev = {state.label!r}")
         self.line("__t += 1")
 
     # .................................................................. #
@@ -160,11 +155,6 @@ class _DriverEmitter:
         self.line(f"    __c = {expr}")
         self.line("except __Exception as __exc:")
         self.line(f"    __rt._cond_fail({cond!r}, __exc)")
-
-    def emit_record_condition(self, state: SDFGState, edge) -> None:
-        location = f"{state.label}->{edge.dst.label}"
-        self.line("if __cov is not None:")
-        self.line(f"    __cov.record_condition({location!r}, __c)")
 
     def emit_assignments(self, edge) -> None:
         for sym, expr in edge.data.assignments.items():
@@ -247,7 +237,7 @@ class _DriverEmitter:
                 self.line("while True:")
                 self.indent += 1
                 self.emit_exec(item.loop.guard)
-                self._emit_arms(item.branch.state, item.branch.arms, 0, halt)
+                self._emit_arms(item.branch.arms, 0, halt)
                 self.indent -= 1
                 for name in hoisted_here:
                     del self.hoisted[name]
@@ -259,13 +249,12 @@ class _DriverEmitter:
                 ):
                     # Linear-chain edge: stay flat instead of nesting.
                     self.emit_condition(arm.edge)
-                    self.emit_record_condition(item.state, arm.edge)
                     if arm.edge.data.condition.strip() not in ("True", "1"):
                         self.line("if not __c:")
                         self.line(f"    {halt}")
                     self.emit_assignments(arm.edge)
                 else:
-                    self._emit_arms(item.state, item.arms, 0, halt)
+                    self._emit_arms(item.arms, 0, halt)
             else:  # pragma: no cover - exhaustive over CF node kinds
                 raise ExpressionCodegenError(f"Unknown CF item {item!r}")
         # Defensive terminator: blocks ending in a terminal state (no
@@ -273,7 +262,7 @@ class _DriverEmitter:
         # line is simply unreachable.
         self.line(halt)
 
-    def _emit_arms(self, state: SDFGState, arms, i: int, halt: str) -> None:
+    def _emit_arms(self, arms, i: int, halt: str) -> None:
         """Evaluate out-edges in order; the first true condition wins, no
         true condition terminates the program -- the interpreter's
         ``_next_state`` contract."""
@@ -282,7 +271,6 @@ class _DriverEmitter:
             return
         arm = arms[i]
         self.emit_condition(arm.edge)
-        self.emit_record_condition(state, arm.edge)
         self.line("if __c:")
         self.indent += 1
         self.emit_assignments(arm.edge)
@@ -296,7 +284,7 @@ class _DriverEmitter:
         if i + 1 < len(arms):
             self.line("else:")
             self.indent += 1
-            self._emit_arms(state, arms, i + 1, halt)
+            self._emit_arms(arms, i + 1, halt)
             self.indent -= 1
         else:
             self.line("else:")
@@ -316,17 +304,16 @@ class _DriverEmitter:
             keyword = "elif"
             self.indent += 1
             self.emit_exec(state)
-            self._emit_dispatch_arms(state, self.sdfg.out_edges(state), 0)
+            self._emit_dispatch_arms(self.sdfg.out_edges(state), 0)
             self.indent -= 1
         self.indent -= 1
 
-    def _emit_dispatch_arms(self, state: SDFGState, edges, i: int) -> None:
+    def _emit_dispatch_arms(self, edges, i: int) -> None:
         if i == len(edges):
             self.line("__s = -1")
             return
         edge = edges[i]
         self.emit_condition(edge)
-        self.emit_record_condition(state, edge)
         self.line("if __c:")
         self.indent += 1
         self.emit_assignments(edge)
@@ -334,7 +321,7 @@ class _DriverEmitter:
         self.indent -= 1
         self.line("else:")
         self.indent += 1
-        self._emit_dispatch_arms(state, edges, i + 1)
+        self._emit_dispatch_arms(edges, i + 1)
         self.indent -= 1
 
 

@@ -32,10 +32,9 @@ the entire SDFG** at preparation time
   with an explicit state variable).
 
 Results are bitwise identical to the interpreter, including final symbol
-values, transition counts, coverage maps (transition, condition and tasklet
-features) and the full error taxonomy (``HangError`` on transition-budget
-exhaustion, ``ExecutionError`` wrapping of failing conditions/assignments,
-``MemoryViolation`` from dataflow).
+values, transition counts and the full error taxonomy (``HangError`` on
+transition-budget exhaustion, ``ExecutionError`` wrapping of failing
+conditions/assignments, ``MemoryViolation`` from dataflow).
 
 As a last-resort safety net (e.g. an interstate assignment targeting a name
 that is *also* a scalar container, where static name routing cannot
@@ -274,9 +273,8 @@ class CompiledWholeProgram(CompiledProgram):
         self,
         arguments: Optional[Mapping[str, Any]] = None,
         symbols: Optional[Mapping[str, Any]] = None,
-        collect_coverage: bool = False,
     ) -> ExecutionResult:
-        return self.executor.run(arguments, symbols, collect_coverage=collect_coverage)
+        return self.executor.run(arguments, symbols)
 
 
 class CompiledBackend(ExecutionBackend):

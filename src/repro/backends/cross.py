@@ -122,24 +122,19 @@ class CrossProgram(CompiledProgram):
         self,
         arguments: Optional[Mapping[str, Any]] = None,
         symbols: Optional[Mapping[str, Any]] = None,
-        collect_coverage: bool = False,
     ) -> ExecutionResult:
         """Run both sides on the same inputs (each copies them) and judge
         the pair: the reference's result, or its error when both failed."""
         try:
-            ref_out = self.reference.run(
-                arguments, symbols, collect_coverage=collect_coverage
-            )
+            ref_out = self.reference.run(arguments, symbols)
         except ExecutionError as exc:
             ref_out = exc
         try:
-            cand_out = self.candidate.run(
-                arguments, symbols, collect_coverage=collect_coverage
-            )
+            cand_out = self.candidate.run(arguments, symbols)
         except ExecutionError as exc:
             cand_out = exc
         try:
-            outcome = self._check_pair(ref_out, cand_out, collect_coverage)
+            outcome = self._check_pair(ref_out, cand_out)
         finally:
             # A caught error's traceback holds this frame: a local still
             # naming the error would close a cycle.
@@ -151,7 +146,7 @@ class CrossProgram(CompiledProgram):
                 del outcome
         return outcome
 
-    def _check_pair(self, ref_out: Any, cand_out: Any, collect_coverage: bool) -> Any:
+    def _check_pair(self, ref_out: Any, cand_out: Any) -> Any:
         """Judge one (reference, candidate) outcome pair.
 
         Returns the reference outcome -- its result, or on agreeing
@@ -188,7 +183,7 @@ class CrossProgram(CompiledProgram):
                 )
             return ref_error
 
-        details = self._compare(ref_out, cand_out, collect_coverage)
+        details = self._compare(ref_out, cand_out)
         if details:
             raise self._diverged(details)
         self.checked_runs += 1
@@ -196,9 +191,7 @@ class CrossProgram(CompiledProgram):
 
     # .................................................................. #
     @staticmethod
-    def _compare(
-        ref: ExecutionResult, cand: ExecutionResult, compare_coverage: bool
-    ) -> List[str]:
+    def _compare(ref: ExecutionResult, cand: ExecutionResult) -> List[str]:
         details: List[str] = []
         for name in sorted(set(ref.outputs) | set(cand.outputs)):
             a, b = ref.outputs.get(name), cand.outputs.get(name)
@@ -212,8 +205,6 @@ class CrossProgram(CompiledProgram):
             details.append(
                 f"transition counts differ ({ref.transitions} vs. {cand.transitions})"
             )
-        if compare_coverage and ref.coverage.features() != cand.coverage.features():
-            details.append("coverage maps differ")
         return details
 
 

@@ -248,7 +248,7 @@ class ScopeRuntime(SDFGExecutor):
         if not fused.usable:
             return False
         try:
-            writes, counts = self._compute_fused(fused, bindings)
+            writes = self._compute_fused(fused, bindings)
         except ExecutionError:
             raise
         except Exception:  # noqa: BLE001 - chain did not survive contact
@@ -256,10 +256,6 @@ class ScopeRuntime(SDFGExecutor):
             return False
         for apply_write in writes:
             apply_write()
-        for tasklet_guid, n in counts:
-            self._tasklet_counts[tasklet_guid] = (
-                self._tasklet_counts.get(tasklet_guid, 0) + n
-            )
         self.stats["vectorized"] += len(fused.members)
         self.stats["fused"] += 1
         return True
@@ -273,7 +269,7 @@ class ScopeRuntime(SDFGExecutor):
     ) -> None:
         if plan is not None and plan.usable:
             try:
-                writes, iterations = self._compute_vectorized(plan, bindings)
+                writes = self._compute_vectorized(plan, bindings)
             except ExecutionError:
                 raise
             except Exception:  # noqa: BLE001 - plan did not survive contact
@@ -281,12 +277,6 @@ class ScopeRuntime(SDFGExecutor):
             else:
                 for apply_write in writes:
                     apply_write()
-                if iterations:
-                    # One logical tasklet execution per iteration, exactly as
-                    # the interpreter counts them (coverage-map parity).
-                    self._tasklet_counts[plan.tasklet.guid] = (
-                        self._tasklet_counts.get(plan.tasklet.guid, 0) + iterations
-                    )
                 self.stats["vectorized"] += 1
                 return
         self.stats["fallback"] += 1
@@ -300,15 +290,11 @@ class ScopeRuntime(SDFGExecutor):
         bound, bindings: Dict[str, Any], need_grids: bool = True
     ) -> Tuple[List[Triple], Tuple[int, ...], int, Dict[str, np.ndarray]]:
         """The ``(first, step, count)`` axis triples of a bound scope's or
-        chain's flat domain, its tasklet executions and -- only when
-        something reads them -- its broadcast iteration grids."""
-        triples: List[Triple] = []
-        iterations = 1
-        for axis in bound.domain:
-            triple, runs = axis.resolve(bindings)
-            triples.append(triple)
-            iterations *= runs
+        chain's flat domain, its shape and size and -- only when something
+        reads them -- its broadcast iteration grids."""
+        triples = [axis.resolve(bindings) for axis in bound.domain]
         shape_full = tuple(t[2] for t in triples)
+        iterations = math.prod(shape_full)
         grids: Dict[str, np.ndarray] = {}
         if need_grids and iterations:
             nparams = len(triples)
@@ -535,7 +521,7 @@ class ScopeRuntime(SDFGExecutor):
     # .................................................................. #
     def _compute_vectorized(
         self, plan: BoundScope, bindings: Dict[str, Any]
-    ) -> Tuple[List[Callable[[], None]], int]:
+    ) -> List[Callable[[], None]]:
         """Evaluate a vectorized scope; returns deferred writes.
 
         Nothing is mutated here: bounds checks and tasklet execution happen
@@ -544,7 +530,7 @@ class ScopeRuntime(SDFGExecutor):
         """
         setup = self._scope_setup(plan, bindings)
         if setup.iterations == 0:
-            return [], 0
+            return []
 
         # Run the tasklet once on whole arrays.  Map parameters are visible
         # as index grids, program symbols as scalars -- mirroring the
@@ -569,12 +555,12 @@ class ScopeRuntime(SDFGExecutor):
                     setup.shape_full,
                 )
             )
-        return writes, setup.iterations
+        return writes
 
     def _compute_fused(
         self, fused: BoundChain, bindings: Dict[str, Any]
-    ) -> Tuple[List[Callable[[], None]], List[Tuple[int, int]]]:
-        """Evaluate a fused scope chain; returns deferred writes + counts.
+    ) -> List[Callable[[], None]]:
+        """Evaluate a fused scope chain; returns deferred writes.
 
         The whole chain is **one** ``exec`` of the composed code object:
         member locals are pre-renamed to unique names, consumer connectors
@@ -585,7 +571,7 @@ class ScopeRuntime(SDFGExecutor):
         """
         setup = self._fused_setup(fused, bindings)
         if setup.iterations == 0:
-            return [], []
+            return []
         ns: Dict[str, Any] = dict(bindings)
         ns.update(setup.grids)
         for name, fetch in setup.gathers:
@@ -597,7 +583,6 @@ class ScopeRuntime(SDFGExecutor):
             raise TaskletExecutionError(fused.label_for(exc), exc) from exc
 
         writes: List[Callable[[], None]] = []
-        counts: List[Tuple[int, int]] = []
         geoms = iter(setup.geoms)
         for member in fused.members:
             for kind, spec, out_name in member.outputs:
@@ -607,8 +592,7 @@ class ScopeRuntime(SDFGExecutor):
                 )
                 if kind == "write":
                     writes.append(self._make_write(next(geoms), value, setup.shape_full))
-            counts.append((member.plan.tasklet.guid, setup.iterations))
-        return writes, counts
+        return writes
 
     @staticmethod
     def _output_value(

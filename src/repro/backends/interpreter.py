@@ -30,9 +30,8 @@ class InterpreterProgram(CompiledProgram):
         self,
         arguments: Optional[Mapping[str, Any]] = None,
         symbols: Optional[Mapping[str, Any]] = None,
-        collect_coverage: bool = False,
     ) -> ExecutionResult:
-        return self.executor.run(arguments, symbols, collect_coverage=collect_coverage)
+        return self.executor.run(arguments, symbols)
 
 
 class InterpreterBackend(ExecutionBackend):

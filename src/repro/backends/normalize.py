@@ -18,7 +18,8 @@ probing points:
   either as the range of one inner axis (``tile_map``: the inner axis then
   iterates the union of the blocks and ``t`` disappears) or as a memlet
   range (Vectorization: ``t`` itself iterates the union and the blocks
-  become points; the tasklet still *counts* once per block).  The union is
+  become points; the interpreter still runs the tasklet once per block, so
+  an empty block drops the plan at run time).  The union is
   ``first .. min(last_t + s - 1, E)``: an unclamped block keeps its
   out-of-bounds last tile, so the ordinary bounds check still raises.
 

@@ -10,9 +10,7 @@ High-level entry points:
   :func:`repro.core.change_isolation.black_box_change_set`'s),
 * :func:`repro.core.input_minimization.minimize_input_configuration` -- the
   minimum input-flow cut,
-* :class:`repro.core.fuzzing.DifferentialFuzzer` -- the verifier's fuzzer,
-  and :class:`repro.core.coverage_fuzz.CoverageGuidedFuzzer`, the AFL-style
-  baseline it is measured against (Fig. 5).
+* :class:`repro.core.fuzzing.DifferentialFuzzer` -- the verifier's fuzzer.
 """
 
 from repro.core.change_isolation import (
@@ -21,7 +19,6 @@ from repro.core.change_isolation import (
     white_box_change_set,
 )
 from repro.core.constraints import SymbolConstraint, derive_constraints
-from repro.core.coverage_fuzz import CoverageGuidedFuzzer
 from repro.core.cutout import Cutout, extract_cutout, extract_state_cutout, transfer_match
 from repro.core.fuzzing import DifferentialFuzzer, compare_system_states
 from repro.core.input_minimization import MinimizationResult, minimize_input_configuration
@@ -62,7 +59,6 @@ __all__ = [
     "InputSampler",
     "InputSample",
     "DifferentialFuzzer",
-    "CoverageGuidedFuzzer",
     "compare_system_states",
     "Verdict",
     "TrialStatus",

@@ -131,9 +131,6 @@ class DifferentialFuzzer:
         self.transformed = transformed
         self.system_state = list(system_state)
         self.sampler = sampler
-        #: Whether trials record the original's coverage map; only
-        #: :class:`~repro.core.coverage_fuzz.CoverageGuidedFuzzer` sets it.
-        self.collect_coverage = False
         # Per-trial setup (argument coercion plans, symbol binding, compiled
         # subsets, vectorization plans) lives in prepare(), outside the
         # trial loop.  Backend errors other than ExecutionError -- notably a
@@ -154,17 +151,11 @@ class DifferentialFuzzer:
             span.set("index", index)
             t0 = _perf_counter()
             try:
-                orig_result = self._orig_exec.run(
-                    sample.copy_arguments(), sample.symbols,
-                    collect_coverage=self.collect_coverage,
-                )
+                orig_result = self._orig_exec.run(sample.copy_arguments(), sample.symbols)
             except ExecutionError as exc:
                 orig_error = exc
             try:
-                trans_result = self._trans_exec.run(
-                    sample.copy_arguments(), sample.symbols,
-                    collect_coverage=False,
-                )
+                trans_result = self._trans_exec.run(sample.copy_arguments(), sample.symbols)
             except ExecutionError as exc:
                 trans_error = exc
             trial = self._classify(
@@ -230,7 +221,6 @@ class DifferentialFuzzer:
         return TrialResult(
             index=index, status=TrialStatus.MATCH, max_abs_error=max_err,
             symbols=dict(sample.symbols),
-            coverage=orig_result.coverage if self.collect_coverage else None,
         )
 
     # ------------------------------------------------------------------ #

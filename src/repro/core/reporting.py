@@ -76,16 +76,13 @@ class TrialResult:
     max_abs_error: float = 0.0
     error_message: str = ""
     symbols: Dict[str, int] = field(default_factory=dict)
-    #: Coverage features of the original program's execution (only populated
-    #: when the coverage-guided fuzzer requests it).
-    coverage: Optional[Any] = None
 
     @property
     def is_failure(self) -> bool:
         return self.status.is_failure
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe representation (coverage features are omitted)."""
+        """JSON-safe representation."""
         return {
             "index": self.index,
             "status": self.status.value,

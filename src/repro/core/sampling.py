@@ -128,48 +128,3 @@ class InputSampler:
         sample = InputSample(arguments=arguments, symbols=symbol_values, index=self._counter)
         self._counter += 1
         return sample
-
-    # ------------------------------------------------------------------ #
-    def mutate(self, sample: InputSample, mutate_sizes_probability: float = 0.2) -> InputSample:
-        """AFL-style mutation of an existing sample (used by the
-        coverage-guided fuzzer): perturb a few values, occasionally change a
-        size symbol by a small delta."""
-        symbols = dict(sample.symbols)
-        if self.rng.random() < mutate_sizes_probability:
-            size_syms = [
-                s for s, c in self.constraints.items()
-                if c.role == "size" and s not in self.fixed_symbols and s in symbols
-            ]
-            if size_syms:
-                sym = size_syms[int(self.rng.integers(0, len(size_syms)))]
-                c = self.constraints[sym]
-                delta = int(self.rng.integers(-2, 3))
-                symbols[sym] = c.clamp(symbols[sym] + delta)
-        # Re-allocate containers if shapes changed; otherwise perturb values.
-        arguments: Dict[str, np.ndarray] = {}
-        for name, desc in self.sdfg.arrays.items():
-            if desc.transient:
-                continue
-            shape = desc.concrete_shape(symbols)
-            if name not in sample.arguments or sample.arguments[name].shape != shape:
-                if name in self.input_configuration:
-                    arguments[name] = self._sample_container(name, symbols)
-                else:
-                    arguments[name] = np.zeros(shape, dtype=desc.dtype.as_numpy())
-                continue
-            arr = np.array(sample.arguments[name], copy=True)
-            if name in self.input_configuration and arr.size:
-                num_mutations = max(1, arr.size // 8)
-                flat = arr.reshape(-1)
-                idx = self.rng.integers(0, flat.size, size=num_mutations)
-                if np.issubdtype(arr.dtype, np.floating):
-                    flat[idx] = self.rng.uniform(
-                        -self.value_range, self.value_range, size=num_mutations
-                    )
-                elif np.issubdtype(arr.dtype, np.integer):
-                    lo, hi = self.integer_range
-                    flat[idx] = self.rng.integers(lo, hi + 1, size=num_mutations)
-            arguments[name] = arr
-        out = InputSample(arguments=arguments, symbols=symbols, index=self._counter)
-        self._counter += 1
-        return out

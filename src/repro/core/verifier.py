@@ -22,11 +22,10 @@ differential testing of the *entire* application instead of the cutout; it
 shares the match pick and the fuzzing step with ``verify``.
 
 The verifier takes eight knobs and no more (``tests/test_core_verifier.py``
-pins them).  The alternatives the paper measures this path against live
-beside it, not behind switches: black-box ΔT is
+pins them).  Black-box ΔT, the alternative the paper measures the white box
+against, lives beside this path, not behind a switch:
 :func:`repro.core.change_isolation.black_box_change_set`, whose result
-``extract_cutout(sdfg, nodes=, states=)`` turns into a cutout, and the
-AFL-style loop is :class:`repro.core.coverage_fuzz.CoverageGuidedFuzzer`.
+``extract_cutout(sdfg, nodes=, states=)`` turns into a cutout.
 """
 
 from __future__ import annotations

@@ -3,18 +3,14 @@
 The paper's implementation generates C++ code from SDFGs and runs it natively;
 this reproduction executes programs directly with an interpreter.  The
 differential-testing workflow only needs deterministic execution with
-crash/hang detection and (for coverage-guided fuzzing) an edge-coverage
-signal -- all of which the interpreter provides:
+crash/hang detection, both of which the interpreter provides:
 
 * :class:`~repro.interpreter.executor.SDFGExecutor` -- runs a program on
   concrete inputs and symbol values,
 * :class:`~repro.interpreter.errors.MemoryViolation` and friends -- the
-  "crash" class of system-state changes (Sec. 5.1),
-* :class:`~repro.interpreter.coverage.CoverageMap` -- AFL-style edge coverage
-  used by the coverage-guided fuzzer.
+  "crash" class of system-state changes (Sec. 5.1).
 """
 
-from repro.interpreter.coverage import CoverageMap
 from repro.interpreter.errors import (
     ExecutionError,
     HangError,
@@ -28,7 +24,6 @@ __all__ = [
     "SDFGExecutor",
     "ExecutionResult",
     "execute_sdfg",
-    "CoverageMap",
     "ExecutionError",
     "MemoryViolation",
     "HangError",

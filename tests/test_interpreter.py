@@ -11,7 +11,6 @@ import pytest
 import repro.interpreter.executor as executor_module
 from repro.core.verifier import FuzzyFlowVerifier
 from repro.interpreter import (
-    CoverageMap,
     ExecutionError,
     HangError,
     MemoryViolation,
@@ -269,40 +268,7 @@ class TestErrorHandling:
             execute_sdfg(sdfg, {"out": np.zeros(1)})
 
 
-class TestCoverage:
-    def test_coverage_collected(self, rng):
-        sdfg = build_loop_sum_program()
-        res = execute_sdfg(
-            sdfg, {"inp": rng.standard_normal(5), "acc": np.zeros(1)}, {"N": 5},
-            collect_coverage=True,
-        )
-        assert len(res.coverage) > 0
-
-    def test_coverage_differs_between_paths(self):
-        sdfg = build_loop_sum_program()
-        r_small = execute_sdfg(
-            sdfg, {"inp": np.zeros(1), "acc": np.zeros(1)}, {"N": 1},
-            collect_coverage=True,
-        )
-        r_big = execute_sdfg(
-            sdfg, {"inp": np.zeros(64), "acc": np.zeros(1)}, {"N": 64},
-            collect_coverage=True,
-        )
-        assert (
-            r_small.coverage.has_new_coverage(r_big.coverage)
-            or r_big.coverage.has_new_coverage(r_small.coverage)
-        )
-
-    def test_coverage_map_operations(self):
-        a, b = CoverageMap(), CoverageMap()
-        a.record("x", 1)
-        b.record("x", 1)
-        b.record("y", 2)
-        assert a.has_new_coverage(b)
-        assert not b.has_new_coverage(a)
-        a.merge(b)
-        assert not a.has_new_coverage(b)
-
+class TestExecutorReuse:
     def test_reexecution_reuses_executor(self, rng):
         """The same executor instance can run many trials (caches stay valid)."""
         sdfg = build_matmul_program()

@@ -1,13 +1,13 @@
 """The tier-parity matrix: every optimising path against the interpreter.
 
-``{compiled, cross:compiled,interpreter}`` x ``{with, without coverage}``,
-four trials through one prepared program each, on every npbench kernel, two bert cutouts (a tiled map, which normalises to
-one flat scope, and its
+``{compiled, cross:compiled,interpreter}`` x ``{in order, reversed}``,
+four trials through one prepared program each, on every npbench kernel,
+two bert cutouts (a tiled map, which normalises to one flat scope, and its
 off-by-one twin, which is refused: the outer scope is expanded by the
 interpreter, the inner one runs vectorized, once per tile) and one cloudsc
-cutout (an expanded map, flattened).  Per trial the outputs, the final symbols, the transition count and
-the coverage features must equal the oracle's bit for bit -- whether or not
-a single scope vectorized, fused or fell back.
+cutout (an expanded map, flattened).  Per trial the outputs, the final
+symbols and the transition count must equal the oracle's bit for bit --
+whether or not a single scope vectorized, fused or fell back.
 """
 
 import functools
@@ -84,14 +84,12 @@ def case(name):
     return sdfg, symbols, trials, interpreter
 
 
-def oracle(name, collect_coverage):
+def oracle(name):
     sdfg, symbols, trials, interpreter = case(name)
     outcomes = []
     for arguments in trials:
         try:
-            outcomes.append(
-                interpreter.run(dict(arguments), symbols, collect_coverage=collect_coverage)
-            )
+            outcomes.append(interpreter.run(dict(arguments), symbols))
         except ExecutionError as exc:
             outcomes.append(exc)
     return outcomes
@@ -111,33 +109,30 @@ def assert_same_outcome(want, got):
         ), f"container '{container}' differs bitwise"
     assert got.symbols == want.symbols
     assert got.transitions == want.transitions
-    assert got.coverage.features() == want.coverage.features()
 
 
 @pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("name", PROGRAMS)
 class TestTierParity:
-    def check(self, name, tier, collect_coverage):
+    def check(self, name, tier, order):
         sdfg, symbols, trials, _ = case(name)
         program = get_backend(tier).prepare(sdfg)
-        want = oracle(name, collect_coverage)
+        want = oracle(name)
         assert len(want) == TRIALS
-        for arguments, w in zip(trials, want):
+        for index in order:
             try:
-                got = program.run(
-                    dict(arguments), symbols, collect_coverage=collect_coverage
-                )
+                got = program.run(dict(trials[index]), symbols)
             except ExecutionError as exc:
                 got = exc
-            assert_same_outcome(w, got)
+            assert_same_outcome(want[index], got)
 
     def test_run(self, name, tier):
-        self.check(name, tier, collect_coverage=True)
+        self.check(name, tier, range(TRIALS))
 
-    def test_run_without_coverage(self, name, tier):
-        """Without coverage no tasklet is counted and no feature recorded;
-        the outcomes must not change."""
-        self.check(name, tier, collect_coverage=False)
+    def test_run_in_reverse_order(self, name, tier):
+        """A prepared program keeps no state from one trial to the next:
+        the same trials in the opposite order give the same outcomes."""
+        self.check(name, tier, reversed(range(TRIALS)))
 
 
 class TestTheMatrixExercisesEveryPath:

@@ -5,7 +5,7 @@ fusable elementwise chain, a WCR tail, strided and permuted subsets,
 strided argument views, a map inside a loop, a branch on a scalar
 container and tasklets that crash --
 run under ``compiled`` and under the ``cross:compiled,interpreter`` pair.
-Outcomes (outputs, symbols, transitions, coverage *and errors*) must equal
+Outcomes (outputs, symbols, transitions *and errors*) must equal
 the interpreter's bit for bit.
 """
 
@@ -50,15 +50,14 @@ def vs_interpreter(sdfg, symbols, backend="compiled", seed=0):
     interp = get_backend("interpreter").prepare(sdfg)
     program = get_backend(backend).prepare(sdfg)
     try:
-        ref = interp.run(dict(args), symbols, collect_coverage=True)
+        ref = interp.run(dict(args), symbols)
     except ExecutionError as exc:
         with pytest.raises(type(exc)) as exc_info:
-            program.run(dict(args), symbols, collect_coverage=True)
+            program.run(dict(args), symbols)
         assert str(exc_info.value) == str(exc)
         return program
-    res = program.run(dict(args), symbols, collect_coverage=True)
+    res = program.run(dict(args), symbols)
     assert_identical(ref, res)
-    assert ref.coverage.features() == res.coverage.features()
     return program
 
 
@@ -223,11 +222,10 @@ class TestVectorParity:
         for seed, (n, m) in enumerate([(6, 9), (3, 4), (1, 7), (6, 9)]):
             symbols = {"N": n, "M": m}
             args = make_arguments(sdfg, symbols, seed=seed)
-            ref = interp.run(dict(args), symbols, collect_coverage=True)
-            res = program.run(dict(args), symbols, collect_coverage=True)
+            ref = interp.run(dict(args), symbols)
+            res = program.run(dict(args), symbols)
             assert_identical(ref, res)
-            assert ref.coverage.features() == res.coverage.features()
-
+        
     def test_data_dependent_branch(self, backend):
         """An interstate condition that reads a scalar container: trials
         with different values take different branches."""
@@ -351,7 +349,7 @@ class TestCrossCompiledInterpreter:
         symbols = dict(spec.symbols)
         args = make_arguments(sdfg, symbols)
         program = get_backend("cross:compiled,interpreter").prepare(sdfg)
-        program.run(dict(args), symbols, collect_coverage=True)
+        program.run(dict(args), symbols)
         assert program.checked_runs == 1
 
     def test_compiled_divergence_surfaces(self):
@@ -363,9 +361,8 @@ class TestCrossCompiledInterpreter:
         compiled = get_backend("compiled").prepare(sdfg)
 
         class PerturbedCompiled(CompiledProgram):
-            def run(self, arguments=None, symbols=None, collect_coverage=False):
-                result = compiled.run(arguments, symbols,
-                                      collect_coverage=collect_coverage)
+            def run(self, arguments=None, symbols=None):
+                result = compiled.run(arguments, symbols)
                 result.outputs["Out"] = result.outputs["Out"] + 1e-12
                 return result
 
