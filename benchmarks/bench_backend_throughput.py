@@ -344,8 +344,8 @@ def _measure_fusion(report_lines):
         if not fused:
             # Disable every chain the way a chain that fails at runtime is
             # disabled: its members then execute scope by scope.
-            for state in sdfg.states():
-                for chain in program.executor._table_for(state).heads.values():
+            for table in program.executor.tables:
+                for chain in table.heads.values():
                     chain.usable = False
         results[fused] = program.run(dict(args), symbols)
         if fused:

@@ -27,12 +27,12 @@ self-check are registered:
 trial per call; the differential fuzzer, verifier and sweep pipeline all
 thread a backend name through to this registry.
 
-Internally the compiled backend is a four-stage lowering pipeline --
-**analyze** (:mod:`repro.backends.analysis`) -> **plan**
-(:mod:`repro.backends.plan`) -> **codegen**
-(:mod:`repro.backends.codegen`) -> **execute**
-(:mod:`repro.backends.execute`, :mod:`repro.backends.compiled`) -- see each
-stage's module docstring.
+Internally the compiled backend is a three-stage lowering pipeline --
+**analyze** (:mod:`repro.backends.analysis`, whose records are what the
+runtime executes) -> **codegen** (:mod:`repro.backends.codegen`: the
+records, fused-chain composition and the control-flow driver) ->
+**execute** (:mod:`repro.backends.execute`, :mod:`repro.backends.compiled`)
+-- see each stage's module docstring.
 """
 
 from repro.backends.base import (

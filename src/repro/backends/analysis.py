@@ -1,27 +1,29 @@
 """Scope legality and fusion analysis (the *analyze* layer).
 
-First stage of the backend lowering pipeline (analyze -> plan -> codegen ->
+First stage of the backend lowering pipeline (analyze -> codegen ->
 execute): decides, per map scope, whether the scope can execute as whole-
 array NumPy operations -- and per elementwise scope chain (discovered
 structurally by :func:`repro.sdfg.analysis.elementwise_scope_chains`),
 whether the chain can fuse into one straight-line kernel.  A scope is read
 through its normalised form (:mod:`repro.backends.normalize`: perfect nests
 flattened, tiles and vector blocks densified), so the rules below only ever
-see one tasklet under a flat domain.  The result is
-the typed plan IR of :mod:`repro.backends.plan`; no code is generated and
-nothing is executed here.
+see one tasklet under a flat domain.  The result is the record the runtime
+executes (:mod:`repro.backends.codegen.numpy_eager`): a ``BoundScope``
+holding the live nodes and compiled code of each accepted scope, a
+composed ``BoundChain`` per fused chain and one ``StateTable`` per state.
+Nothing is executed here.
 
 Rejections carry a *reason* string (recorded in
-:attr:`repro.backends.plan.StatePlan.fallback_reasons`) so a sweep can
-report why a scope interprets instead of vectorizing.
+``StateTable.fallback_reasons``) so a sweep can report why a scope
+interprets instead of vectorizing.
 
-Fusion legality (pass 1 of the old fused-plan builder) routes each member
-input either to the pre-chain store (``gather``) or to an earlier member's
-in-flight value (``chain``); reads of WCR-written or subset-mismatched
-intermediates truncate the chain.  A member that *writes* with WCR is legal
--- accumulate-into-chain -- but terminates the chain: deferred writes and
-pre-chain gathers only reproduce the interpreter when no later member can
-observe (or race with) the accumulation.
+Fusion legality routes each member input either to the pre-chain store
+(``gather``) or to an earlier member's in-flight value (``chain``); reads of
+WCR-written or subset-mismatched intermediates truncate the chain.  A
+member that *writes* with WCR is legal -- accumulate-into-chain -- but
+terminates the chain: deferred writes and pre-chain gathers only reproduce
+the interpreter when no later member can observe (or race with) the
+accumulation.
 """
 
 from __future__ import annotations
@@ -30,15 +32,16 @@ import ast
 import functools
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.backends.normalize import normalize_scope, unit_affine_offset
-from repro.backends.plan import (
-    ChainPlan,
-    InputPlan,
-    OutputPlan,
-    ProgramPlan,
-    ScopePlan,
-    StatePlan,
+from repro.backends.codegen.numpy_eager import (
+    BoundChain,
+    BoundInput,
+    BoundOutput,
+    BoundScope,
+    StateTable,
+    compose_chain,
 )
+from repro.backends.normalize import normalize_scope, unit_affine_offset
+from repro.interpreter.tasklet_exec import compile_code, compile_expression
 from repro.sdfg.analysis import elementwise_scope_chains
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.nodes import AccessNode, MapEntry, MapExit
@@ -54,7 +57,6 @@ __all__ = [
     "analyze_scope",
     "analyze_chain",
     "analyze_state",
-    "analyze_program",
     "container_private_to_chain",
     "ALLOWED_NP_FUNCS",
 ]
@@ -84,7 +86,7 @@ def code_is_vectorizable(code: str, np_names: frozenset) -> bool:
     return _vectorizable_names(code, np_names) is not None
 
 
-@functools.lru_cache(maxsize=4096)  # a sweep plans the same few tasklets over and over
+@functools.lru_cache(maxsize=4096)  # a sweep analyzes the same few tasklets over and over
 def _vectorizable_names(code: str, np_names: frozenset) -> Optional[frozenset]:
     """The names vectorizable tasklet code reads, ``None`` when the code
     does not stay element-wise under array substitution.
@@ -180,18 +182,18 @@ def _vectorizable_names(code: str, np_names: frozenset) -> Optional[frozenset]:
 def classify_index(
     expr, params: List[str], used: List[str]
 ) -> Optional[Tuple[str, Any]]:
-    """The closed-form class of one point index: ``("const", text)`` when
-    free of map parameters, ``("param", (axis, offset))`` when unit-slope
-    affine in one parameter not in ``used`` (which it then joins), ``None``
-    for everything else."""
+    """The closed-form class of one point index: ``("const", code)`` (the
+    compiled index) when free of map parameters, ``("param", (axis,
+    offset))`` when unit-slope affine in one parameter not in ``used``
+    (which it then joins), ``None`` for everything else."""
     if isinstance(expr, Symbol):  # the common case, without a tree walk
         p, offset = expr.name, 0
         if p not in params:
-            return "const", p
+            return "const", compile_expression(p)
     else:
         candidates = expr.free_symbols.intersection(params)
         if not candidates:
-            return "const", str(expr).strip()
+            return "const", compile_expression(str(expr).strip())
         if len(candidates) != 1:
             return None
         (p,) = candidates
@@ -207,10 +209,10 @@ def classify_index(
 # ---------------------------------------------------------------------- #
 def analyze_scope(
     state: SDFGState, entry: MapEntry
-) -> Tuple[Optional[ScopePlan], Optional[str]]:
-    """Build the vectorized plan for one map scope, or explain the refusal.
+) -> Tuple[Optional[BoundScope], Optional[str]]:
+    """Lower one map scope to its vectorized record, or explain the refusal.
 
-    Returns ``(plan, None)`` on success and ``(None, reason)``
+    Returns ``(scope, None)`` on success and ``(None, reason)``
     otherwise; the reason slug names the first legality rule that failed.
     The rules read the scope through its normalised form
     (:func:`repro.backends.normalize.normalize_scope`): a flat domain whose
@@ -225,7 +227,7 @@ def analyze_scope(
     params = flat.params
     inner = flat.levels[-1]
 
-    inputs: List[InputPlan] = []
+    inputs: List[BoundInput] = []
     for edge in state.in_edges(tasklet):
         memlet: Memlet = edge.data
         if memlet is None or memlet.is_empty:
@@ -239,17 +241,19 @@ def analyze_scope(
         index = flat.point_indices(memlet) if memlet.subset is not None else None
         if index is None:
             return None, "non-point-input-subset"
-        exprs = [str(e) for e in index]
         used: List[str] = []
         dims = [
-            classify_index(e, params, used) or ("expr", text)
-            for e, text in zip(index, exprs)
+            classify_index(e, params, used) or ("expr", compile_expression(str(e)))
+            for e in index
         ]
+        idx_code = None
+        if any(kind == "expr" for kind, _ in dims):
+            idx_code = [compile_expression(str(e)) for e in index]
         inputs.append(
-            InputPlan(edge.dst_conn, memlet.data, exprs, str(memlet.subset), dims)
+            BoundInput(edge.dst_conn, memlet.data, dims, idx_code, str(memlet.subset))
         )
 
-    outputs: List[OutputPlan] = []
+    outputs: List[BoundOutput] = []
     for edge in state.out_edges(tasklet):
         memlet = edge.data
         if memlet is None or memlet.is_empty:
@@ -291,7 +295,7 @@ def analyze_scope(
             # axis by axis: with two reduction axes the orders differ.
             return None, "tile-reorders-reduction"
         outputs.append(
-            OutputPlan(edge.src_conn, memlet.data, dims, memlet.wcr, str(memlet.subset))
+            BoundOutput(edge.src_conn, memlet.data, dims, memlet.wcr, str(memlet.subset))
         )
 
     # Two output edges into the same container interleave their writes
@@ -332,17 +336,15 @@ def analyze_scope(
             deps |= edge.data.subset.free_symbols
     deps -= set(params)
     return (
-        ScopePlan(
-            entry_guid=entry.guid,
-            entry_label=entry.label,
-            tasklet_guid=tasklet.guid,
-            tasklet_label=tasklet.label,
-            code=tasklet.code,
+        BoundScope(
+            entry=entry,
+            tasklet=tasklet,
+            code_obj=compile_code(tasklet.code),
             inputs=inputs,
             outputs=outputs,
             setup_deps=tuple(sorted(deps)),
             needs_grids=needs_grids,
-            level_guids=tuple(level.guid for level in flat.levels),
+            levels=flat.levels,
             domain=flat.axes,
         ),
         None,
@@ -380,89 +382,86 @@ def analyze_chain(
     sdfg: SDFG,
     state: SDFGState,
     entries: List[MapEntry],
-    plans: Dict[int, Optional[ScopePlan]],
-) -> Optional[ChainPlan]:
+    scopes: Dict[int, Optional[BoundScope]],
+) -> Optional[BoundChain]:
     """Fuse the longest legal prefix of a candidate chain (or refuse).
 
     ``entries`` is a structural candidate from
     :func:`repro.sdfg.analysis.elementwise_scope_chains`; members without a
-    vectorized plan, or whose memlets violate the fusion preconditions
+    vectorized scope, or whose memlets violate the fusion preconditions
     (mismatched intermediate subsets, reads of WCR-written containers,
     overlapping-write hazards), truncate the chain at that point.  A member
     writing with WCR may join -- but only as the chain's *tail*: with the
     accumulation target unread inside the chain, the deferred write is
     indistinguishable from the interpreter's, while any later member would
-    reorder against the accumulation.
+    reorder against the accumulation.  The accepted members are composed by
+    :func:`~repro.backends.codegen.numpy_eager.compose_chain`.
     """
     from repro.sdfg.data import Array
 
     # Candidates share the head's *outermost* map; members of a chain run
     # over one domain, so a normalised scope must match the head's axis for
     # axis.
-    nodes_by_guid = {n.guid: n for n in state.nodes()}
-
-    def domain(plan: ScopePlan) -> List[Tuple]:
+    def domain(scope: BoundScope) -> List[Tuple]:
         return [
-            (
-                axis.param, axis.width, axis.clamp, axis.per_block,
-                nodes_by_guid[plan.level_guids[axis.level]].map.ranges[axis.dim],
-            )
-            for axis in plan.domain
+            (axis.param, axis.width, axis.clamp, axis.per_block, axis.range)
+            for axis in scope.domain
         ]
 
-    planned: List[Tuple[MapEntry, ScopePlan]] = []
+    lowered: List[BoundScope] = []
     head_domain: Optional[List[Tuple]] = None
     for entry in entries:
-        plan = plans.get(entry.guid)
-        if plan is None:
+        scope = scopes.get(entry.guid)
+        if scope is None:
             break
         if head_domain is None:
-            head_domain = domain(plan)
-        elif domain(plan) != head_domain:
+            head_domain = domain(scope)
+        elif domain(scope) != head_domain:
             break
-        planned.append((entry, plan))
+        lowered.append(scope)
 
     # Legality walk: route each input either to the store (gather) or to an
     # earlier member's value (chain); any read of an intra-chain write that
     # is not an exact elementwise match truncates the chain.
-    accepted: List[Tuple[MapEntry, ScopePlan, List[str]]] = []
-    written: Dict[str, OutputPlan] = {}
+    accepted: List[BoundScope] = []
+    routes: List[List[str]] = []
+    written: Dict[str, BoundOutput] = {}
     gathered: Set[str] = set()
     deps: Set[str] = set()
-    for entry, plan in planned:
-        routes: List[str] = []
+    for scope in lowered:
+        member_routes: List[str] = []
         legal = True
-        for spec in plan.inputs:
+        for spec in scope.inputs:
             prev = written.get(spec.data)
             if prev is None:
-                routes.append("gather")
+                member_routes.append("gather")
                 gathered.add(spec.data)
             elif prev.wcr is None and prev.subset_str == spec.subset_str:
-                routes.append("chain")
+                member_routes.append("chain")
             else:
                 legal = False  # WCR-fed or subset-mismatched intermediate read
                 break
         if not legal:
             break
-        accepted.append((entry, plan, routes))
-        deps.update(plan.setup_deps)
-        for spec in plan.outputs:
+        accepted.append(scope)
+        routes.append(member_routes)
+        deps.update(scope.setup_deps)
+        for spec in scope.outputs:
             written[spec.data] = spec
-        if any(spec.wcr is not None for spec in plan.outputs):
+        if any(spec.wcr is not None for spec in scope.outputs):
             # Accumulate-into-chain: a WCR writer is only legal as the tail.
             break
     if len(accepted) < 2:
         return None
-    member_entries = [entry for entry, _, _ in accepted]
 
     # Intermediates used nowhere outside the chain are never materialized.
     chain_nodes: Set[Any] = set()
-    for entry, plan, _ in accepted:
-        chain_nodes.add(entry)
-        chain_nodes.add(nodes_by_guid[plan.tasklet_guid])
+    for scope in accepted:
+        chain_nodes.add(scope.entry)
+        chain_nodes.add(scope.tasklet)
     for node in state.nodes():
         if isinstance(node, MapExit) and any(
-            node.map is e.map for e in member_entries
+            node.map is scope.entry.map for scope in accepted
         ):
             chain_nodes.add(node)
     internal: Set[str] = set()
@@ -481,41 +480,35 @@ def analyze_chain(
         ):
             internal.add(data)
 
-    return ChainPlan(
-        member_guids=tuple(e.guid for e in member_entries),
-        routes=[routes for _, _, routes in accepted],
-        internal=tuple(sorted(internal)),
-        setup_deps=tuple(sorted(deps)),
-    )
+    return compose_chain(sdfg, accepted, routes, internal, tuple(sorted(deps)))
 
 
 # ---------------------------------------------------------------------- #
-# State / program analysis
+# State analysis
 # ---------------------------------------------------------------------- #
-def analyze_state(sdfg: SDFG, state: SDFGState) -> StatePlan:
+def analyze_state(sdfg: SDFG, state: SDFGState) -> StateTable:
     """Analyze one state: every map scope, then every fusable chain.
 
     Telemetry: lowering outcomes count into
     ``repro_scope_lowering_total{outcome=...}``, rejections additionally
     into ``repro_scope_fallback_total{reason=...}`` keyed by the same
-    reason slugs recorded in :attr:`StatePlan.fallback_reasons`, and
-    accepted fusion chains observe their member count into the
+    reason slugs recorded in :attr:`StateTable.fallback_reasons`, and
+    fused chains observe their member count into the
     ``repro_fusion_chain_length`` histogram.
     """
     with TRACER.span("analyze", "prepare") as span:
         span.set("state", state.label)
-        plans: Dict[int, Optional[ScopePlan]] = {}
-        reasons: Dict[int, str] = {}
-        flattened: Set[int] = set()  # inner entries a planned nest covers
+        table = StateTable(scopes={}, fallback_reasons={})
+        flattened: Set[MapEntry] = set()  # inner entries a lowered nest covers
         for node in state.topological_sort():
-            if not isinstance(node, MapEntry) or node.guid in flattened:
+            if not isinstance(node, MapEntry) or node in flattened:
                 continue
-            plan, reason = analyze_scope(state, node)
-            plans[node.guid] = plan
-            if plan is not None:
-                flattened.update(plan.level_guids[1:])
+            scope, reason = analyze_scope(state, node)
+            table.scopes[node.guid] = scope
+            if scope is not None:
+                flattened.update(scope.levels[1:])
             if reason is not None:
-                reasons[node.guid] = reason
+                table.fallback_reasons[node.guid] = reason
                 _metric_inc(
                     "repro_scope_lowering_total", labels={"outcome": "fallback"}
                 )
@@ -524,25 +517,10 @@ def analyze_state(sdfg: SDFG, state: SDFGState) -> StatePlan:
                 _metric_inc(
                     "repro_scope_lowering_total", labels={"outcome": "vectorized"}
                 )
-        chains: List[ChainPlan] = []
-        for chain in elementwise_scope_chains(state):
-            chain_plan = analyze_chain(sdfg, state, chain, plans)
-            if chain_plan is not None:
-                chains.append(chain_plan)
-                _metric_observe(
-                    "repro_fusion_chain_length", len(chain_plan.member_guids)
-                )
-    return StatePlan(
-        state_label=state.label,
-        scopes=plans,
-        fallback_reasons=reasons,
-        chains=chains,
-    )
-
-
-def analyze_program(sdfg: SDFG) -> ProgramPlan:
-    """Analyze every state of a program into one :class:`ProgramPlan`."""
-    return ProgramPlan(
-        sdfg_name=sdfg.name,
-        states=[analyze_state(sdfg, state) for state in sdfg.states()],
-    )
+        for candidate in elementwise_scope_chains(state):
+            chain = analyze_chain(sdfg, state, candidate, table.scopes)
+            if chain is not None:
+                table.heads[chain.members[0].scope.entry.guid] = chain
+                table.members.update(m.scope.entry.guid for m in chain.members[1:])
+                _metric_observe("repro_fusion_chain_length", len(chain.members))
+    return table

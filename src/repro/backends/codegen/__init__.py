@@ -1,17 +1,18 @@
 """Code generators (the *codegen* layer of backend lowering).
 
-Backend lowering is a four-stage pipeline (see :mod:`repro.backends`):
+Backend lowering is a three-stage pipeline (see :mod:`repro.backends`):
 
-    analyze  ->  plan  ->  codegen  ->  execute
+    analyze  ->  codegen  ->  execute
 
-The modules here consume the plan IR
-(:mod:`repro.backends.plan`) and bind it to a concrete program; the execute
-layer imports the one it needs directly:
+The modules here are imported directly by the layer that needs them:
 
-* :mod:`~repro.backends.codegen.numpy_eager` -- eager NumPy scope kernels
-  (plans bound to compiled code objects, fused chains composed);
+* :mod:`~repro.backends.codegen.numpy_eager` -- the lowering records the
+  analyzer builds and the runtime executes (scopes with compiled code
+  objects), and the composition of a fused chain's tasklets into one
+  kernel;
 * :mod:`~repro.backends.codegen.python_driver` -- the whole-program Python
-  control-flow driver (the interstate tier).
+  control-flow driver (the interstate tier; the driver alone is generated
+  after analysis).
 
 Layering rule (enforced by ``make lint-arch``): nothing here imports from
 :mod:`repro.backends.execute`.

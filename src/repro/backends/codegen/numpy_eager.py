@@ -1,19 +1,20 @@
-"""The ``numpy-eager`` emitter: plans -> bound NumPy scope kernels.
+"""The lowering records and the ``numpy-eager`` chain composer.
 
-Third stage of the lowering pipeline (analyze -> plan -> codegen ->
-execute).  An emitter consumes the plan IR
-(:mod:`repro.backends.plan`) and *binds* it to one concrete program: guids
-resolve to nodes, index-expression strings compile to code objects, member
-tasklets of a fused chain compose into one straight-line code object with
-member-unique locals.  The result -- :class:`StateTable` of
-:class:`BoundScope` / :class:`BoundChain` -- is everything the execute
-layer consumes; nothing here runs any program code (the runtime asks a
-:class:`BoundAxis` for its iteration sequence under the run's symbols).
+The compiled backend lowers a state in two stages (see
+:mod:`repro.backends`): the analyzer (:mod:`repro.backends.analysis`)
+decides, and its output is already what the runtime
+(:mod:`repro.backends.execute`) executes -- the records below.  A
+:class:`BoundScope` holds its program's live nodes and compiled code
+objects (tasklet code, ``const``/``expr`` index dimensions, densified-axis
+clamps); a :class:`BoundChain` holds the member tasklets of a fused chain
+composed by :func:`compose_chain` into one straight-line code object with
+member-unique locals; a :class:`StateTable` holds one state's scopes and
+chains, keyed by map-entry guid.  Nothing here runs any program code (the
+runtime asks a :class:`BoundAxis` for its iteration sequence under the
+run's symbols).
 
-This emitter feeds the compiled backend (eager NumPy array evaluation, one
-kernel per scope or fused chain).  Emitters must not import from
-:mod:`repro.backends.execute` -- the layer direction is enforced by ``make
-lint-arch``.
+Codegen must not import from :mod:`repro.backends.execute` -- the layer
+direction is enforced by ``make lint-arch``.
 """
 
 from __future__ import annotations
@@ -25,13 +26,10 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.backends.geometry import Triple, axis_triple
-from repro.backends.plan import AxisPlan, ChainPlan, ScopePlan, StatePlan
 from repro.interpreter.errors import ExecutionError
 from repro.interpreter.executor import _EVAL_GLOBALS
-from repro.interpreter.tasklet_exec import compile_code, compile_expression
 from repro.sdfg.nodes import MapEntry, Tasklet
 from repro.sdfg.sdfg import SDFG
-from repro.sdfg.state import SDFGState
 
 __all__ = [
     "BoundAxis",
@@ -41,23 +39,39 @@ __all__ = [
     "BoundMember",
     "BoundChain",
     "StateTable",
-    "NumpyEagerEmitter",
+    "compose_chain",
 ]
 
 
 class BoundAxis:
-    """An :class:`~repro.backends.plan.AxisPlan` bound to the map range it
-    iterates."""
+    """One axis of the flat iteration domain a scope was lowered over
+    (:mod:`repro.backends.normalize`), bound to the map range it iterates:
+    range ``dim`` of the map under ``entry``."""
 
     __slots__ = ("param", "label", "range", "width", "clamp", "per_block")
 
-    def __init__(self, plan: AxisPlan, entry: MapEntry) -> None:
-        self.param = plan.param
+    def __init__(
+        self,
+        param: str,
+        entry: MapEntry,
+        dim: int,
+        width: int = 0,
+        clamp: Any = None,
+        per_block: bool = False,
+    ) -> None:
+        self.param = param
         self.label = entry.label
-        self.range = entry.map.ranges[plan.dim]
-        self.width = plan.width
-        self.clamp = None if plan.clamp is None else compile_expression(plan.clamp)
-        self.per_block = plan.per_block
+        self.range = entry.map.ranges[dim]
+        #: A densified axis: the range has step ``width`` and each of its
+        #: values ``t`` stood for the block ``t : t + width - 1``, cut off at
+        #: ``clamp`` (a compiled expression) when there is one; the axis
+        #: iterates the union of the blocks with unit step.  0 for an axis
+        #: taken as it is.
+        self.width = width
+        self.clamp = clamp
+        #: The block was a memlet range of the range's own parameter
+        #: (Vectorization), so the tasklet ran once per block, not per element.
+        self.per_block = per_block
 
     def resolve(self, bindings: Dict[str, Any]) -> Triple:
         """The axis's ``(first, step, count)`` under ``bindings``."""
@@ -76,7 +90,7 @@ class BoundAxis:
             clamp = int(eval(self.clamp, _EVAL_GLOBALS, bindings))  # noqa: S307
             if self.per_block and last > clamp:
                 # An empty block still runs its tasklet in the interpreter;
-                # no flat domain does that.  The plan is dropped for good.
+                # no flat domain does that.  The scope is dropped for good.
                 raise ValueError("empty block on a densified axis")
             end = min(end, clamp)
         count = max(0, end - first + 1)
@@ -85,12 +99,17 @@ class BoundAxis:
 
 @dataclass
 class BoundInput:
-    """An :class:`~repro.backends.plan.InputPlan` with compiled indices."""
+    """One gathered tasklet input (a point-subset read)."""
 
     conn: str
     data: str
-    #: ``InputPlan.dims`` with ``const`` payloads compiled (as
-    #: :attr:`BoundOutput.dims`); what a closed-form gather reads.
+    #: One entry per container dimension: ``("param", (axis, offset))`` for
+    #: a unit-slope affine index in one map parameter (each parameter at
+    #: most once), ``("const", code)`` for an index free of map parameters
+    #: and ``("expr", code)`` for everything else (non-unit slope, two
+    #: parameters, piecewise, a parameter's second use); ``code`` is the
+    #: compiled index expression.  An input without an ``expr`` dimension is
+    #: gathered in closed form (:mod:`repro.backends.geometry`).
     dims: List[Tuple[str, Any]]
     #: One compiled index expression per dimension when some dimension is
     #: ``expr`` (the gather then evaluates index arrays), else ``None``.
@@ -100,7 +119,7 @@ class BoundInput:
 
 @dataclass
 class BoundOutput:
-    """An :class:`~repro.backends.plan.OutputPlan` with compiled constants.
+    """One scattered tasklet output (a point-subset write, possibly WCR).
 
     ``dims`` entries are ``("param", (axis, offset))`` or ``("const",
     code)`` where ``code`` is the compiled index expression.
@@ -117,6 +136,7 @@ class BoundOutput:
 class BoundScope:
     """A vectorized execution recipe for one map scope."""
 
+    #: The scope's (outermost) map entry.
     entry: MapEntry
     tasklet: Tasklet
     code_obj: Any
@@ -128,24 +148,26 @@ class BoundScope:
     #: are unchanged (e.g. every iteration of an enclosing interstate loop)
     #: reuse the cached setup: the loop-invariant part of the scope is
     #: hoisted out of the loop.
-    setup_deps: Tuple[str, ...] = ()
-    #: The plan this scope was bound from (diagnostics).
-    plan: Optional[ScopePlan] = None
+    setup_deps: Tuple[str, ...]
+    #: Whether anything reads the broadcast iteration grids: the tasklet
+    #: code names a map parameter, or an input has an ``expr`` dimension.
+    #: Otherwise a scope execution never builds them.
+    needs_grids: bool
+    #: Map entries of the perfect nest the scope was flattened from,
+    #: outermost (``entry``) first; one entry for a plain scope.
+    levels: List[MapEntry]
+    #: The flat domain the accesses' ``param`` axes index, in nest order.
+    domain: List[BoundAxis]
     #: Cleared permanently if vectorized execution fails at runtime
     #: (e.g. an index expression that does not evaluate on index grids).
     usable: bool = True
-    #: :attr:`ScopePlan.needs_grids`: whether an execution builds the
-    #: broadcast iteration grids at all.
-    needs_grids: bool = True
-    #: The flat domain (:attr:`ScopePlan.domain`) the scope runs over.
-    domain: List[BoundAxis] = field(default_factory=list)
 
 
 @dataclass
 class BoundMember:
     """One scope's role inside a fused chain."""
 
-    plan: BoundScope
+    scope: BoundScope
     #: Store reads this member performs: (input spec, composed-code name the
     #: gathered value is bound under).  Values an earlier member produced
     #: need no runtime binding at all -- the composed code reads them as
@@ -169,15 +191,10 @@ class BoundChain:
     per-member namespaces, no intermediate materialization.
     """
 
-    entry: MapEntry  # of the head scope
-    #: The head scope's domain; every member runs over an equal one.
-    domain: List[BoundAxis]
+    #: In chain order; the first is the head, whose domain every member's
+    #: equals.
     members: List[BoundMember]
-    member_entries: List[MapEntry]
-    member_guids: Tuple[int, ...]
-    #: The composed chain program (and its source, for debuggability).
     code_obj: Any
-    source: str
     code_filename: str
     #: Cast callables the composed code calls at producer/consumer handoffs
     #: (``name -> callable``); injected into the execution namespace.
@@ -186,11 +203,13 @@ class BoundChain:
     #: composed-execution exception to the member that raised it.
     line_labels: List[Tuple[int, str]]
     setup_deps: Tuple[str, ...]
-    #: The chain plan this was bound from.
-    chain_plan: Optional[ChainPlan] = None
-    usable: bool = True
     #: Whether any member reads the iteration grids.
-    needs_grids: bool = True
+    needs_grids: bool
+    usable: bool = True
+
+    @property
+    def domain(self) -> List[BoundAxis]:
+        return self.members[0].scope.domain
 
     def label_for(self, exc: BaseException) -> str:
         """The tasklet label owning the composed-code line that raised."""
@@ -210,25 +229,18 @@ class BoundChain:
 
 @dataclass
 class StateTable:
-    """Per-state lowering decisions, bound to the program's nodes."""
+    """Every lowering decision for one state's dataflow."""
 
     #: Bound scope (or ``None`` for analyzer-rejected scopes) per map-entry
     #: guid, covering top-level *and* nested map entries -- but not the
     #: inner entries of a nest that was flattened into its outermost scope.
-    plans: Dict[int, Optional[BoundScope]]
+    scopes: Dict[int, Optional[BoundScope]]
+    #: Why each rejected scope falls back to the interpreter (per guid).
+    fallback_reasons: Dict[int, str]
     #: Fused chains by head-entry guid.
-    heads: Dict[int, BoundChain]
+    heads: Dict[int, BoundChain] = field(default_factory=dict)
     #: Non-head member guids (statically skippable when their chain runs).
     members: Set[int] = field(default_factory=set)
-    #: The state plan this table was bound from.
-    state_plan: Optional[StatePlan] = None
-
-
-def _bind_dims(dims: List[Tuple[str, Any]]) -> List[Tuple[str, Any]]:
-    return [
-        (kind, payload if kind == "param" else compile_expression(payload))
-        for kind, payload in dims
-    ]
 
 
 def _make_cast(np_dtype) -> Callable:
@@ -256,158 +268,92 @@ class _LoadRenamer(ast.NodeTransformer):
         return node
 
 
-class NumpyEagerEmitter:
-    """Binds state plans to eager NumPy scope kernels.  Stateless."""
+def compose_chain(
+    sdfg: SDFG,
+    scopes: List[BoundScope],
+    routes: List[List[str]],
+    internal: Set[str],
+    setup_deps: Tuple[str, ...],
+) -> Optional[BoundChain]:
+    """Compose a chain's member tasklets into one straight-line kernel.
 
-    name = "numpy-eager"
+    ``routes`` parallels each member's inputs: every input either reads the
+    pre-chain store (``"gather"``) or an earlier member's in-flight value
+    (``"chain"``); ``internal`` names containers private to the chain,
+    whose writes are never materialized.  Every member local is renamed to
+    a member-unique name, consumer connectors are bound directly to the
+    (dtype-cast) producer values, and one code object is emitted for the
+    whole chain.  Any composition failure drops the chain (members execute
+    per-scope).
+    """
+    try:
+        # Handoff keys consumed by later members, recomputed from the
+        # routes: only consumed values need the dtype-cast binding.
+        consumed: Set[Tuple[str, str]] = set()
+        for bs, member_routes in zip(scopes, routes):
+            for spec, route in zip(bs.inputs, member_routes):
+                if route == "chain":
+                    consumed.add((spec.data, spec.subset_str))
 
-    # .................................................................. #
-    def bind_state(
-        self, sdfg: SDFG, state: SDFGState, state_plan: StatePlan
-    ) -> StateTable:
-        """Bind one state's plan against the live program graph; raises on
-        a plan whose guids do not resolve in ``state``."""
-        nodes_by_guid = {n.guid: n for n in state.nodes()}
-        plans: Dict[int, Optional[BoundScope]] = {}
-        for guid, scope_plan in state_plan.scopes.items():
-            if scope_plan is None:
-                # The guid must still name a node; a stale plan fails here.
-                _ = nodes_by_guid[guid]
-                plans[guid] = None
-            else:
-                plans[guid] = self.bind_scope(nodes_by_guid, scope_plan)
-        heads: Dict[int, BoundChain] = {}
-        members: Set[int] = set()
-        for chain_plan in state_plan.chains:
-            bound = self.bind_chain(sdfg, chain_plan, plans)
-            if bound is not None:
-                heads[bound.member_guids[0]] = bound
-                members.update(bound.member_guids[1:])
-        return StateTable(plans, heads, members, state_plan)
+        lines: List[str] = []
+        line_labels: List[Tuple[int, str]] = []
+        cast_bindings: Dict[str, Callable] = {}
+        chain_var: Dict[Tuple[str, str], str] = {}
+        members: List[BoundMember] = []
+        cast_counter = 0
+        for k, (bs, member_routes) in enumerate(zip(scopes, routes)):
+            mapping: Dict[str, str] = {}
+            gathers: List[Tuple[BoundInput, str]] = []
+            for spec, route in zip(bs.inputs, member_routes):
+                if route == "gather":
+                    name = f"__g{k}_{spec.conn}"
+                    mapping[spec.conn] = name
+                    gathers.append((spec, name))
+                else:
+                    mapping[spec.conn] = chain_var[(spec.data, spec.subset_str)]
+            start = len(lines) + 1
+            renamer = _LoadRenamer(mapping)
+            tree = ast.parse(bs.tasklet.code)
+            for stmt in tree.body:
+                # Straight-line single-target assignments are guaranteed
+                # by the analyzer; rename the loads first (against the
+                # *pre-assignment* mapping), then bind the target.
+                value = ast.fix_missing_locations(renamer.visit(stmt.value))
+                target = stmt.targets[0].id
+                local = f"__v{k}_{target}"
+                lines.append(f"{local} = {ast.unparse(value)}")
+                mapping[target] = local
+            outputs: List[Tuple[str, BoundOutput, str]] = []
+            for spec in bs.outputs:
+                out_name = mapping.get(spec.conn, f"__v{k}_{spec.conn}")
+                kind = "internal" if spec.data in internal else "write"
+                outputs.append((kind, spec, out_name))
+                key = (spec.data, spec.subset_str)
+                if key in consumed:
+                    # Producer/consumer handoff: the value a later member
+                    # reads back, cast to the container dtype exactly as
+                    # the interpreter's store write would.
+                    cast_name = f"__cast{cast_counter}"
+                    var = f"__chain{cast_counter}"
+                    cast_counter += 1
+                    cast_bindings[cast_name] = _make_cast(
+                        sdfg.arrays[spec.data].dtype.as_numpy()
+                    )
+                    lines.append(f"{var} = {cast_name}({out_name})")
+                    chain_var[key] = var
+            line_labels.append((start, bs.tasklet.label))
+            members.append(BoundMember(bs, gathers, outputs))
+        filename = f"<fused-chain:{scopes[0].entry.label}>"
+        code_obj = compile("\n".join(lines) + "\n", filename, "exec")
+    except Exception:  # noqa: BLE001 - never fail composition; fall back
+        return None
 
-    def bind_scope(
-        self, nodes_by_guid: Dict[int, Any], plan: ScopePlan
-    ) -> BoundScope:
-        entry = nodes_by_guid[plan.entry_guid]
-        tasklet = nodes_by_guid[plan.tasklet_guid]
-        code_obj = compile_code(plan.code)
-        inputs = [
-            BoundInput(
-                ip.conn,
-                ip.data,
-                _bind_dims(ip.dims),
-                [compile_expression(e) for e in ip.index_exprs]
-                if any(kind == "expr" for kind, _ in ip.dims)
-                else None,
-                ip.subset_str,
-            )
-            for ip in plan.inputs
-        ]
-        outputs = [
-            BoundOutput(op.conn, op.data, _bind_dims(op.dims), op.wcr, op.subset_str)
-            for op in plan.outputs
-        ]
-        levels = [nodes_by_guid[guid] for guid in plan.level_guids]
-        return BoundScope(
-            entry, tasklet, code_obj, inputs, outputs, plan.setup_deps, plan,
-            needs_grids=plan.needs_grids,
-            domain=[BoundAxis(axis, levels[axis.level]) for axis in plan.domain],
-        )
-
-    # .................................................................. #
-    def bind_chain(
-        self,
-        sdfg: SDFG,
-        chain_plan: ChainPlan,
-        plans: Dict[int, Optional[BoundScope]],
-    ) -> Optional[BoundChain]:
-        """Compose a chain's member tasklets into one straight-line kernel.
-
-        Every member local is renamed to a member-unique name, consumer
-        connectors are bound directly to the (dtype-cast) producer values,
-        and one code object is emitted for the whole chain.  Any
-        composition failure drops the chain (members execute per-scope).
-        """
-        try:
-            bound_members = [plans[g] for g in chain_plan.member_guids]
-            if any(b is None for b in bound_members):
-                return None
-            internal = set(chain_plan.internal)
-            # Handoff keys consumed by later members, recomputed from the
-            # routes: only consumed values need the dtype-cast binding.
-            consumed: Set[Tuple[str, str]] = set()
-            for bs, routes in zip(bound_members, chain_plan.routes):
-                for spec, route in zip(bs.inputs, routes):
-                    if route == "chain":
-                        consumed.add((spec.data, spec.subset_str))
-
-            lines: List[str] = []
-            line_labels: List[Tuple[int, str]] = []
-            cast_bindings: Dict[str, Callable] = {}
-            chain_var: Dict[Tuple[str, str], str] = {}
-            members: List[BoundMember] = []
-            cast_counter = 0
-            for k, (bs, routes) in enumerate(zip(bound_members, chain_plan.routes)):
-                mapping: Dict[str, str] = {}
-                gathers: List[Tuple[BoundInput, str]] = []
-                for spec, route in zip(bs.inputs, routes):
-                    if route == "gather":
-                        name = f"__g{k}_{spec.conn}"
-                        mapping[spec.conn] = name
-                        gathers.append((spec, name))
-                    else:
-                        mapping[spec.conn] = chain_var[(spec.data, spec.subset_str)]
-                start = len(lines) + 1
-                renamer = _LoadRenamer(mapping)
-                tree = ast.parse(bs.plan.code)
-                for stmt in tree.body:
-                    # Straight-line single-target assignments are guaranteed
-                    # by the analyzer; rename the loads first (against the
-                    # *pre-assignment* mapping), then bind the target.
-                    value = ast.fix_missing_locations(renamer.visit(stmt.value))
-                    target = stmt.targets[0].id
-                    local = f"__v{k}_{target}"
-                    lines.append(f"{local} = {ast.unparse(value)}")
-                    mapping[target] = local
-                outputs: List[Tuple[str, BoundOutput, str]] = []
-                for spec in bs.outputs:
-                    out_name = mapping.get(spec.conn, f"__v{k}_{spec.conn}")
-                    kind = "internal" if spec.data in internal else "write"
-                    outputs.append((kind, spec, out_name))
-                    key = (spec.data, spec.subset_str)
-                    if key in consumed:
-                        # Producer/consumer handoff: the value a later member
-                        # reads back, cast to the container dtype exactly as
-                        # the interpreter's store write would.
-                        cast_name = f"__cast{cast_counter}"
-                        var = f"__chain{cast_counter}"
-                        cast_counter += 1
-                        cast_bindings[cast_name] = _make_cast(
-                            sdfg.arrays[spec.data].dtype.as_numpy()
-                        )
-                        lines.append(f"{var} = {cast_name}({out_name})")
-                        chain_var[key] = var
-                line_labels.append((start, bs.tasklet.label))
-                members.append(BoundMember(bs, gathers, outputs))
-            member_entries = [bs.entry for bs in bound_members]
-            source = "\n".join(lines) + "\n"
-            filename = f"<fused-chain:{member_entries[0].label}>"
-            code_obj = compile(source, filename, "exec")
-        except Exception:  # noqa: BLE001 - never fail binding; fall back
-            return None
-
-        return BoundChain(
-            entry=member_entries[0],
-            domain=bound_members[0].domain,
-            members=members,
-            member_entries=member_entries,
-            member_guids=chain_plan.member_guids,
-            code_obj=code_obj,
-            source=source,
-            code_filename=filename,
-            cast_bindings=cast_bindings,
-            line_labels=line_labels,
-            setup_deps=chain_plan.setup_deps,
-            chain_plan=chain_plan,
-            needs_grids=any(bs.needs_grids for bs in bound_members),
-        )
+    return BoundChain(
+        members=members,
+        code_obj=code_obj,
+        code_filename=filename,
+        cast_bindings=cast_bindings,
+        line_labels=line_labels,
+        setup_deps=setup_deps,
+        needs_grids=any(bs.needs_grids for bs in scopes),
+    )

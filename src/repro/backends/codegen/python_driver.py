@@ -1,9 +1,9 @@
 """The Python driver generator: whole-program control-flow codegen.
 
-Third stage of the lowering pipeline (analyze -> plan -> codegen ->
-execute), covering *interstate* control flow where the ``numpy-eager``
-emitter covers per-state dataflow.  The state machine is lowered to one
-generated Python function:
+The codegen stage of the lowering pipeline (analyze -> codegen ->
+execute), covering *interstate* control flow; per-state dataflow is the
+analyzer's records (:mod:`repro.backends.codegen.numpy_eager`).  The state
+machine is lowered to one generated Python function:
 
 * natural loops (the guard pattern) become native ``while`` loops,
   if-diamonds become ``if`` chains, linear chains stay flat

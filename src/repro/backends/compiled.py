@@ -26,7 +26,7 @@ the entire SDFG** at preparation time
   top-level node becomes one prebound closure (a tasklet run, a vectorized
   -- possibly *fused* -- scope execution, an access copy), built once at
   preparation time; the driver iterates the list directly, with no
-  per-transition node-type dispatch, scope-plan lookup or no-op node visits;
+  per-transition node-type dispatch, scope lookup or no-op node visits;
 * irreducible interstate graphs fall back to a generated
   ``while``-over-current-state dispatch loop (still native conditions, just
   with an explicit state variable).
@@ -55,11 +55,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
+from repro.backends.analysis import analyze_state
 from repro.backends.base import CompiledProgram, ExecutionBackend
-from repro.backends.codegen.numpy_eager import BoundChain
+from repro.backends.codegen.numpy_eager import BoundChain, StateTable
 from repro.backends.codegen.python_driver import compile_driver
 from repro.backends.execute import ScopeRuntime
-from repro.backends.plan import ProgramPlan
 from repro.interpreter.errors import ExecutionError, HangError
 from repro.interpreter.executor import _EVAL_GLOBALS, ExecutionResult
 from repro.interpreter.tasklet_exec import compile_expression
@@ -89,43 +89,37 @@ class CompiledExecutor(ScopeRuntime):
 
     def __init__(self, sdfg: SDFG, max_transitions: int = 100_000) -> None:
         super().__init__(sdfg, max_transitions=max_transitions)
-        #: Each state's position in ``_state_ops``, in ``sdfg.states()`` order.
+        #: Each state's position in ``tables`` and ``_state_ops``, in
+        #: ``sdfg.states()`` order.
         self._state_index = {s: i for i, s in enumerate(sdfg.states())}
-        # Per-state op lists, fixed at prepare time: one prebound function
-        # per executable top-level node.  The generic ``_execute_state``
-        # re-derives node lists, re-dispatches on node type and re-looks-up
-        # scope plans -- and formerly copied the full symbol dict -- on
-        # every transition, which dominates transition-heavy loop nests.
-        # Fused-chain members and no-op access nodes are dropped statically.
-        # The bind/codegen phases of prepare: analyze spans nest inside via
-        # _table_for -> analyze_state.
-        with _TRACER.span("codegen.bind", "prepare") as span:
-            span.set("emitter", self.emitter.name)
+        # Per-state lowering tables and op lists, fixed at prepare time: one
+        # prebound function per executable top-level node.  The generic
+        # ``_execute_state`` re-derives node lists, re-dispatches on node
+        # type and re-looks-up scopes -- and formerly copied the full symbol
+        # dict -- on every transition, which dominates transition-heavy loop
+        # nests.  Fused-chain members and no-op access nodes are dropped
+        # statically.  The analyze spans nest inside this one.
+        with _TRACER.span("codegen.bind", "prepare"):
+            #: Every lowering decision, one table per state.
+            self.tables: List[StateTable] = [
+                analyze_state(sdfg, state) for state in self._state_index
+            ]
             self._state_ops: List[List[StateOp]] = [
-                self._build_state_ops(state) for state in self._state_index
+                self._build_state_ops(state, table)
+                for state, table in zip(self._state_index, self.tables)
             ]
         with _TRACER.span("codegen.driver", "prepare"):
             self.control_mode, self.driver_source, self._drive = compile_driver(
                 sdfg, self._state_index
             )
 
-    @property
-    def program_plan(self) -> ProgramPlan:
-        """The complete lowering plan (every state is bound at prepare
-        time, so the per-state plans are always populated here)."""
-        return ProgramPlan(
-            sdfg_name=self.sdfg.name,
-            states=[self._table_for(s).state_plan for s in self._state_index],
-        )
-
     # Op-list construction ............................................. #
-    def _build_state_ops(self, state: SDFGState) -> List[StateOp]:
+    def _build_state_ops(self, state: SDFGState, table: StateTable) -> List[StateOp]:
         """One state's op list, over its top-level nodes in execution order.
-        A map entry runs the fused chain it heads, else its bound scope
-        (``None`` when the analyzer rejected it); nodes inside a scope, map
-        exits and the non-head members of a chain (their head's op covers
-        them) get no op."""
-        table = self._table_for(state)
+        A map entry runs the fused chain it heads, else its scope (``None``
+        when the analyzer rejected it); nodes inside a scope, map exits and
+        the non-head members of a chain (their head's op covers them) get
+        no op."""
         ops: List[StateOp] = []
         for node in state.scope_children().get(None, ()):
             if not isinstance(node, MapEntry):
@@ -135,13 +129,13 @@ class CompiledExecutor(ScopeRuntime):
             elif node.guid in table.members:
                 continue
             else:
-                bound = table.heads.get(node.guid)
-                if bound is None:
-                    bound = table.plans.get(node.guid)
+                lowered = table.heads.get(node.guid)
+                if lowered is None:
+                    lowered = table.scopes.get(node.guid)
                 op = (
-                    self._make_fused_op(state, bound)
-                    if isinstance(bound, BoundChain)
-                    else self._make_scope_op(state, node, bound)
+                    self._make_fused_op(state, lowered)
+                    if isinstance(lowered, BoundChain)
+                    else self._make_scope_op(state, node, lowered)
                 )
             ops.append(op)
         return ops
@@ -178,15 +172,15 @@ class CompiledExecutor(ScopeRuntime):
         return op
 
     def _make_scope_op(
-        self, state: SDFGState, entry: MapEntry, plan
+        self, state: SDFGState, entry: MapEntry, scope
     ) -> StateOp:
-        def op(rt, symbols, _state=state, _entry=entry, _plan=plan):
-            rt._run_single_scope(_state, _entry, _plan, symbols)
+        def op(rt, symbols, _state=state, _entry=entry, _scope=scope):
+            rt._run_single_scope(_state, _entry, _scope, symbols)
 
         return op
 
     def _make_fused_op(self, state: SDFGState, fused: BoundChain) -> StateOp:
-        members = [(m.plan.entry, m.plan) for m in fused.members]
+        members = [(m.scope.entry, m.scope) for m in fused.members]
 
         def op(rt, symbols, _state=state, _fused=fused, _members=members):
             if rt._try_fused(_fused, symbols):
@@ -195,10 +189,21 @@ class CompiledExecutor(ScopeRuntime):
             # members individually at the head's position.  The nodes between
             # them were transparent (that made them a chain), so chain order
             # here equals per-position execution order.
-            for entry, plan in _members:
-                rt._run_single_scope(_state, entry, plan, symbols)
+            for entry, scope in _members:
+                rt._run_single_scope(_state, entry, scope, symbols)
 
         return op
+
+    def _execute_map_scope(self, state, entry, bindings) -> None:
+        """A map the generic node walk reaches: one nested in a scope the
+        interpreter is expanding (top-level scopes, and with them every
+        fused chain, run from the op lists)."""
+        # The null span costs one call when tracing is off; enabled it
+        # records one per-scope execute span (nested under the state span).
+        with _TRACER.span("execute.scope", "execute") as span:
+            span.set("scope", entry.label)
+            scope = self.tables[self._state_index[state]].scopes.get(entry.guid)
+            self._run_single_scope(state, entry, scope, bindings)
 
     # Runtime services the generated driver calls ...................... #
     def _hang(self) -> None:

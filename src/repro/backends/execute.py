@@ -1,7 +1,7 @@
 """The vectorized scope runtime (the *execute* layer of backend lowering).
 
-Last stage of the pipeline (analyze -> plan -> codegen -> execute): one
-runtime that consumes emitter-bound programs.  A vectorizable scope is
+Last stage of the pipeline (analyze -> codegen -> execute): one runtime
+that executes the analyzer's records.  A vectorizable scope is
 executed as a handful of whole-array operations -- gather the inputs with
 broadcast index grids, run the tasklet code once on arrays, scatter/reduce
 the outputs -- instead of expanding the iteration space one element at a
@@ -9,9 +9,9 @@ time (the interpreter's hot loop).  Anything the analyzer rejected falls
 back node-by-node to the interpreter for exactly that scope, keeping the
 backends semantically interchangeable.
 
-Three layers keep the hot loop tight:
+Two layers keep the hot loop tight:
 
-* **scope fusion** -- bound chains (see
+* **scope fusion** -- composed chains (see
   :class:`repro.backends.codegen.numpy_eager.BoundChain`) execute as one
   gather / compute / scatter pass per chain instead of per scope;
 * **closed-form setup** -- bounds checks, gather indices and write regions
@@ -19,10 +19,8 @@ Three layers keep the hot loop tight:
   ranges (:mod:`repro.backends.geometry`: one basic index, a transpose for
   permuted axes).  Only an input with an ``expr`` dimension materialises
   index arrays, only a scope that reads them gets iteration grids.  Within
-  one run a plan keeps its latest setup, keyed by the symbols it reads, so
-  an interstate loop reuses it; a new trial or a tile loop computes afresh;
-* the state tables bind lazily through the ``numpy-eager`` emitter, from
-  each state's analyzed plan.
+  one run a scope keeps its latest setup, keyed by the symbols it reads, so
+  an interstate loop reuses it; a new trial or a tile loop computes afresh.
 
 Bitwise fidelity to the interpreter is a design goal (the ``cross`` backend
 and the backend-equivalence test suite assert it):
@@ -53,14 +51,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.analysis import analyze_state
 from repro.backends.codegen.numpy_eager import (
     BoundChain,
     BoundInput,
     BoundOutput,
     BoundScope,
-    NumpyEagerEmitter,
-    StateTable,
 )
 from repro.backends.geometry import Triple, access_index, gather_index
 from repro.interpreter.errors import (
@@ -72,7 +67,7 @@ from repro.interpreter.executor import _EVAL_GLOBALS, ExecutionResult, SDFGExecu
 from repro.interpreter.tasklet_exec import _SAFE_BUILTINS
 from repro.sdfg.nodes import MapEntry, Tasklet
 from repro.sdfg.state import SDFGState
-from repro.telemetry import TRACER, inc as _metric_inc
+from repro.telemetry import inc as _metric_inc
 
 __all__ = ["ScopeRuntime"]
 
@@ -172,9 +167,10 @@ class ScopeRuntime(SDFGExecutor):
     Chains of elementwise scopes are additionally *fused* (one gather /
     compute / scatter pass per chain instead of per scope); scope setup is
     closed-form for ``param``/``const`` accesses and, within one run, kept
-    per plan while the symbols it depends on are unchanged.  The op lists
-    that run top-level scopes and chains, and the generated control-flow
-    driver, are :class:`repro.backends.compiled.CompiledExecutor`'s."""
+    per scope while the symbols it depends on are unchanged.  The state
+    tables, the op lists that run top-level scopes and chains, and the
+    generated control-flow driver are
+    :class:`repro.backends.compiled.CompiledExecutor`'s."""
 
     _VEC_GLOBALS = {
         "__builtins__": _SAFE_BUILTINS,
@@ -185,12 +181,8 @@ class ScopeRuntime(SDFGExecutor):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.emitter = NumpyEagerEmitter()
-        #: Per-state bound tables (plans + fused chains), built once per
-        #: state on first execution.
-        self._tables: Dict[int, StateTable] = {}
-        #: Per-plan setup cache: ``id(plan) -> (dep-key, setup)``.  Valid
-        #: within one run only (it captures store arrays).
+        #: Per-record setup cache: ``id(scope or chain) -> (dep-key,
+        #: setup)``.  Valid within one run only (it captures store arrays).
         self._setup_cache: Dict[int, Tuple[Tuple, Any]] = {}
         #: Scope-execution counters (vectorized vs. interpreter fallback;
         #: ``fused`` counts whole-chain executions).
@@ -219,30 +211,8 @@ class ScopeRuntime(SDFGExecutor):
                     self._stats_flushed[key] = value
 
     # .................................................................. #
-    # Per-state decision tables
-    # .................................................................. #
-    def _table_for(self, state: SDFGState) -> StateTable:
-        table = self._tables.get(id(state))
-        if table is None:
-            splan = analyze_state(self.sdfg, state)
-            table = self.emitter.bind_state(self.sdfg, state, splan)
-            self._tables[id(state)] = table
-        return table
-
-    # .................................................................. #
     # Scope execution
     # .................................................................. #
-    def _execute_map_scope(self, state, entry, bindings) -> None:
-        """A map the generic node walk reaches: one nested in a scope the
-        interpreter is expanding (top-level scopes, and with them every
-        fused chain, run from the whole-program executor's op lists)."""
-        # The null span costs one call when tracing is off; enabled it
-        # records one per-scope execute span (nested under the state span).
-        with TRACER.span("execute.scope", "execute") as span:
-            span.set("scope", entry.label)
-            plan = self._table_for(state).plans.get(entry.guid)
-            self._run_single_scope(state, entry, plan, bindings)
-
     def _try_fused(self, fused: BoundChain, bindings: Dict[str, Any]) -> bool:
         """Execute a fused chain; ``False`` defers to per-scope execution."""
         if not fused.usable:
@@ -264,16 +234,16 @@ class ScopeRuntime(SDFGExecutor):
         self,
         state: SDFGState,
         entry: MapEntry,
-        plan: Optional[BoundScope],
+        scope: Optional[BoundScope],
         bindings: Dict[str, Any],
     ) -> None:
-        if plan is not None and plan.usable:
+        if scope is not None and scope.usable:
             try:
-                writes = self._compute_vectorized(plan, bindings)
+                writes = self._compute_vectorized(scope, bindings)
             except ExecutionError:
                 raise
-            except Exception:  # noqa: BLE001 - plan did not survive contact
-                plan.usable = False
+            except Exception:  # noqa: BLE001 - scope did not survive contact
+                scope.usable = False
             else:
                 for apply_write in writes:
                     apply_write()
@@ -469,13 +439,13 @@ class ScopeRuntime(SDFGExecutor):
             identity_shape,
         )
 
-    def _scope_setup(self, plan: BoundScope, bindings: Dict[str, Any]) -> _ScopeSetup:
-        key = tuple(bindings.get(name) for name in plan.setup_deps)
-        cached = self._setup_cache.get(id(plan))
+    def _scope_setup(self, scope: BoundScope, bindings: Dict[str, Any]) -> _ScopeSetup:
+        key = tuple(bindings.get(name) for name in scope.setup_deps)
+        cached = self._setup_cache.get(id(scope))
         if cached is not None and cached[0] == key:
             return cached[1]
         triples, shape_full, iterations, grids = self._resolve_domain(
-            plan, bindings, plan.needs_grids
+            scope, bindings, scope.needs_grids
         )
         if iterations == 0:
             # The interpreter executes nothing for an empty domain -- in
@@ -484,10 +454,10 @@ class ScopeRuntime(SDFGExecutor):
             setup = _ScopeSetup(shape_full, 0, grids, [], [])
         else:
             idx_ns = {**bindings, **grids} if grids else bindings
-            gathers = [self._resolve_gather(s, triples, idx_ns) for s in plan.inputs]
-            geoms = [self._resolve_write(s, triples, bindings) for s in plan.outputs]
+            gathers = [self._resolve_gather(s, triples, idx_ns) for s in scope.inputs]
+            geoms = [self._resolve_write(s, triples, bindings) for s in scope.outputs]
             setup = _ScopeSetup(shape_full, iterations, grids, gathers, geoms)
-        self._setup_cache[id(plan)] = (key, setup)
+        self._setup_cache[id(scope)] = (key, setup)
         return setup
 
     def _fused_setup(self, fused: BoundChain, bindings: Dict[str, Any]) -> _FusedSetup:
@@ -520,7 +490,7 @@ class ScopeRuntime(SDFGExecutor):
     # Vectorized evaluation
     # .................................................................. #
     def _compute_vectorized(
-        self, plan: BoundScope, bindings: Dict[str, Any]
+        self, scope: BoundScope, bindings: Dict[str, Any]
     ) -> List[Callable[[], None]]:
         """Evaluate a vectorized scope; returns deferred writes.
 
@@ -528,7 +498,7 @@ class ScopeRuntime(SDFGExecutor):
         first, container writes are returned as closures so a mid-flight
         failure can safely fall back to the interpreter.
         """
-        setup = self._scope_setup(plan, bindings)
+        setup = self._scope_setup(scope, bindings)
         if setup.iterations == 0:
             return []
 
@@ -542,16 +512,16 @@ class ScopeRuntime(SDFGExecutor):
         for conn, fetch in setup.gathers:
             ns[conn] = fetch()
         try:
-            exec(plan.code_obj, self._VEC_GLOBALS, ns)  # noqa: S102
+            exec(scope.code_obj, self._VEC_GLOBALS, ns)  # noqa: S102
         except Exception as exc:  # noqa: BLE001 - same typed error as TaskletRunner
-            raise TaskletExecutionError(plan.tasklet.label, exc) from exc
+            raise TaskletExecutionError(scope.tasklet.label, exc) from exc
 
         writes: List[Callable[[], None]] = []
         for geom in setup.geoms:
             writes.append(
                 self._make_write(
                     geom,
-                    self._output_value(plan.tasklet, geom.spec.conn, ns, setup.shape_full),
+                    self._output_value(scope.tasklet, geom.spec.conn, ns, setup.shape_full),
                     setup.shape_full,
                 )
             )
@@ -587,7 +557,7 @@ class ScopeRuntime(SDFGExecutor):
         for member in fused.members:
             for kind, spec, out_name in member.outputs:
                 value = self._output_value(
-                    member.plan.tasklet, out_name, ns, setup.shape_full,
+                    member.scope.tasklet, out_name, ns, setup.shape_full,
                     display_conn=spec.conn,
                 )
                 if kind == "write":

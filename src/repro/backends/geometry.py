@@ -1,8 +1,8 @@
 """Closed-form scope geometry: integers in, one basic index out.
 
 A vectorized scope touches its containers through point subsets whose
-per-dimension index the analyzer has classified (``InputPlan.dims`` /
-``OutputPlan.dims``): ``("param", (axis, offset))`` is the arithmetic
+per-dimension index the analyzer has classified (``BoundInput.dims`` /
+``BoundOutput.dims``): ``("param", (axis, offset))`` is the arithmetic
 sequence ``first + offset, step, count`` of one map axis, ``("const",
 code)`` a single position.  Bounds checks and NumPy indices for such
 accesses follow from the map's evaluated ranges by integer arithmetic; no

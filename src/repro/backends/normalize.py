@@ -2,7 +2,7 @@
 
 Rewrites a map scope into a *flat domain with point accesses* before the
 legality rules of :func:`repro.backends.analysis.analyze_scope` see it, so
-everything downstream -- plan, closed-form geometry, runtime -- handles a
+everything downstream -- closed-form geometry, runtime -- handles a
 nest of maps or a strided map over blocks as the flat unit-step scope it
 computes the same thing as.  Two rewrites, both
 matched on expression trees (like :func:`unit_affine_offset`), never by
@@ -19,7 +19,7 @@ probing points:
   iterates the union of the blocks and ``t`` disappears) or as a memlet
   range (Vectorization: ``t`` itself iterates the union and the blocks
   become points; the interpreter still runs the tasklet once per block, so
-  an empty block drops the plan at run time).  The union is
+  an empty block drops the scope at run time).  The union is
   ``first .. min(last_t + s - 1, E)``: an unclamped block keeps its
   out-of-bounds last tile, so the ordinary bounds check still raises.
 
@@ -32,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.backends.plan import AxisPlan
+from repro.backends.codegen.numpy_eager import BoundAxis
+from repro.interpreter.tasklet_exec import compile_expression
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.nodes import MapEntry, Tasklet
 from repro.sdfg.state import SDFGState
@@ -69,7 +70,7 @@ class FlatScope:
     #: Map entries of the nest, outermost first (one for a plain scope).
     levels: List[MapEntry]
     tasklet: Tasklet
-    axes: List[AxisPlan]
+    axes: List[BoundAxis]
     #: Non-parameter names the domain's ranges and clamps read.
     deps: Set[str]
     #: Parameters whose memlet blocks stand for points of a densified axis.
@@ -248,13 +249,12 @@ def _vector_blocks(
 
 
 def _flat(levels, tasklet, kept, dense, unread) -> FlatScope:
-    axes: List[AxisPlan] = []
+    axes: List[BoundAxis] = []
     deps: Set[str] = set()
     for p, level, dim, rng in kept:
         width, clamp, per_block = dense.get(p, (0, None, False))
-        axes.append(
-            AxisPlan(p, level, dim, width, None if clamp is None else str(clamp), per_block)
-        )
+        code = None if clamp is None else compile_expression(str(clamp))
+        axes.append(BoundAxis(p, levels[level], dim, width, code, per_block))
         deps |= rng.free_symbols
         if clamp is not None:
             deps |= clamp.free_symbols

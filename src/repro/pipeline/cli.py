@@ -37,7 +37,6 @@ from repro import faultinject
 from repro.backends import get_backend, list_backends
 from repro.faultinject import FAULTS_ENV as _FAULTS_ENV
 from repro.faultinject import SEED_ENV as _FAULT_SEED_ENV
-from repro.cluster.protocol import TOKEN_ENV as _TOKEN_ENV
 from repro.pipeline.runner import SweepRunner
 from repro.pipeline.tasks import enumerate_sweep_tasks
 from repro.telemetry import TRACE_ENV, configure_tracing
@@ -55,6 +54,16 @@ def _backend_name(value: str) -> str:
     except KeyError as exc:
         raise argparse.ArgumentTypeError(str(exc.args[0]))
     return value
+
+
+def _auth_token(args: argparse.Namespace) -> Optional[str]:
+    """``--auth-token``, else the cluster token variable: read only by the
+    modes that talk to a cluster, so a local sweep never imports it."""
+    from repro.cluster.protocol import TOKEN_ENV
+
+    if args.auth_token is not None:
+        return args.auth_token
+    return os.environ.get(TOKEN_ENV)
 
 
 def format_eta(seconds: float) -> str:
@@ -225,10 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(GET /status, GET /sweeps/<id>) on this address",
     )
     cluster.add_argument(
-        "--auth-token", default=os.environ.get(_TOKEN_ENV),
+        "--auth-token", default=None,
         help="shared cluster secret: with --serve, require it from "
         "non-loopback workers/clients; with --submit, present it to the "
-        f"service (default: ${_TOKEN_ENV})",
+        "service (default: $REPRO_CLUSTER_TOKEN)",
     )
     cluster.add_argument(
         "--journal", default=None, metavar="PATH",
@@ -369,7 +378,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 backend=backend,
                 priority=args.priority,
                 max_task_retries=args.max_task_retries,
-                token=args.auth_token,
+                token=_auth_token(args),
             )
             sweep_id = status["sweep_id"]
             if not args.quiet:
@@ -395,7 +404,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
             result = wait_sweep(
                 host, port, sweep_id,
-                token=args.auth_token,
+                token=_auth_token(args),
                 poll_seconds=0.25,
                 on_progress=on_progress,
             )
@@ -448,7 +457,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 port,
                 http_host=http_endpoint[0] if http_endpoint else None,
                 http_port=http_endpoint[1] if http_endpoint else None,
-                auth_token=args.auth_token,
+                auth_token=_auth_token(args),
                 worker_timeout=args.worker_timeout,
                 done_when_idle=True,
                 max_task_retries=args.max_task_retries,

@@ -8,13 +8,13 @@ Three cooperating pieces, threaded through every layer of the system:
   injects or imports its clock from here, so tests drive time
   deterministically.
 * :mod:`repro.telemetry.trace` -- the **span tracer**.  Context-manager
-  spans over the analyze -> plan -> codegen -> execute prepare phases,
+  spans over the analyze -> codegen -> execute prepare phases,
   per-trial fuzzing and per-state/per-scope execution; JSONL output that
   doubles as Chrome trace events.
   Disabled (the default) it allocates nothing.
 * :mod:`repro.telemetry.metrics` -- the **metrics registry**.  Counters,
   gauges and fixed-log-bucket histograms for scope-lowering outcomes
-  (keyed by the plan IR's rejection-reason strings), fusion chain
+  (keyed by the analyzer's rejection-reason slugs), fusion chain
   lengths, trial counts and crash-resample retries; snapshots are
   plain JSON that piggybacks worker result frames, merges fleet-wide in
   the service, and renders as Prometheus text exposition (``GET

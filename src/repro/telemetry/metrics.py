@@ -297,7 +297,7 @@ def fallback_summary(
     """Top-``top`` scope fallback reasons from a metrics snapshot.
 
     Reads the ``repro_scope_fallback_total{reason=...}`` counter family
-    (recorded by the analyze layer, keyed by the plan IR's rejection-reason
+    (recorded by the analyze layer, keyed by its rejection-reason
     strings); returns ``(reason, count)`` pairs, most frequent first, ties
     broken alphabetically.  Tolerates ``None`` / empty snapshots.
     """

@@ -4,7 +4,7 @@ The registry, and backend equivalence on hand-built programs: the
 interpreter and the compiled backend must produce *bitwise identical*
 :class:`ExecutionResult`s -- outputs, final symbols and transition counts
 -- and must agree on memory-violation detection.  Constructs
-the scope planner cannot express (nested SDFGs, data-dependent subsets,
+the scope analyzer cannot express (nested SDFGs, data-dependent subsets,
 order-dependent writes, non-element-wise tasklet code) must fall back to the
 interpreter scope by scope without changing any result.  (The kernel-suite
 matrix lives in ``test_tier_parity.py``.)

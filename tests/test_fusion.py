@@ -217,8 +217,7 @@ class TestFusedParity:
     def test_private_intermediates_are_internalized(self):
         sdfg = chain_sdfg(["y = x + 1.0", "y = x * 2.0"])
         program = CompiledWholeProgram(sdfg)
-        state = sdfg.states()[0]
-        table = program.executor._table_for(state)
+        (table,) = program.executor.tables
         (fused,) = table.heads.values()
         kinds = [kind for m in fused.members for kind, _, _ in m.outputs]
         assert kinds == ["internal", "write"]
@@ -242,7 +241,7 @@ class TestFusedParity:
         )
         programs = run_all_backends(sdfg, {"N": 11})
         assert programs["compiled"].stats["fused"] == 1
-        table = programs["compiled"].executor._table_for(state)
+        (table,) = programs["compiled"].executor.tables
         (fused,) = table.heads.values()
         kinds = [kind for m in fused.members for kind, _, _ in m.outputs]
         assert kinds == ["write", "write"]
@@ -274,7 +273,7 @@ class TestFusedParity:
         sdfg.add_edge(first, second, InterstateEdge())
         programs = run_all_backends(sdfg, {"N": 13})
         assert programs["compiled"].stats["fused"] == 1
-        table = programs["compiled"].executor._table_for(first)
+        table = programs["compiled"].executor.tables[sdfg.states().index(first)]
         (fused,) = table.heads.values()
         kinds = [kind for m in fused.members for kind, _, _ in m.outputs]
         assert kinds == ["write", "write"]
@@ -311,9 +310,8 @@ class TestFusedParity:
         programs = run_all_backends(sdfg, {"N": 8, "T": 7})
         # The chain still fuses -- but t0's write stays materialized.
         assert programs["compiled"].stats["fused"] == 7
-        table = programs["compiled"].executor._table_for(
-            next(s for s in sdfg.states() if s.label == "body")
-        )
+        labels = [s.label for s in sdfg.states()]
+        table = programs["compiled"].executor.tables[labels.index("body")]
         (fused,) = table.heads.values()
         kinds = [kind for m in fused.members for kind, _, _ in m.outputs]
         assert kinds == ["write", "write"]
@@ -458,7 +456,7 @@ class TestFusionPreconditions:
             assert program.stats["fused"] == 0
 
     def test_dynamic_subset_member_rejects_fusion(self):
-        """A dynamic memlet makes the member unplannable; the chain dies."""
+        """A dynamic memlet keeps the member from vectorizing; the chain dies."""
         sdfg = chain_sdfg(["y = x + 1.0", "y = x * 2.0"])
         state = sdfg.states()[0]
         # Mark stage1's input memlet dynamic.
@@ -545,8 +543,7 @@ class TestFusionPreconditions:
             # The chain is now permanently disabled; with the real compute
             # restored it must not be retried.
             executor._compute_fused = original
-            state = sdfg.states()[0]
-            (fused,) = executor._table_for(state).heads.values()
+            (fused,) = executor.tables[0].heads.values()
             assert fused.usable is False
             result2 = program.run(dict(args), symbols)
             assert_identical(ref, result2)
@@ -824,12 +821,11 @@ class TestWcrTailFusion:
             assert program.stats["vectorized"] == 2
 
     def test_unsupported_wcr_operator_rejects_the_member(self):
-        """A reduction outside the supported set keeps the member
-        unplannable: no scope plan, no chain, an explicit fallback
+        """A reduction outside the supported set keeps the member out of
+        the vectorized lowering: no scope, no chain, an explicit fallback
         reason.  (Analysis-level check -- the interpreter rejects the
         operator at runtime too, so there is no parity run to make.)"""
         sdfg = self.elementwise_then_wcr(wcr="xor")
-        plan = CompiledWholeProgram(sdfg).executor.program_plan
-        (splan,) = plan.states
-        assert not splan.chains
-        assert "unsupported-wcr" in splan.fallback_reasons.values()
+        (table,) = CompiledWholeProgram(sdfg).executor.tables
+        assert not table.heads and not table.members
+        assert "unsupported-wcr" in table.fallback_reasons.values()

@@ -18,13 +18,14 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.backends.analysis import analyze_program
-from repro.backends.codegen.numpy_eager import BoundInput, BoundOutput, _bind_dims
+from repro.backends.analysis import analyze_state
+from repro.backends.codegen.numpy_eager import BoundInput, BoundOutput
 from repro.backends.compiled import CompiledExecutor, CompiledWholeProgram
 from repro.backends.execute import ScopeRuntime
 from repro.backends.geometry import axis_triple
 from repro.core.cutout import extract_cutout, transfer_match
 from repro.interpreter.errors import MemoryViolation
+from repro.interpreter.tasklet_exec import compile_expression
 from repro.sdfg import SDFG, Memlet, float64
 from repro.transforms import all_builtin_transformations
 from repro.workloads import get_workload
@@ -101,6 +102,11 @@ def assert_same(ref, got):
     assert ref.tobytes() == np.ascontiguousarray(got).tobytes()
 
 
+def compiled(dims):
+    """``dims`` as the analyzer records them: ``const`` indices compiled."""
+    return [(kind, p if kind == "param" else compile_expression(p)) for kind, p in dims]
+
+
 def executor(store):
     ex = ScopeRuntime(SDFG("geometry"))
     ex._store = store
@@ -141,7 +147,7 @@ class TestClosedFormAgainstMaterialised:
                 return arr[tuple(grids)]
 
             ex = executor({"A": arr})
-            spec = BoundInput("x", "A", _bind_dims(dims), None, "A[s]")
+            spec = BoundInput("x", "A", compiled(dims), None, "A[s]")
             triples = [axis_triple(*r) for r in ranges]
 
             def closed():
@@ -166,7 +172,7 @@ class TestClosedFormAgainstMaterialised:
 
             arr = np.zeros(shape)
             ex = executor({"A": arr})
-            spec = BoundOutput("y", "A", _bind_dims(dims), None, "A[s]")
+            spec = BoundOutput("y", "A", compiled(dims), None, "A[s]")
             triples = [axis_triple(*r) for r in ranges]
 
             def closed():
@@ -193,7 +199,7 @@ class TestClosedFormAgainstMaterialised:
                 ref[where] += value[point]
             arr = np.ones(shape)
             ex = executor({"A": arr})
-            spec = BoundOutput("y", "A", _bind_dims(dims), "sum", "A[s]")
+            spec = BoundOutput("y", "A", compiled(dims), "sum", "A[s]")
             geom = ex._resolve_write(spec, [axis_triple(*r) for r in ranges], BINDINGS)
             ex._make_write(geom, value, tuple(counts))()
             assert ref.tobytes() == arr.tobytes()
@@ -346,21 +352,30 @@ def classified_program():
     return sdfg
 
 
-def scope_plans(sdfg):
-    return [p for s in analyze_program(sdfg).states for p in s.scopes.values() if p]
+def scopes_of(sdfg):
+    return [
+        scope
+        for state in sdfg.states()
+        for scope in analyze_state(sdfg, state).scopes.values()
+        if scope
+    ]
 
 
 class TestClassification:
     def test_input_dims(self):
-        (plan,) = scope_plans(classified_program())
-        dims = {spec.data: spec.dims for spec in plan.inputs}
+        (scope,) = scopes_of(classified_program())
+        dims = {spec.data: spec.dims for spec in scope.inputs}
         assert dims["A"] == [("param", (1, 0)), ("param", (0, 1))]
         # A parameter's second use stays on the general path.
-        assert dims["B"] == [("param", (0, 0)), ("expr", "i")]
+        assert dims["B"] == [("param", (0, 0)), ("expr", compile_expression("i"))]
         assert dims["C"][0][0] == "expr" and dims["C"][1] == ("param", (1, 0))
-        assert dims["D"] == [("const", "N"), ("param", (1, 0))]
-        assert dims["E"][0][0] == "expr" and dims["E"][1] == ("const", "0")
-        assert plan.needs_grids
+        assert dims["D"] == [("const", compile_expression("N")), ("param", (1, 0))]
+        assert dims["E"][0][0] == "expr" and dims["E"][1] == ("const", compile_expression("0"))
+        # Only an input with an ``expr`` dimension evaluates index arrays.
+        idx_code = {spec.data: spec.idx_code for spec in scope.inputs}
+        assert idx_code["A"] is None and idx_code["D"] is None
+        assert idx_code["B"] == [compile_expression("i"), compile_expression("i")]
+        assert scope.needs_grids
 
     def test_grids_only_when_something_reads_them(self):
         def program(code, index):
@@ -373,9 +388,9 @@ class TestClassification:
             )
             return sdfg
 
-        assert not scope_plans(program("y = 2.0 * x", "i"))[0].needs_grids
-        assert scope_plans(program("y = x + i", "i"))[0].needs_grids
-        assert scope_plans(program("y = 2.0 * x", "N - 1 - i"))[0].needs_grids
+        assert not scopes_of(program("y = 2.0 * x", "i"))[0].needs_grids
+        assert scopes_of(program("y = x + i", "i"))[0].needs_grids
+        assert scopes_of(program("y = 2.0 * x", "N - 1 - i"))[0].needs_grids
 
     def test_mixed_program_matches_the_interpreter(self):
         sdfg = classified_program()

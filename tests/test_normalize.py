@@ -1,7 +1,7 @@
 """Seeded property suite for the iteration-domain normaliser.
 
 ``repro.backends.normalize`` rewrites nests of maps and strided maps over
-blocks into a flat domain with point accesses before planning.  Random
+blocks into a flat domain with point accesses before lowering.  Random
 scopes below -- depth 1 to 3, rectangular / tiled / vector-block axes built
 with the repo's own ``tile_map`` and ``MapExpansion``, offsets, plain and
 WCR outputs, a transcendental tasklet, extents that do not divide by the
@@ -157,7 +157,7 @@ def test_interpreter_and_compiled_agree(seed):
     sdfg, refusal = build_case(seed)
     oracle = SDFGExecutor(sdfg)
     program = CompiledWholeProgram(sdfg)
-    reasons = [r for s in program.executor.program_plan.states for r in s.fallback_reasons.values()]
+    reasons = [r for t in program.executor.tables for r in t.fallback_reasons.values()]
     if refusal is not None:
         assert refusal in reasons
     else:
@@ -223,28 +223,29 @@ def vector_scope(clamp, block_input=None, point_input=None, code="o = a * 2.0"):
     return sdfg
 
 
-def plan_of(sdfg):
+def table_of(sdfg):
     program = CompiledWholeProgram(sdfg)
-    (state,) = program.executor.program_plan.states
-    return program, state
+    (table,) = program.executor.tables
+    return program, table
 
 
 class TestVectorBlocks:
     def test_clamped_blocks_densify(self):
-        program, state = plan_of(vector_scope(clamp=True))
-        (plan,) = state.scopes.values()
-        axis = plan.domain[1]
-        assert (axis.param, axis.level, axis.dim, axis.width, axis.clamp, axis.per_block) == (
-            "j", 0, 1, 4, "N -1", True
-        )
+        program, table = table_of(vector_scope(clamp=True))
+        (scope,) = table.scopes.values()
+        axis = scope.domain[1]
+        assert (axis.param, axis.width, axis.per_block) == ("j", 4, True)
+        # Level 0, dim 1: the axis iterates the outer map's second range.
+        assert axis.range is scope.levels[0].map.ranges[1]
+        assert eval(axis.clamp, {"N": 6}) == 5  # the clamp is ``N - 1``
         args = {n: np.random.default_rng(0).standard_normal((6, 6)) for n in ("A", "B", "Out")}
         got = program.run(dict(args), {"N": 6})
         assert got.outputs["Out"].tobytes() == (args["A"] * 2.0).tobytes()
 
     def test_unclamped_blocks_keep_the_out_of_bounds_last_tile(self):
         sdfg = vector_scope(clamp=False)
-        program, state = plan_of(sdfg)
-        assert not state.fallback_reasons
+        program, table = table_of(sdfg)
+        assert not table.fallback_reasons
         args = {n: np.zeros((6, 6)) for n in ("A", "B", "Out")}
         for run in (SDFGExecutor(sdfg).run, program.run):
             with pytest.raises(ExecutionError) as caught:
@@ -264,12 +265,12 @@ class TestVectorBlocks:
         ],
     )
     def test_non_block_uses_are_refused(self, kwargs):
-        _, state = plan_of(vector_scope(clamp=True, **kwargs))
-        assert list(state.fallback_reasons.values()) == ["non-block-use-of-strided-axis"]
+        _, table = table_of(vector_scope(clamp=True, **kwargs))
+        assert list(table.fallback_reasons.values()) == ["non-block-use-of-strided-axis"]
 
     def test_a_second_block_input_densifies(self):
-        _, state = plan_of(vector_scope(clamp=True, block_input="i, j", code="o = a + b"))
-        assert not state.fallback_reasons
+        _, table = table_of(vector_scope(clamp=True, block_input="i, j", code="o = a + b"))
+        assert not table.fallback_reasons
 
 
 class TestRefusedTiles:
@@ -287,24 +288,27 @@ class TestRefusedTiles:
         return sdfg
 
     def test_off_by_one_tile_is_a_dependent_inner_range(self):
-        program, state = plan_of(self.tiled(off_by_one=True))
-        assert "dependent-inner-range" in state.fallback_reasons.values()
+        program, table = table_of(self.tiled(off_by_one=True))
+        assert "dependent-inner-range" in table.fallback_reasons.values()
         args = {"A": np.ones((6, 6)), "Out": np.zeros((6, 6))}
         program.run(args, {"N": 6})
         assert program.stats["fallback"] > 0
 
     def test_two_reduction_axes_under_a_tile_are_refused(self):
-        _, state = plan_of(self.tiled(wcr_subset="0"))
-        assert "tile-reorders-reduction" in state.fallback_reasons.values()
+        _, table = table_of(self.tiled(wcr_subset="0"))
+        assert "tile-reorders-reduction" in table.fallback_reasons.values()
 
     def test_clean_tile_flattens_to_the_original_domain(self):
-        _, state = plan_of(self.tiled())
-        (plan,) = state.scopes.values()
+        _, table = table_of(self.tiled())
+        (scope,) = table.scopes.values()
         # ``i`` and ``j`` iterate the union of the blocks of the outer map's
-        # two strided ranges.
-        assert [(a.param, a.level, a.dim) for a in plan.domain] == [("i", 0, 0), ("j", 0, 1)]
-        assert all(a.width == 4 and a.clamp == "N -1" and not a.per_block for a in plan.domain)
-        assert len(plan.level_guids) == 2
+        # two strided ranges (level 0, dims 0 and 1).
+        assert [a.param for a in scope.domain] == ["i", "j"]
+        outer = scope.levels[0].map
+        assert all(a.range is r for a, r in zip(scope.domain, outer.ranges))
+        assert all(a.width == 4 and not a.per_block for a in scope.domain)
+        assert all(eval(a.clamp, {"N": 6}) == 5 for a in scope.domain)  # ``N - 1``
+        assert len(scope.levels) == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -362,7 +366,7 @@ class TestCoverageRatchet:
         program = CompiledWholeProgram(transformed)
         program.run(arguments, symbols)
         reasons = {
-            r for s in program.executor.program_plan.states for r in s.fallback_reasons.values()
+            r for t in program.executor.tables for r in t.fallback_reasons.values()
         }
         allowed = STILL_INTERPRETED.get(task.describe())
         if allowed is None:

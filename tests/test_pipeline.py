@@ -474,6 +474,29 @@ class TestCLI:
             else:
                 assert got["verdict"] == ref["verdict"]
 
+    def test_importing_the_cli_loads_no_cluster_module(self):
+        """Only ``--serve`` and ``--submit`` import the cluster (and with it
+        asyncio and ssl); a local sweep pays for none of it at start-up."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import sys, repro.pipeline.cli\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'asyncio' or m.startswith('repro.cluster')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_auth_token_help_names_the_cluster_variable(self):
+        from repro.cluster.protocol import TOKEN_ENV
+        from repro.pipeline.cli import build_parser
+
+        assert f"${TOKEN_ENV}" in build_parser().format_help()
+
     def test_cli_resume_requires_journal(self, capsys):
         with pytest.raises(SystemExit):
             pipeline_main(["--resume"])

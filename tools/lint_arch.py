@@ -2,8 +2,8 @@
 """Architecture lint for the backend lowering pipeline.
 
 Enforces seven structural invariants of ``src/repro/`` -- two of the
-backends (see that package's docstring for the analyze -> plan -> codegen ->
-execute pipeline), one of the cluster, three of the whole tree and one of
+backends (see that package's docstring for the analyze -> codegen -> execute
+pipeline), one of the cluster, three of the whole tree and one of
 the IR packages:
 
 1. **Module size** -- no module under ``src/repro/backends/`` may exceed
@@ -11,12 +11,13 @@ the IR packages:
    analysis, code generation and runtime execution interleaved; the cap
    keeps each layer's modules reviewable and the layers honest.
 
-2. **Layer direction** -- codegen emitters (``repro/backends/codegen/``)
-   must not import from the execute layer (``repro.backends.execute``), in
-   any spelling: absolute imports, ``from repro.backends import execute``,
-   or relative forms (``from ..execute import ...``, ``from .. import
-   execute``).  The execute layer consumes emitters, never the reverse;
-   a back-edge would let runtime state leak into code generation.
+2. **Layer direction** -- codegen modules (``repro/backends/codegen/``:
+   the lowering records, chain composition and the driver generator) must
+   not import from the execute layer (``repro.backends.execute``), in any
+   spelling: absolute imports, ``from repro.backends import execute``, or
+   relative forms (``from ..execute import ...``, ``from .. import
+   execute``).  The execute layer consumes codegen, never the reverse; a
+   back-edge would let runtime state leak into code generation.
 
 3. **Transport containment** -- within ``src/repro/cluster/``, only the
    transport module (``repro/cluster/service.py``) may import

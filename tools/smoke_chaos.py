@@ -9,7 +9,8 @@ replays exactly.
 **Scenario A -- parity under the kill matrix.**  One sweep, three
 workers: one crashes hard (``os._exit``, like SIGKILL) mid-lease on its
 third task, one delays every task and garbles a fraction of its protocol
-frames, one is clean.  The service itself garbles a journal record and a
+frames, one is clean.  The crasher runs alone until it has died, so its
+fault fires on every run; the other two start after it.  The service itself garbles a journal record and a
 fraction of its outgoing frames (armed in-process only, via
 ``configure(export=False)``).  Mid-run the service is hard-stopped, the
 journal tail is torn (a partial line appended, simulating a write cut off
@@ -141,14 +142,29 @@ def _kill_matrix_scenario(args: argparse.Namespace) -> int:
         sweep_id = submit_sweep(http_host, http_port, tasks)["sweep_id"]
         print(
             f"[smoke-chaos/A] service on 127.0.0.1:{port} (state "
-            f"{state_dir}); sweep {sweep_id}; workers: crasher@3, "
-            f"jitter+garble, clean ...",
+            f"{state_dir}); sweep {sweep_id}; crasher@3 alone, then "
+            f"jitter+garble and clean ...",
             flush=True,
         )
+        # The crasher leases alone until its third task kills it: racing
+        # the other two for the queue, it could lease fewer than three
+        # tasks and exit cleanly, and the fault would not fire.
         workers = [
             _spawn_worker(
                 port, "--reconnect-seconds", "120", faults=CRASHER_FAULTS
             ),
+        ]
+        try:
+            workers[0].wait(timeout=120.0)
+        except subprocess.TimeoutExpired:
+            workers[0].kill()
+            print(
+                "[smoke-chaos/A] FAIL: the crash@3 worker was still running "
+                "after 120 s",
+                file=sys.stderr,
+            )
+            return 1
+        workers += [
             _spawn_worker(
                 port, "--reconnect-seconds", "120", faults=JITTER_FAULTS
             ),
