@@ -57,7 +57,7 @@ import numpy as np
 from conftest import paper_scale
 
 from repro.backends import get_backend
-from repro.backends.compiled import CompiledWholeProgram
+from repro.backends.compiled import CompiledExecutor
 from repro.core.fuzzing import DifferentialFuzzer
 from repro.core.sampling import InputSampler
 from repro.sdfg import SDFG, Memlet, float64
@@ -340,11 +340,11 @@ def _measure_fusion(report_lines):
     results = {}
     times = {}
     for fused in (True, False):
-        program = CompiledWholeProgram(sdfg)
+        program = CompiledExecutor(sdfg)
         if not fused:
             # Disable every chain the way a chain that fails at runtime is
             # disabled: its members then execute scope by scope.
-            for table in program.executor.tables:
+            for table in program.tables:
                 for chain in table.heads.values():
                     chain.usable = False
         results[fused] = program.run(dict(args), symbols)

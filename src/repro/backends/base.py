@@ -3,126 +3,101 @@
 FuzzyFlow's workflow separates *what* a dataflow program computes from *how*
 it is executed: every fuzzing trial only needs an
 :class:`~repro.interpreter.executor.ExecutionResult` for a (program, inputs,
-symbols) triple.  An :class:`ExecutionBackend` encapsulates one execution
-strategy behind a two-phase API:
+symbols) triple.  A :class:`Backend` is a validated backend name, and
+:meth:`Backend.prepare` performs all per-program work -- argument coercion
+plans, subset compilation, code generation -- once, returning the executor
+itself:
 
-* :meth:`ExecutionBackend.prepare` performs all per-program work -- argument
-  coercion plans, symbol binding, subset compilation, code generation -- and
-  returns a :class:`CompiledProgram`,
-* :meth:`CompiledProgram.run` executes the prepared program on concrete
-  inputs.  Repeated trials on the same program (the fuzzing hot loop) pay the
-  preparation cost once.
+* ``interpreter`` -- an :class:`~repro.interpreter.executor.SDFGExecutor`,
+* ``compiled`` -- a :class:`~repro.backends.compiled.CompiledExecutor`,
+* a ``cross`` pair -- a :class:`~repro.backends.cross.CrossProgram` over two
+  of those.
 
-Backends are looked up by name through a registry so callers (the
-differential fuzzer, the verifier, the sweep pipeline CLI) can thread a plain
-string through process boundaries.
+Each runs one trial per ``run(arguments, symbols)`` call, so repeated trials
+on the same program (the fuzzing hot loop) pay the preparation cost once.
+Backends are chosen by name so callers (the differential fuzzer, the
+verifier, the sweep pipeline CLI) can thread a plain string through process
+boundaries.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
-from repro.interpreter.executor import ExecutionResult
+from repro.backends.compiled import CompiledExecutor
+from repro.backends.cross import CrossProgram
+from repro.interpreter.executor import SDFGExecutor
 from repro.sdfg.sdfg import SDFG
+from repro.telemetry import TRACER as _TRACER
 
-__all__ = [
-    "CompiledProgram",
-    "ExecutionBackend",
-    "register_backend",
-    "get_backend",
-    "list_backends",
-    "DEFAULT_BACKEND",
-]
+__all__ = ["BACKEND_NAMES", "DEFAULT_BACKEND", "Backend", "get_backend"]
 
 #: Name of the reference backend used when no selection is made.
 DEFAULT_BACKEND = "interpreter"
 
-
-class CompiledProgram(abc.ABC):
-    """A program prepared for repeated execution by one backend."""
-
-    def __init__(self, sdfg: SDFG) -> None:
-        self.sdfg = sdfg
-
-    @abc.abstractmethod
-    def run(
-        self,
-        arguments: Optional[Mapping[str, Any]] = None,
-        symbols: Optional[Mapping[str, Any]] = None,
-    ) -> ExecutionResult:
-        """Execute the prepared program and return the final system state.
-
-        Must raise the :mod:`repro.interpreter.errors` hierarchy for runtime
-        failures (crashes, hangs, memory violations) so differential testing
-        classifies trials identically across backends.
-        """
+#: Every name :func:`get_backend` resolves, besides ``cross:REF,CAND`` pairs.
+BACKEND_NAMES = ("compiled", "cross", "interpreter")
 
 
-class ExecutionBackend(abc.ABC):
-    """One strategy for executing dataflow programs."""
+@dataclass(frozen=True)
+class Backend:
+    """One execution strategy, by name; ``pair`` is the ``(reference,
+    candidate)`` of a ``cross`` backend and ``None`` otherwise."""
 
-    #: Registry name of the backend.
-    name: str = "abstract"
+    name: str
+    pair: Optional[Tuple[str, str]] = None
 
-    @abc.abstractmethod
-    def prepare(self, sdfg: SDFG, max_transitions: int = 100_000) -> CompiledProgram:
-        """Compile a program for repeated execution."""
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-# ---------------------------------------------------------------------- #
-# Registry
-# ---------------------------------------------------------------------- #
-_FACTORIES: Dict[str, Callable[[], ExecutionBackend]] = {}
-_INSTANCES: Dict[str, ExecutionBackend] = {}
-
-
-def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None:
-    """Register a backend factory under a name (overwrites silently)."""
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def list_backends() -> List[str]:
-    """Names of all registered execution backends."""
-    return sorted(_FACTORIES)
+    def prepare(
+        self, sdfg: SDFG, max_transitions: int = 100_000
+    ) -> Union[SDFGExecutor, CrossProgram]:
+        """The executor of one program.  Every ``prepare`` returns a new one:
+        an executor holds the state of the run in progress, so it belongs to
+        the call that made it."""
+        if self.pair is None:
+            return _prepare(self.name, sdfg, max_transitions)
+        reference, candidate = self.pair
+        return CrossProgram(
+            sdfg,
+            _prepare(reference, sdfg, max_transitions),
+            _prepare(candidate, sdfg, max_transitions),
+            reference,
+            candidate,
+        )
 
 
-def get_backend(backend: Union[str, ExecutionBackend]) -> ExecutionBackend:
-    """Resolve a backend name (or pass an instance through).
+def _prepare(name: str, sdfg: SDFG, max_transitions: int) -> SDFGExecutor:
+    if name == "interpreter":
+        return SDFGExecutor(sdfg, max_transitions=max_transitions)
+    with _TRACER.span("backend.prepare", "prepare") as span:
+        span.set("tier", name)
+        span.set("sdfg", sdfg.name)
+        return CompiledExecutor(sdfg, max_transitions=max_transitions)
 
-    Besides plain registry names, ``cross:REF,CAND`` materializes a
-    self-checking pair of any two registered backends (e.g.
+
+def get_backend(name: str) -> Backend:
+    """Validate a backend name.
+
+    Besides :data:`BACKEND_NAMES`, ``cross:REF,CAND`` names a self-checking
+    pair of any two different non-``cross`` backends (e.g.
     ``cross:compiled,interpreter``); the bare name ``cross`` is
     ``cross:interpreter,compiled``.
-
-    Instances are shared per name within one process; every ``prepare``
-    still returns a program of its own.
     """
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    if backend.startswith("cross:"):
-        if backend not in _INSTANCES:
-            _INSTANCES[backend] = _make_cross_pair(backend)
-        return _INSTANCES[backend]
-    if backend not in _FACTORIES:
+    if name == "cross":
+        return Backend(name, ("interpreter", "compiled"))
+    if name.startswith("cross:"):
+        return Backend(name, _cross_pair(name))
+    if name not in BACKEND_NAMES:
         raise KeyError(
-            f"Unknown execution backend '{backend}' "
-            f"(available: {', '.join(list_backends())}, "
+            f"Unknown execution backend '{name}' "
+            f"(available: {', '.join(BACKEND_NAMES)}, "
             f"or 'cross:REF,CAND' for any pair)"
         )
-    if backend not in _INSTANCES:
-        _INSTANCES[backend] = _FACTORIES[backend]()
-    return _INSTANCES[backend]
+    return Backend(name)
 
 
-def _make_cross_pair(name: str) -> ExecutionBackend:
-    """Build a ``cross:REF,CAND`` backend from two registered names."""
-    from repro.backends.cross import CrossBackend
-
+def _cross_pair(name: str) -> Tuple[str, str]:
+    """The two backend names of a ``cross:REF,CAND`` name."""
     parts = [p.strip() for p in name[len("cross:"):].split(",")]
     if len(parts) != 2 or not all(parts):
         raise KeyError(
@@ -132,14 +107,14 @@ def _make_cross_pair(name: str) -> ExecutionBackend:
     for part in parts:
         if part == "cross" or part.startswith("cross:"):
             raise KeyError(f"Cross pairs cannot nest ('{name}')")
-        if part not in _FACTORIES:
+        if part not in BACKEND_NAMES:
             raise KeyError(
                 f"Unknown execution backend '{part}' in cross pair '{name}' "
-                f"(available: {', '.join(list_backends())})"
+                f"(available: {', '.join(BACKEND_NAMES)})"
             )
     if parts[0] == parts[1]:
         # A backend checked against itself checks nothing.
         raise KeyError(
             f"Cross pair '{name}' checks backend '{parts[0]}' against itself"
         )
-    return CrossBackend(reference=parts[0], candidate=parts[1])
+    return parts[0], parts[1]

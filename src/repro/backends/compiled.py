@@ -53,15 +53,14 @@ Nothing is written to disk and the program is never hashed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.backends.analysis import analyze_state
-from repro.backends.base import CompiledProgram, ExecutionBackend
 from repro.backends.codegen.numpy_eager import BoundChain, StateTable
 from repro.backends.codegen.python_driver import compile_driver
 from repro.backends.execute import ScopeRuntime
 from repro.interpreter.errors import ExecutionError, HangError
-from repro.interpreter.executor import _EVAL_GLOBALS, ExecutionResult
+from repro.interpreter.executor import _EVAL_GLOBALS
 from repro.interpreter.tasklet_exec import compile_expression
 from repro.sdfg.analysis import access_node_is_transparent
 from repro.sdfg.nodes import AccessNode, MapEntry, NestedSDFGNode, Tasklet
@@ -75,17 +74,13 @@ from repro.telemetry import TRACER as _TRACER
 #: sweep prepares would then wait for the cyclic collector.
 StateOp = Callable[["CompiledExecutor", Dict[str, Any]], None]
 
-__all__ = [
-    "CompiledBackend",
-    "CompiledWholeProgram",
-    "CompiledExecutor",
-    "compile_driver",
-]
+__all__ = ["CompiledExecutor", "compile_driver"]
 
 
 class CompiledExecutor(ScopeRuntime):
     """A :class:`ScopeRuntime` whose control flow is one generated Python
-    function and whose per-state dataflow is a prepared op list."""
+    function and whose per-state dataflow is a prepared op list: what
+    ``get_backend("compiled").prepare(sdfg)`` returns."""
 
     def __init__(self, sdfg: SDFG, max_transitions: int = 100_000) -> None:
         super().__init__(sdfg, max_transitions=max_transitions)
@@ -241,59 +236,10 @@ class CompiledExecutor(ScopeRuntime):
 
     # .................................................................. #
     def _run_control_loop(self) -> int:
-        """The whole run contract (setup, result construction, store reset
-        for cached programs) is inherited; only the transition loop is
+        """The whole run contract (setup, result construction, the store
+        reset after each trial) is inherited; only the transition loop is
         replaced by the generated driver."""
         if self._drive is None:
             # Stateless program: raise exactly like the interpreter.
             _ = self.sdfg.start_state
         return self._drive(self)
-
-
-class CompiledWholeProgram(CompiledProgram):
-    """A program bound to a reusable :class:`CompiledExecutor`; every run
-    goes through the generated driver."""
-
-    def __init__(
-        self,
-        sdfg: SDFG,
-        max_transitions: int = 100_000,
-    ) -> None:
-        super().__init__(sdfg)
-        self.executor = CompiledExecutor(sdfg, max_transitions=max_transitions)
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        return self.executor.stats
-
-    @property
-    def control_mode(self) -> str:
-        return self.executor.control_mode
-
-    @property
-    def driver_source(self) -> Optional[str]:
-        return self.executor.driver_source
-
-    def run(
-        self,
-        arguments: Optional[Mapping[str, Any]] = None,
-        symbols: Optional[Mapping[str, Any]] = None,
-    ) -> ExecutionResult:
-        return self.executor.run(arguments, symbols)
-
-
-class CompiledBackend(ExecutionBackend):
-    """Whole-program compilation: structured interstate control flow plus
-    vectorized (and fused) state dataflow.
-
-    Every ``prepare`` returns a new program: a prepared program holds the
-    state of the run in progress, so it belongs to the call that made it.
-    """
-
-    name = "compiled"
-
-    def prepare(self, sdfg: SDFG, max_transitions: int = 100_000) -> CompiledWholeProgram:
-        with _TRACER.span("backend.prepare", "prepare") as span:
-            span.set("tier", self.name)
-            span.set("sdfg", sdfg.name)
-            return CompiledWholeProgram(sdfg, max_transitions=max_transitions)

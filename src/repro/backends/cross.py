@@ -1,8 +1,8 @@
 """The self-checking ``cross`` backend: FuzzyFlow applied to ourselves.
 
-Runs every execution through *two* backends -- by default the reference
-interpreter and the compiled backend, but any registered pair can be
-named via ``cross:REF,CAND`` (e.g. ``cross:compiled,interpreter``) -- and
+Runs every execution through *two* backends -- bare ``cross`` pairs the
+reference interpreter with the compiled backend, and ``cross:REF,CAND``
+(e.g. ``cross:compiled,interpreter``) names any other pair -- and
 compares the complete system states bit for bit.  Any divergence --
 different outputs, different final symbols, different transition counts, or
 one backend crashing where the other does not -- is a bug in an execution
@@ -26,18 +26,12 @@ from typing import Any, List, Mapping, Optional
 
 import numpy as np
 
-from repro.backends.base import CompiledProgram, ExecutionBackend, get_backend
 from repro.interpreter.errors import ExecutionError, HangError
 from repro.interpreter.executor import ExecutionResult
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.serialize import sdfg_to_json
 
-__all__ = [
-    "CrossBackend",
-    "CrossProgram",
-    "BackendDivergenceError",
-    "sdfg_content_hash",
-]
+__all__ = ["CrossProgram", "BackendDivergenceError", "sdfg_content_hash"]
 
 
 def sdfg_content_hash(sdfg: SDFG) -> str:
@@ -53,8 +47,8 @@ class BackendDivergenceError(Exception):
         self,
         program: str,
         details: List[str],
-        reference: str = "interpreter",
-        candidate: str = "compiled",
+        reference: str,
+        candidate: str,
         sdfg_hash: Optional[str] = None,
     ) -> None:
         self.program = program
@@ -88,18 +82,19 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-class CrossProgram(CompiledProgram):
-    """Runs the reference and candidate programs in lockstep."""
+class CrossProgram:
+    """Runs the reference and candidate programs -- anything with the trial
+    API ``run(arguments, symbols)`` -- in lockstep."""
 
     def __init__(
         self,
         sdfg: SDFG,
-        reference: CompiledProgram,
-        candidate: CompiledProgram,
-        reference_name: str = "interpreter",
-        candidate_name: str = "compiled",
+        reference: Any,
+        candidate: Any,
+        reference_name: str,
+        candidate_name: str,
     ) -> None:
-        super().__init__(sdfg)
+        self.sdfg = sdfg
         self.reference = reference
         self.candidate = candidate
         self.reference_name = reference_name
@@ -206,29 +201,3 @@ class CrossProgram(CompiledProgram):
                 f"transition counts differ ({ref.transitions} vs. {cand.transitions})"
             )
         return details
-
-
-class CrossBackend(ExecutionBackend):
-    """Runs two backends side by side, comparing every execution.
-
-    The default pairing is the reference interpreter against the compiled
-    backend; :func:`repro.backends.base.get_backend` materializes arbitrary
-    pairs from ``cross:REF,CAND`` names.
-    """
-
-    name = "cross"
-
-    def __init__(
-        self, reference: str = "interpreter", candidate: str = "compiled"
-    ) -> None:
-        self.reference_name = reference
-        self.candidate_name = candidate
-
-    def prepare(self, sdfg: SDFG, max_transitions: int = 100_000) -> CrossProgram:
-        return CrossProgram(
-            sdfg,
-            get_backend(self.reference_name).prepare(sdfg, max_transitions=max_transitions),
-            get_backend(self.candidate_name).prepare(sdfg, max_transitions=max_transitions),
-            reference_name=self.reference_name,
-            candidate_name=self.candidate_name,
-        )

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -191,9 +191,13 @@ class ScopeRuntime(SDFGExecutor):
         #: flow out once per run, keeping the per-scope hot path unmetered).
         self._stats_flushed: Dict[str, int] = {}
 
-    def run(self, *args, **kwargs) -> ExecutionResult:
+    def run(
+        self,
+        arguments: Optional[Mapping[str, Any]] = None,
+        symbols: Optional[Mapping[str, Any]] = None,
+    ) -> ExecutionResult:
         try:
-            return super().run(*args, **kwargs)
+            return super().run(arguments, symbols)
         finally:
             # A prepared program outlives its runs (one per trial); drop the
             # per-run data store (and the setup cache, which captures store

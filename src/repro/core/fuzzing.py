@@ -11,11 +11,11 @@ of 0, matching the paper's footnote 1).
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import DEFAULT_BACKEND, ExecutionBackend, get_backend
+from repro.backends import DEFAULT_BACKEND, get_backend
 from repro.core.reporting import FuzzingReport, TrialResult, TrialStatus
 from repro.core.sampling import InputSample, InputSampler
 from repro.interpreter import HangError
@@ -125,7 +125,7 @@ class DifferentialFuzzer:
         transformed: SDFG,
         system_state: Sequence[str],
         sampler: InputSampler,
-        backend: Union[str, ExecutionBackend] = DEFAULT_BACKEND,
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.original = original
         self.transformed = transformed

@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 from typing import List, Mapping, Optional, Sequence
 
+from repro.backends import DEFAULT_BACKEND
 from repro.core.constraints import derive_constraints
 from repro.core.cutout import Cutout, extract_cutout, transfer_match
 from repro.core.fuzzing import DifferentialFuzzer
@@ -61,7 +62,7 @@ class FuzzyFlowVerifier:
         size_max: int = 32,
         seed: int = 0,
         test_case_dir: Optional[str] = None,
-        backend: str = "interpreter",
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.num_trials = num_trials
         self.minimize_inputs = minimize_inputs
@@ -70,8 +71,8 @@ class FuzzyFlowVerifier:
         self.size_max = size_max
         self.seed = seed
         self.test_case_dir = test_case_dir
-        #: Execution backend for differential fuzzing ("interpreter",
-        #: "compiled" or the self-checking "cross"; see repro.backends).
+        #: Name of the execution backend for differential fuzzing (one of
+        #: repro.backends.BACKEND_NAMES, or a ``cross:REF,CAND`` pair).
         self.backend = backend
 
     # ------------------------------------------------------------------ #

@@ -166,11 +166,9 @@ class SDFGExecutor:
         self,
         sdfg: SDFG,
         max_transitions: int = 100_000,
-        copy_inputs: bool = True,
     ) -> None:
         self.sdfg = sdfg
         self.max_transitions = max_transitions
-        self.copy_inputs = copy_inputs
         self._runner = TaskletRunner()
         # Per-run data store and symbol bindings.
         self._store: Dict[str, np.ndarray] = {}
@@ -212,10 +210,10 @@ class SDFGExecutor:
 
     def _run_control_loop(self) -> int:
         """Walk the state machine until termination; returns the transition
-        count.  The only part of the run contract backends may override:
-        the compiled backend replaces this generic loop with a generated
-        whole-program driver while inheriting setup/teardown and result
-        construction verbatim."""
+        count.  The only part of the run contract a subclass may override:
+        :class:`~repro.backends.compiled.CompiledExecutor` replaces this
+        generic loop with a generated whole-program driver while inheriting
+        setup, result construction and the per-trial reset verbatim."""
         state: Optional[SDFGState] = self.sdfg.start_state
         transitions = 0
         while state is not None:
@@ -280,18 +278,18 @@ class SDFGExecutor:
         return value
 
     def _coerce_argument(self, name: str, desc, value: Any) -> np.ndarray:
+        # Always a copy: the fuzzer and ``cross`` hand one argument dict to
+        # two programs, and neither may see the other's writes.
         dtype = desc.dtype.as_numpy()
         if isinstance(desc, Scalar):
-            arr = np.asarray(value, dtype=dtype).reshape((1,))
-            out = arr.copy() if self.copy_inputs else arr
-            return out
+            return np.asarray(value, dtype=dtype).reshape((1,)).copy()
         arr = np.asarray(value, dtype=dtype)
         expected = desc.concrete_shape(self._symbols)
         if arr.shape != expected:
             raise InvalidValueError(
                 f"Argument '{name}' has shape {arr.shape}, expected {expected}"
             )
-        return arr.copy() if self.copy_inputs else arr
+        return arr.copy()
 
     # ------------------------------------------------------------------ #
     # Control flow

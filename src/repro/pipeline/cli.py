@@ -34,7 +34,7 @@ import sys
 from typing import Any, Dict, List, Optional, TextIO
 
 from repro import faultinject
-from repro.backends import get_backend, list_backends
+from repro.backends import BACKEND_NAMES, DEFAULT_BACKEND, get_backend
 from repro.faultinject import FAULTS_ENV as _FAULTS_ENV
 from repro.faultinject import SEED_ENV as _FAULT_SEED_ENV
 from repro.pipeline.runner import SweepRunner
@@ -170,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", default=None, type=_backend_name,
         metavar="BACKEND",
         help="execution backend: one of "
-        f"{', '.join(list_backends())}, or 'cross:REF,CAND' to cross-check "
+        f"{', '.join(BACKEND_NAMES)}, or 'cross:REF,CAND' to cross-check "
         "any pair of two different backends (e.g. "
         "'cross:compiled,interpreter'); any divergence fails the sweep as "
-        "an infrastructure error (default: interpreter)",
+        f"an infrastructure error (default: {DEFAULT_BACKEND})",
     )
     parser.add_argument(
         "--progress", action="store_true",
@@ -331,7 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except faultinject.FaultSpecError as exc:
             parser.error(str(exc))
 
-    backend = args.backend or "interpreter"
+    backend = args.backend or DEFAULT_BACKEND
     workloads = None
     if args.kernels:
         workloads = [k.strip() for k in args.kernels.split(",") if k.strip()]

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.backends import DEFAULT_BACKEND
 from repro.core.reporting import Verdict
 
 __all__ = ["SweepResult"]
@@ -29,7 +30,7 @@ class SweepResult:
     suite: str
     buggy: bool = False
     workers: int = 1
-    backend: str = "interpreter"
+    backend: str = DEFAULT_BACKEND
     outcomes: List[Dict[str, Any]] = field(default_factory=list)
     duration_seconds: float = 0.0
     #: Submission id assigned by the verification service (``sweep-NNN``);

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.backends import DEFAULT_BACKEND
 from repro.core.reporting import Verdict
 from repro.core.verifier import FuzzyFlowVerifier
 from repro.sdfg.sdfg import SDFG
@@ -200,9 +201,9 @@ def sweep_labels(
         buggy = any(bool(t.transformation.kwargs.get("inject_bug")) for t in tasks)
     if backend is None:
         backend = (
-            tasks[0].verifier_kwargs.get("backend", "interpreter")
+            tasks[0].verifier_kwargs.get("backend", DEFAULT_BACKEND)
             if tasks
-            else "interpreter"
+            else DEFAULT_BACKEND
         )
     return suite, buggy, backend
 

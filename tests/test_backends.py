@@ -1,6 +1,6 @@
 """Tests for the pluggable execution backends (repro.backends).
 
-The registry, and backend equivalence on hand-built programs: the
+Name resolution, what ``prepare`` returns, and backend equivalence on hand-built programs: the
 interpreter and the compiled backend must produce *bitwise identical*
 :class:`ExecutionResult`s -- outputs, final symbols and transition counts
 -- and must agree on memory-violation detection.  Constructs
@@ -16,19 +16,21 @@ import inspect
 import numpy as np
 import pytest
 
+import repro.backends as backends_module
 from repro.backends import (
+    BACKEND_NAMES,
+    Backend,
     BackendDivergenceError,
-    CompiledProgram,
+    CompiledExecutor,
     CrossProgram,
     get_backend,
-    list_backends,
     sdfg_content_hash,
 )
 from repro.core.fuzzing import DifferentialFuzzer
 from repro.core.sampling import InputSampler
 from repro.core.verifier import FuzzyFlowVerifier
 from repro.interpreter.errors import MemoryViolation
-from repro.interpreter.executor import ExecutionResult
+from repro.interpreter.executor import ExecutionResult, SDFGExecutor
 from repro.sdfg import SDFG, Memlet, float64, int32
 from repro.transforms import all_builtin_transformations
 from repro.workloads import get_workload
@@ -65,16 +67,23 @@ def assert_bitwise_equal(r1, r2):
 
 class TestRegistry:
     def test_registered_names_are_exactly_the_canonical_three(self):
-        assert list_backends() == ["compiled", "cross", "interpreter"]
+        assert BACKEND_NAMES == ("compiled", "cross", "interpreter")
+        for name in BACKEND_NAMES:
+            assert get_backend(name).name == name
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError):
             get_backend("no_such_backend")
 
-    def test_instance_passthrough_and_sharing(self):
-        be = get_backend("compiled")
-        assert get_backend(be) is be
-        assert get_backend("compiled") is be  # shared per process
+    def test_package_exports_one_way_to_run(self):
+        """Names, the record they resolve to, the two executors that are
+        not the interpreter's, and the divergence report: a re-added facade
+        (a backend ABC, a program wrapper, a registry) must get past this."""
+        assert sorted(backends_module.__all__) == sorted([
+            "BACKEND_NAMES", "DEFAULT_BACKEND", "Backend", "get_backend",
+            "CompiledExecutor", "CrossProgram",
+            "BackendDivergenceError", "sdfg_content_hash",
+        ])
 
     @pytest.mark.parametrize(
         "name",
@@ -103,9 +112,7 @@ class TestRegistry:
 
     def test_bare_cross_checks_the_interpreter_against_compiled(self):
         backend = get_backend("cross")
-        assert (backend.reference_name, backend.candidate_name) == (
-            "interpreter", "compiled"
-        )
+        assert backend.pair == ("interpreter", "compiled")
         sdfg = get_workload("npbench", "jacobi_1d").build()
         program = backend.prepare(sdfg)
         assert program.reference is not program.candidate
@@ -125,7 +132,35 @@ class TestTrialApi:
     def test_run_takes_arguments_and_symbols_only(self, name):
         sdfg = get_workload("npbench", "jacobi_1d").build()
         program = get_backend(name).prepare(sdfg)
-        assert list(inspect.signature(program.run).parameters) == ["arguments", "symbols"]
+        programs = [program]
+        if isinstance(program, CrossProgram):
+            programs += [program.reference, program.candidate]
+        for each in programs:
+            assert list(inspect.signature(each.run).parameters) == [
+                "arguments", "symbols"
+            ], type(each).__name__
+
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            ("interpreter", SDFGExecutor),
+            ("compiled", CompiledExecutor),
+            ("cross:compiled,interpreter", CrossProgram),
+        ],
+    )
+    def test_prepare_returns_the_executor(self, name, want):
+        """``prepare`` hands back the executor itself, with no adapter
+        around it; a cross program's sides are executors too."""
+        sdfg = get_workload("npbench", "jacobi_1d").build()
+        program = get_backend(name).prepare(sdfg)
+        assert type(program) is want
+        assert isinstance(get_backend(name), Backend)
+        if want is CrossProgram:
+            assert type(program.reference) is CompiledExecutor
+            assert type(program.candidate) is SDFGExecutor
+            assert (program.reference_name, program.candidate_name) == (
+                "compiled", "interpreter"
+            )
 
     def test_execution_result_fields(self):
         assert [f.name for f in dataclasses.fields(ExecutionResult)] == [
@@ -496,7 +531,7 @@ class TestShiftedWriteIndices:
         assert_bitwise_equal(ref, cand)
 
 
-class TestCrossBackend:
+class TestCrossProgram:
     def test_agreeing_backends_pass_through(self):
         spec = get_workload("npbench", "gemm")
         sdfg = spec.build()
@@ -515,13 +550,15 @@ class TestCrossBackend:
         args = make_arguments(sdfg, symbols)
         reference = get_backend("interpreter").prepare(sdfg)
 
-        class BrokenProgram(CompiledProgram):
+        class BrokenProgram:
             def run(self, arguments=None, symbols=None):
                 result = reference.run(arguments, symbols)
                 result.outputs["B"] = result.outputs["B"] + 1e-12
                 return result
 
-        program = CrossProgram(sdfg, reference, BrokenProgram(sdfg))
+        program = CrossProgram(
+            sdfg, reference, BrokenProgram(), "interpreter", "compiled"
+        )
         with pytest.raises(BackendDivergenceError) as exc_info:
             program.run(dict(args), symbols)
         assert "B" in str(exc_info.value)
@@ -533,11 +570,13 @@ class TestCrossBackend:
         args = make_arguments(sdfg, symbols)
         reference = get_backend("interpreter").prepare(sdfg)
 
-        class CrashingProgram(CompiledProgram):
+        class CrashingProgram:
             def run(self, arguments=None, symbols=None):
                 raise MemoryViolation("B", "0", (1,))
 
-        program = CrossProgram(sdfg, reference, CrashingProgram(sdfg))
+        program = CrossProgram(
+            sdfg, reference, CrashingProgram(), "interpreter", "compiled"
+        )
         with pytest.raises(BackendDivergenceError):
             program.run(dict(args), symbols)
 

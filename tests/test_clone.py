@@ -360,7 +360,6 @@ class TestSharedAcrossThreads:
             theirs = list(pool.map(prepare, [program, program]))
         programs = mine + theirs
         assert len({id(p) for p in programs}) == len(programs)
-        assert len({id(p.executor) for p in programs}) == len(programs)
 
     def test_threaded_sweep_matches_the_serial_one(self):
         tasks = enumerate_sweep_tasks(

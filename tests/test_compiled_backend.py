@@ -15,9 +15,9 @@ import pytest
 
 import repro.sdfg.serialize as serialize_module
 from repro.backends import (
+    Backend,
     BackendDivergenceError,
     CompiledExecutor,
-    CrossBackend,
     get_backend,
     sdfg_content_hash,
 )
@@ -130,7 +130,7 @@ class TestSuiteLowering:
         assert program.control_mode == "structured"
         # On CPython 3.11 a 30th attribute unshares the instance dict's
         # keys and grows it from 296 to 1584 bytes; pinned at today's 18.
-        assert len(vars(program.executor)) <= 18
+        assert len(vars(program)) <= 18
 
 
 class TestControlFlowLowering:
@@ -308,7 +308,6 @@ class TestPreparationCache:
         sdfg = build_loop_nest()
         programs = [backend.prepare(sdfg), backend.prepare(sdfg.clone()), backend.prepare(sdfg)]
         assert len({id(p) for p in programs}) == 3
-        assert len({id(p.executor) for p in programs}) == 3
         assert not hasattr(backend, "cache_hits")
 
     def test_equal_driver_sources_share_code_not_functions(self, no_hashing):
@@ -318,8 +317,8 @@ class TestPreparationCache:
         one = build_loop_nest()
         two = build_loop_nest()
         two.name = "another_loop_nest"
-        a = get_backend("compiled").prepare(one).executor
-        b = get_backend("compiled").prepare(two).executor
+        a = get_backend("compiled").prepare(one)
+        b = get_backend("compiled").prepare(two)
         assert a.control_mode == b.control_mode == "structured"
         assert a.driver_source == b.driver_source
         assert a._drive is not b._drive
@@ -345,11 +344,9 @@ class TestPreparationCache:
 class TestCrossPairs:
     def test_cross_pair_name_resolves(self):
         backend = get_backend("cross:compiled,interpreter")
-        assert isinstance(backend, CrossBackend)
-        assert backend.reference_name == "compiled"
-        assert backend.candidate_name == "interpreter"
-        # Shared per name, like every other registry entry.
-        assert get_backend("cross:compiled,interpreter") is backend
+        assert backend == Backend(
+            "cross:compiled,interpreter", ("compiled", "interpreter")
+        )
 
     @pytest.mark.parametrize(
         "name", ["cross:compiled", "cross:compiled,nope", "cross:cross,interpreter",
@@ -400,20 +397,19 @@ class TestDivergenceErrorContext:
         assert "abc123def456" in str(clone)
 
     def test_cross_program_attaches_pair_and_hash(self):
-        from repro.backends import CompiledProgram as _Base  # abstract base
         from repro.backends.cross import CrossProgram
 
         sdfg = build_diamond()
         reference = get_backend("interpreter").prepare(sdfg)
 
-        class Broken(_Base):
+        class Broken:
             def run(self, arguments=None, symbols=None):
                 result = reference.run(arguments, symbols)
                 result.outputs["X"] = result.outputs["X"] + 1.0
                 return result
 
         program = CrossProgram(
-            sdfg, reference, Broken(sdfg),
+            sdfg, reference, Broken(),
             reference_name="interpreter", candidate_name="broken",
         )
         args = {"X": np.zeros(1), "s": np.array([1.0])}
@@ -470,7 +466,7 @@ class TestStateNamespaceReuse:
         symbols = {"N": 8, "T": 4}
         args = make_arguments(sdfg, symbols)
         r1, r2, program = run_pair(sdfg, args, symbols)
-        assert program.executor.control_mode == "structured"
+        assert program.control_mode == "structured"
         assert_identical(r1, r2)
 
 
@@ -492,7 +488,7 @@ class TestProgramsDieByRefcount:
         program = get_backend("compiled").prepare(sdfg)
         symbols = {"N": 6, "T": 3}
         program.run(make_arguments(sdfg, symbols), symbols)
-        executor = weakref.ref(program.executor)
+        executor = weakref.ref(program)
         del program
         assert executor() is None
 

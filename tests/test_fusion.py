@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.backends.compiled import CompiledWholeProgram
+from repro.backends.compiled import CompiledExecutor
 from repro.sdfg import SDFG, InterstateEdge, Memlet, float64
 from repro.sdfg.analysis import elementwise_scope_chains
 from repro.workloads import get_workload, get_workload_suite
@@ -216,8 +216,8 @@ class TestFusedParity:
 
     def test_private_intermediates_are_internalized(self):
         sdfg = chain_sdfg(["y = x + 1.0", "y = x * 2.0"])
-        program = CompiledWholeProgram(sdfg)
-        (table,) = program.executor.tables
+        program = CompiledExecutor(sdfg)
+        (table,) = program.tables
         (fused,) = table.heads.values()
         kinds = [kind for m in fused.members for kind, _, _ in m.outputs]
         assert kinds == ["internal", "write"]
@@ -241,7 +241,7 @@ class TestFusedParity:
         )
         programs = run_all_backends(sdfg, {"N": 11})
         assert programs["compiled"].stats["fused"] == 1
-        (table,) = programs["compiled"].executor.tables
+        (table,) = programs["compiled"].tables
         (fused,) = table.heads.values()
         kinds = [kind for m in fused.members for kind, _, _ in m.outputs]
         assert kinds == ["write", "write"]
@@ -273,7 +273,7 @@ class TestFusedParity:
         sdfg.add_edge(first, second, InterstateEdge())
         programs = run_all_backends(sdfg, {"N": 13})
         assert programs["compiled"].stats["fused"] == 1
-        table = programs["compiled"].executor.tables[sdfg.states().index(first)]
+        table = programs["compiled"].tables[sdfg.states().index(first)]
         (fused,) = table.heads.values()
         kinds = [kind for m in fused.members for kind, _, _ in m.outputs]
         assert kinds == ["write", "write"]
@@ -311,7 +311,7 @@ class TestFusedParity:
         # The chain still fuses -- but t0's write stays materialized.
         assert programs["compiled"].stats["fused"] == 7
         labels = [s.label for s in sdfg.states()]
-        table = programs["compiled"].executor.tables[labels.index("body")]
+        table = programs["compiled"].tables[labels.index("body")]
         (fused,) = table.heads.values()
         kinds = [kind for m in fused.members for kind, _, _ in m.outputs]
         assert kinds == ["write", "write"]
@@ -523,31 +523,29 @@ class TestFusionPreconditions:
     def test_runtime_failure_falls_back_to_members(self):
         """A fused chain that dies at runtime re-runs its members
         individually -- bitwise identically -- and stays disabled."""
-        for backend_cls in (CompiledWholeProgram,):
-            sdfg = chain_sdfg(["y = x + 1.0", "y = x * 2.0"])
-            symbols = {"N": 9}
-            args = make_arguments(sdfg, symbols)
-            ref = interpreter_reference(sdfg, args, symbols)
-            program = backend_cls(sdfg)
-            executor = program.executor
-            original = executor._compute_fused
+        sdfg = chain_sdfg(["y = x + 1.0", "y = x * 2.0"])
+        symbols = {"N": 9}
+        args = make_arguments(sdfg, symbols)
+        ref = interpreter_reference(sdfg, args, symbols)
+        program = CompiledExecutor(sdfg)
+        original = program._compute_fused
 
-            def exploding(fused, bindings):
-                raise RuntimeError("fused chain did not survive contact")
+        def exploding(fused, bindings):
+            raise RuntimeError("fused chain did not survive contact")
 
-            executor._compute_fused = exploding
-            result = program.run(dict(args), symbols)
-            assert_identical(ref, result)
-            assert program.stats["fused"] == 0
-            assert program.stats["vectorized"] == 2
-            # The chain is now permanently disabled; with the real compute
-            # restored it must not be retried.
-            executor._compute_fused = original
-            (fused,) = executor.tables[0].heads.values()
-            assert fused.usable is False
-            result2 = program.run(dict(args), symbols)
-            assert_identical(ref, result2)
-            assert program.stats["fused"] == 0
+        program._compute_fused = exploding
+        result = program.run(dict(args), symbols)
+        assert_identical(ref, result)
+        assert program.stats["fused"] == 0
+        assert program.stats["vectorized"] == 2
+        # The chain is now permanently disabled; with the real compute
+        # restored it must not be retried.
+        program._compute_fused = original
+        (fused,) = program.tables[0].heads.values()
+        assert fused.usable is False
+        result2 = program.run(dict(args), symbols)
+        assert_identical(ref, result2)
+        assert program.stats["fused"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -564,7 +562,7 @@ class TestFusedErrorParity:
         args = make_arguments(sdfg, symbols)
         with pytest.raises(TaskletExecutionError) as interp_exc:
             get_backend("interpreter").prepare(sdfg).run(dict(args), symbols)
-        program = CompiledWholeProgram(sdfg)
+        program = CompiledExecutor(sdfg)
         with pytest.raises(TaskletExecutionError) as fused_exc:
             program.run(dict(args), symbols)
         # Both attribute the failure to stage1 (the dividing member).
@@ -601,7 +599,7 @@ class TestFusedErrorParity:
 # ---------------------------------------------------------------------- #
 class TestDriverInliningAndHoisting:
     def test_driver_iterates_prepared_op_lists(self):
-        program = CompiledWholeProgram(looped_pipeline())
+        program = CompiledExecutor(looped_pipeline())
         source = program.driver_source
         assert "__ops" in source
         assert "__exec(" not in source
@@ -609,14 +607,14 @@ class TestDriverInliningAndHoisting:
 
     def test_transparent_access_nodes_dropped_from_ops(self):
         sdfg = chain_sdfg(["y = x + 1.0", "y = x * 2.0"])
-        program = CompiledWholeProgram(sdfg)
+        program = CompiledExecutor(sdfg)
         # One fused op covers the whole state: the pass-through access nodes
         # (A, t0, Out) and the member entries/exits all vanish statically.
-        (ops,) = program.executor._state_ops
+        (ops,) = program._state_ops
         assert len(ops) == 1
 
     def test_loop_invariant_symbol_is_hoisted(self):
-        program = CompiledWholeProgram(looped_pipeline())
+        program = CompiledExecutor(looped_pipeline())
         source = program.driver_source
         assert "__inv0 = __sym['T']" in source
         assert "__sym['t'] < __inv0" in source
@@ -624,7 +622,7 @@ class TestDriverInliningAndHoisting:
     def test_loop_assigned_symbol_is_not_hoisted(self):
         """The loop counter is assigned on the back edge and must keep its
         dict lookup."""
-        program = CompiledWholeProgram(looped_pipeline())
+        program = CompiledExecutor(looped_pipeline())
         source = program.driver_source
         assert "__inv0 = __sym['t']" not in source
 
@@ -660,7 +658,7 @@ class TestDriverInliningAndHoisting:
         )
         sdfg.add_edge(body, inner_guard, InterstateEdge(assignments={"j": "j + 1"}))
         sdfg.add_edge(inner_after, outer_guard, InterstateEdge(assignments={"i": "i + 1"}))
-        program = CompiledWholeProgram(sdfg)
+        program = CompiledExecutor(sdfg)
         if program.control_mode == "structured":
             # N is invariant in both loops; T only in the outer; i is
             # invariant within (and thus hoistable for) the inner loop.
@@ -681,7 +679,7 @@ class TestDriverInliningAndHoisting:
         )
         # s participates in the loop condition but is a scalar container.
         sdfg.add_loop(init, body, None, "t", "0", "t < s", "t + 1")
-        program = CompiledWholeProgram(sdfg)
+        program = CompiledExecutor(sdfg)
         source = program.driver_source or ""
         assert "__inv0 = __sym['s']" not in source
         symbols = {"N": 6}
@@ -826,6 +824,6 @@ class TestWcrTailFusion:
         reason.  (Analysis-level check -- the interpreter rejects the
         operator at runtime too, so there is no parity run to make.)"""
         sdfg = self.elementwise_then_wcr(wcr="xor")
-        (table,) = CompiledWholeProgram(sdfg).executor.tables
+        (table,) = CompiledExecutor(sdfg).tables
         assert not table.heads and not table.members
         assert "unsupported-wcr" in table.fallback_reasons.values()

@@ -20,7 +20,7 @@ import pytest
 from repro.backends import get_backend
 from repro.backends.analysis import analyze_state
 from repro.backends.codegen.numpy_eager import BoundInput, BoundOutput
-from repro.backends.compiled import CompiledExecutor, CompiledWholeProgram
+from repro.backends.compiled import CompiledExecutor
 from repro.backends.execute import ScopeRuntime
 from repro.backends.geometry import axis_triple
 from repro.core.cutout import extract_cutout, transfer_match
@@ -323,7 +323,7 @@ class TestGatherSlices:
         symbols = {"N": 6, "M": 9}
         args = make_arguments(sdfg, symbols)
         ref = get_backend("interpreter").prepare(sdfg).run(dict(args), symbols)
-        program = CompiledWholeProgram(sdfg)
+        program = CompiledExecutor(sdfg)
         res = program.run(dict(args), symbols)
         assert ref.outputs["Out"].tobytes() == res.outputs["Out"].tobytes()
         assert program.stats["vectorized"] == 1 and program.stats["fallback"] == 0
@@ -401,7 +401,7 @@ class TestClassification:
         program = get_backend("compiled").prepare(sdfg)
         got = program.run(dict(args), {"N": 6})
         assert ref.outputs["Out"].tobytes() == got.outputs["Out"].tobytes()
-        assert program.executor.stats["fallback"] == 0
+        assert program.stats["fallback"] == 0
         # B[i, i] at N = 21 leaves the container: same error as the oracle.
         big = {n: np.zeros(d.concrete_shape({"N": 21})) for n, d in sdfg.arrays.items()}
         with pytest.raises(MemoryViolation) as want:
@@ -439,7 +439,7 @@ class TestChainInternalOutputs:
         sdfg, symbols = chain_program("0:N-2"), {"N": 8}
         args = {"A": np.random.default_rng(0).standard_normal(8), "Out": np.zeros(8)}
         want = get_backend("interpreter").prepare(sdfg).run(dict(args), symbols)
-        program = CompiledWholeProgram(sdfg)
+        program = CompiledExecutor(sdfg)
         checked = []
         real = CompiledExecutor._check_write
         monkeypatch.setattr(
@@ -496,6 +496,6 @@ class TestNoIndexArraysOnAffineScopes:
 
         assert calls == []
         # One flat scope since the nest is normalised, not one per outer point.
-        assert program.executor.stats == {"vectorized": 1, "fallback": 0, "fused": 0}
+        assert program.stats == {"vectorized": 1, "fallback": 0, "fused": 0}
         for name_, value in ref.outputs.items():
             assert value.tobytes() == got.outputs[name_].tobytes()

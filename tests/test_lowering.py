@@ -13,7 +13,7 @@ import pytest
 
 from repro.backends.analysis import analyze_state
 from repro.backends.codegen.numpy_eager import BoundAxis, BoundChain, BoundScope
-from repro.backends.compiled import CompiledWholeProgram
+from repro.backends.compiled import CompiledExecutor
 from repro.sdfg.nodes import Node
 from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json
 from repro.workloads import get_workload, get_workload_suite
@@ -46,7 +46,7 @@ def project(value):
 
 
 def tables_of(sdfg):
-    return CompiledWholeProgram(sdfg).executor.tables
+    return CompiledExecutor(sdfg).tables
 
 
 def lowering(sdfg):

@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.backends.compiled import CompiledWholeProgram
+from repro.backends.compiled import CompiledExecutor
 from repro.interpreter.errors import ExecutionError
 from repro.interpreter.executor import SDFGExecutor
 from repro.sdfg import SDFG, Memlet, float64
@@ -156,8 +156,8 @@ def assert_same(want, got, where):
 def test_interpreter_and_compiled_agree(seed):
     sdfg, refusal = build_case(seed)
     oracle = SDFGExecutor(sdfg)
-    program = CompiledWholeProgram(sdfg)
-    reasons = [r for t in program.executor.tables for r in t.fallback_reasons.values()]
+    program = CompiledExecutor(sdfg)
+    reasons = [r for t in program.tables for r in t.fallback_reasons.values()]
     if refusal is not None:
         assert refusal in reasons
     else:
@@ -224,8 +224,8 @@ def vector_scope(clamp, block_input=None, point_input=None, code="o = a * 2.0"):
 
 
 def table_of(sdfg):
-    program = CompiledWholeProgram(sdfg)
-    (table,) = program.executor.tables
+    program = CompiledExecutor(sdfg)
+    (table,) = program.tables
     return program, table
 
 
@@ -363,10 +363,10 @@ class TestCoverageRatchet:
         """A later transformation or analyzer edit that brings the
         interpreter back under T(c) fails here, not in a profile."""
         transformed, arguments, symbols = transformed_cutout(task)
-        program = CompiledWholeProgram(transformed)
+        program = CompiledExecutor(transformed)
         program.run(arguments, symbols)
         reasons = {
-            r for t in program.executor.tables for r in t.fallback_reasons.values()
+            r for t in program.tables for r in t.fallback_reasons.values()
         }
         allowed = STILL_INTERPRETED.get(task.describe())
         if allowed is None:
@@ -382,6 +382,6 @@ class TestCoverageRatchet:
             "npbench", workloads=["jacobi_1d"], transformations=[spec]
         )
         transformed, arguments, symbols = transformed_cutout(task)
-        program = CompiledWholeProgram(transformed)
+        program = CompiledExecutor(transformed)
         program.run(arguments, symbols)
         assert program.stats["fallback"] > 0

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.backends.base import CompiledProgram
 from repro.backends.cross import BackendDivergenceError, CrossProgram
 from repro.interpreter.errors import ExecutionError, TaskletExecutionError
 from repro.sdfg import SDFG, InterstateEdge, Memlet, float64
@@ -360,7 +359,7 @@ class TestCrossCompiledInterpreter:
         args = make_arguments(sdfg, symbols)
         compiled = get_backend("compiled").prepare(sdfg)
 
-        class PerturbedCompiled(CompiledProgram):
+        class PerturbedCompiled:
             def run(self, arguments=None, symbols=None):
                 result = compiled.run(arguments, symbols)
                 result.outputs["Out"] = result.outputs["Out"] + 1e-12
@@ -368,7 +367,7 @@ class TestCrossCompiledInterpreter:
 
         interp = get_backend("interpreter").prepare(sdfg)
         program = CrossProgram(
-            sdfg, interp, PerturbedCompiled(sdfg),
+            sdfg, interp, PerturbedCompiled(),
             reference_name="interpreter", candidate_name="compiled",
         )
         with pytest.raises(BackendDivergenceError) as exc_info:
