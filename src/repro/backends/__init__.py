@@ -13,9 +13,9 @@ returns the executor itself.  Two backends and a self-check resolve:
   affine memlets become NumPy array expressions (chains of elementwise
   scopes fused into one kernel), compiled once per ``prepare``; unsupported
   constructs fall back to the interpreter scope by scope.  One generated
-  Python function per SDFG lowers the state machine to structured control
-  flow (native ``while`` loops and ``if`` chains, with a state-dispatch loop
-  for irreducible graphs) with inline interstate conditions/assignments.
+  Python function per SDFG lowers the state machine to one
+  ``while``-over-current-state dispatch loop with inline interstate
+  conditions/assignments.
 * ``"cross"`` -- the self-checking backend (:mod:`repro.backends.cross`):
   runs two backends in lockstep and raises
   :class:`~repro.backends.cross.BackendDivergenceError` on any bitwise

@@ -11,8 +11,8 @@ The modules here are imported directly by the layer that needs them:
   objects), and the composition of a fused chain's tasklets into one
   kernel;
 * :mod:`~repro.backends.codegen.python_driver` -- the whole-program Python
-  control-flow driver (the interstate tier; the driver alone is generated
-  after analysis).
+  control-flow driver, one state-dispatch loop per program (the interstate
+  tier; the driver alone is generated after analysis).
 
 Layering rule (enforced by ``make lint-arch``): nothing here imports from
 :mod:`repro.backends.execute`.

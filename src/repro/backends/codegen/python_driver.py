@@ -3,19 +3,18 @@
 The codegen stage of the lowering pipeline (analyze -> codegen ->
 execute), covering *interstate* control flow; per-state dataflow is the
 analyzer's records (:mod:`repro.backends.codegen.numpy_eager`).  The state
-machine is lowered to one generated Python function:
+machine is lowered to one generated Python function, a
+``while``-over-current-state dispatch loop that handles every interstate
+graph (loops, branches, joins and irreducible cycles alike):
 
-* natural loops (the guard pattern) become native ``while`` loops,
-  if-diamonds become ``if`` chains, linear chains stay flat
-  (:func:`repro.sdfg.analysis.structured_control_flow`);
+* each state is one arm of an ``if``/``elif`` chain on the current state
+  index, running its prepared op list inline;
 * interstate edge conditions and symbol assignments become inline Python
   expressions (:func:`repro.symbolic.codegen.emit_interstate_expression`)
   reading program symbols from one shared dict and scalar containers from
   the data store -- no per-transition namespace rebuild, no ``eval``;
-* symbol loads invariant across a structured loop are hoisted into locals
-  computed once before the loop;
-* irreducible interstate graphs fall back to a generated
-  ``while``-over-current-state dispatch loop.
+* out-edges are tried in order and the first true condition wins; none
+  true ends the program -- the interpreter's ``_next_state`` contract.
 
 The generated driver calls back into runtime services (``__rt._hang`` and
 friends) supplied by the execute layer, but this module never imports it --
@@ -30,13 +29,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.interpreter.executor import _EVAL_GLOBALS
 from repro.interpreter.executor import SDFGExecutor as _SDFGExecutor
 from repro.interpreter.tasklet_exec import compile_code
-from repro.sdfg.analysis import (
-    CFBlock,
-    CFBranch,
-    CFExec,
-    CFLoop,
-    structured_control_flow,
-)
 from repro.sdfg.data import Scalar
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
@@ -86,19 +78,6 @@ class _DriverEmitter:
         self.scalar_names = scalar_names
         self.lines: List[str] = []
         self.indent = 0
-        # Names safe to hoist out of loops: always present after setup
-        # (free symbols and constants), not shadowed by scalar containers,
-        # not part of the builtin vocabulary (whose emission is conditional).
-        from repro.symbolic.codegen import INTERSTATE_GLOBAL_NAMES
-
-        self.hoist_safe: Set[str] = (
-            (set(sdfg.free_symbols) | set(sdfg.constants))
-            - scalar_names
-            - set(INTERSTATE_GLOBAL_NAMES)
-        )
-        #: Active loop-invariant bindings: symbol name -> driver local.
-        self.hoisted: Dict[str, str] = {}
-        self._hoist_counter = 0
 
     # .................................................................. #
     def line(self, text: str) -> None:
@@ -108,7 +87,9 @@ class _DriverEmitter:
         return "\n".join(self.lines) + "\n"
 
     # .................................................................. #
-    def emit_driver(self, body: Callable[[], None]) -> None:
+    def emit_driver(self) -> None:
+        """The driver function: prologue, then one ``while``-over-current-
+        state loop whose ``if``/``elif`` arms are the states."""
         self.line("def __drive(__rt):")
         self.indent += 1
         self.line("__sym = __rt._symbols")
@@ -118,7 +99,18 @@ class _DriverEmitter:
         for index in range(len(self.state_index)):
             self.line(f"__ops{index} = __allops[{index}]")
         self.line("__t = 0")
-        body()
+        self.line(f"__s = {self.state_index[self.sdfg.start_state]}")
+        self.line("while __s >= 0:")
+        self.indent += 1
+        keyword = "if"
+        for state, idx in self.state_index.items():
+            self.line(f"{keyword} __s == {idx}:")
+            keyword = "elif"
+            self.indent += 1
+            self.emit_exec(state)
+            self._emit_dispatch_arms(self.sdfg.out_edges(state), 0)
+            self.indent -= 1
+        self.indent -= 1
         self.line("return __t")
         self.indent -= 1
 
@@ -138,14 +130,8 @@ class _DriverEmitter:
         """Sets ``__c`` to the edge condition's truth value (or raises the
         interpreter's :class:`ExecutionError` wrapper)."""
         cond = edge.data.condition
-        if cond.strip() in ("True", "1"):
-            # The interpreter evaluates these to True; skip the try block.
-            self.line("__c = True")
-            return
         try:
-            src = emit_interstate_expression(
-                cond, self.scalar_names, hoisted_names=self.hoisted
-            )
+            src = emit_interstate_expression(cond, self.scalar_names)
             expr = f"__bool({src})"
         except ExpressionCodegenError:
             # Unparseable condition: defer to the interpreter's dynamic
@@ -159,9 +145,7 @@ class _DriverEmitter:
     def emit_assignments(self, edge) -> None:
         for sym, expr in edge.data.assignments.items():
             try:
-                src = emit_interstate_expression(
-                    expr, self.scalar_names, hoisted_names=self.hoisted
-                )
+                src = emit_interstate_expression(expr, self.scalar_names)
             except ExpressionCodegenError:
                 src = f"__rt._eval_raw({expr!r})"
             self.line("try:")
@@ -174,145 +158,19 @@ class _DriverEmitter:
             self.line(f"__sym[{sym!r}] = __v")
 
     # .................................................................. #
-    # Loop-invariant hoisting
-    # .................................................................. #
-    def _loop_invariants(self, item: CFLoop) -> List[str]:
-        """Names read by the loop's interstate expressions that no edge
-        inside the loop assigns.
-
-        Symbols are only ever written by interstate assignments (dataflow
-        writes containers, never symbols), so a name absent from every
-        loop-body assignment holds one value for the whole loop.  Restricted
-        further to :attr:`hoist_safe` names, whose presence in the symbol
-        namespace is guaranteed, hoisting can neither change a lookup
-        failure's timing nor its type.
-        """
-        edges: List[Any] = []
-
-        def collect_block(block: CFBlock) -> None:
-            for it in block.items:
-                if isinstance(it, CFLoop):
-                    collect_branch(it.branch)
-                elif isinstance(it, CFBranch):
-                    collect_branch(it)
-
-        def collect_branch(branch: CFBranch) -> None:
-            for arm in branch.arms:
-                edges.append(arm.edge)
-                if arm.block is not None:
-                    collect_block(arm.block)
-
-        collect_branch(item.branch)
-        assigned: Set[str] = set()
-        used: Set[str] = set()
-        for edge in edges:
-            assigned |= set(edge.data.assignments)
-            # Unparseable expressions contribute regex-scraped names here,
-            # which is harmless: they evaluate through _eval_raw (reading
-            # the live symbol dict), and hoisted names are by construction
-            # never reassigned inside the loop.
-            used |= edge.data.free_symbols
-        return sorted(
-            (used & self.hoist_safe) - assigned - set(self.hoisted)
-        )
-
-    def _emit_loop_hoists(self, item: CFLoop) -> List[str]:
-        names = self._loop_invariants(item)
-        for name in names:
-            local = f"__inv{self._hoist_counter}"
-            self._hoist_counter += 1
-            self.line(f"{local} = __sym[{name!r}]")
-            self.hoisted[name] = local
-        return names
-
-    # .................................................................. #
-    # Structured emission
-    # .................................................................. #
-    def emit_block(self, block: CFBlock, halt: str = "return __t") -> None:
-        for item in block.items:
-            if isinstance(item, CFExec):
-                self.emit_exec(item.state)
-            elif isinstance(item, CFLoop):
-                hoisted_here = self._emit_loop_hoists(item)
-                self.line("while True:")
-                self.indent += 1
-                self.emit_exec(item.loop.guard)
-                self._emit_arms(item.branch.arms, 0, halt)
-                self.indent -= 1
-                for name in hoisted_here:
-                    del self.hoisted[name]
-            elif isinstance(item, CFBranch):
-                arm = item.arms[0] if item.arms else None
-                if (
-                    len(item.arms) == 1
-                    and arm.terminal == "fallthrough"
-                ):
-                    # Linear-chain edge: stay flat instead of nesting.
-                    self.emit_condition(arm.edge)
-                    if arm.edge.data.condition.strip() not in ("True", "1"):
-                        self.line("if not __c:")
-                        self.line(f"    {halt}")
-                    self.emit_assignments(arm.edge)
-                else:
-                    self._emit_arms(item.arms, 0, halt)
-            else:  # pragma: no cover - exhaustive over CF node kinds
-                raise ExpressionCodegenError(f"Unknown CF item {item!r}")
-        # Defensive terminator: blocks ending in a terminal state (no
-        # out-edges) fall through to here; after an exhaustive branch this
-        # line is simply unreachable.
-        self.line(halt)
-
-    def _emit_arms(self, arms, i: int, halt: str) -> None:
-        """Evaluate out-edges in order; the first true condition wins, no
-        true condition terminates the program -- the interpreter's
-        ``_next_state`` contract."""
-        if i == len(arms):
-            self.line(halt)
-            return
-        arm = arms[i]
-        self.emit_condition(arm.edge)
-        self.line("if __c:")
-        self.indent += 1
-        self.emit_assignments(arm.edge)
-        if arm.terminal in ("continue", "break"):
-            self.line(arm.terminal)
-        elif arm.block is not None:
-            self.emit_block(arm.block, halt)
-        else:  # pragma: no cover - structurer emits no other terminals here
-            self.line(halt)
-        self.indent -= 1
-        if i + 1 < len(arms):
-            self.line("else:")
-            self.indent += 1
-            self._emit_arms(arms, i + 1, halt)
-            self.indent -= 1
-        else:
-            self.line("else:")
-            self.line(f"    {halt}")
-
-    # .................................................................. #
-    # Dispatch emission (irreducible graphs)
-    # .................................................................. #
-    def emit_dispatch(self) -> None:
-        start = self.state_index[self.sdfg.start_state]
-        self.line(f"__s = {start}")
-        self.line("while __s >= 0:")
-        self.indent += 1
-        keyword = "if"
-        for state, idx in self.state_index.items():
-            self.line(f"{keyword} __s == {idx}:")
-            keyword = "elif"
-            self.indent += 1
-            self.emit_exec(state)
-            self._emit_dispatch_arms(self.sdfg.out_edges(state), 0)
-            self.indent -= 1
-        self.indent -= 1
-
     def _emit_dispatch_arms(self, edges, i: int) -> None:
+        """Evaluate out-edges in order; the first true condition sets the
+        next state, no true condition ends the program (``__s = -1``)."""
         if i == len(edges):
             self.line("__s = -1")
             return
         edge = edges[i]
+        if edge.data.condition.strip() in ("True", "1"):
+            # The interpreter evaluates these to True, so this edge is taken
+            # and the later ones are never evaluated.
+            self.emit_assignments(edge)
+            self.line(f"__s = {self.state_index[edge.dst]}")
+            return
         self.emit_condition(edge)
         self.line("if __c:")
         self.indent += 1
@@ -336,9 +194,10 @@ def compile_driver(
 ) -> Tuple[str, Optional[str], Optional[Callable]]:
     """Generate the whole-program driver for ``sdfg``.
 
-    Returns ``(mode, source, fn)`` where mode is ``"structured"``,
-    ``"dispatch"``, ``"interpreted"`` (dynamic-transition safety net) or
+    Returns ``(mode, source, fn)`` where mode is ``"dispatch"`` (the
+    generated driver), ``"interpreted"`` (dynamic-transition safety net) or
     ``"empty"`` (stateless program; running it raises like the interpreter).
+    Driver code objects are memoised by source text.
     """
     if not sdfg.states():
         return "empty", None, None
@@ -356,19 +215,12 @@ def compile_driver(
         return "interpreted", None, _interpreted_drive
 
     try:
-        tree = structured_control_flow(sdfg)
         emitter = _DriverEmitter(sdfg, state_index, scalar_names)
-        if tree is not None:
-            mode = "structured"
-            emitter.emit_driver(lambda: emitter.emit_block(tree))
-        else:
-            mode = "dispatch"
-            emitter.emit_driver(emitter.emit_dispatch)
+        emitter.emit_driver()
         source = emitter.source()
         namespace: Dict[str, Any] = {}
         code = compile_code(source, _DRIVER_FILENAME)
         exec(code, dict(_DRIVER_GLOBALS), namespace)  # noqa: S102
-        return mode, source, namespace["__drive"]
+        return "dispatch", source, namespace["__drive"]
     except Exception:  # noqa: BLE001 - never fail prepare; degrade instead
         return "interpreted", None, _interpreted_drive
-

@@ -10,26 +10,18 @@ scope).  Around them this backend binds **one Python driver function for
 the entire SDFG** at preparation time
 (:mod:`repro.backends.codegen.python_driver`):
 
-* the state machine is lowered to *structured* control flow
-  (:func:`repro.sdfg.analysis.structured_control_flow`): natural loops (the
-  guard pattern) become native ``while`` loops, if-diamonds become ``if``
-  chains, linear chains stay flat;
+* the state machine is lowered to one ``while``-over-current-state
+  dispatch loop, one ``if``/``elif`` arm per state, which handles every
+  interstate graph -- loops, branches, joins and irreducible cycles;
 * interstate edge conditions and symbol assignments become inline Python
   expressions (:func:`repro.symbolic.codegen.emit_interstate_expression`)
   reading program symbols from one shared dict and scalar containers from
   the data store -- no per-transition namespace rebuild, no ``eval``;
-* symbol loads that are *invariant across a structured loop* -- names never
-  assigned by any edge inside the loop (dataflow cannot write symbols) and
-  guaranteed present (free symbols and constants) -- are hoisted into
-  locals computed once before the loop;
 * each state's dataflow is **inlined as a prepared op list**: every
   top-level node becomes one prebound closure (a tasklet run, a vectorized
   -- possibly *fused* -- scope execution, an access copy), built once at
   preparation time; the driver iterates the list directly, with no
-  per-transition node-type dispatch, scope lookup or no-op node visits;
-* irreducible interstate graphs fall back to a generated
-  ``while``-over-current-state dispatch loop (still native conditions, just
-  with an explicit state variable).
+  per-transition node-type dispatch, scope lookup or no-op node visits.
 
 Results are bitwise identical to the interpreter, including final symbol
 values, transition counts and the full error taxonomy (``HangError`` on

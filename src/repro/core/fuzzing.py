@@ -151,11 +151,11 @@ class DifferentialFuzzer:
             span.set("index", index)
             t0 = _perf_counter()
             try:
-                orig_result = self._orig_exec.run(sample.copy_arguments(), sample.symbols)
+                orig_result = self._orig_exec.run(sample.arguments, sample.symbols)
             except ExecutionError as exc:
                 orig_error = exc
             try:
-                trans_result = self._trans_exec.run(sample.copy_arguments(), sample.symbols)
+                trans_result = self._trans_exec.run(sample.arguments, sample.symbols)
             except ExecutionError as exc:
                 trans_error = exc
             trial = self._classify(

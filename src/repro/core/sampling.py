@@ -28,10 +28,6 @@ class InputSample:
     symbols: Dict[str, int]
     index: int = 0
 
-    def copy_arguments(self) -> Dict[str, np.ndarray]:
-        """Fresh copies of the argument arrays (each run may mutate them)."""
-        return {k: np.array(v, copy=True) for k, v in self.arguments.items()}
-
 
 class InputSampler:
     """Samples input configurations for a cutout."""

@@ -148,7 +148,8 @@ def _check_bounds(data: str, concrete: List[Tuple[int, int, int]], shape: Tuple[
 class ExecutionResult:
     """Outcome of running a program."""
 
-    #: Final contents of every non-transient container (copies).
+    #: Final contents of every non-transient container (arrays of the run
+    #: that produced them; no later run writes them).
     outputs: Dict[str, np.ndarray]
     #: Final symbol values (including loop counters).
     symbols: Dict[str, Any]
@@ -197,8 +198,10 @@ class SDFGExecutor:
 
         transitions = self._run_control_loop()
 
+        # No copy: every store array is private to this run (arguments are
+        # copied in, transients allocated), and the next run binds new ones.
         outputs = {
-            name: np.array(self._store[name], copy=True)
+            name: self._store[name]
             for name, desc in self.sdfg.arrays.items()
             if not desc.transient and name in self._store
         }
@@ -278,18 +281,19 @@ class SDFGExecutor:
         return value
 
     def _coerce_argument(self, name: str, desc, value: Any) -> np.ndarray:
-        # Always a copy: the fuzzer and ``cross`` hand one argument dict to
-        # two programs, and neither may see the other's writes.
+        # Always one copy, the run's only one: the fuzzer and ``cross`` hand
+        # one argument dict to two programs, and neither may see the other's
+        # writes (nor the caller its own).
         dtype = desc.dtype.as_numpy()
         if isinstance(desc, Scalar):
             return np.asarray(value, dtype=dtype).reshape((1,)).copy()
-        arr = np.asarray(value, dtype=dtype)
+        arr = np.array(value, dtype=dtype, order="C")
         expected = desc.concrete_shape(self._symbols)
         if arr.shape != expected:
             raise InvalidValueError(
                 f"Argument '{name}' has shape {arr.shape}, expected {expected}"
             )
-        return arr.copy()
+        return arr
 
     # ------------------------------------------------------------------ #
     # Control flow

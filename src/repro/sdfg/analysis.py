@@ -7,7 +7,6 @@ Currently provides:
   transformation and by the gray-box constraint analysis (loop bounds
   constrain the values a loop variable can take, Sec. 5.1),
 * state reachability helpers used by the side-effect analyses (Sec. 3.1),
-* structured-control-flow recovery for the compiled whole-program backend,
 * elementwise scope-chain discovery (candidate producer/consumer map scopes
   for the vectorized backend's scope fusion).
 """
@@ -15,7 +14,7 @@ Currently provides:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.sdfg.graph import Edge
@@ -29,12 +28,6 @@ __all__ = [
     "states_reachable_from",
     "states_reaching",
     "loop_variable_bounds",
-    "CFExec",
-    "CFArm",
-    "CFBranch",
-    "CFLoop",
-    "CFBlock",
-    "structured_control_flow",
     "elementwise_scope_chains",
     "access_node_is_transparent",
 ]
@@ -55,35 +48,6 @@ class LoopInfo:
     init_expression: str
     condition: str
     increment_expression: str
-
-    def trip_count_estimate(self, symbols: Dict[str, int]) -> Optional[int]:
-        """Concretely simulate the loop header to count iterations.
-
-        Returns ``None`` if the loop does not terminate within a generous
-        bound (used to avoid unrolling unbounded loops).
-        """
-        ns = dict(symbols)
-        try:
-            ns[self.loop_variable] = eval(  # noqa: S307 - controlled input
-                compile(self.init_expression, "<loop-init>", "eval"), {"__builtins__": {}}, ns
-            )
-        except Exception:
-            return None
-        count = 0
-        limit = 1_000_000
-        cond_code = compile(self.condition, "<loop-cond>", "eval")
-        incr_code = compile(self.increment_expression, "<loop-incr>", "eval")
-        try:
-            while eval(cond_code, {"__builtins__": {}}, ns):  # noqa: S307
-                count += 1
-                if count > limit:
-                    return None
-                ns[self.loop_variable] = eval(  # noqa: S307
-                    incr_code, {"__builtins__": {}}, ns
-                )
-        except Exception:
-            return None
-        return count
 
     def iteration_values(self, symbols: Dict[str, int]) -> Optional[List[int]]:
         """The concrete sequence of loop-variable values, if computable."""
@@ -229,179 +193,6 @@ def loop_variable_bounds(sdfg: SDFG, symbols: Dict[str, int]) -> Dict[str, Tuple
         if values:
             bounds[loop.loop_variable] = (min(values), max(values))
     return bounds
-
-
-# ---------------------------------------------------------------------- #
-# Structured control flow
-# ---------------------------------------------------------------------- #
-#
-# The compiled whole-program backend lowers the interstate graph to
-# *structured* Python control flow: natural loops (the guard pattern
-# ``find_loops`` detects) become ``while`` loops, branches become ``if``
-# chains whose arms inline their continuations, and everything else --
-# irreducible cycles, patterns the matcher does not recognize -- makes the
-# whole program fall back to a ``while``-over-current-state dispatch loop.
-#
-# The structure is an *inlining* of the CFG: a join state reached from two
-# branch arms is simply structured twice, once per arm.  That duplication is
-# semantically free (each copy executes the same state) and bounded by a
-# budget; exceeding the budget is treated like an unstructured graph.
-
-
-@dataclass
-class CFExec:
-    """Execute one state's dataflow (hang check, transition)."""
-
-    state: SDFGState
-
-
-@dataclass
-class CFArm:
-    """One outgoing edge of a branching state.
-
-    Exactly one of ``block`` / ``terminal`` is set: ``block`` inlines the
-    continuation after taking the edge, ``terminal`` names a structured jump
-    (``"continue"`` back to the enclosing loop guard, ``"break"`` out of it,
-    or ``"fallthrough"`` into the parent block's next item).
-    """
-
-    edge: Edge
-    block: Optional["CFBlock"] = None
-    terminal: Optional[str] = None
-
-
-@dataclass
-class CFBranch:
-    """Evaluate a state's out-edges in order; first true condition wins.
-
-    If no condition holds, the program terminates (the interpreter's
-    ``_next_state`` returns ``None``).
-    """
-
-    arms: List[CFArm]
-
-
-@dataclass
-class CFLoop:
-    """A natural loop: ``while True: <exec guard>; <branch>``.
-
-    The branch's back/body arm re-enters the loop body; the exit arm is a
-    ``break`` terminal.  The loop's continuation (the ``after`` state) is
-    the parent block's next item.
-    """
-
-    loop: LoopInfo
-    branch: CFBranch
-
-
-@dataclass
-class CFBlock:
-    """A straight-line sequence of control-flow items."""
-
-    items: List = field(default_factory=list)
-
-
-class _Unstructured(Exception):
-    """The interstate graph (or this region of it) cannot be structured."""
-
-
-def structured_control_flow(
-    sdfg: SDFG, max_execs: Optional[int] = None
-) -> Optional[CFBlock]:
-    """Structure the state machine, or ``None`` if it is irreducible.
-
-    ``max_execs`` bounds the number of state-execution sites the inlined
-    structure may contain (default ``4 * n_states + 16``), so join
-    duplication cannot blow up the generated program.
-    """
-    states = sdfg.states()
-    if not states:
-        return None
-    loops: Dict[SDFGState, LoopInfo] = {}
-    for loop in find_loops(sdfg):
-        # One loop per guard, and a guard whose exit re-enters itself is not
-        # a shape the structured emitter supports.
-        if loop.guard in loops or loop.after is loop.guard:
-            return None
-        loops[loop.guard] = loop
-    budget = [max_execs if max_execs is not None else 4 * len(states) + 16]
-    try:
-        return _structure_chain(sdfg, sdfg.start_state, loops, {}, frozenset(), budget)
-    except _Unstructured:
-        return None
-
-
-def _structure_chain(
-    sdfg: SDFG,
-    entry: SDFGState,
-    loops: Dict[SDFGState, LoopInfo],
-    actions: Dict[SDFGState, str],
-    path: frozenset,
-    budget: List[int],
-) -> CFBlock:
-    """Structure the chain starting at ``entry``.
-
-    ``actions`` maps jump-target states of the innermost enclosing loop to
-    their terminals (guard -> ``"continue"``, after -> ``"break"``);
-    ``path`` holds the states on the current structuring path, so any cycle
-    not captured by a recognized loop raises :class:`_Unstructured`.
-    """
-    block = CFBlock()
-    cur: Optional[SDFGState] = entry
-    while cur is not None:
-        if cur in path:
-            raise _Unstructured(f"unstructured cycle through '{cur.label}'")
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _Unstructured("state-inlining budget exhausted")
-
-        loop = loops.get(cur)
-        if loop is not None:
-            body_actions = {loop.guard: "continue", loop.after: "break"}
-            body_path = path | {cur}
-            arms = []
-            for edge in sdfg.out_edges(cur):
-                arms.append(
-                    _structure_arm(sdfg, edge, loops, body_actions, body_path, budget)
-                )
-            block.items.append(CFLoop(loop, CFBranch(arms)))
-            cur = loop.after
-            continue
-
-        block.items.append(CFExec(cur))
-        out = sdfg.out_edges(cur)
-        if not out:
-            break
-        if len(out) == 1 and out[0].dst not in actions and out[0].dst is not cur:
-            # Keep linear chains flat: emit the edge as a fallthrough arm and
-            # continue structuring in the same block (bounded indentation).
-            block.items.append(CFBranch([CFArm(out[0], terminal="fallthrough")]))
-            path = path | {cur}
-            cur = out[0].dst
-            continue
-        arms = []
-        arm_path = path | {cur}
-        for edge in out:
-            arms.append(_structure_arm(sdfg, edge, loops, actions, arm_path, budget))
-        block.items.append(CFBranch(arms))
-        break
-    return block
-
-
-def _structure_arm(
-    sdfg: SDFG,
-    edge: Edge,
-    loops: Dict[SDFGState, LoopInfo],
-    actions: Dict[SDFGState, str],
-    path: frozenset,
-    budget: List[int],
-) -> CFArm:
-    terminal = actions.get(edge.dst)
-    if terminal is not None:
-        return CFArm(edge, terminal=terminal)
-    return CFArm(
-        edge, block=_structure_chain(sdfg, edge.dst, loops, actions, path, budget)
-    )
 
 
 # ---------------------------------------------------------------------- #

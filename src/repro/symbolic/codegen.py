@@ -2,7 +2,7 @@
 
 The compiled whole-program backend (:mod:`repro.backends.compiled`) lowers
 interstate edge conditions and symbol assignments to *inline* Python
-expressions inside one generated driver function, instead of re-``eval``-ing
+expressions inside the one generated dispatch driver, instead of re-``eval``-ing
 them against a freshly built namespace on every state transition (the
 interpreter's behaviour, and the dominant cost of loop-nest programs).
 
@@ -18,10 +18,6 @@ The emitted source reproduces that lookup order statically:
   ... -- the interpreter's ``_EVAL_GLOBALS``) becomes
   ``__sym['name'] if 'name' in __sym else name``: ``eval`` resolves locals
   before globals, so a program symbol may shadow the builtin,
-* a name in ``hoisted_names`` becomes that plain local -- the compiled
-  driver binds loop-invariant symbols to locals before entering a loop, and
-  the caller guarantees the name is present and unassigned for the binding's
-  whole lifetime,
 * every other name becomes ``__sym['name']`` -- symbols, loop counters,
   and anything unknown, whose ``KeyError`` the driver wraps into the same
   :class:`~repro.interpreter.errors.ExecutionError` the interpreter raises
@@ -33,7 +29,7 @@ Only name *loads* are rewritten; the expression language has no stores.
 from __future__ import annotations
 
 import ast
-from typing import AbstractSet, FrozenSet, Mapping, Optional
+from typing import AbstractSet, FrozenSet
 
 __all__ = [
     "ExpressionCodegenError",
@@ -42,10 +38,11 @@ __all__ = [
     "expression_names",
 ]
 
-#: Callable vocabulary of interstate evaluation -- must mirror the name
+#: Callable vocabulary of interstate evaluation -- must mirror the callable
 #: bindings of :data:`repro.interpreter.executor._EVAL_GLOBALS` (``True`` /
-#: ``False`` are keywords and never parse as names).  Not imported from the
-#: interpreter to keep :mod:`repro.symbolic` dependency-free.
+#: ``False`` are keywords and never parse as names; a test pins the match).
+#: Not imported from the interpreter to keep :mod:`repro.symbolic`
+#: dependency-free.
 INTERSTATE_GLOBAL_NAMES: FrozenSet[str] = frozenset(
     {"Min", "Max", "min", "max", "abs", "int"}
 )
@@ -58,24 +55,14 @@ class ExpressionCodegenError(Exception):
 class _NameRouter(ast.NodeTransformer):
     """Rewrites name loads to the interpreter's namespace lookup order."""
 
-    def __init__(
-        self,
-        scalar_names: AbstractSet[str],
-        global_names: AbstractSet[str],
-        symbols_var: str,
-        store_var: str,
-        hoisted_names: Optional[Mapping[str, str]] = None,
-    ) -> None:
+    def __init__(self, scalar_names: AbstractSet[str]) -> None:
         self.scalar_names = scalar_names
-        self.global_names = global_names
-        self.symbols_var = symbols_var
-        self.store_var = store_var
-        self.hoisted_names = dict(hoisted_names or {})
 
-    def _symbol_lookup(self, name: str) -> ast.Subscript:
+    @staticmethod
+    def _lookup(var: str, key: str) -> ast.Subscript:
         return ast.Subscript(
-            value=ast.Name(id=self.symbols_var, ctx=ast.Load()),
-            slice=ast.Constant(value=name),
+            value=ast.Name(id=var, ctx=ast.Load()),
+            slice=ast.Constant(value=key),
             ctx=ast.Load(),
         )
 
@@ -87,48 +74,34 @@ class _NameRouter(ast.NodeTransformer):
         # Scalar containers shadow same-named symbols, mirroring the
         # interpreter's namespace construction order.
         if node.id in self.scalar_names:
-            container = ast.Subscript(
-                value=ast.Name(id=self.store_var, ctx=ast.Load()),
-                slice=ast.Constant(value=node.id),
+            return ast.Subscript(
+                value=self._lookup("__store", node.id),
+                slice=ast.Constant(value=0),
                 ctx=ast.Load(),
             )
-            return ast.Subscript(
-                value=container, slice=ast.Constant(value=0), ctx=ast.Load()
-            )
-        if node.id in self.hoisted_names:
-            # A loop-invariant symbol prebound to a driver local; the caller
-            # guarantees presence and immutability for the binding's scope.
-            return ast.Name(id=self.hoisted_names[node.id], ctx=ast.Load())
-        if node.id in self.global_names:
+        if node.id in INTERSTATE_GLOBAL_NAMES:
             # eval() resolves locals (the symbol namespace) before globals,
             # so a symbol may shadow the builtin vocabulary at runtime.
             return ast.IfExp(
                 test=ast.Compare(
                     left=ast.Constant(value=node.id),
                     ops=[ast.In()],
-                    comparators=[ast.Name(id=self.symbols_var, ctx=ast.Load())],
+                    comparators=[ast.Name(id="__sym", ctx=ast.Load())],
                 ),
-                body=self._symbol_lookup(node.id),
+                body=self._lookup("__sym", node.id),
                 orelse=node,
             )
-        return self._symbol_lookup(node.id)
+        return self._lookup("__sym", node.id)
 
 
-def emit_interstate_expression(
-    expr: str,
-    scalar_names: AbstractSet[str],
-    global_names: AbstractSet[str] = INTERSTATE_GLOBAL_NAMES,
-    symbols_var: str = "__sym",
-    store_var: str = "__store",
-    hoisted_names: Optional[Mapping[str, str]] = None,
-) -> str:
+def emit_interstate_expression(expr: str, scalar_names: AbstractSet[str]) -> str:
     """Emit Python source evaluating ``expr`` with routed name lookups.
 
-    ``hoisted_names`` maps symbol names to plain driver locals the caller
-    has prebound (loop-invariant hoisting); such names skip the symbol-dict
-    lookup.  Raises :class:`ExpressionCodegenError` when the expression does
-    not parse as a single Python expression; callers fall back to the
-    interpreter's dynamic evaluation path for exact error parity.
+    The source reads symbols from ``__sym`` and scalar containers from
+    ``__store``, the generated driver's locals.  Raises
+    :class:`ExpressionCodegenError` when the expression does not parse as a
+    single Python expression; callers fall back to the interpreter's
+    dynamic evaluation path for exact error parity.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -136,10 +109,7 @@ def emit_interstate_expression(
         raise ExpressionCodegenError(
             f"Cannot parse interstate expression {expr!r}: {exc}"
         ) from exc
-    router = _NameRouter(
-        scalar_names, global_names, symbols_var, store_var, hoisted_names
-    )
-    rewritten = ast.fix_missing_locations(router.visit(tree))
+    rewritten = ast.fix_missing_locations(_NameRouter(scalar_names).visit(tree))
     return ast.unparse(rewritten)
 
 

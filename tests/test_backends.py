@@ -167,6 +167,30 @@ class TestTrialApi:
             "outputs", "symbols", "transitions",
         ]
 
+    @pytest.mark.parametrize(
+        "name", ["interpreter", "compiled", "cross:compiled,interpreter"]
+    )
+    def test_runs_leave_arguments_and_earlier_results_alone(self, name):
+        """A program that writes its own input: the run copies the caller's
+        array in, and the result it returns is not written by a later run."""
+        sdfg = SDFG("bump_in_place")
+        sdfg.add_array("A", ["N"], float64)
+        sdfg.add_state("s", is_start_state=True).add_mapped_tasklet(
+            "bump", {"i": "0:N-1"}, {"x": Memlet.simple("A", "i")},
+            "y = x + 1.0", {"y": Memlet.simple("A", "i")},
+        )
+        program = get_backend(name).prepare(sdfg)
+        arguments = {"A": np.arange(4.0)}
+        first = program.run(arguments, {"N": 4})
+        assert np.array_equal(arguments["A"], np.arange(4.0))
+        assert np.array_equal(first.outputs["A"], np.arange(4.0) + 1.0)
+        again = program.run(arguments, {"N": 4})
+        assert np.array_equal(again.outputs["A"], np.arange(4.0) + 1.0)
+        program.run({"A": np.full(4, 10.0)}, {"N": 4})
+        assert np.array_equal(first.outputs["A"], np.arange(4.0) + 1.0)
+        assert np.array_equal(again.outputs["A"], np.arange(4.0) + 1.0)
+        assert np.array_equal(arguments["A"], np.arange(4.0))
+
 
 class TestBackendEquivalence:
     def test_affine_scopes_actually_vectorize(self):

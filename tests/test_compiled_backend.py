@@ -1,8 +1,8 @@
 """Tests for the compiled whole-program backend (repro.backends.compiled).
 
-The compiled backend code-generates one Python driver per SDFG (structured
-loops/branches, dispatch fallback for irreducible graphs) and must stay
-bitwise identical to the reference interpreter: outputs, final symbols,
+The compiled backend code-generates one Python driver per SDFG (a
+state-dispatch loop, for reducible and irreducible graphs alike) and must
+stay bitwise identical to the reference interpreter: outputs, final symbols,
 transition counts and the full error taxonomy.
 """
 
@@ -22,11 +22,17 @@ from repro.backends import (
     sdfg_content_hash,
 )
 from repro.interpreter.errors import ExecutionError, HangError
+from repro.interpreter.executor import _EVAL_GLOBALS
 from repro.sdfg import SDFG, InterstateEdge, Memlet, float64
-from repro.sdfg.analysis import structured_control_flow
-from repro.workloads import get_workload, get_workload_suite
+from repro.symbolic.codegen import INTERSTATE_GLOBAL_NAMES
+from repro.workloads import get_workload, get_workload_suite, list_workload_suites
 
 NPBENCH = [spec.name for spec in get_workload_suite("npbench")]
+SUITE_PROGRAMS = [
+    (suite, spec.name)
+    for suite in list_workload_suites()
+    for spec in get_workload_suite(suite)
+]
 
 
 def make_arguments(sdfg, symbols, seed=0):
@@ -108,7 +114,7 @@ def build_diamond():
 
 def build_irreducible():
     """A cycle without the guard pattern (conditions not textually negated),
-    so the structurer must refuse and the driver must dispatch."""
+    so only a state-dispatch loop can run it."""
     sdfg = SDFG("irreducible")
     sdfg.add_array("X", [1], float64)
     sdfg.add_symbol("x")
@@ -122,25 +128,32 @@ def build_irreducible():
 
 
 class TestSuiteLowering:
-    @pytest.mark.parametrize("kernel", NPBENCH)
-    def test_suite_kernels_compile_structured(self, kernel):
-        """Every suite kernel's state machine is reducible: no kernel should
-        silently pay the dispatch (or interpreted) penalty."""
-        program = get_backend("compiled").prepare(get_workload("npbench", kernel).build())
-        assert program.control_mode == "structured"
+    @pytest.mark.parametrize("suite,name", SUITE_PROGRAMS)
+    def test_suite_programs_prepare_to_dispatch(self, suite, name):
+        """Every registered suite program gets the generated driver: none
+        silently degrades to the interpreted control loop."""
+        program = get_backend("compiled").prepare(get_workload(suite, name).build())
+        assert program.control_mode == "dispatch"
         # On CPython 3.11 a 30th attribute unshares the instance dict's
-        # keys and grows it from 296 to 1584 bytes; pinned at today's 18.
-        assert len(vars(program)) <= 18
+        # keys and grows it from 296 to 1584 bytes; pinned at today's 17.
+        assert len(vars(program)) <= 17
 
 
 class TestControlFlowLowering:
-    def test_loop_nest_runs_structured_with_correct_transitions(self):
+    def test_driver_vocabulary_mirrors_the_interpreter(self):
+        """The names the emitted expressions may resolve as builtins are
+        exactly the interpreter's callable evaluation globals."""
+        assert INTERSTATE_GLOBAL_NAMES == {
+            name for name, value in _EVAL_GLOBALS.items() if callable(value)
+        }
+
+    def test_loop_nest_runs_dispatch_with_correct_transitions(self):
         sdfg = build_loop_nest()
         symbols = {"N": 10, "T": 5}
         args = make_arguments(sdfg, symbols)
         r1, r2, program = run_pair(sdfg, args, symbols)
-        assert program.control_mode == "structured"
-        assert "while True:" in program.driver_source
+        assert program.control_mode == "dispatch"
+        assert "while __s >= 0:" in program.driver_source
         # init + T x (guard + body) + final guard check + after state
         assert r2.transitions == r1.transitions == 2 * 5 + 3
         assert r2.symbols["t"] == 5
@@ -149,7 +162,8 @@ class TestControlFlowLowering:
     def test_diamond_both_paths(self):
         sdfg = build_diamond()
         program = get_backend("compiled").prepare(sdfg)
-        assert program.control_mode == "structured"
+        assert program.control_mode == "dispatch"
+        assert "while __s >= 0:" in program.driver_source
         for sval, taken in ((2.5, 1), (-2.5, 2)):
             args = {"X": np.zeros(1), "s": np.array([sval])}
             r1 = get_backend("interpreter").prepare(sdfg).run(dict(args), {})
@@ -157,9 +171,8 @@ class TestControlFlowLowering:
             assert_identical(r1, r2)
             assert r2.symbols["taken"] == taken
 
-    def test_irreducible_graph_falls_back_to_dispatch(self):
+    def test_irreducible_graph_runs_dispatch(self):
         sdfg = build_irreducible()
-        assert structured_control_flow(sdfg) is None
         program = get_backend("compiled").prepare(sdfg)
         assert program.control_mode == "dispatch"
         r1, r2, _ = run_pair(sdfg, {"X": np.zeros(1)}, {"x": 0})
@@ -204,7 +217,7 @@ class TestControlFlowLowering:
 
     def test_no_true_out_edge_terminates(self):
         """When no condition holds the interpreter stops; so must the
-        generated driver (in both structured and dispatch modes)."""
+        generated driver."""
         sdfg = SDFG("deadend")
         sdfg.add_array("X", [1], float64)
         s0 = sdfg.add_state("s0", is_start_state=True)
@@ -319,7 +332,8 @@ class TestPreparationCache:
         two.name = "another_loop_nest"
         a = get_backend("compiled").prepare(one)
         b = get_backend("compiled").prepare(two)
-        assert a.control_mode == b.control_mode == "structured"
+        assert a.control_mode == b.control_mode == "dispatch"
+        assert "while __s >= 0:" in a.driver_source
         assert a.driver_source == b.driver_source
         assert a._drive is not b._drive
         assert a._drive.__code__ is b._drive.__code__
@@ -466,7 +480,8 @@ class TestStateNamespaceReuse:
         symbols = {"N": 8, "T": 4}
         args = make_arguments(sdfg, symbols)
         r1, r2, program = run_pair(sdfg, args, symbols)
-        assert program.control_mode == "structured"
+        assert program.control_mode == "dispatch"
+        assert "while __s >= 0:" in program.driver_source
         assert_identical(r1, r2)
 
 

@@ -1,8 +1,8 @@
-"""Tests for scope fusion, driver inlining and loop-invariant hoisting.
+"""Tests for scope fusion and driver inlining.
 
-Scope fusion (PR 5) collapses chains of elementwise map scopes into one
+Scope fusion collapses chains of elementwise map scopes into one
 composed vectorized kernel; the compiled driver additionally inlines
-per-state op lists and hoists loop-invariant symbol loads.  All of it must
+per-state op lists.  All of it must
 stay bitwise identical to the reference interpreter -- outputs, final
 symbols and transition counts -- and every precondition
 failure (WCR-fed reads, subset mismatches, dynamic subsets, non-vectorizable
@@ -595,9 +595,9 @@ class TestFusedErrorParity:
 
 
 # ---------------------------------------------------------------------- #
-# Driver inlining + loop-invariant hoisting
+# Driver inlining
 # ---------------------------------------------------------------------- #
-class TestDriverInliningAndHoisting:
+class TestDriverInlining:
     def test_driver_iterates_prepared_op_lists(self):
         program = CompiledExecutor(looped_pipeline())
         source = program.driver_source
@@ -613,26 +613,12 @@ class TestDriverInliningAndHoisting:
         (ops,) = program._state_ops
         assert len(ops) == 1
 
-    def test_loop_invariant_symbol_is_hoisted(self):
-        program = CompiledExecutor(looped_pipeline())
-        source = program.driver_source
-        assert "__inv0 = __sym['T']" in source
-        assert "__sym['t'] < __inv0" in source
-
-    def test_loop_assigned_symbol_is_not_hoisted(self):
-        """The loop counter is assigned on the back edge and must keep its
-        dict lookup."""
-        program = CompiledExecutor(looped_pipeline())
-        source = program.driver_source
-        assert "__inv0 = __sym['t']" not in source
-
-    def test_hoisted_loop_parity(self):
+    def test_looped_pipeline_parity(self):
         sdfg = looped_pipeline(stages=3)
         run_all_backends(sdfg, {"N": 7, "T": 6})
 
-    def test_nested_loop_hoisting_parity(self):
-        """Inner loop bound depends on the outer counter: only truly
-        invariant names may be hoisted per loop level."""
+    def test_nested_loop_parity(self):
+        """Inner loop bound depends on the outer counter."""
         sdfg = SDFG("nested")
         sdfg.add_array("A", ["N"], float64)
         sdfg.add_symbol("i")
@@ -658,14 +644,9 @@ class TestDriverInliningAndHoisting:
         )
         sdfg.add_edge(body, inner_guard, InterstateEdge(assignments={"j": "j + 1"}))
         sdfg.add_edge(inner_after, outer_guard, InterstateEdge(assignments={"i": "i + 1"}))
-        program = CompiledExecutor(sdfg)
-        if program.control_mode == "structured":
-            # N is invariant in both loops; T only in the outer; i is
-            # invariant within (and thus hoistable for) the inner loop.
-            assert "__inv" in program.driver_source
         run_all_backends(sdfg, {"N": 5, "T": 4})
 
-    def test_scalar_container_is_never_hoisted(self):
+    def test_scalar_container_loop_guard_parity(self):
         """Scalar containers can change through dataflow mid-loop; their
         loads must stay routed through the store."""
         sdfg = SDFG("scalar_guard")
@@ -680,8 +661,7 @@ class TestDriverInliningAndHoisting:
         # s participates in the loop condition but is a scalar container.
         sdfg.add_loop(init, body, None, "t", "0", "t < s", "t + 1")
         program = CompiledExecutor(sdfg)
-        source = program.driver_source or ""
-        assert "__inv0 = __sym['s']" not in source
+        assert "__store['s'][0]" in program.driver_source
         symbols = {"N": 6}
         args = make_arguments(sdfg, symbols)
         args["s"] = np.asarray([3.0])

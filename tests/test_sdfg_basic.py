@@ -221,7 +221,7 @@ class TestControlFlow:
         loops = find_loops(sdfg)
         assert len(loops) == 1
         assert loops[0].loop_variable == "i"
-        assert loops[0].trip_count_estimate({"N": 5}) == 5
+        assert len(loops[0].iteration_values({"N": 5})) == 5
 
     def test_loop_iteration_values_negative_step(self):
         sdfg = SDFG("loop")
