@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke smoke-dist smoke-chaos sweep bench-scaling bench-quick bench-figs bench-e2e bench-e2e-check bench-pairs lint-arch
+.PHONY: test smoke smoke-dist smoke-chaos sweep bench-scaling bench-quick bench-figs bench-e2e bench-e2e-check bench-pairs lint-arch reach
 
 test:
 	$(PY) -m pytest -x -q
@@ -107,3 +107,10 @@ bench-pairs:
 # copy module: the IR is copied only by repro.sdfg.copier).
 lint-arch:
 	$(PY) tools/lint_arch.py
+
+# The reach ledger (README "Reach ledger"): runs the product paths under a
+# profiler and fails on any function of the verification core that none of
+# them enters and tools/reach_allow.txt does not name.  About 2.5 min; not
+# part of `make smoke`.
+reach:
+	$(PY) tools/reach.py

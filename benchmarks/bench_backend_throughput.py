@@ -338,7 +338,7 @@ def _measure_fusion(report_lines):
     sdfg = build_fused_pipeline()
     args = _arguments(sdfg, symbols)
     results = {}
-    times = {}
+    programs = {}
     for fused in (True, False):
         program = CompiledExecutor(sdfg)
         if not fused:
@@ -350,19 +350,23 @@ def _measure_fusion(report_lines):
         results[fused] = program.run(dict(args), symbols)
         if fused:
             assert program.stats["fused"] > 0, "fusion never fired on the pipeline"
-        # Long, uncapped samples: the generic ``_measure`` helper stops at
-        # 64 trials (~50 ms at this rate), and windows that short jitter
-        # the fused/unfused ratio across the floor.
-        trials = 0
-        elapsed = 0.0
-        while trials < 2 or elapsed < 1.0:
-            start = time.perf_counter()
-            program.run(dict(args), symbols)
-            elapsed += time.perf_counter() - start
-            trials += 1
-            if trials >= 8192:
-                break
-        times[fused] = elapsed / trials
+        programs[fused] = program
+    # About 1 s per side, in alternating 50 ms windows: the machine's speed
+    # drifts by up to 2x over seconds, and sequential windows would hand
+    # the whole drift to one side of the ratio.
+    elapsed = {True: 0.0, False: 0.0}
+    trials = {True: 0, False: 0}
+    while (min(trials.values()) < 2 or min(elapsed.values()) < 1.0) and max(
+        trials.values()
+    ) < 8192:
+        for fused, program in programs.items():
+            window_end = elapsed[fused] + 0.05
+            while elapsed[fused] < window_end:
+                start = time.perf_counter()
+                program.run(dict(args), symbols)
+                elapsed[fused] += time.perf_counter() - start
+                trials[fused] += 1
+    times = {fused: elapsed[fused] / trials[fused] for fused in programs}
     for name in results[True].outputs:
         assert np.array_equal(results[True].outputs[name], results[False].outputs[name]), (
             f"fused/unfused outputs diverge on '{name}'"
@@ -435,7 +439,9 @@ def _measure_telemetry_overhead(report_lines):
       loop) x (spans one traced trial actually emits) relative to the
       untraced per-trial time.
     * **enabled** -- per-trial wall clock with tracing to a temp file vs.
-      untraced, measured directly (best of 3 to shed scheduler noise).
+      untraced, measured directly: five windows per side, alternating
+      between the two so a drift in machine speed reaches both, and the
+      best window of each side to shed scheduler noise.
     """
     from repro.telemetry import TRACER, configure_tracing
 
@@ -444,7 +450,7 @@ def _measure_telemetry_overhead(report_lines):
     original = build_fused_pipeline()
     transformed = original.clone()
 
-    def per_trial_seconds():
+    def warm_fuzzer():
         sampler = InputSampler(
             original, ["A"], ["A"],
             fixed_symbols={"N": n_fp, "T": t_fp}, vary_sizes=False, seed=0,
@@ -453,19 +459,19 @@ def _measure_telemetry_overhead(report_lines):
             original, transformed, ["A"], sampler, backend="compiled"
         )
         fuzzer.run(num_trials=1)  # warm-up: plans + driver built here
-        best = None
-        runs = 0
-        for _ in range(3):
-            start = time.perf_counter()
-            report = fuzzer.run(num_trials=trials)
-            elapsed = time.perf_counter() - start
-            runs += report.trials_attempted
-            rate = elapsed / max(report.trials_attempted, 1)
-            best = rate if best is None else min(best, rate)
-        return best, runs + 1  # + the warm-up trial
+        return fuzzer
+
+    def window(fuzzer):
+        """Seconds per trial over one window and the trials it ran; a
+        traced window includes writing its buffered events."""
+        start = time.perf_counter()
+        report = fuzzer.run(num_trials=trials)
+        TRACER.flush()
+        elapsed = time.perf_counter() - start
+        return elapsed / max(report.trials_attempted, 1), report.trials_attempted
 
     assert not TRACER.enabled, "benchmarks must start untraced"
-    baseline, _ = per_trial_seconds()
+    untraced_fuzzer = warm_fuzzer()
 
     reps = 200_000
     start = time.perf_counter()
@@ -474,11 +480,22 @@ def _measure_telemetry_overhead(report_lines):
     null_span_seconds = (time.perf_counter() - start) / reps
 
     trace_dir = tempfile.mkdtemp(prefix="bench_trace_")
+    trace_path = os.path.join(trace_dir, "trace.jsonl")
     try:
-        configure_tracing(os.path.join(trace_dir, "trace.jsonl"))
+        configure_tracing(trace_path)
         spans_before = TRACER.spans_started
-        traced, traced_trials = per_trial_seconds()
-        TRACER.flush()
+        traced_fuzzer = warm_fuzzer()
+        traced_trials = 1  # the warm-up trial
+        configure_tracing(None)
+        baseline = traced = None
+        for _ in range(5):
+            rate, _ = window(untraced_fuzzer)
+            baseline = rate if baseline is None else min(baseline, rate)
+            configure_tracing(trace_path)
+            rate, ran = window(traced_fuzzer)
+            configure_tracing(None)
+            traced = rate if traced is None else min(traced, rate)
+            traced_trials += ran
         spans_per_trial = (TRACER.spans_started - spans_before) / traced_trials
     finally:
         configure_tracing(None)

@@ -25,7 +25,8 @@ from repro.workloads import build_matmul_chain
 def main() -> None:
     program = build_matmul_chain()
     print(f"Program: {program}")
-    print(f"Arguments: {sorted(program.arglist())}\n")
+    inputs = {name for name, desc in program.arrays.items() if not desc.transient}
+    print(f"Arguments: {sorted(inputs | program.free_symbols)}\n")
 
     # The engineer's (buggy) optimization: tile with an inclusive upper bound.
     buggy_tiling = MapTiling(tile_size=4, inject_bug=True, bug_kind="off_by_one")

@@ -80,12 +80,6 @@ _ALLOWED_UNARYOPS = (ast.USub, ast.UAdd)
 _RAISING_BINOPS = (ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
 
 
-def code_is_vectorizable(code: str, np_names: frozenset) -> bool:
-    """Whether tasklet code stays element-wise under array substitution
-    (see :func:`_vectorizable_names` for the rules)."""
-    return _vectorizable_names(code, np_names) is not None
-
-
 @functools.lru_cache(maxsize=4096)  # a sweep analyzes the same few tasklets over and over
 def _vectorizable_names(code: str, np_names: frozenset) -> Optional[frozenset]:
     """The names vectorizable tasklet code reads, ``None`` when the code

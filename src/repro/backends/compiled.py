@@ -2,12 +2,12 @@
 
 Map scopes whose memlets are affine in the map parameters run as NumPy
 array expressions (:mod:`repro.backends.execute`; any construct the
-analyzer cannot express -- nested SDFGs or imperfect nests inside a scope,
-data-dependent subsets, non-affine output indices, write-conflict patterns
-it cannot prove race-free, tasklet code outside the vectorizable subset of
-Python -- falls back node-by-node to the interpreter for exactly that
-scope).  Around them this backend binds **one Python driver function for
-the entire SDFG** at preparation time
+analyzer cannot express -- imperfect nests inside a scope, data-dependent
+subsets, non-affine output indices, write-conflict patterns it cannot prove
+race-free, tasklet code outside the vectorizable subset of Python -- falls
+back node-by-node to the interpreter for exactly that scope).  Around them
+this backend binds **one Python driver function for the entire SDFG** at
+preparation time
 (:mod:`repro.backends.codegen.python_driver`):
 
 * the state machine is lowered to one ``while``-over-current-state
@@ -55,7 +55,7 @@ from repro.interpreter.errors import ExecutionError, HangError
 from repro.interpreter.executor import _EVAL_GLOBALS
 from repro.interpreter.tasklet_exec import compile_expression
 from repro.sdfg.analysis import access_node_is_transparent
-from repro.sdfg.nodes import AccessNode, MapEntry, NestedSDFGNode, Tasklet
+from repro.sdfg.nodes import MapEntry, Tasklet
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 from repro.telemetry import TRACER as _TRACER
@@ -130,31 +130,19 @@ class CompiledExecutor(ScopeRuntime):
     def _make_node_op(
         self, state: SDFGState, node
     ) -> Optional[StateOp]:
-        """The prebound closure for one non-scope top-level node (``None``
-        for statically droppable no-ops)."""
+        """The prebound closure for one non-scope top-level node, a tasklet
+        or an access node (``None`` for statically droppable no-ops)."""
         if isinstance(node, Tasklet):
 
             def op(rt, symbols, _state=state, _node=node):
                 rt._execute_tasklet(_state, _node, symbols)
 
             return op
-        if isinstance(node, AccessNode):
-            if access_node_is_transparent(state, node):
-                return None  # executing it is a no-op: drop statically
-
-            def op(rt, symbols, _state=state, _node=node):
-                rt._execute_copies_into(_state, _node, symbols)
-
-            return op
-        if isinstance(node, NestedSDFGNode):
-
-            def op(rt, symbols, _state=state, _node=node):
-                rt._execute_nested(_state, _node, symbols)
-
-            return op
+        if access_node_is_transparent(state, node):
+            return None  # executing it is a no-op: drop statically
 
         def op(rt, symbols, _state=state, _node=node):
-            rt._execute_node(_state, _node, symbols)
+            rt._execute_copies_into(_state, _node, symbols)
 
         return op
 

@@ -199,12 +199,8 @@ class ScopeRuntime(SDFGExecutor):
         try:
             return super().run(arguments, symbols)
         finally:
-            # A prepared program outlives its runs (one per trial); drop the
-            # per-run data store (and the setup cache, which captures store
-            # arrays and must never serve another run) so an idle program
-            # does not pin its last trial's arrays.
-            self._store = {}
-            self._symbols = {}
+            # The setup cache captures store arrays and must never serve
+            # another run (SDFGExecutor.run drops the store itself).
             self._setup_cache = {}
             for key, value in self.stats.items():
                 delta = value - self._stats_flushed.get(key, 0)
@@ -280,89 +276,6 @@ class ScopeRuntime(SDFGExecutor):
                 ).reshape(gshape)
         return triples, shape_full, iterations, grids
 
-    @staticmethod
-    def _seq_slice(flat: np.ndarray) -> Optional[slice]:
-        """A slice indexing the same 1-D positions as ``flat``, or ``None``.
-
-        Only arithmetic sequences qualify; basic indexing is several times
-        faster than advanced indexing with an index array.  The caller has
-        already bounds-checked the values, so non-negative starts are
-        guaranteed.
-        """
-        n = flat.size
-        first = int(flat[0])
-        if n == 1:
-            return slice(first, first + 1)
-        step = int(flat[1]) - first
-        if step == 0:
-            return None
-        last = first + step * (n - 1)
-        if int(flat[-1]) != last:
-            return None
-        if not np.array_equal(
-            flat, np.arange(first, last + (1 if step > 0 else -1), step, dtype=flat.dtype)
-        ):
-            return None
-        if step > 0:
-            return slice(first, last + 1, step)
-        stop = last - 1
-        return slice(first, None if stop < 0 else stop, step)
-
-    @classmethod
-    def _gather_slices(
-        cls, idx: List[Any], ndim: int, nparams: int
-    ) -> Optional[Tuple[Tuple, Optional[Tuple[int, ...]]]]:
-        """A basic-indexing equivalent of a broadcast gather, or ``None``.
-
-        Returns ``(slices, taxes)`` where ``slices`` indexes the container
-        and ``taxes`` is a transpose permutation aligning the sliced block
-        with the gather's broadcast layout (``None`` when the dimension
-        order already matches).  Legal when the ranks agree (``ndim ==
-        nparams``) and every index array is an arithmetic sequence varying
-        along a *single* parameter axis; constant dimensions become
-        length-1 slices.  Unlike the aligned-only fast path this also
-        covers *permuted* gathers (``A[j, i]`` under an ``i, j`` map):
-        a transpose of a basic-slice view replaces advanced indexing.
-        """
-        if ndim != nparams:
-            return None
-        sls: List[Any] = []
-        axis_of: List[Optional[int]] = []
-        saw_array = False
-        for v in idx:
-            if isinstance(v, np.ndarray):
-                varying = [a for a, s in enumerate(v.shape) if s != 1]
-                if len(varying) > 1:
-                    return None
-                sl = cls._seq_slice(v.ravel())
-                if sl is None:
-                    return None
-                saw_array = True
-                sls.append(sl)
-                axis_of.append(varying[0] if varying else None)
-            else:
-                if int(v) < 0:
-                    return None
-                sls.append(slice(int(v), int(v) + 1))
-                axis_of.append(None)
-        # All-constant gathers yield a NumPy scalar; slices would yield a
-        # (1, ..., 1) array.  Leave those on the advanced path.
-        if not saw_array:
-            return None
-        assigned = [a for a in axis_of if a is not None]
-        if len(assigned) != len(set(assigned)):
-            return None  # two dimensions riding the same parameter axis
-        free = iter(a for a in range(ndim) if a not in assigned)
-        axes = [a if a is not None else next(free) for a in axis_of]
-        if axes == list(range(ndim)):
-            return tuple(sls), None
-        # Dimension d of the sliced block carries parameter axis axes[d];
-        # transposing with taxes[axes[d]] = d puts every axis in place.
-        taxes = [0] * ndim
-        for d, a in enumerate(axes):
-            taxes[a] = d
-        return tuple(sls), tuple(taxes)
-
     def _resolve_gather(
         self,
         spec: BoundInput,
@@ -374,23 +287,16 @@ class ScopeRuntime(SDFGExecutor):
         if arr is None:
             raise ExecutionError(f"Read from unknown container '{spec.data}'")
         shape, nparams = arr.shape, len(triples)
-        if spec.idx_code is None:
-            index = access_index(
-                spec.dims, triples, shape, idx_ns, spec.data, spec.subset_str
-            )
-            index, perm = gather_index(spec.dims, index, nparams)
-        else:
+        if spec.idx_code is not None:
             # Some dimension is not a unit-slope sequence of one parameter:
-            # evaluate index arrays on the grids, check their extrema, and
-            # take back a slice wherever they turn out to be sequences.
+            # evaluate index arrays on the grids and check their extrema.
+            # Advanced indexing copies; an ``expr`` index is an array of full
+            # grid rank, so the block already broadcasts.
             idx = self._index_arrays(spec.idx_code, idx_ns)
             self._check_vector_bounds(spec.data, spec.subset_str, idx, shape)
-            fast = self._gather_slices(idx, len(shape), nparams)
-            if fast is None:
-                # Advanced indexing copies; an ``expr`` index is an array
-                # of full grid rank, so the block already broadcasts.
-                return spec.conn, lambda _arr=arr, _idx=tuple(idx): _arr[_idx]
-            index, perm = fast
+            return spec.conn, lambda _arr=arr, _idx=tuple(idx): _arr[_idx]
+        index = access_index(spec.dims, triples, shape, idx_ns, spec.data, spec.subset_str)
+        index, perm = gather_index(spec.dims, index, nparams)
         # Basic indexing returns a view; the copy preserves the gather-copy
         # semantics (readers must see pre-scope values even after deferred
         # writes mutate the container).

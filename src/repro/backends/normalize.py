@@ -132,8 +132,8 @@ def normalize_scope(
             return None, "scope-not-single-tasklet"
         levels.append(inner)
         inside = children.get(inner, ())
-    # Exactly one tasklet at the bottom: nested SDFGs, in-scope access nodes
-    # and imperfect nests all fall back to the interpreter.
+    # Exactly one tasklet at the bottom: in-scope access nodes and imperfect
+    # nests fall back to the interpreter.
     if len(inside) != 1 or not isinstance(inside[0], Tasklet):
         return None, "scope-not-single-tasklet"
     tasklet = inside[0]

@@ -18,7 +18,7 @@ Two modes are provided, mirroring the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.sdfg.nodes import Node
 from repro.sdfg.sdfg import SDFG

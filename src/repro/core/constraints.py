@@ -17,7 +17,7 @@ constrain sampled values:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Mapping, Optional, Set, Tuple
 
 from repro.sdfg.analysis import loop_variable_bounds
 from repro.sdfg.nodes import MapEntry
@@ -37,9 +37,6 @@ class SymbolConstraint:
 
     def clamp(self, value: int) -> int:
         return max(self.low, min(self.high, value))
-
-    def __str__(self) -> str:
-        return f"{self.name} in [{self.low}, {self.high}] ({self.role})"
 
 
 def _size_symbols(sdfg: SDFG) -> Set[str]:

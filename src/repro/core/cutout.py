@@ -84,13 +84,6 @@ class Cutout:
     def num_nodes(self) -> int:
         return sum(len(s.nodes()) for s in self.sdfg.states())
 
-    def describe(self) -> str:
-        return (
-            f"cutout[{self.kind}] of '{self.original.name}': "
-            f"{len(self.sdfg.states())} state(s), {self.num_nodes()} nodes, "
-            f"{self.analysis.describe()}"
-        )
-
 
 # ---------------------------------------------------------------------- #
 # Node-set expansion

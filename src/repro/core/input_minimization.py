@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.core.cutout import Cutout, extract_cutout
 from repro.core.mincut import SINK, SOURCE, prepare_input_flow_network
-from repro.sdfg.nodes import AccessNode, Node
+from repro.sdfg.nodes import Node
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 

@@ -10,7 +10,7 @@ values.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, Node
@@ -46,9 +46,6 @@ class FlowNetwork:
 
     def nodes(self) -> Set[Hashable]:
         return set(self._nodes)
-
-    def capacity(self, u: Hashable, v: Hashable) -> float:
-        return self._capacity.get(u, {}).get(v, 0.0)
 
     def edges(self) -> List[Tuple[Hashable, Hashable, float]]:
         out = []

@@ -81,17 +81,6 @@ class TrialResult:
     def is_failure(self) -> bool:
         return self.status.is_failure
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe representation."""
-        return {
-            "index": self.index,
-            "status": self.status.value,
-            "mismatched_containers": list(self.mismatched_containers),
-            "max_abs_error": self.max_abs_error,
-            "error_message": self.error_message,
-            "symbols": {k: int(v) for k, v in self.symbols.items()},
-        }
-
 
 def _inputs_to_dict(inputs: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
     if inputs is None:
@@ -144,9 +133,10 @@ class FuzzingReport:
             return Verdict.INPUT_DEPENDENT
         return Verdict.SEMANTIC_CHANGE
 
-    def to_dict(self, include_trials: bool = True) -> Dict[str, Any]:
-        """JSON-safe representation for aggregation and persistence."""
-        out: Dict[str, Any] = {
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-safe representation for aggregation and persistence (the
+        per-trial records stay out)."""
+        return {
             "trials_run": self.trials_run,
             "trials_skipped": self.trials_skipped,
             "trials_attempted": self.trials_attempted,
@@ -158,9 +148,6 @@ class FuzzingReport:
             "duration_seconds": self.duration_seconds,
             "verdict": self.verdict().value,
         }
-        if include_trials:
-            out["trials"] = [t.to_dict() for t in self.trials]
-        return out
 
 
 @dataclass
@@ -183,19 +170,13 @@ class TransformationTestReport:
     duration_seconds: float = 0.0
     test_case_path: Optional[str] = None
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == Verdict.PASS
-
-    def to_dict(self, include_trials: bool = False) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         """JSON-safe representation (used by the sweep pipeline)."""
         return {
             "transformation": self.transformation,
             "match_description": self.match_description,
             "verdict": self.verdict.value,
-            "fuzzing": self.fuzzing.to_dict(include_trials=include_trials)
-            if self.fuzzing is not None
-            else None,
+            "fuzzing": self.fuzzing.to_dict() if self.fuzzing is not None else None,
             "cutout_containers": self.cutout_containers,
             "cutout_nodes": self.cutout_nodes,
             "cutout_states": self.cutout_states,

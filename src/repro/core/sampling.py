@@ -8,13 +8,12 @@ a trial receive bit-identical copies of the same sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.constraints import SymbolConstraint
-from repro.sdfg.data import Scalar
 from repro.sdfg.sdfg import SDFG
 
 __all__ = ["InputSample", "InputSampler"]

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.sdfg.analysis import states_reachable_from, states_reaching
 from repro.sdfg.memlet import Memlet
-from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, NestedSDFGNode, Node, Tasklet
+from repro.sdfg.nodes import AccessNode, Node, Tasklet
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 from repro.symbolic.ranges import Subset
@@ -50,12 +50,6 @@ class SideEffectAnalysis:
     #: Containers written inside the cutout.
     writes: Dict[str, List[Subset]] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
-
-    def describe(self) -> str:
-        return (
-            f"input configuration: {sorted(self.input_configuration)}; "
-            f"system state: {sorted(self.system_state)}"
-        )
 
 
 # ---------------------------------------------------------------------- #
@@ -164,21 +158,10 @@ def _overlaps(a: Iterable[Subset], b: Iterable[Subset], bindings=None) -> bool:
 
 
 def _covers_container(sdfg: SDFG, data: str, written: List[Subset]) -> bool:
-    """Whether the written subsets provably cover the whole container."""
-    desc = sdfg.arrays[data]
-    full = Subset.full([str(s) for s in desc.shape])
-    if not written:
-        return False
-    for sub in written:
-        if sub.covers(full):
-            return True
-    try:
-        bb = written[0]
-        for sub in written[1:]:
-            bb = bb.bounding_box_union(sub)
-        return bb.covers(full)
-    except ValueError:
-        return False
+    """Whether one of the written subsets provably covers the whole
+    container (a bounding box of several would not: it spans their gaps)."""
+    full = Subset.full([str(s) for s in sdfg.arrays[data].shape])
+    return any(sub.covers(full) for sub in written)
 
 
 # ---------------------------------------------------------------------- #

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from repro.core.fuzzing import compare_system_states
 from repro.interpreter import SDFGExecutor
 from repro.interpreter.errors import ExecutionError
 from repro.sdfg.sdfg import SDFG
+from repro.sdfg.serialize import sdfg_from_dict, sdfg_to_dict
 
 __all__ = ["ReproducibleTestCase", "save_test_case", "load_test_case"]
 
@@ -72,12 +73,22 @@ class ReproducibleTestCase:
         return result
 
 
+def _save_program(sdfg: SDFG, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(sdfg_to_dict(sdfg), f, indent=2)
+
+
+def _load_program(path: str) -> SDFG:
+    with open(path, "r", encoding="utf-8") as f:
+        return sdfg_from_dict(json.load(f))
+
+
 def save_test_case(case: ReproducibleTestCase, directory: str) -> str:
     """Persist a test case to a directory; returns the directory path."""
     os.makedirs(directory, exist_ok=True)
-    case.original_cutout.save(os.path.join(directory, "cutout.json"))
+    _save_program(case.original_cutout, os.path.join(directory, "cutout.json"))
     if case.transformed_cutout is not None:
-        case.transformed_cutout.save(os.path.join(directory, "cutout_transformed.json"))
+        _save_program(case.transformed_cutout, os.path.join(directory, "cutout_transformed.json"))
     np.savez_compressed(
         os.path.join(directory, "inputs.npz"),
         **{k: np.asarray(v) for k, v in case.inputs.items()},
@@ -100,9 +111,9 @@ def load_test_case(directory: str) -> ReproducibleTestCase:
     """Load a test case previously stored with :func:`save_test_case`."""
     with open(os.path.join(directory, "metadata.json"), "r", encoding="utf-8") as f:
         meta = json.load(f)
-    original = SDFG.load(os.path.join(directory, "cutout.json"))
+    original = _load_program(os.path.join(directory, "cutout.json"))
     transformed_path = os.path.join(directory, "cutout_transformed.json")
-    transformed = SDFG.load(transformed_path) if os.path.exists(transformed_path) else None
+    transformed = _load_program(transformed_path) if os.path.exists(transformed_path) else None
     with np.load(os.path.join(directory, "inputs.npz")) as data:
         inputs = {k: np.array(data[k]) for k in data.files}
     return ReproducibleTestCase(

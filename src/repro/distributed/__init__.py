@@ -5,7 +5,7 @@ optimizations there normally requires multi-node allocations.  This package
 provides a single-process simulation of the relevant pieces:
 
 * :class:`repro.distributed.comm.SimulatedComm` -- rank-indexed collectives
-  (broadcast, scatter, allgather, allreduce) over NumPy arrays,
+  (broadcast, scatter, allgather) over NumPy arrays,
 * :mod:`repro.distributed.vanilla_attention` -- a row-partitioned distributed
   SDDMM whose per-rank compute kernel is a dataflow program, demonstrating
   that a cutout of the kernel excludes communication and can be fuzzed on a

@@ -9,7 +9,7 @@ needs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -47,17 +47,6 @@ class SimulatedComm:
             np.array(data[r * chunk : (r + 1) * chunk], copy=True)
             for r in range(self.size)
         ]
-
-    def allreduce(
-        self, locals_: Sequence[np.ndarray], op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add
-    ) -> List[np.ndarray]:
-        """All ranks receive the element-wise reduction of all local buffers."""
-        self._check_participants(locals_)
-        self.num_collectives += 1
-        acc = np.array(locals_[0], copy=True)
-        for arr in locals_[1:]:
-            acc = op(acc, arr)
-        return [np.array(acc, copy=True) for _ in range(self.size)]
 
     def gather_rows(self, locals_: Sequence[np.ndarray], root: int = 0) -> np.ndarray:
         """The root receives the row-wise concatenation of all local buffers."""

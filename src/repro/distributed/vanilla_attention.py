@@ -11,7 +11,7 @@ through a collective appears as a regular input container (Sec. 6.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

@@ -2,38 +2,11 @@
 
 The paper's implementation uses DaCe's Python/C/Fortran frontends to obtain
 dataflow graphs from source programs.  This reproduction instead provides a
-library of *op builders* (:mod:`repro.frontend.ops`) -- matrix products,
-element-wise maps, reductions, softmax, initialization -- plus a small
-loop-nest DSL (:mod:`repro.frontend.loopdsl`) for sequential control flow.
-The workload programs in :mod:`repro.workloads` are assembled from these
-builders.
+few *op builders* (:mod:`repro.frontend.ops`) -- matrix products and
+initialization -- that the workload programs in :mod:`repro.workloads`
+are assembled from, together with hand-built map scopes.
 """
 
-from repro.frontend.loopdsl import LoopNest, build_loop_nest
-from repro.frontend.ops import (
-    add_batched_matmul,
-    add_bias_add,
-    add_copy,
-    add_elementwise_binary,
-    add_elementwise_unary,
-    add_init,
-    add_matmul,
-    add_reduce,
-    add_scale,
-    add_softmax_lastdim,
-)
+from repro.frontend.ops import add_batched_matmul, add_init, add_matmul
 
-__all__ = [
-    "add_matmul",
-    "add_batched_matmul",
-    "add_elementwise_unary",
-    "add_elementwise_binary",
-    "add_scale",
-    "add_bias_add",
-    "add_init",
-    "add_reduce",
-    "add_softmax_lastdim",
-    "add_copy",
-    "LoopNest",
-    "build_loop_nest",
-]
+__all__ = ["add_matmul", "add_batched_matmul", "add_init"]

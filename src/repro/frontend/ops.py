@@ -14,26 +14,14 @@ Two granularities are used deliberately:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sdfg.dtypes import ScheduleType
 from repro.sdfg.memlet import Memlet
-from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, Tasklet
+from repro.sdfg.nodes import MapEntry, MapExit, Tasklet
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 
-__all__ = [
-    "add_matmul",
-    "add_batched_matmul",
-    "add_elementwise_unary",
-    "add_elementwise_binary",
-    "add_scale",
-    "add_bias_add",
-    "add_init",
-    "add_reduce",
-    "add_softmax_lastdim",
-    "add_copy",
-]
+__all__ = ["add_matmul", "add_batched_matmul", "add_init"]
 
 
 def _shape_of(sdfg: SDFG, name: str) -> List[str]:
@@ -116,102 +104,8 @@ def add_batched_matmul(
 
 
 # ---------------------------------------------------------------------- #
-# Element-wise maps
+# Initialization
 # ---------------------------------------------------------------------- #
-def add_elementwise_unary(
-    sdfg: SDFG,
-    state: SDFGState,
-    src: str,
-    dst: str,
-    expression: str = "out_val = in_val",
-    label: Optional[str] = None,
-    schedule: ScheduleType = ScheduleType.Sequential,
-) -> Tuple[Tasklet, MapEntry, MapExit]:
-    """Add ``dst[idx] = f(src[idx])`` over the full (shared) index space.
-
-    ``expression`` is tasklet code using connectors ``in_val`` and ``out_val``.
-    """
-    shape = _shape_of(sdfg, dst)
-    params = [f"i{d}" for d in range(len(shape))]
-    idx = ", ".join(params)
-    return state.add_mapped_tasklet(
-        label or f"ew_{dst}",
-        _range_dict(params, shape),
-        {"in_val": Memlet.simple(src, idx)},
-        expression,
-        {"out_val": Memlet.simple(dst, idx)},
-        schedule=schedule,
-    )
-
-
-def add_elementwise_binary(
-    sdfg: SDFG,
-    state: SDFGState,
-    lhs: str,
-    rhs: str,
-    dst: str,
-    operator: str = "+",
-    label: Optional[str] = None,
-) -> Tuple[Tasklet, MapEntry, MapExit]:
-    """Add ``dst[idx] = lhs[idx] <op> rhs[idx]`` over the full index space."""
-    shape = _shape_of(sdfg, dst)
-    params = [f"i{d}" for d in range(len(shape))]
-    idx = ", ".join(params)
-    return state.add_mapped_tasklet(
-        label or f"ew_{operator}_{dst}",
-        _range_dict(params, shape),
-        {"a_val": Memlet.simple(lhs, idx), "b_val": Memlet.simple(rhs, idx)},
-        f"out_val = a_val {operator} b_val",
-        {"out_val": Memlet.simple(dst, idx)},
-    )
-
-
-def add_scale(
-    sdfg: SDFG,
-    state: SDFGState,
-    src: str,
-    dst: str,
-    scale: str,
-    label: Optional[str] = None,
-) -> Tuple[Tasklet, MapEntry, MapExit]:
-    """Add ``dst[idx] = src[idx] * scale`` where ``scale`` is a scalar container.
-
-    This is the exact loop-nest structure of the BERT multi-head-attention
-    scaling step the Fig. 5 case study vectorizes.
-    """
-    shape = _shape_of(sdfg, dst)
-    params = [f"i{d}" for d in range(len(shape))]
-    idx = ", ".join(params)
-    return state.add_mapped_tasklet(
-        label or f"scale_{dst}",
-        _range_dict(params, shape),
-        {"in_val": Memlet.simple(src, idx), "s": Memlet.simple(scale, "0")},
-        "out_val = in_val * s",
-        {"out_val": Memlet.simple(dst, idx)},
-    )
-
-
-def add_bias_add(
-    sdfg: SDFG,
-    state: SDFGState,
-    src: str,
-    bias: str,
-    dst: str,
-    label: Optional[str] = None,
-) -> Tuple[Tasklet, MapEntry, MapExit]:
-    """Add ``dst[..., j] = src[..., j] + bias[j]`` (bias broadcast on the last dim)."""
-    shape = _shape_of(sdfg, dst)
-    params = [f"i{d}" for d in range(len(shape))]
-    idx = ", ".join(params)
-    return state.add_mapped_tasklet(
-        label or f"bias_{dst}",
-        _range_dict(params, shape),
-        {"in_val": Memlet.simple(src, idx), "b_val": Memlet.simple(bias, params[-1])},
-        "out_val = in_val + b_val",
-        {"out_val": Memlet.simple(dst, idx)},
-    )
-
-
 def add_init(
     sdfg: SDFG,
     state: SDFGState,
@@ -230,81 +124,3 @@ def add_init(
         f"out_val = {value!r}",
         {"out_val": Memlet.simple(dst, idx)},
     )
-
-
-# ---------------------------------------------------------------------- #
-# Reductions and normalizations
-# ---------------------------------------------------------------------- #
-def add_reduce(
-    sdfg: SDFG,
-    state: SDFGState,
-    src: str,
-    dst: str,
-    wcr: str = "sum",
-    axis: Optional[int] = None,
-    label: Optional[str] = None,
-) -> Tuple[Tasklet, MapEntry, MapExit]:
-    """Reduce ``src`` into ``dst`` with the given write-conflict resolution.
-
-    With ``axis=None`` the reduction is total (``dst`` must be a scalar or a
-    one-element array); otherwise the named axis is reduced away.  The
-    destination is assumed to be initialized to the reduction identity.
-    """
-    shape = _shape_of(sdfg, src)
-    params = [f"i{d}" for d in range(len(shape))]
-    idx = ", ".join(params)
-    if axis is None:
-        dst_idx = ", ".join("0" for _ in _shape_of(sdfg, dst))
-    else:
-        dst_params = [p for d, p in enumerate(params) if d != axis]
-        dst_idx = ", ".join(dst_params) if dst_params else "0"
-    return state.add_mapped_tasklet(
-        label or f"reduce_{dst}",
-        _range_dict(params, shape),
-        {"in_val": Memlet.simple(src, idx)},
-        "out_val = in_val",
-        {"out_val": Memlet(dst, dst_idx, wcr=wcr)},
-    )
-
-
-def add_softmax_lastdim(
-    sdfg: SDFG,
-    state: SDFGState,
-    src: str,
-    dst: str,
-    label: Optional[str] = None,
-) -> Tuple[Tasklet]:
-    """Softmax along the last dimension as a coarse-grained block tasklet."""
-    shape = _shape_of(sdfg, src)
-    ts, td = state.add_access(src), state.add_access(dst)
-    code = (
-        "m = np.max(x, axis=-1, keepdims=True)\n"
-        "e = np.exp(x - m)\n"
-        "y = e / np.sum(e, axis=-1, keepdims=True)"
-    )
-    t = state.add_tasklet(label or f"softmax_{dst}", ["x"], ["y"], code)
-    state.add_edge(ts, None, t, "x", Memlet.full(src, shape))
-    state.add_edge(t, "y", td, None, Memlet.full(dst, shape))
-    return (t,)
-
-
-def add_copy(
-    sdfg: SDFG,
-    state: SDFGState,
-    src: str,
-    dst: str,
-    src_subset: Optional[str] = None,
-    dst_subset: Optional[str] = None,
-) -> None:
-    """Copy (a subset of) ``src`` into (a subset of) ``dst``."""
-    src_shape = _shape_of(sdfg, src)
-    dst_shape = _shape_of(sdfg, dst)
-    a, b = state.add_access(src), state.add_access(dst)
-    memlet = Memlet(
-        src,
-        src_subset if src_subset is not None else ", ".join(f"0:({s})-1" for s in src_shape),
-        other_subset=(
-            dst_subset if dst_subset is not None else ", ".join(f"0:({s})-1" for s in dst_shape)
-        ),
-    )
-    state.add_nedge(a, b, memlet)

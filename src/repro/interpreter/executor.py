@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -38,14 +38,13 @@ from repro.interpreter.errors import (
     MissingArgumentError,
 )
 from repro.interpreter.tasklet_exec import TaskletRunner, compile_expression
-from repro.sdfg.data import Array, Scalar
+from repro.sdfg.data import Scalar
 from repro.sdfg.dtypes import reduction_function
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.nodes import (
     AccessNode,
     MapEntry,
     MapExit,
-    NestedSDFGNode,
     Node,
     Tasklet,
 )
@@ -156,9 +155,6 @@ class ExecutionResult:
     #: Number of control-flow state transitions taken.
     transitions: int
 
-    def output(self, name: str) -> np.ndarray:
-        return self.outputs[name]
-
 
 class SDFGExecutor:
     """Interprets an SDFG on concrete argument values."""
@@ -194,22 +190,28 @@ class SDFGExecutor:
         """Execute the program and return the final system state."""
         arguments = dict(arguments or {})
         symbols = dict(symbols or {})
-        self._setup(arguments, symbols)
-
-        transitions = self._run_control_loop()
-
-        # No copy: every store array is private to this run (arguments are
-        # copied in, transients allocated), and the next run binds new ones.
-        outputs = {
-            name: self._store[name]
-            for name, desc in self.sdfg.arrays.items()
-            if not desc.transient and name in self._store
-        }
-        return ExecutionResult(
-            outputs=outputs,
-            symbols=dict(self._symbols),
-            transitions=transitions,
-        )
+        try:
+            self._setup(arguments, symbols)
+            transitions = self._run_control_loop()
+            # No copy: every store array is private to this run (arguments
+            # are copied in, transients allocated), and the next run binds
+            # new ones.
+            outputs = {
+                name: self._store[name]
+                for name, desc in self.sdfg.arrays.items()
+                if not desc.transient and name in self._store
+            }
+            return ExecutionResult(
+                outputs=outputs,
+                symbols=dict(self._symbols),
+                transitions=transitions,
+            )
+        finally:
+            # A prepared program outlives its runs (one per trial): drop the
+            # per-run data store and symbols so an idle program does not pin
+            # its last trial's arrays.
+            self._store = {}
+            self._symbols = {}
 
     def _run_control_loop(self) -> int:
         """Walk the state machine until termination; returns the transition
@@ -366,8 +368,6 @@ class SDFGExecutor:
             pass  # handled by the corresponding entry
         elif isinstance(node, AccessNode):
             self._execute_copies_into(state, node, bindings)
-        elif isinstance(node, NestedSDFGNode):
-            self._execute_nested(state, node, bindings)
         else:  # pragma: no cover - future node types
             raise ExecutionError(f"Cannot execute node of type {type(node).__name__}")
 
@@ -414,38 +414,6 @@ class SDFGExecutor:
             if dst_subset is None:
                 dst_subset = src_subset
             self._write(node.data, dst_subset, memlet.wcr, value, bindings)
-
-    def _execute_nested(
-        self, state: SDFGState, node: NestedSDFGNode, bindings: Dict[str, Any]
-    ) -> None:
-        nested = node.sdfg
-        args: Dict[str, Any] = {}
-        for edge in state.in_edges(node):
-            memlet: Memlet = edge.data
-            if memlet is None or memlet.is_empty or edge.dst_conn is None:
-                continue
-            args[edge.dst_conn] = np.asarray(
-                self._read(memlet.data, memlet.subset, bindings, memlet)
-            )
-        nested_syms = {
-            k: int(v.evaluate(bindings)) for k, v in node.symbol_mapping.items()
-        }
-        # Outputs must also be materialized as inputs so partial writes work.
-        for edge in state.out_edges(node):
-            memlet = edge.data
-            if memlet is None or memlet.is_empty or edge.src_conn is None:
-                continue
-            if edge.src_conn not in args:
-                args[edge.src_conn] = np.asarray(
-                    self._read(memlet.data, memlet.subset, bindings, memlet)
-                )
-        executor = SDFGExecutor(nested, max_transitions=self.max_transitions)
-        result = executor.run(args, nested_syms)
-        for edge in state.out_edges(node):
-            memlet = edge.data
-            if memlet is None or memlet.is_empty or edge.src_conn is None:
-                continue
-            self._write(*_write_target(memlet), result.outputs[edge.src_conn], bindings)
 
     # .................................................................. #
     def _execute_map_scope(

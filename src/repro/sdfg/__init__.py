@@ -29,7 +29,6 @@ from repro.sdfg.nodes import (
     Map,
     MapEntry,
     MapExit,
-    NestedSDFGNode,
     Node,
     Tasklet,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "Map",
     "MapEntry",
     "MapExit",
-    "NestedSDFGNode",
     "Edge",
     "OrderedMultiDiGraph",
     "GraphError",

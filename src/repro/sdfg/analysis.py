@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.sdfg.graph import Edge
 from repro.sdfg.nodes import AccessNode, MapEntry
-from repro.sdfg.sdfg import SDFG, InterstateEdge
+from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 
 __all__ = [
@@ -232,9 +232,9 @@ def elementwise_scope_chains(state: SDFGState) -> List[List[MapEntry]]:
 
     * consecutive members are separated only by *transparent* nodes in the
       state's topological execution order (map exits, and access nodes whose
-      execution is a no-op) -- any other node (a top-level tasklet, a nested
-      SDFG, an access-to-access copy) executes between the scopes and breaks
-      the chain, and
+      execution is a no-op) -- any other node (a top-level tasklet, an
+      access-to-access copy) executes between the scopes and breaks the
+      chain, and
     * every member has the same map parameter names and textually identical
       iteration ranges, so their iteration domains coincide point for point.
 

@@ -12,7 +12,6 @@ ranges, subsets, element types, enums, strings):
 * a :class:`~repro.sdfg.nodes.Map` is copied once per state copy, so a
   copied ``MapEntry`` and its ``MapExit`` still share one map (the scope
   index pairs them through it);
-* a nested program is copied recursively, its ``symbol_mapping`` too;
 * memlets, data descriptors and interstate edges are copied by their
   ``clone`` (an interstate edge gets its own ``assignments`` dict);
 * a state gets a new graph and no scope index;
@@ -29,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from repro.sdfg.memlet import Memlet
-from repro.sdfg.nodes import Map, MapEntry, MapExit, NestedSDFGNode, Node
+from repro.sdfg.nodes import Map, MapEntry, MapExit, Node
 from repro.sdfg.sdfg import SDFG, InterstateEdge
 from repro.sdfg.state import SDFGState
 
@@ -55,9 +54,6 @@ def _clone_node(node: Node, maps: Dict[Map, Map]) -> Node:
         if m is None:
             m = maps[node.map] = _clone_map(node.map)
         out.map = m
-    elif isinstance(node, NestedSDFGNode):
-        out.sdfg = clone_sdfg(node.sdfg)
-        out.symbol_mapping = dict(node.symbol_mapping)
     return out
 
 

@@ -9,7 +9,7 @@ for generalizing extracted test cases to different input sizes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,10 +40,6 @@ class Data:
     def shape(self) -> Tuple[Expr, ...]:
         raise NotImplementedError
 
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
     def total_size(self) -> Expr:
         """Total number of elements (symbolic)."""
         total: Expr = Integer(1)
@@ -58,8 +54,7 @@ class Data:
         hot path of every backend (transient allocation, argument shape
         checks), and sympify/evaluate costs dwarf the dictionary probe.
         The cache is keyed only by the values of the shape's own free
-        symbols, so it is a pure function of its key; ``set_shape``
-        invalidates it.
+        symbols, so it is a pure function of its key.
         """
         cached = self.__dict__.get("_shape_cache")
         if cached is None:
@@ -104,10 +99,6 @@ class Data:
         """Allocate a zero-initialized NumPy buffer for this descriptor."""
         raise NotImplementedError
 
-    def validate_value(self, value) -> None:
-        """Check a concrete value against this descriptor (dtype only)."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict:
         return {
@@ -138,11 +129,6 @@ class Scalar(Data):
 
     def allocate(self, symbols: Mapping[str, int] | None = None) -> np.ndarray:
         return np.zeros((1,), dtype=self.dtype.as_numpy())
-
-    def validate_value(self, value) -> None:
-        arr = np.asarray(value)
-        if arr.size != 1:
-            raise ValueError(f"Scalar value must have a single element, got {arr.size}")
 
     def to_dict(self) -> Dict:
         d = super().to_dict()
@@ -180,13 +166,6 @@ class Array(Data):
     def shape(self) -> Tuple[Expr, ...]:
         return self._shape
 
-    def set_shape(self, shape: Sequence[ExprLike]) -> None:
-        """Replace the shape (used when shrinking cutout containers)."""
-        if not shape:
-            raise ValueError("Array shape must have at least one dimension")
-        self._shape = tuple(sympify(s) for s in shape)
-        self.__dict__.pop("_shape_cache", None)
-
     def allocate(self, symbols: Mapping[str, int] | None = None) -> np.ndarray:
         shape = self.concrete_shape(symbols)
         if any(s <= 0 for s in shape):
@@ -194,13 +173,6 @@ class Array(Data):
                 f"Cannot allocate array with non-positive shape {shape}"
             )
         return np.zeros(shape, dtype=self.dtype.as_numpy())
-
-    def validate_value(self, value) -> None:
-        arr = np.asarray(value)
-        if arr.ndim != self.ndim:
-            raise ValueError(
-                f"Array value has {arr.ndim} dimensions, descriptor expects {self.ndim}"
-            )
 
     def to_dict(self) -> Dict:
         d = super().to_dict()

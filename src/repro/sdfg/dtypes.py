@@ -13,7 +13,7 @@ device map schedules.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -47,21 +47,8 @@ class typeclass(Immutable):
         self.name = name
         self.nptype = np.dtype(nptype)
 
-    @property
-    def bytes(self) -> int:
-        """Size of one element in bytes."""
-        return self.nptype.itemsize
-
-    @property
-    def is_integer(self) -> bool:
-        return np.issubdtype(self.nptype, np.integer)
-
     def as_numpy(self) -> np.dtype:
         return self.nptype
-
-    def __call__(self, value: Any) -> Any:
-        """Cast a Python value to this type (NumPy scalar)."""
-        return self.nptype.type(value)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, typeclass):

@@ -17,7 +17,18 @@ and edge identity semantics stay fully under our control.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Generic, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    TypeVar,
+)
 
 NodeT = TypeVar("NodeT")
 EdgeDataT = TypeVar("EdgeDataT")
@@ -65,12 +76,11 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
     """
 
     def __init__(self) -> None:
-        # Node -> insertion index (dict preserves order).
-        self._nodes: Dict[NodeT, int] = {}
+        # The nodes in insertion order (a dict as an ordered set).
+        self._nodes: Dict[NodeT, None] = {}
         self._edges: List[Edge[NodeT, EdgeDataT]] = []
         self._out: Dict[NodeT, List[Edge[NodeT, EdgeDataT]]] = {}
         self._in: Dict[NodeT, List[Edge[NodeT, EdgeDataT]]] = {}
-        self._next_index = 0
         self.version = 0
 
     # ------------------------------------------------------------------ #
@@ -78,8 +88,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
     # ------------------------------------------------------------------ #
     def add_node(self, node: NodeT) -> NodeT:
         if node not in self._nodes:
-            self._nodes[node] = self._next_index
-            self._next_index += 1
+            self._nodes[node] = None
             self._out[node] = []
             self._in[node] = []
             self.version += 1
@@ -110,7 +119,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         for node in self._nodes:
             new = node_map.get(node)
             if new is not None:
-                nodes[new] = len(nodes)
+                nodes[new] = None
                 outs[new] = []
                 ins[new] = []
         for e in self._edges:
@@ -120,7 +129,6 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
                 edges.append(edge)
                 outs[src].append(edge)
                 ins[dst].append(edge)
-        out._next_index = len(nodes)
         out.version = len(nodes) + len(edges)
         return out
 
@@ -129,15 +137,6 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
 
     def nodes(self) -> List[NodeT]:
         return list(self._nodes.keys())
-
-    def node_id(self, node: NodeT) -> int:
-        """Stable insertion index of a node (unique within this graph)."""
-        if node not in self._nodes:
-            raise GraphError(f"Node {node!r} not in graph")
-        return self._nodes[node]
-
-    def number_of_nodes(self) -> int:
-        return len(self._nodes)
 
     # ------------------------------------------------------------------ #
     # Edges
@@ -168,14 +167,8 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         self._in[edge.dst].remove(edge)
         self.version += 1
 
-    def has_edge(self, edge: Edge[NodeT, EdgeDataT]) -> bool:
-        return edge in self._edges
-
     def edges(self) -> List[Edge[NodeT, EdgeDataT]]:
         return list(self._edges)
-
-    def number_of_edges(self) -> int:
-        return len(self._edges)
 
     def out_edges(self, node: NodeT) -> List[Edge[NodeT, EdgeDataT]]:
         if node not in self._nodes:
@@ -187,36 +180,11 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
             raise GraphError(f"Node {node!r} not in graph")
         return list(self._in[node])
 
-    def edges_between(self, src: NodeT, dst: NodeT) -> List[Edge[NodeT, EdgeDataT]]:
-        return [e for e in self._out.get(src, []) if e.dst is dst]
-
     # ------------------------------------------------------------------ #
-    # Degrees / neighbours
+    # Degrees
     # ------------------------------------------------------------------ #
     def in_degree(self, node: NodeT) -> int:
         return len(self._in[node])
-
-    def successors(self, node: NodeT) -> List[NodeT]:
-        out: List[NodeT] = []
-        for e in self._out[node]:
-            if e.dst not in out:
-                out.append(e.dst)
-        return out
-
-    def predecessors(self, node: NodeT) -> List[NodeT]:
-        out: List[NodeT] = []
-        for e in self._in[node]:
-            if e.src not in out:
-                out.append(e.src)
-        return out
-
-    def source_nodes(self) -> List[NodeT]:
-        """Nodes without incoming edges."""
-        return [n for n in self._nodes if not self._in[n]]
-
-    def sink_nodes(self) -> List[NodeT]:
-        """Nodes without outgoing edges."""
-        return [n for n in self._nodes if not self._out[n]]
 
     # ------------------------------------------------------------------ #
     # Traversals
@@ -256,15 +224,6 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
                     visited.add(id(nxt))
                     queue.append(nxt)
 
-    def has_path(self, src: NodeT, dst: NodeT) -> bool:
-        """Whether a directed path from ``src`` to ``dst`` exists."""
-        if src not in self._nodes or dst not in self._nodes:
-            return False
-        for node in self.bfs_nodes([src]):
-            if node is dst:
-                return True
-        return False
-
     def descendants(self, node: NodeT) -> Set[NodeT]:
         """All nodes reachable from ``node`` (excluding itself unless cyclic)."""
         out = set(self.bfs_nodes([node]))
@@ -280,9 +239,3 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
     # ------------------------------------------------------------------ #
     def __contains__(self, node: NodeT) -> bool:
         return node in self._nodes
-
-    def __iter__(self) -> Iterator[NodeT]:
-        return iter(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)

@@ -14,7 +14,6 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.symbolic.expressions import Expr, sympify
 from repro.symbolic.ranges import Subset
-from repro.symbolic.simplify import simplify
 
 ExprLike = Union[Expr, int, str]
 

@@ -11,7 +11,7 @@ modified nodes between the original and the transformed graph.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Sequence, Set, Tuple, Union
 
 from repro.sdfg.dtypes import ScheduleType
 from repro.symbolic.expressions import Expr, sympify
@@ -27,7 +27,6 @@ __all__ = [
     "Map",
     "MapEntry",
     "MapExit",
-    "NestedSDFGNode",
     "next_guid",
 ]
 
@@ -85,7 +84,7 @@ class AccessNode(Node):
 
 
 class CodeNode(Node):
-    """Base class for nodes that execute code (tasklets, nested programs)."""
+    """Base class for nodes that execute code (today only :class:`Tasklet`)."""
 
 
 class Tasklet(CodeNode):
@@ -235,39 +234,3 @@ class MapExit(Node):
 
     def __repr__(self) -> str:
         return f"MapExit({self.map!r})"
-
-
-class NestedSDFGNode(CodeNode):
-    """A nested program embedded as a single dataflow node.
-
-    Input/output connectors correspond to non-transient containers of the
-    nested program; ``symbol_mapping`` maps nested symbols to expressions in
-    the enclosing scope.
-    """
-
-    def __init__(
-        self,
-        label: str,
-        sdfg,
-        inputs: Sequence[str],
-        outputs: Sequence[str],
-        symbol_mapping: Optional[Dict[str, ExprLike]] = None,
-    ) -> None:
-        super().__init__(label=label)
-        self.sdfg = sdfg
-        self.in_connectors = set(inputs)
-        self.out_connectors = set(outputs)
-        self.symbol_mapping: Dict[str, Expr] = {
-            k: sympify(v) for k, v in (symbol_mapping or {}).items()
-        }
-
-    def fingerprint(self) -> Tuple:
-        return (
-            "NestedSDFG",
-            self.label,
-            tuple(sorted(self.in_connectors)),
-            tuple(sorted(self.out_connectors)),
-        )
-
-    def __repr__(self) -> str:
-        return f"NestedSDFGNode({self.label!r})"

@@ -14,15 +14,14 @@ program's argument list.
 from __future__ import annotations
 
 import itertools
-import json
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.sdfg.data import Array, Data, Scalar
 from repro.sdfg.dtypes import StorageType, dtype_from_numpy, typeclass
-from repro.sdfg.graph import Edge, GraphError, OrderedMultiDiGraph
-from repro.sdfg.nodes import AccessNode, MapEntry, NestedSDFGNode, Node
+from repro.sdfg.graph import Edge, OrderedMultiDiGraph
+from repro.sdfg.nodes import Node
 from repro.sdfg.state import SDFGState
-from repro.symbolic.expressions import Expr, sympify
+from repro.symbolic.expressions import Expr
 
 __all__ = ["SDFG", "InterstateEdge", "SDFGError"]
 
@@ -258,9 +257,6 @@ class SDFG:
     def states(self) -> List[SDFGState]:
         return self._states.nodes()
 
-    def nodes(self) -> List[SDFGState]:
-        return self._states.nodes()
-
     def edges(self) -> List[Edge[SDFGState, InterstateEdge]]:
         return self._states.edges()
 
@@ -351,22 +347,8 @@ class SDFG:
         # Symbols assigned on interstate edges (loop counters) are internal.
         return out - defined
 
-    def arglist(self) -> Dict[str, Union[Data, typeclass]]:
-        """The program's calling signature: non-transient data + free symbols."""
-        args: Dict[str, Union[Data, typeclass]] = {}
-        for name, desc in sorted(self.arrays.items()):
-            if not desc.transient:
-                args[name] = desc
-        for sym in sorted(self.free_symbols):
-            if sym not in args:
-                args[sym] = self.symbols.get(sym, dtype_from_numpy("int64"))
-        return args
-
-    def transients(self) -> Dict[str, Data]:
-        return {n: d for n, d in self.arrays.items() if d.transient}
-
     # ------------------------------------------------------------------ #
-    # Copying, serialization, validation
+    # Copying
     # ------------------------------------------------------------------ #
     def clone(self, new_name: Optional[str] = None) -> "SDFG":
         """Structural copy of the program (:mod:`repro.sdfg.copier`).  Node
@@ -378,38 +360,6 @@ class SDFG:
         if new_name:
             out.name = new_name
         return out
-
-    def validate(self) -> None:
-        from repro.sdfg.validation import validate_sdfg
-
-        validate_sdfg(self)
-
-    def to_dict(self) -> Dict:
-        from repro.sdfg.serialize import sdfg_to_dict
-
-        return sdfg_to_dict(self)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "SDFG":
-        from repro.sdfg.serialize import sdfg_from_dict
-
-        return sdfg_from_dict(d)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SDFG":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_json(indent=2))
-
-    @classmethod
-    def load(cls, path: str) -> "SDFG":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_json(f.read())
 
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:

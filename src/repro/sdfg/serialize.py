@@ -8,20 +8,12 @@ program round-trips losslessly.
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict
 
 from repro.sdfg.data import data_from_dict
-from repro.sdfg.dtypes import ScheduleType, StorageType
+from repro.sdfg.dtypes import ScheduleType
 from repro.sdfg.memlet import Memlet
-from repro.sdfg.nodes import (
-    AccessNode,
-    Map,
-    MapEntry,
-    MapExit,
-    NestedSDFGNode,
-    Node,
-    Tasklet,
-)
+from repro.sdfg.nodes import AccessNode, Map, MapEntry, MapExit, Node, Tasklet
 from repro.sdfg.sdfg import SDFG, InterstateEdge
 from repro.sdfg.state import SDFGState
 from repro.symbolic.ranges import Range
@@ -73,10 +65,6 @@ def node_to_dict(node: Node, node_id: int) -> Dict:
     elif isinstance(node, MapExit):
         base["type"] = "MapExit"
         base["map"] = _map_to_dict(node.map)
-    elif isinstance(node, NestedSDFGNode):
-        base["type"] = "NestedSDFG"
-        base["sdfg"] = sdfg_to_dict(node.sdfg)
-        base["symbol_mapping"] = {k: str(v) for k, v in node.symbol_mapping.items()}
     else:  # pragma: no cover - future node types
         raise TypeError(f"Cannot serialize node of type {type(node).__name__}")
     return base
@@ -122,14 +110,6 @@ def node_from_dict(d: Dict, map_registry: Dict[int, Map]) -> Node:
             m = _map_from_dict(d["map"])
             map_registry[key] = m
         node = MapEntry(m) if ntype == "MapEntry" else MapExit(m)
-    elif ntype == "NestedSDFG":
-        node = NestedSDFGNode(
-            d["label"],
-            sdfg_from_dict(d["sdfg"]),
-            d["in_connectors"],
-            d["out_connectors"],
-            d.get("symbol_mapping"),
-        )
     else:
         raise TypeError(f"Cannot deserialize node of type {ntype}")
     node.guid = d.get("guid", node.guid)

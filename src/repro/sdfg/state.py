@@ -4,9 +4,9 @@ An :class:`SDFGState` is a single dataflow graph: access nodes, tasklets and
 map scopes connected by memlet-carrying edges.  States are the nodes of the
 program's control-flow state machine (see :mod:`repro.sdfg.sdfg`).
 
-The helpers on this class (``add_mapped_tasklet``, ``add_memlet_path``,
-``scope_dict`` ...) mirror the DaCe API surface that both the workload
-builders and the transformations rely on.
+The helpers on this class (``add_mapped_tasklet``, ``scope_dict`` ...)
+mirror the DaCe API surface that both the workload builders and the
+transformations rely on.
 """
 
 from __future__ import annotations
@@ -17,17 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 from repro.sdfg.dtypes import ScheduleType
 from repro.sdfg.graph import Edge, GraphError, OrderedMultiDiGraph
 from repro.sdfg.memlet import Memlet
-from repro.sdfg.nodes import (
-    AccessNode,
-    CodeNode,
-    Map,
-    MapEntry,
-    MapExit,
-    NestedSDFGNode,
-    Node,
-    Tasklet,
-)
-from repro.symbolic.expressions import Expr, sympify
+from repro.sdfg.nodes import AccessNode, Map, MapEntry, MapExit, Node, Tasklet
 from repro.symbolic.ranges import Range, Subset
 from repro.symbolic.simplify import simplify
 
@@ -200,20 +190,6 @@ class SDFGState:
         self.graph.add_node(exit_)
         return entry, exit_
 
-    def add_nested_sdfg(
-        self,
-        sdfg,
-        inputs: Sequence[str],
-        outputs: Sequence[str],
-        symbol_mapping: Optional[Dict[str, Union[str, int, Expr]]] = None,
-        label: Optional[str] = None,
-    ) -> NestedSDFGNode:
-        node = NestedSDFGNode(
-            label or sdfg.name, sdfg, inputs, outputs, symbol_mapping
-        )
-        self.graph.add_node(node)
-        return node
-
     def add_edge(
         self,
         src: Node,
@@ -297,75 +273,6 @@ class SDFGState:
 
         return tasklet, entry, exit_
 
-    def add_memlet_path(
-        self,
-        *path_nodes: Node,
-        memlet: Memlet,
-        src_conn: Optional[str] = None,
-        dst_conn: Optional[str] = None,
-    ) -> List[Edge]:
-        """Connect a chain of nodes through map entries/exits.
-
-        The edge adjacent to the innermost code node carries ``memlet``;
-        edges crossing map entry/exit boundaries carry propagated memlets and
-        use the ``IN_<data>`` / ``OUT_<data>`` connector convention.
-        """
-        if len(path_nodes) < 2:
-            raise ValueError("add_memlet_path requires at least two nodes")
-        edges: List[Edge] = []
-        data = memlet.data
-        # Determine direction: if the first node is an access/entry chain the
-        # innermost edge is the last one; if it starts at a code node the
-        # innermost edge is the first one.
-        forward = not isinstance(path_nodes[0], (Tasklet, NestedSDFGNode))
-        n = len(path_nodes)
-        # Pre-compute propagated memlets from innermost to outermost.
-        maps_on_path: List[Map] = []
-        for node in path_nodes:
-            if isinstance(node, (MapEntry, MapExit)):
-                maps_on_path.append(node.map)
-        # innermost memlet is `memlet`; going outward we propagate over each map.
-        for i in range(n - 1):
-            u, v = path_nodes[i], path_nodes[i + 1]
-            # Number of map boundaries strictly between this edge and the
-            # innermost end of the path.
-            if forward:
-                # Innermost edge is the last edge of the path.
-                boundary_nodes = [
-                    x for x in path_nodes[i + 1 : n - 1] if isinstance(x, (MapEntry, MapExit))
-                ]
-            else:
-                boundary_nodes = [
-                    x for x in path_nodes[1 : i + 1] if isinstance(x, (MapEntry, MapExit))
-                ]
-            cur = memlet.clone()
-            for b in boundary_nodes:
-                cur = propagate_memlet(cur, b.map)
-            uconn: Optional[str] = None
-            vconn: Optional[str] = None
-            if isinstance(u, MapEntry):
-                uconn = f"OUT_{data}"
-                u.add_in_connector(f"IN_{data}")
-                u.add_out_connector(uconn)
-            elif isinstance(u, MapExit):
-                uconn = f"OUT_{data}"
-                u.add_in_connector(f"IN_{data}")
-                u.add_out_connector(uconn)
-            elif isinstance(u, (Tasklet, NestedSDFGNode)):
-                uconn = src_conn
-            if isinstance(v, MapEntry):
-                vconn = f"IN_{data}"
-                v.add_in_connector(vconn)
-                v.add_out_connector(f"OUT_{data}")
-            elif isinstance(v, MapExit):
-                vconn = f"IN_{data}"
-                v.add_in_connector(vconn)
-                v.add_out_connector(f"OUT_{data}")
-            elif isinstance(v, (Tasklet, NestedSDFGNode)):
-                vconn = dst_conn
-            edges.append(self.add_edge(u, uconn, v, vconn, cur))
-        return edges
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -386,12 +293,6 @@ class SDFGState:
 
     def access_nodes_for(self, data: str) -> List[AccessNode]:
         return [n for n in self.data_nodes() if n.data == data]
-
-    def source_nodes(self) -> List[Node]:
-        return self.graph.source_nodes()
-
-    def sink_nodes(self) -> List[Node]:
-        return self.graph.sink_nodes()
 
     def topological_sort(self) -> Tuple[Node, ...]:
         order = self._scope_index().order
@@ -452,58 +353,6 @@ class SDFGState:
             return [entry] + inner + [exit_]
         return inner
 
-    # ------------------------------------------------------------------ #
-    # Read/write sets
-    # ------------------------------------------------------------------ #
-    def read_memlets(self) -> List[Tuple[str, Memlet]]:
-        """All (data, memlet) pairs read in this state.
-
-        A memlet is a read if it leaves an access node of that container
-        (directly or through map entries).
-        """
-        reads: List[Tuple[str, Memlet]] = []
-        for e in self.graph.edges():
-            m: Memlet = e.data
-            if m is None or m.is_empty:
-                continue
-            dst = e.dst
-            if isinstance(dst, (Tasklet, NestedSDFGNode, MapEntry)) and m.data is not None:
-                # Only count the innermost read (into a code node) to avoid
-                # double counting through scope boundaries.
-                if isinstance(dst, (Tasklet, NestedSDFGNode)):
-                    reads.append((m.data, m))
-            if isinstance(e.src, AccessNode) and isinstance(dst, AccessNode):
-                reads.append((m.data, m))
-        return reads
-
-    def write_memlets(self) -> List[Tuple[str, Memlet]]:
-        """All (data, memlet) pairs written in this state."""
-        writes: List[Tuple[str, Memlet]] = []
-        for e in self.graph.edges():
-            m: Memlet = e.data
-            if m is None or m.is_empty:
-                continue
-            if isinstance(e.src, (Tasklet, NestedSDFGNode)) and m.data is not None:
-                writes.append((m.data, m))
-            elif isinstance(e.src, AccessNode) and isinstance(e.dst, AccessNode):
-                target = m.data if m.other_subset is None else e.dst.data
-                subset = m.subset if m.other_subset is None else m.other_subset
-                writes.append((e.dst.data, Memlet(e.dst.data, subset, wcr=m.wcr)))
-        return writes
-
-    def read_set(self) -> Set[str]:
-        """Names of all containers read in this state."""
-        out = {d for d, _ in self.read_memlets()}
-        # Copies read their source container.
-        for e in self.graph.edges():
-            if isinstance(e.src, AccessNode) and isinstance(e.dst, AccessNode):
-                out.add(e.src.data)
-        return out
-
-    def write_set(self) -> Set[str]:
-        """Names of all containers written in this state."""
-        return {d for d, _ in self.write_memlets()}
-
     @property
     def free_symbols(self) -> Set[str]:
         out: Set[str] = set()
@@ -521,6 +370,6 @@ class SDFGState:
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:
         return (
-            f"SDFGState({self.label!r}, {self.graph.number_of_nodes()} nodes, "
-            f"{self.graph.number_of_edges()} edges)"
+            f"SDFGState({self.label!r}, {len(self.graph.nodes())} nodes, "
+            f"{len(self.graph.edges())} edges)"
         )

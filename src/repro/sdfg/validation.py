@@ -10,16 +10,8 @@ Table 2 of the paper).
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.sdfg.nodes import (
-    AccessNode,
-    MapEntry,
-    MapExit,
-    NestedSDFGNode,
-    Tasklet,
-)
 from repro.sdfg.graph import GraphError
+from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, Tasklet
 
 __all__ = ["InvalidSDFGError", "validate_sdfg", "validate_state"]
 

@@ -37,7 +37,7 @@ from repro.symbolic.expressions import (
     sympify,
 )
 from repro.symbolic.parser import parse_expr
-from repro.symbolic.ranges import Range, Subset, Indices
+from repro.symbolic.ranges import Range, Subset
 from repro.symbolic.simplify import simplify
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "simplify",
     "Range",
     "Subset",
-    "Indices",
     "ExpressionCodegenError",
     "emit_interstate_expression",
     "expression_names",

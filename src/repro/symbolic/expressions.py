@@ -14,8 +14,7 @@ neutral-element removal); heavier rewriting lives in
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, Mapping, Sequence, Set, Union
+from typing import Iterable, Mapping, Sequence, Set, Union
 
 Number = Union[int, float]
 ExprLike = Union["Expr", int, float, str]
@@ -34,8 +33,6 @@ __all__ = [
     "Min",
     "Max",
     "sympify",
-    "evaluate",
-    "free_symbols",
 ]
 
 
@@ -128,7 +125,7 @@ class Expr(Immutable):
     def __rmod__(self, other: ExprLike) -> "Expr":
         return Mod.make(sympify(other), self)
 
-    # Equality is *structural*; use :func:`equivalent` for semantic checks.
+    # Equality is *structural*, not semantic.
     def __eq__(self, other: object) -> bool:  # pragma: no cover - overridden
         return NotImplemented
 
@@ -602,46 +599,3 @@ def sympify(value: ExprLike) -> Expr:
 
         return parse_expr(value)
     raise TypeError(f"Cannot convert {value!r} of type {type(value).__name__} to Expr")
-
-
-def evaluate(value: ExprLike, bindings: Mapping[str, Number] | None = None) -> Number:
-    """Evaluate an expression-like value to a concrete number."""
-    return sympify(value).evaluate(bindings)
-
-
-def free_symbols(value: ExprLike) -> Set[str]:
-    """Free symbols of an expression-like value."""
-    return sympify(value).free_symbols
-
-
-def equivalent(
-    a: ExprLike,
-    b: ExprLike,
-    symbols: Iterable[str] | None = None,
-    probes: int = 8,
-    lo: int = 1,
-    hi: int = 97,
-    seed: int = 0,
-) -> bool:
-    """Probabilistic semantic-equivalence check by evaluation at random points.
-
-    Used by tests and by subset-comparison code where structural equality is
-    too strict (e.g. ``N + N`` vs ``2 * N``).
-    """
-    import random
-
-    ea, eb = sympify(a), sympify(b)
-    syms = set(symbols or (ea.free_symbols | eb.free_symbols))
-    rng = random.Random(seed)
-    for _ in range(max(1, probes)):
-        bindings = {s: rng.randint(lo, hi) for s in syms}
-        try:
-            va, vb = ea.evaluate(bindings), eb.evaluate(bindings)
-        except (ZeroDivisionError, OverflowError):
-            continue
-        if isinstance(va, float) or isinstance(vb, float):
-            if not math.isclose(float(va), float(vb), rel_tol=1e-9, abs_tol=1e-9):
-                return False
-        elif va != vb:
-            return False
-    return True

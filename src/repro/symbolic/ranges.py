@@ -11,32 +11,20 @@ Subsets support the operations FuzzyFlow's analyses need:
 * :meth:`Subset.num_elements` -- symbolic data volume,
 * :meth:`Subset.intersects` -- overlap test (concrete when symbol values are
   known, conservatively ``True`` otherwise),
-* :meth:`Subset.covers` -- containment test,
-* :meth:`Subset.bounding_box_union` -- used when shrinking cutout containers
-  to the accessed region,
-* :meth:`Subset.offset_by` -- re-basing accesses after containers are shrunk.
+* :meth:`Subset.covers` -- containment test.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Sequence, Tuple, Union
 
-from repro.symbolic.expressions import (
-    Add,
-    Expr,
-    Immutable,
-    Integer,
-    Max,
-    Min,
-    Mul,
-    sympify,
-)
+from repro.symbolic.expressions import Expr, Immutable, Integer, Min, Mul, sympify
 from repro.symbolic.simplify import simplify
 
 Number = Union[int, float]
 ExprLike = Union[Expr, int, str]
 
-__all__ = ["Range", "Subset", "Indices"]
+__all__ = ["Range", "Subset"]
 
 
 class Range(Immutable):
@@ -93,11 +81,6 @@ class Range(Immutable):
             self.begin.subs(mapping), self.end.subs(mapping), self.step.subs(mapping)
         )
 
-    def offset_by(self, origin: ExprLike) -> "Range":
-        """Shift the range so that ``origin`` becomes index 0."""
-        o = sympify(origin)
-        return Range(simplify(self.begin - o), simplify(self.end - o), self.step)
-
     # ------------------------------------------------------------------ #
     def intersects(
         self, other: "Range", bindings: Mapping[str, Number] | None = None
@@ -131,21 +114,6 @@ class Range(Immutable):
         lo0, hi0 = min(b0, e0), max(b0, e0)
         lo1, hi1 = min(b1, e1), max(b1, e1)
         return lo0 <= lo1 and hi1 <= hi0
-
-    def union_hull(self, other: "Range") -> "Range":
-        """Symbolic bounding hull of the two ranges (step collapses to 1)."""
-        return Range(
-            simplify(Min.make(self.begin, other.begin)),
-            simplify(Max.make(self.end, other.end)),
-            1,
-        )
-
-    def indices(self, bindings: Mapping[str, Number] | None = None) -> range:
-        """Concrete Python ``range`` of covered indices."""
-        b, e, s = self.evaluate(bindings)
-        if s > 0:
-            return range(b, e + 1, s)
-        return range(b, e - 1, s)
 
     # ------------------------------------------------------------------ #
     def __eq__(self, other: object) -> bool:
@@ -220,11 +188,6 @@ class Subset(Immutable):
         """The subset covering an entire container of the given shape."""
         return cls([Range.full(s) for s in shape])
 
-    @classmethod
-    def point(cls, indices: Sequence[ExprLike]) -> "Subset":
-        """A single-element subset at the given indices."""
-        return cls([Range(i, i, 1) for i in indices])
-
     # ------------------------------------------------------------------ #
     @property
     def dims(self) -> int:
@@ -246,23 +209,8 @@ class Subset(Immutable):
             total = Mul.make(total, r.num_elements())
         return simplify(total)
 
-    def is_point(self) -> bool:
-        return all(r.is_point() for r in self.ranges)
-
     def subs(self, mapping: Mapping[str, ExprLike]) -> "Subset":
         return Subset([r.subs(mapping) for r in self.ranges])
-
-    def offset_by(self, origin: Sequence[ExprLike]) -> "Subset":
-        """Re-base the subset so that ``origin`` becomes the zero index."""
-        if len(origin) != self.dims:
-            raise ValueError(
-                f"Origin has {len(origin)} dimensions, subset has {self.dims}"
-            )
-        return Subset([r.offset_by(o) for r, o in zip(self.ranges, origin)])
-
-    def size(self) -> List[Expr]:
-        """Per-dimension number of elements."""
-        return [r.num_elements() for r in self.ranges]
 
     # ------------------------------------------------------------------ #
     def intersects(
@@ -284,38 +232,6 @@ class Subset(Immutable):
             return False
         return all(a.covers(b, bindings) for a, b in zip(self.ranges, other.ranges))
 
-    def bounding_box_union(self, other: "Subset") -> "Subset":
-        """Symbolic bounding box covering both subsets."""
-        if self.dims != other.dims:
-            raise ValueError(
-                f"Cannot union subsets of different dimensionality "
-                f"({self.dims} vs {other.dims})"
-            )
-        return Subset([a.union_hull(b) for a, b in zip(self.ranges, other.ranges)])
-
-    def evaluate(
-        self, bindings: Mapping[str, Number] | None = None
-    ) -> List[Tuple[int, int, int]]:
-        """Concrete per-dimension ``(begin, end, step)`` triples."""
-        return [r.evaluate(bindings) for r in self.ranges]
-
-    def as_slices(
-        self, bindings: Mapping[str, Number] | None = None
-    ) -> Tuple[slice, ...]:
-        """Concrete NumPy slices (end exclusive) for indexing arrays."""
-        slices = []
-        for b, e, s in self.evaluate(bindings):
-            if s > 0:
-                slices.append(slice(b, e + 1, s))
-            else:
-                stop = e - 1
-                slices.append(slice(b, None if stop < 0 else stop, s))
-        return tuple(slices)
-
-    def volume_at(self, bindings: Mapping[str, Number] | None = None) -> int:
-        """Concrete number of elements covered."""
-        return int(self.num_elements().evaluate(bindings))
-
     # ------------------------------------------------------------------ #
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Subset) and self.ranges == other.ranges
@@ -328,23 +244,3 @@ class Subset(Immutable):
 
     def __repr__(self) -> str:
         return f"Subset[{self}]"
-
-    def __iter__(self):
-        return iter(self.ranges)
-
-    def __len__(self) -> int:
-        return len(self.ranges)
-
-    def __getitem__(self, idx: int) -> Range:
-        return self.ranges[idx]
-
-
-class Indices(Subset):
-    """A convenience subset describing a single point access ``A[i, j]``."""
-
-    def __init__(self, indices: Sequence[ExprLike]) -> None:
-        super().__init__([Range(sympify(i), sympify(i), 1) for i in indices])
-
-    @property
-    def index_expressions(self) -> List[Expr]:
-        return [r.begin for r in self.ranges]

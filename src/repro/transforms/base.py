@@ -16,7 +16,7 @@ correct variants pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.sdfg.copier import clone_state
 from repro.sdfg.nodes import Node, next_guid
@@ -111,20 +111,6 @@ class PatternTransformation:
         if match.state is not None:
             return [match.state]
         return []
-
-    # ------------------------------------------------------------------ #
-    # Convenience
-    # ------------------------------------------------------------------ #
-    def apply_to_first(self, sdfg: SDFG) -> Match:
-        """Apply to the first available match (raises if none exists)."""
-        matches = [m for m in self.find_matches(sdfg) if self.can_be_applied(sdfg, m)]
-        if not matches:
-            raise TransformationError(f"{self.name}: no applicable match found")
-        self.apply(sdfg, matches[0])
-        return matches[0]
-
-    def __call__(self, sdfg: SDFG, match: Match) -> None:
-        self.apply(sdfg, match)
 
     def __repr__(self) -> str:
         flag = " [buggy]" if self.inject_bug else ""

@@ -16,7 +16,6 @@ from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, Node, Tasklet
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState, propagate_memlet
 from repro.symbolic.expressions import Symbol
-from repro.symbolic.ranges import Subset
 from repro.transforms.base import (
     Match,
     PatternTransformation,

@@ -24,15 +24,10 @@ from typing import Dict, List, Set, Tuple
 
 from repro.sdfg.dtypes import ScheduleType, StorageType
 from repro.sdfg.memlet import Memlet
-from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, Node, Tasklet
+from repro.sdfg.nodes import AccessNode, MapEntry, Node, Tasklet
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
-from repro.transforms.base import (
-    Match,
-    PatternTransformation,
-    TransformationError,
-    register_transformation,
-)
+from repro.transforms.base import Match, PatternTransformation, register_transformation
 
 __all__ = ["GPUKernelExtraction"]
 

@@ -12,22 +12,17 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.sdfg.dtypes import ScheduleType
 from repro.sdfg.memlet import Memlet
-from repro.sdfg.nodes import AccessNode, Map, MapEntry, MapExit, Node, Tasklet
+from repro.sdfg.nodes import Map, MapEntry, MapExit, Node, Tasklet
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
-from repro.symbolic.expressions import Expr, Min, Symbol, sympify
+from repro.symbolic.expressions import Expr, Min, Symbol
 from repro.symbolic.ranges import Range
 from repro.symbolic.simplify import simplify
-from repro.transforms.base import (
-    Match,
-    PatternTransformation,
-    TransformationError,
-    register_transformation,
-)
+from repro.transforms.base import Match, PatternTransformation, register_transformation
 
 __all__ = ["MapTiling", "Vectorization", "MapExpansion", "BufferTiling", "tile_map"]
 

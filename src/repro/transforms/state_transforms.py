@@ -14,10 +14,10 @@
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.sdfg.analysis import LoopInfo, find_loops, states_reachable_from
-from repro.sdfg.nodes import MapEntry, MapExit, Node
+from repro.sdfg.nodes import MapEntry, MapExit
 from repro.sdfg.sdfg import SDFG, InterstateEdge
 from repro.sdfg.state import SDFGState
 from repro.symbolic.expressions import Symbol

@@ -25,7 +25,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.frontend import add_batched_matmul, add_bias_add, add_scale, add_softmax_lastdim
+from repro.frontend import add_batched_matmul
 from repro.sdfg import SDFG, Memlet, float64
 
 __all__ = [

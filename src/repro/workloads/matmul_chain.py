@@ -7,8 +7,6 @@ running example breaks with an off-by-one bound.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 import numpy as np
 
 from repro.frontend import add_matmul

@@ -10,6 +10,6 @@ dataflow IR and each exposing realistic transformation-instance counts.
 Use :func:`repro.workloads.npbench.suite.all_kernels` to enumerate the suite.
 """
 
-from repro.workloads.npbench.suite import KernelSpec, all_kernels, get_kernel
+from repro.workloads.npbench.suite import KernelSpec, all_kernels
 
-__all__ = ["KernelSpec", "all_kernels", "get_kernel"]
+__all__ = ["KernelSpec", "all_kernels"]

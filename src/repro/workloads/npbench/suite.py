@@ -14,13 +14,13 @@ the swept transformations match:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List
 
 from repro.frontend import add_init, add_matmul
 from repro.sdfg import SDFG, InterstateEdge, Memlet, float64
 
-__all__ = ["KernelSpec", "all_kernels", "get_kernel"]
+__all__ = ["KernelSpec", "all_kernels"]
 
 
 @dataclass
@@ -420,10 +420,3 @@ _KERNELS: List[KernelSpec] = [
 def all_kernels() -> List[KernelSpec]:
     """All kernels of the mini suite."""
     return list(_KERNELS)
-
-
-def get_kernel(name: str) -> KernelSpec:
-    for spec in _KERNELS:
-        if spec.name == name:
-            return spec
-    raise KeyError(f"Unknown kernel '{name}'")

@@ -4,9 +4,9 @@ Name resolution, what ``prepare`` returns, and backend equivalence on hand-built
 interpreter and the compiled backend must produce *bitwise identical*
 :class:`ExecutionResult`s -- outputs, final symbols and transition counts
 -- and must agree on memory-violation detection.  Constructs
-the scope analyzer cannot express (nested SDFGs, data-dependent subsets,
-order-dependent writes, non-element-wise tasklet code) must fall back to the
-interpreter scope by scope without changing any result.  (The kernel-suite
+the scope analyzer cannot express (data-dependent subsets, order-dependent
+writes, non-element-wise tasklet code) must fall back to the interpreter
+scope by scope without changing any result.  (The kernel-suite
 matrix lives in ``test_tier_parity.py``.)
 """
 
@@ -15,6 +15,7 @@ import inspect
 
 import numpy as np
 import pytest
+from support import apply_to_first
 
 import repro.backends as backends_module
 from repro.backends import (
@@ -33,7 +34,12 @@ from repro.interpreter.errors import MemoryViolation
 from repro.interpreter.executor import ExecutionResult, SDFGExecutor
 from repro.sdfg import SDFG, Memlet, float64, int32
 from repro.transforms import all_builtin_transformations
-from repro.workloads import get_workload
+from repro.workloads import (
+    build_workload,
+    get_workload,
+    get_workload_suite,
+    list_workload_suites,
+)
 
 
 def make_arguments(sdfg, symbols, seed=0):
@@ -191,6 +197,26 @@ class TestTrialApi:
         assert np.array_equal(again.outputs["A"], np.arange(4.0) + 1.0)
         assert np.array_equal(arguments["A"], np.arange(4.0))
 
+    @pytest.mark.parametrize(
+        "name", ["interpreter", "compiled", "cross:compiled,interpreter"]
+    )
+    def test_an_idle_program_pins_no_trial_data(self, name):
+        """A prepared program outlives its runs (one per trial): once ``run``
+        returns, no executor still holds that trial's arrays or symbols."""
+        for suite in list_workload_suites():
+            for spec in get_workload_suite(suite):
+                sdfg = build_workload(suite, spec.name)
+                program = get_backend(name).prepare(sdfg)
+                program.run(make_arguments(sdfg, spec.symbols), dict(spec.symbols))
+                executors = [program]
+                if isinstance(program, CrossProgram):
+                    executors = [program.reference, program.candidate]
+                for executor in executors:
+                    assert executor._store == {} and executor._symbols == {}, (
+                        f"{suite}/{spec.name}: {type(executor).__name__} keeps "
+                        f"{sorted(executor._store)}"
+                    )
+
 
 class TestBackendEquivalence:
     def test_affine_scopes_actually_vectorize(self):
@@ -293,39 +319,6 @@ class TestFallbackPaths:
         r1, r2, program = run_both(sdfg, args, symbols)
         assert_bitwise_equal(r1, r2)
         return program
-
-    def test_nested_sdfg_in_map_falls_back(self):
-        inner = SDFG("inner")
-        # Row slices arrive as (1, K) regions, so the inner program is 2-D.
-        inner.add_array("x", [1, "K"], float64)
-        inner.add_array("y", [1, "K"], float64)
-        istate = inner.add_state("s")
-        istate.add_mapped_tasklet(
-            "sq", {"j": "0:K-1"},
-            {"a": Memlet.simple("x", "0, j")}, "b = a * a",
-            {"b": Memlet.simple("y", "0, j")},
-        )
-
-        outer = SDFG("outer")
-        outer.add_array("inp", ["N", "M"], float64)
-        outer.add_array("out", ["N", "M"], float64)
-        state = outer.add_state("s")
-        entry, exit_ = state.add_map("rows", {"i": "0:N-1"})
-        nested = state.add_nested_sdfg(inner, ["x"], ["y"], {"K": "M"})
-        state.add_memlet_path(
-            state.add_access("inp"), entry, nested,
-            memlet=Memlet.simple("inp", "i, 0:M-1"), dst_conn="x",
-        )
-        state.add_memlet_path(
-            nested, exit_, state.add_access("out"),
-            memlet=Memlet.simple("out", "i, 0:M-1"), src_conn="y",
-        )
-
-        v = np.arange(15.0).reshape(5, 3)
-        program = self._assert_fallback_equivalence(
-            outer, {"inp": v, "out": np.zeros((5, 3))}, {"N": 5, "M": 3}
-        )
-        assert program.stats["fallback"] > 0
 
     def test_data_dependent_subset_falls_back(self):
         sdfg = SDFG("dynmem")
@@ -695,7 +688,7 @@ def scale_fuzzer(backend, inject_bug=True, seed=0):
     ``N`` per trial: the buggy twin fails only where ``N`` is no multiple of
     the vector width."""
     from repro.core import derive_constraints
-    from repro.frontend import add_scale
+    from support import add_scale
     from repro.transforms import Vectorization
 
     original = SDFG("scale")
@@ -705,7 +698,7 @@ def scale_fuzzer(backend, inject_bug=True, seed=0):
     state = original.add_state("s")
     add_scale(original, state, "X", "Y", "factor")
     transformed = original.clone()
-    Vectorization(vector_size=4, inject_bug=inject_bug).apply_to_first(transformed)
+    apply_to_first(Vectorization(vector_size=4, inject_bug=inject_bug), transformed)
     constraints = derive_constraints(original, symbol_values={"N": 8}, size_max=16)
     sampler = InputSampler(original, ["X", "factor"], ["Y"], constraints, seed=seed)
     return DifferentialFuzzer(original, transformed, ["Y"], sampler, backend=backend)

@@ -202,6 +202,28 @@ class TestControlFlowLowering:
             with pytest.raises(ExecutionError):
                 get_backend(name).prepare(sdfg).run({"X": np.zeros(2)}, {})
 
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            InterstateEdge(condition="N >"),
+            InterstateEdge(assignments={"M": "N +"}),
+            InterstateEdge(assignments={"M": "X + 1"}),
+        ],
+        ids=["unparseable-condition", "unparseable-assignment", "failing-assignment"],
+    )
+    def test_bad_interstate_code_raises_execution_error(self, edge):
+        """Code that does not parse is evaluated the interpreter's way; it,
+        and an assignment that fails at runtime, raise ExecutionError on
+        both backends."""
+        sdfg = SDFG("badedge")
+        sdfg.add_array("X", [2], float64)
+        s0 = sdfg.add_state("s0", is_start_state=True)
+        s1 = sdfg.add_state("s1")
+        sdfg.add_edge(s0, s1, edge)
+        for name in ("interpreter", "compiled"):
+            with pytest.raises(ExecutionError):
+                get_backend(name).prepare(sdfg).run({"X": np.zeros(2)}, {"N": 3})
+
     def test_assignment_integral_float_becomes_int(self):
         """Interpreter parity: `N / 2` with even N must land as a Python
         int in the final symbols, not 2.0."""

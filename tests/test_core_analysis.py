@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from support import apply_to_first
 
 from repro.core import (
     Cutout,
@@ -16,7 +17,7 @@ from repro.core import (
     REQUIREMENTS,
     REQUIREMENTS_TABLE,
 )
-from repro.frontend import add_matmul, add_scale
+from repro.frontend import add_matmul
 from repro.interpreter import execute_sdfg
 from repro.sdfg import SDFG, InterstateEdge, MapEntry, Memlet, Tasklet, float64, validate_sdfg
 from repro.transforms import LoopUnrolling, MapTiling, TaskletFusion, Vectorization
@@ -214,7 +215,7 @@ class TestChangeIsolation:
     def test_graph_diff_detects_added_nodes(self):
         sdfg = producer_consumer()
         clone = sdfg.clone()
-        MapTiling(tile_size=4).apply_to_first(clone)
+        apply_to_first(MapTiling(tile_size=4), clone)
         diff = graph_diff_nodes(sdfg, clone)
         assert diff["added"]  # the new tile map entry/exit
         assert diff["modified"]  # the original map entry (ranges changed)

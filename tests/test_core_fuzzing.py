@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from support import add_scale, apply_to_first
 
 from repro.core import (
     DifferentialFuzzer,
@@ -13,7 +14,6 @@ from repro.core import (
     load_test_case,
     save_test_case,
 )
-from repro.frontend import add_scale
 from repro.sdfg import SDFG, Memlet, float64, int32
 from repro.transforms import Vectorization
 
@@ -243,7 +243,7 @@ class TestDifferentialFuzzer:
     def _fuzzer(self, inject_bug, vary_sizes=True, seed=0):
         original = scale_program()
         transformed = original.clone()
-        Vectorization(vector_size=4, inject_bug=inject_bug).apply_to_first(transformed)
+        apply_to_first(Vectorization(vector_size=4, inject_bug=inject_bug), transformed)
         constraints = derive_constraints(original, symbol_values={"N": 8}, size_max=16)
         sampler = InputSampler(
             original, ["X", "factor"], ["Y"], constraints,
@@ -330,7 +330,7 @@ class TestReproducibleTestCases:
     def test_roundtrip_and_replay(self, tmp_path):
         original = scale_program()
         transformed = original.clone()
-        Vectorization(vector_size=4, inject_bug=True).apply_to_first(transformed)
+        apply_to_first(Vectorization(vector_size=4, inject_bug=True), transformed)
         inputs = {
             "X": np.arange(10.0), "Y": np.zeros(10), "factor": np.array([2.0]),
         }
@@ -355,7 +355,7 @@ class TestReproducibleTestCases:
     def test_replay_passing_case(self, tmp_path):
         original = scale_program()
         transformed = original.clone()
-        Vectorization(vector_size=4).apply_to_first(transformed)
+        apply_to_first(Vectorization(vector_size=4), transformed)
         inputs = {"X": np.arange(8.0), "Y": np.zeros(8), "factor": np.array([3.0])}
         case = ReproducibleTestCase(
             name="ok", transformation="Vectorization",

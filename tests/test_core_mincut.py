@@ -14,7 +14,7 @@ from repro.core import (
     minimize_input_configuration,
     prepare_input_flow_network,
 )
-from repro.frontend import add_batched_matmul, add_scale
+from repro.frontend import add_batched_matmul
 from repro.sdfg import SDFG, MapEntry, Memlet, float64
 from repro.transforms import MapTiling, Vectorization
 

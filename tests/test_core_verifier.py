@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import FuzzyFlowVerifier, Verdict, verify_transformation
-from repro.frontend import add_init, add_matmul, add_scale
+from repro.frontend import add_init, add_matmul
 from repro.sdfg import SDFG, InterstateEdge, Memlet, float64
 from repro.transforms import (
     BufferTiling,

@@ -7,8 +7,8 @@ dimensions): build ``np.arange`` axes, evaluate broadcast index arrays,
 min/max-reduce them for the bounds check and gather with advanced indexing
 (scatter through an ``np.ix_`` mesh).  Same block bit for bit, same written
 region, same exception type and message.  ``expr`` dimensions keep the
-materialised path, and :class:`TestGatherSlices` checks the basic-slicing
-shortcut it takes wherever the index arrays turn out to be sequences.
+materialised path; :class:`TestGatherGeometry` runs gathers of both kinds
+end to end against the interpreter.
 """
 
 import itertools
@@ -215,7 +215,7 @@ class TestClosedFormAgainstMaterialised:
 
 
 # ---------------------------------------------------------------------- #
-# The permuted-gather slice fast path of ``expr`` accesses (unit level)
+# Gathers of every geometry, end to end
 # ---------------------------------------------------------------------- #
 def make_arguments(sdfg, symbols, seed=0):
     rng = np.random.default_rng(seed)
@@ -227,8 +227,7 @@ def make_arguments(sdfg, symbols, seed=0):
 
 
 def permuted_gather_program():
-    """Reads ``A[j, i]`` under an ``i, j`` map: the transposed-slice fast
-    path."""
+    """Reads ``A[j, i]`` under an ``i, j`` map."""
     sdfg = SDFG("permuted")
     sdfg.add_array("A", ["M", "N"], float64)
     sdfg.add_array("Out", ["N", "M"], float64)
@@ -241,82 +240,61 @@ def permuted_gather_program():
     return sdfg
 
 
-class TestGatherSlices:
-    """``_gather_slices`` turns broadcast gathers into basic slicing plus a
-    transpose; every accepted geometry must index the exact same elements
-    as the advanced-indexing path it replaces."""
+# name -> (map ranges, read index of A, shape of A, numpy reference of the
+# gathered block for A at the symbols of ``GATHER_SYMBOLS``)
+GATHER_CASES = {
+    "aligned": (
+        {"i": "0:N-1", "j": "0:M-1"}, ("i", "j"), ["N", "M"], lambda a: a,
+    ),
+    "three-dim-rotation": (
+        {"i": "0:N-1", "j": "0:M-1", "k": "0:K-1"}, ("k", "i", "j"), ["K", "N", "M"],
+        lambda a: a.transpose(1, 2, 0),
+    ),
+    "strided-and-offset": (
+        {"i": "0:N-1", "j": "0:M-1"}, ("2*i + 1", "3*j + 2"), ["2*N + 1", "3*M + 2"],
+        lambda a: a[1::2, 2::3][:6, :9],
+    ),
+    "constant-dimension": (
+        {"i": "0:N-1", "j": "0:M-1"}, ("3", "j"), ["N", "M"],
+        lambda a: np.broadcast_to(a[3], (6, 9)),
+    ),
+    "diagonal": (
+        {"i": "0:N-1", "j": "0:M-1"}, ("i", "i"), ["N", "N"],
+        lambda a: np.broadcast_to(np.diag(a)[:, None], (6, 9)),
+    ),
+}
+GATHER_SYMBOLS = {"N": 6, "M": 9, "K": 4}
 
-    def grid(self, extents, axis, start=0, step=1):
-        n = extents[axis]
-        shape = [1] * len(extents)
-        shape[axis] = n
-        return (start + step * np.arange(n, dtype=np.int64)).reshape(shape)
 
-    def check_equivalent(self, arr, idx, nparams):
-        fast = ScopeRuntime._gather_slices(idx, arr.ndim, nparams)
-        assert fast is not None
-        sls, taxes = fast
-        block = arr[sls] if taxes is None else arr[sls].transpose(taxes)
-        reference = arr[tuple(idx)]
-        assert block.shape == reference.shape
-        assert np.array_equal(block, reference)
-        return taxes
+def gather_program(name):
+    ranges, index, shape, _ = GATHER_CASES[name]
+    extent = {"i": "N", "j": "M", "k": "K"}
+    sdfg = SDFG(name.replace("-", "_"))
+    sdfg.add_array("A", shape, float64)
+    sdfg.add_array("Out", [extent[p] for p in ranges], float64)
+    state = sdfg.add_state("s", is_start_state=True)
+    state.add_mapped_tasklet(
+        "t", ranges, {"x": Memlet.simple("A", index)},
+        "y = x + 1.0", {"y": Memlet.simple("Out", tuple(ranges))},
+    )
+    return sdfg
 
-    def test_aligned_gather_needs_no_transpose(self):
-        arr = np.arange(35.0).reshape(5, 7)
-        idx = [self.grid((5, 7), 0), self.grid((5, 7), 1)]
-        assert self.check_equivalent(arr, idx, nparams=2) is None
 
-    def test_permuted_gather_transposes(self):
-        arr = np.arange(35.0).reshape(5, 7)
-        # A[j, i] under an (i, j) map: dim 0 rides axis 1 and vice versa.
-        idx = [self.grid((4, 5), 1), self.grid((4, 5), 0)]
-        assert self.check_equivalent(arr, idx, nparams=2) == (1, 0)
+class TestGatherGeometry:
+    """Gathers of every geometry -- aligned, permuted, strided, constant,
+    diagonal -- run vectorized and match the interpreter bit for bit."""
 
-    def test_three_dim_rotation(self):
-        arr = np.arange(2.0 * 3 * 4).reshape(2, 3, 4)
-        extents = (3, 4, 2)  # A[k, i, j] under an (i, j, k) map
-        idx = [
-            self.grid(extents, 2),
-            self.grid(extents, 0),
-            self.grid(extents, 1),
-        ]
-        assert self.check_equivalent(arr, idx, nparams=3) == (1, 2, 0)
-
-    def test_strided_and_offset_sequences(self):
-        arr = np.arange(100.0).reshape(10, 10)
-        idx = [self.grid((4, 3), 0, start=1, step=2), self.grid((4, 3), 1, start=2, step=3)]
-        assert self.check_equivalent(arr, idx, nparams=2) is None
-
-    def test_constant_dimension_becomes_length_one_slice(self):
-        idx = [3, self.grid((5,), 0)]
-        taxes = ScopeRuntime._gather_slices(idx, 2, 2)
-        assert taxes is not None
-
-    def test_all_constant_stays_on_advanced_path(self):
-        # arr[2, 3] is a scalar; slices would produce a (1, 1) block.
-        assert ScopeRuntime._gather_slices([2, 3], 2, 2) is None
-
-    def test_rank_mismatch_rejected(self):
-        idx = [self.grid((5,), 0)]
-        assert ScopeRuntime._gather_slices(idx, 1, 2) is None
-
-    def test_duplicate_axis_rejected(self):
-        # A[i, i]: both dimensions ride parameter axis 0 -- a diagonal,
-        # which no rectangular slice can express.
-        g = self.grid((5, 1), 0)
-        assert ScopeRuntime._gather_slices([g, g], 2, 2) is None
-
-    def test_non_arithmetic_sequence_rejected(self):
-        irregular = np.asarray([0, 1, 3], dtype=np.int64).reshape(3, 1)
-        regular = self.grid((3, 4), 1)
-        assert ScopeRuntime._gather_slices([irregular, regular], 2, 2) is None
-
-    def test_negative_constant_rejected(self):
-        assert (
-            ScopeRuntime._gather_slices([-1, self.grid((5,), 0)], 2, 2)
-            is None
-        )
+    @pytest.mark.parametrize("name", sorted(GATHER_CASES))
+    def test_gather_end_to_end(self, name):
+        sdfg = gather_program(name)
+        args = make_arguments(sdfg, GATHER_SYMBOLS)
+        ref = get_backend("interpreter").prepare(sdfg).run(dict(args), GATHER_SYMBOLS)
+        program = CompiledExecutor(sdfg)
+        res = program.run(dict(args), GATHER_SYMBOLS)
+        assert ref.outputs["Out"].tobytes() == res.outputs["Out"].tobytes()
+        expected = GATHER_CASES[name][3](args["A"]) + 1.0
+        np.testing.assert_array_equal(res.outputs["Out"], expected)
+        assert program.stats["vectorized"] == 1 and program.stats["fallback"] == 0
 
     def test_permuted_program_end_to_end(self):
         sdfg = permuted_gather_program()

@@ -280,33 +280,6 @@ class TestExecutorReuse:
             np.testing.assert_allclose(res.outputs["C"], A @ B, rtol=1e-12)
 
 
-class TestNestedSDFG:
-    def test_nested_program_execution(self, rng):
-        inner = SDFG("inner")
-        inner.add_array("x", ["K"], float64)
-        inner.add_array("y", ["K"], float64)
-        istate = inner.add_state("s")
-        istate.add_mapped_tasklet(
-            "sq", {"i": "0:K-1"},
-            {"a": Memlet.simple("x", "i")}, "b = a * a",
-            {"b": Memlet.simple("y", "i")},
-        )
-
-        outer = SDFG("outer")
-        outer.add_array("inp", ["N"], float64)
-        outer.add_array("out", ["N"], float64)
-        state = outer.add_state("s")
-        rd = state.add_access("inp")
-        wr = state.add_access("out")
-        nested = state.add_nested_sdfg(inner, ["x"], ["y"], {"K": "N"})
-        state.add_edge(rd, None, nested, "x", Memlet.full("inp", ["N"]))
-        state.add_edge(nested, "y", wr, None, Memlet.full("out", ["N"]))
-
-        v = rng.standard_normal(6)
-        res = execute_sdfg(outer, {"inp": v, "out": np.zeros(6)}, {"N": 6})
-        np.testing.assert_allclose(res.outputs["out"], v * v)
-
-
 # ---------------------------------------------------------------------- #
 # Reference: the per-term memory access the compiled access replaced
 # (one eval per subset term, temporary memlets for copies and

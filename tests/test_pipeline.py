@@ -6,11 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from support import add_scale
 
 import repro
 from repro import faultinject
 from repro.core import Verdict
-from repro.frontend import add_scale
 from repro.pipeline import (
     SweepResult,
     SweepRunner,

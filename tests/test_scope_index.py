@@ -17,7 +17,7 @@ from repro.core.verifier import FuzzyFlowVerifier
 from repro.pipeline import enumerate_sweep_tasks
 from repro.sdfg import SDFG, Memlet, float64
 from repro.sdfg.graph import GraphError
-from repro.sdfg.nodes import MapEntry, MapExit, NestedSDFGNode, Tasklet
+from repro.sdfg.nodes import MapEntry, MapExit, Tasklet
 from repro.workloads import get_workload_suite, list_workload_suites
 
 
@@ -105,14 +105,6 @@ def assert_index_matches_reference(state):
             assert state.entry_node_for_exit(node) is ref_entry_node_for_exit(state, node)
 
 
-def all_states(sdfg):
-    for state in sdfg.states():
-        yield state
-        for node in state.nodes():
-            if isinstance(node, NestedSDFGNode):
-                yield from all_states(node.sdfg)
-
-
 def mapped_state():
     """Two top-level maps, the second one nested two deep."""
     sdfg = SDFG("scopes")
@@ -129,10 +121,12 @@ def mapped_state():
     tasklet = state.add_tasklet("fill", ["b"], ["c"], "c = b")
     b = state.add_access("B")
     c = state.add_access("C")
-    state.add_memlet_path(b, outer_entry, inner_entry, tasklet,
-                          memlet=Memlet.simple("B", "j"), dst_conn="b")
-    state.add_memlet_path(tasklet, inner_exit, outer_exit, c,
-                          memlet=Memlet.simple("C", "i, j"), src_conn="c")
+    state.add_edge(b, None, outer_entry, "IN_B", Memlet.simple("B", "0:N-1"))
+    state.add_edge(outer_entry, "OUT_B", inner_entry, "IN_B", Memlet.simple("B", "0:N-1"))
+    state.add_edge(inner_entry, "OUT_B", tasklet, "b", Memlet.simple("B", "j"))
+    state.add_edge(tasklet, "c", inner_exit, "IN_C", Memlet.simple("C", "i, j"))
+    state.add_edge(inner_exit, "OUT_C", outer_exit, "IN_C", Memlet.simple("C", "i, 0:N-1"))
+    state.add_edge(outer_exit, "OUT_C", c, None, Memlet.simple("C", "0:N-1, 0:N-1"))
     return sdfg, state
 
 
@@ -142,7 +136,7 @@ class TestIndexEqualsReference:
     def test_every_registered_workload(self, suite):
         checked = 0
         for spec in get_workload_suite(suite):
-            for state in all_states(spec.build()):
+            for state in spec.build().states():
                 assert_index_matches_reference(state)
                 checked += 1
         assert checked
@@ -156,13 +150,13 @@ class TestIndexEqualsReference:
             xform = task.transformation.instantiate()
             match = verifier.enumerate_instances(sdfg, xform)[task.match_index]
             cutout = extract_cutout(sdfg, xform, match, symbol_values=task.symbols)
-            for state in all_states(cutout.sdfg):
+            for state in cutout.sdfg.states():
                 assert_index_matches_reference(state)
             transformed = cutout.sdfg.clone()
             for state in transformed.states():
                 state.scope_dict()  # build the index before applying
             xform.apply(transformed, transfer_match(xform, match, transformed))
-            for state in all_states(transformed):
+            for state in transformed.states():
                 assert_index_matches_reference(state)
             transformed_checked += 1
         assert transformed_checked == len(tasks) > 90

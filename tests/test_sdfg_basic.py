@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from repro.interpreter import execute_sdfg
 from repro.sdfg import (
     SDFG,
     AccessNode,
@@ -21,6 +22,7 @@ from repro.sdfg import (
 )
 from repro.sdfg.analysis import find_loops
 from repro.sdfg.graph import GraphError, OrderedMultiDiGraph
+from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json
 from repro.sdfg.state import propagate_memlet
 from repro.symbolic import Subset
 
@@ -47,22 +49,22 @@ class TestGraph:
         g.add_node("a")
         g.add_node("b")
         g.add_edge("a", "b", data=1)
-        assert g.number_of_nodes() == 2
-        assert g.number_of_edges() == 1
-        assert g.successors("a") == ["b"]
-        assert g.predecessors("b") == ["a"]
+        assert g.nodes() == ["a", "b"]
+        assert len(g.edges()) == 1
+        assert [e.dst for e in g.out_edges("a")] == ["b"]
+        assert [e.src for e in g.in_edges("b")] == ["a"]
 
     def test_parallel_edges(self):
         g = OrderedMultiDiGraph()
         g.add_edge("a", "b", 1)
         g.add_edge("a", "b", 2)
-        assert len(g.edges_between("a", "b")) == 2
+        assert [e.data for e in g.out_edges("a")] == [1, 2]
 
     def test_remove_node_removes_edges(self):
         g = OrderedMultiDiGraph()
         g.add_edge("a", "b")
         g.remove_node("b")
-        assert g.number_of_edges() == 0
+        assert g.edges() == []
 
     def test_remove_missing_node_raises(self):
         g = OrderedMultiDiGraph()
@@ -84,27 +86,57 @@ class TestGraph:
         with pytest.raises(GraphError):
             g.topological_sort()
 
-    def test_source_sink_nodes(self):
-        g = OrderedMultiDiGraph()
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
-        assert g.source_nodes() == ["a"]
-        assert g.sink_nodes() == ["c"]
-
-    def test_has_path(self):
-        g = OrderedMultiDiGraph()
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
-        g.add_node("d")
-        assert g.has_path("a", "c")
-        assert not g.has_path("c", "a")
-        assert not g.has_path("a", "d")
-
     def test_bfs_reverse(self):
         g = OrderedMultiDiGraph()
         g.add_edge("a", "b")
         g.add_edge("b", "c")
         assert set(g.bfs_nodes(["c"], reverse=True)) == {"a", "b", "c"}
+
+    def test_descendants_and_ancestors(self):
+        g = OrderedMultiDiGraph()
+        g.add_edge("a", "b")
+        g.add_edge("b", "c")
+        g.add_node("d")
+        assert g.descendants("a") == {"b", "c"}
+        assert g.ancestors("c") == {"a", "b"}
+        assert g.descendants("c") == set() and g.ancestors("d") == set()
+
+    def test_in_degree_counts_parallel_edges(self):
+        g = OrderedMultiDiGraph()
+        g.add_edge("a", "b")
+        g.add_edge("a", "b")
+        g.add_edge("b", "c")
+        assert [g.in_degree(n) for n in g.nodes()] == [0, 2, 1]
+
+    def test_remove_edge_keeps_its_endpoints(self):
+        g = OrderedMultiDiGraph()
+        first = g.add_edge("a", "b", 1)
+        g.add_edge("a", "b", 2)
+        g.remove_edge(first)
+        assert g.nodes() == ["a", "b"]
+        assert [e.data for e in g.in_edges("b")] == [2]
+        with pytest.raises(GraphError):
+            g.remove_edge(first)
+
+    def test_edges_of_a_missing_node_raise(self):
+        g = OrderedMultiDiGraph()
+        g.add_node("a")
+        assert "a" in g and g.has_node("a") and "b" not in g
+        with pytest.raises(GraphError):
+            g.out_edges("b")
+        with pytest.raises(GraphError):
+            g.in_edges("b")
+
+    def test_copy_maps_nodes_and_edge_data(self):
+        g = OrderedMultiDiGraph()
+        g.add_edge("a", "b", 1, "o", "i")
+        g.add_edge("b", "c", 2)
+        out = g.copy({"a": "A", "b": "B"}, lambda d: d * 10)
+        assert out.nodes() == ["A", "B"]
+        (edge,) = out.edges()
+        assert (edge.src, edge.dst, edge.data) == ("A", "B", 10)
+        assert (edge.src_conn, edge.dst_conn) == ("o", "i")
+        assert [e.data for e in g.edges()] == [1, 2]
 
 
 class TestDataDescriptors:
@@ -136,7 +168,6 @@ class TestDataDescriptors:
         sdfg = SDFG("t")
         sdfg.add_transient("tmp", ["N"], float64)
         assert sdfg.arrays["tmp"].transient
-        assert "tmp" not in sdfg.arglist()
 
     def test_duplicate_name_raises(self):
         sdfg = SDFG("t")
@@ -183,12 +214,6 @@ class TestStateConstruction:
         assert isinstance(exit_, MapExit)
         assert exit_.map is entry.map
 
-    def test_read_write_sets(self):
-        sdfg = build_elementwise_scale()
-        state = sdfg.start_state
-        assert state.read_set() == {"inp"}
-        assert state.write_set() == {"out"}
-
     def test_propagate_memlet(self):
         sdfg = build_elementwise_scale()
         state = sdfg.start_state
@@ -196,16 +221,11 @@ class TestStateConstruction:
         inner = Memlet.simple("inp", "i")
         outer = propagate_memlet(inner, entry.map)
         assert outer.volume().evaluate({"N": 10}) == 10
-        assert outer.subset.evaluate({"N": 10}) == [(0, 9, 1)]
+        assert [r.evaluate({"N": 10}) for r in outer.subset.ranges] == [(0, 9, 1)]
 
     def test_free_symbols(self):
         sdfg = build_elementwise_scale()
         assert sdfg.free_symbols == {"N"}
-
-    def test_arglist(self):
-        sdfg = build_elementwise_scale()
-        args = sdfg.arglist()
-        assert set(args) == {"inp", "out", "N"}
 
 
 class TestControlFlow:
@@ -330,8 +350,7 @@ class TestCloningAndSerialization:
 
     def test_json_roundtrip(self):
         sdfg = build_elementwise_scale()
-        text = sdfg.to_json()
-        restored = SDFG.from_json(text)
+        restored = sdfg_from_json(sdfg_to_json(sdfg))
         validate_sdfg(restored)
         assert set(restored.arrays) == set(sdfg.arrays)
         assert len(restored.states()) == len(sdfg.states())
@@ -348,15 +367,20 @@ class TestCloningAndSerialization:
         w = body.add_access("A")
         body.add_edge(t, "o", w, None, Memlet.simple("A", "i"))
         sdfg.add_loop(init, body, None, "i", "0", "i < N", "i + 1")
-        restored = SDFG.from_json(sdfg.to_json())
+        restored = sdfg_from_json(sdfg_to_json(sdfg))
         assert len(find_loops(restored)) == 1
 
-    def test_save_load(self, tmp_path):
+    def test_json_roundtrip_is_a_fixed_point(self):
+        text = sdfg_to_json(build_elementwise_scale())
+        assert sdfg_to_json(sdfg_from_json(text)) == text
+
+    def test_restored_program_computes_the_same(self):
         sdfg = build_elementwise_scale()
-        path = tmp_path / "prog.json"
-        sdfg.save(str(path))
-        restored = SDFG.load(str(path))
-        assert restored.name == sdfg.name
+        restored = sdfg_from_json(sdfg_to_json(sdfg))
+        inp = np.arange(5.0)
+        for program in (sdfg, restored):
+            res = execute_sdfg(program, {"inp": inp, "out": np.zeros(5)}, {"N": 5})
+            np.testing.assert_array_equal(res.outputs["out"], 2 * inp)
 
 
 class TestInterstateEdgeFreeSymbols:

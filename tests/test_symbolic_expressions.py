@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import equivalent
 
 from repro.symbolic import (
     Add,
@@ -17,7 +18,7 @@ from repro.symbolic import (
     simplify,
     sympify,
 )
-from repro.symbolic.expressions import equivalent
+from repro.symbolic.expressions import Float
 from repro.symbolic.parser import ExpressionParseError
 
 
@@ -52,6 +53,18 @@ class TestConstruction:
 
 
 class TestArithmetic:
+    def test_true_division_and_float_constants(self):
+        e = Symbol("N") / 2
+        assert str(e) == "N / 2" and e.evaluate({"N": 5}) == 2.5
+        assert (1 / Symbol("N")).evaluate({"N": 4}) == 0.25
+        assert sympify("6 / 3") == Integer(2) and sympify("N / 1") == Symbol("N")
+        assert sympify("0 / N") == Integer(0)
+        half = sympify("3 / 2")
+        assert isinstance(half, Float) and half.evaluate() == 1.5 and str(half) == "1.5"
+        assert half.free_symbols == set() and half.subs({"N": 1}) is half
+        assert half == 1.5 and half == sympify(1.5) and hash(half) == hash(sympify(1.5))
+        assert parse_expr("2.5 * N").evaluate({"N": 2}) == 5.0
+
     def test_add(self):
         e = Symbol("N") + 3
         assert e.evaluate({"N": 4}) == 7

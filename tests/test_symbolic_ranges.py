@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import equivalent
 
-from repro.symbolic import Range, Subset, Indices, Symbol
-from repro.symbolic.expressions import equivalent
+from repro.symbolic import Range, Subset, Symbol
 
 
 class TestRange:
@@ -48,16 +48,20 @@ class TestRange:
     def test_covers_symbolic_structural(self):
         assert Range(0, Symbol("N") - 1).covers(Range(0, Symbol("N") - 1))
 
-    def test_offset(self):
-        r = Range(Symbol("i") * 4, Symbol("i") * 4 + 3).offset_by(Symbol("i") * 4)
-        assert r.evaluate({"i": 7}) == (0, 3, 1)
+    @pytest.mark.parametrize("text", ["i", "2:10", "0:N - 1:2", "i*4:i*4 + 3"])
+    def test_str_round_trips_through_from_string(self, text):
+        r = Range.from_string(text)
+        assert Range.from_string(str(r)) == r
 
-    def test_union_hull(self):
-        u = Range(0, 3).union_hull(Range(5, 9))
-        assert u.evaluate() == (0, 9, 1)
+    def test_free_symbols_and_subs(self):
+        r = Range("i * 4", "Min(N, i * 4 + 3)", "s")
+        assert r.free_symbols == {"i", "N", "s"}
+        assert r.subs({"i": 2, "s": 1}).evaluate({"N": 9}) == (8, 9, 1)
 
-    def test_indices(self):
-        assert list(Range(1, 7, 3).indices()) == [1, 4, 7]
+    def test_equal_ranges_hash_equal(self):
+        assert Range.from_string("0:N-1") == Range.full("N")
+        assert hash(Range.from_string("0:N-1")) == hash(Range.full("N"))
+        assert Range(0, 9, 1) != Range(0, 9, 2)
 
 
 class TestSubset:
@@ -69,16 +73,7 @@ class TestSubset:
     def test_from_string(self):
         s = Subset.from_string("i, 0:N-1, 2:9:2")
         assert s.dims == 3
-        assert s[0].is_point()
-
-    def test_point(self):
-        s = Subset.point(["i", "j"])
-        assert s.is_point()
-        assert s.num_elements().evaluate({"i": 3, "j": 4}) == 1
-
-    def test_as_slices(self):
-        s = Subset.from_string("2:5, 1")
-        assert s.as_slices() == (slice(2, 6, 1), slice(1, 2, 1))
+        assert s.ranges[0].is_point()
 
     def test_intersects(self):
         a = Subset.from_string("0:3, 0:3")
@@ -93,27 +88,21 @@ class TestSubset:
         assert a.covers(b)
         assert not b.covers(a)
 
-    def test_dim_mismatch_union_raises(self):
-        with pytest.raises(ValueError):
-            Subset.from_string("0:3").bounding_box_union(Subset.from_string("0:3, 0:3"))
+    def test_dim_mismatch_intersects_but_never_covers(self):
+        a = Subset.from_string("0:3")
+        b = Subset.from_string("5:7, 5:7")
+        assert a.intersects(b) and b.intersects(a)
+        assert not a.covers(b) and not b.covers(a)
 
-    def test_offset_by(self):
-        s = Subset.from_string("i, j").offset_by(["i", "j"])
-        assert s.volume_at({"i": 10, "j": 20}) == 1
-        assert s.evaluate({"i": 10, "j": 20}) == [(0, 0, 1), (0, 0, 1)]
-
-    def test_offset_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            Subset.from_string("i, j").offset_by(["i"])
-
-    def test_indices_class(self):
-        idx = Indices(["i", 0])
-        assert idx.is_point()
-        assert len(idx.index_expressions) == 2
+    def test_free_symbols_and_str(self):
+        s = Subset.from_string("i, 0:N-1, 2:9:2")
+        assert s.free_symbols == {"i", "N"}
+        assert Subset.from_string(str(s)) == s
+        assert hash(Subset.from_string(str(s))) == hash(s)
 
     def test_subs(self):
         s = Subset.from_string("i, 0:N-1").subs({"i": 3, "N": 8})
-        assert s.evaluate() == [(3, 3, 1), (0, 7, 1)]
+        assert [r.evaluate() for r in s.ranges] == [(3, 3, 1), (0, 7, 1)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -134,7 +123,7 @@ def test_property_range_intersection_matches_sets(b0, l0, b1, l1):
 )
 def test_property_num_elements_matches_enumeration(b, l, step):
     r = Range(b, b + l, step)
-    assert r.num_elements().evaluate() == len(list(r.indices()))
+    assert r.num_elements().evaluate() == len(range(b, b + l + 1, step))
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,7 +135,7 @@ def test_property_subset_volume_is_product(dims):
     expected = 1
     for _, l in dims:
         expected *= l + 1
-    assert s.volume_at() == expected
+    assert s.num_elements().evaluate() == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,9 +143,10 @@ def test_property_subset_volume_is_product(dims):
     a=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=2, max_size=2),
     b=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=2, max_size=2),
 )
-def test_property_bounding_box_covers_both(a, b):
+def test_property_subset_relations_match_sets(a, b):
     sa = Subset([(x, x + l, 1) for x, l in a])
     sb = Subset([(x, x + l, 1) for x, l in b])
-    bb = sa.bounding_box_union(sb)
-    assert bb.covers(sa)
-    assert bb.covers(sb)
+    cells_a = {(i, j) for i in range(a[0][0], sum(a[0]) + 1) for j in range(a[1][0], sum(a[1]) + 1)}
+    cells_b = {(i, j) for i in range(b[0][0], sum(b[0]) + 1) for j in range(b[1][0], sum(b[1]) + 1)}
+    assert sa.intersects(sb) == bool(cells_a & cells_b)
+    assert sa.covers(sb) == (cells_b <= cells_a)

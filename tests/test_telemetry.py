@@ -306,7 +306,7 @@ class TestSchemaV6:
     def telemetry(self):
         reg = MetricsRegistry()
         reg.inc("repro_scope_fallback_total", 2, labels={"reason": "dynamic-range"})
-        reg.inc("repro_scope_fallback_total", 1, labels={"reason": "nested-sdfg"})
+        reg.inc("repro_scope_fallback_total", 1, labels={"reason": "scope-not-single-tasklet"})
         return {"metrics": reg.snapshot()}
 
     def test_round_trip_and_strip(self):
@@ -319,7 +319,7 @@ class TestSchemaV6:
         reloaded = SweepResult.from_dict(doc)
         assert reloaded.telemetry == result.telemetry
         assert reloaded.fallback_reasons() == [
-            ("dynamic-range", 2), ("nested-sdfg", 1),
+            ("dynamic-range", 2), ("scope-not-single-tasklet", 1),
         ]
         # comparable_dict is telemetry-blind: a traced sweep and an
         # untraced sweep over the same tasks compare equal.

@@ -8,6 +8,7 @@ buggy variant by asserting the specific failure class the paper reports
 
 import numpy as np
 import pytest
+from support import add_scale, apply_to_first
 
 from repro.interpreter import MemoryViolation, execute_sdfg
 from repro.interpreter.errors import ExecutionError
@@ -20,7 +21,7 @@ from repro.sdfg import (
     float64,
     validate_sdfg,
 )
-from repro.frontend import add_init, add_matmul, add_reduce, add_scale
+from repro.frontend import add_init, add_matmul
 from repro.transforms import (
     BufferTiling,
     GPUKernelExtraction,
@@ -32,10 +33,10 @@ from repro.transforms import (
     StateAssignElimination,
     SymbolAliasPromotion,
     TaskletFusion,
+    TransformationError,
     Vectorization,
     all_builtin_transformations,
 )
-from repro.transforms.base import TransformationError
 
 
 # ---------------------------------------------------------------------- #
@@ -278,7 +279,7 @@ class TestMapTiling:
         original = matmul_program()
         transformed = original.clone()
         xform = MapTiling(tile_size=4, inject_bug=True, bug_kind="no_clamp")
-        xform.apply_to_first(transformed)
+        apply_to_first(xform, transformed)
         args = {
             "A": rng.standard_normal((7, 7)),
             "B": rng.standard_normal((7, 7)),
@@ -325,7 +326,7 @@ class TestVectorization:
         np.testing.assert_allclose(r1.outputs["Y"], r2.outputs["Y"], rtol=1e-12)
         # Non-divisible size: out-of-bounds access.
         transformed = scale_program()
-        Vectorization(vector_size=4, inject_bug=True).apply_to_first(transformed)
+        apply_to_first(Vectorization(vector_size=4, inject_bug=True), transformed)
         with pytest.raises(MemoryViolation):
             execute_sdfg(
                 transformed, {"X": rng.standard_normal(10), "Y": np.zeros(10), "factor": 2.0},
@@ -460,7 +461,7 @@ class TestMapReduceFusion:
 
     def test_buggy_generates_invalid_code(self):
         sdfg = map_reduce_program()
-        MapReduceFusion(inject_bug=True).apply_to_first(sdfg)
+        apply_to_first(MapReduceFusion(inject_bug=True), sdfg)
         with pytest.raises(InvalidSDFGError):
             validate_sdfg(sdfg)
 
@@ -543,14 +544,24 @@ class TestSymbolAliasPromotion:
     def test_correct_promotion(self):
         sdfg = alias_program()
         xform = SymbolAliasPromotion()
-        xform.apply_to_first(sdfg)
+        apply_to_first(xform, sdfg)
         res = execute_sdfg(sdfg, {"X": np.ones(5), "Y": np.zeros(5)}, {"N": 5})
         np.testing.assert_allclose(res.outputs["Y"], 2 * np.ones(5))
+
+    def test_downstream_interstate_uses_are_rewritten(self):
+        sdfg = alias_program()
+        third = sdfg.add_state("third")
+        edge = sdfg.add_edge(
+            sdfg.state_by_label("second"), third, InterstateEdge("M > 0", {"K": "M + 1"})
+        )
+        apply_to_first(SymbolAliasPromotion(), sdfg)
+        assert edge.data.condition == "N > 0"
+        assert edge.data.assignments == {"K": "N + 1"}
 
     def test_buggy_promotion_breaks_execution(self):
         sdfg = alias_program()
         xform = SymbolAliasPromotion(inject_bug=True)
-        xform.apply_to_first(sdfg)
+        apply_to_first(xform, sdfg)
         with pytest.raises(ExecutionError):
             execute_sdfg(sdfg, {"X": np.ones(5), "Y": np.zeros(5)}, {"N": 5})
 
@@ -613,8 +624,9 @@ class TestFramework:
     def test_apply_to_first_raises_without_match(self):
         sdfg = SDFG("empty")
         sdfg.add_state("s")
+        assert MapTiling().find_matches(sdfg) == []
         with pytest.raises(TransformationError):
-            MapTiling().apply_to_first(sdfg)
+            apply_to_first(MapTiling(), sdfg)
 
     def test_match_describe(self):
         sdfg = matmul_program()

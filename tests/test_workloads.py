@@ -20,11 +20,12 @@ from repro.workloads import (
     build_encoder_layer,
     build_matmul_chain,
     build_sddmm,
+    get_workload,
     reference_matmul_chain,
     reference_sddmm,
 )
 from repro.workloads.bert_encoder import reference_attention_scores
-from repro.workloads.npbench import all_kernels, get_kernel
+from repro.workloads.npbench import all_kernels
 from repro.distributed import DistributedSDDMM, SimulatedComm, run_distributed_sddmm
 
 
@@ -98,9 +99,7 @@ class TestDistributed:
         assert len(blocks) == 4 and blocks[1][0, 0] == 2.0
         gathered = comm.gather_rows(blocks)
         np.testing.assert_array_equal(gathered[:, 0], np.arange(8.0))
-        reduced = comm.allreduce([np.ones(3) for _ in range(4)])
-        np.testing.assert_array_equal(reduced[0], 4 * np.ones(3))
-        assert comm.num_collectives == 3
+        assert comm.num_collectives == 2
 
     def test_scatter_requires_even_split(self):
         with pytest.raises(ValueError):
@@ -149,9 +148,9 @@ class TestNPBenchSuite:
         assert all(np.isfinite(v).all() for v in res.outputs.values())
 
     def test_get_kernel(self):
-        assert get_kernel("gemm").name == "gemm"
+        assert get_workload("npbench", "gemm").name == "gemm"
         with pytest.raises(KeyError):
-            get_kernel("does_not_exist")
+            get_workload("npbench", "does_not_exist")
 
 
 class TestCloudsc:
