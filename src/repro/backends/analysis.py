@@ -51,7 +51,6 @@ from repro.symbolic.expressions import Symbol
 from repro.telemetry import TRACER, inc as _metric_inc, observe as _metric_observe
 
 __all__ = [
-    "code_is_vectorizable",
     "unit_affine_offset",
     "classify_index",
     "analyze_scope",

@@ -76,9 +76,8 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
     """
 
     def __init__(self) -> None:
-        # The nodes in insertion order (a dict as an ordered set).
-        self._nodes: Dict[NodeT, None] = {}
         self._edges: List[Edge[NodeT, EdgeDataT]] = []
+        # Keyed by the nodes in insertion order: ``_out`` is the node set.
         self._out: Dict[NodeT, List[Edge[NodeT, EdgeDataT]]] = {}
         self._in: Dict[NodeT, List[Edge[NodeT, EdgeDataT]]] = {}
         self.version = 0
@@ -87,19 +86,17 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
     # Nodes
     # ------------------------------------------------------------------ #
     def add_node(self, node: NodeT) -> NodeT:
-        if node not in self._nodes:
-            self._nodes[node] = None
+        if node not in self._out:
             self._out[node] = []
             self._in[node] = []
             self.version += 1
         return node
 
     def remove_node(self, node: NodeT) -> None:
-        if node not in self._nodes:
+        if node not in self._out:
             raise GraphError(f"Node {node!r} not in graph")
         for e in list(self._in[node]) + list(self._out[node]):
             self.remove_edge(e)
-        del self._nodes[node]
         del self._out[node]
         del self._in[node]
         self.version += 1
@@ -115,11 +112,10 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         ``edge_data(edge.data)``.  Built directly, with ``version`` set as if
         every node and edge had been added one by one."""
         out: OrderedMultiDiGraph[NodeT, EdgeDataT] = OrderedMultiDiGraph()
-        nodes, outs, ins, edges = out._nodes, out._out, out._in, out._edges
-        for node in self._nodes:
+        outs, ins, edges = out._out, out._in, out._edges
+        for node in self._out:
             new = node_map.get(node)
             if new is not None:
-                nodes[new] = None
                 outs[new] = []
                 ins[new] = []
         for e in self._edges:
@@ -129,14 +125,14 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
                 edges.append(edge)
                 outs[src].append(edge)
                 ins[dst].append(edge)
-        out.version = len(nodes) + len(edges)
+        out.version = len(outs) + len(edges)
         return out
 
     def has_node(self, node: NodeT) -> bool:
-        return node in self._nodes
+        return node in self._out
 
     def nodes(self) -> List[NodeT]:
-        return list(self._nodes.keys())
+        return list(self._out)
 
     # ------------------------------------------------------------------ #
     # Edges
@@ -171,12 +167,12 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         return list(self._edges)
 
     def out_edges(self, node: NodeT) -> List[Edge[NodeT, EdgeDataT]]:
-        if node not in self._nodes:
+        if node not in self._out:
             raise GraphError(f"Node {node!r} not in graph")
         return list(self._out[node])
 
     def in_edges(self, node: NodeT) -> List[Edge[NodeT, EdgeDataT]]:
-        if node not in self._nodes:
+        if node not in self._out:
             raise GraphError(f"Node {node!r} not in graph")
         return list(self._in[node])
 
@@ -191,8 +187,8 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
     # ------------------------------------------------------------------ #
     def topological_sort(self) -> List[NodeT]:
         """Kahn's algorithm; raises :class:`GraphError` on cycles."""
-        indeg = {n: self.in_degree(n) for n in self._nodes}
-        queue = deque(n for n in self._nodes if indeg[n] == 0)
+        indeg = {n: self.in_degree(n) for n in self._out}
+        queue = deque(n for n in self._out if indeg[n] == 0)
         order: List[NodeT] = []
         while queue:
             node = queue.popleft()
@@ -201,7 +197,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
                 indeg[e.dst] -= 1
                 if indeg[e.dst] == 0:
                     queue.append(e.dst)
-        if len(order) != len(self._nodes):
+        if len(order) != len(self._out):
             raise GraphError("Graph contains a cycle; topological sort impossible")
         return order
 
@@ -238,4 +234,4 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
 
     # ------------------------------------------------------------------ #
     def __contains__(self, node: NodeT) -> bool:
-        return node in self._nodes
+        return node in self._out

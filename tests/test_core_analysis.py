@@ -147,6 +147,23 @@ class TestSideEffects:
         assert "data" in analysis.system_state
         assert "data" not in analysis.input_configuration
 
+    def test_write_with_a_gap_adds_input(self):
+        """Two disjoint writes whose bounding box spans the container leave
+        ``data[2]`` unwritten, so the container must still be seeded."""
+        sdfg = SDFG("gap")
+        sdfg.add_array("data", [5], float64)
+        state = sdfg.add_state("s")
+        for label, rng in (("low", "0:1"), ("high", "3:4")):
+            state.add_mapped_tasklet(
+                label, {"i": rng}, {}, "o = 1.0", {"o": Memlet.simple("data", "i")},
+            )
+        analysis = analyze_side_effects(
+            sdfg, cutout_nodes=[(state, n) for n in state.nodes()]
+        )
+        assert analysis.writes["data"] and len(analysis.writes["data"]) == 2
+        assert "data" in analysis.system_state
+        assert "data" in analysis.input_configuration
+
     def test_disjoint_subregions_not_flagged(self):
         probes = probe_parametric_dataflow()
         assert probes["subregion_side_effects"]

@@ -50,8 +50,8 @@ the IR packages:
 
 6. **Graph containment** -- within ``src/repro/``, only the graph module
    (``repro/sdfg/graph.py``) may touch a graph's internals: no other module
-   reads or writes another object's ``_nodes`` / ``_in`` / ``_out`` /
-   ``_edges``, assigns a ``version`` that is not its own, or subclasses
+   reads or writes another object's ``_in`` / ``_out`` / ``_edges``,
+   assigns a ``version`` that is not its own, or subclasses
    ``OrderedMultiDiGraph``.  Every structural mutation must go through the
    graph's methods, which bump ``version``: each state's scope index is
    valid exactly while the version is unchanged, so a mutation that
@@ -247,7 +247,7 @@ def _check_faults(path: Path) -> List[str]:
 
 #: The sole module allowed to touch a graph's internals.
 GRAPH_HOME = SRC / "sdfg" / "graph.py"
-_GRAPH_INTERNALS = ("_nodes", "_in", "_out", "_edges")
+_GRAPH_INTERNALS = ("_in", "_out", "_edges")
 
 
 def _is_self(node: ast.AST) -> bool:

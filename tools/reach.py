@@ -29,14 +29,13 @@ The cluster, pipeline, telemetry and faultinject packages are out of
 scope: ``make smoke-dist`` and ``make smoke-chaos`` run them in
 subprocesses, which an in-process profiler cannot see.
 
-    PYTHONPATH=src python tools/reach.py [--allow tools/reach_allow.txt]
+    PYTHONPATH=src python tools/reach.py
 
 About 2.5 minutes on two cores.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import inspect
@@ -46,12 +45,12 @@ import sys
 import tempfile
 import threading
 import types
-from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGE_ROOT = os.path.join(SRC, "repro")
-DEFAULT_ALLOW = os.path.join(ROOT, "tools", "reach_allow.txt")
+ALLOWLIST = os.path.join(ROOT, "tools", "reach_allow.txt")
 
 #: The verification core: the packages whose every function a product path
 #: must enter, or the allowlist must name.
@@ -168,8 +167,8 @@ def parse_allowlist(text: str) -> List[AllowEntry]:
     return entries
 
 
-def load_allowlist(path: str = DEFAULT_ALLOW) -> List[AllowEntry]:
-    with open(path, encoding="utf-8") as f:
+def load_allowlist() -> List[AllowEntry]:
+    with open(ALLOWLIST, encoding="utf-8") as f:
         return parse_allowlist(f.read())
 
 
@@ -287,12 +286,8 @@ def run_product_paths() -> Set[Key]:
 
 
 # ---------------------------------------------------------------------- #
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--allow", default=DEFAULT_ALLOW, help="allowlist file")
-    args = parser.parse_args(argv)
-
-    allow = load_allowlist(args.allow)
+def main() -> int:
+    allow = load_allowlist()
     functions = source_functions()
     reached = run_product_paths()
     unreached = [fn for key, fn in sorted(functions.items()) if
