@@ -16,6 +16,7 @@ Run with::
 import argparse
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -40,9 +41,11 @@ def main() -> None:
           f"{cfg.num_substep_loops} sub-stepping loops, "
           f"{cfg.num_adjustment_chains} adjustment chains\n")
 
+    test_case_dir = tempfile.mkdtemp(prefix="cloudsc_test_cases_")
+    print(f"Test cases are written under {test_case_dir}\n")
     verifier = FuzzyFlowVerifier(
         num_trials=args.trials, seed=0, vary_sizes=False, minimize_inputs=False,
-        test_case_dir="cloudsc_test_cases",
+        test_case_dir=test_case_dir,
     )
 
     for xform, paper_note in (

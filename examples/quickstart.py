@@ -14,6 +14,7 @@ Run with::
 
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -37,11 +38,13 @@ def main() -> None:
     )
     print(f"Testing transformation instance: {match.describe()}\n")
 
+    test_case_dir = tempfile.mkdtemp(prefix="quickstart_test_cases_")
+    print(f"Test cases are written under {test_case_dir}\n")
     verifier = FuzzyFlowVerifier(
         num_trials=25,
         seed=0,
         size_max=12,
-        test_case_dir="quickstart_test_cases",
+        test_case_dir=test_case_dir,
     )
     report = verifier.verify(program, buggy_tiling, match=match, symbol_values={"N": 8})
 

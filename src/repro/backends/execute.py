@@ -423,7 +423,7 @@ class ScopeRuntime(SDFGExecutor):
             ns[conn] = fetch()
         try:
             exec(scope.code_obj, self._VEC_GLOBALS, ns)  # noqa: S102
-        except Exception as exc:  # noqa: BLE001 - same typed error as TaskletRunner
+        except Exception as exc:  # noqa: BLE001 - the interpreter's typed error
             raise TaskletExecutionError(scope.tasklet.label, exc) from exc
 
         writes: List[Callable[[], None]] = []

@@ -11,19 +11,21 @@ Executes a parametric dataflow program on concrete inputs:
 * checks every memlet against its container bounds (the interpreter analogue
   of a segmentation fault).
 
-Performance notes (this is the hot loop of every fuzzing trial): a memory
-access costs one ``eval``.  Each memlet subset compiles once per executor
-(keyed by ``id(subset)``) into one code object that yields all of its terms,
-left to right, against a plain ``dict`` of symbol values.  A *static point*
-subset (every range a point with a literal step, the element-wise access of a
-map body) yields its index tuple directly -- a constant tuple when every term
-is a literal -- and is bounds-checked inline; error messages are built only on
-failure.  Tasklet code objects are cached by the
-:class:`~repro.interpreter.tasklet_exec.TaskletRunner`.
+Performance notes (this is the hot loop of every fuzzing trial): a tasklet
+compiles once per executor into an access plan (:class:`_Plan`).  One
+execution costs one ``eval`` of the distinct index terms of its *static
+point* accesses (every range a point with a literal step: a map body's
+element access), each coerced once with the real ``int``, and one generated
+bounds check over all of them; point reads and writes index the arrays
+directly.  A failed check re-runs the execution access by access, raising
+what failed, in order.  A region access (:meth:`SDFGExecutor._index`) costs
+one ``eval`` of its subset, compiled once per ``id(subset)``; a region of
+extent 1 stays a region.
 """
 
 from __future__ import annotations
 
+import builtins
 import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
@@ -36,8 +38,9 @@ from repro.interpreter.errors import (
     InvalidValueError,
     MemoryViolation,
     MissingArgumentError,
+    TaskletExecutionError,
 )
-from repro.interpreter.tasklet_exec import TaskletRunner, compile_expression
+from repro.interpreter.tasklet_exec import TASKLET_GLOBALS, compile_code, compile_expression
 from repro.sdfg.data import Scalar
 from repro.sdfg.dtypes import reduction_function
 from repro.sdfg.memlet import Memlet
@@ -88,10 +91,7 @@ class _Access:
         ranges = subset.ranges
         self.subset = subset
         self.points = tuple(r.is_point() for r in ranges)
-        static = bool(ranges) and all(
-            p and isinstance(r.step, Integer) for p, r in zip(self.points, ranges)
-        )
-        if static:
+        if _static_point(subset):
             terms = [r.begin for r in ranges]
             self.inside = _inside(len(ranges))
         else:
@@ -109,6 +109,12 @@ class _Access:
                     for t in terms
                 ) + ")"
             )
+
+
+def _static_point(subset: Subset) -> bool:
+    """Whether every range of ``subset`` is a point with a literal step."""
+    ranges = subset.ranges
+    return bool(ranges) and all(r.is_point() and isinstance(r.step, Integer) for r in ranges)
 
 
 _INSIDE: Dict[int, Any] = {}
@@ -143,6 +149,75 @@ def _check_bounds(data: str, concrete: List[Tuple[int, int, int]], shape: Tuple[
             )
 
 
+class _Plan:
+    """One tasklet's accesses and code, compiled for an executor; it holds
+    names and code, never arrays.  ``terms`` evaluates the distinct
+    non-literal index terms of its static points in one ``eval``; the
+    generated ``locate(values, store, namespace)`` coerces each with the
+    real ``int``, checks every static point, binds the point reads and
+    returns ``(array, index)`` per point write (``k`` in ``writes``), or
+    ``None`` when a check fails.  Regions go through ``_read`` / ``_write``."""
+
+    __slots__ = ("label", "source", "code", "reads", "regions", "writes", "out_conns", "terms",
+                 "locate")
+
+    def __init__(self, state: SDFGState, node: Tasklet) -> None:
+        self.label, self.source = node.label, node.code
+        try:
+            self.code = compile_code(node.code)
+        except Exception:  # noqa: BLE001 - the tasklet's error when it runs, after its reads
+            self.code = None
+        self.reads = [
+            (e.dst_conn, e.data.data, e.data.subset, e.data)
+            for e in state.in_edges(node)
+            if e.data is not None and not e.data.is_empty and e.dst_conn is not None
+        ]
+        writes = [
+            (e.src_conn, *_write_target(e.data))
+            for e in state.out_edges(node)
+            if e.data is not None and not e.data.is_empty and e.src_conn is not None
+        ]
+        self.out_conns = {w[0] for w in writes}
+        terms, arrays, checks = {}, {}, []  # local names per term / container; checks
+
+        def index(data: str, subset: Subset) -> Tuple[str, str]:
+            a = arrays.setdefault(data, f"a{len(arrays)}")
+            idx = [
+                str(r.begin.value) if isinstance(r.begin, Integer)
+                else terms.setdefault(str(r.begin), f"t{len(terms)}")
+                for r in subset.ranges
+            ]
+            checks.append(f"len(s{a}) == {len(idx)}")
+            checks.extend(f"0 <= {i} < s{a}[{d}]" for d, i in enumerate(idx))
+            return a, f"({', '.join(idx)},)"
+
+        self.regions = [r for r in self.reads if not _static_point(r[2])]
+        binds = [
+            "ns[{!r}] = {}[{}]".format(conn, *index(data, subset))
+            for conn, data, subset, _ in self.reads
+            if _static_point(subset)
+        ]
+        self.writes, targets = [], []
+        for conn, data, subset, wcr in writes:
+            static = _static_point(subset)
+            if static:
+                targets.append("({}, {})".format(*index(data, subset)))
+            self.writes.append((conn, data, subset, wcr, len(targets) - 1 if static else None))
+        source = "\n    ".join([
+            "def locate(v, st, ns):",
+            f"({''.join(t + ', ' for t in terms.values())}) = map(int, v)",
+            *(f"{a} = st[{d!r}]; s{a} = {a}.shape" for d, a in arrays.items()),
+            f"if not ({' and '.join(dict.fromkeys(checks)) or 'True'}): return None",
+            *binds,
+            f"return ({''.join(t + ', ' for t in targets)})",
+        ])
+        self.terms = compile_expression(f"({''.join(t + ', ' for t in terms)})") if terms else None
+        # ``locate`` sees the real builtins (``int``, ``map``), never a symbol.
+        defined: Dict[str, Any] = {}
+        exec(compile_code(source, "<plan>"), {"__builtins__": builtins}, defined)  # noqa: S102
+        self.locate = defined["locate"]
+
+
 @dataclass
 class ExecutionResult:
     """Outcome of running a program."""
@@ -166,16 +241,13 @@ class SDFGExecutor:
     ) -> None:
         self.sdfg = sdfg
         self.max_transitions = max_transitions
-        self._runner = TaskletRunner()
         # Per-run data store and symbol bindings.
         self._store: Dict[str, np.ndarray] = {}
         self._symbols: Dict[str, Any] = {}
         # Caches invariant across runs (execution order and scopes come from
-        # each state's own scope index).  Per tasklet, its ``(connector,
-        # data, subset, memlet)`` reads, ``(connector, data, subset, wcr)``
-        # writes and the connectors it must assign; per subset, by id, its
-        # compiled access.
-        self._tasklet_io: Dict[int, Tuple[List, List, Set[str]]] = {}
+        # each state's own scope index).  Per tasklet, by id, its access
+        # plan; per subset, by id, its compiled access.
+        self._plans: Dict[int, _Plan] = {}
         self._accesses: Dict[int, _Access] = {}
         self._free_symbols_cache: Optional[Set[str]] = None
 
@@ -356,44 +428,55 @@ class SDFGExecutor:
             bindings = dict(self._symbols)
             # Top-level nodes in execution order; the rest run inside their
             # enclosing map scope, map exits with their entry.
-            for node in state.scope_children().get(None, ()):
-                self._execute_node(state, node, bindings)
+            for run, node in self._bind(state, state.scope_children().get(None, ())):
+                run(state, node, bindings)
 
-    def _execute_node(self, state: SDFGState, node: Node, bindings: Dict[str, Any]) -> None:
-        if isinstance(node, Tasklet):
-            self._execute_tasklet(state, node, bindings)
-        elif isinstance(node, MapEntry):
-            self._execute_map_scope(state, node, bindings)
-        elif isinstance(node, MapExit):
-            pass  # handled by the corresponding entry
-        elif isinstance(node, AccessNode):
-            self._execute_copies_into(state, node, bindings)
-        else:  # pragma: no cover - future node types
-            raise ExecutionError(f"Cannot execute node of type {type(node).__name__}")
+    def _bind(self, state: SDFGState, nodes) -> List[Tuple[Any, Node]]:
+        """``(handler, node)`` for each of ``nodes``, in order; a map exit
+        runs with its entry."""
+        handlers = {Tasklet: self._execute_tasklet, MapEntry: self._execute_map_scope,
+                    AccessNode: self._execute_copies_into}
+        return [(handlers[type(node)], node) for node in nodes if type(node) is not MapExit]
 
     # .................................................................. #
     def _execute_tasklet(self, state: SDFGState, node: Tasklet, bindings: Dict[str, Any]) -> None:
-        io = self._tasklet_io.get(id(node))
-        if io is None:
-            reads = [
-                (e.dst_conn, e.data.data, e.data.subset, e.data)
-                for e in state.in_edges(node)
-                if e.data is not None and not e.data.is_empty and e.dst_conn is not None
-            ]
-            writes = [
-                (e.src_conn, *_write_target(e.data))
-                for e in state.out_edges(node)
-                if e.data is not None and not e.data.is_empty and e.src_conn is not None
-            ]
-            io = self._tasklet_io[id(node)] = (reads, writes, {w[0] for w in writes})
-        reads, writes, out_conns = io
-        inputs = {
-            conn: self._read(data, subset, bindings, memlet)
-            for conn, data, subset, memlet in reads
-        }
-        outputs = self._runner.run(node.label, node.code, inputs, out_conns, bindings)
-        for conn, data, subset, wcr in writes:
-            self._write(data, subset, wcr, outputs[conn], bindings)
+        plan = self._plans.get(id(node))
+        if plan is None:
+            plan = self._plans[id(node)] = _Plan(state, node)
+        namespace, regions = dict(bindings), plan.regions
+        try:
+            targets = plan.locate(
+                () if plan.terms is None else eval(plan.terms, _EVAL_GLOBALS, bindings),  # noqa: S307
+                self._store,
+                namespace,
+            )
+        except Exception:  # noqa: BLE001 - raised again below, in order
+            targets = None
+        if targets is None:
+            regions = plan.reads  # access by access: raises what failed, in order
+        for conn, data, subset, memlet in regions:
+            namespace[conn] = self._read(data, subset, bindings, memlet)
+        try:
+            exec(plan.code or compile_code(plan.source), TASKLET_GLOBALS, namespace)  # noqa: S102
+        except Exception as exc:  # noqa: BLE001 - converted to a typed error
+            raise TaskletExecutionError(plan.label, exc) from exc
+        for conn in plan.out_conns:
+            if conn not in namespace:
+                raise TaskletExecutionError(
+                    plan.label, KeyError(f"tasklet did not assign output connector '{conn}'")
+                )
+        for conn, data, subset, wcr, k in plan.writes:
+            if k is None or targets is None:
+                self._write(data, subset, wcr, namespace[conn], bindings)
+                continue
+            arr, idx = targets[k]
+            if wcr is None:
+                try:
+                    arr[idx] = namespace[conn]
+                    continue
+                except Exception:  # noqa: BLE001 - a few values convert only as arrays
+                    pass
+            _put(arr, idx, wcr, namespace[conn], data, subset)
 
     def _execute_copies_into(
         self, state: SDFGState, node: AccessNode, bindings: Dict[str, Any]
@@ -419,7 +502,7 @@ class SDFGExecutor:
     def _execute_map_scope(
         self, state: SDFGState, entry: MapEntry, bindings: Dict[str, Any]
     ) -> None:
-        children = state.scope_children().get(entry, ())
+        calls = self._bind(state, state.scope_children().get(entry, ()))
         params = entry.map.params
         # Concretize iteration ranges once per scope execution.
         dims: List[range] = []
@@ -430,10 +513,9 @@ class SDFGExecutor:
             dims.append(range(b, e + 1, s) if s > 0 else range(b, e - 1, s))
         local = dict(bindings)
         for point in itertools.product(*dims):
-            for p, v in zip(params, point):
-                local[p] = v
-            for node in children:
-                self._execute_node(state, node, local)
+            local.update(zip(params, point))
+            for run, node in calls:
+                run(state, node, local)
 
     # ------------------------------------------------------------------ #
     # Memory access
@@ -476,7 +558,7 @@ class SDFGExecutor:
             b = next(terms)
             concrete.append((b, b if point else next(terms), next(terms)))
         _check_bounds(data, concrete, shape)
-        if all(b == e for b, e, _ in concrete):
+        if all(access.points):
             return tuple(b for b, _, _ in concrete)
         return tuple(
             slice(b, e + 1, s) if s > 0 else slice(b, None if e - 1 < 0 else e - 1, s)
@@ -510,10 +592,15 @@ class SDFGExecutor:
         arr = self._store.get(data)
         if arr is None:
             raise ExecutionError(f"Write to unknown container '{data}'")
-        idx = self._index(data, subset, wcr, bindings, arr.shape)
+        _put(arr, self._index(data, subset, wcr, bindings, arr.shape), wcr, value, data, subset)
+
+
+def _put(arr: np.ndarray, idx: tuple, wcr: Optional[str], value: Any, data: str, subset: Subset) -> None:
+    """Write ``value`` at a bounds-checked index of ``data``; an error NumPy
+    raises names the memlet."""
+    try:
         if wcr is not None:
-            func = reduction_function(wcr)
-            arr[idx] = func(arr[idx], value)
+            arr[idx] = reduction_function(wcr)(arr[idx], value)
         else:
             val = np.asarray(value)
             # A region (and a rank-0 index, as always) takes a value of its
@@ -523,6 +610,10 @@ class SDFGExecutor:
                 if val.shape != region_shape and val.size == np.prod(region_shape, dtype=int):
                     val = val.reshape(region_shape)
             arr[idx] = val
+    except Exception as exc:  # noqa: BLE001 - converted to a typed error
+        raise ExecutionError(
+            f"Cannot write memlet {Memlet(data, subset, wcr=wcr)}: {exc}"
+        ) from exc
 
 
 def _write_target(memlet: Memlet) -> Tuple[str, Subset, Optional[str]]:

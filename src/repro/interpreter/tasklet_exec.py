@@ -15,13 +15,11 @@ backend's generated drivers share the same statement memo
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Mapping, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from repro.interpreter.errors import TaskletExecutionError
-
-__all__ = ["TaskletRunner", "compile_code", "compile_expression"]
+__all__ = ["TASKLET_GLOBALS", "compile_code", "compile_expression"]
 
 _SAFE_BUILTINS = {
     "abs": abs,
@@ -38,6 +36,9 @@ _SAFE_BUILTINS = {
     "zip": zip,
     "pow": pow,
 }
+
+#: The globals every tasklet runs in.
+TASKLET_GLOBALS = {"__builtins__": _SAFE_BUILTINS, "np": np, "numpy": np, "math": math}
 
 _expr_cache: Dict[str, Any] = {}
 _code_cache: Dict[Tuple[str, str], Any] = {}
@@ -63,37 +64,3 @@ def compile_code(source: str, filename: str = "<tasklet>"):
     if obj is None:
         obj = _code_cache[key] = compile(source, filename, "exec")
     return obj
-
-
-class TaskletRunner:
-    """Compiles and executes tasklet code blocks."""
-
-    def __init__(self) -> None:
-        self._globals = {"__builtins__": _SAFE_BUILTINS, "np": np, "numpy": np, "math": math}
-
-    def run(
-        self,
-        label: str,
-        code: str,
-        inputs: Mapping[str, Any],
-        output_names: Iterable[str],
-        symbols: Mapping[str, Any] | None = None,
-    ) -> Dict[str, Any]:
-        """Execute a tasklet and return its output connector values."""
-        namespace: Dict[str, Any] = {}
-        if symbols:
-            namespace.update(symbols)
-        namespace.update(inputs)
-        try:
-            exec(compile_code(code), self._globals, namespace)  # noqa: S102
-        except Exception as exc:  # noqa: BLE001 - converted to a typed error
-            raise TaskletExecutionError(label, exc) from exc
-        outputs: Dict[str, Any] = {}
-        for name in output_names:
-            if name not in namespace:
-                raise TaskletExecutionError(
-                    label,
-                    KeyError(f"tasklet did not assign output connector '{name}'"),
-                )
-            outputs[name] = namespace[name]
-        return outputs

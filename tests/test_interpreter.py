@@ -20,7 +20,7 @@ from repro.interpreter import (
     execute_sdfg,
 )
 from repro.interpreter.executor import _EVAL_GLOBALS, _write_target
-from repro.interpreter.tasklet_exec import compile_expression
+from repro.interpreter.tasklet_exec import TASKLET_GLOBALS, compile_expression
 from repro.pipeline import enumerate_sweep_tasks
 from repro.sdfg import SDFG, InterstateEdge, Memlet, float64, int32
 from repro.sdfg.dtypes import reduction_function
@@ -268,6 +268,21 @@ class TestErrorHandling:
             execute_sdfg(sdfg, {"out": np.zeros(1)})
 
 
+    def test_code_that_does_not_compile_fails_as_the_tasklet_after_its_reads(self):
+        sdfg = SDFG("syntax")
+        sdfg.add_array("A", [2], float64)
+        sdfg.add_array("out", [1], float64)
+        state = sdfg.add_state("s")
+        t = state.add_tasklet("bad", ["a"], ["o"], "o = a +")
+        state.add_edge(state.add_access("A"), None, t, "a", Memlet.simple("A", "N - 1"))
+        state.add_edge(t, "o", state.add_access("out"), None, Memlet.simple("out", "0"))
+        executor = SDFGExecutor(sdfg)
+        with pytest.raises(MemoryViolation):
+            executor.run({"A": np.zeros(2), "out": np.zeros(1)}, {"N": 3})
+        with pytest.raises(TaskletExecutionError, match="SyntaxError: .*<tasklet>"):
+            executor.run({"A": np.zeros(2), "out": np.zeros(1)}, {"N": 2})
+
+
 class TestExecutorReuse:
     def test_reexecution_reuses_executor(self, rng):
         """The same executor instance can run many trials (caches stay valid)."""
@@ -330,19 +345,28 @@ def ref_check_bounds(data, concrete, shape):
             )
 
 
+def ref_index(subset, concrete):
+    """A point when every range of the subset is one (decided from the
+    subset, never from the values: an extent-1 region stays a region), else
+    one slice per range."""
+    if all(r.is_point() for r in subset.ranges):
+        return tuple(b for b, _, _ in concrete)
+    return tuple(
+        slice(b, e + 1, s) if s > 0 else slice(b, None if e - 1 < 0 else e - 1, s)
+        for b, e, s in concrete
+    )
+
+
 def ref_read(store, memlet, bindings):
     if memlet.data not in store:
         raise ExecutionError(f"Read from unknown container '{memlet.data}'")
     arr = store[memlet.data]
     concrete = ref_concrete_subset(memlet, bindings)
     ref_check_bounds(memlet.data, concrete, arr.shape)
-    if all(b == e for b, e, _ in concrete):
-        return arr[tuple(b for b, _, _ in concrete)]
-    slices = tuple(
-        slice(b, e + 1, s) if s > 0 else slice(b, None if e - 1 < 0 else e - 1, s)
-        for b, e, s in concrete
-    )
-    return arr[slices].copy()
+    idx = ref_index(memlet.subset, concrete)
+    if all(isinstance(i, slice) for i in idx) and idx:
+        return arr[idx].copy()
+    return arr[idx]
 
 
 def ref_write(store, memlet, value, bindings):
@@ -353,22 +377,19 @@ def ref_write(store, memlet, value, bindings):
     target = Memlet(memlet.data, subset, wcr=memlet.wcr) if subset is not memlet.subset else memlet
     concrete = ref_concrete_subset(target, bindings)
     ref_check_bounds(memlet.data, concrete, arr.shape)
-    if all(b == e for b, e, _ in concrete):
-        idx = tuple(b for b, _, _ in concrete)
-    else:
-        idx = tuple(
-            slice(b, e + 1, s) if s > 0 else slice(b, None if e - 1 < 0 else e - 1, s)
-            for b, e, s in concrete
-        )
-    if memlet.wcr is not None:
-        arr[idx] = reduction_function(memlet.wcr)(arr[idx], value)
-    else:
-        val = np.asarray(value)
-        if isinstance(idx, tuple) and all(isinstance(i, slice) for i in idx):
-            region_shape = arr[idx].shape
-            if val.shape != region_shape and val.size == np.prod(region_shape, dtype=int):
-                val = val.reshape(region_shape)
-        arr[idx] = val
+    idx = ref_index(subset, concrete)
+    try:
+        if memlet.wcr is not None:
+            arr[idx] = reduction_function(memlet.wcr)(arr[idx], value)
+        else:
+            val = np.asarray(value)
+            if all(isinstance(i, slice) for i in idx):
+                region_shape = arr[idx].shape
+                if val.shape != region_shape and val.size == np.prod(region_shape, dtype=int):
+                    val = val.reshape(region_shape)
+            arr[idx] = val
+    except Exception as exc:
+        raise ExecutionError(f"Cannot write memlet {target}: {exc}") from exc
 
 
 def ref_copy(store, src_node_data, dst_data, memlet, bindings):
@@ -380,6 +401,29 @@ def ref_copy(store, src_node_data, dst_data, memlet, bindings):
     if dst_subset is None:
         dst_subset = memlet.subset
     ref_write(store, Memlet(dst_data, dst_subset, wcr=memlet.wcr), value, bindings)
+
+
+def ref_tasklet(store, label, code, reads, writes, bindings, stage):
+    """One tasklet execution, access by access: reads, code, outputs,
+    writes; ``stage["at"]`` says which one raised."""
+    namespace = dict(bindings)
+    for k, (conn, memlet) in enumerate(reads):
+        stage["at"] = f"read {k}"
+        namespace[conn] = ref_read(store, memlet, bindings)
+    stage["at"] = "code"
+    try:
+        exec(compile(code, "<tasklet>", "exec"), TASKLET_GLOBALS, namespace)
+    except Exception as exc:
+        raise TaskletExecutionError(label, exc) from exc
+    stage["at"] = "outputs"
+    for conn in {conn for conn, _ in writes}:
+        if conn not in namespace:
+            raise TaskletExecutionError(
+                label, KeyError(f"tasklet did not assign output connector '{conn}'")
+            )
+    for k, (conn, memlet) in enumerate(writes):
+        stage["at"] = f"write {k}"
+        ref_write(store, memlet, namespace[conn], bindings)
 
 
 # Random subsets over symbols that include a float (``x``), two named like
@@ -522,6 +566,103 @@ class TestCompiledAccessParity:
         assert any(m.startswith("Cannot evaluate subset of memlet") for m in messages)
         assert any(m.startswith("Out-of-bounds access to 'B'") for m in messages)
 
+    def test_whole_tasklets(self):
+        """Random tasklets of 1-3 reads and 1-2 writes, each a static point
+        (the plan's) or any subset (a region, through ``_read`` /
+        ``_write``), against the ordered reference: equal stores, and an
+        equal exception class, message and cause.  Failing term evaluation
+        and out-of-bounds accesses occur in every position; so do raising
+        tasklets and unassigned outputs."""
+        seen = set()
+        plan_runs = {"clean": 0}
+
+        class Counting(SDFGExecutor):
+            def _index(self, data, subset, *args):
+                self.indexed.append(subset)
+                return super()._index(data, subset, *args)
+
+        for case in range(1000):
+            rnd, _, bindings, store = next(self.cases(case))
+            rank = next(iter(store.values())).ndim if rnd.random() < 0.9 else rnd.randint(1, 3)
+            reads = [
+                (f"r{k}", Memlet(self.container(rnd), self.access_subset(rnd, rank)))
+                for k in range(rnd.randint(1, 3))
+            ]
+            writes = [
+                (f"w{k}", Memlet(
+                    self.container(rnd), self.access_subset(rnd, rank),
+                    wcr=rnd.choice([None, None, "sum", "max"]),
+                ))
+                for k in range(rnd.randint(1, 2))
+            ]
+            code, kind = self.tasklet_code(rnd, reads, writes)
+            sdfg = SDFG("tasklet")
+            for name, arr in store.items():
+                sdfg.add_array(name, list(arr.shape), float64)
+            state = sdfg.add_state("s")
+            node = state.add_tasklet("t", [c for c, _ in reads], [c for c, _ in writes], code)
+            for conn, memlet in reads:
+                state.add_edge(state.add_access("A"), None, node, conn, memlet)
+            for conn, memlet in writes:
+                state.add_edge(node, conn, state.add_access("B"), None, memlet)
+
+            ref_store = copy.deepcopy(store)
+            stage = {}
+            expected = outcome(
+                lambda: ref_tasklet(ref_store, "t", code, reads, writes, bindings, stage)
+            )
+            executor = Counting(sdfg)
+            for _ in range(2):  # the second execution reuses the plan
+                executor.indexed = []
+                executor._store = exe_store = copy.deepcopy(store)
+                got = outcome(lambda: executor._execute_tasklet(state, node, bindings))
+                assert got == expected, (code, [str(m) for _, m in reads + writes], bindings)
+                assert store_bytes(exe_store) == store_bytes(ref_store), code
+            if expected[0] == "raised":
+                seen.add((stage["at"], expected[2].split(" ")[0]))
+            else:
+                seen.add(("ok", kind))
+                static = [executor_module._static_point(m.subset) for _, m in reads + writes]
+                if any(static) and not any(map(executor_module._static_point, executor.indexed)):
+                    plan_runs["clean"] += 1
+        for position in ("read 0", "read 1", "read 2", "write 0", "write 1"):
+            assert (position, "Cannot") in seen, position  # a failing term eval
+            assert (position, "Out-of-bounds") in seen, position
+        assert ("write 0", "Cannot") in seen  # also a NumPy error naming the memlet
+        assert {("code", "Tasklet"), ("outputs", "Tasklet"), ("ok", "points"), ("ok", "mixed")} <= seen
+        assert plan_runs["clean"] > 50
+
+    @staticmethod
+    def container(rnd):
+        return "C" if rnd.random() < 0.03 else rnd.choice(["A", "B"])
+
+    @staticmethod
+    def access_subset(rnd, rank):
+        if rnd.random() < 0.6:
+            return Subset([Range(t, t, 1) for t in (random_term(rnd) for _ in range(rank))])
+        return random_subset(rnd, rank)
+
+    @staticmethod
+    def tasklet_code(rnd, reads, writes):
+        """The tasklet's code, and whether all its accesses are points."""
+        kind = "points" if all(
+            all(r.is_point() for r in m.subset.ranges) for _, m in reads + writes
+        ) else "mixed"
+        conns = [c for c, _ in reads]
+        lines = [
+            f"{conn} = np.sum({rnd.choice(conns)}) * 0.5 + {k}" if rnd.random() < 0.8
+            else f"{conn} = {rnd.choice(conns)} + {k}"
+            for k, (conn, _) in enumerate(writes)
+        ]
+        roll = rnd.random()
+        if roll < 0.05:
+            lines.append("w0 = 1 / 0")
+        elif roll < 0.1:
+            lines.pop()  # leaves an output unassigned
+        elif roll < 0.15:
+            lines.append("w0 = w0 + i")  # raises when ``i`` is unbound
+        return "\n".join(lines) or "pass", kind
+
     def test_symbols_named_like_the_eval_vocabulary(self):
         """``int`` and ``min`` as symbols shadow the vocabulary for the
         expression but never the coercion of each term."""
@@ -536,46 +677,47 @@ class TestCompiledAccessParity:
 
 class TestStaticPointAccessFires:
     """On the interpreter, the tasklets of every map the bert and cloudsc
-    cutouts execute read and write through static-point accesses, and no
-    access costs more than one ``eval``."""
+    cutouts execute read and write through their access plan alone (no
+    region access, no access by access re-run: no ``_index`` call), and one
+    execution costs at most one ``eval``."""
 
     @pytest.mark.parametrize("suite,workload", [("bert", "encoder_layer"), ("cloudsc", "cloudsc")])
-    def test_map_tasklets_take_one_eval_per_access(self, suite, workload, monkeypatch):
+    def test_map_tasklets_take_one_eval_per_execution(self, suite, workload, monkeypatch):
         task = next(
             t for t in enumerate_sweep_tasks(suite=suite, buggy=False)
             if t.workload == workload and t.transformation.name == "MapTiling"
         )
         evals = {"n": 0}
-        accesses = {"n": 0, "max_evals": 0}
+        runs = {"n": 0, "max_evals": 0, "indexed": 0}
         map_tasklets = set()
 
         def counting_eval(code, *args):
-            if sys._getframe(1).f_code.co_name == "_index":
+            if sys._getframe(1).f_code.co_name in ("_execute_tasklet", "_index"):
                 evals["n"] += 1
             return eval(code, *args)
 
-        index = SDFGExecutor._index
         execute_tasklet = SDFGExecutor._execute_tasklet
-
-        def counted_index(self, *args, **kwargs):
-            before = evals["n"]
-            try:
-                return index(self, *args, **kwargs)
-            finally:
-                accesses["n"] += 1
-                accesses["max_evals"] = max(accesses["max_evals"], evals["n"] - before)
+        index = SDFGExecutor._index
 
         def checked_tasklet(self, state, node, bindings):
+            before, indexed = evals["n"], runs["indexed"]
             execute_tasklet(self, state, node, bindings)
             if isinstance(state.scope_dict().get(node), MapEntry):
-                reads, writes, _ = self._tasklet_io[id(node)]
-                for subset in [r[2] for r in reads] + [w[2] for w in writes]:
-                    assert self._accesses[id(subset)].inside is not None, (node, str(subset))
+                runs["n"] += 1
+                runs["max_evals"] = max(runs["max_evals"], evals["n"] - before)
+                assert runs["indexed"] == indexed, node
+                plan = self._plans[id(node)]
+                assert not plan.regions, (node, [str(r[2]) for r in plan.regions])
+                assert all(w[4] is not None for w in plan.writes), node
                 map_tasklets.add(node.guid)
 
+        def counted_index(self, *args):
+            runs["indexed"] += 1
+            return index(self, *args)
+
         monkeypatch.setattr(executor_module, "eval", counting_eval, raising=False)
-        monkeypatch.setattr(SDFGExecutor, "_index", counted_index)
         monkeypatch.setattr(SDFGExecutor, "_execute_tasklet", checked_tasklet)
+        monkeypatch.setattr(SDFGExecutor, "_index", counted_index)
 
         verifier = FuzzyFlowVerifier(num_trials=2, size_max=10, backend="interpreter")
         sdfg = task.build_sdfg()
@@ -585,5 +727,5 @@ class TestStaticPointAccessFires:
 
         assert report.fuzzing is not None and report.fuzzing.trials_effective > 0
         assert map_tasklets, "no map tasklet ran"
-        assert evals["n"] > 0 and accesses["n"] >= evals["n"]
-        assert accesses["max_evals"] == 1
+        assert runs["n"] > 0 and evals["n"] > 0
+        assert runs["max_evals"] == 1

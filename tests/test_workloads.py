@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.interpreter import execute_sdfg
 from repro.sdfg import MapEntry, validate_sdfg
 from repro.sdfg.analysis import find_loops
@@ -20,7 +21,10 @@ from repro.workloads import (
     build_encoder_layer,
     build_matmul_chain,
     build_sddmm,
+    build_workload,
     get_workload,
+    get_workload_suite,
+    list_workload_suites,
     reference_matmul_chain,
     reference_sddmm,
 )
@@ -191,3 +195,34 @@ class TestCloudsc:
             l for l in find_loops(sdfg) if l.iteration_values({}) == [4, 3, 2, 1]
         ]
         assert len(descending) == 1
+
+
+REGISTERED = [
+    (suite, spec.name)
+    for suite in list_workload_suites()
+    for spec in get_workload_suite(suite)
+]
+
+
+class TestSizeOne:
+    """Every registered program runs on the all-ones size tuple, and with
+    each of its symbols at 1 in turn, on every backend: an extent-1 region
+    (``Q[0:B-1, ...]`` at ``B = 1``) stays a region."""
+
+    @pytest.mark.parametrize("backend", ["interpreter", "compiled", "cross:compiled,interpreter"])
+    @pytest.mark.parametrize("suite,name", REGISTERED, ids=[f"{s}:{n}" for s, n in REGISTERED])
+    def test_runs_with_sizes_at_one(self, suite, name, backend):
+        spec = get_workload(suite, name)
+        sdfg = build_workload(suite, name)
+        program = get_backend(backend).prepare(sdfg)
+        tuples = [{s: 1 for s in spec.symbols}] + [{**spec.symbols, s: 1} for s in spec.symbols]
+        rng = np.random.default_rng(0)
+        for symbols in tuples:
+            arguments = {
+                container: rng.uniform(1.0, 2.0, desc.concrete_shape(symbols)).astype(
+                    desc.dtype.as_numpy()
+                )
+                for container, desc in sdfg.arrays.items()
+                if not desc.transient
+            }
+            program.run(arguments, symbols)
