@@ -13,10 +13,10 @@ Executes a parametric dataflow program on concrete inputs:
 
 Performance notes (this is the hot loop of every fuzzing trial): a tasklet
 compiles once per executor into an access plan (:class:`_Plan`).  One
-execution costs one ``eval`` of the distinct index terms of its *static
-point* accesses (every range a point with a literal step: a map body's
-element access), each coerced once with the real ``int``, and one generated
-bounds check over all of them; point reads and writes index the arrays
+execution costs at most one ``eval``, of the distinct index terms of its
+*static point* accesses (every range a point with a literal step: a map
+body's element access) that are not bare symbols, and one generated bounds
+check over all of those accesses; point reads and writes index the arrays
 directly.  A failed check re-runs the execution access by access, raising
 what failed, in order.  A region access (:meth:`SDFGExecutor._index`) costs
 one ``eval`` of its subset, compiled once per ``id(subset)``; a region of
@@ -28,6 +28,7 @@ from __future__ import annotations
 import builtins
 import itertools
 from dataclasses import dataclass
+from keyword import iskeyword
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
@@ -80,26 +81,20 @@ class _Access:
     """One memlet subset, compiled for an executor.
 
     ``code`` evaluates every term in one ``eval``, each coerced with the real
-    ``int``; it is the value tuple itself when every term is a literal.  A
-    static point subset (``inside`` set) yields its index tuple; any other
+    ``int``; it is the value tuple itself when every term is a literal.  It
     yields ``begin, [end,] step`` per range, ``end`` left out of a point range
     (``points``).  The subset is held so its ``id`` stays its own."""
 
-    __slots__ = ("subset", "code", "inside", "points")
+    __slots__ = ("subset", "code", "points")
 
     def __init__(self, subset: Subset) -> None:
         ranges = subset.ranges
         self.subset = subset
         self.points = tuple(r.is_point() for r in ranges)
-        if _static_point(subset):
-            terms = [r.begin for r in ranges]
-            self.inside = _inside(len(ranges))
-        else:
-            terms = [
-                t for p, r in zip(self.points, ranges)
-                for t in ((r.begin, r.step) if p else (r.begin, r.end, r.step))
-            ]
-            self.inside = None
+        terms = [
+            t for p, r in zip(self.points, ranges)
+            for t in ((r.begin, r.step) if p else (r.begin, r.end, r.step))
+        ]
         if all(isinstance(t, Integer) for t in terms):
             self.code = tuple(t.value for t in terms)
         else:
@@ -115,19 +110,6 @@ def _static_point(subset: Subset) -> bool:
     """Whether every range of ``subset`` is a point with a literal step."""
     ranges = subset.ranges
     return bool(ranges) and all(r.is_point() and isinstance(r.step, Integer) for r in ranges)
-
-
-_INSIDE: Dict[int, Any] = {}
-
-
-def _inside(rank: int):
-    """``inside(index, shape)``: whether a rank-``rank`` index tuple lies in
-    ``shape``, one chained comparison per dimension (built once per rank)."""
-    check = _INSIDE.get(rank)
-    if check is None:
-        dims = "".join(f" and 0 <= i[{d}] < s[{d}]" for d in range(rank))
-        check = _INSIDE[rank] = eval(f"lambda i, s: len(s) == {rank}{dims}")  # noqa: S307
-    return check
 
 
 def _check_bounds(data: str, concrete: List[Tuple[int, int, int]], shape: Tuple[int, ...]) -> None:
@@ -151,12 +133,13 @@ def _check_bounds(data: str, concrete: List[Tuple[int, int, int]], shape: Tuple[
 
 class _Plan:
     """One tasklet's accesses and code, compiled for an executor; it holds
-    names and code, never arrays.  ``terms`` evaluates the distinct
-    non-literal index terms of its static points in one ``eval``; the
-    generated ``locate(values, store, namespace)`` coerces each with the
-    real ``int``, checks every static point, binds the point reads and
-    returns ``(array, index)`` per point write (``k`` in ``writes``), or
-    ``None`` when a check fails.  Regions go through ``_read`` / ``_write``."""
+    names and code, never arrays.  ``terms`` evaluates the distinct index
+    terms of its static points that are neither literals nor bare symbols
+    in one ``eval``; the generated ``locate(values, store, namespace)``
+    coerces each term once with the real ``int``, checks every static point,
+    binds the point reads and returns ``(array, index)`` per point write
+    (``k`` in ``writes``), or ``None`` when a check fails.  Regions go
+    through ``_read`` / ``_write``."""
 
     __slots__ = ("label", "source", "code", "reads", "regions", "writes", "out_conns", "terms",
                  "locate")
@@ -178,7 +161,8 @@ class _Plan:
             if e.data is not None and not e.data.is_empty and e.src_conn is not None
         ]
         self.out_conns = {w[0] for w in writes}
-        terms, arrays, checks = {}, {}, []  # local names per term / container; checks
+        # Local names per term, container and (container, rank); checks.
+        terms, arrays, shapes, checks = {}, {}, {}, []
 
         def index(data: str, subset: Subset) -> Tuple[str, str]:
             a = arrays.setdefault(data, f"a{len(arrays)}")
@@ -187,8 +171,10 @@ class _Plan:
                 else terms.setdefault(str(r.begin), f"t{len(terms)}")
                 for r in subset.ranges
             ]
-            checks.append(f"len(s{a}) == {len(idx)}")
-            checks.extend(f"0 <= {i} < s{a}[{d}]" for d, i in enumerate(idx))
+            # Unpacking the shape checks the rank (a ValueError fails the plan).
+            shape = shapes.setdefault((a, len(idx)), [f"{a}_{len(idx)}_{d}" for d in range(len(idx))])
+            checks.extend(f"0 <= {i}" for i in idx)
+            checks.extend(f"{i} < {n}" for i, n in zip(idx, shape))
             return a, f"({', '.join(idx)},)"
 
         self.regions = [r for r in self.reads if not _static_point(r[2])]
@@ -203,18 +189,35 @@ class _Plan:
             if static:
                 targets.append("({}, {})".format(*index(data, subset)))
             self.writes.append((conn, data, subset, wcr, len(targets) - 1 if static else None))
-        source = "\n    ".join([
-            "def locate(v, st, ns):",
-            f"({''.join(t + ', ' for t in terms.values())}) = map(int, v)",
-            *(f"{a} = st[{d!r}]; s{a} = {a}.shape" for d, a in arrays.items()),
-            f"if not ({' and '.join(dict.fromkeys(checks)) or 'True'}): return None",
-            *binds,
-            f"return ({''.join(t + ', ' for t in targets)})",
-        ])
-        self.terms = compile_expression(f"({''.join(t + ', ' for t in terms)})") if terms else None
+        # A bare symbol is read from the namespace (unbound: KeyError), and
+        # an enclosing map's parameter is an int already; the other terms
+        # come evaluated (``v``).
+        params, scope = set(), state.scope_dict().get(node)
+        while scope is not None:
+            params.update(scope.map.params)
+            scope = state.scope_dict().get(scope)
+        named = [t for t in terms if t.isidentifier() and not iskeyword(t)]
+        evaluated = [t for t in terms if t not in named]
+        coerced = [t for t in named if t not in params]
+        lines = ["def locate(v, st, ns):"]
+        if evaluated:
+            lines.append(f"({''.join(terms[t] + ', ' for t in evaluated)}) = map(int, v)")
+        if coerced:
+            lines.append(f"({''.join(terms[t] + ', ' for t in coerced)}) = "
+                         f"map(int, ({''.join(f'ns[{t!r}], ' for t in coerced)}))")
+        lines += [f"{terms[t]} = ns[{t!r}]" for t in named if t in params]
+        lines += [f"{a} = st[{d!r}]" for d, a in arrays.items()]
+        lines += [f"({''.join(n + ', ' for n in ns)}) = {a}.shape" for (a, _), ns in shapes.items()]
+        if checks:
+            lines.append(f"if not ({' and '.join(dict.fromkeys(checks))}): return None")
+        lines += binds
+        lines.append(f"return ({''.join(t + ', ' for t in targets)})")
+        self.terms = (
+            compile_expression(f"({''.join(t + ', ' for t in evaluated)})") if evaluated else None
+        )
         # ``locate`` sees the real builtins (``int``, ``map``), never a symbol.
         defined: Dict[str, Any] = {}
-        exec(compile_code(source, "<plan>"), {"__builtins__": builtins}, defined)  # noqa: S102
+        exec(compile_code("\n    ".join(lines), "<plan>"), {"__builtins__": builtins}, defined)  # noqa: S102
         self.locate = defined["locate"]
 
 
@@ -546,12 +549,6 @@ class SDFGExecutor:
                 raise ExecutionError(
                     f"Cannot evaluate subset of memlet {memlet}: {exc}"
                 ) from exc
-        if access.inside is not None:
-            if not access.inside(values, shape):
-                _check_bounds(
-                    data, [(i, i, r.step.value) for i, r in zip(values, subset.ranges)], shape
-                )
-            return values
         concrete = []
         terms = iter(values)
         for point in access.points:

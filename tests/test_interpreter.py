@@ -267,7 +267,6 @@ class TestErrorHandling:
         with pytest.raises(TaskletExecutionError):
             execute_sdfg(sdfg, {"out": np.zeros(1)})
 
-
     def test_code_that_does_not_compile_fails_as_the_tasklet_after_its_reads(self):
         sdfg = SDFG("syntax")
         sdfg.add_array("A", [2], float64)
@@ -364,7 +363,7 @@ def ref_read(store, memlet, bindings):
     concrete = ref_concrete_subset(memlet, bindings)
     ref_check_bounds(memlet.data, concrete, arr.shape)
     idx = ref_index(memlet.subset, concrete)
-    if all(isinstance(i, slice) for i in idx) and idx:
+    if idx and isinstance(idx[0], slice):
         return arr[idx].copy()
     return arr[idx]
 
@@ -619,17 +618,19 @@ class TestCompiledAccessParity:
                 assert got == expected, (code, [str(m) for _, m in reads + writes], bindings)
                 assert store_bytes(exe_store) == store_bytes(ref_store), code
             if expected[0] == "raised":
-                seen.add((stage["at"], expected[2].split(" ")[0]))
+                seen.add((stage["at"], " ".join(expected[2].split(" ")[:2])))
             else:
                 seen.add(("ok", kind))
                 static = [executor_module._static_point(m.subset) for _, m in reads + writes]
                 if any(static) and not any(map(executor_module._static_point, executor.indexed)):
                     plan_runs["clean"] += 1
         for position in ("read 0", "read 1", "read 2", "write 0", "write 1"):
-            assert (position, "Cannot") in seen, position  # a failing term eval
-            assert (position, "Out-of-bounds") in seen, position
-        assert ("write 0", "Cannot") in seen  # also a NumPy error naming the memlet
-        assert {("code", "Tasklet"), ("outputs", "Tasklet"), ("ok", "points"), ("ok", "mixed")} <= seen
+            assert (position, "Cannot evaluate") in seen, position
+            assert (position, "Out-of-bounds access") in seen, position
+        assert ("write 0", "Cannot write") in seen  # a NumPy error names the memlet
+        assert {
+            ("code", "Tasklet 't'"), ("outputs", "Tasklet 't'"), ("ok", "points"), ("ok", "mixed")
+        } <= seen
         assert plan_runs["clean"] > 50
 
     @staticmethod
@@ -727,5 +728,5 @@ class TestStaticPointAccessFires:
 
         assert report.fuzzing is not None and report.fuzzing.trials_effective > 0
         assert map_tasklets, "no map tasklet ran"
-        assert runs["n"] > 0 and evals["n"] > 0
-        assert runs["max_evals"] == 1
+        assert runs["n"] > 0
+        assert runs["max_evals"] <= 1
