@@ -80,10 +80,11 @@ _INT = "(0).__class__"
 class _Access:
     """One memlet subset, compiled for an executor.
 
-    ``code`` evaluates every term in one ``eval``, each coerced with the real
-    ``int``; it is the value tuple itself when every term is a literal.  It
-    yields ``begin, [end,] step`` per range, ``end`` left out of a point range
-    (``points``).  The subset is held so its ``id`` stays its own."""
+    ``code`` evaluates every term in one ``eval``, left to right, each
+    coerced with the real ``int``; it is the value tuple itself when every
+    term is a literal.  It yields ``(begin, end, step)`` per range, a point
+    range's ``begin`` once more as its ``end`` (``points``).  The subset is
+    held so its ``id`` stays its own."""
 
     __slots__ = ("subset", "code", "points")
 
@@ -91,19 +92,16 @@ class _Access:
         ranges = subset.ranges
         self.subset = subset
         self.points = tuple(r.is_point() for r in ranges)
-        terms = [
-            t for p, r in zip(self.points, ranges)
-            for t in ((r.begin, r.step) if p else (r.begin, r.end, r.step))
-        ]
-        if all(isinstance(t, Integer) for t in terms):
-            self.code = tuple(t.value for t in terms)
+        triples = [(r.begin, r.begin if p else r.end, r.step) for p, r in zip(self.points, ranges)]
+        if all(isinstance(t, Integer) for triple in triples for t in triple):
+            self.code = tuple(tuple(t.value for t in triple) for triple in triples)
         else:
-            self.code = compile_expression(
+            self.code = compile_expression("(" + "".join(
                 "(" + "".join(
-                    f"{t.value}, " if isinstance(t, Integer) else f"{_INT}({t}), "
-                    for t in terms
-                ) + ")"
-            )
+                    f"{t.value}, " if isinstance(t, Integer) else f"{_INT}({t}), " for t in triple
+                ) + "), "
+                for triple in triples
+            ) + ")")
 
 
 def _static_point(subset: Subset) -> bool:
@@ -549,11 +547,7 @@ class SDFGExecutor:
                 raise ExecutionError(
                     f"Cannot evaluate subset of memlet {memlet}: {exc}"
                 ) from exc
-        concrete = []
-        terms = iter(values)
-        for point in access.points:
-            b = next(terms)
-            concrete.append((b, b if point else next(terms), next(terms)))
+        concrete = list(values)
         _check_bounds(data, concrete, shape)
         if all(access.points):
             return tuple(b for b, _, _ in concrete)
