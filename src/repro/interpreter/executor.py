@@ -205,7 +205,7 @@ class _Plan:
                          f"map(int, ({''.join(f'ns[{t!r}], ' for t in coerced)}))")
         lines += [f"{terms[t]} = ns[{t!r}]" for t in named if t in params]
         lines += [f"{a} = st[{d!r}]" for d, a in arrays.items()]
-        lines += [f"({''.join(n + ', ' for n in ns)}) = {a}.shape" for (a, _), ns in shapes.items()]
+        lines += [f"({''.join(n + ', ' for n in dims)}) = {a}.shape" for (a, _), dims in shapes.items()]
         if checks:
             lines.append(f"if not ({' and '.join(dict.fromkeys(checks))}): return None")
         lines += binds
