@@ -103,8 +103,10 @@ bench-pairs:
 # containment (only repro.faultinject may hard-kill/signal a process;
 # fault helpers import from the package root only), graph containment
 # (only repro.sdfg.graph touches a graph's internals or bumps its version),
-# and copy containment (sdfg/, core/, transforms/ and backends/ never use the
-# copy module: the IR is copied only by repro.sdfg.copier).
+# copy containment (sdfg/, core/, transforms/ and backends/ never use the
+# copy module: the IR is copied only by repro.sdfg.copier), and no executor
+# tower (no class outside repro/interpreter/ subclasses SDFGExecutor: a
+# backend holds the interpreter instead).
 lint-arch:
 	$(PY) tools/lint_arch.py
 

@@ -50,10 +50,11 @@ class Backend:
 
     def prepare(
         self, sdfg: SDFG, max_transitions: int = 100_000
-    ) -> Union[SDFGExecutor, CrossProgram]:
+    ) -> Union[SDFGExecutor, CompiledExecutor, CrossProgram]:
         """The executor of one program.  Every ``prepare`` returns a new one:
-        an executor holds the state of the run in progress, so it belongs to
-        the call that made it."""
+        an executor fills its caches and counters as it runs (a run's data
+        lives in the run's own store), so it belongs to the call that made
+        it."""
         if self.pair is None:
             return _prepare(self.name, sdfg, max_transitions)
         reference, candidate = self.pair
@@ -66,7 +67,9 @@ class Backend:
         )
 
 
-def _prepare(name: str, sdfg: SDFG, max_transitions: int) -> SDFGExecutor:
+def _prepare(
+    name: str, sdfg: SDFG, max_transitions: int
+) -> Union[SDFGExecutor, CompiledExecutor]:
     if name == "interpreter":
         return SDFGExecutor(sdfg, max_transitions=max_transitions)
     with _TRACER.span("backend.prepare", "prepare") as span:

@@ -16,7 +16,10 @@ graph (loops, branches, joins and irreducible cycles alike):
 * out-edges are tried in order and the first true condition wins; none
   true ends the program -- the interpreter's ``_next_state`` contract.
 
-The generated driver calls back into runtime services (``__rt._hang`` and
+The generated driver is called as ``__drive(__rt, __trial)``: the compiled
+executor and the run's :class:`~repro.interpreter.executor.TrialStore`,
+whose ``symbols`` and ``arrays`` it reads and writes, and which it passes to
+every op.  It calls back into runtime services (``__rt._hang`` and
 friends) supplied by the execute layer, but this module never imports it --
 the driver receives the runtime as a parameter.  Layer direction is
 enforced by ``make lint-arch``.
@@ -27,7 +30,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.interpreter.executor import _EVAL_GLOBALS
-from repro.interpreter.executor import SDFGExecutor as _SDFGExecutor
 from repro.interpreter.tasklet_exec import compile_code
 from repro.sdfg.data import Scalar
 from repro.sdfg.sdfg import SDFG
@@ -90,11 +92,11 @@ class _DriverEmitter:
     def emit_driver(self) -> None:
         """The driver function: prologue, then one ``while``-over-current-
         state loop whose ``if``/``elif`` arms are the states."""
-        self.line("def __drive(__rt):")
+        self.line("def __drive(__rt, __trial):")
         self.indent += 1
-        self.line("__sym = __rt._symbols")
-        self.line("__store = __rt._store")
-        self.line("__max = __rt.max_transitions")
+        self.line("__sym = __trial.symbols")
+        self.line("__store = __trial.arrays")
+        self.line("__max = __rt.interpreter.max_transitions")
         self.line("__allops = __rt._state_ops")
         for index in range(len(self.state_index)):
             self.line(f"__ops{index} = __allops[{index}]")
@@ -122,7 +124,7 @@ class _DriverEmitter:
         self.line("    __rt._hang()")
         index = self.state_index[state]
         self.line(f"for __f in __ops{index}:")
-        self.line("    __f(__rt, __sym)")
+        self.line("    __f(__rt, __trial, __sym)")
         self.line("__t += 1")
 
     # .................................................................. #
@@ -136,7 +138,7 @@ class _DriverEmitter:
         except ExpressionCodegenError:
             # Unparseable condition: defer to the interpreter's dynamic
             # evaluation so the failure mode (and message) is identical.
-            expr = f"__bool(__rt._eval_raw({cond!r}))"
+            expr = f"__bool(__rt._eval_raw({cond!r}, __trial))"
         self.line("try:")
         self.line(f"    __c = {expr}")
         self.line("except __Exception as __exc:")
@@ -147,7 +149,7 @@ class _DriverEmitter:
             try:
                 src = emit_interstate_expression(expr, self.scalar_names)
             except ExpressionCodegenError:
-                src = f"__rt._eval_raw({expr!r})"
+                src = f"__rt._eval_raw({expr!r}, __trial)"
             self.line("try:")
             self.line(f"    __v = {src}")
             self.line("except __Exception as __exc:")
@@ -183,10 +185,10 @@ class _DriverEmitter:
         self.indent -= 1
 
 
-def _interpreted_drive(rt) -> int:
-    """Fallback control loop: the interpreter's transition machinery verbatim
-    (dataflow still runs through the vectorized scope kernels)."""
-    return _SDFGExecutor._run_control_loop(rt)
+def _interpreted_drive(rt, trial) -> int:
+    """Fallback control loop: the interpreter's own transition loop, over the
+    prepared op lists (dataflow still runs through the vectorized scopes)."""
+    return rt.interpreter._run_control_loop(trial, rt._execute_state)
 
 
 def compile_driver(

@@ -11,6 +11,13 @@ Executes a parametric dataflow program on concrete inputs:
 * checks every memlet against its container bounds (the interpreter analogue
   of a segmentation fault).
 
+A run's state is a value: :meth:`SDFGExecutor.run` builds a
+:class:`TrialStore` (the run's arrays and symbols), passes it down to every
+node executor and drops it when it returns, so each trial starts from a
+fresh, reproducible state and an idle executor holds only what it compiled
+from the program.  The compiled backend holds one of these executors and
+calls the same node executors with its own run's store.
+
 Performance notes (this is the hot loop of every fuzzing trial): a tasklet
 compiles once per executor into an access plan (:class:`_Plan`).  One
 execution costs at most one ``eval``, of the distinct index terms of its
@@ -58,7 +65,7 @@ from repro.symbolic.expressions import Integer
 from repro.symbolic.ranges import Subset
 from repro.telemetry import TRACER as _TRACER
 
-__all__ = ["SDFGExecutor", "ExecutionResult", "execute_sdfg"]
+__all__ = ["SDFGExecutor", "ExecutionResult", "TrialStore", "execute_sdfg"]
 
 _EVAL_GLOBALS = {
     "__builtins__": {},
@@ -232,8 +239,27 @@ class ExecutionResult:
     transitions: int
 
 
+class TrialStore:
+    """One run's state: ``run`` creates it and drops it when it returns, so a
+    prepared program pins no trial's data between runs.  ``arrays`` holds
+    every container (arguments copied in, transients allocated),
+    ``symbols`` the symbol values, ``setups`` the compiled backend's scope
+    setups by ``id`` of the lowered scope (they capture arrays, so they
+    live exactly as long)."""
+
+    __slots__ = ("arrays", "symbols", "setups")
+
+    def __init__(self, arrays: Dict[str, np.ndarray], symbols: Dict[str, Any]) -> None:
+        self.arrays = arrays
+        self.symbols = symbols
+        self.setups: Dict[int, Tuple[Tuple, Any]] = {}
+
+
 class SDFGExecutor:
-    """Interprets an SDFG on concrete argument values."""
+    """Interprets an SDFG on concrete argument values.  Everything it keeps
+    between runs is compiled from the program (plans, accesses, symbol and
+    scalar names); a run's data lives in its :class:`TrialStore`, passed
+    down to every node executor."""
 
     def __init__(
         self,
@@ -242,15 +268,14 @@ class SDFGExecutor:
     ) -> None:
         self.sdfg = sdfg
         self.max_transitions = max_transitions
-        # Per-run data store and symbol bindings.
-        self._store: Dict[str, np.ndarray] = {}
-        self._symbols: Dict[str, Any] = {}
         # Caches invariant across runs (execution order and scopes come from
         # each state's own scope index).  Per tasklet, by id, its access
         # plan; per subset, by id, its compiled access.
         self._plans: Dict[int, _Plan] = {}
         self._accesses: Dict[int, _Access] = {}
         self._free_symbols_cache: Optional[Set[str]] = None
+        #: The scalar containers, which interstate edges read as values.
+        self._scalars = [name for name, desc in sdfg.arrays.items() if isinstance(desc, Scalar)]
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -261,63 +286,54 @@ class SDFGExecutor:
         symbols: Optional[Mapping[str, Any]] = None,
     ) -> ExecutionResult:
         """Execute the program and return the final system state."""
-        arguments = dict(arguments or {})
-        symbols = dict(symbols or {})
-        try:
-            self._setup(arguments, symbols)
-            transitions = self._run_control_loop()
-            # No copy: every store array is private to this run (arguments
-            # are copied in, transients allocated), and the next run binds
-            # new ones.
-            outputs = {
-                name: self._store[name]
-                for name, desc in self.sdfg.arrays.items()
-                if not desc.transient and name in self._store
-            }
-            return ExecutionResult(
-                outputs=outputs,
-                symbols=dict(self._symbols),
-                transitions=transitions,
-            )
-        finally:
-            # A prepared program outlives its runs (one per trial): drop the
-            # per-run data store and symbols so an idle program does not pin
-            # its last trial's arrays.
-            self._store = {}
-            self._symbols = {}
+        store = self._setup(arguments, symbols)
+        return self._result(store, self._run_control_loop(store, self._execute_state))
 
-    def _run_control_loop(self) -> int:
-        """Walk the state machine until termination; returns the transition
-        count.  The only part of the run contract a subclass may override:
-        :class:`~repro.backends.compiled.CompiledExecutor` replaces this
-        generic loop with a generated whole-program driver while inheriting
-        setup, result construction and the per-trial reset verbatim."""
+    def _result(self, store: TrialStore, transitions: int) -> ExecutionResult:
+        """The result of a finished run.  No copy: every store array is
+        private to its run (arguments are copied in, transients allocated)."""
+        arrays = store.arrays
+        outputs = {
+            name: arrays[name]
+            for name, desc in self.sdfg.arrays.items()
+            if not desc.transient and name in arrays
+        }
+        return ExecutionResult(outputs=outputs, symbols=store.symbols, transitions=transitions)
+
+    def _run_control_loop(self, store: TrialStore, execute_state) -> int:
+        """Walk the state machine until termination, running each state as
+        ``execute_state(store, state)``; returns the transition count.  The
+        interpreter passes its :meth:`_execute_state`; the compiled
+        backend's ``interpreted`` safety net passes its op lists'."""
         state: Optional[SDFGState] = self.sdfg.start_state
         transitions = 0
         while state is not None:
             if transitions > self.max_transitions:
                 raise HangError(self.max_transitions)
-            self._execute_state(state)
-            state = self._next_state(state)
+            execute_state(store, state)
+            state = self._next_state(store, state)
             transitions += 1
         return transitions
 
     # ------------------------------------------------------------------ #
     # Setup
     # ------------------------------------------------------------------ #
-    def _setup(self, arguments: Dict[str, Any], symbols: Dict[str, Any]) -> None:
-        self._store = {}
-        self._symbols = {}
+    def _setup(
+        self, arguments: Optional[Mapping[str, Any]], symbols: Optional[Mapping[str, Any]]
+    ) -> TrialStore:
+        """A new run's store: symbols bound, arguments copied in, transients
+        allocated."""
+        arguments = dict(arguments or {})
         # Constants and explicit symbol values.
-        self._symbols.update(self.sdfg.constants)
-        for name, value in symbols.items():
-            self._symbols[name] = self._as_symbol_value(value)
+        values: Dict[str, Any] = dict(self.sdfg.constants)
+        for name, value in (symbols or {}).items():
+            values[name] = self._as_symbol_value(value)
         # Symbols may also arrive through the arguments dictionary.
         for name in list(arguments.keys()):
             if name not in self.sdfg.arrays and isinstance(
                 arguments[name], (int, np.integer, float, np.floating)
             ):
-                self._symbols[name] = self._as_symbol_value(arguments.pop(name))
+                values[name] = self._as_symbol_value(arguments.pop(name))
 
         # free_symbols walks every memlet subset and interstate expression;
         # cache it across runs (this assumes the program is not mutated
@@ -325,27 +341,28 @@ class SDFGExecutor:
         # already relies on).
         if self._free_symbols_cache is None:
             self._free_symbols_cache = self.sdfg.free_symbols
-        missing_syms = self._free_symbols_cache - set(self._symbols)
+        missing_syms = self._free_symbols_cache - set(values)
         if missing_syms:
             raise MissingArgumentError(
                 f"Missing values for symbols: {sorted(missing_syms)}"
             )
 
         # Bind containers.
+        arrays: Dict[str, np.ndarray] = {}
         for name, desc in self.sdfg.arrays.items():
             if desc.transient:
-                self._store[name] = desc.allocate(self._symbols)
+                arrays[name] = desc.allocate(values)
                 continue
             if name not in arguments:
                 raise MissingArgumentError(f"Missing argument for container '{name}'")
-            value = arguments[name]
-            self._store[name] = self._coerce_argument(name, desc, value)
+            arrays[name] = _coerce_argument(name, desc, arguments[name], values)
         # Unknown extra arguments are rejected to catch harness mistakes.
         extra = set(arguments) - set(self.sdfg.arrays)
         if extra:
             raise MissingArgumentError(
                 f"Arguments do not correspond to program containers: {sorted(extra)}"
             )
+        return TrialStore(arrays, values)
 
     @staticmethod
     def _as_symbol_value(value: Any) -> Any:
@@ -355,37 +372,22 @@ class SDFGExecutor:
             return float(value)
         return value
 
-    def _coerce_argument(self, name: str, desc, value: Any) -> np.ndarray:
-        # Always one copy, the run's only one: the fuzzer and ``cross`` hand
-        # one argument dict to two programs, and neither may see the other's
-        # writes (nor the caller its own).
-        dtype = desc.dtype.as_numpy()
-        if isinstance(desc, Scalar):
-            return np.asarray(value, dtype=dtype).reshape((1,)).copy()
-        arr = np.array(value, dtype=dtype, order="C")
-        expected = desc.concrete_shape(self._symbols)
-        if arr.shape != expected:
-            raise InvalidValueError(
-                f"Argument '{name}' has shape {arr.shape}, expected {expected}"
-            )
-        return arr
-
     # ------------------------------------------------------------------ #
     # Control flow
     # ------------------------------------------------------------------ #
-    def _interstate_namespace(self) -> Dict[str, Any]:
-        ns = dict(self._symbols)
+    def _interstate_namespace(self, store: TrialStore) -> Dict[str, Any]:
+        ns = dict(store.symbols)
         # Scalar containers are visible to conditions/assignments.
-        for name, desc in self.sdfg.arrays.items():
-            if isinstance(desc, Scalar) and name in self._store:
-                ns[name] = self._store[name][0]
+        arrays = store.arrays
+        for name in self._scalars:
+            ns[name] = arrays[name][0]
         return ns
 
-    def _next_state(self, state: SDFGState) -> Optional[SDFGState]:
+    def _next_state(self, store: TrialStore, state: SDFGState) -> Optional[SDFGState]:
         out_edges = self.sdfg.out_edges(state)
         if not out_edges:
             return None
-        ns = self._interstate_namespace()
+        ns = self._interstate_namespace(store)
         for edge in out_edges:
             isedge = edge.data
             try:
@@ -413,7 +415,7 @@ class SDFGExecutor:
                     ) from exc
                 if isinstance(val, float) and val.is_integer():
                     val = int(val)
-                self._symbols[sym] = val
+                store.symbols[sym] = val
                 ns[sym] = val
             return edge.dst
         return None
@@ -421,26 +423,29 @@ class SDFGExecutor:
     # ------------------------------------------------------------------ #
     # Dataflow execution
     # ------------------------------------------------------------------ #
-    def _execute_state(self, state: SDFGState) -> None:
+    def _execute_state(self, store: TrialStore, state: SDFGState) -> None:
         # Null span (free) unless tracing is enabled; then one per-state
         # execute span, with per-scope spans nesting inside it.
         with _TRACER.span("execute.state", "execute") as span:
             span.set("state", state.label)
-            bindings = dict(self._symbols)
+            bindings = dict(store.symbols)
             # Top-level nodes in execution order; the rest run inside their
             # enclosing map scope, map exits with their entry.
             for run, node in self._bind(state, state.scope_children().get(None, ())):
-                run(state, node, bindings)
+                run(store, state, node, bindings)
 
-    def _bind(self, state: SDFGState, nodes) -> List[Tuple[Any, Node]]:
+    def _bind(self, state: SDFGState, nodes, nested=None) -> List[Tuple[Any, Node]]:
         """``(handler, node)`` for each of ``nodes``, in order; a map exit
-        runs with its entry."""
-        handlers = {Tasklet: self._execute_tasklet, MapEntry: self._execute_map_scope,
+        runs with its entry, a map entry with ``nested`` when given."""
+        handlers = {Tasklet: self._execute_tasklet,
+                    MapEntry: nested or self._execute_map_scope,
                     AccessNode: self._execute_copies_into}
         return [(handlers[type(node)], node) for node in nodes if type(node) is not MapExit]
 
     # .................................................................. #
-    def _execute_tasklet(self, state: SDFGState, node: Tasklet, bindings: Dict[str, Any]) -> None:
+    def _execute_tasklet(
+        self, store: TrialStore, state: SDFGState, node: Tasklet, bindings: Dict[str, Any]
+    ) -> None:
         plan = self._plans.get(id(node))
         if plan is None:
             plan = self._plans[id(node)] = _Plan(state, node)
@@ -448,7 +453,7 @@ class SDFGExecutor:
         try:
             targets = plan.locate(
                 () if plan.terms is None else eval(plan.terms, _EVAL_GLOBALS, bindings),  # noqa: S307
-                self._store,
+                store.arrays,
                 namespace,
             )
         except Exception:  # noqa: BLE001 - raised again below, in order
@@ -456,7 +461,7 @@ class SDFGExecutor:
         if targets is None:
             regions = plan.reads  # access by access: raises what failed, in order
         for conn, data, subset, memlet in regions:
-            namespace[conn] = self._read(data, subset, bindings, memlet)
+            namespace[conn] = self._read(store, data, subset, bindings, memlet)
         try:
             exec(plan.code or compile_code(plan.source), TASKLET_GLOBALS, namespace)  # noqa: S102
         except Exception as exc:  # noqa: BLE001 - converted to a typed error
@@ -468,7 +473,7 @@ class SDFGExecutor:
                 )
         for conn, data, subset, wcr, k in plan.writes:
             if k is None or targets is None:
-                self._write(data, subset, wcr, namespace[conn], bindings)
+                self._write(store, data, subset, wcr, namespace[conn], bindings)
                 continue
             arr, idx = targets[k]
             if wcr is None:
@@ -480,7 +485,7 @@ class SDFGExecutor:
             _put(arr, idx, wcr, namespace[conn], data, subset)
 
     def _execute_copies_into(
-        self, state: SDFGState, node: AccessNode, bindings: Dict[str, Any]
+        self, store: TrialStore, state: SDFGState, node: AccessNode, bindings: Dict[str, Any]
     ) -> None:
         for edge in state.in_edges(node):
             if not isinstance(edge.src, AccessNode):
@@ -494,16 +499,25 @@ class SDFGExecutor:
             if src_data == node.data and memlet.other_subset is not None:
                 # Memlet was annotated with respect to the destination.
                 src_data = edge.src.data
-            value = self._read(src_data, src_subset, bindings)
+            value = self._read(store, src_data, src_subset, bindings)
             if dst_subset is None:
                 dst_subset = src_subset
-            self._write(node.data, dst_subset, memlet.wcr, value, bindings)
+            self._write(store, node.data, dst_subset, memlet.wcr, value, bindings)
 
     # .................................................................. #
     def _execute_map_scope(
-        self, state: SDFGState, entry: MapEntry, bindings: Dict[str, Any]
+        self,
+        store: TrialStore,
+        state: SDFGState,
+        entry: MapEntry,
+        bindings: Dict[str, Any],
+        nested=None,
     ) -> None:
-        calls = self._bind(state, state.scope_children().get(entry, ()))
+        """Expand one map scope point by point.  A map nested in it runs as
+        ``nested(store, state, entry, bindings)``, by default this method:
+        the compiled backend hands in its scope runner when it falls back
+        here, so a nested map can still vectorize."""
+        calls = self._bind(state, state.scope_children().get(entry, ()), nested)
         params = entry.map.params
         # Concretize iteration ranges once per scope execution.
         dims: List[range] = []
@@ -516,7 +530,7 @@ class SDFGExecutor:
         for point in itertools.product(*dims):
             local.update(zip(params, point))
             for run, node in calls:
-                run(state, node, local)
+                run(store, state, node, local)
 
     # ------------------------------------------------------------------ #
     # Memory access
@@ -558,13 +572,14 @@ class SDFGExecutor:
 
     def _read(
         self,
+        store: TrialStore,
         data: str,
         subset: Subset,
         bindings: Dict[str, Any],
         memlet: Optional[Memlet] = None,
     ) -> Any:
         """One element as a scalar, a region as a copy."""
-        arr = self._store.get(data)
+        arr = store.arrays.get(data)
         if arr is None:
             raise ExecutionError(f"Read from unknown container '{data}'")
         idx = self._index(data, subset, None, bindings, arr.shape, memlet)
@@ -574,16 +589,33 @@ class SDFGExecutor:
 
     def _write(
         self,
+        store: TrialStore,
         data: str,
         subset: Subset,
         wcr: Optional[str],
         value: Any,
         bindings: Dict[str, Any],
     ) -> None:
-        arr = self._store.get(data)
+        arr = store.arrays.get(data)
         if arr is None:
             raise ExecutionError(f"Write to unknown container '{data}'")
         _put(arr, self._index(data, subset, wcr, bindings, arr.shape), wcr, value, data, subset)
+
+
+def _coerce_argument(name: str, desc, value: Any, symbols: Dict[str, Any]) -> np.ndarray:
+    # Always one copy, the run's only one: the fuzzer and ``cross`` hand
+    # one argument dict to two programs, and neither may see the other's
+    # writes (nor the caller its own).
+    dtype = desc.dtype.as_numpy()
+    if isinstance(desc, Scalar):
+        return np.asarray(value, dtype=dtype).reshape((1,)).copy()
+    arr = np.array(value, dtype=dtype, order="C")
+    expected = desc.concrete_shape(symbols)
+    if arr.shape != expected:
+        raise InvalidValueError(
+            f"Argument '{name}' has shape {arr.shape}, expected {expected}"
+        )
+    return arr
 
 
 def _put(arr: np.ndarray, idx: tuple, wcr: Optional[str], value: Any, data: str, subset: Subset) -> None:

@@ -9,7 +9,10 @@ interpreter's behaviour, and the dominant cost of loop-nest programs).
 The sole transformation is name routing.  The interpreter evaluates these
 expressions with ``eval(code, _EVAL_GLOBALS, ns)`` where ``ns`` holds the
 program symbols with scalar containers shadowing same-named symbols
-(:meth:`repro.interpreter.executor.SDFGExecutor._interstate_namespace`).
+(:meth:`repro.interpreter.executor.SDFGExecutor._interstate_namespace`,
+over the run's :class:`~repro.interpreter.executor.TrialStore`; the
+generated driver binds ``__sym`` and ``__store`` to its ``symbols`` and
+``arrays``).
 The emitted source reproduces that lookup order statically:
 
 * a name bound to a scalar container becomes ``__store['name'][0]``

@@ -12,6 +12,7 @@ matrix lives in ``test_tier_parity.py``.)
 
 import dataclasses
 import inspect
+import types
 
 import numpy as np
 import pytest
@@ -202,7 +203,9 @@ class TestTrialApi:
     )
     def test_an_idle_program_pins_no_trial_data(self, name):
         """A prepared program outlives its runs (one per trial): once ``run``
-        returns, no executor still holds that trial's arrays or symbols."""
+        returns, nothing an executor holds -- through its attributes, the
+        interpreter it wraps, its tables and the closures of its op lists
+        -- reaches an array of that trial."""
         for suite in list_workload_suites():
             for spec in get_workload_suite(suite):
                 sdfg = build_workload(suite, spec.name)
@@ -212,10 +215,53 @@ class TestTrialApi:
                 if isinstance(program, CrossProgram):
                     executors = [program.reference, program.candidate]
                 for executor in executors:
-                    assert executor._store == {} and executor._symbols == {}, (
-                        f"{suite}/{spec.name}: {type(executor).__name__} keeps "
-                        f"{sorted(executor._store)}"
+                    held = arrays_reachable_from(executor)
+                    assert not held, (
+                        f"{suite}/{spec.name}: {type(executor).__name__} keeps {held}"
                     )
+
+
+def arrays_reachable_from(executor) -> list:
+    """The paths to every ``np.ndarray`` reachable from ``executor``: through
+    the attributes of the backends' and the interpreter's objects, dicts,
+    lists, tuples and sets, slotted and dataclass objects, the closure cells
+    and defaults of functions and the receivers of bound methods.  The
+    program itself (``repro.sdfg`` objects) is not trial data."""
+    found, seen = [], set()
+
+    def walk(obj, path):
+        if id(obj) in seen or obj is None:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(path)
+        elif isinstance(obj, dict):
+            for key, value in obj.items():
+                walk(key, f"{path}.key")
+                walk(value, f"{path}[{key!r}]")
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            for i, value in enumerate(obj):
+                walk(value, f"{path}[{i}]")
+        elif isinstance(obj, types.FunctionType):
+            for i, cell in enumerate(obj.__closure__ or ()):
+                walk(cell.cell_contents, f"{path}.<cell {i}>")
+            for i, value in enumerate(obj.__defaults__ or ()):
+                walk(value, f"{path}.<default {i}>")
+        elif isinstance(obj, types.MethodType):
+            walk(obj.__self__, f"{path}.__self__")
+        else:
+            cls = type(obj)
+            slots = [n for c in cls.__mro__ for n in c.__dict__.get("__slots__", ())]
+            if cls.__module__.startswith(("repro.backends", "repro.interpreter")) or (
+                slots or dataclasses.is_dataclass(obj)
+            ):
+                for attr in slots:
+                    walk(getattr(obj, attr, None), f"{path}.{attr}")
+                for attr, value in getattr(obj, "__dict__", {}).items():
+                    walk(value, f"{path}.{attr}")
+
+    walk(executor, type(executor).__name__)
+    return found
 
 
 class TestBackendEquivalence:

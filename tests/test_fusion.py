@@ -12,6 +12,7 @@ members) must fall back cleanly to per-scope execution.
 import numpy as np
 import pytest
 
+import repro.backends.compiled as compiled_module
 from repro.backends import get_backend
 from repro.backends.compiled import CompiledExecutor
 from repro.sdfg import SDFG, InterstateEdge, Memlet, float64
@@ -520,7 +521,7 @@ class TestFusionPreconditions:
         assert programs["compiled"].stats["fused"] == 1
         assert programs["compiled"].stats["vectorized"] == 3
 
-    def test_runtime_failure_falls_back_to_members(self):
+    def test_runtime_failure_falls_back_to_members(self, monkeypatch):
         """A fused chain that dies at runtime re-runs its members
         individually -- bitwise identically -- and stays disabled."""
         sdfg = chain_sdfg(["y = x + 1.0", "y = x * 2.0"])
@@ -528,19 +529,18 @@ class TestFusionPreconditions:
         args = make_arguments(sdfg, symbols)
         ref = interpreter_reference(sdfg, args, symbols)
         program = CompiledExecutor(sdfg)
-        original = program._compute_fused
 
-        def exploding(fused, bindings):
+        def exploding(store, fused, bindings):
             raise RuntimeError("fused chain did not survive contact")
 
-        program._compute_fused = exploding
+        monkeypatch.setattr(compiled_module, "compute_fused", exploding)
         result = program.run(dict(args), symbols)
         assert_identical(ref, result)
         assert program.stats["fused"] == 0
         assert program.stats["vectorized"] == 2
         # The chain is now permanently disabled; with the real compute
         # restored it must not be retried.
-        program._compute_fused = original
+        monkeypatch.undo()
         (fused,) = program.tables[0].heads.values()
         assert fused.usable is False
         result2 = program.run(dict(args), symbols)

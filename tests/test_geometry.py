@@ -21,7 +21,7 @@ from repro.backends import get_backend
 from repro.backends.analysis import analyze_state
 from repro.backends.codegen.numpy_eager import BoundInput, BoundOutput
 from repro.backends.compiled import CompiledExecutor
-from repro.backends.execute import ScopeRuntime
+import repro.backends.execute as execute_module
 from repro.backends.geometry import axis_triple
 from repro.core.cutout import extract_cutout, transfer_match
 from repro.interpreter.errors import MemoryViolation
@@ -107,12 +107,6 @@ def compiled(dims):
     return [(kind, p if kind == "param" else compile_expression(p)) for kind, p in dims]
 
 
-def executor(store):
-    ex = ScopeRuntime(SDFG("geometry"))
-    ex._store = store
-    return ex
-
-
 CASES = [random_case(random.Random(seed)) for seed in range(400)]
 
 
@@ -130,7 +124,7 @@ class TestClosedFormAgainstMaterialised:
         kinds = set()
         for ranges, dims, shape in CASES:
             grids, _ = materialise(ranges, dims)
-            ok = not isinstance(outcome(lambda: ScopeRuntime._check_vector_bounds(
+            ok = not isinstance(outcome(lambda: execute_module._check_vector_bounds(
                 "A", "s", grids, shape)), MemoryViolation)
             used = [p[0] for k, p in dims if k == "param"]
             kinds.add((ok, "const" if not used else "permuted" if used != sorted(used)
@@ -143,15 +137,14 @@ class TestClosedFormAgainstMaterialised:
             grids, _ = materialise(ranges, dims)
 
             def reference():
-                ScopeRuntime._check_vector_bounds("A", "A[s]", grids, shape)
+                execute_module._check_vector_bounds("A", "A[s]", grids, shape)
                 return arr[tuple(grids)]
 
-            ex = executor({"A": arr})
             spec = BoundInput("x", "A", compiled(dims), None, "A[s]")
             triples = [axis_triple(*r) for r in ranges]
 
             def closed():
-                value = ex._resolve_gather(spec, triples, BINDINGS)[1]()
+                value = execute_module._resolve_gather({"A": arr}, spec, triples, BINDINGS)()
                 assert not np.shares_memory(value, arr)
                 return value
 
@@ -165,18 +158,17 @@ class TestClosedFormAgainstMaterialised:
             _, flat = materialise(ranges, dims)
 
             def reference():
-                ScopeRuntime._check_vector_bounds("A", "A[s]", flat, shape)
+                execute_module._check_vector_bounds("A", "A[s]", flat, shape)
                 mask = np.zeros(shape)
                 mask[np.ix_(*flat)] = 1.0
                 return mask
 
             arr = np.zeros(shape)
-            ex = executor({"A": arr})
             spec = BoundOutput("y", "A", compiled(dims), None, "A[s]")
             triples = [axis_triple(*r) for r in ranges]
 
             def closed():
-                geom = ex._resolve_write(spec, triples, BINDINGS)
+                geom = execute_module._resolve_write({"A": arr}, spec, triples, BINDINGS)
                 arr[geom.mesh] = 1.0
                 return arr
 
@@ -185,7 +177,7 @@ class TestClosedFormAgainstMaterialised:
     def test_wcr_write_accumulates_like_the_iteration_loop(self):
         for n, (ranges, dims, shape) in enumerate(CASES[:150]):
             _, flat = materialise(ranges, dims)
-            if isinstance(outcome(lambda: ScopeRuntime._check_vector_bounds(
+            if isinstance(outcome(lambda: execute_module._check_vector_bounds(
                     "A", "s", flat, shape)), MemoryViolation):
                 continue
             counts = [len(range(b, e + 1 if s > 0 else e - 1, s)) for b, e, s in ranges]
@@ -198,19 +190,19 @@ class TestClosedFormAgainstMaterialised:
                 )
                 ref[where] += value[point]
             arr = np.ones(shape)
-            ex = executor({"A": arr})
             spec = BoundOutput("y", "A", compiled(dims), "sum", "A[s]")
-            geom = ex._resolve_write(spec, [axis_triple(*r) for r in ranges], BINDINGS)
-            ex._make_write(geom, value, tuple(counts))()
+            geom = execute_module._resolve_write(
+                {"A": arr}, spec, [axis_triple(*r) for r in ranges], BINDINGS
+            )
+            execute_module._make_write(geom, value)()
             assert ref.tobytes() == arr.tobytes()
 
     def test_dimensionality_mismatch_message(self):
-        ex = executor({"A": np.zeros((3, 3))})
         spec = BoundInput("x", "A", [("param", (0, 0))], None, "A[i]")
         with pytest.raises(MemoryViolation) as got:
-            ex._resolve_gather(spec, [(0, 1, 3)], {})
+            execute_module._resolve_gather({"A": np.zeros((3, 3))}, spec, [(0, 1, 3)], {})
         with pytest.raises(MemoryViolation) as ref:
-            ScopeRuntime._check_vector_bounds("A", "A[i]", [np.arange(3)], (3, 3))
+            execute_module._check_vector_bounds("A", "A[i]", [np.arange(3)], (3, 3))
         assert str(got.value) == str(ref.value) and "dimensionality" in str(ref.value)
 
 
@@ -419,10 +411,10 @@ class TestChainInternalOutputs:
         want = get_backend("interpreter").prepare(sdfg).run(dict(args), symbols)
         program = CompiledExecutor(sdfg)
         checked = []
-        real = CompiledExecutor._check_write
+        real = execute_module._check_write
         monkeypatch.setattr(
-            CompiledExecutor, "_check_write",
-            lambda rt, spec, *a: checked.append(spec.data) or real(rt, spec, *a),
+            execute_module, "_check_write",
+            lambda arrays, spec, *a: checked.append(spec.data) or real(arrays, spec, *a),
         )
         got = program.run(dict(args), symbols)
         assert checked == ["B", "Out"]
@@ -466,8 +458,7 @@ class TestNoIndexArraysOnAffineScopes:
         real_arange = np.arange
         monkeypatch.setattr(np, "arange", lambda *a, **k: calls.append("arange") or real_arange(*a, **k))
         monkeypatch.setattr(
-            ScopeRuntime, "_check_vector_bounds",
-            staticmethod(lambda *a: calls.append("check")),
+            execute_module, "_check_vector_bounds", lambda *a: calls.append("check")
         )
         got = program.run(dict(args), symbols)
         monkeypatch.undo()

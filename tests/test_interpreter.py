@@ -19,7 +19,7 @@ from repro.interpreter import (
     TaskletExecutionError,
     execute_sdfg,
 )
-from repro.interpreter.executor import _EVAL_GLOBALS, _write_target
+from repro.interpreter.executor import _EVAL_GLOBALS, TrialStore, _write_target
 from repro.interpreter.tasklet_exec import TASKLET_GLOBALS, compile_expression
 from repro.pipeline import enumerate_sweep_tasks
 from repro.sdfg import SDFG, InterstateEdge, Memlet, float64, int32
@@ -513,10 +513,11 @@ class TestCompiledAccessParity:
         executor = SDFGExecutor(SDFG("access"))
         kinds = set()
         for _, memlet, bindings, store in self.cases(1):
-            executor._store = store
             expected = outcome(lambda: ref_read(store, memlet, bindings))
             for _ in range(2):  # the second read hits the compiled access
-                got = outcome(lambda: executor._read(memlet.data, memlet.subset, bindings, memlet))
+                got = outcome(lambda: executor._read(
+                    TrialStore(store, {}), memlet.data, memlet.subset, bindings, memlet
+                ))
                 assert got == expected, (str(memlet), bindings)
             kinds.add(expected[1])
         assert {MemoryViolation, ExecutionError, np.float64, np.ndarray} <= kinds
@@ -535,8 +536,9 @@ class TestCompiledAccessParity:
                 value = rnd.choice([1.5, -2.0, 7])
             ref_store, exe_store = copy.deepcopy(store), copy.deepcopy(store)
             expected = outcome(lambda: ref_write(ref_store, memlet, value, bindings))
-            executor._store = exe_store
-            got = outcome(lambda: executor._write(data, target, wcr, value, bindings))
+            got = outcome(lambda: executor._write(
+                TrialStore(exe_store, {}), data, target, wcr, value, bindings
+            ))
             assert got == expected, (str(memlet), bindings)
             assert store_bytes(exe_store) == store_bytes(ref_store), str(memlet)
             messages.append(expected[2] if expected[0] == "raised" else "")
@@ -557,8 +559,9 @@ class TestCompiledAccessParity:
             ref_store, exe_store = copy.deepcopy(store), copy.deepcopy(store)
             expected = outcome(lambda: ref_copy(ref_store, "A", "B", memlet, bindings))
             executor = SDFGExecutor(sdfg)
-            executor._store = exe_store
-            got = outcome(lambda: executor._execute_copies_into(state, dst, bindings))
+            got = outcome(lambda: executor._execute_copies_into(
+                TrialStore(exe_store, {}), state, dst, bindings
+            ))
             assert got == expected, (str(memlet), bindings)
             assert store_bytes(exe_store) == store_bytes(ref_store), str(memlet)
             messages.append(expected[2] if expected[0] == "raised" else "")
@@ -613,8 +616,10 @@ class TestCompiledAccessParity:
             executor = Counting(sdfg)
             for _ in range(2):  # the second execution reuses the plan
                 executor.indexed = []
-                executor._store = exe_store = copy.deepcopy(store)
-                got = outcome(lambda: executor._execute_tasklet(state, node, bindings))
+                exe_store = copy.deepcopy(store)
+                got = outcome(lambda: executor._execute_tasklet(
+                    TrialStore(exe_store, {}), state, node, bindings
+                ))
                 assert got == expected, (code, [str(m) for _, m in reads + writes], bindings)
                 assert store_bytes(exe_store) == store_bytes(ref_store), code
             if expected[0] == "raised":
@@ -668,11 +673,11 @@ class TestCompiledAccessParity:
         """``int`` and ``min`` as symbols shadow the vocabulary for the
         expression but never the coercion of each term."""
         executor = SDFGExecutor(SDFG("access"))
-        executor._store = {"A": np.arange(12.0).reshape(3, 4)}
+        store = TrialStore({"A": np.arange(12.0).reshape(3, 4)}, {})
         memlet = Memlet("A", "int, min + 1")
         for bindings in ({"int": 2, "min": 1}, {"int": 1.0, "min": 2.9}):
-            assert executor._read("A", memlet.subset, bindings, memlet) == ref_read(
-                executor._store, memlet, bindings
+            assert executor._read(store, "A", memlet.subset, bindings, memlet) == ref_read(
+                store.arrays, memlet, bindings
             )
 
 
@@ -700,9 +705,9 @@ class TestStaticPointAccessFires:
         execute_tasklet = SDFGExecutor._execute_tasklet
         index = SDFGExecutor._index
 
-        def checked_tasklet(self, state, node, bindings):
+        def checked_tasklet(self, store, state, node, bindings):
             before, indexed = evals["n"], runs["indexed"]
-            execute_tasklet(self, state, node, bindings)
+            execute_tasklet(self, store, state, node, bindings)
             if isinstance(state.scope_dict().get(node), MapEntry):
                 runs["n"] += 1
                 runs["max_evals"] = max(runs["max_evals"], evals["n"] - before)

@@ -292,7 +292,9 @@ class TestRefusedTiles:
         assert "dependent-inner-range" in table.fallback_reasons.values()
         args = {"A": np.ones((6, 6)), "Out": np.zeros((6, 6))}
         program.run(args, {"N": 6})
-        assert program.stats["fallback"] > 0
+        # The outer tile loop falls back to the interpreter, which hands each
+        # of its four inner maps back to the compiled scope runner.
+        assert program.stats == {"vectorized": 4, "fallback": 1, "fused": 0}
 
     def test_two_reduction_axes_under_a_tile_are_refused(self):
         _, table = table_of(self.tiled(wcr_subset="0"))

@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Architecture lint for the backend lowering pipeline.
 
-Enforces seven structural invariants of ``src/repro/`` -- two of the
+Enforces eight structural invariants of ``src/repro/`` -- two of the
 backends (see that package's docstring for the analyze -> codegen -> execute
-pipeline), one of the cluster, three of the whole tree and one of
-the IR packages:
+pipeline), one of the cluster, three of the whole tree, one of
+the IR packages and one of the interpreter:
 
 1. **Module size** -- no module under ``src/repro/backends/`` may exceed
    800 lines.  The pre-split backend grew monolithic modules where legality
@@ -65,6 +65,15 @@ the IR packages:
    immutable leaves and copies each map once per state copy, so a ``MapEntry``
    and its ``MapExit`` keep sharing one map; a generic deep copy pays for a
    memo over every leaf and would bring back a second copy semantics.
+
+8. **No executor tower** -- no module under ``src/repro/`` outside
+   ``src/repro/interpreter/`` defines a class whose bases include
+   ``SDFGExecutor`` (by name or attribute, under any import alias).  A
+   backend *holds* the interpreter it falls back to
+   (``CompiledExecutor.interpreter``) and calls it through named entry
+   points, so what a ``cross:`` pair compares against is visible in the
+   code; a subclass would reach its private methods by virtual dispatch
+   again.
 
 Exits non-zero listing every violation.  Wired into ``make lint-arch`` and
 ``make smoke``.
@@ -308,6 +317,30 @@ def _check_copy(path: Path) -> List[str]:
     return violations
 
 
+INTERPRETER_HOME = SRC / "interpreter"
+
+
+def _check_executor_subclass(path: Path) -> List[str]:
+    """Violations of the no-executor-tower rule in one module."""
+    rel = path.relative_to(ROOT)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    # Every local name the interpreter's executor class is imported as.
+    names = {"SDFGExecutor"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.asname for a in node.names if a.name == "SDFGExecutor" and a.asname)
+    return [
+        f"{rel}:{node.lineno}: class {node.name} subclasses SDFGExecutor -- "
+        f"hold the interpreter instead of inheriting from it"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)) in names
+            for base in node.bases
+        )
+    ]
+
+
 def main() -> int:
     failures: List[str] = []
     for path in sorted(BACKENDS.rglob("*.py")):
@@ -336,6 +369,8 @@ def main() -> int:
             failures.extend(_check_graph(path))
         if any(home in path.parents for home in COPY_FREE):
             failures.extend(_check_copy(path))
+        if INTERPRETER_HOME not in path.parents:
+            failures.extend(_check_executor_subclass(path))
     if failures:
         print("Architecture lint FAILED:", file=sys.stderr)
         for failure in failures:
@@ -344,7 +379,8 @@ def main() -> int:
     print(
         "Architecture lint OK (module sizes, codegen->execute layering, "
         "cluster transport containment, clock "
-        "containment, fault containment, graph containment, copy containment)."
+        "containment, fault containment, graph containment, copy containment, "
+        "no executor tower)."
     )
     return 0
 
